@@ -23,7 +23,8 @@ from . import diffcore as dc
 from . import evaluation as ev
 from .errors import InputError, TrainingError, UnmixError
 from .generative import mixing_mean
-from .inference import init_model, model_parameters, point_estimates
+from .inference import (init_model, model_parameters,
+                        point_estimates_with_streams)
 from .objective import TrainConfig, history_to_csv, train
 
 _EXIT_INPUT = 2
@@ -200,9 +201,11 @@ def cmd_unmix(args) -> int:
         raise InputError(
             f"checkpoint expects {meta['n_bands']} bands, cube has {cube.n_bands}")
     _prepare_out_dir(args.out_dir, args.force)
-    a_hat, m_hat = point_estimates(cube.pixels, phi, theta)
-    recon = mixing_mean(a_hat, m_hat, theta).data
-    eta = ev.nonlinearity_degree(cube.pixels, m_hat, phi)
+    a_hat, m_hat, lin, nlin = point_estimates_with_streams(cube.pixels, phi,
+                                                           theta)
+    with dc.no_grad():
+        recon = mixing_mean(a_hat, m_hat, theta).data
+    eta = ev.nonlinearity_degree(lin, nlin)
     paths = {n: os.path.join(args.out_dir, n)
              for n in ("abundances_est", "endmembers_est", "eta_d",
                        "reconstruction")}
@@ -357,7 +360,7 @@ def main(argv=None) -> int:
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_INPUT
-    except UnmixError as exc:
+    except (UnmixError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_NUMERIC
 

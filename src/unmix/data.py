@@ -407,11 +407,20 @@ def save_cube(base: str, cube: HyperCube):
 
 
 def load_cube(base: str) -> HyperCube:
+    """Read a cube bundle; a NaN or infinite value raises ``InputError``
+    naming the first offending pixel and band."""
     header, data = _read_bundle(base)
     n = header["width"] * header["height"]
     wl = header.get("wavelengths")
     if wl is not None and len(wl) != header["bands"]:
         raise BundleError("wavelength count != band count", field="wavelengths")
+    bad = np.flatnonzero(~np.isfinite(data))
+    if bad.size:
+        pixel, band = divmod(int(bad[0]), header["bands"])
+        row, col = divmod(pixel, header["width"])
+        raise InputError(
+            f"cube {base} has a non-finite value ({float(data[bad[0]])}) at "
+            f"pixel {pixel} (row {row}, column {col}), band {band}")
     return HyperCube(width=header["width"], height=header["height"],
                      pixels=data.reshape(n, header["bands"]),
                      wavelengths=None if wl is None else np.asarray(wl))

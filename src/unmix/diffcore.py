@@ -3,7 +3,8 @@
 Dense float64 tensors with reverse-mode accumulation over a per-loss
 recorded graph, small feedforward networks, the Adam update, and the
 learning-rate schedule used by the training loop.  Graphs are rebuilt
-for every loss evaluation; only parameter tensors persist.
+for every loss evaluation; only parameter tensors persist.  Inside
+``no_grad()`` nothing is recorded, so forward-only passes keep no graph.
 
 Checkpoints are a JSON manifest plus a single raw blob of little-endian
 float64 arrays referenced by name and byte offset.
@@ -13,6 +14,7 @@ from __future__ import annotations
 
 import json
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,7 +26,7 @@ __all__ = [
     "Tensor", "as_tensor", "constant", "parameter",
     "relu", "sigmoid", "exp", "log", "lgamma", "clip", "matmul",
     "l2norm", "concat", "stack_last", "logsumexp",
-    "backward", "MlpParams", "mlp_forward",
+    "backward", "no_grad", "MlpParams", "mlp_forward",
     "AdamState", "adam_step", "lr_schedule", "xavier_uniform",
     "save_checkpoint", "load_checkpoint",
 ]
@@ -43,11 +45,33 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return grad.reshape(shape)
 
 
+_recording = True
+
+
+@contextmanager
+def no_grad():
+    """Run forward-only: tensors made inside record no parents and no VJP.
+
+    Values are computed by the same operations as in recording mode, so
+    they are bitwise identical; every intermediate is freed as soon as the
+    next op has consumed it.  Contexts nest, and the previous mode is
+    restored on exit, also when the body raises.  The mode is process-wide.
+    """
+    global _recording
+    previous = _recording
+    _recording = False
+    try:
+        yield
+    finally:
+        _recording = previous
+
+
 class Tensor:
     """A float64 array recorded on a dynamically built computation graph.
 
     ``parents`` and ``vjp`` describe how to push a cotangent back to the
-    inputs; leaves (constants and parameters) have neither.
+    inputs; leaves (constants and parameters) have neither, and neither
+    does any tensor made inside ``no_grad()``.
     """
 
     __slots__ = ("data", "grad", "name", "_parents", "_vjp")
@@ -56,8 +80,12 @@ class Tensor:
         self.data = np.asarray(data, dtype=np.float64)
         self.grad: np.ndarray | None = None
         self.name = name
-        self._parents: tuple[Tensor, ...] = parents
-        self._vjp = vjp
+        if _recording:
+            self._parents: tuple[Tensor, ...] = parents
+            self._vjp = vjp
+        else:
+            self._parents = ()
+            self._vjp = None
 
     # ---- plumbing -------------------------------------------------
 
@@ -79,31 +107,25 @@ class Tensor:
 
     def __add__(self, other):
         other = as_tensor(other)
-        out = Tensor(self.data + other.data, (self, other))
 
         def vjp(g):
             return (_unbroadcast(g, self.shape), _unbroadcast(g, other.shape))
-        out._vjp = vjp
-        return out
+        return Tensor(self.data + other.data, (self, other), vjp)
 
     __radd__ = __add__
 
     def __mul__(self, other):
         other = as_tensor(other)
-        out = Tensor(self.data * other.data, (self, other))
 
         def vjp(g):
             return (_unbroadcast(g * other.data, self.shape),
                     _unbroadcast(g * self.data, other.shape))
-        out._vjp = vjp
-        return out
+        return Tensor(self.data * other.data, (self, other), vjp)
 
     __rmul__ = __mul__
 
     def __neg__(self):
-        out = Tensor(-self.data, (self,))
-        out._vjp = lambda g: (-g,)
-        return out
+        return Tensor(-self.data, (self,), lambda g: (-g,))
 
     def __sub__(self, other):
         return self + (-as_tensor(other))
@@ -113,21 +135,18 @@ class Tensor:
 
     def __truediv__(self, other):
         other = as_tensor(other)
-        out = Tensor(self.data / other.data, (self, other))
 
         def vjp(g):
             return (_unbroadcast(g / other.data, self.shape),
                     _unbroadcast(-g * self.data / other.data ** 2, other.shape))
-        out._vjp = vjp
-        return out
+        return Tensor(self.data / other.data, (self, other), vjp)
 
     def __rtruediv__(self, other):
         return as_tensor(other) / self
 
     def __pow__(self, p: float):
-        out = Tensor(self.data ** p, (self,))
-        out._vjp = lambda g: (g * p * self.data ** (p - 1),)
-        return out
+        return Tensor(self.data ** p, (self,),
+                      lambda g: (g * p * self.data ** (p - 1),))
 
     def __matmul__(self, other):
         return matmul(self, other)
@@ -137,22 +156,18 @@ class Tensor:
     def reshape(self, *shape) -> "Tensor":
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
             shape = tuple(shape[0])
-        out = Tensor(self.data.reshape(shape), (self,))
-        out._vjp = lambda g: (g.reshape(self.shape),)
-        return out
+        return Tensor(self.data.reshape(shape), (self,),
+                      lambda g: (g.reshape(self.shape),))
 
     def transpose(self, axes=None) -> "Tensor":
         if axes is None:
             axes = tuple(range(self.data.ndim - 2)) + (-1, -2)
         axes = tuple(a % self.data.ndim for a in axes)
         inv = np.argsort(axes)
-        out = Tensor(self.data.transpose(axes), (self,))
-        out._vjp = lambda g: (g.transpose(inv),)
-        return out
+        return Tensor(self.data.transpose(axes), (self,),
+                      lambda g: (g.transpose(inv),))
 
     def sum(self, axis=None, keepdims=False) -> "Tensor":
-        out = Tensor(self.data.sum(axis=axis, keepdims=keepdims), (self,))
-
         def vjp(g):
             if axis is None:
                 return (np.broadcast_to(g, self.shape),)
@@ -160,8 +175,8 @@ class Tensor:
             if not keepdims:
                 g = np.expand_dims(g, ax)
             return (np.broadcast_to(g, self.shape),)
-        out._vjp = vjp
-        return out
+        return Tensor(self.data.sum(axis=axis, keepdims=keepdims),
+                      (self,), vjp)
 
     def mean(self, axis=None, keepdims=False) -> "Tensor":
         n = self.data.size if axis is None else np.prod(
@@ -186,58 +201,48 @@ def parameter(x, name: str) -> Tensor:
 
 def relu(x: Tensor) -> Tensor:
     x = as_tensor(x)
-    out = Tensor(np.maximum(x.data, 0.0), (x,))
-    out._vjp = lambda g: (g * (x.data > 0.0),)
-    return out
+    return Tensor(np.maximum(x.data, 0.0), (x,),
+                  lambda g: (g * (x.data > 0.0),))
 
 
 def sigmoid(x: Tensor) -> Tensor:
     x = as_tensor(x)
     d = x.data
-    s = np.where(d >= 0, 1.0 / (1.0 + np.exp(-np.abs(d))),
-                 np.exp(-np.abs(d)) / (1.0 + np.exp(-np.abs(d))))
-    out = Tensor(s, (x,))
-    out._vjp = lambda g: (g * s * (1.0 - s),)
-    return out
+    e = np.exp(-np.abs(d))
+    # 1 / (1 + e) for d >= 0 and e / (1 + e) below, with one exp
+    s = np.where(d >= 0, 1.0, e) / (1.0 + e)
+    return Tensor(s, (x,), lambda g: (g * s * (1.0 - s),))
 
 
 def exp(x: Tensor) -> Tensor:
     x = as_tensor(x)
     e = np.exp(x.data)
-    out = Tensor(e, (x,))
-    out._vjp = lambda g: (g * e,)
-    return out
+    return Tensor(e, (x,), lambda g: (g * e,))
 
 
 def log(x: Tensor) -> Tensor:
     x = as_tensor(x)
-    out = Tensor(np.log(x.data), (x,))
-    out._vjp = lambda g: (g / x.data,)
-    return out
+    return Tensor(np.log(x.data), (x,), lambda g: (g / x.data,))
 
 
 def lgamma(x: Tensor) -> Tensor:
     x = as_tensor(x)
-    out = Tensor(_sp.gammaln(x.data), (x,))
-    out._vjp = lambda g: (g * _sp.digamma(x.data),)
-    return out
+    return Tensor(_sp.gammaln(x.data), (x,),
+                  lambda g: (g * _sp.digamma(x.data),))
 
 
 def clip(x: Tensor, lo: float, hi: float) -> Tensor:
     """Clamp with pass-through gradient strictly inside (lo, hi)."""
     x = as_tensor(x)
-    out = Tensor(np.clip(x.data, lo, hi), (x,))
-    out._vjp = lambda g: (g * ((x.data > lo) & (x.data < hi)),)
-    return out
+    return Tensor(np.clip(x.data, lo, hi), (x,),
+                  lambda g: (g * ((x.data > lo) & (x.data < hi)),))
 
 
 def l2norm(x: Tensor) -> Tensor:
     """Euclidean norm of all entries, with subgradient 0 at the origin."""
     x = as_tensor(x)
     n = float(np.sqrt((x.data * x.data).sum()))
-    out = Tensor(n, (x,))
-    out._vjp = lambda g: (g * x.data / max(n, 1e-300),)
-    return out
+    return Tensor(n, (x,), lambda g: (g * x.data / max(n, 1e-300),))
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -251,23 +256,20 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"matmul needs ndim >= 2 operands, got {a.shape} @ {b.shape}")
     if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul inner dims differ: {a.shape} @ {b.shape}")
-    out = Tensor(a.data @ b.data, (a, b))
 
     def vjp(g):
         ga = _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape)
         gb = _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape)
         return (ga, gb)
-    out._vjp = vjp
-    return out
+    return Tensor(a.data @ b.data, (a, b), vjp)
 
 
 def concat(parts: list[Tensor], axis: int = -1) -> Tensor:
     parts = [as_tensor(p) for p in parts]
-    out = Tensor(np.concatenate([p.data for p in parts], axis=axis), tuple(parts))
     sizes = [p.shape[axis] for p in parts]
     splits = np.cumsum(sizes)[:-1]
-    out._vjp = lambda g: tuple(np.split(g, splits, axis=axis))
-    return out
+    return Tensor(np.concatenate([p.data for p in parts], axis=axis),
+                  tuple(parts), lambda g: tuple(np.split(g, splits, axis=axis)))
 
 
 def stack_last(parts: list[Tensor]) -> Tensor:

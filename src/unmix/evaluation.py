@@ -19,7 +19,6 @@ from scipy.optimize import linear_sum_assignment
 
 from .data import HyperCube, _as_pixels
 from .errors import DomainError, InputError
-from .inference import InferenceParams, abundance_streams
 
 __all__ = ["nrmse", "sam", "nonlinearity_degree", "fcls", "project_simplex",
            "align_endmembers", "Estimates", "MetricsReport", "evaluate",
@@ -66,12 +65,15 @@ def sam(m_true: np.ndarray, m_hat: np.ndarray) -> float:
     return float(np.arccos(cos).sum(axis=-1).mean())
 
 
-def nonlinearity_degree(y, em_matrix, phi: InferenceParams) -> np.ndarray | float:
-    """Share of the nonlinear stream in the concentration, per pixel, in [0, 1]."""
-    lin, nlin = abundance_streams(np.asarray(y, dtype=np.float64),
-                                  np.asarray(em_matrix, dtype=np.float64), phi)
-    n_lin = np.linalg.norm(lin.data, axis=-1)
-    n_nlin = np.linalg.norm(nlin.data, axis=-1)
+def nonlinearity_degree(lin, nlin) -> np.ndarray | float:
+    """Share of the nonlinear stream in the concentration, per pixel, in [0, 1].
+
+    ``lin`` and ``nlin`` are the two concentration streams (..., P), as
+    ``inference.point_estimates_with_streams`` returns them: the share is
+    ||nlin|| / (||lin|| + ||nlin||), and 0 where both norms are 0.
+    """
+    n_lin = np.linalg.norm(np.asarray(lin, dtype=np.float64), axis=-1)
+    n_nlin = np.linalg.norm(np.asarray(nlin, dtype=np.float64), axis=-1)
     denom = n_lin + n_nlin
     out = np.divide(n_nlin, denom, out=np.zeros_like(denom),
                     where=denom > 0.0)
@@ -119,6 +121,19 @@ def fcls(cube, em_matrix: np.ndarray, max_iter: int = 5000,
     return a
 
 
+def _mean_angle_cost(mt: np.ndarray, mh: np.ndarray) -> np.ndarray:
+    """(P, P) matrix whose entry (i, j) is ``sam`` of truth column i against
+    estimate column j, from one batched product of unit columns."""
+    if mt.shape != mh.shape:
+        raise InputError(f"shape mismatch: {mt.shape} vs {mh.shape}")
+    nt = np.linalg.norm(mt, axis=1, keepdims=True)
+    nh = np.linalg.norm(mh, axis=1, keepdims=True)
+    if np.any(nt == 0.0) or np.any(nh == 0.0):
+        raise DomainError("zero-norm signature in angle computation")
+    cos = np.swapaxes(mt / nt, 1, 2) @ (mh / nh)          # (N, P, P)
+    return np.arccos(np.clip(cos, -1.0, 1.0)).mean(axis=0)
+
+
 def align_endmembers(m_true: np.ndarray, m_hat: np.ndarray) -> np.ndarray:
     """Column permutation of the estimate minimizing total mean angle.
 
@@ -131,11 +146,7 @@ def align_endmembers(m_true: np.ndarray, m_hat: np.ndarray) -> np.ndarray:
     mt = _per_pixel_stack(m_true, n)
     mh = _per_pixel_stack(m_hat, n)
     p = mt.shape[-1]
-    cost = np.zeros((p, p))
-    for i in range(p):
-        for j in range(p):
-            cost[i, j] = sam(mt[:, :, [i]], mh[:, :, [j]])
-    rows, cols = linear_sum_assignment(cost)
+    rows, cols = linear_sum_assignment(_mean_angle_cost(mt, mh))
     perm = np.empty(p, dtype=int)
     perm[rows] = cols
     return perm

@@ -27,7 +27,8 @@ from .generative import GenerativeParams
 
 __all__ = ["ListaParams", "InferenceParams", "PosteriorSample", "encode_z",
            "lista_concentration", "abundance_streams", "abundance_concentration",
-           "posterior_sample", "point_estimates", "init_model"]
+           "posterior_sample", "point_estimates", "point_estimates_with_streams",
+           "init_model"]
 
 INIT_ETA_SPARSE = 0.01
 INIT_ETA_UNC = 10.0
@@ -210,9 +211,15 @@ def _pseudoinverse(m_data: np.ndarray) -> np.ndarray:
 def lista_concentration(y, M, phi: InferenceParams) -> Tensor:
     """Unrolled gradient/shrinkage stream; the piecewise-linear half of gamma.
 
-    Starts from the pseudoinverse solution (treated as data for the reverse
-    pass), runs n_layers - 2 shrinkage steps, and scales by the uncertainty
-    factor.  ``y``: (..., L); ``M``: (..., L, P).
+    Starts from the pseudoinverse solution, runs n_layers - 2 shrinkage
+    steps h <- relu(h - eta (G h - b) - eta eta_sp), and scales by the
+    uncertainty factor.  ``y``: (..., L); ``M``: (..., L, P).
+
+    The steps use the Gram form: G = M^T M (..., P, P) and b = M^T y
+    (..., P) are formed once per pass, so each layer costs a P x P product
+    in place of two L x P ones.  The reverse pass reaches M through G and b
+    and the step scalars through every layer; the pseudoinverse warm start
+    and ``y`` are treated as data.
     """
     M = as_tensor(M)
     y_arr = y.data if isinstance(y, Tensor) else np.asarray(y, dtype=np.float64)
@@ -220,12 +227,13 @@ def lista_concentration(y, M, phi: InferenceParams) -> Tensor:
         raise ShapeError(f"M has {M.shape[-2]} bands, y has {y_arr.shape[-1]}")
     pinv = _pseudoinverse(M.data)
     h = dc.constant(np.squeeze(pinv @ y_arr[..., None], axis=-1))
-    y_col = dc.constant(y_arr[..., None])
+    m_t = M.transpose()
+    gram = dc.matmul(m_t, M)
+    b = dc.matmul(m_t, dc.constant(y_arr[..., None])).reshape(h.shape)
     eta_sp = dc.exp(phi.lista.log_eta_sparse)
     for m in range(phi.lista.n_layers - 2):
         eta = dc.exp(phi.lista.log_eta_steps[m])
-        resid = dc.matmul(M, _as_column(h)) - y_col
-        grad = dc.matmul(M.transpose(), resid).reshape(h.shape)
+        grad = dc.matmul(gram, _as_column(h)).reshape(h.shape) - b
         h = dc.relu(h - eta * grad - eta_sp * eta)
     return dc.exp(phi.lista.log_eta_unc) * h
 
@@ -237,11 +245,13 @@ def abundance_streams(y, M, phi: InferenceParams) -> tuple[Tensor, Tensor]:
     return lin, nlin
 
 
+def _combine_streams(lin: Tensor, nlin: Tensor) -> DirichletParams:
+    return DirichletParams(concentration=dc.relu(lin + nlin) + GAMMA_FLOOR)
+
+
 def abundance_concentration(y, M, phi: InferenceParams) -> DirichletParams:
     """gamma = relu(linear stream + nonlinear stream) + floor."""
-    lin, nlin = abundance_streams(y, M, phi)
-    conc = dc.relu(lin + nlin) + GAMMA_FLOOR
-    return DirichletParams(concentration=conc)
+    return _combine_streams(*abundance_streams(y, M, phi))
 
 
 def posterior_sample(y, phi: InferenceParams, theta: GenerativeParams,
@@ -265,20 +275,33 @@ def posterior_sample(y, phi: InferenceParams, theta: GenerativeParams,
                            gamma=gamma, z_dist=z_dist, z_columns=z_cols)
 
 
+def point_estimates_with_streams(y, phi: InferenceParams,
+                                 theta: GenerativeParams
+                                 ) -> tuple[np.ndarray, np.ndarray,
+                                            np.ndarray, np.ndarray]:
+    """``point_estimates`` plus the two concentration streams it combined.
+
+    ``y``: (..., L).  Returns (a_hat (..., P), m_hat (..., L, P),
+    lin (..., P), nlin (..., P)), all computed forward-only in one pass.
+    """
+    y_arr = y.data if isinstance(y, Tensor) else np.asarray(y, dtype=np.float64)
+    with dc.no_grad():
+        z_mean = encode_z(y_arr, phi).mean
+        m_hat = np.stack([mlp_forward(theta.em_decoders[k], z_mean).data
+                          for k in range(phi.n_endmembers)], axis=-1)
+        lin, nlin = abundance_streams(y_arr, dc.constant(m_hat), phi)
+        conc = _combine_streams(lin, nlin).concentration.data
+    a_hat = conc / conc.sum(axis=-1, keepdims=True)
+    return a_hat, m_hat, lin.data, nlin.data
+
+
 def point_estimates(y, phi: InferenceParams,
                     theta: GenerativeParams) -> tuple[np.ndarray, np.ndarray]:
     """Deterministic summaries: Dirichlet-mean abundances and decoder-mean EMs.
 
     ``y``: (..., L).  Returns (a_hat (..., P), m_hat (..., L, P)).
     """
-    y_arr = y.data if isinstance(y, Tensor) else np.asarray(y, dtype=np.float64)
-    z_mean = encode_z(y_arr, phi).mean
-    m_cols = [mlp_forward(theta.em_decoders[k], z_mean).data
-              for k in range(phi.n_endmembers)]
-    m_hat = np.stack(m_cols, axis=-1)
-    gamma = abundance_concentration(y_arr, dc.constant(m_hat), phi)
-    conc = gamma.concentration.data
-    a_hat = conc / conc.sum(axis=-1, keepdims=True)
+    a_hat, m_hat, _, _ = point_estimates_with_streams(y, phi, theta)
     return a_hat, m_hat
 
 

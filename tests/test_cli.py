@@ -1,0 +1,102 @@
+"""Command-line contract: reproducible outputs, what they hold, exit codes."""
+
+import os
+
+import numpy as np
+import pytest
+
+from unmix import cli
+from unmix import data as dt
+from unmix import diffcore as dc
+from unmix import inference as inf
+
+WIDTH, HEIGHT, BANDS, P = 8, 8, 24, 3
+OUTPUTS = ("abundances_est", "endmembers_est", "eta_d", "reconstruction")
+
+
+@pytest.fixture(scope="module")
+def scene(tmp_path_factory):
+    """A tiny dc2 scene and a checkpoint of a freshly initialised model."""
+    root = tmp_path_factory.mktemp("cli")
+    scene_dir = str(root / "scene")
+    assert cli.main(["generate", "dc2", scene_dir, "--seed", "4",
+                     "--width", str(WIDTH), "--height", str(HEIGHT),
+                     "--bands", str(BANDS), "--endmembers", str(P)]) == 0
+    theta, phi = inf.init_model(BANDS, P, 2, 11, np.random.default_rng(7))
+    ckpt = str(root / "model")
+    dc.save_checkpoint(ckpt, {"n_bands": BANDS, "n_endmembers": P,
+                              "latent_dim": 2, "lista_layers": 11,
+                              "seed": 7, "epoch": 0},
+                       inf.model_parameters(theta, phi))
+    return {"root": root, "cube": os.path.join(scene_dir, "cube"),
+            "ckpt": ckpt, "theta": theta, "phi": phi}
+
+
+def _unmix(scene, name: str) -> str:
+    out = str(scene["root"] / name)
+    assert cli.main(["unmix", scene["cube"], scene["ckpt"], out]) == 0
+    return out
+
+
+def _files(out_dir: str) -> dict[str, bytes]:
+    out = {}
+    for name in sorted(os.listdir(out_dir)):
+        if name != "manifest.json":
+            with open(os.path.join(out_dir, name), "rb") as f:
+                out[name] = f.read()
+    return out
+
+
+class TestUnmix:
+    def test_rerun_writes_identical_bytes(self, scene):
+        first = _files(_unmix(scene, "run_a"))
+        second = _files(_unmix(scene, "run_b"))
+        assert {f"{n}.{ext}" for n in OUTPUTS for ext in ("json", "raw")} \
+            <= set(first)
+        assert first == second
+
+    def test_abundances_and_endmembers_are_point_estimates(self, scene):
+        out = _unmix(scene, "run_pe")
+        y = dt.load_cube(scene["cube"]).pixels
+        a_ref, m_ref = inf.point_estimates(y, scene["phi"], scene["theta"])
+        a_hat, width, height = dt.load_abundances(
+            os.path.join(out, "abundances_est"))
+        assert (width, height) == (WIDTH, HEIGHT)
+        np.testing.assert_array_equal(a_hat, a_ref)
+        np.testing.assert_array_equal(
+            dt.load_endmembers(os.path.join(out, "endmembers_est")), m_ref)
+
+    def test_eta_d_is_stream_norm_ratio(self, scene):
+        out = _unmix(scene, "run_eta")
+        y = dt.load_cube(scene["cube"]).pixels
+        m_hat = dt.load_endmembers(os.path.join(out, "endmembers_est"))
+        lin, nlin = inf.abundance_streams(y, dc.constant(m_hat), scene["phi"])
+        n_lin = np.linalg.norm(lin.data, axis=-1)
+        n_nlin = np.linalg.norm(nlin.data, axis=-1)
+        eta = dt.load_scalar_map(os.path.join(out, "eta_d"))
+        assert eta.shape == (WIDTH * HEIGHT,)
+        np.testing.assert_array_equal(eta, n_nlin / (n_lin + n_nlin))
+
+
+class TestExitCodes:
+    def test_nan_pixel_exits_2_naming_pixel_and_band(self, scene, capsys):
+        cube = dt.load_cube(scene["cube"])
+        pixels = cube.pixels.copy()
+        pixels[13, 5] = np.nan
+        bad = str(scene["root"] / "nan_cube")
+        dt.save_cube(bad, dt.HyperCube(WIDTH, HEIGHT, pixels))
+        capsys.readouterr()
+        rc = cli.main(["unmix", bad, scene["ckpt"],
+                       str(scene["root"] / "run_nan")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "pixel 13 (row 1, column 5), band 5" in err
+
+    def test_linalg_failure_exits_3(self, scene, monkeypatch, capsys):
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+        monkeypatch.setattr(cli, "point_estimates_with_streams", fail)
+        rc = cli.main(["unmix", scene["cube"], scene["ckpt"],
+                       str(scene["root"] / "run_linalg")])
+        assert rc == 3
+        assert "SVD did not converge" in capsys.readouterr().err

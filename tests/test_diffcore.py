@@ -117,6 +117,75 @@ def _sin(t):
     return out
 
 
+def _every_op(x: dc.Tensor, net: dc.MlpParams) -> list[dc.Tensor]:
+    """One tensor from each differentiable op, chained off ``x`` (4, 3)."""
+    h = dc.mlp_forward(net, x)
+    return [h, x + 1.5, x * 2.0, -x, x - 0.5,
+            1.0 - x, x / 3.0, 2.0 / (x * x + 1.0), (x * x) ** 1.5,
+            x.reshape(3, 4), x.transpose(), x.sum(axis=0), x.mean(),
+            dc.relu(x), dc.sigmoid(x), dc.exp(x), dc.log(x * x + 1.0),
+            dc.lgamma(x * x + 0.5), dc.clip(x, -0.2, 0.3), dc.l2norm(x),
+            dc.matmul(x, x.transpose()), dc.concat([x, h], axis=-1),
+            dc.stack_last([x, x * 2.0]), dc.logsumexp(x, axis=-1)]
+
+
+class TestNoGrad:
+    @pytest.fixture
+    def case(self, rng):
+        net = make_mlp([3, 5, 2], ["relu", "sigmoid"], seed=4)
+        return rng.standard_normal((4, 3)), net
+
+    def test_values_bitwise_equal_to_recording_mode(self, case):
+        x, net = case
+        recorded = _every_op(dc.parameter(x, "x"), net)
+        with dc.no_grad():
+            plain = _every_op(dc.parameter(x, "x"), net)
+        assert len(recorded) == len(plain)
+        for r, p in zip(recorded, plain):
+            assert r.data.shape == p.data.shape
+            assert r.data.tobytes() == p.data.tobytes()
+
+    def test_tensors_record_no_parents_and_no_vjp(self, case):
+        x, net = case
+        with dc.no_grad():
+            outs = _every_op(dc.parameter(x, "x"), net)
+        for t in outs:
+            assert t._parents == () and t._vjp is None
+        recorded = _every_op(dc.parameter(x, "x"), net)
+        assert all(t._parents and t._vjp is not None for t in recorded)
+
+    def test_nests_and_restores_recording(self):
+        x = dc.parameter(np.ones(2), "x")
+        with dc.no_grad():
+            with dc.no_grad():
+                assert (x * 2.0)._vjp is None
+            assert (x * 2.0)._vjp is None
+        assert (x * 2.0)._vjp is not None
+
+    def test_restores_recording_after_exception(self):
+        x = dc.parameter(np.ones(2), "x")
+        with pytest.raises(ShapeError):
+            with dc.no_grad():
+                dc.matmul(x, x)
+        y = x * 2.0
+        assert y._parents[0] is x and y._vjp is not None
+        grads = dc.backward(y.sum(), {"x": x})
+        np.testing.assert_array_equal(grads["x"], [2.0, 2.0])
+
+
+class TestSigmoid:
+    def test_bitwise_equal_to_three_exp_form(self, rng):
+        tiny = np.finfo(np.float64).smallest_subnormal
+        d = np.concatenate([
+            rng.uniform(-800.0, 800.0, 10_000),
+            [800.0, -800.0, 0.0, -0.0, tiny, -tiny, 1e-310, -1e-310,
+             36.7, -36.7, 745.2, -745.2]])
+        old = np.where(d >= 0, 1.0 / (1.0 + np.exp(-np.abs(d))),
+                       np.exp(-np.abs(d)) / (1.0 + np.exp(-np.abs(d))))
+        new = dc.sigmoid(dc.constant(d)).data
+        assert new.tobytes() == old.tobytes()
+
+
 class TestAdam:
     def test_zero_gradient_leaves_parameters(self):
         p = dc.parameter(np.array([1.0, -2.0]), "p")

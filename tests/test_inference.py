@@ -140,6 +140,60 @@ class TestListaConcentration:
         assert np.array_equal(grads[last], np.zeros(()))
 
 
+def _explicit_lista(y, M, phi):
+    """Reference recurrence h <- relu(h - eta M^T (M h - y) - eta eta_sp)."""
+    h = dc.constant(np.squeeze(np.linalg.pinv(M.data, rcond=1e-8)
+                               @ y[..., None], axis=-1))
+    y_col = dc.constant(y[..., None])
+    eta_sp = dc.exp(phi.lista.log_eta_sparse)
+    for m in range(phi.lista.n_layers - 2):
+        eta = dc.exp(phi.lista.log_eta_steps[m])
+        resid = dc.matmul(M, h.reshape(h.shape + (1,))) - y_col
+        grad = dc.matmul(M.transpose(), resid).reshape(h.shape)
+        h = dc.relu(h - eta * grad - eta_sp * eta)
+    return dc.exp(phi.lista.log_eta_unc) * h
+
+
+class TestListaGramForm:
+    """The Gram-form layers against the explicit residual recurrence."""
+
+    def _case(self, rng, batch, rank_deficient=False):
+        M = rng.uniform(0.1, 0.9, batch + (L, P))
+        if rank_deficient:
+            M[..., 1] = M[..., 0]
+        a = rng.dirichlet(np.ones(P), size=batch or None)
+        y = np.einsum("...lp,...p->...l", M, a) + 0.05 * rng.standard_normal(
+            batch + (L,))
+        ref_em = M.reshape(-1, L, P).mean(axis=0)
+        _, phi = inf.init_model(L, P, H, lista_layers=11, rng=rng,
+                                ref_endmembers=ref_em)
+        for k, t in enumerate(phi.lista.log_eta_steps):
+            t.data = t.data + 0.1 * np.sin(k)     # distinct step sizes
+        return y, M, phi
+
+    @pytest.mark.parametrize("batch,rank_deficient", [
+        ((), False), ((6,), False), ((2, 3), False), ((5,), True)])
+    def test_values_and_gradients_match_reference(self, rng, batch,
+                                                  rank_deficient):
+        y, M, phi = self._case(rng, batch, rank_deficient)
+        weights = rng.standard_normal(batch + (P,))
+        outs, grads = [], []
+        for fn in (inf.lista_concentration, _explicit_lista):
+            m_param = dc.parameter(M.copy(), "M")
+            out = fn(y, m_param, phi)
+            params = {"M": m_param, **phi.lista.named_parameters()}
+            grads.append(dc.backward((out * weights).sum(), params))
+            outs.append(out.data)
+        got, ref = outs
+        assert np.abs(ref).max() > 0
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+        g_got, g_ref = grads
+        assert set(g_got) == set(g_ref)
+        for name in g_ref:
+            tol = 1e-10 * max(1.0, float(np.abs(g_ref[name]).max()))
+            assert np.abs(g_got[name] - g_ref[name]).max() <= tol, name
+
+
 class TestAbundanceConcentration:
     def test_single_stream_when_nonlinear_zeroed(self, model, rng):
         theta, phi = model
