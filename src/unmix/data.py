@@ -373,7 +373,10 @@ def _read_bundle(base: str, expected_role: str | None = None
         except json.JSONDecodeError as exc:
             raise BundleError(f"malformed bundle header: {exc}") from None
     for key in ("width", "height", "bands"):
-        if not isinstance(header.get(key), int) or header[key] <= 0:
+        value = header.get(key)
+        # JSON true/false load as bool, which isinstance(int) accepts
+        if (isinstance(value, bool) or not isinstance(value, int)
+                or value <= 0):
             raise BundleError("missing or invalid header entry", field=key)
     if header.get("dtype") != _DTYPE:
         raise BundleError(f"unsupported dtype {header.get('dtype')!r}",
@@ -385,16 +388,17 @@ def _read_bundle(base: str, expected_role: str | None = None
     if expected_role is not None and role != expected_role:
         raise BundleError(f"expected role {expected_role!r}, found {role!r}",
                           field="role")
-    with open(base + ".raw", "rb") as f:
-        blob = f.read()
+    raw = base + ".raw"
     count = header["width"] * header["height"] * header["bands"]
     if role == "endmembers":
         count *= int(header.get("components", 1))
-    if len(blob) != count * 8:
+    size = os.path.getsize(raw)
+    if size != count * 8:
         raise BundleError(
-            f"payload holds {len(blob) // 8} values, header implies {count}",
+            f"payload holds {size // 8} values, header implies {count}",
             field="bands")
-    data = np.frombuffer(blob, dtype="<f8").astype(np.float64)
+    # no copy where "<f8" is already the native float64 layout
+    data = np.fromfile(raw, dtype="<f8").astype(np.float64, copy=False)
     return header, data
 
 

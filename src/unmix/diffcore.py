@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import special as _sp
 
-from .errors import ContractError, ShapeError, TrainingError
+from .errors import BundleError, ContractError, ShapeError, TrainingError
 
 __all__ = [
     "Tensor", "as_tensor", "constant", "parameter",
@@ -487,7 +487,6 @@ def save_checkpoint(base_path: str, meta: dict, params: dict[str, Tensor | np.nd
 
 
 def load_checkpoint(base_path: str) -> tuple[dict, dict[str, np.ndarray]]:
-    from .errors import BundleError
     json_path = base_path + ".json"
     if not os.path.exists(json_path):
         raise BundleError(f"missing checkpoint manifest {json_path}")
@@ -512,7 +511,6 @@ def load_checkpoint(base_path: str) -> tuple[dict, dict[str, np.ndarray]]:
 
 def load_params_into(params: dict[str, Tensor], arrays: dict[str, np.ndarray]):
     """Copy checkpoint arrays over live parameter tensors, by name."""
-    from .errors import BundleError
     for name, t in params.items():
         if name not in arrays:
             raise BundleError("checkpoint missing parameter", field=name)

@@ -134,64 +134,12 @@ def _beta_pdf_data(x, a, b):
                   - _sp.betaln(a, b))
 
 
-def _betacf(a, b, x, max_iter: int = 300, tol: float = 1e-14):
-    """Lentz continued fraction for the regularized incomplete beta."""
-    a, b, x = np.broadcast_arrays(a, b, x)
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    x = np.asarray(x, dtype=np.float64)
-    tiny = 1e-300
-    qab, qap, qam = a + b, a + 1.0, a - 1.0
-    c = np.ones_like(x)
-    d = 1.0 - qab * x / qap
-    d = np.where(np.abs(d) < tiny, tiny, d)
-    d = 1.0 / d
-    h = d.copy()
-    converged = np.zeros(x.shape, dtype=bool)
-    for m in range(1, max_iter + 1):
-        m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        d = np.where(np.abs(d) < tiny, tiny, d)
-        c = 1.0 + aa / c
-        c = np.where(np.abs(c) < tiny, tiny, c)
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        d = np.where(np.abs(d) < tiny, tiny, d)
-        c = 1.0 + aa / c
-        c = np.where(np.abs(c) < tiny, tiny, c)
-        d = 1.0 / d
-        delt = d * c
-        h *= delt
-        converged |= np.abs(delt - 1.0) < tol
-        if converged.all():
-            break
-    if not converged.all():
-        raise NumericError(
-            f"incomplete beta continued fraction did not converge in {max_iter} iterations")
-    return h
-
-
 def _beta_cdf_data(x, a, b):
-    """Regularized incomplete beta via the continued fraction."""
-    x, a, b = np.broadcast_arrays(
-        np.asarray(x, np.float64), np.asarray(a, np.float64),
-        np.asarray(b, np.float64))
-    out = np.empty(x.shape, dtype=np.float64)
-    lnbt = (_sp.gammaln(a + b) - _sp.gammaln(a) - _sp.gammaln(b)
-            + a * np.log(x) + b * np.log1p(-x))
-    bt = np.exp(lnbt)
-    direct = x < (a + 1.0) / (a + b + 2.0)
-    if direct.any():
-        out[direct] = (bt[direct] * _betacf(a[direct], b[direct], x[direct])
-                       / a[direct])
-    flip = ~direct
-    if flip.any():
-        out[flip] = 1.0 - (bt[flip] * _betacf(b[flip], a[flip], 1.0 - x[flip])
-                           / b[flip])
-    return np.clip(out, 0.0, 1.0)
+    """Regularized incomplete beta I_x(a, b), the Beta(a, b) cdf at x."""
+    out = _sp.betainc(a, b, x)
+    if not np.all(np.isfinite(out)):
+        raise NumericError("Beta cdf is not finite")
+    return out
 
 
 def _beta_cdf_dalpha_data(x, a, b):

@@ -88,13 +88,12 @@ class GenerativeParams:
         return out
 
     def em_scale(self, k: int) -> Tensor:
-        """Isotropic band spread of endmember k, materialized over all bands."""
-        ones = dc.constant(np.ones(self.n_bands))
-        return dc.exp(self.em_log_scales[k]) * ones
+        """Isotropic band spread of endmember k, a scalar for every band."""
+        return dc.exp(self.em_log_scales[k])
 
     def obs_scale(self) -> Tensor:
-        ones = dc.constant(np.ones(self.n_bands))
-        return dc.exp(self.obs_log_scale) * ones
+        """Isotropic observation-noise spread, a scalar for every band."""
+        return dc.exp(self.obs_log_scale)
 
 
 def em_decode(z_k, k: int, theta: GenerativeParams) -> DiagGaussian:

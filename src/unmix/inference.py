@@ -23,7 +23,7 @@ from .diffcore import MlpParams, Tensor, as_tensor, mlp_forward
 from .distributions import (GAMMA_FLOOR, DiagGaussian, DirichletParams,
                             dirichlet_rsample, gaussian_rsample)
 from .errors import ShapeError
-from .generative import GenerativeParams
+from .generative import GenerativeParams, em_decode
 
 __all__ = ["ListaParams", "InferenceParams", "PosteriorSample", "encode_z",
            "lista_concentration", "abundance_streams", "abundance_concentration",
@@ -265,7 +265,6 @@ def posterior_sample(y, phi: InferenceParams, theta: GenerativeParams,
     z_cols = [gaussian_rsample(z_dist, xi_z[..., k, :]) for k in range(P)]
     m_cols = []
     for k in range(P):
-        from .generative import em_decode
         d_m = em_decode(z_cols[k], k, theta)
         m_cols.append(gaussian_rsample(d_m, noise.normal(batch + (L,))))
     em = dc.stack_last(m_cols)

@@ -10,7 +10,10 @@ The maximized objective combines, per batch:
   importance-weighted log-ratio over latent draws, plus a posterior-
   likelihood regularizer weighted by (1 + beta), the whole block scaled
   by lambda;
-* an L1/2 penalty on the Dirichlet concentrations (sparsity);
+* an L1/2 penalty on the Dirichlet concentrations (sparsity), taken on
+  the concentrations the two bounds already built: the labeled pixels'
+  at their observed endmembers and the unlabeled pixels' at each
+  posterior draw;
 * a norm penalty on the two nonlinear networks.
 
 Training minimizes the negation with Adam under the decaying schedule and
@@ -32,7 +35,8 @@ from .diffcore import AdamState, Tensor, adam_step, backward, lr_schedule
 from .distributions import (DiagGaussian, RngNoise, dirichlet_logpdf,
                             gaussian_logpdf, std_normal_logpdf)
 from .errors import ContractError, InputError, NumericError, TrainingError
-from .generative import GenerativeParams, flat_abundance_logpdf, log_likelihood
+from .generative import (GenerativeParams, em_decode, flat_abundance_logpdf,
+                         log_likelihood)
 from .inference import (InferenceParams, abundance_concentration, encode_z,
                         init_model, model_parameters, posterior_sample)
 
@@ -104,20 +108,24 @@ def _as_batch(y) -> np.ndarray:
 
 
 def unsup_term(y, theta: GenerativeParams, phi: InferenceParams, noise,
-               k_e: int = 1) -> Tensor:
+               k_e: int = 1) -> tuple[Tensor, list[Tensor]]:
     """Evidence bound for unlabeled pixels, summed over the batch.
 
     For each pixel, averages log p(y, a, M, Z) - log q(a, M, Z | y) over
     ``k_e`` ancestral draws; the shared-decoder terms cancel exactly and
-    are therefore omitted rather than computed.
+    are therefore omitted rather than computed.  Also returns the
+    abundance concentration of each draw, (B, P) apiece, for the
+    sparsity penalty.
     """
     _assert_shared(theta, phi)
     if isinstance(noise, np.random.Generator):
         noise = RngNoise(noise)
     y_b = _as_batch(y)
     total = None
+    concentrations = []
     for _ in range(k_e):
         s = posterior_sample(y_b, phi, theta, noise)
+        concentrations.append(s.gamma.concentration)
         factors = {
             "likelihood": log_likelihood(y_b, s.a, s.em_matrix, theta),
             "abundance prior": flat_abundance_logpdf(s.a, theta.n_endmembers),
@@ -138,7 +146,7 @@ def unsup_term(y, theta: GenerativeParams, phi: InferenceParams, noise,
                                     "unsupervised bound")
             term = f if term is None else term + f
         total = term if total is None else total + term
-    return (total * (1.0 / k_e)).sum()
+    return (total * (1.0 / k_e)).sum(), concentrations
 
 
 @dataclass
@@ -153,40 +161,22 @@ class ImportanceWeights:
         return dc.logsumexp(self.log_weights, axis=-1)
 
 
-def _log_em_likelihood(em_matrix: np.ndarray, z_cols: list[Tensor],
-                       theta: GenerativeParams, extra_axes: int = 0) -> Tensor:
-    """Sum over endmembers of log N(m_k; decoder_k(z_k), scale_k).
-
-    ``em_matrix``: (..., L, P) observed data; ``z_cols[k]``: latent draws with
-    ``extra_axes`` additional broadcast axes (e.g. an importance-sample axis).
-    """
-    from .generative import em_decode
-    total = None
-    for k, z_k in enumerate(z_cols):
-        m_k = em_matrix[..., :, k]
-        if extra_axes:
-            m_k = np.expand_dims(m_k, tuple(range(m_k.ndim - 1, m_k.ndim - 1 + extra_axes)))
-        lp = gaussian_logpdf(dc.constant(m_k), em_decode(z_k, k, theta))
-        total = lp if total is None else total + lp
-    return total
-
-
-def importance_weights(em_matrix, z_samples, theta: GenerativeParams
+def importance_weights(em_matrix, z_cols, theta: GenerativeParams
                        ) -> ImportanceWeights:
     """Self-normalized weights w_i = q(M | Z_i) for observed M over K draws.
 
-    ``em_matrix``: (L, P); ``z_samples``: (K, H, P) latent codes (columns
-    are per-endmember) or a list of K such matrices.  Both arguments are
-    treated as data here; the gradient-bearing path lives in sup_term.
+    ``em_matrix``: (..., L, P) observed data; ``z_cols``: the P latent codes,
+    each (..., K, H).  log w_i is the sum over endmembers of
+    log N(m_k; decoder_k(z_ik), scale_k); gradients reach the decoders and
+    flow back through ``z_cols``, while ``em_matrix`` is treated as data.
     """
     em = np.asarray(em_matrix.data if isinstance(em_matrix, Tensor)
                     else em_matrix, dtype=np.float64)
-    if isinstance(z_samples, (list, tuple)):
-        z_samples = np.stack([np.asarray(z.data if isinstance(z, Tensor) else z)
-                              for z in z_samples])
-    z = np.asarray(z_samples, dtype=np.float64)        # (K, H, P)
-    z_cols = [dc.constant(z[:, :, k]) for k in range(z.shape[-1])]
-    log_w = _log_em_likelihood(em[None, :, :], z_cols, theta)   # (K,)
+    log_w = None
+    for k, z_k in enumerate(z_cols):
+        m_k = dc.constant(em[..., None, :, k])          # (..., 1, L)
+        lp = gaussian_logpdf(m_k, em_decode(z_k, k, theta))
+        log_w = lp if log_w is None else log_w + lp     # (..., K)
     if not np.any(np.isfinite(log_w.data)):
         raise NumericError("all importance weights underflowed")
     norm = dc.exp(log_w - dc.logsumexp(log_w, axis=-1, keepdims=True))
@@ -199,12 +189,14 @@ def _check_simplex(a: np.ndarray):
 
 
 def sup_term(y, a, em_matrix, theta: GenerativeParams, phi: InferenceParams,
-             noise, k: int = 5) -> tuple[Tensor, Tensor]:
+             noise, k: int = 5) -> tuple[Tensor, Tensor, Tensor]:
     """Supervised bound pieces for labeled triples, summed over the batch.
 
-    Returns ``(sup_iw, sup_posterior)``: the importance-weighted log-ratio
-    and the posterior-likelihood regularizer (the latter enters the total
-    with weight lambda * (1 + beta)).
+    Returns ``(sup_iw, sup_posterior, concentration)``: the
+    importance-weighted log-ratio, the posterior-likelihood regularizer
+    (it enters the total with weight lambda * (1 + beta)), and the (B, P)
+    abundance concentration at the observed endmembers, for the sparsity
+    penalty.
     """
     _assert_shared(theta, phi)
     if isinstance(noise, np.random.Generator):
@@ -224,11 +216,7 @@ def sup_term(y, a, em_matrix, theta: GenerativeParams, phi: InferenceParams,
     scale = z_dist.scale.reshape((B, 1, H))
     xi = noise.normal((B, k, P, H))
     z_cols = [mean + scale * dc.constant(xi[:, :, j, :]) for j in range(P)]
-
-    log_w = _log_em_likelihood(em, z_cols, theta, extra_axes=1)       # (B, K)
-    if not np.any(np.isfinite(log_w.data)):
-        raise NumericError("all importance weights underflowed")
-    norm_w = dc.exp(log_w - dc.logsumexp(log_w, axis=-1, keepdims=True))
+    w = importance_weights(em, z_cols, theta)                         # (B, K)
 
     gamma = abundance_concentration(y_b, dc.constant(em), phi)
     lq_a = dirichlet_logpdf(a_b, gamma)                               # (B,)
@@ -243,9 +231,9 @@ def sup_term(y, a, em_matrix, theta: GenerativeParams, phi: InferenceParams,
         lp_z = pz if lp_z is None else lp_z + pz
         lq_z = qz if lq_z is None else lq_z + qz
     bracket = fixed + lp_z - lq_z                                     # (B, K)
-    sup_iw = (norm_w * bracket).sum(axis=-1).sum()
-    sup_posterior = (lq_a + log_w.mean(axis=-1)).sum()
-    return sup_iw, sup_posterior
+    sup_iw = (w.normalized * bracket).sum(axis=-1).sum()
+    sup_posterior = (lq_a + w.log_weights.mean(axis=-1)).sum()
+    return sup_iw, sup_posterior, gamma.concentration
 
 
 def l_half_norm(x: Tensor) -> Tensor:
@@ -253,49 +241,26 @@ def l_half_norm(x: Tensor) -> Tensor:
     return (dc.as_tensor(x) ** 0.5).sum(axis=-1)
 
 
-def _sample_em_matrix(y_b: np.ndarray, theta: GenerativeParams,
-                      phi: InferenceParams, noise) -> Tensor:
-    """One reparametrized draw M ~ q(M | Z) q(Z | y) for each pixel."""
-    from .distributions import gaussian_rsample
-    from .generative import em_decode
-    batch = y_b.shape[:-1]
-    P, H, L = phi.n_endmembers, phi.latent_dim, phi.n_bands
-    z_dist = encode_z(y_b, phi)
-    xi = noise.normal(batch + (P, H))
-    cols = []
-    for j in range(P):
-        z_j = gaussian_rsample(z_dist, xi[..., j, :])
-        cols.append(gaussian_rsample(em_decode(z_j, j, theta),
-                                     noise.normal(batch + (L,))))
-    return dc.stack_last(cols)
-
-
-def sparsity_penalty(batch_u, batch_s, theta: GenerativeParams,
-                     phi: InferenceParams, noise, k_e: int = 1,
+def sparsity_penalty(gamma_u: list[Tensor], gamma_s: Tensor | None,
                      tau: float = 0.01) -> Tensor:
     """tau-weighted L1/2 norm of the abundance concentrations.
 
-    Supervised samples use their observed endmember matrices; unlabeled
-    pixels average the norm over ``k_e`` endmember draws from the posterior.
+    ``gamma_s``: the (B, P) concentration of the labeled pixels at their
+    observed endmember matrices, or None; ``gamma_u``: one (B, P)
+    concentration per posterior draw of the unlabeled pixels (possibly
+    none), whose norms are averaged over the draws.
     """
     if tau == 0.0:
         return dc.constant(0.0)
-    if isinstance(noise, np.random.Generator):
-        noise = RngNoise(noise)
     total = dc.constant(0.0)
-    if batch_s is not None:
-        y_s, em_s = batch_s
-        gamma = abundance_concentration(_as_batch(y_s), dc.constant(em_s), phi)
-        total = total + l_half_norm(gamma.concentration).sum()
-    if batch_u is not None:
-        y_b = _as_batch(batch_u)
+    if gamma_s is not None:
+        total = total + l_half_norm(gamma_s).sum()
+    if gamma_u:
         acc = None
-        for _ in range(k_e):
-            em = _sample_em_matrix(y_b, theta, phi, noise)
-            gamma = abundance_concentration(y_b, em, phi)
-            term = l_half_norm(gamma.concentration)
+        for gamma in gamma_u:
+            term = l_half_norm(gamma)
             acc = term if acc is None else acc + term
-        total = total + (acc * (1.0 / k_e)).sum()
+        total = total + (acc * (1.0 / len(gamma_u))).sum()
     return tau * total
 
 
@@ -323,18 +288,15 @@ def total_loss(batch_u, batch_s, theta: GenerativeParams, phi: InferenceParams,
     if isinstance(noise, np.random.Generator):
         noise = RngNoise(noise)
     zero = dc.constant(0.0)
-    unsup = (unsup_term(batch_u, theta, phi, noise, config.k_e)
-             if batch_u is not None and len(batch_u) else zero)
+    unsup, gamma_u = zero, []
+    if batch_u is not None and len(batch_u):
+        unsup, gamma_u = unsup_term(batch_u, theta, phi, noise, config.k_e)
+    sup_iw, sup_post, gamma_s = zero, zero, None
     if batch_s is not None and len(batch_s[0]):
         y_s, a_s, em_s = batch_s
-        sup_iw, sup_post = sup_term(y_s, a_s, em_s, theta, phi, noise, config.k)
-        spars_s = (y_s, em_s)
-    else:
-        sup_iw, sup_post = zero, zero
-        spars_s = None
-    spars_u = batch_u if batch_u is not None and len(batch_u) else None
-    sparsity = sparsity_penalty(spars_u, spars_s, theta, phi, noise,
-                                config.k_e, config.tau)
+        sup_iw, sup_post, gamma_s = sup_term(y_s, a_s, em_s, theta, phi,
+                                             noise, config.k)
+    sparsity = sparsity_penalty(gamma_u, gamma_s, config.tau)
     reg = network_norm_penalty(theta, phi, config.varsigma1, config.varsigma2)
     node = (unsup + config.lam * (sup_iw + (1.0 + config.beta) * sup_post)
             - sparsity - reg)

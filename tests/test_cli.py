@@ -1,6 +1,8 @@
 """Command-line contract: reproducible outputs, what they hold, exit codes."""
 
+import json
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from unmix import cli
 from unmix import data as dt
 from unmix import diffcore as dc
 from unmix import inference as inf
+from unmix.errors import BundleError
 
 WIDTH, HEIGHT, BANDS, P = 8, 8, 24, 3
 OUTPUTS = ("abundances_est", "endmembers_est", "eta_d", "reconstruction")
@@ -100,3 +103,62 @@ class TestExitCodes:
                        str(scene["root"] / "run_linalg")])
         assert rc == 3
         assert "SVD did not converge" in capsys.readouterr().err
+
+
+def _copy_cube(scene, name: str) -> str:
+    base = str(scene["root"] / name)
+    for ext in (".json", ".raw"):
+        shutil.copyfile(scene["cube"] + ext, base + ext)
+    return base
+
+
+class TestBundles:
+    """A malformed bundle exits 2 and the message names the bad field."""
+
+    def _unmix_rc(self, scene, cube: str, capsys) -> tuple[int, str]:
+        capsys.readouterr()
+        rc = cli.main(["unmix", cube, scene["ckpt"],
+                       str(scene["root"] / ("run_" + os.path.basename(cube)))])
+        return rc, capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["width", "height", "bands"])
+    def test_boolean_header_field_exits_2(self, scene, capsys, key):
+        base = _copy_cube(scene, f"bool_{key}")
+        with open(base + ".json") as f:
+            header = json.load(f)
+        header[key] = True
+        with open(base + ".json", "w") as f:
+            json.dump(header, f)
+        with pytest.raises(BundleError) as exc_info:
+            dt.load_cube(base)
+        assert exc_info.value.field == key
+        rc, err = self._unmix_rc(scene, base, capsys)
+        assert rc == 2 and f"field: {key}" in err
+
+    def test_truncated_payload_exits_2(self, scene, capsys):
+        base = _copy_cube(scene, "truncated")
+        with open(base + ".raw", "r+b") as f:
+            f.truncate(os.path.getsize(base + ".raw") - 8)
+        rc, err = self._unmix_rc(scene, base, capsys)
+        assert rc == 2
+        n = WIDTH * HEIGHT * BANDS
+        assert f"payload holds {n - 1} values, header implies {n}" in err
+        assert "field: bands" in err
+
+    def test_missing_payload_exits_2(self, scene, capsys):
+        base = _copy_cube(scene, "no_raw")
+        os.remove(base + ".raw")
+        rc, err = self._unmix_rc(scene, base, capsys)
+        assert rc == 2 and "no_raw.raw" in err
+
+    def test_wrong_role_exits_2(self, scene, capsys):
+        est = str(scene["root"] / "wrong_role")
+        shutil.copytree(_unmix(scene, "wrong_role_src"), est)
+        for ext in (".json", ".raw"):
+            shutil.copyfile(os.path.join(est, "eta_d" + ext),
+                            os.path.join(est, "abundances_est" + ext))
+        capsys.readouterr()
+        rc = cli.main(["eval", os.path.dirname(scene["cube"]), est,
+                       str(scene["root"] / "wrong_role.csv")])
+        err = capsys.readouterr().err
+        assert rc == 2 and "field: role" in err

@@ -188,9 +188,11 @@ class TestBetaFunctions:
         with pytest.raises(DomainError):
             ds.beta_functions(0.5, -1.0, 1.0)
 
-    def test_continued_fraction_iteration_cap(self):
+    def test_non_finite_cdf_raises(self):
+        # a NaN sample reaches the cdf through the pathwise Jacobian
+        p = ds.DirichletParams(concentration=dc.constant([2.0, 3.0]))
         with pytest.raises(NumericError):
-            ds._betacf(np.array(5.0), np.array(5.0), np.array(0.4), max_iter=1)
+            ds.dirichlet_pathwise_jacobian(np.array([np.nan, 0.5]), p)
 
 
 class TestPathwiseJacobian:

@@ -8,6 +8,7 @@ import pytest
 from conftest import fd_param_grads, max_rel_err, zero_mlp
 from unmix import diffcore as dc
 from unmix import generative as gen
+from unmix.distributions import DiagGaussian, gaussian_logpdf
 from unmix.errors import ShapeError
 
 L, P, H = 12, 3, 2
@@ -35,9 +36,41 @@ class TestEmDecode:
             assert np.all(d.mean.data > 0) and np.all(d.mean.data < 1)
 
     def test_scale_isotropic_across_bands(self, theta, rng):
+        # one scalar spread, broadcast over every band
         d = gen.em_decode(rng.standard_normal(H), 2, theta)
-        assert d.scale.data.shape == (L,)
-        assert np.all(d.scale.data == d.scale.data[0])
+        assert d.scale.data.shape == ()
+        assert d.scale.item() == math.exp(theta.em_log_scales[2].item())
+
+    def test_scalar_spreads_match_materialized_vectors(self, theta, rng):
+        # log-densities and gradients equal those of the spreads written
+        # out as one entry per band
+        ones = dc.constant(np.ones(L))
+        z = rng.standard_normal((4, H))
+        m = rng.uniform(0.1, 0.9, (4, L))
+        y = rng.uniform(0.1, 0.9, (4, L))
+        a = rng.dirichlet(np.ones(P), 4)
+        M = rng.uniform(0.1, 0.9, (4, L, P))
+        params = theta.named_parameters()
+
+        def loss(vector: bool):
+            total = dc.constant(0.0)
+            for k in range(P):
+                d = gen.em_decode(z, k, theta)
+                if vector:
+                    d = DiagGaussian(mean=d.mean, scale=d.scale * ones)
+                total = total + gaussian_logpdf(m, d).sum()
+            mean = gen.mixing_mean(a, M, theta)
+            obs = theta.obs_scale() * ones if vector else theta.obs_scale()
+            return total + gaussian_logpdf(y, DiagGaussian(mean, obs)).sum()
+
+        got, want = loss(False), loss(True)
+        assert abs(got.item() - want.item()) <= 1e-12 * abs(want.item())
+        g_got = dc.backward(got, params)
+        g_want = dc.backward(want, params)
+        for name in params:
+            np.testing.assert_allclose(g_got[name], g_want[name], rtol=1e-12,
+                                       atol=1e-12 * np.abs(g_want[name]).max(),
+                                       err_msg=name)
 
     def test_bad_index(self, theta):
         with pytest.raises(ShapeError):

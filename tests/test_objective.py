@@ -7,6 +7,7 @@ import pytest
 
 from conftest import fd_param_grads, max_rel_err, zero_mlp
 from unmix import diffcore as dc
+from unmix import inference
 from unmix import objective as ob
 from unmix.distributions import (GAMMA_FLOOR, ReplayNoise, RngNoise,
                                  dirichlet_logpdf, DirichletParams)
@@ -27,6 +28,11 @@ def one_hot_batch(rng, n):
     y = rng.uniform(0.1, 0.9, (n, L))
     m = rng.uniform(0.1, 0.9, (n, L, P))
     return y, a, m
+
+
+def columns(z):
+    """Split (..., K, H, P) latent draws into the P per-endmember codes."""
+    return [z[..., k] for k in range(z.shape[-1])]
 
 
 class TestSharedCancellation:
@@ -69,7 +75,7 @@ class TestImportanceWeights:
         theta, phi = model
         z = rng.standard_normal((1, H, P))
         m = rng.uniform(0, 1, (L, P))
-        w = ob.importance_weights(m, z, theta)
+        w = ob.importance_weights(m, columns(z), theta)
         assert w.normalized.data.shape == (1,)
         assert w.normalized.data[0] == 1.0
 
@@ -77,7 +83,7 @@ class TestImportanceWeights:
         theta, phi = model
         z = np.tile(rng.standard_normal((1, H, P)), (5, 1, 1))
         m = rng.uniform(0, 1, (L, P))
-        w = ob.importance_weights(m, z, theta)
+        w = ob.importance_weights(m, columns(z), theta)
         np.testing.assert_allclose(w.normalized.data, 0.2, rtol=1e-12)
 
     def test_normalized_weights_sum_to_one(self, model, rng):
@@ -85,7 +91,7 @@ class TestImportanceWeights:
         for _ in range(20):
             z = rng.standard_normal((5, H, P)) * 3
             m = rng.uniform(0, 1, (L, P))
-            w = ob.importance_weights(m, z, theta)
+            w = ob.importance_weights(m, columns(z), theta)
             assert abs(w.normalized.data.sum() - 1.0) <= 1e-12
 
     def test_log_domain_survives_huge_scales(self, model, rng):
@@ -95,9 +101,23 @@ class TestImportanceWeights:
             t.data = np.array(np.log(1e-3))
         z = rng.standard_normal((5, H, P)) * 50
         m = rng.uniform(0, 1, (L, P)) + 1e3
-        w = ob.importance_weights(m, z, theta)
+        w = ob.importance_weights(m, columns(z), theta)
         assert np.all(np.isfinite(w.normalized.data))
         assert abs(w.normalized.data.sum() - 1.0) <= 1e-12
+
+    def test_batched_equals_per_pixel(self, model, rng):
+        theta, phi = model
+        B, K = 3, 4
+        m = rng.uniform(0.1, 0.9, (B, L, P))
+        z = rng.standard_normal((B, K, H, P))
+        w = ob.importance_weights(m, columns(z), theta)
+        assert w.log_weights.data.shape == (B, K)
+        for b in range(B):
+            w_b = ob.importance_weights(m[b], columns(z[b]), theta)
+            np.testing.assert_allclose(w.log_weights.data[b],
+                                       w_b.log_weights.data, rtol=1e-12)
+            np.testing.assert_allclose(w.normalized.data[b],
+                                       w_b.normalized.data, rtol=1e-12)
 
 
 class _ZeroNoise:
@@ -114,15 +134,15 @@ class TestSupTerm:
     def test_one_hot_abundances_finite(self, model, rng):
         theta, phi = model
         y, a, m = one_hot_batch(rng, 3)
-        iw, post = ob.sup_term(y, a, m, theta, phi,
-                               RngNoise(np.random.default_rng(0)), k=3)
+        iw, post, _ = ob.sup_term(y, a, m, theta, phi,
+                                  RngNoise(np.random.default_rng(0)), k=3)
         assert math.isfinite(iw.item()) and math.isfinite(post.item())
 
     def test_identical_z_samples_reduce_to_single_bracket(self, model, rng):
         theta, phi = model
         y, a, m = one_hot_batch(rng, 1)
-        iw_k, _ = ob.sup_term(y, a, m, theta, phi, _ZeroNoise(), k=5)
-        iw_1, _ = ob.sup_term(y, a, m, theta, phi, _ZeroNoise(), k=1)
+        iw_k, _, _ = ob.sup_term(y, a, m, theta, phi, _ZeroNoise(), k=5)
+        iw_1, _, _ = ob.sup_term(y, a, m, theta, phi, _ZeroNoise(), k=1)
         assert abs(iw_k.item() - iw_1.item()) < 1e-9
 
     def test_off_simplex_abundances_rejected(self, model, rng):
@@ -149,9 +169,11 @@ class TestSparsityPenalty:
     def test_zero_tau_is_zero(self, model, rng):
         theta, phi = model
         y, a, m = one_hot_batch(rng, 2)
-        val = ob.sparsity_penalty(rng.uniform(0, 1, (2, L)), (y, m), theta, phi,
-                                  RngNoise(np.random.default_rng(0)),
-                                  k_e=1, tau=0.0)
+        noise = RngNoise(np.random.default_rng(0))
+        _, gamma_u = ob.unsup_term(rng.uniform(0, 1, (2, L)), theta, phi,
+                                   noise, k_e=1)
+        _, _, gamma_s = ob.sup_term(y, a, m, theta, phi, noise, k=2)
+        val = ob.sparsity_penalty(gamma_u, gamma_s, tau=0.0)
         assert val.item() == 0.0
 
     def test_unit_concentration_gives_tau_times_p(self):
@@ -164,10 +186,47 @@ class TestSparsityPenalty:
         phi.lista.log_eta_unc.data = np.array(0.0)
         m = np.eye(3)[None, :, :]
         y = np.full((1, 3), 1.0 - GAMMA_FLOOR)
-        val = ob.sparsity_penalty(None, (y, m), theta, phi,
-                                  RngNoise(np.random.default_rng(0)),
-                                  k_e=1, tau=0.5)
+        a = np.eye(3)[:1]
+        _, _, gamma_s = ob.sup_term(y, a, m, theta, phi,
+                                    RngNoise(np.random.default_rng(0)), k=1)
+        val = ob.sparsity_penalty([], gamma_s, tau=0.5)
         assert abs(val.item() - 0.5 * 3.0) < 1e-9
+
+    def test_total_loss_reuses_the_bounds_concentrations(self, model, rng):
+        # the penalty is tau * (L1/2 of sup_term's concentration + the mean
+        # L1/2 of unsup_term's draws), replayed from the same noise seed
+        theta, phi = model
+        cfg = ob.TrainConfig(k=2, k_e=2, tau=0.05)
+        y_u = rng.uniform(0.1, 0.9, (4, L))
+        y, a, m = one_hot_batch(rng, 3)
+        bd = ob.total_loss(y_u, (y, a, m), theta, phi, cfg,
+                           RngNoise(np.random.default_rng(3)))
+        noise = RngNoise(np.random.default_rng(3))
+        _, gamma_u = ob.unsup_term(y_u, theta, phi, noise, k_e=2)
+        _, _, gamma_s = ob.sup_term(y, a, m, theta, phi, noise, k=2)
+        assert len(gamma_u) == 2
+        assert not np.array_equal(gamma_u[0].data, gamma_u[1].data)
+        want = cfg.tau * (np.sqrt(gamma_s.data).sum()
+                          + np.mean([np.sqrt(g.data).sum() for g in gamma_u]))
+        assert abs(bd.sparsity - want) <= 1e-12 * abs(want)
+
+    def test_unlabeled_penalty_matches_fresh_posterior_draw(self, model, rng):
+        # estimator change: the penalty on unsup_term's own draws has the
+        # mean of the norm at an independent posterior draw
+        theta, phi = model
+        y_u = rng.uniform(0.1, 0.9, (3, L))
+        n = 300
+        new, ref = np.empty(n), np.empty(n)
+        for s in range(n):
+            _, gamma_u = ob.unsup_term(y_u, theta, phi,
+                                       RngNoise(np.random.default_rng(s)))
+            new[s] = ob.sparsity_penalty(gamma_u, None, tau=1.0).item()
+            draw = posterior_sample(y_u, phi, theta,
+                                    RngNoise(np.random.default_rng(10_000 + s)))
+            ref[s] = ob.l_half_norm(draw.gamma.concentration).sum().item()
+        assert new.std() > 0 and ref.std() > 0
+        se = math.sqrt(new.var() / n + ref.var() / n)
+        assert abs(new.mean() - ref.mean()) <= 3 * se
 
     def test_concentrated_mass_cheaper_than_spread(self):
         spread = ob.l_half_norm(dc.constant([1.0, 1.0])).item()
@@ -207,8 +266,8 @@ class TestTotalLoss:
         y, a, m = one_hot_batch(rng, 2)
         bd = ob.total_loss(y_u, (y, a, m), theta, phi, cfg,
                            RngNoise(np.random.default_rng(5)))
-        ref = ob.unsup_term(y_u, theta, phi,
-                            RngNoise(np.random.default_rng(5)), k_e=1)
+        ref, _ = ob.unsup_term(y_u, theta, phi,
+                               RngNoise(np.random.default_rng(5)), k_e=1)
         assert abs(bd.total - ref.item()) < 1e-9
 
     def test_empty_unsupervised_batch(self, model, rng):
@@ -235,6 +294,23 @@ class TestTotalLoss:
                       - bd.sparsity - bd.reg)
         assert abs(recomposed - bd.total) < 1e-10
 
+    def test_two_lista_passes_per_step(self, model, rng, monkeypatch):
+        # one for the unlabeled draw, one for the labeled batch; the
+        # sparsity penalty adds none
+        theta, phi = model
+        calls = []
+        lista = inference.lista_concentration
+
+        def counted(*args):
+            calls.append(1)
+            return lista(*args)
+        monkeypatch.setattr(inference, "lista_concentration", counted)
+        cfg = ob.TrainConfig(k=2, k_e=1, tau=0.05)
+        y, a, m = one_hot_batch(rng, 3)
+        ob.total_loss(rng.uniform(0.1, 0.9, (4, L)), (y, a, m), theta, phi,
+                      cfg, RngNoise(np.random.default_rng(0)))
+        assert len(calls) == 2
+
 
 class TestBoundOrdering:
     def test_elbo_below_importance_weighted_bound(self, model, rng):
@@ -245,7 +321,7 @@ class TestBoundOrdering:
         y = rng.uniform(0.2, 0.8, 2)
         elbos = np.array([
             ob.unsup_term(y, theta, phi,
-                          RngNoise(np.random.default_rng(s)), k_e=1).item()
+                          RngNoise(np.random.default_rng(s)), k_e=1)[0].item()
             for s in range(1000)])
 
         def log_ratio(noise):
