@@ -231,12 +231,23 @@ def generate_dc2(abundances: np.ndarray, base_em: np.ndarray,
         centers = var_rng.uniform(0, L, size=(n, P))
         widths = var_rng.uniform(L / 10, L / 3, size=(n, P))
         amps = var_rng.uniform(0.5, 1.5, size=(n, P))
-        bump = np.exp(-0.5 * ((grid[None, None, :] - centers[..., None])
-                              / widths[..., None]) ** 2)
-        env = 1.0 + amps[..., None] * (bump - bump.mean(axis=-1, keepdims=True))
-        mult = 1.0 + (scales[..., None] - 1.0) * env          # (N, P, L)
-        em_stack = np.clip(M0.T[None, :, :] * mult, 0.0, 1.0)
-        em_stack = np.swapaxes(em_stack, 1, 2)                # (N, L, P)
+        # One (N, P, L) buffer updated in place.  The steps evaluate
+        # clip(M0ᵀ · (1 + (s - 1) · (1 + amp · (bump - mean(bump))))),
+        # bump = exp(-0.5 · ((grid - center) / width)²), in the same order
+        # as the expression would, so the stack is bitwise the same.
+        buf = np.subtract(grid[None, None, :], centers[..., None])
+        buf /= widths[..., None]
+        np.square(buf, out=buf)
+        buf *= -0.5
+        np.exp(buf, out=buf)                                  # bump
+        buf -= buf.mean(axis=-1, keepdims=True)
+        buf *= amps[..., None]
+        buf += 1.0                                            # envelope
+        buf *= scales[..., None] - 1.0
+        buf += 1.0                                            # multiplier
+        buf *= M0.T[None, :, :]
+        np.clip(buf, 0.0, 1.0, out=buf)
+        em_stack = np.swapaxes(buf, 1, 2)                     # (N, L, P)
     else:
         em_stack = np.broadcast_to(M0, (n, L, P)).copy()
     clean = np.einsum("nlp,np->nl", em_stack, A)
@@ -363,6 +374,15 @@ def _write_bundle(base: str, header: dict, payload: np.ndarray):
         f.write(arr.tobytes())
 
 
+def _positive_int(header: dict, key: str) -> int:
+    """``header[key]`` as a positive int, else a ``BundleError`` naming it."""
+    value = header.get(key)
+    # JSON true/false load as bool, which isinstance(int) accepts
+    if isinstance(value, bool) or not isinstance(value, int) or value <= 0:
+        raise BundleError("missing or invalid header entry", field=key)
+    return value
+
+
 def _read_bundle(base: str, expected_role: str | None = None
                  ) -> tuple[dict, np.ndarray]:
     if not os.path.exists(base + ".json"):
@@ -373,11 +393,7 @@ def _read_bundle(base: str, expected_role: str | None = None
         except json.JSONDecodeError as exc:
             raise BundleError(f"malformed bundle header: {exc}") from None
     for key in ("width", "height", "bands"):
-        value = header.get(key)
-        # JSON true/false load as bool, which isinstance(int) accepts
-        if (isinstance(value, bool) or not isinstance(value, int)
-                or value <= 0):
-            raise BundleError("missing or invalid header entry", field=key)
+        _positive_int(header, key)
     if header.get("dtype") != _DTYPE:
         raise BundleError(f"unsupported dtype {header.get('dtype')!r}",
                           field="dtype")
@@ -391,7 +407,7 @@ def _read_bundle(base: str, expected_role: str | None = None
     raw = base + ".raw"
     count = header["width"] * header["height"] * header["bands"]
     if role == "endmembers":
-        count *= int(header.get("components", 1))
+        count *= _positive_int(header, "components")
     size = os.path.getsize(raw)
     if size != count * 8:
         raise BundleError(
@@ -465,7 +481,7 @@ def load_endmembers(base: str) -> np.ndarray:
     """Returns (L, P) when the bundle stores one shared matrix, else (N, L, P)."""
     header, data = _read_bundle(base, expected_role="endmembers")
     n = header["width"] * header["height"]
-    stack = data.reshape(n, header["bands"], int(header["components"]))
+    stack = data.reshape(n, header["bands"], header["components"])
     return stack[0] if n == 1 else stack
 
 
@@ -502,9 +518,17 @@ def save_supervised(base: str, samples: list[SupervisedSample],
 def load_supervised(base: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Returns (Y, A, M) arrays of shapes (n, L), (n, P), (n, L, P)."""
     header, data = _read_bundle(base, expected_role="supervised")
-    count = int(header["count"])
-    L = int(header["pixel_bands"])
-    P = int(header["components"])
+    count, L, P = (_positive_int(header, key)
+                   for key in ("count", "pixel_bands", "components"))
+    if count != header["width"] * header["height"]:
+        raise BundleError(
+            f"count {count} != width * height "
+            f"{header['width'] * header['height']}", field="count")
+    if header["bands"] != L + P + L * P:
+        raise BundleError(
+            f"pixel_bands {L} and components {P} imply {L + P + L * P} "
+            f"values per sample, header bands is {header['bands']}",
+            field="pixel_bands")
     rec = data.reshape(count, L + P + L * P)
     y = rec[:, :L]
     a = rec[:, L:L + P]

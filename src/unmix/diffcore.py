@@ -159,6 +159,21 @@ class Tensor:
         return Tensor(self.data.reshape(shape), (self,),
                       lambda g: (g.reshape(self.shape),))
 
+    def __getitem__(self, index) -> "Tensor":
+        """Basic indexing by ints, slices and Ellipsis; the VJP scatters
+        the cotangent into zeros of the input's shape."""
+        for i in index if isinstance(index, tuple) else (index,):
+            if isinstance(i, bool) or not (
+                    i is Ellipsis or isinstance(i, (int, np.integer, slice))):
+                raise ContractError(f"Tensor indices must be ints, slices or "
+                                    f"Ellipsis, got {type(i).__name__}")
+
+        def vjp(g):
+            full = np.zeros_like(self.data)
+            full[index] = g
+            return (full,)
+        return Tensor(self.data[index], (self,), vjp)
+
     def transpose(self, axes=None) -> "Tensor":
         if axes is None:
             axes = tuple(range(self.data.ndim - 2)) + (-1, -2)
@@ -397,18 +412,26 @@ class MlpParams:
 
 
 def mlp_forward(params: MlpParams, x) -> Tensor:
-    """Run the activation chain on input with features along the last axis."""
+    """Run the activation chain on input with features along the last axis.
+
+    Any leading axes are folded into one row axis on entry and restored on
+    exit, so each layer is a single (rows, in) @ (in, out) product and its
+    weight gradient one ``x.T @ g`` product.  Fed (B, K, H) directly, the
+    matmul VJP would form B separate (in, out) products and then sum them.
+    2-D input runs without the reshapes.
+    """
     x = as_tensor(x)
     if x.shape[-1] != params.widths[0]:
         raise ShapeError(
             f"input width {x.shape[-1]} != expected {params.widths[0]}")
-    squeeze = x.data.ndim == 1
-    if squeeze:
-        x = x.reshape((1, x.shape[0]))
+    lead = x.shape[:-1]
+    fold = x.data.ndim != 2
+    if fold:
+        x = x.reshape((-1, x.shape[-1]))
     for w, b, act in zip(params.weights, params.biases, params.activations):
         x = _ACTIVATIONS[act](matmul(x, w.transpose()) + b)
-    if squeeze:
-        x = x.reshape((x.shape[-1],))
+    if fold:
+        x = x.reshape(lead + (x.shape[-1],))
     return x
 
 

@@ -146,20 +146,8 @@ def log_joint(y, a, M, Z, theta: GenerativeParams) -> Tensor:
     total = log_likelihood(y, a, M, theta)
     total = total + flat_abundance_logpdf(a, theta.n_endmembers)
     M = as_tensor(M)
-    z_rows = Z.transpose()                      # (..., P, H)
-    m_cols = M.transpose()                      # (..., P, L)
     for k in range(theta.n_endmembers):
-        z_k = _take_row(z_rows, k)
-        m_k = _take_row(m_cols, k)
-        total = total + gaussian_logpdf(m_k, em_decode(z_k, k, theta))
+        z_k = Z[..., k]                         # (..., H)
+        total = total + gaussian_logpdf(M[..., k], em_decode(z_k, k, theta))
         total = total + std_normal_logpdf(z_k)
     return total
-
-
-def _take_row(x: Tensor, k: int) -> Tensor:
-    """Select index k along the second-to-last axis, differentiably."""
-    n = x.shape[-2]
-    sel = np.zeros((n, 1))
-    sel[k, 0] = 1.0
-    picked = dc.matmul(x.transpose(), dc.constant(sel))   # (..., d, 1)
-    return picked.reshape(x.shape[:-2] + (x.shape[-1],))

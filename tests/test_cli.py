@@ -112,6 +112,18 @@ def _copy_cube(scene, name: str) -> str:
     return base
 
 
+def _edit_header(base: str, key: str, value):
+    """Set one header entry of a bundle; None removes it."""
+    with open(base + ".json") as f:
+        header = json.load(f)
+    if value is None:
+        del header[key]
+    else:
+        header[key] = value
+    with open(base + ".json", "w") as f:
+        json.dump(header, f)
+
+
 class TestBundles:
     """A malformed bundle exits 2 and the message names the bad field."""
 
@@ -124,11 +136,7 @@ class TestBundles:
     @pytest.mark.parametrize("key", ["width", "height", "bands"])
     def test_boolean_header_field_exits_2(self, scene, capsys, key):
         base = _copy_cube(scene, f"bool_{key}")
-        with open(base + ".json") as f:
-            header = json.load(f)
-        header[key] = True
-        with open(base + ".json", "w") as f:
-            json.dump(header, f)
+        _edit_header(base, key, True)
         with pytest.raises(BundleError) as exc_info:
             dt.load_cube(base)
         assert exc_info.value.field == key
@@ -150,6 +158,45 @@ class TestBundles:
         os.remove(base + ".raw")
         rc, err = self._unmix_rc(scene, base, capsys)
         assert rc == 2 and "no_raw.raw" in err
+
+    # a value that disagrees with the record width names pixel_bands,
+    # whichever of pixel_bands and components is wrong
+    @pytest.mark.parametrize("key,value,named", [
+        ("count", True, "count"), ("count", 0, "count"),
+        ("count", P + 1, "count"), ("pixel_bands", True, "pixel_bands"),
+        ("pixel_bands", -1, "pixel_bands"),
+        ("pixel_bands", BANDS + 1, "pixel_bands"),
+        ("components", True, "components"), ("components", "3", "components"),
+        ("components", P + 1, "pixel_bands")])
+    def test_bad_supervised_header_exits_2(self, scene, capsys, key, value,
+                                           named):
+        base = str(scene["root"] / f"sup_{key}_{value}")
+        rng = np.random.default_rng(2)
+        dt.save_supervised(base, [
+            dt.SupervisedSample(y=rng.random(BANDS), a=np.eye(P)[j],
+                                em=rng.random((BANDS, P)))
+            for j in range(P)])
+        _edit_header(base, key, value)
+        with pytest.raises(BundleError) as exc_info:
+            dt.load_supervised(base)
+        assert exc_info.value.field == named
+        capsys.readouterr()
+        rc = cli.main(["train", scene["cube"], base,
+                       str(scene["root"] / "sup_ckpt"), "--epochs", "1"])
+        assert rc == 2 and f"field: {named}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", [True, False, 0, None])
+    def test_bad_endmember_components_exits_2(self, scene, capsys, value):
+        truth = str(scene["root"] / f"em_components_{value}")
+        shutil.copytree(os.path.dirname(scene["cube"]), truth)
+        _edit_header(os.path.join(truth, "endmembers"), "components", value)
+        with pytest.raises(BundleError) as exc_info:
+            dt.load_endmembers(os.path.join(truth, "endmembers"))
+        assert exc_info.value.field == "components"
+        capsys.readouterr()
+        rc = cli.main(["eval", truth, _unmix(scene, f"em_est_{value}"),
+                       str(scene["root"] / f"em_{value}.csv")])
+        assert rc == 2 and "field: components" in capsys.readouterr().err
 
     def test_wrong_role_exits_2(self, scene, capsys):
         est = str(scene["root"] / "wrong_role")

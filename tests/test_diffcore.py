@@ -8,6 +8,11 @@ from unmix import diffcore as dc
 from unmix.errors import ContractError, ShapeError, TrainingError
 
 
+# leading axes of an MLP input: a single vector, a batch, a batch of draws
+LEADS = [(), (4,), (2, 4)]
+LEAD_IDS = ["1d", "2d", "3d"]
+
+
 class TestMlpForward:
     def test_identity_linear_layer(self):
         net = make_mlp([2, 2], ["linear"])
@@ -42,12 +47,24 @@ class TestMlpForward:
         b = dc.mlp_forward(net, x).data
         assert np.array_equal(a, b)
 
-    def test_batched_input_matches_per_sample(self, rng):
+    @pytest.mark.parametrize("lead", LEADS, ids=LEAD_IDS)
+    def test_batched_input_matches_per_sample(self, rng, lead):
         net = make_mlp([3, 5, 2], ["relu", "linear"], seed=3)
-        X = rng.standard_normal((6, 3))
+        X = rng.standard_normal(lead + (3,))
         batched = dc.mlp_forward(net, X).data
-        rows = np.stack([dc.mlp_forward(net, x).data for x in X])
-        np.testing.assert_allclose(batched, rows)
+        rows = np.stack([dc.mlp_forward(net, x[None, :]).data[0]
+                         for x in X.reshape(-1, 3)])
+        assert batched.shape == lead + (2,)
+        np.testing.assert_allclose(batched, rows.reshape(lead + (2,)),
+                                   rtol=1e-12, atol=1e-12)
+
+    def test_leading_axes_fold_into_rows(self, rng):
+        net = make_mlp([3, 5, 4, 2], ["relu", "sigmoid", "linear"], seed=8)
+        x = dc.parameter(rng.standard_normal((2, 4, 3)), "x")
+        out = dc.mlp_forward(net, x)
+        assert out.shape == (2, 4, 2)
+        inner = [t for t in dc._toposort(out) if t is not out and t is not x]
+        assert inner and all(t.data.ndim <= 2 for t in inner)
 
 
 class TestBackward:
@@ -57,9 +74,10 @@ class TestBackward:
         grads = dc.backward(loss, {"x": x})
         np.testing.assert_allclose(grads["x"], [6.0, 8.0])
 
-    def test_mlp_matches_finite_differences(self, rng):
+    @pytest.mark.parametrize("lead", LEADS, ids=LEAD_IDS)
+    def test_mlp_matches_finite_differences(self, rng, lead):
         net = make_mlp([4, 6, 3], ["relu", "linear"], seed=11)
-        x = rng.standard_normal((5, 4))
+        x = rng.standard_normal(lead + (4,))
         params = net.named_parameters()
 
         def loss_fn():
@@ -95,6 +113,40 @@ class TestBackward:
                 acc[k] += g[k]
         assert max_rel_err(batch, acc) < 1e-12
 
+    def test_3d_input_grads_equal_sum_of_2d_slice_grads(self, rng):
+        net = make_mlp([3, 5, 4], ["relu", "sigmoid"], seed=6)
+        X = rng.standard_normal((3, 4, 3))
+        params = net.named_parameters()
+
+        def loss(x):
+            out = dc.mlp_forward(net, x)
+            return (out * out).sum()
+        folded = dc.backward(loss(X), params)
+        acc = {k: np.zeros_like(v) for k, v in folded.items()}
+        for x in X:
+            for k, g in dc.backward(loss(x), params).items():
+                acc[k] += g
+        for k in acc:
+            assert np.max(np.abs(folded[k] - acc[k])) \
+                <= 1e-12 * np.max(np.abs(acc[k]))
+
+    def test_basic_indexing_matches_finite_differences(self, rng):
+        x = dc.parameter(rng.standard_normal((3, 4, 5)), "x")
+
+        def loss_t():
+            # overlapping picks of one input, so the scatters accumulate
+            return (_sin(x[..., 1]).sum() + (x[1:, ::2, 3] ** 2).sum()
+                    + x[0, 2, 1] * 3.0 + (x[2, :3] * x[..., 0, :]).sum())
+
+        grads = dc.backward(loss_t(), {"x": x})
+        assert max_rel_err(grads, fd_param_grads(lambda: loss_t().item(),
+                                                 {"x": x})) < 1e-6
+        picked = x[..., 1]
+        assert np.array_equal(picked.data, x.data[..., 1])
+        for bad in (True, np.array([0, 1]), None, 1.5):
+            with pytest.raises(ContractError):
+                x[bad]
+
     def test_shared_operand_accumulates(self):
         x = dc.parameter(np.array([2.0]), "x")
         loss = (x * x + x * 3.0).sum()
@@ -126,7 +178,8 @@ def _every_op(x: dc.Tensor, net: dc.MlpParams) -> list[dc.Tensor]:
             dc.relu(x), dc.sigmoid(x), dc.exp(x), dc.log(x * x + 1.0),
             dc.lgamma(x * x + 0.5), dc.clip(x, -0.2, 0.3), dc.l2norm(x),
             dc.matmul(x, x.transpose()), dc.concat([x, h], axis=-1),
-            dc.stack_last([x, x * 2.0]), dc.logsumexp(x, axis=-1)]
+            dc.stack_last([x, x * 2.0]), dc.logsumexp(x, axis=-1),
+            x[1:, 2]]
 
 
 class TestNoGrad:
