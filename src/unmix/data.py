@@ -371,7 +371,7 @@ def _write_bundle(base: str, header: dict, payload: np.ndarray):
         json.dump(header, f, indent=1, sort_keys=True)
         f.write("\n")
     with open(base + ".raw", "wb") as f:
-        f.write(arr.tobytes())
+        arr.tofile(f)
 
 
 def _positive_int(header: dict, key: str) -> int:

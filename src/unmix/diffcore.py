@@ -13,6 +13,7 @@ float64 arrays referenced by name and byte offset.
 from __future__ import annotations
 
 import json
+import math
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -24,7 +25,7 @@ from .errors import BundleError, ContractError, ShapeError, TrainingError
 
 __all__ = [
     "Tensor", "as_tensor", "constant", "parameter",
-    "relu", "sigmoid", "exp", "log", "lgamma", "clip", "matmul",
+    "relu", "sigmoid", "exp", "log", "lgamma", "clip", "matmul", "dense",
     "l2norm", "concat", "stack_last", "logsumexp",
     "backward", "no_grad", "MlpParams", "mlp_forward",
     "AdamState", "adam_step", "lr_schedule", "xavier_uniform",
@@ -223,9 +224,9 @@ def relu(x: Tensor) -> Tensor:
 def sigmoid(x: Tensor) -> Tensor:
     x = as_tensor(x)
     d = x.data
-    e = np.exp(-np.abs(d))
-    # 1 / (1 + e) for d >= 0 and e / (1 + e) below, with one exp
-    s = np.where(d >= 0, 1.0, e) / (1.0 + e)
+    # 1 / (1 + e) for d >= 0 and e / (1 + e) below, with e = exp(-|d|):
+    # exp(min(d, 0)) is exactly 1 above and e below, without a masked select
+    s = np.exp(np.minimum(d, 0.0)) / (1.0 + np.exp(-np.abs(d)))
     return Tensor(s, (x,), lambda g: (g * s * (1.0 - s),))
 
 
@@ -365,7 +366,44 @@ def backward(loss: Tensor, params: dict[str, Tensor] | None = None):
 
 # ---- feedforward networks -----------------------------------------
 
-_ACTIVATIONS = {"relu": relu, "sigmoid": sigmoid, "linear": lambda t: t}
+_ACTIVATIONS = ("relu", "sigmoid", "linear")
+
+
+def dense(x: Tensor, w: Tensor, b: Tensor, act: str) -> Tensor:
+    """One fully connected layer ``act(x @ w.T + b)`` as a single node.
+
+    ``x``: (rows, in); ``w``: (out, in); ``b``: (out,).  The product, the
+    bias and the activation share one fresh (rows, out) buffer, and the VJP
+    needs only that output: the relu mask is ``out > 0`` and the sigmoid
+    derivative ``out * (1 - out)``.  Values and gradients are bitwise those
+    of the transpose, matmul, add and activation nodes it replaces.
+    """
+    x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
+    if x.data.ndim != 2 or x.shape[1] != w.shape[1]:
+        raise ShapeError(f"dense needs (rows, {w.shape[1]}) input, got {x.shape}")
+    if act not in _ACTIVATIONS:
+        raise ShapeError(f"unknown activation {act!r}")
+    out = x.data @ w.data.T
+    out += b.data
+    if act == "relu":
+        np.maximum(out, 0.0, out=out)
+    elif act == "sigmoid":
+        # the formula of ``sigmoid``, evaluated in place
+        den = np.abs(out)
+        np.negative(den, out=den)
+        np.exp(den, out=den)
+        den += 1.0
+        np.minimum(out, 0.0, out=out)
+        np.exp(out, out=out)
+        out /= den
+
+    def vjp(g):
+        if act == "relu":
+            g = g * (out > 0.0)
+        elif act == "sigmoid":
+            g = g * out * (1.0 - out)
+        return (g @ w.data, (x.data.T @ g).T, g.sum(axis=0))
+    return Tensor(out, (x, w, b), vjp)
 
 
 def xavier_uniform(fan_out: int, fan_in: int, rng: np.random.Generator) -> np.ndarray:
@@ -415,10 +453,9 @@ def mlp_forward(params: MlpParams, x) -> Tensor:
     """Run the activation chain on input with features along the last axis.
 
     Any leading axes are folded into one row axis on entry and restored on
-    exit, so each layer is a single (rows, in) @ (in, out) product and its
-    weight gradient one ``x.T @ g`` product.  Fed (B, K, H) directly, the
-    matmul VJP would form B separate (in, out) products and then sum them.
-    2-D input runs without the reshapes.
+    exit, so each layer is one ``dense`` node: a single (rows, in) @ (in, out)
+    product whose weight gradient is one ``x.T @ g`` product.  2-D input
+    runs without the reshapes.
     """
     x = as_tensor(x)
     if x.shape[-1] != params.widths[0]:
@@ -429,7 +466,7 @@ def mlp_forward(params: MlpParams, x) -> Tensor:
     if fold:
         x = x.reshape((-1, x.shape[-1]))
     for w, b, act in zip(params.weights, params.biases, params.activations):
-        x = _ACTIVATIONS[act](matmul(x, w.transpose()) + b)
+        x = dense(x, w, b, act)
     if fold:
         x = x.reshape(lead + (x.shape[-1],))
     return x
@@ -456,22 +493,38 @@ class AdamState:
 
 def adam_step(params: dict[str, Tensor], grads: dict[str, np.ndarray],
               state: AdamState, lr: float) -> AdamState:
-    """Standard Adam update with bias correction, in place on the tensors."""
+    """Standard Adam update with bias correction, in place on the tensors.
+
+    Every gradient is checked before anything changes, so a non-finite one
+    raises ``TrainingError`` with the parameters, moments and step as they
+    were.  Moments and parameters are updated in their own buffers.
+    """
     if lr <= 0:
         raise ContractError(f"learning rate must be positive, got {lr}")
+    for name in params:
+        if not np.all(np.isfinite(grads[name])):
+            raise TrainingError("non-finite gradient", param=name)
     state.step += 1
     t = state.step
-    bc1 = 1.0 - state.beta1 ** t
-    bc2 = 1.0 - state.beta2 ** t
+    b1, b2 = state.beta1, state.beta2
+    bc1 = 1.0 - b1 ** t
+    bc2 = 1.0 - b2 ** t
     for name, p in params.items():
         g = grads[name]
-        if not np.all(np.isfinite(g)):
-            raise TrainingError("non-finite gradient", param=name)
-        state.m[name] = state.beta1 * state.m[name] + (1 - state.beta1) * g
-        state.v[name] = state.beta2 * state.v[name] + (1 - state.beta2) * g * g
-        m_hat = state.m[name] / bc1
-        v_hat = state.v[name] / bc2
-        p.data = p.data - lr * m_hat / (np.sqrt(v_hat) + state.eps)
+        m, v = state.m[name], state.v[name]
+        m *= b1
+        m += (1 - b1) * g
+        g2 = (1 - b2) * g
+        g2 *= g
+        v *= b2
+        v += g2
+        step = m / bc1
+        step *= lr
+        den = np.divide(v, bc2, out=np.empty_like(v))   # an array also at 0-d
+        np.sqrt(den, out=den)
+        den += state.eps
+        step /= den
+        p.data -= step
     return state
 
 
@@ -519,17 +572,40 @@ def load_checkpoint(base_path: str) -> tuple[dict, dict[str, np.ndarray]]:
         raise BundleError("unknown checkpoint format", field="format")
     if manifest.get("dtype") != "f64le":
         raise BundleError("unsupported dtype", field="dtype")
+    specs = manifest.get("arrays")
+    if not isinstance(specs, dict):
+        raise BundleError("missing array table", field="arrays")
     with open(base_path + ".raw", "rb") as f:
         blob = f.read()
     arrays = {}
-    for name, spec in manifest["arrays"].items():
-        start = spec["offset"]
-        end = start + spec["count"] * 8
-        if end > len(blob):
-            raise BundleError("array extends past payload", field=name)
-        arr = np.frombuffer(blob[start:end], dtype="<f8").astype(np.float64)
-        arrays[name] = arr.reshape(spec["shape"])
+    for name, spec in specs.items():
+        start, count, shape = _array_entry(spec, name, len(blob))
+        arr = np.frombuffer(blob, dtype="<f8", count=count, offset=start)
+        arrays[name] = arr.astype(np.float64).reshape(shape)
     return manifest["meta"], arrays
+
+
+def _is_count(value) -> bool:
+    # JSON true/false load as bool, which isinstance(int) accepts
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
+def _array_entry(spec, name: str, payload_bytes: int
+                 ) -> tuple[int, int, tuple[int, ...]]:
+    """(offset, count, shape) of one manifest entry, else a ``BundleError``."""
+    if not isinstance(spec, dict):
+        raise BundleError("malformed array entry", field=name)
+    offset, count, shape = spec.get("offset"), spec.get("count"), spec.get("shape")
+    if not (_is_count(offset) and _is_count(count) and isinstance(shape, list)
+            and all(_is_count(n) for n in shape)):
+        raise BundleError("array offset, count and shape must be ints >= 0",
+                          field=name)
+    if count != math.prod(shape):
+        raise BundleError(f"array count {count} != product of shape {shape}",
+                          field=name)
+    if offset + 8 * count > payload_bytes:
+        raise BundleError("array extends past payload", field=name)
+    return offset, count, tuple(shape)
 
 
 def load_params_into(params: dict[str, Tensor], arrays: dict[str, np.ndarray]):

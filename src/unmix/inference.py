@@ -161,8 +161,22 @@ def _as_column(x: Tensor) -> Tensor:
     return x.reshape(x.shape + (1,))
 
 
-class _PinnedPinv:
-    """Record pseudoinverses in call order, replay them on later passes."""
+def _least_squares_start(m_data: np.ndarray, y_arr: np.ndarray) -> np.ndarray:
+    """pinv(M, rcond=1e-8) y for each pixel, from a thin SVD of M applied to y.
+
+    V diag(1/s) U^T y with pinv's cut: singular values at or below 1e-8 of
+    the largest count as zero.  Holds U (..., L, P) but never the (..., P, L)
+    pseudoinverse.
+    """
+    u, s, vt = np.linalg.svd(m_data, full_matrices=False)
+    large = s > 1e-8 * s.max(axis=-1, keepdims=True)
+    coef = np.squeeze(np.swapaxes(u, -1, -2) @ y_arr[..., None], axis=-1)
+    coef *= np.divide(1.0, s, out=np.zeros_like(s), where=large)
+    return np.squeeze(np.swapaxes(vt, -1, -2) @ coef[..., None], axis=-1)
+
+
+class _PinnedStarts:
+    """Record warm starts in call order, replay them on later passes."""
 
     def __init__(self):
         self.store: list[np.ndarray] = []
@@ -171,62 +185,55 @@ class _PinnedPinv:
     def rewind(self):
         self.pos = 0
 
-    def take(self, m_data: np.ndarray) -> np.ndarray:
-        if self.pos < len(self.store):
-            out = self.store[self.pos]
-        else:
-            out = np.linalg.pinv(m_data, rcond=1e-8)
-            self.store.append(out)
+    def take(self, m_data: np.ndarray, y_arr: np.ndarray) -> np.ndarray:
+        if self.pos == len(self.store):
+            self.store.append(_least_squares_start(m_data, y_arr))
         self.pos += 1
-        return out
+        return self.store[self.pos - 1]
 
 
-_active_pinv_pin: _PinnedPinv | None = None
+_active_pin: _PinnedStarts | None = None
 
 
 @contextmanager
-def pinned_pseudoinverses():
+def pinned_warm_starts():
     """Freeze the unrolled stream's warm starts across repeated passes.
 
-    The reverse pass treats the pseudoinverse as per-pass data, so
-    finite-difference verification must hold it fixed the same way the
-    recorded noise is held fixed.  Yields the pin; call ``rewind()``
-    before each replayed evaluation.
+    The reverse pass treats the least-squares warm start as per-pass data,
+    so finite-difference verification must hold it fixed the same way the
+    recorded noise is held fixed.  Yields the pin; call ``rewind()`` before
+    each replayed evaluation.
     """
-    global _active_pinv_pin
-    pin = _PinnedPinv()
-    _active_pinv_pin = pin
+    global _active_pin
+    pin = _PinnedStarts()
+    _active_pin = pin
     try:
         yield pin
     finally:
-        _active_pinv_pin = None
-
-
-def _pseudoinverse(m_data: np.ndarray) -> np.ndarray:
-    if _active_pinv_pin is not None:
-        return _active_pinv_pin.take(m_data)
-    return np.linalg.pinv(m_data, rcond=1e-8)
+        _active_pin = None
 
 
 def lista_concentration(y, M, phi: InferenceParams) -> Tensor:
     """Unrolled gradient/shrinkage stream; the piecewise-linear half of gamma.
 
-    Starts from the pseudoinverse solution, runs n_layers - 2 shrinkage
-    steps h <- relu(h - eta (G h - b) - eta eta_sp), and scales by the
-    uncertainty factor.  ``y``: (..., L); ``M``: (..., L, P).
+    Starts from the least-squares (pseudoinverse) solution, runs
+    n_layers - 2 shrinkage steps h <- relu(h - eta (G h - b) - eta eta_sp),
+    and scales by the uncertainty factor.  ``y``: (..., L); ``M``: (..., L, P).
 
     The steps use the Gram form: G = M^T M (..., P, P) and b = M^T y
     (..., P) are formed once per pass, so each layer costs a P x P product
     in place of two L x P ones.  The reverse pass reaches M through G and b
-    and the step scalars through every layer; the pseudoinverse warm start
-    and ``y`` are treated as data.
+    and the step scalars through every layer; the warm start and ``y`` are
+    treated as data.
     """
     M = as_tensor(M)
     y_arr = y.data if isinstance(y, Tensor) else np.asarray(y, dtype=np.float64)
     if M.shape[-2] != y_arr.shape[-1]:
         raise ShapeError(f"M has {M.shape[-2]} bands, y has {y_arr.shape[-1]}")
-    pinv = _pseudoinverse(M.data)
-    h = dc.constant(np.squeeze(pinv @ y_arr[..., None], axis=-1))
+    if _active_pin is not None:
+        h = dc.constant(_active_pin.take(M.data, y_arr))
+    else:
+        h = dc.constant(_least_squares_start(M.data, y_arr))
     m_t = M.transpose()
     gram = dc.matmul(m_t, M)
     b = dc.matmul(m_t, dc.constant(y_arr[..., None])).reshape(h.shape)

@@ -198,6 +198,55 @@ class TestBundles:
                        str(scene["root"] / f"em_{value}.csv")])
         assert rc == 2 and "field: components" in capsys.readouterr().err
 
+    # one manifest entry edited; value None removes the key.  The scalar
+    # entry makes true pass as the int 1 unless bools are rejected.
+    @pytest.mark.parametrize("name,key,value", [
+        ("inf.z_trunk.w0", "shape", [999]), ("inf.z_trunk.w0", "shape", "4"),
+        ("inf.z_trunk.w0", "shape", [-4, -1]),
+        ("inf.z_trunk.w0", "offset", -8), ("inf.z_trunk.w0", "offset", 1.0),
+        ("inf.z_trunk.w0", "offset", "past end"),
+        ("inf.z_trunk.w0", "count", -1),
+        ("inf.z_trunk.w0", "count", "off by one"),
+        ("inf.z_trunk.w0", "count", None),
+        ("inf.lista.log_eta0", "count", True),
+        ("inf.lista.log_eta0", "offset", True),
+        ("inf.lista.log_eta0", "shape", [True])])
+    def test_bad_checkpoint_entry_exits_2(self, scene, capsys, name, key,
+                                          value):
+        base = str(scene["root"] / f"ckpt_{name}_{key}_{value}")
+        for ext in (".json", ".raw"):
+            shutil.copyfile(scene["ckpt"] + ext, base + ext)
+        with open(base + ".json") as f:
+            manifest = json.load(f)
+        spec = manifest["arrays"][name]
+        if value == "past end":
+            value = os.path.getsize(base + ".raw") - 8
+        elif value == "off by one":
+            value = spec["count"] + 1
+        if value is None:
+            del spec[key]
+        else:
+            spec[key] = value
+        with open(base + ".json", "w") as f:
+            json.dump(manifest, f)
+        with pytest.raises(BundleError) as exc_info:
+            dc.load_checkpoint(base)
+        assert exc_info.value.field == name
+        capsys.readouterr()
+        rc = cli.main(["unmix", scene["cube"], base,
+                       str(scene["root"] / f"run_ckpt_{name}_{key}_{value}")])
+        assert rc == 2 and f"field: {name}" in capsys.readouterr().err
+
+    def test_non_contiguous_payload_writes_c_order_bytes(self, tmp_path):
+        rng = np.random.default_rng(3)
+        stack = rng.random((WIDTH * HEIGHT, P, BANDS)).transpose(0, 2, 1)
+        assert not stack.flags.c_contiguous
+        base = str(tmp_path / "em")
+        dt.save_endmembers(base, stack, WIDTH, HEIGHT)
+        with open(base + ".raw", "rb") as f:
+            assert f.read() == np.ascontiguousarray(stack, "<f8").tobytes()
+        np.testing.assert_array_equal(dt.load_endmembers(base), stack)
+
     def test_wrong_role_exits_2(self, scene, capsys):
         est = str(scene["root"] / "wrong_role")
         shutil.copytree(_unmix(scene, "wrong_role_src"), est)

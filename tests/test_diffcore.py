@@ -1,11 +1,13 @@
 """Tensor core: forward ops, reverse accumulation, Adam, schedule, checkpoints."""
 
+import json
+
 import numpy as np
 import pytest
 
 from conftest import fd_param_grads, max_rel_err, make_mlp
 from unmix import diffcore as dc
-from unmix.errors import ContractError, ShapeError, TrainingError
+from unmix.errors import BundleError, ContractError, ShapeError, TrainingError
 
 
 # leading axes of an MLP input: a single vector, a batch, a batch of draws
@@ -65,6 +67,73 @@ class TestMlpForward:
         assert out.shape == (2, 4, 2)
         inner = [t for t in dc._toposort(out) if t is not out and t is not x]
         assert inner and all(t.data.ndim <= 2 for t in inner)
+
+
+ACTS = ["relu", "sigmoid", "linear"]
+_CHAIN_ACTS = {"relu": dc.relu, "sigmoid": dc.sigmoid, "linear": lambda t: t}
+
+
+def _chain(x, w, b, act):
+    """The transpose, matmul, add and activation nodes ``dense`` fuses."""
+    return _CHAIN_ACTS[act](dc.matmul(x, w.transpose()) + b)
+
+
+class TestDense:
+    @pytest.mark.parametrize("act", ACTS)
+    def test_matches_finite_differences(self, rng, act):
+        params = {"x": dc.parameter(rng.standard_normal((5, 4)), "x"),
+                  "w": dc.parameter(rng.standard_normal((3, 4)), "w"),
+                  "b": dc.parameter(rng.standard_normal(3), "b")}
+
+        def loss_t():
+            out = dc.dense(params["x"], params["w"], params["b"], act)
+            return (out * out).sum() + _sin(out).sum()
+
+        grads = dc.backward(loss_t(), params)
+        fd = fd_param_grads(lambda: loss_t().item(), params)
+        assert max_rel_err(grads, fd) < 1e-6
+
+    @pytest.mark.parametrize("act", ACTS)
+    def test_bitwise_equal_to_four_node_chain(self, rng, act):
+        tiny = np.finfo(np.float64).smallest_subnormal
+        special = np.array([800.0, -800.0, 0.0, -0.0, tiny, -tiny, 1e-310,
+                            -1e-310, 36.7, -36.7, 745.2, -745.2])
+        # an identity layer passes the special values through as
+        # pre-activations; a random layer mixes them with the others
+        x = np.concatenate([rng.uniform(-800.0, 800.0, (20, 12)),
+                            rng.standard_normal((20, 12)), np.diag(special)])
+        for w, b in ((np.eye(12), np.zeros(12)),
+                     (rng.standard_normal((7, 12)), rng.standard_normal(7))):
+            weights = rng.standard_normal((x.shape[0], w.shape[0]))
+            outs, grads = [], []
+            for fn in (dc.dense, _chain):
+                params = {"x": dc.parameter(x, "x"), "w": dc.parameter(w, "w"),
+                          "b": dc.parameter(b, "b")}
+                out = fn(params["x"], params["w"], params["b"], act)
+                grads.append(dc.backward((out * weights).sum(), params))
+                outs.append(out.data)
+            assert outs[0].tobytes() == outs[1].tobytes()
+            for name in ("x", "w", "b"):
+                assert grads[0][name].shape == grads[1][name].shape
+                assert grads[0][name].tobytes() == grads[1][name].tobytes()
+
+    def test_one_graph_node_per_layer(self, rng):
+        net = make_mlp([3, 5, 4, 2], ["relu", "sigmoid", "linear"], seed=2)
+        x = dc.constant(rng.standard_normal((6, 3)))
+        out = dc.mlp_forward(net, x)
+        inner = [t for t in dc._toposort(out) if t._parents]
+        assert len(inner) == 3
+        leaves = {id(t) for t in (x, *net.weights, *net.biases)}
+        assert {id(t) for t in dc._toposort(out) if not t._parents} == leaves
+
+    def test_rejects_bad_input_and_activation(self):
+        w, b = dc.constant(np.ones((2, 3))), dc.constant(np.zeros(2))
+        with pytest.raises(ShapeError):
+            dc.dense(dc.constant(np.ones(3)), w, b, "relu")
+        with pytest.raises(ShapeError):
+            dc.dense(dc.constant(np.ones((4, 2))), w, b, "relu")
+        with pytest.raises(ShapeError):
+            dc.dense(dc.constant(np.ones((4, 3))), w, b, "tanh")
 
 
 class TestBackward:
@@ -179,7 +248,8 @@ def _every_op(x: dc.Tensor, net: dc.MlpParams) -> list[dc.Tensor]:
             dc.lgamma(x * x + 0.5), dc.clip(x, -0.2, 0.3), dc.l2norm(x),
             dc.matmul(x, x.transpose()), dc.concat([x, h], axis=-1),
             dc.stack_last([x, x * 2.0]), dc.logsumexp(x, axis=-1),
-            x[1:, 2]]
+            x[1:, 2]] + [dc.dense(x, net.weights[0], net.biases[0], act)
+                         for act in ACTS]
 
 
 class TestNoGrad:
@@ -276,6 +346,55 @@ class TestAdam:
         np.testing.assert_allclose(flip_second, abs(two_steps(1.0, -1.0)[1]),
                                    rtol=1e-12)
 
+    def test_non_finite_gradient_changes_nothing(self, rng):
+        params = {n: dc.parameter(rng.standard_normal(shape), n)
+                  for n, shape in (("a", (3, 2)), ("b", ()), ("c", (4,)))}
+        state = dc.AdamState.create(params)
+        grads = {n: rng.standard_normal(t.data.shape) for n, t in params.items()}
+        dc.adam_step(params, grads, state, 0.01)
+        before = ({n: t.data.copy() for n, t in params.items()},
+                  {n: a.copy() for n, a in state.m.items()},
+                  {n: a.copy() for n, a in state.v.items()}, state.step)
+        grads["b"] = np.array(np.inf)
+        with pytest.raises(TrainingError, match="parameter=b"):
+            dc.adam_step(params, grads, state, 0.01)
+        after = ({n: t.data for n, t in params.items()}, state.m, state.v,
+                 state.step)
+        for old, new in zip(before[:3], after[:3]):
+            for n in old:
+                assert old[n].tobytes() == new[n].tobytes(), n
+        assert after[3] == before[3] == 1
+
+    def test_in_place_steps_bitwise_equal_allocating_form(self, rng):
+        def reference(params, grads, m, v, t, lr, b1=0.9, b2=0.999, eps=1e-8):
+            # the allocating update written as plain expressions
+            bc1, bc2 = 1.0 - b1 ** t, 1.0 - b2 ** t
+            for n in params:
+                g = grads[n]
+                m[n] = b1 * m[n] + (1 - b1) * g
+                v[n] = b2 * v[n] + (1 - b2) * g * g
+                params[n] = params[n] - lr * (m[n] / bc1) / (
+                    np.sqrt(v[n] / bc2) + eps)
+
+        shapes = {"w": (5, 4), "b": (5,), "s": ()}
+        params = {n: dc.parameter(rng.standard_normal(s), n)
+                  for n, s in shapes.items()}
+        state = dc.AdamState.create(params)
+        buffers = {n: t.data for n, t in params.items()}
+        ref = {n: t.data.copy() for n, t in params.items()}
+        ref_m = {n: np.zeros(s) for n, s in shapes.items()}
+        ref_v = {n: np.zeros(s) for n, s in shapes.items()}
+        for t in range(1, 5):
+            grads = {n: rng.standard_normal(s) * 10.0 ** rng.integers(-3, 3)
+                     for n, s in shapes.items()}
+            dc.adam_step(params, grads, state, 0.003)
+            reference(ref, grads, ref_m, ref_v, t, 0.003)
+            for n in shapes:
+                assert params[n].data.tobytes() == ref[n].tobytes(), n
+                assert state.m[n].tobytes() == ref_m[n].tobytes(), n
+                assert state.v[n].tobytes() == ref_v[n].tobytes(), n
+        assert all(params[n].data is buffers[n] for n in shapes)
+
     def test_non_finite_gradient_names_parameter(self):
         p = dc.parameter(np.array(0.0), "gen.obs_log_scale")
         state = dc.AdamState.create({"gen.obs_log_scale": p})
@@ -334,3 +453,17 @@ class TestCheckpoint:
         json.dump(manifest, open(base + ".json", "w"))
         with pytest.raises(BundleError):
             dc.load_checkpoint(base)
+
+    @pytest.mark.parametrize("arrays,field", [([], "arrays"), (None, "arrays"),
+                                              ({"p": 5}, "p")])
+    def test_malformed_array_table(self, tmp_path, arrays, field):
+        base = str(tmp_path / "ck")
+        dc.save_checkpoint(base, {}, {"p": dc.parameter(np.ones(2), "p")})
+        with open(base + ".json") as f:
+            manifest = json.load(f)
+        manifest["arrays"] = arrays
+        with open(base + ".json", "w") as f:
+            json.dump(manifest, f)
+        with pytest.raises(BundleError) as exc_info:
+            dc.load_checkpoint(base)
+        assert exc_info.value.field == field

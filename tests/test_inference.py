@@ -1,6 +1,7 @@
 """Posterior model: latent encoder, unrolled stream, concentration, sampling."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -192,6 +193,53 @@ class TestListaGramForm:
         for name in g_ref:
             tol = 1e-10 * max(1.0, float(np.abs(g_ref[name]).max()))
             assert np.abs(g_got[name] - g_ref[name]).max() <= tol, name
+
+
+class TestWarmStart:
+    """The SVD-applied warm start against pinv(M, rcond=1e-8) @ y."""
+
+    @pytest.mark.parametrize("batch,column", [
+        ((), None), ((6,), None), ((2, 3), None),
+        ((6,), "duplicate"), ((6,), "zero")])
+    def test_matches_pseudoinverse_solution(self, rng, batch, column):
+        M = rng.uniform(0.1, 0.9, batch + (L, P))
+        if column == "duplicate":
+            M[..., 2] = M[..., 0]
+        elif column == "zero":
+            M[..., 1] = 0.0
+        y = rng.uniform(0.0, 1.0, batch + (L,))
+        ref = np.squeeze(np.linalg.pinv(M, rcond=1e-8) @ y[..., None], axis=-1)
+        got = inf._least_squares_start(M, y)
+        assert got.shape == batch + (P,)
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    def test_never_holds_the_pseudoinverse(self, rng):
+        # pinv holds a copy of M, U, s U^T and the (N, P, L) result at
+        # once (about 3x M); the SVD-applied solve holds U (1x M) and
+        # per-pixel vectors, which are small at the scene's L and P
+        M = rng.uniform(0.1, 0.9, (500, 224, 5))
+        y = rng.uniform(0.0, 1.0, (500, 224))
+        tracemalloc.start()
+        try:
+            inf._least_squares_start(M, y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * M.nbytes
+
+    def test_pin_replays_the_first_warm_start(self, model, rng):
+        theta, phi = model
+        M = rng.uniform(0.1, 0.9, (4, L, P))
+        y = rng.uniform(0.0, 1.0, (4, L))
+        with inf.pinned_warm_starts() as pin:
+            first = inf.lista_concentration(y, dc.constant(M), phi).data
+            pin.rewind()
+            replay = inf.lista_concentration(y, dc.constant(M * 1.5), phi).data
+        moved = inf.lista_concentration(y, dc.constant(M * 1.5), phi).data
+        assert len(pin.store) == 1
+        assert np.array_equal(pin.store[0], inf._least_squares_start(M, y))
+        assert not np.array_equal(replay, moved)
+        assert not np.array_equal(replay, first)
 
 
 class TestAbundanceConcentration:

@@ -369,8 +369,8 @@ class TestFrozenNoiseGradient:
                              varsigma1=0.5, varsigma2=0.5)
         noise = ReplayNoise(np.random.default_rng(7))
         params = model_parameters(theta, phi)
-        from unmix.inference import pinned_pseudoinverses
-        with pinned_pseudoinverses() as pin:
+        from unmix.inference import pinned_warm_starts
+        with pinned_warm_starts() as pin:
             bd = ob.total_loss(y_u, (y_s, a_s, m_s), theta, phi, cfg, noise)
             grads = dc.backward(bd.node, params)
 
