@@ -21,7 +21,7 @@ import numpy as np
 from . import data as dt
 from . import diffcore as dc
 from . import evaluation as ev
-from .errors import InputError, TrainingError, UnmixError
+from .errors import BundleError, InputError, TrainingError, UnmixError
 from .generative import mixing_mean
 from .inference import (init_model, model_parameters,
                         point_estimates_with_streams)
@@ -142,12 +142,8 @@ def cmd_train(args) -> int:
     theta = phi = None
     start_epoch = 0
     if args.resume:
-        meta, arrays = dc.load_checkpoint(_strip_bundle(args.resume))
-        theta, phi = init_model(meta["n_bands"], meta["n_endmembers"],
-                                meta["latent_dim"], meta["lista_layers"],
-                                np.random.default_rng(args.seed))
-        dc.load_params_into(model_parameters(theta, phi), arrays)
-        start_epoch = meta["epoch"] + 1
+        meta, theta, phi = _load_model(_strip_bundle(args.resume))
+        start_epoch = _meta_int(meta, "epoch", 0) + 1
     meta = {"n_bands": cube.n_bands, "n_endmembers": a_s.shape[1],
             "latent_dim": args.latent_dim, "lista_layers": args.lista_layers,
             "seed": args.seed, "config": config.as_dict(), "epoch": 0}
@@ -184,11 +180,23 @@ def cmd_train(args) -> int:
     return 0
 
 
+def _meta_int(meta: dict, key: str, least: int) -> int:
+    """A checkpoint meta entry that must be an int >= ``least``."""
+    value = meta.get(key)
+    # JSON true/false load as bool, which isinstance(int) accepts
+    if isinstance(value, bool) or not isinstance(value, int) or value < least:
+        raise BundleError(f"checkpoint meta must hold an int >= {least}, "
+                          f"got {value!r}", field=key)
+    return value
+
+
 def _load_model(ckpt_base: str):
+    """The checkpoint's meta and the model its arrays describe."""
     meta, arrays = dc.load_checkpoint(ckpt_base)
-    theta, phi = init_model(meta["n_bands"], meta["n_endmembers"],
-                            meta["latent_dim"], meta["lista_layers"],
-                            np.random.default_rng(meta.get("seed", 0)))
+    sizes = [_meta_int(meta, key, 1) for key in
+             ("n_bands", "n_endmembers", "latent_dim", "lista_layers")]
+    # every initial value is overwritten by the checkpoint's arrays
+    theta, phi = init_model(*sizes, np.random.default_rng(0))
     dc.load_params_into(model_parameters(theta, phi), arrays)
     return meta, theta, phi
 

@@ -6,6 +6,14 @@ learning-rate schedule used by the training loop.  Graphs are rebuilt
 for every loss evaluation; only parameter tensors persist.  Inside
 ``no_grad()`` nothing is recorded, so forward-only passes keep no graph.
 
+Training packs the parameters into a ``ParamArena``, owned by the
+``AdamState`` that ``AdamState.create`` builds: one contiguous float64
+buffer of values, in parameter-dict order, with every tensor's ``.data`` a
+view into it, and a matching gradient buffer.  ``backward`` writes each
+packed leaf's gradient into its view of that buffer, and Adam updates the
+flat buffers.  From packing on, code must write parameters in place
+(``t.data[...] = x``) and never rebind ``.data``.
+
 Checkpoints are a JSON manifest plus a single raw blob of little-endian
 float64 arrays referenced by name and byte offset.
 """
@@ -28,7 +36,7 @@ __all__ = [
     "relu", "sigmoid", "exp", "log", "lgamma", "clip", "matmul", "dense",
     "l2norm", "concat", "stack_last", "logsumexp",
     "backward", "no_grad", "MlpParams", "mlp_forward",
-    "AdamState", "adam_step", "lr_schedule", "xavier_uniform",
+    "ParamArena", "AdamState", "adam_step", "lr_schedule", "xavier_uniform",
     "save_checkpoint", "load_checkpoint",
 ]
 
@@ -72,15 +80,17 @@ class Tensor:
 
     ``parents`` and ``vjp`` describe how to push a cotangent back to the
     inputs; leaves (constants and parameters) have neither, and neither
-    does any tensor made inside ``no_grad()``.
+    does any tensor made inside ``no_grad()``.  A parameter packed into a
+    ``ParamArena`` also holds its view of the arena's gradient buffer.
     """
 
-    __slots__ = ("data", "grad", "name", "_parents", "_vjp")
+    __slots__ = ("data", "grad", "name", "_parents", "_vjp", "_grad_view")
 
     def __init__(self, data, parents=(), vjp=None, name=None):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad: np.ndarray | None = None
         self.name = name
+        self._grad_view: np.ndarray | None = None
         if _recording:
             self._parents: tuple[Tensor, ...] = parents
             self._vjp = vjp
@@ -96,9 +106,6 @@ class Tensor:
 
     def item(self) -> float:
         return float(self.data)
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
 
     def __repr__(self):
         tag = f" name={self.name!r}" if self.name else ""
@@ -148,9 +155,6 @@ class Tensor:
     def __pow__(self, p: float):
         return Tensor(self.data ** p, (self,),
                       lambda g: (g * p * self.data ** (p - 1),))
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
     # ---- shape ops ------------------------------------------------
 
@@ -328,31 +332,45 @@ def _toposort(root: Tensor) -> list[Tensor]:
 
 
 def backward(loss: Tensor, params: dict[str, Tensor] | None = None):
-    """Accumulate d(loss)/d(node) for every node reachable from ``loss``.
+    """Accumulate d(loss)/d(node) into the leaves reachable from ``loss``.
 
-    ``loss`` must be scalar.  When ``params`` is given, returns a dict of
-    gradients keyed like ``params``; parameters not touched by the loss
-    get exact zeros.
+    ``loss`` must be scalar.  Only leaves keep ``.grad``: each interior
+    node's cotangent is dropped as soon as its VJP has run.  A leaf packed
+    into a ``ParamArena`` receives its first contribution as a copy into
+    its view of the arena's gradient buffer and later ones added in place;
+    any other leaf's first contribution aliases the VJP output.  When
+    ``params`` is given, returns a dict of gradients keyed like ``params``;
+    parameters not touched by the loss get exact zeros.  For packed
+    parameters these are the arena's gradient views, valid until the next
+    ``backward``.
     """
     if loss.data.size != 1:
         raise ContractError(f"loss must be scalar, got shape {loss.shape}")
     order = _toposort(loss)
     for node in order:
         node.grad = None
+    for t in (params or {}).values():
+        t.grad = None
     loss.grad = np.ones_like(loss.data)
-    # First contribution to a node aliases the vjp output; a second
-    # contribution replaces it with a fresh sum so shared buffers are
-    # never mutated in place.
+    # Gradients this pass may add to in place: arena views, and fresh sums.
+    # An unpacked node's first contribution aliases the VJP output, which
+    # may be shared, so a second one replaces it with a fresh sum.
     owned: set[int] = set()
     for node in reversed(order):
         if node._vjp is None or node.grad is None:
             continue
         grads = node._vjp(node.grad)
+        node.grad = None
         for p, g in zip(node._parents, grads):
             if g is None:
                 continue
             if p.grad is None:
-                p.grad = g
+                if p._grad_view is None:
+                    p.grad = g
+                else:
+                    np.copyto(p._grad_view, g)
+                    p.grad = p._grad_view
+                    owned.add(id(p))
             elif id(p) in owned:
                 p.grad += g
             else:
@@ -360,8 +378,13 @@ def backward(loss: Tensor, params: dict[str, Tensor] | None = None):
                 owned.add(id(p))
     if params is None:
         return None
-    return {k: (t.grad if t.grad is not None else np.zeros_like(t.data))
-            for k, t in params.items()}
+    out = {}
+    for k, t in params.items():
+        if t.grad is None and t._grad_view is not None:
+            t._grad_view.fill(0.0)
+            t.grad = t._grad_view
+        out[k] = t.grad if t.grad is not None else np.zeros_like(t.data)
+    return out
 
 
 # ---- feedforward networks -----------------------------------------
@@ -474,57 +497,132 @@ def mlp_forward(params: MlpParams, x) -> Tensor:
 
 # ---- optimizer -----------------------------------------------------
 
+class ParamArena:
+    """The values of a set of parameters in one contiguous float64 buffer.
+
+    Packing copies each tensor's values into ``values``, in dict order, and
+    rebinds the tensor's ``.data`` to its view of that buffer; it also gives
+    the tensor its view of ``grad``, a matching buffer that ``backward``
+    fills.  ``params`` and ``grads`` map each name to its value view and
+    its gradient view.
+    """
+
+    def __init__(self, params: dict[str, Tensor]):
+        self.names = list(params)
+        self._spans = []
+        stop = 0
+        for name in self.names:
+            shape = params[name].data.shape
+            start, stop = stop, stop + math.prod(shape)
+            self._spans.append((name, start, stop, shape))
+        self.size = stop
+        self.values = np.empty(self.size)
+        self.grad = np.zeros(self.size)
+        self.grads = self.views(self.grad)
+        self.params = self.views(self.values)
+        for name, view in self.params.items():
+            t = params[name]
+            view[...] = t.data
+            t.data = view
+            t._grad_view = self.grads[name]
+
+    def views(self, flat: np.ndarray) -> dict[str, np.ndarray]:
+        """Name -> view of an arena-sized flat buffer, shaped like the parameter."""
+        return {name: flat[start:stop].reshape(shape)
+                for name, start, stop, shape in self._spans}
+
+    def snapshot(self) -> dict[str, np.ndarray]:
+        """Name -> view of one copy of the current values."""
+        return self.views(self.values.copy())
+
+
 @dataclass
 class AdamState:
-    """First/second moment accumulators plus the shared step counter."""
+    """Adam moments and step counter over a ``ParamArena`` that it owns.
 
-    m: dict[str, np.ndarray] = field(default_factory=dict)
-    v: dict[str, np.ndarray] = field(default_factory=dict)
+    ``create`` packs the parameters into the arena; ``m_flat`` and
+    ``v_flat`` are the arena-sized moment buffers, and ``m`` and ``v`` map
+    each name to its view of them.
+    """
+
+    arena: ParamArena
+    m_flat: np.ndarray
+    v_flat: np.ndarray
     step: int = 0
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
+    m: dict[str, np.ndarray] = field(init=False)
+    v: dict[str, np.ndarray] = field(init=False)
+
+    def __post_init__(self):
+        self.m = self.arena.views(self.m_flat)
+        self.v = self.arena.views(self.v_flat)
 
     @classmethod
     def create(cls, params: dict[str, Tensor], **kw) -> "AdamState":
-        return cls(m={k: np.zeros_like(t.data) for k, t in params.items()},
-                   v={k: np.zeros_like(t.data) for k, t in params.items()}, **kw)
+        arena = ParamArena(params)
+        return cls(arena, np.zeros(arena.size), np.zeros(arena.size), **kw)
+
+
+# Elements per block of the flat Adam update: the four flat buffers and
+# two scratch blocks of 64K float64 each fit in a 4 MiB L2 cache.
+_ADAM_BLOCK = 1 << 16
 
 
 def adam_step(params: dict[str, Tensor], grads: dict[str, np.ndarray],
               state: AdamState, lr: float) -> AdamState:
-    """Standard Adam update with bias correction, in place on the tensors.
+    """Standard Adam update with bias correction, in place on the arena.
 
-    Every gradient is checked before anything changes, so a non-finite one
-    raises ``TrainingError`` with the parameters, moments and step as they
-    were.  Moments and parameters are updated in their own buffers.
+    ``params`` must be the tensors packed in ``state.arena``.  A gradient
+    that is not already the arena's view is copied into it.  The whole flat
+    gradient is checked before anything changes, so a non-finite entry
+    raises ``TrainingError`` naming the first such parameter in arena order,
+    with the parameters, moments and step as they were.  The update runs
+    over the flat buffers in cache-sized blocks, with the same operations
+    in the same order as per tensor.
     """
     if lr <= 0:
         raise ContractError(f"learning rate must be positive, got {lr}")
-    for name in params:
-        if not np.all(np.isfinite(grads[name])):
-            raise TrainingError("non-finite gradient", param=name)
+    arena = state.arena
+    for name in arena.names:
+        if params[name].data is not arena.params[name]:
+            raise ContractError(f"parameter {name} is not packed in the "
+                                "optimizer's arena")
+        view, g = arena.grads[name], grads[name]
+        if g is not view:
+            np.copyto(view, g)
+    if not np.isfinite(arena.grad).all():
+        bad = next(n for n in arena.names
+                   if not np.isfinite(arena.grads[n]).all())
+        raise TrainingError("non-finite gradient", param=bad)
     state.step += 1
     t = state.step
     b1, b2 = state.beta1, state.beta2
     bc1 = 1.0 - b1 ** t
     bc2 = 1.0 - b2 ** t
-    for name, p in params.items():
-        g = grads[name]
-        m, v = state.m[name], state.v[name]
+    n = arena.size
+    step_buf = np.empty(min(n, _ADAM_BLOCK))
+    den_buf = np.empty_like(step_buf)
+    for start in range(0, n, _ADAM_BLOCK):
+        stop = min(start + _ADAM_BLOCK, n)
+        g = arena.grad[start:stop]
+        m, v = state.m_flat[start:stop], state.v_flat[start:stop]
+        step, den = step_buf[:stop - start], den_buf[:stop - start]
         m *= b1
-        m += (1 - b1) * g
-        g2 = (1 - b2) * g
-        g2 *= g
+        np.multiply(g, 1 - b1, out=step)        # (1 - b1) * g
+        m += step
+        np.multiply(g, 1 - b2, out=step)        # ((1 - b2) * g) * g
+        step *= g
         v *= b2
-        v += g2
-        step = m / bc1
+        v += step
+        np.divide(m, bc1, out=step)
         step *= lr
-        den = np.divide(v, bc2, out=np.empty_like(v))   # an array also at 0-d
+        np.divide(v, bc2, out=den)
         np.sqrt(den, out=den)
         den += state.eps
         step /= den
-        p.data -= step
+        arena.values[start:stop] -= step
     return state
 
 
@@ -541,25 +639,28 @@ _CKPT_FORMAT = "unmix-ckpt-v1"
 
 
 def save_checkpoint(base_path: str, meta: dict, params: dict[str, Tensor | np.ndarray]):
-    """Write ``<base>.json`` manifest + ``<base>.raw`` little-endian f64 blob."""
-    arrays = {}
+    """Write ``<base>.json`` manifest + ``<base>.raw`` little-endian f64 blob.
+
+    The arrays are written one after another, in ``params`` order, straight
+    from their own buffers.
+    """
+    arrays, payload = {}, []
     offset = 0
-    blob = bytearray()
     for name in params:
         data = params[name].data if isinstance(params[name], Tensor) else params[name]
         data = np.asarray(data, dtype="<f8")
-        flat = data.ravel(order="C")
-        arrays[name] = {"offset": offset, "count": int(flat.size),
+        arrays[name] = {"offset": offset, "count": int(data.size),
                         "shape": list(data.shape)}
-        blob += flat.tobytes()
-        offset += flat.nbytes
+        payload.append(data)
+        offset += data.nbytes
     manifest = {"format": _CKPT_FORMAT, "dtype": "f64le",
                 "meta": meta, "arrays": arrays}
     with open(base_path + ".json", "w") as f:
         json.dump(manifest, f, indent=1, sort_keys=True)
         f.write("\n")
     with open(base_path + ".raw", "wb") as f:
-        f.write(bytes(blob))
+        for data in payload:
+            data.tofile(f)      # C order whatever the memory layout
 
 
 def load_checkpoint(base_path: str) -> tuple[dict, dict[str, np.ndarray]]:
@@ -567,11 +668,20 @@ def load_checkpoint(base_path: str) -> tuple[dict, dict[str, np.ndarray]]:
     if not os.path.exists(json_path):
         raise BundleError(f"missing checkpoint manifest {json_path}")
     with open(json_path) as f:
-        manifest = json.load(f)
+        try:
+            manifest = json.load(f)
+        except ValueError as exc:
+            raise BundleError(f"malformed checkpoint manifest {json_path}: "
+                              f"{exc}") from None
+    if not isinstance(manifest, dict):
+        raise BundleError(f"checkpoint manifest {json_path} is not a JSON object")
     if manifest.get("format") != _CKPT_FORMAT:
         raise BundleError("unknown checkpoint format", field="format")
     if manifest.get("dtype") != "f64le":
         raise BundleError("unsupported dtype", field="dtype")
+    meta = manifest.get("meta")
+    if not isinstance(meta, dict):
+        raise BundleError("missing or malformed meta table", field="meta")
     specs = manifest.get("arrays")
     if not isinstance(specs, dict):
         raise BundleError("missing array table", field="arrays")
@@ -582,7 +692,7 @@ def load_checkpoint(base_path: str) -> tuple[dict, dict[str, np.ndarray]]:
         start, count, shape = _array_entry(spec, name, len(blob))
         arr = np.frombuffer(blob, dtype="<f8", count=count, offset=start)
         arrays[name] = arr.astype(np.float64).reshape(shape)
-    return manifest["meta"], arrays
+    return meta, arrays
 
 
 def _is_count(value) -> bool:
@@ -609,10 +719,16 @@ def _array_entry(spec, name: str, payload_bytes: int
 
 
 def load_params_into(params: dict[str, Tensor], arrays: dict[str, np.ndarray]):
-    """Copy checkpoint arrays over live parameter tensors, by name."""
+    """Copy checkpoint arrays into live parameter tensors, by name.
+
+    Every name and shape is checked before any value is written.  Values are
+    written into each tensor's own buffer, so a packed parameter stays a
+    view of its arena.
+    """
     for name, t in params.items():
         if name not in arrays:
             raise BundleError("checkpoint missing parameter", field=name)
         if arrays[name].shape != t.data.shape:
             raise BundleError("checkpoint shape mismatch", field=name)
-        t.data = arrays[name].copy()
+    for name, t in params.items():
+        t.data[...] = arrays[name]

@@ -365,7 +365,9 @@ def train(d_u: np.ndarray, d_s, config: TrainConfig, seed: int,
 
     Deterministic given ``seed``: initialization, batch order, and every
     sampled noise value flow from named substreams of one seed sequence.
-    Returns ``(theta, phi, history)`` with per-epoch statistics.
+    Returns ``(theta, phi, history)`` with per-epoch statistics.  The
+    parameters of (theta, phi) are packed into the optimizer's arena, so
+    their ``.data`` are views of it from then on.
     """
     d_u = np.asarray(d_u, dtype=np.float64)
     if d_u.ndim != 2 or not len(d_u):
@@ -385,7 +387,7 @@ def train(d_u: np.ndarray, d_s, config: TrainConfig, seed: int,
     sup_cycler = _SupervisedCycler(len(y_s), order_rng) if len(y_s) else None
     n_u = len(d_u)
     history: list[EpochStats] = []
-    last_good = {k: t.data.copy() for k, t in params.items()}
+    last_good = state.arena.snapshot()
     last_epoch = start_epoch - 1
 
     for epoch in range(start_epoch, start_epoch + config.max_epochs):
@@ -416,12 +418,13 @@ def train(d_u: np.ndarray, d_s, config: TrainConfig, seed: int,
             sums += np.array([bd.unsup, bd.sup_iw, bd.sup_posterior,
                               bd.sparsity, bd.reg, bd.total])
             n_steps += 1
+            bd = grads = None       # free the spent graph before the next forward
         means = (sums / n_steps).tolist()
         stats = EpochStats(epoch=epoch, unsup=means[0], sup_iw=means[1],
                            sup_posterior=means[2], sparsity=means[3],
                            reg=means[4], total=means[5], lr=lr)
         history.append(stats)
-        last_good = {k: t.data.copy() for k, t in params.items()}
+        last_good = state.arena.snapshot()
         last_epoch = epoch
         if epoch_callback is not None:
             epoch_callback(epoch, theta, phi, stats)

@@ -105,6 +105,18 @@ class TestExitCodes:
         assert "SVD did not converge" in capsys.readouterr().err
 
 
+class TestResume:
+    def test_resume_continues_from_checkpoint_epoch(self, scene):
+        out = str(scene["root"] / "resumed_ok")
+        assert cli.main(["train", scene["cube"], _supervised(scene), out,
+                         "--epochs", "1", "--resume", scene["ckpt"]]) == 0
+        meta, arrays = dc.load_checkpoint(out)
+        assert meta["epoch"] == 1
+        _, start = dc.load_checkpoint(scene["ckpt"])
+        assert arrays.keys() == start.keys()
+        assert any(not np.array_equal(arrays[n], start[n]) for n in start)
+
+
 def _copy_cube(scene, name: str) -> str:
     base = str(scene["root"] / name)
     for ext in (".json", ".raw"):
@@ -122,6 +134,18 @@ def _edit_header(base: str, key: str, value):
         header[key] = value
     with open(base + ".json", "w") as f:
         json.dump(header, f)
+
+
+def _supervised(scene) -> str:
+    """A valid labelled set for the scene's band count."""
+    base = str(scene["root"] / "sup_valid")
+    if not os.path.exists(base + ".json"):
+        rng = np.random.default_rng(2)
+        dt.save_supervised(base, [
+            dt.SupervisedSample(y=rng.random(BANDS), a=np.eye(P)[j],
+                                em=rng.random((BANDS, P)))
+            for j in range(P)])
+    return base
 
 
 class TestBundles:
@@ -236,6 +260,72 @@ class TestBundles:
         rc = cli.main(["unmix", scene["cube"], base,
                        str(scene["root"] / f"run_ckpt_{name}_{key}_{value}")])
         assert rc == 2 and f"field: {name}" in capsys.readouterr().err
+
+    def _edited_ckpt(self, scene, name: str, edit) -> str:
+        base = str(scene["root"] / name)
+        for ext in (".json", ".raw"):
+            shutil.copyfile(scene["ckpt"] + ext, base + ext)
+        with open(base + ".json") as f:
+            manifest = json.load(f)
+        edit(manifest)
+        with open(base + ".json", "w") as f:
+            json.dump(manifest, f)
+        return base
+
+    # each size must be an int >= 1; None removes the entry
+    @pytest.mark.parametrize("key", ["n_bands", "n_endmembers", "latent_dim",
+                                     "lista_layers"])
+    @pytest.mark.parametrize("value", [0, -2, True, 2.0, "3", None])
+    def test_bad_checkpoint_meta_exits_2(self, scene, capsys, key, value):
+        def edit(manifest):
+            if value is None:
+                del manifest["meta"][key]
+            else:
+                manifest["meta"][key] = value
+        base = self._edited_ckpt(scene, f"meta_{key}_{value}", edit)
+        capsys.readouterr()
+        rc = cli.main(["unmix", scene["cube"], base,
+                       str(scene["root"] / f"run_meta_{key}_{value}")])
+        assert rc == 2 and f"field: {key}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", [-1, True, 1.5, "0", None])
+    def test_bad_resume_epoch_exits_2(self, scene, capsys, value):
+        def edit(manifest):
+            if value is None:
+                del manifest["meta"]["epoch"]
+            else:
+                manifest["meta"]["epoch"] = value
+        base = self._edited_ckpt(scene, f"epoch_{value}", edit)
+        sup = _supervised(scene)
+        capsys.readouterr()
+        rc = cli.main(["train", scene["cube"], sup,
+                       str(scene["root"] / f"resumed_{value}"),
+                       "--epochs", "1", "--resume", base])
+        assert rc == 2 and "field: epoch" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case", ["no meta", "meta list", "bad json",
+                                      "json list"])
+    def test_malformed_checkpoint_manifest_exits_2(self, scene, capsys, case):
+        base = self._edited_ckpt(
+            scene, f"manifest_{case.replace(' ', '_')}",
+            lambda m: m.pop("meta") if case == "no meta"
+            else m.update(meta=[1]))
+        if case == "bad json":
+            with open(base + ".json", "a") as f:
+                f.write("}")
+        elif case == "json list":
+            with open(base + ".json", "w") as f:
+                f.write("[]")
+        with pytest.raises(BundleError) as exc_info:
+            dc.load_checkpoint(base)
+        field = "meta" if "meta" in case else None
+        assert exc_info.value.field == field
+        capsys.readouterr()
+        rc = cli.main(["unmix", scene["cube"], base,
+                       str(scene["root"] / f"run_{os.path.basename(base)}")])
+        err = capsys.readouterr().err
+        assert rc == 2 and err.startswith("error: ")
+        assert field is None or f"field: {field}" in err
 
     def test_non_contiguous_payload_writes_c_order_bytes(self, tmp_path):
         rng = np.random.default_rng(3)

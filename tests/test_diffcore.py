@@ -222,6 +222,61 @@ class TestBackward:
         grads = dc.backward(loss, {"x": x})
         np.testing.assert_allclose(grads["x"], [7.0])
 
+    @pytest.mark.parametrize("packed", [False, True], ids=["own", "arena"])
+    def test_only_leaves_keep_grad(self, rng, packed):
+        net = make_mlp([3, 4, 2], ["relu", "sigmoid"], seed=3)
+        params = net.named_parameters()
+        if packed:
+            dc.AdamState.create(params)
+        x = dc.constant(rng.standard_normal((5, 3)))
+        h = dc.mlp_forward(net, x)
+        loss = (h * h).sum() + h.sum()
+        grads = dc.backward(loss, params)
+        order = dc._toposort(loss)
+        assert all(n.grad is None for n in order if n._vjp is not None)
+        leaves = [n for n in order if n._vjp is None]
+        assert len(leaves) == len(params) + 1
+        assert x.grad is not None and x.grad.shape == x.shape
+        fd = fd_param_grads(
+            lambda: float(((h2 := dc.mlp_forward(net, x).data) ** 2).sum()
+                          + h2.sum()), params)
+        assert max_rel_err(grads, fd) < 1e-5
+        for name, t in params.items():
+            assert t.grad is grads[name]
+
+    def test_arena_gradients_bitwise_equal_own_buffers(self):
+        # a leaf reached three times: copy, then two in-place adds in the
+        # order the fresh sum used
+        def run(packed):
+            net = make_mlp([3, 4, 2], ["relu", "linear"], seed=9)
+            params = net.named_parameters()
+            state = dc.AdamState.create(params) if packed else None
+            x = dc.constant(np.random.default_rng(5).standard_normal((6, 3)))
+            w = net.weights[1]
+            loss = ((dc.mlp_forward(net, x) * 1.7).sum() + dc.l2norm(w)
+                    + (w * w).sum() * 0.3)
+            return dc.backward(loss, params), state
+
+        own, _ = run(False)
+        arena, state = run(True)
+        for name in own:
+            assert arena[name].tobytes() == own[name].tobytes(), name
+            assert arena[name] is state.arena.grads[name]
+
+    @pytest.mark.parametrize("packed", [False, True], ids=["own", "arena"])
+    def test_touched_then_untouched_reads_exact_zeros(self, packed):
+        a = dc.parameter(np.array([1.0, 2.0]), "a")
+        b = dc.parameter(np.array([[3.0, -1.0]]), "b")
+        params = {"a": a, "b": b}
+        if packed:
+            dc.AdamState.create(params)
+        first = dc.backward((a * b).sum(), params)
+        assert np.array_equal(first["b"], [[1.0, 2.0]])
+        second = dc.backward((a * a).sum(), params)
+        assert np.array_equal(second["a"], [2.0, 4.0])
+        assert np.array_equal(second["b"], np.zeros((1, 2)))
+        assert b.grad is None or not b.grad.any()
+
     def test_l2norm_gradient_and_zero_subgradient(self, rng):
         w = dc.parameter(rng.standard_normal((3, 2)), "w")
         grads = dc.backward(dc.l2norm(w), {"w": w})
@@ -376,10 +431,17 @@ class TestAdam:
                 params[n] = params[n] - lr * (m[n] / bc1) / (
                     np.sqrt(v[n] / bc2) + eps)
 
-        shapes = {"w": (5, 4), "b": (5,), "s": ()}
+        block = dc._ADAM_BLOCK
+        # "edge" (0-d) starts the second block; "big" spans more than one
+        shapes = {"w": (5, 4), "b": (5,), "s": (), "pad": (block - 26,),
+                  "edge": (), "big": (block + 37,), "tail": ()}
         params = {n: dc.parameter(rng.standard_normal(s), n)
                   for n, s in shapes.items()}
         state = dc.AdamState.create(params)
+        start = state.arena.values.__array_interface__["data"][0]
+        assert params["edge"].data.__array_interface__["data"][0] \
+            == start + 8 * block
+        assert state.arena.size > 2 * block
         buffers = {n: t.data for n, t in params.items()}
         ref = {n: t.data.copy() for n, t in params.items()}
         ref_m = {n: np.zeros(s) for n, s in shapes.items()}
@@ -394,6 +456,24 @@ class TestAdam:
                 assert state.m[n].tobytes() == ref_m[n].tobytes(), n
                 assert state.v[n].tobytes() == ref_v[n].tobytes(), n
         assert all(params[n].data is buffers[n] for n in shapes)
+
+    def test_non_finite_gradient_names_first_in_arena_order(self, rng):
+        params = {n: dc.parameter(rng.standard_normal(4), n)
+                  for n in ("a", "b", "c")}
+        state = dc.AdamState.create(params)
+        grads = {n: np.ones(4) for n in params}
+        grads["c"][1] = np.nan
+        grads["b"][3] = -np.inf
+        with pytest.raises(TrainingError, match="parameter=b"):
+            dc.adam_step(params, grads, state, 0.01)
+        assert state.step == 0 and not state.m_flat.any()
+
+    def test_rejects_parameters_outside_the_arena(self):
+        p = dc.parameter(np.ones(3), "p")
+        state = dc.AdamState.create({"p": p})
+        p.data = np.ones(3)
+        with pytest.raises(ContractError, match="p is not packed"):
+            dc.adam_step({"p": p}, {"p": np.ones(3)}, state, 0.01)
 
     def test_non_finite_gradient_names_parameter(self):
         p = dc.parameter(np.array(0.0), "gen.obs_log_scale")
@@ -441,6 +521,40 @@ class TestCheckpoint:
         _, arrays = dc.load_checkpoint(base)
         dc.load_params_into(net2.named_parameters(), arrays)
         assert np.array_equal(net2.weights[0].data, net.weights[0].data)
+
+    def test_load_into_packed_params_keeps_arena_views(self, tmp_path, rng):
+        net = make_mlp([3, 2], ["linear"], seed=1)
+        base = str(tmp_path / "ck")
+        dc.save_checkpoint(base, {}, net.named_parameters())
+        net2 = make_mlp([3, 2], ["linear"], seed=99)
+        params = net2.named_parameters()
+        state = dc.AdamState.create(params)
+        _, arrays = dc.load_checkpoint(base)
+        dc.load_params_into(params, arrays)
+        for name, t in params.items():
+            assert t.data is state.arena.params[name]
+            assert np.array_equal(t.data, arrays[name])
+        grads = {n: np.ones_like(a) for n, a in arrays.items()}
+        dc.adam_step(params, grads, state, 0.01)
+        for name, t in params.items():
+            # Adam's first step moves every entry by lr against the gradient
+            np.testing.assert_allclose(t.data, arrays[name] - 0.01, rtol=0,
+                                       atol=1e-9)
+
+    def test_raw_is_the_arrays_in_manifest_order(self, tmp_path, rng):
+        params = {"t": rng.standard_normal((4, 3)).T,     # not C-contiguous
+                  "s": np.array(1.25),
+                  "p": dc.parameter(rng.standard_normal(5), "p")}
+        base = str(tmp_path / "ck")
+        dc.save_checkpoint(base, {"epoch": 0}, params)
+        with open(base + ".json") as f:
+            specs = json.load(f)["arrays"]
+        assert [specs[n]["offset"] for n in params] == [0, 96, 104]
+        expected = b"".join(np.ascontiguousarray(
+            a.data if isinstance(a, dc.Tensor) else a, "<f8").tobytes()
+            for a in params.values())
+        with open(base + ".raw", "rb") as f:
+            assert f.read() == expected
 
     def test_corrupt_manifest_field(self, tmp_path):
         from unmix.errors import BundleError
