@@ -11,17 +11,17 @@ Exit codes: 0 ok, 2 input error, 3 numeric/training error.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import time
 
 import numpy as np
 
+from . import container as ct
 from . import data as dt
 from . import diffcore as dc
 from . import evaluation as ev
-from .errors import BundleError, InputError, TrainingError, UnmixError
+from .errors import InputError, TrainingError, UnmixError
 from .generative import mixing_mean
 from .inference import (init_model, model_parameters,
                         point_estimates_with_streams)
@@ -43,9 +43,7 @@ def _write_manifest(path: str, command: str, args: dict, seed,
     manifest = {"command": command, "args": args, "seed": seed,
                 "inputs": inputs, "outputs": outputs,
                 "wall_clock_s": wall_clock_s}
-    with open(path, "w") as f:
-        json.dump(manifest, f, indent=1, sort_keys=True)
-        f.write("\n")
+    ct.write_json(path, manifest)
 
 
 def _prepare_out_dir(path: str, force: bool):
@@ -122,11 +120,6 @@ def cmd_selfsup(args) -> int:
     return 0
 
 
-def _save_model(base: str, theta, phi, meta: dict):
-    params = model_parameters(theta, phi)
-    dc.save_checkpoint(base, meta, params)
-
-
 def cmd_train(args) -> int:
     t0 = time.perf_counter()
     cube = dt.load_cube(_strip_bundle(args.cube))
@@ -143,7 +136,7 @@ def cmd_train(args) -> int:
     start_epoch = 0
     if args.resume:
         meta, theta, phi = _load_model(_strip_bundle(args.resume))
-        start_epoch = _meta_int(meta, "epoch", 0) + 1
+        start_epoch = ct.json_int(meta.get("epoch"), "epoch") + 1
     meta = {"n_bands": cube.n_bands, "n_endmembers": a_s.shape[1],
             "latent_dim": args.latent_dim, "lista_layers": args.lista_layers,
             "seed": args.seed, "config": config.as_dict(), "epoch": 0}
@@ -156,12 +149,12 @@ def cmd_train(args) -> int:
         if err.last_good is not None and err.last_epoch is not None \
                 and err.last_epoch >= 0:
             meta["epoch"] = err.last_epoch
-            dc.save_checkpoint(out_base, meta, err.last_good)
+            ct.save_checkpoint(out_base, meta, err.last_good)
             print(f"training diverged; last-good checkpoint saved to "
                   f"{out_base}.json", file=sys.stderr)
         raise
     meta["epoch"] = history[-1].epoch if history else start_epoch
-    _save_model(out_base, theta, phi, meta)
+    ct.save_checkpoint(out_base, meta, model_parameters(theta, phi))
     with open(out_base + ".history.csv", "w") as f:
         f.write(history_to_csv(history))
     _write_manifest(
@@ -180,20 +173,10 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _meta_int(meta: dict, key: str, least: int) -> int:
-    """A checkpoint meta entry that must be an int >= ``least``."""
-    value = meta.get(key)
-    # JSON true/false load as bool, which isinstance(int) accepts
-    if isinstance(value, bool) or not isinstance(value, int) or value < least:
-        raise BundleError(f"checkpoint meta must hold an int >= {least}, "
-                          f"got {value!r}", field=key)
-    return value
-
-
 def _load_model(ckpt_base: str):
     """The checkpoint's meta and the model its arrays describe."""
-    meta, arrays = dc.load_checkpoint(ckpt_base)
-    sizes = [_meta_int(meta, key, 1) for key in
+    meta, arrays = ct.load_checkpoint(ckpt_base)
+    sizes = [ct.json_int(meta.get(key), key, 1) for key in
              ("n_bands", "n_endmembers", "latent_dim", "lista_layers")]
     # every initial value is overwritten by the checkpoint's arrays
     theta, phi = init_model(*sizes, np.random.default_rng(0))
@@ -263,8 +246,9 @@ def cmd_eval(args) -> int:
     runtime = 0.0
     manifest_path = os.path.join(est_dir, "manifest.json")
     if os.path.exists(manifest_path):
-        with open(manifest_path) as f:
-            runtime = float(json.load(f).get("wall_clock_s", 0.0))
+        manifest = ct.read_json(manifest_path, "estimates manifest")
+        runtime = ct.json_float(manifest.get("wall_clock_s", 0.0),
+                                "wall_clock_s")
     reports = [ev.evaluate(cube, truth, ev.Estimates(
         abundances=a_hat, endmembers=m_hat, reconstruction=recon,
         eta_d=eta, runtime_s=runtime))]

@@ -1,22 +1,21 @@
 """Data supply: cube bundles on disk, synthetic scenes, endmember extraction,
 and the self-supervised construction of the labeled set.
 
-Bundles are a JSON header next to a raw little-endian float64 payload in
-band-interleaved-by-pixel order; ground truth reuses the scheme with a
-``role`` tag.  All generation is deterministic given the caller's Generator;
+The bundle schema (``container`` documents the format) is built here: a
+cube carries no ``role``, ground truth, estimates and the labelled set
+carry one.  All generation is deterministic given the caller's Generator;
 functions that add noise spawn (variability, noise) child streams in a fixed
 order so the noise realization is comparable across generators.
 """
 
 from __future__ import annotations
 
-import json
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import ndimage as _ndi
 
+from . import container as ct
 from .errors import BundleError, ExtractionError, GenerationError, InputError
 
 __all__ = [
@@ -362,65 +361,36 @@ def build_supervised_set(ppx: PurePixelDict, n_draws: int,
 
 # ------------------------------------------------------------- bundle io
 
-_DTYPE = "f64le"
-
-
 def _write_bundle(base: str, header: dict, payload: np.ndarray):
-    arr = np.ascontiguousarray(payload, dtype="<f8")
-    with open(base + ".json", "w") as f:
-        json.dump(header, f, indent=1, sort_keys=True)
-        f.write("\n")
-    with open(base + ".raw", "wb") as f:
-        arr.tofile(f)
+    ct.write_json(base + ".json", {**header, "dtype": ct.DTYPE, "order": "bip"})
+    ct.write_f64(base + ".raw", [payload])
 
 
-def _positive_int(header: dict, key: str) -> int:
-    """``header[key]`` as a positive int, else a ``BundleError`` naming it."""
-    value = header.get(key)
-    # JSON true/false load as bool, which isinstance(int) accepts
-    if isinstance(value, bool) or not isinstance(value, int) or value <= 0:
-        raise BundleError("missing or invalid header entry", field=key)
-    return value
-
-
-def _read_bundle(base: str, expected_role: str | None = None
-                 ) -> tuple[dict, np.ndarray]:
-    if not os.path.exists(base + ".json"):
-        raise BundleError(f"missing bundle header {base}.json")
-    with open(base + ".json") as f:
-        try:
-            header = json.load(f)
-        except json.JSONDecodeError as exc:
-            raise BundleError(f"malformed bundle header: {exc}") from None
+def _read_bundle(base: str, role: str | None = None) -> tuple[dict, np.ndarray]:
+    """A bundle's checked header and its payload as width * height rows;
+    ``role`` None is a cube."""
+    header = ct.read_json(base + ".json", "bundle header")
     for key in ("width", "height", "bands"):
-        _positive_int(header, key)
-    if header.get("dtype") != _DTYPE:
+        ct.json_int(header.get(key), key, 1)
+    if header.get("dtype") != ct.DTYPE:
         raise BundleError(f"unsupported dtype {header.get('dtype')!r}",
                           field="dtype")
     if header.get("order") != "bip":
         raise BundleError(f"unsupported order {header.get('order')!r}",
                           field="order")
-    role = header.get("role")
-    if expected_role is not None and role != expected_role:
-        raise BundleError(f"expected role {expected_role!r}, found {role!r}",
-                          field="role")
-    raw = base + ".raw"
+    if header.get("role") != role:
+        raise BundleError(f"expected role {role!r}, found "
+                          f"{header.get('role')!r}", field="role")
     count = header["width"] * header["height"] * header["bands"]
     if role == "endmembers":
-        count *= _positive_int(header, "components")
-    size = os.path.getsize(raw)
-    if size != count * 8:
-        raise BundleError(
-            f"payload holds {size // 8} values, header implies {count}",
-            field="bands")
-    # no copy where "<f8" is already the native float64 layout
-    data = np.fromfile(raw, dtype="<f8").astype(np.float64, copy=False)
-    return header, data
+        count *= ct.json_int(header.get("components"), "components", 1)
+    data = ct.read_f64(base + ".raw", count, field="bands")
+    return header, data.reshape(header["width"] * header["height"], -1)
 
 
 def save_cube(base: str, cube: HyperCube):
     header = {"width": cube.width, "height": cube.height,
-              "bands": cube.n_bands, "dtype": _DTYPE, "order": "bip"}
+              "bands": cube.n_bands}
     if cube.wavelengths is not None:
         header["wavelengths"] = [float(w) for w in cube.wavelengths]
     _write_bundle(base, header, cube.pixels)
@@ -430,33 +400,34 @@ def load_cube(base: str) -> HyperCube:
     """Read a cube bundle; a NaN or infinite value raises ``InputError``
     naming the first offending pixel and band."""
     header, data = _read_bundle(base)
-    n = header["width"] * header["height"]
     wl = header.get("wavelengths")
-    if wl is not None and len(wl) != header["bands"]:
-        raise BundleError("wavelength count != band count", field="wavelengths")
+    if wl is not None:
+        if not isinstance(wl, list) or len(wl) != header["bands"]:
+            raise BundleError("wavelengths must list one number per band",
+                              field="wavelengths")
+        wl = [ct.json_float(w, "wavelengths") for w in wl]
     bad = np.flatnonzero(~np.isfinite(data))
     if bad.size:
         pixel, band = divmod(int(bad[0]), header["bands"])
         row, col = divmod(pixel, header["width"])
         raise InputError(
-            f"cube {base} has a non-finite value ({float(data[bad[0]])}) at "
+            f"cube {base} has a non-finite value ({data.flat[bad[0]]}) at "
             f"pixel {pixel} (row {row}, column {col}), band {band}")
     return HyperCube(width=header["width"], height=header["height"],
-                     pixels=data.reshape(n, header["bands"]),
+                     pixels=data,
                      wavelengths=None if wl is None else np.asarray(wl))
 
 
 def save_abundances(base: str, abundances: np.ndarray, width: int, height: int):
     A = np.asarray(abundances, dtype=np.float64)
     header = {"width": width, "height": height, "bands": A.shape[1],
-              "dtype": _DTYPE, "order": "bip", "role": "abundances"}
+              "role": "abundances"}
     _write_bundle(base, header, A)
 
 
 def load_abundances(base: str) -> tuple[np.ndarray, int, int]:
-    header, data = _read_bundle(base, expected_role="abundances")
-    n = header["width"] * header["height"]
-    return data.reshape(n, header["bands"]), header["width"], header["height"]
+    header, data = _read_bundle(base, "abundances")
+    return data, header["width"], header["height"]
 
 
 def save_endmembers(base: str, endmembers: np.ndarray,
@@ -472,30 +443,30 @@ def save_endmembers(base: str, endmembers: np.ndarray,
     if stack.shape[0] != width * height:
         raise InputError("endmember stack length must match width * height")
     header = {"width": width, "height": height, "bands": stack.shape[1],
-              "components": stack.shape[2], "dtype": _DTYPE, "order": "bip",
-              "role": "endmembers"}
+              "components": stack.shape[2], "role": "endmembers"}
     _write_bundle(base, header, stack)
 
 
 def load_endmembers(base: str) -> np.ndarray:
     """Returns (L, P) when the bundle stores one shared matrix, else (N, L, P)."""
-    header, data = _read_bundle(base, expected_role="endmembers")
-    n = header["width"] * header["height"]
-    stack = data.reshape(n, header["bands"], header["components"])
-    return stack[0] if n == 1 else stack
+    header, data = _read_bundle(base, "endmembers")
+    stack = data.reshape(len(data), header["bands"], header["components"])
+    return stack[0] if len(stack) == 1 else stack
 
 
 def save_scalar_map(base: str, values: np.ndarray, width: int, height: int,
                     role: str = "nonlinearity_degree"):
     vals = np.asarray(values, dtype=np.float64).reshape(-1, 1)
-    header = {"width": width, "height": height, "bands": 1,
-              "dtype": _DTYPE, "order": "bip", "role": role}
+    header = {"width": width, "height": height, "bands": 1, "role": role}
     _write_bundle(base, header, vals)
 
 
 def load_scalar_map(base: str, role: str = "nonlinearity_degree") -> np.ndarray:
-    header, data = _read_bundle(base, expected_role=role)
-    return data
+    header, data = _read_bundle(base, role)
+    if header["bands"] != 1:
+        raise BundleError(f"a scalar map has 1 band, header has "
+                          f"{header['bands']}", field="bands")
+    return data.reshape(-1)
 
 
 def save_supervised(base: str, samples: list[SupervisedSample],
@@ -510,15 +481,15 @@ def save_supervised(base: str, samples: list[SupervisedSample],
     payload = np.concatenate([y.reshape(count, -1), a.reshape(count, -1),
                               m.reshape(count, -1)], axis=1)
     header = {"width": count, "height": 1, "bands": L + P + L * P,
-              "dtype": _DTYPE, "order": "bip", "role": "supervised",
-              "count": count, "pixel_bands": L, "components": P}
+              "role": "supervised", "count": count, "pixel_bands": L,
+              "components": P}
     _write_bundle(base, header, payload)
 
 
 def load_supervised(base: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Returns (Y, A, M) arrays of shapes (n, L), (n, P), (n, L, P)."""
-    header, data = _read_bundle(base, expected_role="supervised")
-    count, L, P = (_positive_int(header, key)
+    header, data = _read_bundle(base, "supervised")
+    count, L, P = (ct.json_int(header.get(key), key, 1)
                    for key in ("count", "pixel_bands", "components"))
     if count != header["width"] * header["height"]:
         raise BundleError(
@@ -529,8 +500,4 @@ def load_supervised(base: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             f"pixel_bands {L} and components {P} imply {L + P + L * P} "
             f"values per sample, header bands is {header['bands']}",
             field="pixel_bands")
-    rec = data.reshape(count, L + P + L * P)
-    y = rec[:, :L]
-    a = rec[:, L:L + P]
-    m = rec[:, L + P:].reshape(count, L, P)
-    return y, a, m
+    return data[:, :L], data[:, L:L + P], data[:, L + P:].reshape(count, L, P)

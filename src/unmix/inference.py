@@ -13,7 +13,6 @@ least-squares/shrinkage stream in (y, M) plus a free nonlinear stream in y.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -175,44 +174,6 @@ def _least_squares_start(m_data: np.ndarray, y_arr: np.ndarray) -> np.ndarray:
     return np.squeeze(np.swapaxes(vt, -1, -2) @ coef[..., None], axis=-1)
 
 
-class _PinnedStarts:
-    """Record warm starts in call order, replay them on later passes."""
-
-    def __init__(self):
-        self.store: list[np.ndarray] = []
-        self.pos = 0
-
-    def rewind(self):
-        self.pos = 0
-
-    def take(self, m_data: np.ndarray, y_arr: np.ndarray) -> np.ndarray:
-        if self.pos == len(self.store):
-            self.store.append(_least_squares_start(m_data, y_arr))
-        self.pos += 1
-        return self.store[self.pos - 1]
-
-
-_active_pin: _PinnedStarts | None = None
-
-
-@contextmanager
-def pinned_warm_starts():
-    """Freeze the unrolled stream's warm starts across repeated passes.
-
-    The reverse pass treats the least-squares warm start as per-pass data,
-    so finite-difference verification must hold it fixed the same way the
-    recorded noise is held fixed.  Yields the pin; call ``rewind()`` before
-    each replayed evaluation.
-    """
-    global _active_pin
-    pin = _PinnedStarts()
-    _active_pin = pin
-    try:
-        yield pin
-    finally:
-        _active_pin = None
-
-
 def lista_concentration(y, M, phi: InferenceParams) -> Tensor:
     """Unrolled gradient/shrinkage stream; the piecewise-linear half of gamma.
 
@@ -230,10 +191,7 @@ def lista_concentration(y, M, phi: InferenceParams) -> Tensor:
     y_arr = y.data if isinstance(y, Tensor) else np.asarray(y, dtype=np.float64)
     if M.shape[-2] != y_arr.shape[-1]:
         raise ShapeError(f"M has {M.shape[-2]} bands, y has {y_arr.shape[-1]}")
-    if _active_pin is not None:
-        h = dc.constant(_active_pin.take(M.data, y_arr))
-    else:
-        h = dc.constant(_least_squares_start(M.data, y_arr))
+    h = dc.constant(_least_squares_start(M.data, y_arr))
     m_t = M.transpose()
     gram = dc.matmul(m_t, M)
     b = dc.matmul(m_t, dc.constant(y_arr[..., None])).reshape(h.shape)

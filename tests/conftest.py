@@ -1,33 +1,31 @@
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 
 from unmix import diffcore as dc
+from unmix import inference
 
 
 def fd_param_grads(loss_fn, params: dict, h: float = 1e-5) -> dict:
-    """Central finite differences of loss_fn() w.r.t. every parameter entry."""
+    """Central finite differences of loss_fn() w.r.t. every parameter entry.
+
+    Entries are nudged in place (0-d parameters too), so a parameter packed
+    in an arena stays the arena's view.
+    """
     out = {}
     for name, t in params.items():
         g = np.zeros_like(t.data)
-        it = np.nditer(t.data, flags=["multi_index"]) if t.data.ndim else None
-        if it is None:
-            old = float(t.data)
-            t.data = np.array(old + h)
+        it = np.nditer(t.data, flags=["multi_index"])
+        for _ in it:
+            ix = it.multi_index
+            old = t.data[ix]
+            t.data[ix] = old + h
             lp = loss_fn()
-            t.data = np.array(old - h)
+            t.data[ix] = old - h
             lm = loss_fn()
-            t.data = np.array(old)
-            g = np.array((lp - lm) / (2 * h))
-        else:
-            for _ in it:
-                ix = it.multi_index
-                old = t.data[ix]
-                t.data[ix] = old + h
-                lp = loss_fn()
-                t.data[ix] = old - h
-                lm = loss_fn()
-                t.data[ix] = old
-                g[ix] = (lp - lm) / (2 * h)
+            t.data[ix] = old
+            g[ix] = (lp - lm) / (2 * h)
         out[name] = g
     return out
 
@@ -65,5 +63,43 @@ def make_mlp(widths, activations, seed=0, name="net"):
 def zero_mlp(net: dc.MlpParams):
     """Zero every weight and bias in place."""
     for t in (*net.weights, *net.biases):
-        t.data = np.zeros_like(t.data)
+        t.data[...] = 0.0
     return net
+
+
+class PinnedStarts:
+    """Stand-in for the warm-start solve: records its results in call
+    order, then replays them on later passes."""
+
+    def __init__(self, solve):
+        self.solve = solve
+        self.store: list[np.ndarray] = []
+        self.pos = 0
+
+    def rewind(self):
+        self.pos = 0
+
+    def take(self, m_data: np.ndarray, y_arr: np.ndarray) -> np.ndarray:
+        if self.pos == len(self.store):
+            self.store.append(self.solve(m_data, y_arr))
+        self.pos += 1
+        return self.store[self.pos - 1]
+
+
+@pytest.fixture
+def pinned_warm_starts(monkeypatch):
+    """Freeze the unrolled stream's warm starts across repeated passes.
+
+    The reverse pass treats the least-squares warm start as per-pass data,
+    so finite-difference verification must hold it fixed the same way the
+    recorded noise is held fixed.  Returns a context manager; inside it
+    ``inference._least_squares_start`` is a ``PinnedStarts``, which it
+    yields.  Call ``rewind()`` before each replayed evaluation.
+    """
+    @contextmanager
+    def pin():
+        starts = PinnedStarts(inference._least_squares_start)
+        with monkeypatch.context() as patch:
+            patch.setattr(inference, "_least_squares_start", starts.take)
+            yield starts
+    return pin

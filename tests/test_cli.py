@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from unmix import cli
+from unmix import container as ct
 from unmix import data as dt
 from unmix import diffcore as dc
 from unmix import inference as inf
@@ -27,7 +28,7 @@ def scene(tmp_path_factory):
                      "--bands", str(BANDS), "--endmembers", str(P)]) == 0
     theta, phi = inf.init_model(BANDS, P, 2, 11, np.random.default_rng(7))
     ckpt = str(root / "model")
-    dc.save_checkpoint(ckpt, {"n_bands": BANDS, "n_endmembers": P,
+    ct.save_checkpoint(ckpt, {"n_bands": BANDS, "n_endmembers": P,
                               "latent_dim": 2, "lista_layers": 11,
                               "seed": 7, "epoch": 0},
                        inf.model_parameters(theta, phi))
@@ -110,9 +111,9 @@ class TestResume:
         out = str(scene["root"] / "resumed_ok")
         assert cli.main(["train", scene["cube"], _supervised(scene), out,
                          "--epochs", "1", "--resume", scene["ckpt"]]) == 0
-        meta, arrays = dc.load_checkpoint(out)
+        meta, arrays = ct.load_checkpoint(out)
         assert meta["epoch"] == 1
-        _, start = dc.load_checkpoint(scene["ckpt"])
+        _, start = ct.load_checkpoint(scene["ckpt"])
         assert arrays.keys() == start.keys()
         assert any(not np.array_equal(arrays[n], start[n]) for n in start)
 
@@ -254,7 +255,7 @@ class TestBundles:
         with open(base + ".json", "w") as f:
             json.dump(manifest, f)
         with pytest.raises(BundleError) as exc_info:
-            dc.load_checkpoint(base)
+            ct.load_checkpoint(base)
         assert exc_info.value.field == name
         capsys.readouterr()
         rc = cli.main(["unmix", scene["cube"], base,
@@ -317,7 +318,7 @@ class TestBundles:
             with open(base + ".json", "w") as f:
                 f.write("[]")
         with pytest.raises(BundleError) as exc_info:
-            dc.load_checkpoint(base)
+            ct.load_checkpoint(base)
         field = "meta" if "meta" in case else None
         assert exc_info.value.field == field
         capsys.readouterr()
@@ -348,3 +349,102 @@ class TestBundles:
                        str(scene["root"] / "wrong_role.csv")])
         err = capsys.readouterr().err
         assert rc == 2 and "field: role" in err
+
+    def _estimates(self, scene) -> str:
+        """One ``unmix`` output directory, made once and shared."""
+        out = str(scene["root"] / "shared_estimates")
+        return out if os.path.isdir(out) else _unmix(scene, "shared_estimates")
+
+    def _json_case(self, scene, reader: str, root) -> tuple[str, list]:
+        """The JSON file a reader parses, in a fresh copy of the scene,
+        estimates, checkpoint and labelled set, and a command that reads it."""
+        truth, est = str(root / "truth"), str(root / "est")
+        shutil.copytree(os.path.dirname(scene["cube"]), truth)
+        shutil.copytree(self._estimates(scene), est)
+        ckpt, sup = str(root / "model"), str(root / "sup")
+        for src, dst in ((scene["ckpt"], ckpt), (_supervised(scene), sup)):
+            for ext in (".json", ".raw"):
+                shutil.copyfile(src + ext, dst + ext)
+        evaluate = ["eval", truth, est, str(root / "report.csv")]
+        unmix = ["unmix", os.path.join(truth, "cube"), ckpt, str(root / "out")]
+        return {
+            "cube": (os.path.join(truth, "cube"), unmix),
+            "abundances": (os.path.join(truth, "abundances"), evaluate),
+            "endmembers": (os.path.join(truth, "endmembers"), evaluate),
+            "scalar_map": (os.path.join(est, "eta_d"), evaluate),
+            "supervised": (sup, ["train", scene["cube"], sup,
+                                 str(root / "trained"), "--epochs", "1"]),
+            "checkpoint": (ckpt, unmix),
+            "estimates_manifest": (os.path.join(est, "manifest"), evaluate),
+        }[reader]
+
+    @pytest.mark.parametrize("corruption", ["not_utf8", "not_json",
+                                            "json_list"])
+    @pytest.mark.parametrize("reader", [
+        "cube", "abundances", "endmembers", "scalar_map", "supervised",
+        "checkpoint", "estimates_manifest"])
+    def test_unreadable_json_exits_2(self, scene, capsys, reader, corruption):
+        root = scene["root"] / f"json_{reader}_{corruption}"
+        base, argv = self._json_case(scene, reader, root)
+        with open(base + ".json", "wb") as f:
+            f.write({"not_utf8": b'{"width": "\xff"}',
+                     "not_json": b'{"width": 8,',
+                     "json_list": b"[1]"}[corruption])
+        args = cli._build_parser().parse_args(argv)
+        with pytest.raises(BundleError) as exc_info:
+            args.func(args)
+        assert base + ".json" in str(exc_info.value)
+        capsys.readouterr()
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("value", ["fast", True, [1.5]],
+                             ids=["str", "bool", "list"])
+    def test_non_numeric_wall_clock_exits_2(self, scene, capsys, value):
+        est = str(scene["root"] / f"wall_clock_{value}")
+        shutil.copytree(self._estimates(scene), est)
+        _edit_header(os.path.join(est, "manifest"), "wall_clock_s", value)
+        capsys.readouterr()
+        rc = cli.main(["eval", os.path.dirname(scene["cube"]), est,
+                       str(scene["root"] / f"wall_clock_{value}.csv")])
+        assert rc == 2 and "field: wall_clock_s" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["abundances", "endmembers"])
+    def test_cube_with_a_role_exits_2(self, scene, capsys, name):
+        base = os.path.join(os.path.dirname(scene["cube"]), name)
+        with pytest.raises(BundleError) as exc_info:
+            dt.load_cube(base)
+        assert exc_info.value.field == "role"
+        capsys.readouterr()
+        rc = cli.main(["selfsup", base, str(scene["root"] / f"sup_of_{name}")])
+        assert rc == 2 and "field: role" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case", ["int", "str", "short", "str_item",
+                                      "bool_item", "nan_item"])
+    def test_bad_wavelengths_exit_2(self, scene, capsys, case):
+        head = [400.0] * (BANDS - 1)
+        value = {"int": 5, "str": "400", "short": head,
+                 "str_item": head + ["400"], "bool_item": head + [True],
+                 "nan_item": head + [float("nan")]}[case]
+        base = _copy_cube(scene, f"wavelengths_{case}")
+        _edit_header(base, "wavelengths", value)
+        with pytest.raises(BundleError) as exc_info:
+            dt.load_cube(base)
+        assert exc_info.value.field == "wavelengths"
+        rc, err = self._unmix_rc(scene, base, capsys)
+        assert rc == 2 and "field: wavelengths" in err
+
+    def test_scalar_map_with_two_bands_exits_2(self, scene, capsys):
+        est = str(scene["root"] / "eta_two_bands")
+        shutil.copytree(self._estimates(scene), est)
+        eta = os.path.join(est, "eta_d")
+        # the payload still matches width * height * bands
+        _edit_header(eta, "height", HEIGHT // 2)
+        _edit_header(eta, "bands", 2)
+        with pytest.raises(BundleError) as exc_info:
+            dt.load_scalar_map(eta)
+        assert exc_info.value.field == "bands"
+        capsys.readouterr()
+        rc = cli.main(["eval", os.path.dirname(scene["cube"]), est,
+                       str(scene["root"] / "eta_two_bands.csv")])
+        assert rc == 2 and "field: bands" in capsys.readouterr().err

@@ -5,7 +5,8 @@ import json
 import numpy as np
 import pytest
 
-from conftest import fd_param_grads, max_rel_err, make_mlp
+from conftest import fd_param_grads, max_rel_err, make_mlp, zero_mlp
+from unmix import container as ct
 from unmix import diffcore as dc
 from unmix.errors import BundleError, ContractError, ShapeError, TrainingError
 
@@ -483,6 +484,44 @@ class TestAdam:
                          {"gen.obs_log_scale": np.array(np.nan)}, state, 0.001)
 
 
+class TestHelpersOnPackedParameters:
+    """The test helpers write values in place, so packing survives them."""
+
+    @staticmethod
+    def _params():
+        r = np.random.default_rng(5)
+        return {"w": dc.parameter(r.standard_normal((3, 2)), "w"),
+                "b": dc.parameter(r.standard_normal(2), "b"),
+                "s": dc.parameter(np.array(0.7), "s")}
+
+    def test_fd_param_grads_matches_unpacked_copies(self):
+        x = np.random.default_rng(6).standard_normal((4, 3))
+
+        def loss(params):
+            def fn():
+                w, b, s = (params[n].data for n in ("w", "b", "s"))
+                return float(np.sum(np.tanh(x @ w + b) * s ** 2))
+            return fn
+
+        plain, packed = self._params(), self._params()
+        state = dc.AdamState.create(packed)
+        ref = fd_param_grads(loss(plain), plain)
+        got = fd_param_grads(loss(packed), packed)
+        for name, t in packed.items():
+            assert t.data is state.arena.params[name]
+            assert np.array_equal(t.data, plain[name].data)
+            assert np.array_equal(got[name], ref[name])
+
+    def test_zero_mlp_keeps_arena_views(self):
+        net = make_mlp([3, 4, 2], ["relu", "linear"], seed=2)
+        params = net.named_parameters()
+        state = dc.AdamState.create(params)
+        zero_mlp(net)
+        for name, t in params.items():
+            assert t.data is state.arena.params[name]
+        assert not state.arena.values.any()
+
+
 class TestLrSchedule:
     def test_epoch_zero(self):
         assert dc.lr_schedule(0) == 0.001
@@ -506,8 +545,8 @@ class TestCheckpoint:
                   "scale": dc.parameter(np.array(-2.5), "scale")}
         meta = {"n_bands": 7, "seed": 3, "epoch": 9}
         base = str(tmp_path / "ckpt")
-        dc.save_checkpoint(base, meta, params)
-        meta2, arrays = dc.load_checkpoint(base)
+        ct.save_checkpoint(base, meta, params)
+        meta2, arrays = ct.load_checkpoint(base)
         assert meta2 == meta
         for name, t in params.items():
             assert arrays[name].shape == t.data.shape
@@ -516,20 +555,20 @@ class TestCheckpoint:
     def test_load_into_live_params(self, tmp_path, rng):
         net = make_mlp([3, 2], ["linear"], seed=1)
         base = str(tmp_path / "ck")
-        dc.save_checkpoint(base, {}, net.named_parameters())
+        ct.save_checkpoint(base, {}, net.named_parameters())
         net2 = make_mlp([3, 2], ["linear"], seed=99)
-        _, arrays = dc.load_checkpoint(base)
+        _, arrays = ct.load_checkpoint(base)
         dc.load_params_into(net2.named_parameters(), arrays)
         assert np.array_equal(net2.weights[0].data, net.weights[0].data)
 
     def test_load_into_packed_params_keeps_arena_views(self, tmp_path, rng):
         net = make_mlp([3, 2], ["linear"], seed=1)
         base = str(tmp_path / "ck")
-        dc.save_checkpoint(base, {}, net.named_parameters())
+        ct.save_checkpoint(base, {}, net.named_parameters())
         net2 = make_mlp([3, 2], ["linear"], seed=99)
         params = net2.named_parameters()
         state = dc.AdamState.create(params)
-        _, arrays = dc.load_checkpoint(base)
+        _, arrays = ct.load_checkpoint(base)
         dc.load_params_into(params, arrays)
         for name, t in params.items():
             assert t.data is state.arena.params[name]
@@ -546,7 +585,7 @@ class TestCheckpoint:
                   "s": np.array(1.25),
                   "p": dc.parameter(rng.standard_normal(5), "p")}
         base = str(tmp_path / "ck")
-        dc.save_checkpoint(base, {"epoch": 0}, params)
+        ct.save_checkpoint(base, {"epoch": 0}, params)
         with open(base + ".json") as f:
             specs = json.load(f)["arrays"]
         assert [specs[n]["offset"] for n in params] == [0, 96, 104]
@@ -560,24 +599,24 @@ class TestCheckpoint:
         from unmix.errors import BundleError
         p = dc.parameter(np.ones(2), "p")
         base = str(tmp_path / "ck")
-        dc.save_checkpoint(base, {}, {"p": p})
+        ct.save_checkpoint(base, {}, {"p": p})
         import json
         manifest = json.load(open(base + ".json"))
         manifest["dtype"] = "f32le"
         json.dump(manifest, open(base + ".json", "w"))
         with pytest.raises(BundleError):
-            dc.load_checkpoint(base)
+            ct.load_checkpoint(base)
 
     @pytest.mark.parametrize("arrays,field", [([], "arrays"), (None, "arrays"),
                                               ({"p": 5}, "p")])
     def test_malformed_array_table(self, tmp_path, arrays, field):
         base = str(tmp_path / "ck")
-        dc.save_checkpoint(base, {}, {"p": dc.parameter(np.ones(2), "p")})
+        ct.save_checkpoint(base, {}, {"p": dc.parameter(np.ones(2), "p")})
         with open(base + ".json") as f:
             manifest = json.load(f)
         manifest["arrays"] = arrays
         with open(base + ".json", "w") as f:
             json.dump(manifest, f)
         with pytest.raises(BundleError) as exc_info:
-            dc.load_checkpoint(base)
+            ct.load_checkpoint(base)
         assert exc_info.value.field == field

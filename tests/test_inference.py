@@ -227,11 +227,12 @@ class TestWarmStart:
             tracemalloc.stop()
         assert peak < 1.5 * M.nbytes
 
-    def test_pin_replays_the_first_warm_start(self, model, rng):
+    def test_pin_replays_the_first_warm_start(self, model, rng,
+                                              pinned_warm_starts):
         theta, phi = model
         M = rng.uniform(0.1, 0.9, (4, L, P))
         y = rng.uniform(0.0, 1.0, (4, L))
-        with inf.pinned_warm_starts() as pin:
+        with pinned_warm_starts() as pin:
             first = inf.lista_concentration(y, dc.constant(M), phi).data
             pin.rewind()
             replay = inf.lista_concentration(y, dc.constant(M * 1.5), phi).data

@@ -350,7 +350,8 @@ class TestBoundOrdering:
 
 
 class TestFrozenNoiseGradient:
-    def test_total_loss_gradient_matches_finite_differences(self):
+    def test_total_loss_gradient_matches_finite_differences(
+            self, pinned_warm_starts):
         # end-to-end check over every parameter with recorded noise; the
         # two-component Dirichlet replays through the inverse Beta cdf so
         # the loss is smooth in the concentration
@@ -369,7 +370,6 @@ class TestFrozenNoiseGradient:
                              varsigma1=0.5, varsigma2=0.5)
         noise = ReplayNoise(np.random.default_rng(7))
         params = model_parameters(theta, phi)
-        from unmix.inference import pinned_warm_starts
         with pinned_warm_starts() as pin:
             bd = ob.total_loss(y_u, (y_s, a_s, m_s), theta, phi, cfg, noise)
             grads = dc.backward(bd.node, params)
