@@ -22,7 +22,6 @@ from . import data as dt
 from . import diffcore as dc
 from . import evaluation as ev
 from .errors import InputError, TrainingError, UnmixError
-from .generative import mixing_mean
 from .inference import (init_model, model_parameters,
                         point_estimates_with_streams)
 from .objective import TrainConfig, history_to_csv, train
@@ -185,6 +184,13 @@ def _load_model(ckpt_base: str):
 
 
 def cmd_unmix(args) -> int:
+    """Write the point estimates, eta_d and the reconstruction of every pixel.
+
+    All of them come from one blocked pass (``point_estimates_with_streams``),
+    so they depend only on the pixel values and the pixel count, not on how
+    the cube sits in memory, and ``inference.point_estimates`` of the cube's
+    pixels returns the same bytes as the abundance and endmember maps.
+    """
     t0 = time.perf_counter()
     cube = dt.load_cube(_strip_bundle(args.cube))
     meta, theta, phi = _load_model(_strip_bundle(args.ckpt))
@@ -192,10 +198,8 @@ def cmd_unmix(args) -> int:
         raise InputError(
             f"checkpoint expects {meta['n_bands']} bands, cube has {cube.n_bands}")
     _prepare_out_dir(args.out_dir, args.force)
-    a_hat, m_hat, lin, nlin = point_estimates_with_streams(cube.pixels, phi,
-                                                           theta)
-    with dc.no_grad():
-        recon = mixing_mean(a_hat, m_hat, theta).data
+    a_hat, m_hat, lin, nlin, recon = point_estimates_with_streams(
+        cube.pixels, phi, theta)
     eta = ev.nonlinearity_degree(lin, nlin)
     paths = {n: os.path.join(args.out_dir, n)
              for n in ("abundances_est", "endmembers_est", "eta_d",

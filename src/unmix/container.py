@@ -6,8 +6,9 @@ JSON run manifest.  Only this module reads or writes them; a reader
 failure is a ``BundleError`` naming the file or the offending field.
 
 Bytes: ``<base>.json`` is one JSON object, ASCII, indent 1, sorted keys,
-trailing newline.  ``<base>.raw`` is little-endian IEEE-754 float64 values
-back to back, with no header or padding, each array in C order.
+finite numbers only, trailing newline.  ``<base>.raw`` is little-endian
+IEEE-754 float64 values back to back, with no header or padding, each
+array in C order.
 
 Bundle header (``data`` builds it):
 - ``width``, ``height``, ``bands``: JSON ints >= 1; the payload holds the
@@ -42,7 +43,7 @@ import math
 
 import numpy as np
 
-from .errors import BundleError
+from .errors import BundleError, InputError
 
 __all__ = ["DTYPE", "write_json", "read_json", "write_f64", "read_f64",
            "json_int", "json_float", "save_checkpoint", "load_checkpoint"]
@@ -52,9 +53,18 @@ _CKPT_FORMAT = "unmix-ckpt-v1"
 
 
 def write_json(path: str, obj: dict):
+    """Write ``obj`` as the file's one JSON object.
+
+    A non-finite float has no JSON spelling: it is an ``InputError`` naming
+    the file, raised before the file is opened, so no partial header is
+    left behind.
+    """
+    try:
+        text = json.dumps(obj, indent=1, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise InputError(f"cannot write {path}: {exc}") from None
     with open(path, "w") as f:
-        json.dump(obj, f, indent=1, sort_keys=True)
-        f.write("\n")
+        f.write(text + "\n")
 
 
 def read_json(path: str, what: str) -> dict:

@@ -469,8 +469,7 @@ def load_scalar_map(base: str, role: str = "nonlinearity_degree") -> np.ndarray:
     return data.reshape(-1)
 
 
-def save_supervised(base: str, samples: list[SupervisedSample],
-                    width: int = 1, height: int = 1):
+def save_supervised(base: str, samples: list[SupervisedSample]):
     if not samples:
         raise InputError("cannot save an empty supervised set")
     y = np.stack([s.y for s in samples])

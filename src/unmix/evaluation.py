@@ -68,9 +68,11 @@ def sam(m_true: np.ndarray, m_hat: np.ndarray) -> float:
 def nonlinearity_degree(lin, nlin) -> np.ndarray | float:
     """Share of the nonlinear stream in the concentration, per pixel, in [0, 1].
 
-    ``lin`` and ``nlin`` are the two concentration streams (..., P), as
-    ``inference.point_estimates_with_streams`` returns them: the share is
-    ||nlin|| / (||lin|| + ||nlin||), and 0 where both norms are 0.
+    ``lin`` and ``nlin`` are the two concentration streams (..., P), the
+    third and fourth outputs of ``inference.point_estimates_with_streams``
+    (``cli unmix`` writes this map as ``eta_d``): the share is
+    ||nlin|| / (||lin|| + ||nlin||), and 0 where both norms are 0.  Each
+    pixel's share reads only that pixel's streams.
     """
     n_lin = np.linalg.norm(np.asarray(lin, dtype=np.float64), axis=-1)
     n_nlin = np.linalg.norm(np.asarray(nlin, dtype=np.float64), axis=-1)

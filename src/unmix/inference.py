@@ -9,6 +9,10 @@ q(Z | y) is a diagonal Gaussian computed by a pair of nets with a shared
 trunk; the same conditional serves every latent code.  q(a | y, M) is a
 Dirichlet whose concentration is the ReLU of a two-stream sum: an unrolled
 least-squares/shrinkage stream in (y, M) plus a free nonlinear stream in y.
+
+Unmixing a scene (``point_estimates_with_streams``) runs forward-only in
+fixed blocks of ``ROW_BLOCK`` pixels counted from pixel 0, so its outputs
+depend only on the pixel values and the pixel count, not on memory layout.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from .diffcore import MlpParams, Tensor, as_tensor, mlp_forward
 from .distributions import (GAMMA_FLOOR, DiagGaussian, DirichletParams,
                             dirichlet_rsample, gaussian_rsample)
 from .errors import ShapeError
-from .generative import GenerativeParams, em_decode
+from .generative import GenerativeParams, em_decode, mixing_mean
 
 __all__ = ["ListaParams", "InferenceParams", "PosteriorSample", "encode_z",
            "lista_concentration", "abundance_streams", "abundance_concentration",
@@ -32,6 +36,9 @@ __all__ = ["ListaParams", "InferenceParams", "PosteriorSample", "encode_z",
 INIT_ETA_SPARSE = 0.01
 INIT_ETA_UNC = 10.0
 INIT_ETA_STEP = 0.1
+
+# Pixels per block of the forward-only unmixing pass.
+ROW_BLOCK = 512
 
 
 def _round_half_up(x: float) -> int:
@@ -241,31 +248,52 @@ def posterior_sample(y, phi: InferenceParams, theta: GenerativeParams,
 
 def point_estimates_with_streams(y, phi: InferenceParams,
                                  theta: GenerativeParams
-                                 ) -> tuple[np.ndarray, np.ndarray,
+                                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray,
                                             np.ndarray, np.ndarray]:
-    """``point_estimates`` plus the two concentration streams it combined.
+    """The forward-only unmixing pass: point estimates, the two concentration
+    streams they combine, and the reconstruction.
 
     ``y``: (..., L).  Returns (a_hat (..., P), m_hat (..., L, P),
-    lin (..., P), nlin (..., P)), all computed forward-only in one pass.
+    lin (..., P), nlin (..., P), recon (..., L)), where recon is the
+    ``mixing_mean`` of (a_hat, m_hat).
+
+    The pixels run in blocks of ``ROW_BLOCK`` rows counted from pixel 0,
+    each block from the z-encoder to the reconstruction, and every result
+    goes into its preallocated output; nothing larger than a block is
+    held besides those outputs.  BLAS rounding follows a product's row
+    count, so the fixed blocks make every output a function of the pixel
+    values and their number alone, not of the memory layout of ``y``.
     """
     y_arr = y.data if isinstance(y, Tensor) else np.asarray(y, dtype=np.float64)
+    batch = y_arr.shape[:-1]
+    y_rows = y_arr.reshape(-1, y_arr.shape[-1])
+    n, L, P = len(y_rows), theta.n_bands, phi.n_endmembers
+    a_hat, lin, nlin = np.empty((n, P)), np.empty((n, P)), np.empty((n, P))
+    m_hat, recon = np.empty((n, L, P)), np.empty((n, L))
     with dc.no_grad():
-        z_mean = encode_z(y_arr, phi).mean
-        m_hat = np.stack([mlp_forward(theta.em_decoders[k], z_mean).data
-                          for k in range(phi.n_endmembers)], axis=-1)
-        lin, nlin = abundance_streams(y_arr, dc.constant(m_hat), phi)
-        conc = _combine_streams(lin, nlin).concentration.data
-    a_hat = conc / conc.sum(axis=-1, keepdims=True)
-    return a_hat, m_hat, lin.data, nlin.data
+        for start in range(0, n, ROW_BLOCK):
+            rows = slice(start, start + ROW_BLOCK)
+            y_blk, m_blk = y_rows[rows], m_hat[rows]
+            z_mean = encode_z(y_blk, phi).mean
+            for k in range(P):
+                m_blk[..., k] = mlp_forward(theta.em_decoders[k], z_mean).data
+            lin_blk, nlin_blk = abundance_streams(y_blk, dc.constant(m_blk), phi)
+            conc = _combine_streams(lin_blk, nlin_blk).concentration.data
+            np.divide(conc, conc.sum(axis=-1, keepdims=True), out=a_hat[rows])
+            lin[rows], nlin[rows] = lin_blk.data, nlin_blk.data
+            recon[rows] = mixing_mean(a_hat[rows], m_blk, theta).data
+    return tuple(out.reshape(batch + out.shape[1:])
+                 for out in (a_hat, m_hat, lin, nlin, recon))
 
 
 def point_estimates(y, phi: InferenceParams,
                     theta: GenerativeParams) -> tuple[np.ndarray, np.ndarray]:
     """Deterministic summaries: Dirichlet-mean abundances and decoder-mean EMs.
 
-    ``y``: (..., L).  Returns (a_hat (..., P), m_hat (..., L, P)).
+    ``y``: (..., L).  Returns (a_hat (..., P), m_hat (..., L, P)), read from
+    ``point_estimates_with_streams``: what ``cli unmix`` writes, bit for bit.
     """
-    a_hat, m_hat, _, _ = point_estimates_with_streams(y, phi, theta)
+    a_hat, m_hat, *_ = point_estimates_with_streams(y, phi, theta)
     return a_hat, m_hat
 
 

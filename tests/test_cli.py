@@ -12,7 +12,7 @@ from unmix import container as ct
 from unmix import data as dt
 from unmix import diffcore as dc
 from unmix import inference as inf
-from unmix.errors import BundleError
+from unmix.errors import BundleError, InputError
 
 WIDTH, HEIGHT, BANDS, P = 8, 8, 24, 3
 OUTPUTS = ("abundances_est", "endmembers_est", "eta_d", "reconstruction")
@@ -69,6 +69,24 @@ class TestUnmix:
         np.testing.assert_array_equal(a_hat, a_ref)
         np.testing.assert_array_equal(
             dt.load_endmembers(os.path.join(out, "endmembers_est")), m_ref)
+
+    @pytest.mark.parametrize("n", [inf.ROW_BLOCK + 1,
+                                   2 * inf.ROW_BLOCK + 37])
+    def test_multi_block_scene_writes_point_estimates(self, scene, n):
+        y = np.random.default_rng(n).uniform(0.0, 1.0, (n, BANDS))
+        cube = str(scene["root"] / f"blocks_{n}")
+        dt.save_cube(cube, dt.HyperCube(width=n, height=1, pixels=y))
+        runs = []
+        for name in ("a", "b"):
+            out = str(scene["root"] / f"blocks_{n}_{name}")
+            assert cli.main(["unmix", cube, scene["ckpt"], out]) == 0
+            runs.append(_files(out))
+        assert runs[0] == runs[1]
+        a_ref, m_ref = inf.point_estimates(y, scene["phi"], scene["theta"])
+        a_hat, _, _ = dt.load_abundances(os.path.join(out, "abundances_est"))
+        m_hat = dt.load_endmembers(os.path.join(out, "endmembers_est"))
+        assert a_hat.tobytes() == a_ref.tobytes()
+        assert m_hat.tobytes() == m_ref.tobytes()
 
     def test_eta_d_is_stream_norm_ratio(self, scene):
         out = _unmix(scene, "run_eta")
@@ -327,6 +345,24 @@ class TestBundles:
         err = capsys.readouterr().err
         assert rc == 2 and err.startswith("error: ")
         assert field is None or f"field: {field}" in err
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")],
+                             ids=["nan", "inf"])
+    def test_non_finite_json_value_is_refused_before_writing(self, tmp_path,
+                                                             value):
+        wavelengths = np.linspace(400.0, 2400.0, BANDS)
+        wavelengths[3] = value
+        cube = dt.HyperCube(2, 1, np.full((2, BANDS), 0.5), wavelengths)
+        cube_base = str(tmp_path / "cube")
+        manifest = str(tmp_path / "manifest.json")
+        for write, path in (
+                (lambda: dt.save_cube(cube_base, cube), cube_base + ".json"),
+                (lambda: cli._write_manifest(manifest, "unmix", {}, 0, {}, {},
+                                             value), manifest)):
+            with pytest.raises(InputError) as exc_info:
+                write()
+            assert path in str(exc_info.value)
+        assert os.listdir(tmp_path) == []
 
     def test_non_contiguous_payload_writes_c_order_bytes(self, tmp_path):
         rng = np.random.default_rng(3)

@@ -1,4 +1,5 @@
-"""Metrics: endmember alignment and the nonlinearity degree."""
+"""Metrics: endmember alignment, the nonlinearity degree, the simplex
+projection and the FCLS baseline."""
 
 import itertools
 
@@ -88,3 +89,97 @@ class TestNonlinearityDegree:
     def test_single_pixel_gives_float(self):
         assert ev.nonlinearity_degree(np.array([1.0, 0.0]),
                                       np.array([0.0, 3.0])) == 0.75
+
+
+def _rows(draw, low: float, high: float) -> np.ndarray:
+    n = draw(st.integers(1, 5))
+    p = draw(st.integers(1, 6))
+    elems = st.floats(low, high, allow_nan=False, allow_infinity=False)
+    return draw(arrays(np.float64, (n, p), elements=elems))
+
+
+@st.composite
+def _any_rows(draw):
+    return _rows(draw, -10.0, 10.0)
+
+
+@st.composite
+def _simplex_rows(draw):
+    """Rows on the simplex, some of them on a face (exact zeros)."""
+    x = _rows(draw, 0.0, 1.0)
+    assume(np.all(x.sum(axis=1) > 1e-3))
+    return x / x.sum(axis=1, keepdims=True)
+
+
+class TestProjectSimplex:
+    @settings(max_examples=300, deadline=None)
+    @given(_any_rows())
+    def test_rows_are_on_the_simplex(self, x):
+        out = ev.project_simplex(x)
+        assert out.shape == x.shape
+        assert np.all(out >= 0.0)
+        np.testing.assert_allclose(out.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_simplex_rows())
+    def test_point_on_the_simplex_is_unchanged(self, a):
+        np.testing.assert_allclose(ev.project_simplex(a), a, rtol=0,
+                                   atol=1e-14)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_any_rows())
+    def test_idempotent(self, x):
+        once = ev.project_simplex(x)
+        # ``once`` sums to 1 only to rounding of the input's scale
+        np.testing.assert_allclose(ev.project_simplex(once), once, rtol=0,
+                                   atol=1e-13)
+
+
+def _kkt_solve(M: np.ndarray, y: np.ndarray, support) -> np.ndarray:
+    """min ||y - M a||^2 subject to sum(a) = 1 and a = 0 off ``support``:
+    the exact solve of the equality-constrained KKT system."""
+    ms = M[:, support]
+    k = len(support)
+    kkt = np.zeros((k + 1, k + 1))
+    kkt[:k, :k] = 2.0 * ms.T @ ms
+    kkt[:k, k] = kkt[k, :k] = 1.0
+    sol = np.linalg.solve(kkt, np.concatenate([2.0 * ms.T @ y, [1.0]]))
+    a = np.zeros(M.shape[1])
+    a[list(support)] = sol[:k]
+    return a
+
+
+def _fcls_oracle(M: np.ndarray, y: np.ndarray, step: float) -> np.ndarray:
+    """Brute force: the best feasible exact KKT solve over every active set,
+    checked against every point of a simplex grid of spacing ``step``."""
+    p = M.shape[1]
+
+    def cost(a):
+        return float(((y - M @ a) ** 2).sum())
+
+    solves = [_kkt_solve(M, y, list(support)) for r in range(1, p + 1)
+              for support in itertools.combinations(range(p), r)]
+    best = min((a for a in solves if np.all(a >= 0.0)), key=cost)
+    ticks = np.arange(0.0, 1.0 + step / 2, step)
+    grid = [np.array(c + (max(1.0 - sum(c), 0.0),)) for c in
+            itertools.product(ticks, repeat=p - 1) if sum(c) <= 1.0 + step / 2]
+    assert cost(best) <= min(cost(g) for g in grid) + 1e-12
+    return best
+
+
+class TestFcls:
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_matches_brute_force_oracle(self, rng, p):
+        bands = 8
+        M = rng.uniform(0.05, 0.95, (bands, p))
+        # mixtures inside the simplex, on its faces, and pixels pushed off
+        # the cone so that the simplex constraints bind
+        a = rng.dirichlet(np.ones(p), 12)
+        if p > 1:
+            a[:4, 0] = 0.0
+            a /= a.sum(axis=1, keepdims=True)
+        Y = a @ M.T + rng.normal(0.0, 0.05, (12, bands))
+        Y[8:] += rng.uniform(-0.5, 0.5, (4, bands))
+        got = ev.fcls(Y, M)
+        want = np.array([_fcls_oracle(M, y, 0.02) for y in Y])
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-6)

@@ -11,7 +11,7 @@ from conftest import fd_param_grads, max_rel_err, zero_mlp
 from unmix import diffcore as dc
 from unmix import inference as inf
 from unmix.distributions import GAMMA_FLOOR, RngNoise
-from unmix.generative import GenerativeParams
+from unmix.generative import GenerativeParams, mixing_mean
 
 L, P, H = 10, 3, 2
 
@@ -350,3 +350,63 @@ class TestPointEstimates:
         # label order between the model (VCA-derived) and truth may differ
         frac = agree.mean()
         assert frac > 0.9 or frac < 0.1
+
+
+class TestBlockedPass:
+    """The pass runs in blocks of ROW_BLOCK rows counted from pixel 0, so
+    its bytes depend only on the pixel values and their number."""
+
+    BANDS = 24
+    SIZES = [inf.ROW_BLOCK + 1, 2 * inf.ROW_BLOCK + 37]
+
+    @pytest.fixture(scope="class")
+    def model24(self):
+        return inf.init_model(self.BANDS, 3, 2, 11, np.random.default_rng(8))
+
+    def _pixels(self, n: int) -> np.ndarray:
+        return np.random.default_rng(n).uniform(0.0, 1.0, (n, self.BANDS))
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_memory_layout_does_not_change_bytes(self, model24, n):
+        theta, phi = model24
+        y = self._pixels(n)
+        ref = inf.point_estimates(y.copy(), phi, theta)
+        buf = np.empty(y.size + 1)
+        shifted = buf[1:].reshape(y.shape)
+        shifted[...] = y
+        assert shifted.ctypes.data % 16 == 8
+        view = np.frombuffer(y.tobytes(), dtype=np.float64).reshape(y.shape)
+        for layout in (shifted, view):
+            out = inf.point_estimates(layout, phi, theta)
+            assert [o.tobytes() for o in out] == [r.tobytes() for r in ref]
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_blocks_are_counted_from_pixel_zero(self, model24, n):
+        theta, phi = model24
+        y = self._pixels(n)
+        whole = inf.point_estimates_with_streams(y, phi, theta)
+        parts = [inf.point_estimates_with_streams(y[s:s + inf.ROW_BLOCK],
+                                                  phi, theta)
+                 for s in range(0, n, inf.ROW_BLOCK)]
+        for i, out in enumerate(whole):
+            joined = np.concatenate([part[i] for part in parts])
+            assert out.tobytes() == joined.tobytes()
+        # within one block, the reconstruction is mixing_mean of the estimates
+        a_hat, m_hat, _, _, recon = parts[-1]
+        assert np.array_equal(recon, mixing_mean(a_hat, m_hat, theta).data)
+
+    def test_memory_beyond_the_outputs_is_flat_in_the_block_count(self,
+                                                                  model24):
+        theta, phi = model24
+        inf.point_estimates_with_streams(self._pixels(3), phi, theta)
+        extra = []
+        for blocks in (4, 16):
+            y = self._pixels(blocks * inf.ROW_BLOCK)
+            tracemalloc.start()
+            try:
+                outs = inf.point_estimates_with_streams(y, phi, theta)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            extra.append(peak - sum(o.nbytes for o in outs))
+        assert abs(extra[1] - extra[0]) <= 0.1 * extra[0], extra
