@@ -66,6 +66,7 @@ def _write_pgm(path: str, image: np.ndarray):
 def cmd_generate(args) -> int:
     t0 = time.perf_counter()
     p = args.endmembers if args.endmembers else (3 if args.kind == "dc1" else 5)
+    dt.noise_power_ratio(args.snr, "--snr")
     _prepare_out_dir(args.out_dir, args.force)
     root = np.random.default_rng(args.seed)
     lib_rng, map_rng, mix_rng = root.spawn(3)
@@ -237,12 +238,17 @@ def _load_truth(truth_dir: str):
 
 
 def cmd_eval(args) -> int:
+    """Score the estimates against the truth; a NaN or an infinity in any
+    bundle exits 2 naming the bundle and the first pixel holding one."""
     cube, truth = _load_truth(args.truth_dir)
     est_dir = args.estimates_dir
     a_hat, _, _ = dt.load_abundances(os.path.join(est_dir, "abundances_est"))
     m_hat = eta = recon = None
-    if os.path.exists(os.path.join(est_dir, "endmembers_est.json")):
-        m_hat = dt.load_endmembers(os.path.join(est_dir, "endmembers_est"))
+    # the endmember stacks are checked by ``evaluate``'s first pass
+    em_bundles = {"truth": os.path.join(args.truth_dir, "endmembers"),
+                  "estimate": os.path.join(est_dir, "endmembers_est")}
+    if os.path.exists(em_bundles["estimate"] + ".json"):
+        m_hat = dt.load_endmembers(em_bundles["estimate"])
     if os.path.exists(os.path.join(est_dir, "eta_d.json")):
         eta = dt.load_scalar_map(os.path.join(est_dir, "eta_d"))
     if os.path.exists(os.path.join(est_dir, "reconstruction.json")):
@@ -253,18 +259,22 @@ def cmd_eval(args) -> int:
         manifest = ct.read_json(manifest_path, "estimates manifest")
         runtime = ct.json_float(manifest.get("wall_clock_s", 0.0),
                                 "wall_clock_s")
-    reports = [ev.evaluate(cube, truth, ev.Estimates(
-        abundances=a_hat, endmembers=m_hat, reconstruction=recon,
-        eta_d=eta, runtime_s=runtime))]
-    if args.baseline == "fcls":
-        t0 = time.perf_counter()
-        refs = dt.vca(cube, a_hat.shape[1], np.random.default_rng(args.seed))
-        a_base = ev.fcls(cube, refs)
-        base_est = ev.Estimates(abundances=a_base, endmembers=None,
-                                reconstruction=a_base @ refs.T,
-                                align_with=refs,
-                                runtime_s=time.perf_counter() - t0)
-        reports.append(ev.evaluate(cube, truth, base_est))
+    try:
+        reports = [ev.evaluate(cube, truth, ev.Estimates(
+            abundances=a_hat, endmembers=m_hat, reconstruction=recon,
+            eta_d=eta, runtime_s=runtime))]
+        if args.baseline == "fcls":
+            t0 = time.perf_counter()
+            refs = dt.vca(cube, a_hat.shape[1],
+                          np.random.default_rng(args.seed))
+            a_base = ev.fcls(cube, refs)
+            base_est = ev.Estimates(abundances=a_base, endmembers=None,
+                                    reconstruction=a_base @ refs.T,
+                                    align_with=refs,
+                                    runtime_s=time.perf_counter() - t0)
+            reports.append(ev.evaluate(cube, truth, base_est))
+    except ev.NonFiniteEndmembers as exc:
+        raise InputError(f"{em_bundles[exc.which]}: {exc}") from None
     csv_text = ev.reports_to_csv(reports)
     with open(args.out_csv, "w") as f:
         f.write(csv_text)

@@ -20,7 +20,7 @@ from .errors import BundleError, ExtractionError, GenerationError, InputError
 
 __all__ = [
     "HyperCube", "SupervisedSample", "PurePixelDict", "GroundTruth",
-    "synth_endmember_library", "synth_abundance_maps",
+    "synth_endmember_library", "synth_abundance_maps", "noise_power_ratio",
     "generate_dc1", "generate_dc2", "vca", "extract_pure_pixels",
     "build_supervised_set", "save_cube", "load_cube",
     "save_abundances", "load_abundances", "save_endmembers",
@@ -158,11 +158,28 @@ def _simplex_check(A: np.ndarray):
         raise InputError("abundance rows must lie on the unit simplex")
 
 
+def noise_power_ratio(snr_db: float, name: str = "snr_db") -> float:
+    """Signal-to-noise power ratio 10^(snr_db / 10) of an SNR in dB.
+
+    Raises ``InputError`` naming ``name`` unless the ratio is a finite,
+    normal float: a NaN or infinite SNR, or one beyond about +-3080 dB,
+    gives no noise level that a float holds.
+    """
+    try:
+        ratio = 10.0 ** (snr_db / 10.0)
+    except OverflowError:
+        ratio = np.inf
+    if not np.finfo(np.float64).tiny <= ratio < np.inf:     # NaN fails too
+        raise InputError(f"{name} {snr_db} dB gives no finite, nonzero "
+                         f"noise power ratio")
+    return ratio
+
+
 def _noise_sigma(clean: np.ndarray, snr_db: float | None) -> float:
     if snr_db is None:
         return 0.0
     power = float(np.mean(clean ** 2))
-    return float(np.sqrt(power / 10.0 ** (snr_db / 10.0)))
+    return float(np.sqrt(power / noise_power_ratio(snr_db)))
 
 
 def _spatial_dims(n: int, width, height) -> tuple[int, int]:
@@ -388,6 +405,18 @@ def _read_bundle(base: str, role: str | None = None) -> tuple[dict, np.ndarray]:
     return header, data.reshape(header["width"] * header["height"], -1)
 
 
+def _check_finite(kind: str, base: str, header: dict, data: np.ndarray):
+    """InputError naming the first pixel, with its row, column and band,
+    that holds a NaN or an infinity."""
+    bad = np.flatnonzero(~np.isfinite(data))
+    if bad.size:
+        pixel, band = divmod(int(bad[0]), header["bands"])
+        row, col = divmod(pixel, header["width"])
+        raise InputError(
+            f"{kind} {base} has a non-finite value ({data.flat[bad[0]]}) at "
+            f"pixel {pixel} (row {row}, column {col}), band {band}")
+
+
 def save_cube(base: str, cube: HyperCube):
     header = {"width": cube.width, "height": cube.height,
               "bands": cube.n_bands}
@@ -406,13 +435,7 @@ def load_cube(base: str) -> HyperCube:
             raise BundleError("wavelengths must list one number per band",
                               field="wavelengths")
         wl = [ct.json_float(w, "wavelengths") for w in wl]
-    bad = np.flatnonzero(~np.isfinite(data))
-    if bad.size:
-        pixel, band = divmod(int(bad[0]), header["bands"])
-        row, col = divmod(pixel, header["width"])
-        raise InputError(
-            f"cube {base} has a non-finite value ({data.flat[bad[0]]}) at "
-            f"pixel {pixel} (row {row}, column {col}), band {band}")
+    _check_finite("cube", base, header, data)
     return HyperCube(width=header["width"], height=header["height"],
                      pixels=data,
                      wavelengths=None if wl is None else np.asarray(wl))
@@ -426,7 +449,10 @@ def save_abundances(base: str, abundances: np.ndarray, width: int, height: int):
 
 
 def load_abundances(base: str) -> tuple[np.ndarray, int, int]:
+    """Read an abundance bundle; a NaN or infinite value raises
+    ``InputError`` naming the first offending pixel and band."""
     header, data = _read_bundle(base, "abundances")
+    _check_finite("abundances", base, header, data)
     return data, header["width"], header["height"]
 
 
@@ -462,10 +488,13 @@ def save_scalar_map(base: str, values: np.ndarray, width: int, height: int,
 
 
 def load_scalar_map(base: str, role: str = "nonlinearity_degree") -> np.ndarray:
+    """Read a one-band map; a NaN or infinite value raises ``InputError``
+    naming the first offending pixel."""
     header, data = _read_bundle(base, role)
     if header["bands"] != 1:
         raise BundleError(f"a scalar map has 1 band, header has "
                           f"{header['bands']}", field="bands")
+    _check_finite(role, base, header, data)
     return data.reshape(-1)
 
 

@@ -5,6 +5,23 @@ sum of endmember angles, and the nonlinearity degree compares the norms of
 the two abundance-concentration streams.  Estimated endmember columns are
 aligned to ground truth by the angle-minimizing assignment before any
 metric is computed.
+
+Endmember stacks (N, L, P) are scored in two passes over fixed blocks of
+``ROW_BLOCK`` pixels; a shared (L, P) matrix enters as a broadcast view.
+The first pass computes every column norm of both stacks, once, and the
+angles between the unit columns of each pixel, whose mean over pixels is
+the alignment's cost matrix.  The second pass takes the estimate's columns
+in aligned order, reuses the first pass's norms for the spectral angles,
+and writes truth minus estimate into one (N, L, P) buffer.  That buffer is
+the only stack-sized array scoring makes: the endmember NRMSE is one dot
+product of the whole difference, and a dot product's rounding depends on
+the length of its vector, so summing it by blocks would change the score's
+last bits.  Everything else is computed per pixel, so every score is
+bitwise equal to the whole-array formulas.  The estimate's norms are summed
+in the order those formulas summed them for the aligned stack, so the cost
+matrix, which used to take them in another order, can differ from theirs
+in the last bit; the alignment differs only where two assignments tie to
+within rounding.
 """
 
 from __future__ import annotations
@@ -35,34 +52,6 @@ def nrmse(x: np.ndarray, x_hat: np.ndarray) -> float:
     if ref == 0.0:
         raise DomainError("reference norm is zero")
     return float(np.linalg.norm((x - x_hat).ravel()) / ref)
-
-
-def _per_pixel_stack(m: np.ndarray, n: int) -> np.ndarray:
-    m = np.asarray(m, dtype=np.float64)
-    if m.ndim == 2:
-        return np.broadcast_to(m, (n,) + m.shape)
-    return m
-
-
-def sam(m_true: np.ndarray, m_hat: np.ndarray) -> float:
-    """Mean over pixels of the summed per-endmember spectral angles.
-
-    Accepts (N, L, P) stacks; a shared (L, P) matrix broadcasts.
-    """
-    m_true = np.asarray(m_true, dtype=np.float64)
-    m_hat = np.asarray(m_hat, dtype=np.float64)
-    n = m_true.shape[0] if m_true.ndim == 3 else (
-        m_hat.shape[0] if m_hat.ndim == 3 else 1)
-    mt = _per_pixel_stack(m_true, n)
-    mh = _per_pixel_stack(m_hat, n)
-    if mt.shape != mh.shape:
-        raise InputError(f"shape mismatch: {mt.shape} vs {mh.shape}")
-    nt = np.linalg.norm(mt, axis=1)
-    nh = np.linalg.norm(mh, axis=1)
-    if np.any(nt == 0.0) or np.any(nh == 0.0):
-        raise DomainError("zero-norm signature in angle computation")
-    cos = np.clip(np.sum(mt * mh, axis=1) / (nt * nh), -1.0, 1.0)
-    return float(np.arccos(cos).sum(axis=-1).mean())
 
 
 def nonlinearity_degree(lin, nlin) -> np.ndarray | float:
@@ -123,17 +112,134 @@ def fcls(cube, em_matrix: np.ndarray, max_iter: int = 5000,
     return a
 
 
+# Pixels per block of the endmember-scoring passes.
+ROW_BLOCK = 256
+
+
+class NonFiniteEndmembers(InputError):
+    """An endmember stack holds a NaN or an infinity.
+
+    ``which`` is ``"truth"`` or ``"estimate"``; ``pixel`` is the first
+    pixel (counted from 0) with such a value.
+    """
+
+    def __init__(self, which: str, pixel: int, band: int, column: int,
+                 value: float):
+        super().__init__(f"{which} endmembers have a non-finite value "
+                         f"({value}) at pixel {pixel}, band {band}, "
+                         f"column {column}")
+        self.which = which
+        self.pixel = pixel
+
+
+def _per_pixel_stack(m: np.ndarray, n: int) -> np.ndarray:
+    m = np.asarray(m, dtype=np.float64)
+    if m.ndim == 2:
+        return np.broadcast_to(m, (n,) + m.shape)
+    return m
+
+
+def _stack_pair(m_true, m_hat, n: int | None = None):
+    """Both arguments as (N, L, P) stacks.  N is ``n`` when given, else the
+    length of the first per-pixel stack of the two, else 1."""
+    m_true = np.asarray(m_true, dtype=np.float64)
+    m_hat = np.asarray(m_hat, dtype=np.float64)
+    if n is None:
+        n = next((m.shape[0] for m in (m_true, m_hat) if m.ndim == 3), 1)
+    mt, mh = _per_pixel_stack(m_true, n), _per_pixel_stack(m_hat, n)
+    if mt.shape != mh.shape:
+        raise InputError(f"shape mismatch: {mt.shape} vs {mh.shape}")
+    return mt, mh
+
+
+def _blocks(n: int):
+    return (slice(start, min(start + ROW_BLOCK, n))
+            for start in range(0, n, ROW_BLOCK))
+
+
+def _column_norms(block: np.ndarray, rows: slice, which: str) -> np.ndarray:
+    """(B, P) column norms of a (B, L, P) block.
+
+    A column holding a NaN or an infinity has a non-finite norm, so only a
+    block with such a norm is searched for the value.
+    """
+    norms = np.linalg.norm(block, axis=1)
+    if not np.isfinite(norms).all():
+        bad = np.argwhere(~np.isfinite(block))
+        if len(bad):                  # else the squares overflowed: no error
+            pixel, band, column = (int(i) for i in bad[0])
+            raise NonFiniteEndmembers(which, rows.start + pixel, band, column,
+                                      float(block[pixel, band, column]))
+    return norms
+
+
+def _norm_pass(mt: np.ndarray, mh: np.ndarray, cost: bool = True):
+    """First pass: the (N, P) column norms of both stacks and, with
+    ``cost``, the (P, P) matrix whose entry (i, j) is ``sam`` of truth
+    column i against estimate column j."""
+    n, _, p = mt.shape
+    nt, nh = np.empty((n, p)), np.empty((n, p))
+    angles = np.empty((n, p, p)) if cost else None
+    for rows in _blocks(n):
+        t = mt[rows]
+        # The estimate with its bands contiguous, so that numpy sums each
+        # norm pairwise, as it did for the whole column-permuted stack; a
+        # C-ordered block would be summed band after band.
+        h = np.swapaxes(np.ascontiguousarray(np.swapaxes(mh[rows], 1, 2)),
+                        1, 2)
+        nt[rows] = _column_norms(t, rows, "truth")
+        nh[rows] = _column_norms(h, rows, "estimate")
+        if np.any(nt[rows] == 0.0) or np.any(nh[rows] == 0.0):
+            raise DomainError("zero-norm signature in angle computation")
+        if cost:
+            cos = np.swapaxes(t / nt[rows, None], 1, 2) @ (h / nh[rows, None])
+            np.arccos(np.clip(cos, -1.0, 1.0), out=angles[rows])
+    return nt, nh, None if angles is None else angles.mean(axis=0)
+
+
+def _angle_pass(mt: np.ndarray, mh: np.ndarray, cols: np.ndarray | None,
+                nt: np.ndarray, nh: np.ndarray,
+                diff: np.ndarray | None = None) -> np.ndarray:
+    """Second pass: the per-pixel sums (N,) of the angles between the truth
+    columns and the estimate's columns ``cols`` (all, in order, for None),
+    from the first pass's norms ``nt`` and ``nh`` (the latter already in
+    ``cols`` order).  With ``diff``, truth minus that estimate is written
+    into it."""
+    sums = np.empty(len(mt))
+    for rows in _blocks(len(mt)):
+        t = mt[rows]
+        h = mh[rows] if cols is None else np.take(mh[rows], cols, axis=2)
+        if diff is not None:
+            np.subtract(t, h, out=diff[rows])
+        cos = np.clip(np.sum(t * h, axis=1) / (nt[rows] * nh[rows]),
+                      -1.0, 1.0)
+        sums[rows] = np.arccos(cos).sum(axis=-1)
+    return sums
+
+
+def sam(m_true: np.ndarray, m_hat: np.ndarray) -> float:
+    """Mean over pixels of the summed per-endmember spectral angles.
+
+    Accepts (N, L, P) stacks; a shared (L, P) matrix broadcasts.
+    """
+    mt, mh = _stack_pair(m_true, m_hat)
+    nt, nh, _ = _norm_pass(mt, mh, cost=False)
+    return float(_angle_pass(mt, mh, None, nt, nh).mean())
+
+
 def _mean_angle_cost(mt: np.ndarray, mh: np.ndarray) -> np.ndarray:
     """(P, P) matrix whose entry (i, j) is ``sam`` of truth column i against
     estimate column j, from one batched product of unit columns."""
     if mt.shape != mh.shape:
         raise InputError(f"shape mismatch: {mt.shape} vs {mh.shape}")
-    nt = np.linalg.norm(mt, axis=1, keepdims=True)
-    nh = np.linalg.norm(mh, axis=1, keepdims=True)
-    if np.any(nt == 0.0) or np.any(nh == 0.0):
-        raise DomainError("zero-norm signature in angle computation")
-    cos = np.swapaxes(mt / nt, 1, 2) @ (mh / nh)          # (N, P, P)
-    return np.arccos(np.clip(cos, -1.0, 1.0)).mean(axis=0)
+    return _norm_pass(mt, mh)[2]
+
+
+def _assignment(cost: np.ndarray) -> np.ndarray:
+    rows, cols = linear_sum_assignment(cost)
+    perm = np.empty(len(cost), dtype=int)
+    perm[rows] = cols
+    return perm
 
 
 def align_endmembers(m_true: np.ndarray, m_hat: np.ndarray) -> np.ndarray:
@@ -141,17 +247,7 @@ def align_endmembers(m_true: np.ndarray, m_hat: np.ndarray) -> np.ndarray:
 
     Returns ``perm`` such that estimate column perm[j] matches truth column j.
     """
-    m_true = np.asarray(m_true, np.float64)
-    m_hat = np.asarray(m_hat, np.float64)
-    n = m_true.shape[0] if m_true.ndim == 3 else (
-        m_hat.shape[0] if m_hat.ndim == 3 else 1)
-    mt = _per_pixel_stack(m_true, n)
-    mh = _per_pixel_stack(m_hat, n)
-    p = mt.shape[-1]
-    rows, cols = linear_sum_assignment(_mean_angle_cost(mt, mh))
-    perm = np.empty(p, dtype=int)
-    perm[rows] = cols
-    return perm
+    return _assignment(_mean_angle_cost(*_stack_pair(m_true, m_hat)))
 
 
 @dataclass
@@ -182,9 +278,35 @@ class MetricsReport:
         return None if self.eta_d_map is None else float(np.mean(self.eta_d_map))
 
 
+def _endmember_scores(mt: np.ndarray, mh: np.ndarray, cols: np.ndarray | None,
+                      nt: np.ndarray, nh: np.ndarray) -> tuple[float, float]:
+    """(nrmse_m, sam_m) from the second pass; the arguments are those of
+    ``_angle_pass``."""
+    diff = np.empty(mt.shape)
+    if mt.flags.c_contiguous:
+        truth = mt.ravel()
+    else:                          # the C-order copy ``ravel`` would make
+        np.copyto(diff, mt)
+        truth = diff.ravel()
+    ref = np.linalg.norm(truth)
+    if ref == 0.0:
+        raise DomainError("reference norm is zero")
+    sums = _angle_pass(mt, mh, cols, nt, nh, diff)
+    return float(np.linalg.norm(diff.ravel()) / ref), float(sums.mean())
+
+
 def evaluate(cube, truth, estimates: Estimates) -> MetricsReport:
     """Score estimates against ground truth; endmember metrics are skipped
-    when no true endmembers are available."""
+    when no true endmembers are available.
+
+    Endmember stacks are read in the module's two passes over blocks of
+    ``ROW_BLOCK`` pixels: column norms and the alignment first, then the
+    spectral angles and the difference of the aligned stacks.  Besides
+    arrays of a few numbers per pixel, the only array as large as a stack
+    that scoring holds is that difference, whose one dot product gives
+    nrmse_m.  Every score is bitwise equal to the whole-array formulas
+    ``nrmse`` and ``sam`` applied to the aligned stacks.
+    """
     report = MetricsReport(eta_d_map=estimates.eta_d,
                            runtime_s=estimates.runtime_s)
     a_hat = np.asarray(estimates.abundances, dtype=np.float64)
@@ -196,20 +318,23 @@ def evaluate(cube, truth, estimates: Estimates) -> MetricsReport:
     if truth_m is not None:
         basis = m_hat if m_hat is not None else estimates.align_with
         if basis is not None:
-            perm = align_endmembers(truth_m, basis)
-    if perm is not None:
-        a_hat = a_hat[:, perm]
-        if m_hat is not None:
-            m_hat = np.asarray(m_hat)[..., perm]
+            nt, nh, cost = _norm_pass(*_stack_pair(truth_m, basis))
+            perm = _assignment(cost)
+            nh = nh[:, perm]
 
     if truth_a is not None:
-        report.nrmse_a = nrmse(truth_a, a_hat)
+        report.nrmse_a = nrmse(truth_a,
+                               a_hat if perm is None else a_hat[:, perm])
     if truth_m is not None and m_hat is not None:
-        n = len(a_hat)
-        mt = _per_pixel_stack(np.asarray(truth_m), n)
-        mh = _per_pixel_stack(np.asarray(m_hat), n)
-        report.nrmse_m = nrmse(mt, mh)
-        report.sam_m = sam(mt, mh)
+        m_hat, cols = np.asarray(m_hat, dtype=np.float64), perm
+        if m_hat.ndim == 2:                 # permuted once, then broadcast
+            m_hat, cols = m_hat[:, perm], None
+        mt, mh = _stack_pair(truth_m, m_hat, len(a_hat))
+        # two shared matrices had their norms taken for one pixel
+        per_pixel = mt.shape[::2]
+        report.nrmse_m, report.sam_m = _endmember_scores(
+            mt, mh, cols, np.broadcast_to(nt, per_pixel),
+            np.broadcast_to(nh, per_pixel))
     if estimates.reconstruction is not None:
         report.nrmse_y = nrmse(_as_pixels(cube), estimates.reconstruction)
     return report

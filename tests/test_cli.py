@@ -114,6 +114,42 @@ class TestExitCodes:
         assert rc == 2
         assert "pixel 13 (row 1, column 5), band 5" in err
 
+    @pytest.mark.parametrize("bundle", ["abundances_est", "endmembers_est",
+                                        "eta_d"])
+    def test_non_finite_estimate_exits_2_naming_bundle_and_pixel(
+            self, scene, capsys, bundle):
+        out = _unmix(scene, f"run_nan_{bundle}")
+        base = os.path.join(out, bundle)
+        if bundle == "abundances_est":
+            a_hat, _, _ = dt.load_abundances(base)
+            a_hat[13, 1] = np.nan
+            dt.save_abundances(base, a_hat, WIDTH, HEIGHT)
+        elif bundle == "endmembers_est":
+            m_hat = dt.load_endmembers(base)
+            m_hat[13, 5, 1] = np.nan
+            dt.save_endmembers(base, m_hat, WIDTH, HEIGHT)
+        else:
+            eta = dt.load_scalar_map(base)
+            eta[13] = np.nan
+            dt.save_scalar_map(base, eta, WIDTH, HEIGHT)
+        csv = str(scene["root"] / f"report_nan_{bundle}.csv")
+        capsys.readouterr()
+        rc = cli.main(["eval", os.path.dirname(scene["cube"]), out, csv])
+        err = capsys.readouterr().err
+        assert rc == 2 and err.startswith("error: ")
+        assert base in err and "pixel 13" in err
+        assert not os.path.exists(csv)
+
+    @pytest.mark.parametrize("snr", ["inf", "nan", "1e10", "-1e10"])
+    def test_unusable_snr_exits_2_before_writing(self, tmp_path, capsys, snr):
+        out = tmp_path / "scene"
+        out.mkdir()
+        rc = cli.main(["generate", "dc1", str(out), f"--snr={snr}",
+                       "--bands", "16", "--width", "4", "--height", "4"])
+        assert rc == 2
+        assert "--snr" in capsys.readouterr().err
+        assert os.listdir(out) == []
+
     def test_linalg_failure_exits_3(self, scene, monkeypatch, capsys):
         def fail(*args, **kwargs):
             raise np.linalg.LinAlgError("SVD did not converge")

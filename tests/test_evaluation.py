@@ -2,6 +2,7 @@
 projection and the FCLS baseline."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +12,8 @@ from hypothesis.extra.numpy import arrays
 from scipy.optimize import linear_sum_assignment
 
 from unmix import evaluation as ev
-from unmix.errors import DomainError
+from unmix.data import GroundTruth
+from unmix.errors import DomainError, InputError
 
 
 def _loop_cost(mt, mh):
@@ -183,3 +185,207 @@ class TestFcls:
         got = ev.fcls(Y, M)
         want = np.array([_fcls_oracle(M, y, 0.02) for y in Y])
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-6)
+
+
+# ------------------------------------------------------------------------
+# The whole-array formulas ``evaluate`` used before its blocked passes,
+# kept as the reference the passes must match bit for bit.
+
+def _ref_nrmse(x, x_hat):
+    x = np.asarray(x, dtype=np.float64)
+    x_hat = np.asarray(x_hat, dtype=np.float64)
+    if x.shape != x_hat.shape:
+        raise InputError(f"shape mismatch: {x.shape} vs {x_hat.shape}")
+    ref = np.linalg.norm(x.ravel())
+    if ref == 0.0:
+        raise DomainError("reference norm is zero")
+    return float(np.linalg.norm((x - x_hat).ravel()) / ref)
+
+
+def _ref_stack(m, n):
+    m = np.asarray(m, dtype=np.float64)
+    if m.ndim == 2:
+        return np.broadcast_to(m, (n,) + m.shape)
+    return m
+
+
+def _ref_sam(m_true, m_hat):
+    m_true = np.asarray(m_true, dtype=np.float64)
+    m_hat = np.asarray(m_hat, dtype=np.float64)
+    n = m_true.shape[0] if m_true.ndim == 3 else (
+        m_hat.shape[0] if m_hat.ndim == 3 else 1)
+    mt = _ref_stack(m_true, n)
+    mh = _ref_stack(m_hat, n)
+    if mt.shape != mh.shape:
+        raise InputError(f"shape mismatch: {mt.shape} vs {mh.shape}")
+    nt = np.linalg.norm(mt, axis=1)
+    nh = np.linalg.norm(mh, axis=1)
+    if np.any(nt == 0.0) or np.any(nh == 0.0):
+        raise DomainError("zero-norm signature in angle computation")
+    cos = np.clip(np.sum(mt * mh, axis=1) / (nt * nh), -1.0, 1.0)
+    return float(np.arccos(cos).sum(axis=-1).mean())
+
+
+def _ref_align(m_true, m_hat):
+    m_true = np.asarray(m_true, np.float64)
+    m_hat = np.asarray(m_hat, np.float64)
+    n = m_true.shape[0] if m_true.ndim == 3 else (
+        m_hat.shape[0] if m_hat.ndim == 3 else 1)
+    mt = _ref_stack(m_true, n)
+    mh = _ref_stack(m_hat, n)
+    if mt.shape != mh.shape:
+        raise InputError(f"shape mismatch: {mt.shape} vs {mh.shape}")
+    nt = np.linalg.norm(mt, axis=1, keepdims=True)
+    nh = np.linalg.norm(mh, axis=1, keepdims=True)
+    if np.any(nt == 0.0) or np.any(nh == 0.0):
+        raise DomainError("zero-norm signature in angle computation")
+    cos = np.swapaxes(mt / nt, 1, 2) @ (mh / nh)
+    cost = np.arccos(np.clip(cos, -1.0, 1.0)).mean(axis=0)
+    rows, cols = linear_sum_assignment(cost)
+    perm = np.empty(mt.shape[-1], dtype=int)
+    perm[rows] = cols
+    return perm
+
+
+def _ref_evaluate(cube, truth, estimates):
+    report = ev.MetricsReport(eta_d_map=estimates.eta_d,
+                              runtime_s=estimates.runtime_s)
+    a_hat = np.asarray(estimates.abundances, dtype=np.float64)
+    m_hat = estimates.endmembers
+    truth_m = None if truth is None else truth.endmembers
+    truth_a = None if truth is None else truth.abundances
+    perm = None
+    if truth_m is not None:
+        basis = m_hat if m_hat is not None else estimates.align_with
+        if basis is not None:
+            perm = _ref_align(truth_m, basis)
+    if perm is not None:
+        a_hat = a_hat[:, perm]
+        if m_hat is not None:
+            m_hat = np.asarray(m_hat)[..., perm]
+    if truth_a is not None:
+        report.nrmse_a = _ref_nrmse(truth_a, a_hat)
+    if truth_m is not None and m_hat is not None:
+        n = len(a_hat)
+        mt = _ref_stack(np.asarray(truth_m), n)
+        mh = _ref_stack(np.asarray(m_hat), n)
+        report.nrmse_m = _ref_nrmse(mt, mh)
+        report.sam_m = _ref_sam(mt, mh)
+    if estimates.reconstruction is not None:
+        report.nrmse_y = _ref_nrmse(cube, estimates.reconstruction)
+    return report
+
+
+B = ev.ROW_BLOCK
+SIZES = [1, B - 1, B, B + 1, 3 * B + 7]
+BANDS, P = 24, 4
+
+
+def _scene(n: int, truth_shared: bool, estimate_shared: bool, seed: int):
+    """Cube, truth and estimates whose endmember columns are a noisy,
+    shuffled copy of the truth's, so the alignment has work to do."""
+    rng = np.random.default_rng(seed)
+    m_true = rng.uniform(0.05, 1.0, (BANDS, P) if truth_shared
+                         else (n, BANDS, P))
+    m_hat = (np.broadcast_to(m_true, (n, BANDS, P))[..., [2, 0, 3, 1]]
+             * rng.uniform(0.8, 1.2, (n, BANDS, P)))
+    if estimate_shared:
+        m_hat = m_hat[0]
+    a_true = rng.dirichlet(np.ones(P), n)
+    cube = np.einsum("nlp,np->nl", np.broadcast_to(m_true, (n, BANDS, P)),
+                     a_true)
+    est = ev.Estimates(abundances=rng.dirichlet(np.ones(P), n),
+                       endmembers=m_hat,
+                       reconstruction=cube + rng.normal(0, 0.01, cube.shape),
+                       eta_d=rng.uniform(0.0, 1.0, n), runtime_s=1.5)
+    return cube, GroundTruth(abundances=a_true, endmembers=m_true), est
+
+
+def _same_report(cube, truth, est):
+    got = ev.reports_to_csv([ev.evaluate(cube, truth, est)])
+    assert got == ev.reports_to_csv([_ref_evaluate(cube, truth, est)])
+    return got
+
+
+class TestBlockedEvaluate:
+    @pytest.mark.parametrize("n", SIZES)
+    @pytest.mark.parametrize("truth_shared, estimate_shared",
+                             [(False, False), (True, False), (False, True),
+                              (True, True)],
+                             ids=["per_pixel", "shared_truth",
+                                  "shared_estimate", "both_shared"])
+    def test_report_bytes_equal_whole_array_formulas(self, n, truth_shared,
+                                                     estimate_shared):
+        cube, truth, est = _scene(n, truth_shared, estimate_shared, n)
+        assert "--" not in _same_report(cube, truth, est)
+
+    @pytest.mark.parametrize("n", SIZES)
+    @pytest.mark.parametrize("truth_shared", [False, True],
+                             ids=["per_pixel_truth", "shared_truth"])
+    def test_fcls_align_with_path_bytes_equal(self, n, truth_shared):
+        cube, truth, est = _scene(n, truth_shared, True, 7 * n)
+        refs = est.endmembers
+        a_base = ev.fcls(cube, refs)
+        base = ev.Estimates(abundances=a_base, reconstruction=a_base @ refs.T,
+                            align_with=refs)
+        _same_report(cube, truth, base)
+
+    @pytest.mark.parametrize("truth_shared", [False, True])
+    def test_zero_norm_column_raises_domain_error(self, truth_shared):
+        cube, truth, est = _scene(3 * B + 7, truth_shared, False, 3)
+        est.endmembers[B + 1, :, 2] = 0.0
+        for score in (ev.evaluate, _ref_evaluate):
+            with pytest.raises(DomainError):
+                score(cube, truth, est)
+
+    @pytest.mark.parametrize("case", ["pixels", "bands", "shared_bands"])
+    def test_mismatched_shapes_raise_input_error(self, case):
+        n = B + 1
+        cube, truth, est = _scene(n, case == "shared_bands", False, 5)
+        if case == "pixels":
+            est.endmembers = est.endmembers[:-1]
+        else:
+            est.endmembers = np.concatenate(
+                [est.endmembers, est.endmembers[:, :1]], axis=1)
+        for score in (ev.evaluate, _ref_evaluate):
+            with pytest.raises(InputError):
+                score(cube, truth, est)
+
+    @pytest.mark.parametrize("which", ["truth", "estimate"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_endmember_names_stack_and_first_pixel(self, which,
+                                                              value):
+        cube, truth, est = _scene(3 * B + 7, False, False, 11)
+        stack = truth.endmembers if which == "truth" else est.endmembers
+        stack[2 * B + 5, 7, 1] = value
+        stack[2 * B + 9, 3, 0] = value
+        with pytest.raises(ev.NonFiniteEndmembers) as exc_info:
+            ev.evaluate(cube, truth, est)
+        assert exc_info.value.which == which
+        assert exc_info.value.pixel == 2 * B + 5
+        assert f"pixel {2 * B + 5}, band 7, column 1" in str(exc_info.value)
+
+    def test_peak_memory_is_one_stack_and_a_block_bound_excess(self):
+        """Besides its inputs, ``evaluate`` holds one (N, L, P) buffer and
+        arrays of a few numbers per pixel: on the bench scene's band and
+        endmember counts the rest of its traced peak must not grow with N."""
+        excess = []
+        for n in (4 * B, 16 * B):
+            rng = np.random.default_rng(n)
+            m_true = rng.uniform(0.05, 1.0, (n, 224, 5))
+            est = ev.Estimates(abundances=rng.dirichlet(np.ones(5), n),
+                               endmembers=rng.uniform(0.05, 1.0, m_true.shape),
+                               reconstruction=rng.uniform(0.0, 1.0, (n, 224)),
+                               eta_d=rng.uniform(0.0, 1.0, n))
+            truth = GroundTruth(abundances=rng.dirichlet(np.ones(5), n),
+                                endmembers=m_true)
+            cube = rng.uniform(0.0, 1.0, (n, 224))
+            tracemalloc.start()
+            try:
+                ev.evaluate(cube, truth, est)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            excess.append(peak - m_true.nbytes)
+        assert excess[0] > 0
+        assert excess[1] <= 1.1 * excess[0], excess
