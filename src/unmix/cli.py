@@ -101,6 +101,7 @@ def cmd_generate(args) -> int:
 
 def cmd_selfsup(args) -> int:
     t0 = time.perf_counter()
+    dt.noise_power_ratio(args.snr, "--snr")
     cube_base = _strip_bundle(args.cube)
     cube = dt.load_cube(cube_base)
     rng = np.random.default_rng(args.seed)

@@ -10,7 +10,7 @@ order so the noise realization is comparable across generators.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import ndimage as _ndi
@@ -86,20 +86,26 @@ class GroundTruth:
 
 # ------------------------------------------------------------- generation
 
+# Smallest pairwise spectral angle (radians) of a synthetic library, and the
+# draws allowed to reach it.
+LIBRARY_MIN_ANGLE = 0.15
+LIBRARY_MAX_ATTEMPTS = 100
+# Gaussian blur (pixels) that softens the Voronoi region boundaries.
+ABUNDANCE_BLUR_SIGMA = 1.5
+
+
 def synth_endmember_library(n_bands: int, n_endmembers: int,
-                            rng: np.random.Generator,
-                            min_angle: float = 0.15,
-                            max_attempts: int = 100) -> np.ndarray:
+                            rng: np.random.Generator) -> np.ndarray:
     """P smooth, well-separated spectra in (0.05, 0.95), as columns.
 
     Each spectrum is a sum of 3-6 Gaussian bumps rescaled into (0.08, 0.92);
     the whole set is redrawn until every pairwise spectral angle reaches
-    ``min_angle`` radians.
+    ``LIBRARY_MIN_ANGLE`` radians.
     """
     if n_bands < 16:
         raise InputError(f"need at least 16 bands, got {n_bands}")
     grid = np.arange(n_bands, dtype=np.float64)
-    for _ in range(max_attempts):
+    for _ in range(LIBRARY_MAX_ATTEMPTS):
         cols = []
         for _ in range(n_endmembers):
             n_bumps = int(rng.integers(3, 7))
@@ -112,10 +118,11 @@ def synth_endmember_library(n_bands: int, n_endmembers: int,
             lo, hi = s.min(), s.max()
             cols.append(0.08 + 0.84 * (s - lo) / max(hi - lo, 1e-12))
         M = np.stack(cols, axis=1)
-        if _min_pairwise_angle(M) >= min_angle:
+        if _min_pairwise_angle(M) >= LIBRARY_MIN_ANGLE:
             return M
     raise GenerationError(
-        f"could not reach pairwise angle {min_angle} in {max_attempts} draws")
+        f"could not reach pairwise angle {LIBRARY_MIN_ANGLE} in "
+        f"{LIBRARY_MAX_ATTEMPTS} draws")
 
 
 def _min_pairwise_angle(M: np.ndarray) -> float:
@@ -127,16 +134,14 @@ def _min_pairwise_angle(M: np.ndarray) -> float:
 
 
 def synth_abundance_maps(width: int, height: int, n_endmembers: int,
-                         rng: np.random.Generator,
-                         n_regions: int | None = None,
-                         blur_sigma: float = 1.5) -> np.ndarray:
+                         rng: np.random.Generator) -> np.ndarray:
     """Piecewise-constant Voronoi label maps softened by a spatial blur.
 
-    Returns (N, P) simplex rows; region interiors stay pure, boundaries mix.
+    3P seeds, each endmember labelling at least one.  Returns (N, P)
+    simplex rows; region interiors stay pure, boundaries mix.
     """
     P = n_endmembers
-    if n_regions is None:
-        n_regions = 3 * P
+    n_regions = 3 * P
     seeds = rng.uniform([0.0, 0.0], [height, width], size=(n_regions, 2))
     labels = np.concatenate([np.arange(P),
                              rng.integers(0, P, n_regions - P)])
@@ -145,7 +150,8 @@ def synth_abundance_maps(width: int, height: int, n_endmembers: int,
           + (xx[..., None] - seeds[:, 1]) ** 2)
     region = labels[np.argmin(d2, axis=-1)]
     onehot = np.eye(P)[region]                       # (H, W, P)
-    blurred = np.stack([_ndi.gaussian_filter(onehot[..., k], blur_sigma,
+    blurred = np.stack([_ndi.gaussian_filter(onehot[..., k],
+                                             ABUNDANCE_BLUR_SIGMA,
                                              mode="nearest")
                         for k in range(P)], axis=-1)
     blurred = np.clip(blurred, 0.0, None)
@@ -480,21 +486,25 @@ def load_endmembers(base: str) -> np.ndarray:
     return stack[0] if len(stack) == 1 else stack
 
 
-def save_scalar_map(base: str, values: np.ndarray, width: int, height: int,
-                    role: str = "nonlinearity_degree"):
+# The role of the one scalar map the commands write, the eta_d map.
+SCALAR_MAP_ROLE = "nonlinearity_degree"
+
+
+def save_scalar_map(base: str, values: np.ndarray, width: int, height: int):
     vals = np.asarray(values, dtype=np.float64).reshape(-1, 1)
-    header = {"width": width, "height": height, "bands": 1, "role": role}
+    header = {"width": width, "height": height, "bands": 1,
+              "role": SCALAR_MAP_ROLE}
     _write_bundle(base, header, vals)
 
 
-def load_scalar_map(base: str, role: str = "nonlinearity_degree") -> np.ndarray:
+def load_scalar_map(base: str) -> np.ndarray:
     """Read a one-band map; a NaN or infinite value raises ``InputError``
     naming the first offending pixel."""
-    header, data = _read_bundle(base, role)
+    header, data = _read_bundle(base, SCALAR_MAP_ROLE)
     if header["bands"] != 1:
         raise BundleError(f"a scalar map has 1 band, header has "
                           f"{header['bands']}", field="bands")
-    _check_finite(role, base, header, data)
+    _check_finite(SCALAR_MAP_ROLE, base, header, data)
     return data.reshape(-1)
 
 
@@ -515,7 +525,10 @@ def save_supervised(base: str, samples: list[SupervisedSample]):
 
 
 def load_supervised(base: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Returns (Y, A, M) arrays of shapes (n, L), (n, P), (n, L, P)."""
+    """Returns (Y, A, M) arrays of shapes (n, L), (n, P), (n, L, P).
+
+    A NaN or infinite value raises ``InputError`` naming the first offending
+    sample (as its pixel) and its value index (as its band)."""
     header, data = _read_bundle(base, "supervised")
     count, L, P = (ct.json_int(header.get(key), key, 1)
                    for key in ("count", "pixel_bands", "components"))
@@ -528,4 +541,5 @@ def load_supervised(base: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             f"pixel_bands {L} and components {P} imply {L + P + L * P} "
             f"values per sample, header bands is {header['bands']}",
             field="pixel_bands")
+    _check_finite("supervised set", base, header, data)
     return data[:, :L], data[:, L:L + P], data[:, L + P:].reshape(count, L, P)

@@ -465,10 +465,6 @@ class MlpParams:
             out[t.name] = t
         return out
 
-    def scale_parameters(self, factor: float) -> None:
-        for t in (*self.weights, *self.biases):
-            t.data *= factor
-
 
 def mlp_forward(params: MlpParams, x) -> Tensor:
     """Run the activation chain on input with features along the last axis.

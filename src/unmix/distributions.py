@@ -1,13 +1,14 @@
 """Probability kernels used by the mixing and unmixing models.
 
 Diagonal Gaussians (log-density, reparametrized sampling), the Dirichlet
-(log-density, sampling, pathwise Jacobian of samples w.r.t. concentration),
-and the Beta pdf/cdf machinery behind that Jacobian.  All log-densities are
-built from :mod:`unmix.diffcore` ops so they can sit inside a recorded loss.
+(log-density, and a reparametrized sample whose reverse pass applies the
+pathwise Jacobian w.r.t. the concentration), and the Beta pdf/cdf machinery
+behind that Jacobian.  All log-densities are built from
+:mod:`unmix.diffcore` ops so they can sit inside a recorded loss.
 
-Sampling is routed through a noise source object; ``RngNoise`` draws live,
-``ReplayNoise`` records one pass and replays it so losses become smooth
-deterministic functions of the parameters (used for gradient verification).
+Sampling is routed through a noise source: any object with
+``normal(shape)`` and ``dirichlet(conc)`` methods.  ``RngNoise`` draws live
+from a numpy Generator; a test can pass a source that replays fixed draws.
 """
 
 from __future__ import annotations
@@ -19,8 +20,7 @@ from scipy import special as _sp
 
 from . import diffcore as dc
 from .diffcore import Tensor, as_tensor, constant
-from .errors import (ContractError, DegenerateSampleError, DomainError,
-                     NumericError, ShapeError)
+from .errors import DegenerateSampleError, DomainError, NumericError, ShapeError
 
 GAMMA_FLOOR = 1e-3
 SIMPLEX_EPS = 1e-9
@@ -30,9 +30,7 @@ _LOG_2PI = float(np.log(2.0 * np.pi))
 __all__ = [
     "GAMMA_FLOOR", "SIMPLEX_EPS", "DiagGaussian", "DirichletParams",
     "gaussian_logpdf", "gaussian_rsample", "std_normal_logpdf",
-    "dirichlet_logpdf", "dirichlet_sample", "dirichlet_rsample",
-    "dirichlet_pathwise_jacobian", "beta_functions",
-    "RngNoise", "ReplayNoise",
+    "dirichlet_logpdf", "dirichlet_rsample", "RngNoise",
 ]
 
 
@@ -101,14 +99,17 @@ def dirichlet_logpdf(a, p: DirichletParams) -> Tensor:
     return ((conc - 1.0) * dc.log(at)).sum(axis=-1) + norm
 
 
-def _sample_dirichlet_data(conc: np.ndarray, rng: np.random.Generator,
-                           max_resample: int = 5) -> np.ndarray:
+# Redraws of a degenerate Gamma row before it is clipped onto the simplex.
+_MAX_RESAMPLE = 5
+
+
+def _sample_dirichlet_data(conc: np.ndarray,
+                           rng: np.random.Generator) -> np.ndarray:
     """Gamma-normalize sampling with resample-then-clip degeneracy handling."""
     g = rng.standard_gamma(conc)
-    a = np.empty_like(g)
     flat_g = g.reshape(-1, conc.shape[-1])
     flat_c = np.broadcast_to(conc, g.shape).reshape(-1, conc.shape[-1])
-    for _ in range(max_resample):
+    for _ in range(_MAX_RESAMPLE):
         s = flat_g.sum(axis=-1)
         bad = (s <= 0.0) | (flat_g.max(axis=-1) >= s * (1.0 - SIMPLEX_EPS))
         if not bad.any():
@@ -120,13 +121,6 @@ def _sample_dirichlet_data(conc: np.ndarray, rng: np.random.Generator,
     a = np.clip(a, SIMPLEX_EPS, 1.0 - SIMPLEX_EPS)
     a /= a.sum(axis=-1, keepdims=True)
     return a.reshape(g.shape)
-
-
-def dirichlet_sample(p: DirichletParams, rng: np.random.Generator) -> np.ndarray:
-    """Draw simplex vectors a_i = g_i / sum(g) from Gamma(conc_i, 1) draws."""
-    conc = _data(p.concentration)
-    _check_concentration(conc)
-    return _sample_dirichlet_data(conc, rng)
 
 
 def _beta_pdf_data(x, a, b):
@@ -148,18 +142,6 @@ def _beta_cdf_dalpha_data(x, a, b):
     return (_beta_cdf_data(x, a + h, b) - _beta_cdf_data(x, a - h, b)) / (2.0 * h)
 
 
-def beta_functions(x: float, alpha: float, beta: float):
-    """Return (pdf, cdf, d cdf / d alpha) for the Beta(alpha, beta) law at x."""
-    if not (0.0 < x < 1.0):
-        raise DomainError(f"x must be interior to (0, 1), got {x}")
-    if alpha <= 0.0 or beta <= 0.0:
-        raise DomainError(f"shape parameters must be positive, got ({alpha}, {beta})")
-    pdf = float(_beta_pdf_data(x, alpha, beta))
-    cdf = float(_beta_cdf_data(x, alpha, beta))
-    dcdf = float(_beta_cdf_dalpha_data(x, alpha, beta))
-    return pdf, cdf, dcdf
-
-
 def _pathwise_jacobian_data(a: np.ndarray, conc: np.ndarray) -> np.ndarray:
     """Batched da_i/dgamma_j for samples a ~ Dir(conc); shape (..., P, P)."""
     a = np.asarray(a, dtype=np.float64)
@@ -175,13 +157,6 @@ def _pathwise_jacobian_data(a: np.ndarray, conc: np.ndarray) -> np.ndarray:
     eye = np.eye(a.shape[-1])
     delta_minus_a = eye - a[..., :, None]          # (..., i, j) = delta_ij - a_i
     return delta_minus_a * col[..., None, :]
-
-
-def dirichlet_pathwise_jacobian(a, p: DirichletParams) -> np.ndarray:
-    """Pathwise derivative matrix (i, j) -> da_i / dgamma_j at a sample a."""
-    conc = _data(p.concentration)
-    _check_concentration(conc)
-    return _pathwise_jacobian_data(_data(a), conc)
 
 
 def dirichlet_rsample(concentration: Tensor, noise) -> Tensor:
@@ -217,49 +192,3 @@ class RngNoise:
     def dirichlet(self, conc: np.ndarray) -> np.ndarray:
         return _sample_dirichlet_data(conc, self.rng)
 
-
-class ReplayNoise:
-    """Record one sampling pass, then replay it deterministically.
-
-    In replay mode Gaussian draws are returned verbatim while Dirichlet
-    draws are recomputed from the frozen uniform base through the Beta
-    inverse cdf, so the sample varies smoothly with the concentration.
-    Only two-component Dirichlets support a frozen base.
-    """
-
-    def __init__(self, rng: np.random.Generator):
-        self.rng = rng
-        self.recording = True
-        self._normals: list[np.ndarray] = []
-        self._bases: list[np.ndarray] = []
-        self._ni = 0
-        self._bi = 0
-
-    def rewind(self):
-        self.recording = False
-        self._ni = 0
-        self._bi = 0
-
-    def normal(self, shape) -> np.ndarray:
-        if self.recording:
-            x = self.rng.standard_normal(shape)
-            self._normals.append(x)
-            return x
-        x = self._normals[self._ni]
-        self._ni += 1
-        if x.shape != tuple(np.atleast_1d(shape)) and x.shape != shape:
-            raise ContractError("replayed noise shape mismatch")
-        return x
-
-    def dirichlet(self, conc: np.ndarray) -> np.ndarray:
-        if conc.shape[-1] != 2:
-            raise ContractError("frozen Dirichlet base requires two components")
-        if self.recording:
-            u = self.rng.uniform(size=conc.shape[:-1])
-            self._bases.append(u)
-        else:
-            u = self._bases[self._bi]
-            self._bi += 1
-        a0 = _sp.betaincinv(conc[..., 0], conc[..., 1], u)
-        a0 = np.clip(a0, SIMPLEX_EPS, 1.0 - SIMPLEX_EPS)
-        return np.stack([a0, 1.0 - a0], axis=-1)

@@ -1,8 +1,10 @@
 """Metrics and the fully constrained least squares baseline.
 
-NRMSE is a Frobenius ratio, the spectral-angle score averages the per-pixel
-sum of endmember angles, and the nonlinearity degree compares the norms of
-the two abundance-concentration streams.  Estimated endmember columns are
+NRMSE is a Frobenius ratio ``nrmse``; the spectral-angle score sam_m is
+the mean over pixels n of sum_k arccos(<m_nk, m^_nk> / (|m_nk| |m^_nk|)),
+the angles between each truth column and its aligned estimate column; and
+the nonlinearity degree compares the norms of the two
+abundance-concentration streams.  Estimated endmember columns are
 aligned to ground truth by the angle-minimizing assignment before any
 metric is computed.
 
@@ -17,11 +19,11 @@ the only stack-sized array scoring makes: the endmember NRMSE is one dot
 product of the whole difference, and a dot product's rounding depends on
 the length of its vector, so summing it by blocks would change the score's
 last bits.  Everything else is computed per pixel, so every score is
-bitwise equal to the whole-array formulas.  The estimate's norms are summed
-in the order those formulas summed them for the aligned stack, so the cost
-matrix, which used to take them in another order, can differ from theirs
-in the last bit; the alignment differs only where two assignments tie to
-within rounding.
+bitwise equal to its formula evaluated on the whole aligned stacks at
+once.  The estimate's norms are summed in the order that whole-stack
+evaluation sums them for the aligned stack, so the cost matrix can differ
+in the last bit from one computed on the unaligned stack; the alignment
+differs only where two assignments tie to within rounding.
 """
 
 from __future__ import annotations
@@ -34,10 +36,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .data import HyperCube, _as_pixels
+from .data import _as_pixels
 from .errors import DomainError, InputError
 
-__all__ = ["nrmse", "sam", "nonlinearity_degree", "fcls", "project_simplex",
+__all__ = ["nrmse", "nonlinearity_degree", "fcls", "project_simplex",
            "align_endmembers", "Estimates", "MetricsReport", "evaluate",
            "reports_to_csv", "reports_from_csv"]
 
@@ -84,12 +86,16 @@ def project_simplex(x: np.ndarray) -> np.ndarray:
     return np.maximum(x - theta[:, None], 0.0)
 
 
-def fcls(cube, em_matrix: np.ndarray, max_iter: int = 5000,
-         tol: float = 1e-8) -> np.ndarray:
+# Iteration cap and stopping residual of the FCLS projected gradient.
+FCLS_MAX_ITER = 5000
+FCLS_TOL = 1e-8
+
+
+def fcls(cube, em_matrix: np.ndarray) -> np.ndarray:
     """Fully constrained least squares by projected gradient, all pixels at once.
 
     Minimizes ||y - M a||^2 over the simplex with step 1/lambda_max(M^T M),
-    stopping when the projected-gradient residual falls below ``tol``.
+    stopping when the projected-gradient residual falls below ``FCLS_TOL``.
     Non-convergence returns the final iterate with a warning.
     """
     Y = _as_pixels(cube)
@@ -100,12 +106,12 @@ def fcls(cube, em_matrix: np.ndarray, max_iter: int = 5000,
     step = 1.0 / float(np.linalg.eigvalsh(gram)[-1])
     mty = Y @ M                                     # (N, P)
     a = np.full((len(Y), M.shape[1]), 1.0 / M.shape[1])
-    for _ in range(max_iter):
+    for _ in range(FCLS_MAX_ITER):
         grad = a @ gram - mty
         a_next = project_simplex(a - step * grad)
         resid = np.abs(a_next - a).max()
         a = a_next
-        if resid < tol:
+        if resid < FCLS_TOL:
             break
     else:
         warnings.warn("fcls: projected gradient did not converge", RuntimeWarning)
@@ -173,13 +179,13 @@ def _column_norms(block: np.ndarray, rows: slice, which: str) -> np.ndarray:
     return norms
 
 
-def _norm_pass(mt: np.ndarray, mh: np.ndarray, cost: bool = True):
-    """First pass: the (N, P) column norms of both stacks and, with
-    ``cost``, the (P, P) matrix whose entry (i, j) is ``sam`` of truth
-    column i against estimate column j."""
+def _norm_pass(mt: np.ndarray, mh: np.ndarray):
+    """First pass: the (N, P) column norms of both stacks and the (P, P)
+    cost matrix whose entry (i, j) is the mean over pixels of the angle
+    between truth column i and estimate column j."""
     n, _, p = mt.shape
     nt, nh = np.empty((n, p)), np.empty((n, p))
-    angles = np.empty((n, p, p)) if cost else None
+    angles = np.empty((n, p, p))
     for rows in _blocks(n):
         t = mt[rows]
         # The estimate with its bands contiguous, so that numpy sums each
@@ -191,10 +197,9 @@ def _norm_pass(mt: np.ndarray, mh: np.ndarray, cost: bool = True):
         nh[rows] = _column_norms(h, rows, "estimate")
         if np.any(nt[rows] == 0.0) or np.any(nh[rows] == 0.0):
             raise DomainError("zero-norm signature in angle computation")
-        if cost:
-            cos = np.swapaxes(t / nt[rows, None], 1, 2) @ (h / nh[rows, None])
-            np.arccos(np.clip(cos, -1.0, 1.0), out=angles[rows])
-    return nt, nh, None if angles is None else angles.mean(axis=0)
+        cos = np.swapaxes(t / nt[rows, None], 1, 2) @ (h / nh[rows, None])
+        np.arccos(np.clip(cos, -1.0, 1.0), out=angles[rows])
+    return nt, nh, angles.mean(axis=0)
 
 
 def _angle_pass(mt: np.ndarray, mh: np.ndarray, cols: np.ndarray | None,
@@ -217,24 +222,6 @@ def _angle_pass(mt: np.ndarray, mh: np.ndarray, cols: np.ndarray | None,
     return sums
 
 
-def sam(m_true: np.ndarray, m_hat: np.ndarray) -> float:
-    """Mean over pixels of the summed per-endmember spectral angles.
-
-    Accepts (N, L, P) stacks; a shared (L, P) matrix broadcasts.
-    """
-    mt, mh = _stack_pair(m_true, m_hat)
-    nt, nh, _ = _norm_pass(mt, mh, cost=False)
-    return float(_angle_pass(mt, mh, None, nt, nh).mean())
-
-
-def _mean_angle_cost(mt: np.ndarray, mh: np.ndarray) -> np.ndarray:
-    """(P, P) matrix whose entry (i, j) is ``sam`` of truth column i against
-    estimate column j, from one batched product of unit columns."""
-    if mt.shape != mh.shape:
-        raise InputError(f"shape mismatch: {mt.shape} vs {mh.shape}")
-    return _norm_pass(mt, mh)[2]
-
-
 def _assignment(cost: np.ndarray) -> np.ndarray:
     rows, cols = linear_sum_assignment(cost)
     perm = np.empty(len(cost), dtype=int)
@@ -247,7 +234,7 @@ def align_endmembers(m_true: np.ndarray, m_hat: np.ndarray) -> np.ndarray:
 
     Returns ``perm`` such that estimate column perm[j] matches truth column j.
     """
-    return _assignment(_mean_angle_cost(*_stack_pair(m_true, m_hat)))
+    return _assignment(_norm_pass(*_stack_pair(m_true, m_hat))[2])
 
 
 @dataclass
@@ -304,8 +291,8 @@ def evaluate(cube, truth, estimates: Estimates) -> MetricsReport:
     spectral angles and the difference of the aligned stacks.  Besides
     arrays of a few numbers per pixel, the only array as large as a stack
     that scoring holds is that difference, whose one dot product gives
-    nrmse_m.  Every score is bitwise equal to the whole-array formulas
-    ``nrmse`` and ``sam`` applied to the aligned stacks.
+    nrmse_m.  Every score is bitwise equal to its whole-array formula (see
+    the module docstring) applied to the aligned stacks.
     """
     report = MetricsReport(eta_d_map=estimates.eta_d,
                            runtime_s=estimates.runtime_s)

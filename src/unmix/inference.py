@@ -67,8 +67,7 @@ class ListaParams:
         return len(self.log_eta_steps) + 1
 
     @classmethod
-    def create(cls, n_layers: int, rng: np.random.Generator,
-               eta_step: float = INIT_ETA_STEP) -> "ListaParams":
+    def create(cls, n_layers: int, eta_step: float) -> "ListaParams":
         steps = [dc.parameter(np.log(eta_step), f"inf.lista.log_eta{m}")
                  for m in range(n_layers - 1)]
         return cls(steps,
@@ -122,7 +121,7 @@ class InferenceParams:
         if ref_endmembers is not None:
             gram = ref_endmembers.T @ ref_endmembers
             eta_step = 1.0 / float(np.linalg.eigvalsh(gram)[-1])
-        lista = ListaParams.create(lista_layers, rng, eta_step=eta_step)
+        lista = ListaParams.create(lista_layers, eta_step)
         nlin = MlpParams.create(nlin_encoder_widths(L, n_endmembers),
                                 ["relu"] * 4 + ["linear"], rng, "inf.nlin_encoder")
         return cls(trunk, mean_head, scale_head, lista, nlin,
@@ -145,7 +144,6 @@ class PosteriorSample:
 
     a: Tensor                  # (..., P) simplex
     em_matrix: Tensor          # (..., L, P)
-    latent: Tensor             # (..., H, P), columns are the codes
     gamma: DirichletParams
     z_dist: DiagGaussian
     z_columns: list[Tensor]    # the P sampled codes, each (..., H)
@@ -242,8 +240,8 @@ def posterior_sample(y, phi: InferenceParams, theta: GenerativeParams,
     em = dc.stack_last(m_cols)
     gamma = abundance_concentration(y_arr, em, phi)
     a = dirichlet_rsample(gamma.concentration, noise)
-    return PosteriorSample(a=a, em_matrix=em, latent=dc.stack_last(z_cols),
-                           gamma=gamma, z_dist=z_dist, z_columns=z_cols)
+    return PosteriorSample(a=a, em_matrix=em, gamma=gamma, z_dist=z_dist,
+                           z_columns=z_cols)
 
 
 def point_estimates_with_streams(y, phi: InferenceParams,

@@ -156,10 +156,6 @@ class ImportanceWeights:
     log_weights: Tensor     # (..., K)
     normalized: Tensor      # (..., K), sums to 1 over the last axis
 
-    @property
-    def log_total(self) -> Tensor:
-        return dc.logsumexp(self.log_weights, axis=-1)
-
 
 def importance_weights(em_matrix, z_cols, theta: GenerativeParams
                        ) -> ImportanceWeights:

@@ -2,9 +2,12 @@ from contextlib import contextmanager
 
 import numpy as np
 import pytest
+from scipy import special as sp
 
 from unmix import diffcore as dc
 from unmix import inference
+from unmix.distributions import SIMPLEX_EPS
+from unmix.errors import ContractError
 
 
 def fd_param_grads(loss_fn, params: dict, h: float = 1e-5) -> dict:
@@ -65,6 +68,62 @@ def zero_mlp(net: dc.MlpParams):
     for t in (*net.weights, *net.biases):
         t.data[...] = 0.0
     return net
+
+
+def scale_mlp(net: dc.MlpParams, factor: float):
+    """Multiply every weight and bias by ``factor`` in place."""
+    for t in (*net.weights, *net.biases):
+        t.data *= factor
+    return net
+
+
+class ReplayNoise:
+    """Noise source that records one sampling pass, then replays it.
+
+    In replay mode Gaussian draws are returned verbatim while Dirichlet
+    draws are recomputed from the frozen uniform base through the Beta
+    inverse cdf, so the sample varies smoothly with the concentration and
+    a loss becomes a deterministic function of the parameters, fit for
+    finite differences.  Only two-component Dirichlets support a frozen
+    base.
+    """
+
+    def __init__(self, rng: np.random.Generator):
+        self.rng = rng
+        self.recording = True
+        self._normals: list[np.ndarray] = []
+        self._bases: list[np.ndarray] = []
+        self._ni = 0
+        self._bi = 0
+
+    def rewind(self):
+        self.recording = False
+        self._ni = 0
+        self._bi = 0
+
+    def normal(self, shape) -> np.ndarray:
+        if self.recording:
+            x = self.rng.standard_normal(shape)
+            self._normals.append(x)
+            return x
+        x = self._normals[self._ni]
+        self._ni += 1
+        if x.shape != tuple(np.atleast_1d(shape)) and x.shape != shape:
+            raise ContractError("replayed noise shape mismatch")
+        return x
+
+    def dirichlet(self, conc: np.ndarray) -> np.ndarray:
+        if conc.shape[-1] != 2:
+            raise ContractError("frozen Dirichlet base requires two components")
+        if self.recording:
+            u = self.rng.uniform(size=conc.shape[:-1])
+            self._bases.append(u)
+        else:
+            u = self._bases[self._bi]
+            self._bi += 1
+        a0 = sp.betaincinv(conc[..., 0], conc[..., 1], u)
+        a0 = np.clip(a0, SIMPLEX_EPS, 1.0 - SIMPLEX_EPS)
+        return np.stack([a0, 1.0 - a0], axis=-1)
 
 
 class PinnedStarts:

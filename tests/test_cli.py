@@ -1,12 +1,16 @@
 """Command-line contract: reproducible outputs, what they hold, exit codes."""
 
+import ast
+import importlib
 import json
 import os
+import pkgutil
 import shutil
 
 import numpy as np
 import pytest
 
+import unmix
 from unmix import cli
 from unmix import container as ct
 from unmix import data as dt
@@ -150,6 +154,17 @@ class TestExitCodes:
         assert "--snr" in capsys.readouterr().err
         assert os.listdir(out) == []
 
+    @pytest.mark.parametrize("snr", ["inf", "nan", "1e10", "-1e10"])
+    def test_unusable_selfsup_snr_exits_2_before_writing(self, scene, tmp_path,
+                                                         capsys, snr):
+        capsys.readouterr()
+        rc = cli.main(["selfsup", scene["cube"], str(tmp_path / "sup"),
+                       f"--snr={snr}", "--p", str(P), "--n-ppx", "4",
+                       "--n-draws", "2"])
+        assert rc == 2
+        assert "--snr" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
+
     def test_linalg_failure_exits_3(self, scene, monkeypatch, capsys):
         def fail(*args, **kwargs):
             raise np.linalg.LinAlgError("SVD did not converge")
@@ -263,6 +278,23 @@ class TestBundles:
         rc = cli.main(["train", scene["cube"], base,
                        str(scene["root"] / "sup_ckpt"), "--epochs", "1"])
         assert rc == 2 and f"field: {named}" in capsys.readouterr().err
+
+    def test_non_finite_supervised_value_exits_2(self, scene, capsys):
+        base = str(scene["root"] / "sup_nan")
+        for ext in (".json", ".raw"):
+            shutil.copyfile(_supervised(scene) + ext, base + ext)
+        payload = np.fromfile(base + ".raw", dtype="<f8")
+        record = BANDS + P + BANDS * P
+        payload[2 * record + BANDS + P + 7] = np.nan   # sample 2, its M
+        payload.tofile(base + ".raw")
+        with pytest.raises(InputError):
+            dt.load_supervised(base)
+        capsys.readouterr()
+        rc = cli.main(["train", scene["cube"], base,
+                       str(scene["root"] / "sup_nan_ckpt"), "--epochs", "1"])
+        err = capsys.readouterr().err
+        assert rc == 2 and base in err
+        assert f"pixel 2 (row 0, column 2), band {BANDS + P + 7}" in err
 
     @pytest.mark.parametrize("value", [True, False, 0, None])
     def test_bad_endmember_components_exits_2(self, scene, capsys, value):
@@ -520,3 +552,36 @@ class TestBundles:
         rc = cli.main(["eval", os.path.dirname(scene["cube"]), est,
                        str(scene["root"] / "eta_two_bands.csv")])
         assert rc == 2 and "field: bands" in capsys.readouterr().err
+
+
+class TestPublicSurface:
+    """Every exported name resolves, and so does every function the
+    benchmark's tracer wraps, so a deletion that would break either fails
+    here."""
+
+    def test_import_unmix(self):
+        import unmix
+        assert unmix.__version__
+
+    @pytest.mark.parametrize("module", sorted(
+        m.name for m in pkgutil.iter_modules(unmix.__path__)))
+    def test_all_entries_resolve(self, module):
+        mod = importlib.import_module(f"unmix.{module}")
+        missing = [n for n in getattr(mod, "__all__", ()) if not hasattr(mod, n)]
+        assert missing == []
+
+    def test_tracer_targets_exist(self):
+        path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
+                            "tracer.py")
+        with open(path) as f:
+            tree = ast.parse(f.read())
+        targets = next(
+            ast.literal_eval(node.value) for node in tree.body
+            if isinstance(node, ast.Assign)
+            and any(isinstance(t, ast.Name) and t.id == "TARGETS"
+                    for t in node.targets))
+        missing = [f"{layer}.{name}" for layer, names in targets.items()
+                   for name in names
+                   if not callable(getattr(
+                       importlib.import_module(f"unmix.{layer}"), name, None))]
+        assert targets and missing == []

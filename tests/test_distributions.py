@@ -1,4 +1,9 @@
-"""Probability kernels: Gaussians, Dirichlet, Beta machinery, pathwise Jacobian."""
+"""Probability kernels: Gaussians, Dirichlet, Beta machinery, pathwise Jacobian.
+
+Dirichlet draws come from ``RngNoise(rng).dirichlet``, the sampler that
+``dirichlet_rsample`` uses; Beta values and the pathwise Jacobian come from
+the array kernels behind its reverse pass.
+"""
 
 import math
 
@@ -8,12 +13,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special as sp
 
+from conftest import ReplayNoise
 from unmix import diffcore as dc
 from unmix import distributions as ds
 from unmix.errors import (ContractError, DegenerateSampleError, DomainError,
                           NumericError, ShapeError)
 
 LOG_2PI = math.log(2 * math.pi)
+
+
+def _beta_pdf_cdf(x, a, b):
+    """(pdf, cdf) of the Beta(a, b) law at x."""
+    return float(ds._beta_pdf_data(x, a, b)), float(ds._beta_cdf_data(x, a, b))
 
 
 class TestGaussianLogpdf:
@@ -125,14 +136,12 @@ class TestDirichletSample:
     def test_simplex_and_positive(self, seed):
         r = np.random.default_rng(seed)
         gamma = r.uniform(ds.GAMMA_FLOOR, 8.0, size=4)
-        p = ds.DirichletParams(concentration=dc.constant(gamma))
-        a = ds.dirichlet_sample(p, r)
+        a = ds.RngNoise(r).dirichlet(gamma)
         assert np.all(a > 0)
         assert abs(a.sum() - 1.0) <= 1e-12
 
     def test_moments_match_closed_form(self):
         gamma = np.array([2.0, 2.0, 4.0])
-        p = ds.DirichletParams(concentration=dc.constant(gamma))
         r = np.random.default_rng(7)
         draws = ds._sample_dirichlet_data(np.broadcast_to(gamma, (100_000, 3)), r)
         mean = draws.mean(axis=0)
@@ -143,11 +152,10 @@ class TestDirichletSample:
         assert abs(var_got - var_want) / var_want < 0.10
 
     def test_tiny_concentration_still_valid(self):
-        p = ds.DirichletParams(
-            concentration=dc.constant([ds.GAMMA_FLOOR, ds.GAMMA_FLOOR, 5.0]))
-        r = np.random.default_rng(3)
+        gamma = np.array([ds.GAMMA_FLOOR, ds.GAMMA_FLOOR, 5.0])
+        noise = ds.RngNoise(np.random.default_rng(3))
         for _ in range(50):
-            a = ds.dirichlet_sample(p, r)
+            a = noise.dirichlet(gamma)
             assert np.all(a > 0) and np.all(a < 1)
             assert abs(a.sum() - 1.0) <= 1e-9
 
@@ -155,19 +163,19 @@ class TestDirichletSample:
 class TestBetaFunctions:
     def test_uniform_case(self):
         for x in (0.1, 0.5, 0.9):
-            pdf, cdf, _ = ds.beta_functions(x, 1.0, 1.0)
+            pdf, cdf = _beta_pdf_cdf(x, 1.0, 1.0)
             assert abs(pdf - 1.0) < 1e-12
             assert abs(cdf - x) < 1e-12
 
     @given(st.floats(0.02, 0.98), st.floats(0.2, 20.0), st.floats(0.2, 20.0))
     @settings(max_examples=60, deadline=None)
     def test_reflection_identity(self, x, a, b):
-        _, cdf, _ = ds.beta_functions(x, a, b)
-        _, cdf_ref, _ = ds.beta_functions(1 - x, b, a)
+        _, cdf = _beta_pdf_cdf(x, a, b)
+        _, cdf_ref = _beta_pdf_cdf(1 - x, b, a)
         assert abs(cdf - (1 - cdf_ref)) < 1e-10
 
     def test_beta_2_2_closed_form(self):
-        pdf, cdf, _ = ds.beta_functions(0.5, 2.0, 2.0)
+        pdf, cdf = _beta_pdf_cdf(0.5, 2.0, 2.0)
         assert abs(cdf - 0.5) < 1e-10
         assert abs(pdf - 1.5) < 1e-10
 
@@ -176,23 +184,17 @@ class TestBetaFunctions:
             x = rng.uniform(0.02, 0.98)
             a = rng.uniform(0.3, 15.0)
             b = rng.uniform(0.3, 15.0)
-            pdf, cdf, _ = ds.beta_functions(x, a, b)
+            pdf, cdf = _beta_pdf_cdf(x, a, b)
             assert abs(cdf - sp.betainc(a, b, x)) < 1e-10
             want_pdf = math.exp((a - 1) * math.log(x) + (b - 1) * math.log1p(-x)
                                 - sp.betaln(a, b))
             assert abs(pdf - want_pdf) < 1e-9 * max(1.0, want_pdf)
 
-    def test_domain_errors(self):
-        with pytest.raises(DomainError):
-            ds.beta_functions(0.0, 1.0, 1.0)
-        with pytest.raises(DomainError):
-            ds.beta_functions(0.5, -1.0, 1.0)
-
     def test_non_finite_cdf_raises(self):
         # a NaN sample reaches the cdf through the pathwise Jacobian
-        p = ds.DirichletParams(concentration=dc.constant([2.0, 3.0]))
         with pytest.raises(NumericError):
-            ds.dirichlet_pathwise_jacobian(np.array([np.nan, 0.5]), p)
+            ds._pathwise_jacobian_data(np.array([np.nan, 0.5]),
+                                       np.array([2.0, 3.0]))
 
 
 class TestPathwiseJacobian:
@@ -200,16 +202,14 @@ class TestPathwiseJacobian:
         for _ in range(20):
             P = int(rng.integers(2, 6))
             gamma = rng.uniform(0.5, 10.0, P)
-            p = ds.DirichletParams(concentration=dc.constant(gamma))
-            a = ds.dirichlet_sample(p, rng)
-            jac = ds.dirichlet_pathwise_jacobian(a, p)
+            a = ds.RngNoise(rng).dirichlet(gamma)
+            jac = ds._pathwise_jacobian_data(a, gamma)
             assert np.all(np.isfinite(jac))
 
     def test_columns_sum_to_zero(self, rng):
         gamma = rng.uniform(0.5, 10.0, 4)
-        p = ds.DirichletParams(concentration=dc.constant(gamma))
-        a = ds.dirichlet_sample(p, rng)
-        jac = ds.dirichlet_pathwise_jacobian(a, p)
+        a = ds.RngNoise(rng).dirichlet(gamma)
+        jac = ds._pathwise_jacobian_data(a, gamma)
         np.testing.assert_allclose(jac.sum(axis=0), 0.0, atol=1e-6)
 
     def test_inverse_cdf_oracle_p2(self, rng):
@@ -220,8 +220,7 @@ class TestPathwiseJacobian:
             u = rng.uniform(0.02, 0.98)
             a1 = sp.betaincinv(gamma[0], gamma[1], u)
             a = np.array([a1, 1 - a1])
-            p = ds.DirichletParams(concentration=dc.constant(gamma))
-            jac = ds.dirichlet_pathwise_jacobian(a, p)
+            jac = ds._pathwise_jacobian_data(a, gamma)
             h = 1e-4
             fd = np.zeros((2, 2))
             for j in range(2):
@@ -250,9 +249,9 @@ class TestPathwiseJacobian:
         assert np.all(np.abs(est - analytic) <= 3.0 * se)
 
     def test_vertex_sample_rejected(self):
-        p = ds.DirichletParams(concentration=dc.constant([2.0, 3.0]))
         with pytest.raises(DegenerateSampleError):
-            ds.dirichlet_pathwise_jacobian(np.array([1.0, 0.0]), p)
+            ds._pathwise_jacobian_data(np.array([1.0, 0.0]),
+                                       np.array([2.0, 3.0]))
 
 
 class TestRsampleNode:
@@ -269,7 +268,7 @@ class TestRsampleNode:
 
 class TestReplayNoise:
     def test_replay_reproduces_recording(self):
-        noise = ds.ReplayNoise(np.random.default_rng(0))
+        noise = ReplayNoise(np.random.default_rng(0))
         x1 = noise.normal((2, 3))
         g = np.array([2.0, 3.0])
         a1 = noise.dirichlet(g)
@@ -278,7 +277,7 @@ class TestReplayNoise:
         np.testing.assert_array_equal(noise.dirichlet(g), a1)
 
     def test_replayed_dirichlet_moves_smoothly_with_gamma(self):
-        noise = ds.ReplayNoise(np.random.default_rng(1))
+        noise = ReplayNoise(np.random.default_rng(1))
         g = np.array([2.0, 3.0])
         a0 = noise.dirichlet(g)
         noise.rewind()
@@ -286,6 +285,6 @@ class TestReplayNoise:
         assert abs(a1[0] - a0[0]) < 1e-4
 
     def test_frozen_base_requires_two_components(self):
-        noise = ds.ReplayNoise(np.random.default_rng(1))
+        noise = ReplayNoise(np.random.default_rng(1))
         with pytest.raises(ContractError):
             noise.dirichlet(np.array([1.0, 1.0, 1.0]))

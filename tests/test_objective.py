@@ -5,12 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from conftest import fd_param_grads, max_rel_err, zero_mlp
+from conftest import (ReplayNoise, fd_param_grads, max_rel_err, scale_mlp,
+                      zero_mlp)
 from unmix import diffcore as dc
 from unmix import inference
 from unmix import objective as ob
-from unmix.distributions import (GAMMA_FLOOR, ReplayNoise, RngNoise,
-                                 dirichlet_logpdf, DirichletParams)
+from unmix.distributions import (GAMMA_FLOOR, RngNoise, dirichlet_logpdf,
+                                 DirichletParams)
 from unmix.errors import ContractError, InputError
 from unmix.generative import flat_abundance_logpdf
 from unmix.inference import init_model, model_parameters, posterior_sample
@@ -251,8 +252,8 @@ class TestNetworkNormPenalty:
     def test_one_homogeneity(self, model):
         theta, phi = model
         base = ob.network_norm_penalty(theta, phi, 1.3, 0.7).item()
-        theta.nlin_mixing.scale_parameters(2.0)
-        phi.nlin_encoder.scale_parameters(2.0)
+        scale_mlp(theta.nlin_mixing, 2.0)
+        scale_mlp(phi.nlin_encoder, 2.0)
         doubled = ob.network_norm_penalty(theta, phi, 1.3, 0.7).item()
         assert abs(doubled - 2.0 * base) < 1e-9
 
