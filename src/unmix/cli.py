@@ -22,8 +22,7 @@ from . import data as dt
 from . import diffcore as dc
 from . import evaluation as ev
 from .errors import InputError, TrainingError, UnmixError
-from .inference import (init_model, model_parameters,
-                        point_estimates_with_streams)
+from .inference import init_model, model_parameters, point_estimate_blocks
 from .objective import TrainConfig, history_to_csv, train
 
 _EXIT_INPUT = 2
@@ -175,46 +174,64 @@ def cmd_train(args) -> int:
 
 
 def _load_model(ckpt_base: str):
-    """The checkpoint's meta and the model its arrays describe."""
+    """The checkpoint's meta and the model built over its arrays."""
     meta, arrays = ct.load_checkpoint(ckpt_base)
     sizes = [ct.json_int(meta.get(key), key, 1) for key in
              ("n_bands", "n_endmembers", "latent_dim", "lista_layers")]
-    # every initial value is overwritten by the checkpoint's arrays
-    theta, phi = init_model(*sizes, np.random.default_rng(0))
-    dc.load_params_into(model_parameters(theta, phi), arrays)
+    theta, phi = init_model(*sizes, dc.StoredParams(arrays))
     return meta, theta, phi
+
+
+def _remove_bundles(bases):
+    for base in bases:
+        for ext in (".json", ".raw"):
+            if os.path.exists(base + ext):
+                os.remove(base + ext)
 
 
 def cmd_unmix(args) -> int:
     """Write the point estimates, eta_d and the reconstruction of every pixel.
 
-    All of them come from one blocked pass (``point_estimates_with_streams``),
-    so they depend only on the pixel values and the pixel count, not on how
-    the cube sits in memory, and ``inference.point_estimates`` of the cube's
-    pixels returns the same bytes as the abundance and endmember maps.
+    The cube is read in blocks twice: once to check that every value is
+    finite, before the output directory is made, then by the blocked pass
+    (``point_estimate_blocks``), whose endmember and reconstruction blocks
+    are appended to their bundles as they are computed.  Only the
+    abundances and eta_d, a few numbers per pixel, are held whole.  The
+    outputs depend only on the pixel values and the pixel count, and
+    ``inference.point_estimates`` of the cube's pixels returns the same
+    bytes as the abundance and endmember maps.  A failure part way removes
+    the bundles written so far.
     """
     t0 = time.perf_counter()
-    cube = dt.load_cube(_strip_bundle(args.cube))
+    cube = dt.open_cube(_strip_bundle(args.cube))
     meta, theta, phi = _load_model(_strip_bundle(args.ckpt))
     if meta["n_bands"] != cube.n_bands:
         raise InputError(
             f"checkpoint expects {meta['n_bands']} bands, cube has {cube.n_bands}")
     _prepare_out_dir(args.out_dir, args.force)
-    a_hat, m_hat, lin, nlin, recon = point_estimates_with_streams(
-        cube.pixels, phi, theta)
-    eta = ev.nonlinearity_degree(lin, nlin)
     paths = {n: os.path.join(args.out_dir, n)
              for n in ("abundances_est", "endmembers_est", "eta_d",
                        "reconstruction")}
-    dt.save_abundances(paths["abundances_est"], a_hat, cube.width, cube.height)
-    dt.save_endmembers(paths["endmembers_est"], m_hat, cube.width, cube.height)
-    dt.save_scalar_map(paths["eta_d"], eta, cube.width, cube.height)
-    dt.save_cube(paths["reconstruction"],
-                 dt.HyperCube(width=cube.width, height=cube.height,
-                              pixels=recon, wavelengths=cube.wavelengths))
-    for k in range(a_hat.shape[1]):
+    w, h, L, P = cube.width, cube.height, cube.n_bands, phi.n_endmembers
+    a_hat, eta = np.empty((cube.n_pixels, P)), np.empty(cube.n_pixels)
+    try:
+        with dt.endmember_writer(paths["endmembers_est"], w, h, L, P) as m_out, \
+                dt.cube_writer(paths["reconstruction"], w, h, L,
+                               cube.wavelengths) as recon_out:
+            for rows, a_blk, m_blk, lin, nlin, recon in point_estimate_blocks(
+                    cube.pixels, phi, theta):
+                a_hat[rows] = a_blk
+                eta[rows] = ev.nonlinearity_degree(lin, nlin)
+                m_out.append(m_blk)
+                recon_out.append(recon)
+    except BaseException:
+        _remove_bundles(paths.values())
+        raise
+    dt.save_abundances(paths["abundances_est"], a_hat, w, h)
+    dt.save_scalar_map(paths["eta_d"], eta, w, h)
+    for k in range(P):
         _write_pgm(os.path.join(args.out_dir, f"abundance_{k}.pgm"),
-                   a_hat[:, k].reshape(cube.height, cube.width))
+                   a_hat[:, k].reshape(h, w))
     _write_manifest(
         os.path.join(args.out_dir, "manifest.json"), "unmix",
         {"ckpt": args.ckpt}, meta.get("seed"),
@@ -227,12 +244,14 @@ def cmd_unmix(args) -> int:
 
 
 def _load_truth(truth_dir: str):
+    """The cube and the truth, whose endmembers are a shared matrix or a
+    ``container.PayloadReader`` of the per-pixel stack."""
     cube = dt.load_cube(os.path.join(truth_dir, "cube"))
     abundances = endmembers = None
     if os.path.exists(os.path.join(truth_dir, "abundances.json")):
         abundances, _, _ = dt.load_abundances(os.path.join(truth_dir, "abundances"))
     if os.path.exists(os.path.join(truth_dir, "endmembers.json")):
-        endmembers = dt.load_endmembers(os.path.join(truth_dir, "endmembers"))
+        endmembers = dt.open_endmembers(os.path.join(truth_dir, "endmembers"))
     truth = (dt.GroundTruth(abundances=abundances, endmembers=endmembers)
              if abundances is not None else None)
     return cube, truth
@@ -240,7 +259,14 @@ def _load_truth(truth_dir: str):
 
 def cmd_eval(args) -> int:
     """Score the estimates against the truth; a NaN or an infinity in any
-    bundle exits 2 naming the bundle and the first pixel holding one."""
+    bundle exits 2 naming the bundle and the first pixel holding one.
+
+    Both endmember stacks stay on disk: ``evaluate`` reads them in row
+    blocks, in its two passes, and holds one stack-sized buffer.  The cube,
+    the reconstruction and the per-pixel maps are read whole.  Every
+    payload's size is checked against its header before anything is
+    scored or written.
+    """
     cube, truth = _load_truth(args.truth_dir)
     est_dir = args.estimates_dir
     a_hat, _, _ = dt.load_abundances(os.path.join(est_dir, "abundances_est"))
@@ -249,7 +275,7 @@ def cmd_eval(args) -> int:
     em_bundles = {"truth": os.path.join(args.truth_dir, "endmembers"),
                   "estimate": os.path.join(est_dir, "endmembers_est")}
     if os.path.exists(em_bundles["estimate"] + ".json"):
-        m_hat = dt.load_endmembers(em_bundles["estimate"])
+        m_hat = dt.open_endmembers(em_bundles["estimate"])
     if os.path.exists(os.path.join(est_dir, "eta_d.json")):
         eta = dt.load_scalar_map(os.path.join(est_dir, "eta_d"))
     if os.path.exists(os.path.join(est_dir, "reconstruction.json")):

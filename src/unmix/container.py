@@ -34,19 +34,40 @@ Checkpoint manifest:
 
 Run manifest: ``command``, ``args``, ``seed``, ``inputs``, ``outputs`` and
 ``wall_clock_s``, which ``eval`` reads (a finite number) as the runtime.
+
+Payloads in row blocks.  A scene-sized payload need not be held whole:
+- ``PayloadReader(path, shape)`` checks, when it is made, that the file
+  holds exactly prod(shape) values, else a ``BundleError`` naming the file.
+  ``reader[start:stop]`` then reads just those rows of the C-order array,
+  from byte 8 * start * prod(shape[1:]), into a new array; a file that
+  ends early is a ``BundleError``.  ``read_f64`` is one whole-array read.
+- ``PayloadWriter(path)`` truncates the file, and each ``append(array)``
+  adds the array's values in C order.  Appending the row blocks of an
+  array, in order from row 0, writes the same bytes as writing it whole.
+  An array that is not C-ordered little-endian float64 is converted in
+  slices of whole rows, never as one whole contiguous copy.  ``write_f64``
+  appends each of its arrays.
+
+Nothing is memory-mapped.  The pages of a mapped file that a pass touches
+count toward the process's resident set until the kernel reclaims them,
+so one pass over a mapped 90 MB stack raises peak RSS by about as much as
+reading it whole would.  A positioned read into a block-sized buffer
+bounds the memory a pass holds by its block.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 
 import numpy as np
 
 from .errors import BundleError, InputError
 
-__all__ = ["DTYPE", "write_json", "read_json", "write_f64", "read_f64",
-           "json_int", "json_float", "save_checkpoint", "load_checkpoint"]
+__all__ = ["DTYPE", "write_json", "read_json", "PayloadReader",
+           "PayloadWriter", "write_f64", "read_f64", "json_int", "json_float",
+           "save_checkpoint", "load_checkpoint"]
 
 DTYPE = "f64le"
 _CKPT_FORMAT = "unmix-ckpt-v1"
@@ -81,31 +102,109 @@ def read_json(path: str, what: str) -> dict:
     return obj
 
 
+class PayloadReader:
+    """Row blocks of the C-order float64 array of ``shape`` stored at ``path``.
+
+    Making the reader checks the file's size against ``shape``, else a
+    ``BundleError`` naming the file and ``field``; ``reader[rows]`` (a
+    slice of the first axis) then reads just those rows, from their offset,
+    into a new native float64 array.  Each read opens the file for itself,
+    so a reader holds no file between reads and needs no closing.  With
+    ``shape`` None the payload is one flat array of every whole value in
+    the file.
+    """
+
+    def __init__(self, path: str, shape: tuple[int, ...] | None = None,
+                 field: str | None = None):
+        try:
+            size = os.path.getsize(path)
+        except FileNotFoundError:
+            raise BundleError(f"missing payload {path}") from None
+        if shape is None:
+            shape = (size // 8,)
+        elif size != 8 * math.prod(shape):
+            raise BundleError(f"{path}: payload holds {size // 8} values, "
+                              f"header implies {math.prod(shape)}",
+                              field=field)
+        self.path = path
+        self.shape = tuple(shape)
+        self._row_bytes = 8 * math.prod(self.shape[1:])
+
+    @property
+    def ndim(self) -> int:
+        return len(self.shape)
+
+    def __len__(self) -> int:
+        return self.shape[0]
+
+    def __getitem__(self, rows: slice) -> np.ndarray:
+        start, stop, step = rows.indices(len(self))
+        if step != 1:
+            raise ValueError("a payload is read in contiguous row blocks")
+        out = np.empty((max(stop - start, 0),) + self.shape[1:], dtype="<f8")
+        view = memoryview(out.reshape(-1).view(np.uint8))
+        try:
+            with open(self.path, "rb", buffering=0) as f:
+                f.seek(start * self._row_bytes)
+                while view:
+                    got = f.readinto(view)
+                    if not got:
+                        raise BundleError(f"{self.path}: payload ended early")
+                    view = view[got:]
+        except FileNotFoundError:
+            raise BundleError(f"missing payload {self.path}") from None
+        # no copy where "<f8" is already the native float64 layout
+        return out.astype(np.float64, copy=False)
+
+
+# Values per slice in which ``PayloadWriter`` copies a non-contiguous array.
+_WRITE_SLICE_VALUES = 1 << 17
+
+
+class PayloadWriter:
+    """Appends arrays to ``path``, each as little-endian float64 in C order.
+
+    An array that is not already C-ordered little-endian float64 is copied
+    in slices of whole rows of about ``_WRITE_SLICE_VALUES`` values, never
+    as one whole contiguous copy.  Close it, or use it as a context manager.
+    """
+
+    def __init__(self, path: str):
+        self._file = open(path, "wb")
+
+    def append(self, arr):
+        arr = np.asarray(arr)
+        if arr.ndim == 0:
+            arr = arr.reshape(1)
+        if arr.dtype == np.dtype("<f8") and arr.flags.c_contiguous:
+            self._file.write(arr.reshape(-1).view(np.uint8))
+            return
+        rows = max(1, _WRITE_SLICE_VALUES // max(1, math.prod(arr.shape[1:])))
+        for start in range(0, len(arr), rows):
+            block = np.ascontiguousarray(arr[start:start + rows], dtype="<f8")
+            self._file.write(block.reshape(-1).view(np.uint8))
+
+    def close(self):
+        self._file.close()
+
+    def __enter__(self) -> "PayloadWriter":
+        return self
+
+    def __exit__(self, *exc):
+        self.close()
+
+
 def write_f64(path: str, arrays):
     """Write the arrays back to back as little-endian float64, C order."""
-    with open(path, "wb") as f:
+    with PayloadWriter(path) as writer:
         for arr in arrays:
-            np.ascontiguousarray(arr, dtype="<f8").tofile(f)
+            writer.append(arr)
 
 
-def read_f64(path: str, count: int | None = None,
-             field: str | None = None) -> np.ndarray:
-    """The flat payload at ``path`` as native float64.
-
-    With ``count``, the file must hold exactly that many values, else a
-    ``BundleError`` naming ``field``.
-    """
-    try:
-        with open(path, "rb") as f:
-            size = f.seek(0, 2)
-            if count is not None and size != 8 * count:
-                raise BundleError(f"payload holds {size // 8} values, "
-                                  f"header implies {count}", field=field)
-            f.seek(0)
-            # no copy where "<f8" is already the native float64 layout
-            return np.fromfile(f, dtype="<f8").astype(np.float64, copy=False)
-    except FileNotFoundError:
-        raise BundleError(f"missing payload {path}") from None
+def read_f64(path: str) -> np.ndarray:
+    """Every whole value of the payload at ``path``, as one flat native
+    float64 array."""
+    return PayloadReader(path)[:]
 
 
 def json_int(value, field: str, least: int = 0) -> int:

@@ -22,16 +22,21 @@ __all__ = [
     "HyperCube", "SupervisedSample", "PurePixelDict", "GroundTruth",
     "synth_endmember_library", "synth_abundance_maps", "noise_power_ratio",
     "generate_dc1", "generate_dc2", "vca", "extract_pure_pixels",
-    "build_supervised_set", "save_cube", "load_cube",
-    "save_abundances", "load_abundances", "save_endmembers",
-    "load_endmembers", "save_scalar_map", "load_scalar_map",
+    "build_supervised_set", "save_cube", "cube_writer", "load_cube",
+    "open_cube", "save_abundances", "load_abundances", "save_endmembers",
+    "endmember_writer", "load_endmembers", "open_endmembers",
+    "save_scalar_map", "load_scalar_map",
     "save_supervised", "load_supervised",
 ]
 
 
 @dataclass
 class HyperCube:
-    """An L-band W x H reflectance raster flattened to N pixels (row-major)."""
+    """An L-band W x H reflectance raster flattened to N pixels (row-major).
+
+    ``pixels`` is an (N, L) array, or for a cube streamed from disk
+    (``open_cube``) a ``container.PayloadReader`` of one.
+    """
 
     width: int
     height: int
@@ -39,7 +44,8 @@ class HyperCube:
     wavelengths: np.ndarray | None = None   # (L,) nm, optional
 
     def __post_init__(self):
-        self.pixels = np.asarray(self.pixels, dtype=np.float64)
+        if not isinstance(self.pixels, ct.PayloadReader):
+            self.pixels = np.asarray(self.pixels, dtype=np.float64)
         if self.pixels.ndim != 2:
             raise InputError("pixels must be an (N, L) array")
         if self.width * self.height != self.pixels.shape[0]:
@@ -78,7 +84,11 @@ class PurePixelDict:
 
 @dataclass
 class GroundTruth:
-    """True abundances plus either one shared or per-pixel endmember matrices."""
+    """True abundances plus either one shared or per-pixel endmember matrices.
+
+    A per-pixel stack may stay on disk as a ``container.PayloadReader``
+    (``open_endmembers``), which ``evaluation.evaluate`` reads in blocks.
+    """
 
     abundances: np.ndarray                 # (N, P) simplex rows
     endmembers: np.ndarray | None = None   # (L, P) or (N, L, P)
@@ -384,14 +394,21 @@ def build_supervised_set(ppx: PurePixelDict, n_draws: int,
 
 # ------------------------------------------------------------- bundle io
 
-def _write_bundle(base: str, header: dict, payload: np.ndarray):
+def _bundle_writer(base: str, header: dict) -> ct.PayloadWriter:
+    """Write the bundle's header; return the writer of its payload."""
     ct.write_json(base + ".json", {**header, "dtype": ct.DTYPE, "order": "bip"})
-    ct.write_f64(base + ".raw", [payload])
+    return ct.PayloadWriter(base + ".raw")
 
 
-def _read_bundle(base: str, role: str | None = None) -> tuple[dict, np.ndarray]:
-    """A bundle's checked header and its payload as width * height rows;
-    ``role`` None is a cube."""
+def _write_bundle(base: str, header: dict, payload: np.ndarray):
+    with _bundle_writer(base, header) as writer:
+        writer.append(payload)
+
+
+def _open_bundle(base: str, role: str | None = None
+                 ) -> tuple[dict, ct.PayloadReader]:
+    """A bundle's checked header and the reader of its payload, whose rows
+    are the width * height pixels; ``role`` None is a cube."""
     header = ct.read_json(base + ".json", "bundle header")
     for key in ("width", "height", "bands"):
         ct.json_int(header.get(key), key, 1)
@@ -404,47 +421,92 @@ def _read_bundle(base: str, role: str | None = None) -> tuple[dict, np.ndarray]:
     if header.get("role") != role:
         raise BundleError(f"expected role {role!r}, found "
                           f"{header.get('role')!r}", field="role")
-    count = header["width"] * header["height"] * header["bands"]
+    shape = (header["width"] * header["height"], header["bands"])
     if role == "endmembers":
-        count *= ct.json_int(header.get("components"), "components", 1)
-    data = ct.read_f64(base + ".raw", count, field="bands")
-    return header, data.reshape(header["width"] * header["height"], -1)
+        shape += (ct.json_int(header.get("components"), "components", 1),)
+    return header, ct.PayloadReader(base + ".raw", shape, field="bands")
 
 
-def _check_finite(kind: str, base: str, header: dict, data: np.ndarray):
+def _read_bundle(base: str, role: str | None = None) -> tuple[dict, np.ndarray]:
+    """A bundle's checked header and its whole payload."""
+    header, reader = _open_bundle(base, role)
+    return header, reader[:]
+
+
+def _check_finite(kind: str, base: str, header: dict, data: np.ndarray,
+                  start: int = 0):
     """InputError naming the first pixel, with its row, column and band,
-    that holds a NaN or an infinity."""
+    that holds a NaN or an infinity; ``data`` holds the rows from pixel
+    ``start`` on."""
     bad = np.flatnonzero(~np.isfinite(data))
     if bad.size:
         pixel, band = divmod(int(bad[0]), header["bands"])
+        pixel += start
         row, col = divmod(pixel, header["width"])
         raise InputError(
             f"{kind} {base} has a non-finite value ({data.flat[bad[0]]}) at "
             f"pixel {pixel} (row {row}, column {col}), band {band}")
 
 
+def _cube_header(width: int, height: int, bands: int,
+                 wavelengths: np.ndarray | None) -> dict:
+    header = {"width": width, "height": height, "bands": bands}
+    if wavelengths is not None:
+        header["wavelengths"] = [float(w) for w in wavelengths]
+    return header
+
+
+def _cube_from(base: str, header: dict, pixels) -> HyperCube:
+    wl = header.get("wavelengths")
+    if wl is not None:
+        if not isinstance(wl, list) or len(wl) != header["bands"]:
+            raise BundleError("wavelengths must list one number per band",
+                              field="wavelengths")
+        wl = np.asarray([ct.json_float(w, "wavelengths") for w in wl])
+    return HyperCube(width=header["width"], height=header["height"],
+                     pixels=pixels, wavelengths=wl)
+
+
 def save_cube(base: str, cube: HyperCube):
-    header = {"width": cube.width, "height": cube.height,
-              "bands": cube.n_bands}
-    if cube.wavelengths is not None:
-        header["wavelengths"] = [float(w) for w in cube.wavelengths]
-    _write_bundle(base, header, cube.pixels)
+    _write_bundle(base, _cube_header(cube.width, cube.height, cube.n_bands,
+                                     cube.wavelengths), cube.pixels)
+
+
+def cube_writer(base: str, width: int, height: int, bands: int,
+                wavelengths: np.ndarray | None = None) -> ct.PayloadWriter:
+    """Write a cube's header; return the writer to which the caller appends
+    its (N, L) pixels, in blocks of whole rows from pixel 0."""
+    return _bundle_writer(base, _cube_header(width, height, bands,
+                                             wavelengths))
 
 
 def load_cube(base: str) -> HyperCube:
     """Read a cube bundle; a NaN or infinite value raises ``InputError``
     naming the first offending pixel and band."""
     header, data = _read_bundle(base)
-    wl = header.get("wavelengths")
-    if wl is not None:
-        if not isinstance(wl, list) or len(wl) != header["bands"]:
-            raise BundleError("wavelengths must list one number per band",
-                              field="wavelengths")
-        wl = [ct.json_float(w, "wavelengths") for w in wl]
+    cube = _cube_from(base, header, data)
     _check_finite("cube", base, header, data)
-    return HyperCube(width=header["width"], height=header["height"],
-                     pixels=data,
-                     wavelengths=None if wl is None else np.asarray(wl))
+    return cube
+
+
+# Pixels per block of ``open_cube``'s finiteness pass.
+ROW_BLOCK = 512
+
+
+def open_cube(base: str) -> HyperCube:
+    """A cube bundle whose ``pixels`` is a ``container.PayloadReader``.
+
+    The payload is checked in one pass over blocks of ``ROW_BLOCK`` pixels;
+    a NaN or infinite value raises ``InputError`` naming the first
+    offending pixel and band, as ``load_cube`` does.  Only one block is in
+    memory at a time.
+    """
+    header, reader = _open_bundle(base)
+    cube = _cube_from(base, header, reader)
+    for start in range(0, len(reader), ROW_BLOCK):
+        _check_finite("cube", base, header,
+                      reader[start:start + ROW_BLOCK], start)
+    return cube
 
 
 def save_abundances(base: str, abundances: np.ndarray, width: int, height: int):
@@ -462,6 +524,12 @@ def load_abundances(base: str) -> tuple[np.ndarray, int, int]:
     return data, header["width"], header["height"]
 
 
+def _endmember_header(width: int, height: int, bands: int,
+                      components: int) -> dict:
+    return {"width": width, "height": height, "bands": bands,
+            "components": components, "role": "endmembers"}
+
+
 def save_endmembers(base: str, endmembers: np.ndarray,
                     width: int = 1, height: int = 1):
     """Shared (L, P) matrices are stored as a 1x1 scene; per-pixel stacks
@@ -474,16 +542,30 @@ def save_endmembers(base: str, endmembers: np.ndarray,
         stack = M
     if stack.shape[0] != width * height:
         raise InputError("endmember stack length must match width * height")
-    header = {"width": width, "height": height, "bands": stack.shape[1],
-              "components": stack.shape[2], "role": "endmembers"}
-    _write_bundle(base, header, stack)
+    _write_bundle(base, _endmember_header(width, height, *stack.shape[1:]),
+                  stack)
+
+
+def endmember_writer(base: str, width: int, height: int, bands: int,
+                     components: int) -> ct.PayloadWriter:
+    """Write a per-pixel endmember stack's header; return the writer to
+    which the caller appends the (N, L, P) stack, in blocks of whole pixels
+    from pixel 0."""
+    return _bundle_writer(base, _endmember_header(width, height, bands,
+                                                  components))
 
 
 def load_endmembers(base: str) -> np.ndarray:
     """Returns (L, P) when the bundle stores one shared matrix, else (N, L, P)."""
-    header, data = _read_bundle(base, "endmembers")
-    stack = data.reshape(len(data), header["bands"], header["components"])
-    return stack[0] if len(stack) == 1 else stack
+    stack = open_endmembers(base)
+    return stack if stack.ndim == 2 else stack[:]
+
+
+def open_endmembers(base: str):
+    """The shared (L, P) matrix of a 1 x 1 bundle, else a
+    ``container.PayloadReader`` of its (N, L, P) stack."""
+    _, reader = _open_bundle(base, "endmembers")
+    return reader[:][0] if len(reader) == 1 else reader
 
 
 # The role of the one scalar map the commands write, the eta_d map.

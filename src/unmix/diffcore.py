@@ -36,6 +36,7 @@ __all__ = [
     "l2norm", "concat", "stack_last", "logsumexp",
     "backward", "no_grad", "MlpParams", "mlp_forward",
     "ParamArena", "AdamState", "adam_step", "lr_schedule", "xavier_uniform",
+    "StoredParams", "param_values",
 ]
 
 
@@ -432,6 +433,53 @@ def xavier_uniform(fan_out: int, fan_in: int, rng: np.random.Generator) -> np.nd
     return rng.uniform(-lim, lim, size=(fan_out, fan_in))
 
 
+class StoredParams:
+    """Parameter values read by name from a checkpoint's arrays.
+
+    Passed where a model's constructors take a Generator, it builds every
+    parameter as a tensor over its stored array: nothing is drawn or
+    copied.  A missing or misshapen array is a ``BundleError`` naming it.
+    """
+
+    def __init__(self, arrays: dict[str, np.ndarray]):
+        self.arrays = arrays
+
+    def weight(self, name: str, n_out: int, n_in: int) -> Tensor:
+        return self._take(name, (n_out, n_in))
+
+    def value(self, name: str, initial) -> Tensor:
+        return self._take(name, np.shape(initial))
+
+    def _take(self, name: str, shape: tuple[int, ...]) -> Tensor:
+        if name not in self.arrays:
+            raise BundleError("checkpoint missing parameter", field=name)
+        if self.arrays[name].shape != shape:
+            raise BundleError("checkpoint shape mismatch", field=name)
+        return Tensor(self.arrays[name], name=name)
+
+
+class _DrawnParams:
+    """Fresh values: Xavier-uniform weights drawn from ``rng`` in creation
+    order, every other parameter at its given initial value."""
+
+    def __init__(self, rng: np.random.Generator):
+        self.rng = rng
+
+    def weight(self, name: str, n_out: int, n_in: int) -> Tensor:
+        return parameter(xavier_uniform(n_out, n_in, self.rng), name)
+
+    def value(self, name: str, initial) -> Tensor:
+        return parameter(initial, name)
+
+
+def param_values(source) -> "StoredParams | _DrawnParams":
+    """The value source a model constructor's ``rng`` argument names: a
+    Generator as fresh draws from it, a source as it is."""
+    if isinstance(source, np.random.Generator):
+        return _DrawnParams(source)
+    return source
+
+
 @dataclass
 class MlpParams:
     """Fully connected network: widths, per-layer weights/biases/activations.
@@ -447,16 +495,19 @@ class MlpParams:
 
     @classmethod
     def create(cls, widths: list[int], activations: list[str],
-               rng: np.random.Generator, name: str) -> "MlpParams":
+               rng, name: str) -> "MlpParams":
+        """Xavier-uniform weights drawn from ``rng`` and zero biases, or
+        with a ``StoredParams`` for ``rng``, the stored arrays."""
         if len(activations) != len(widths) - 1:
             raise ShapeError("need one activation per weight layer")
         for a in activations:
             if a not in _ACTIVATIONS:
                 raise ShapeError(f"unknown activation {a!r}")
+        values = param_values(rng)
         weights, biases = [], []
         for i, (n_in, n_out) in enumerate(zip(widths[:-1], widths[1:])):
-            weights.append(parameter(xavier_uniform(n_out, n_in, rng), f"{name}.w{i}"))
-            biases.append(parameter(np.zeros(n_out), f"{name}.b{i}"))
+            weights.append(values.weight(f"{name}.w{i}", n_out, n_in))
+            biases.append(values.value(f"{name}.b{i}", np.zeros(n_out)))
         return cls(list(widths), weights, biases, list(activations))
 
     def named_parameters(self) -> dict[str, Tensor]:

@@ -10,20 +10,25 @@ metric is computed.
 
 Endmember stacks (N, L, P) are scored in two passes over fixed blocks of
 ``ROW_BLOCK`` pixels; a shared (L, P) matrix enters as a broadcast view.
-The first pass computes every column norm of both stacks, once, and the
-angles between the unit columns of each pixel, whose mean over pixels is
-the alignment's cost matrix.  The second pass takes the estimate's columns
-in aligned order, reuses the first pass's norms for the spectral angles,
-and writes truth minus estimate into one (N, L, P) buffer.  That buffer is
-the only stack-sized array scoring makes: the endmember NRMSE is one dot
-product of the whole difference, and a dot product's rounding depends on
-the length of its vector, so summing it by blocks would change the score's
-last bits.  Everything else is computed per pixel, so every score is
-bitwise equal to its formula evaluated on the whole aligned stacks at
-once.  The estimate's norms are summed in the order that whole-stack
-evaluation sums them for the aligned stack, so the cost matrix can differ
-in the last bit from one computed on the unaligned stack; the alignment
-differs only where two assignments tie to within rounding.
+A stack is a row source: an array, or a ``container.PayloadReader`` of the
+stack on disk, and both passes read it only as ``stack[rows]``, one block
+at a time, so a stack on disk is never read whole.  The first pass
+computes every column norm of both stacks, once, and the angles between
+the unit columns of each pixel, whose mean over pixels is the alignment's
+cost matrix.  The second pass copies the truth block by block into one
+(N, L, P) buffer and takes its whole-vector norm; it then takes the
+estimate's columns in aligned order, reuses the first pass's norms for
+the spectral angles, and overwrites the buffer with truth minus estimate.
+That buffer is the only stack-sized array scoring makes: the endmember
+NRMSE is one dot product of the whole difference over one of the whole
+truth, and a dot product's rounding depends on the length of its vector,
+so summing it by blocks would change the score's last bits.  Everything
+else is computed per pixel, so every score is bitwise equal to its formula
+evaluated on the whole aligned stacks at once.  The estimate's norms are
+summed in the order that whole-stack evaluation sums them for the aligned
+stack, so the cost matrix can differ in the last bit from one computed on
+the unaligned stack; the alignment differs only where two assignments tie
+to within rounding.
 """
 
 from __future__ import annotations
@@ -36,6 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
+from .container import PayloadReader
 from .data import _as_pixels
 from .errors import DomainError, InputError
 
@@ -138,18 +144,22 @@ class NonFiniteEndmembers(InputError):
         self.pixel = pixel
 
 
-def _per_pixel_stack(m: np.ndarray, n: int) -> np.ndarray:
-    m = np.asarray(m, dtype=np.float64)
+def _source(m):
+    """An endmember matrix or stack as a float64 array, or a payload reader
+    as it is."""
+    return m if isinstance(m, PayloadReader) else np.asarray(m, np.float64)
+
+
+def _per_pixel_stack(m, n: int):
     if m.ndim == 2:
         return np.broadcast_to(m, (n,) + m.shape)
     return m
 
 
 def _stack_pair(m_true, m_hat, n: int | None = None):
-    """Both arguments as (N, L, P) stacks.  N is ``n`` when given, else the
-    length of the first per-pixel stack of the two, else 1."""
-    m_true = np.asarray(m_true, dtype=np.float64)
-    m_hat = np.asarray(m_hat, dtype=np.float64)
+    """Both arguments as (N, L, P) row sources.  N is ``n`` when given, else
+    the length of the first per-pixel stack of the two, else 1."""
+    m_true, m_hat = _source(m_true), _source(m_hat)
     if n is None:
         n = next((m.shape[0] for m in (m_true, m_hat) if m.ndim == 3), 1)
     mt, mh = _per_pixel_stack(m_true, n), _per_pixel_stack(m_hat, n)
@@ -242,7 +252,8 @@ class Estimates:
     """Unmixing outputs entering a metrics report."""
 
     abundances: np.ndarray                    # (N, P)
-    endmembers: np.ndarray | None = None      # (L, P) or (N, L, P)
+    endmembers: np.ndarray | None = None      # (L, P) or (N, L, P), the
+                                              # latter maybe a PayloadReader
     reconstruction: np.ndarray | None = None  # (N, L)
     eta_d: np.ndarray | None = None           # (N,)
     runtime_s: float = 0.0
@@ -265,17 +276,14 @@ class MetricsReport:
         return None if self.eta_d_map is None else float(np.mean(self.eta_d_map))
 
 
-def _endmember_scores(mt: np.ndarray, mh: np.ndarray, cols: np.ndarray | None,
+def _endmember_scores(mt, mh, cols: np.ndarray | None,
                       nt: np.ndarray, nh: np.ndarray) -> tuple[float, float]:
     """(nrmse_m, sam_m) from the second pass; the arguments are those of
     ``_angle_pass``."""
     diff = np.empty(mt.shape)
-    if mt.flags.c_contiguous:
-        truth = mt.ravel()
-    else:                          # the C-order copy ``ravel`` would make
-        np.copyto(diff, mt)
-        truth = diff.ravel()
-    ref = np.linalg.norm(truth)
+    for rows in _blocks(len(mt)):
+        diff[rows] = mt[rows]
+    ref = np.linalg.norm(diff.ravel())
     if ref == 0.0:
         raise DomainError("reference norm is zero")
     sums = _angle_pass(mt, mh, cols, nt, nh, diff)
@@ -286,13 +294,14 @@ def evaluate(cube, truth, estimates: Estimates) -> MetricsReport:
     """Score estimates against ground truth; endmember metrics are skipped
     when no true endmembers are available.
 
-    Endmember stacks are read in the module's two passes over blocks of
-    ``ROW_BLOCK`` pixels: column norms and the alignment first, then the
-    spectral angles and the difference of the aligned stacks.  Besides
-    arrays of a few numbers per pixel, the only array as large as a stack
-    that scoring holds is that difference, whose one dot product gives
-    nrmse_m.  Every score is bitwise equal to its whole-array formula (see
-    the module docstring) applied to the aligned stacks.
+    Endmember stacks, arrays or ``container.PayloadReader``s, are read in
+    the module's two passes over blocks of ``ROW_BLOCK`` pixels: column
+    norms and the alignment first, then the spectral angles and the
+    difference of the aligned stacks.  Besides arrays of a few numbers per
+    pixel, the only array as large as a stack that scoring holds is that
+    difference, whose one dot product gives nrmse_m.  Every score is
+    bitwise equal to its whole-array formula (see the module docstring)
+    applied to the aligned stacks.
     """
     report = MetricsReport(eta_d_map=estimates.eta_d,
                            runtime_s=estimates.runtime_s)
@@ -313,7 +322,7 @@ def evaluate(cube, truth, estimates: Estimates) -> MetricsReport:
         report.nrmse_a = nrmse(truth_a,
                                a_hat if perm is None else a_hat[:, perm])
     if truth_m is not None and m_hat is not None:
-        m_hat, cols = np.asarray(m_hat, dtype=np.float64), perm
+        m_hat, cols = _source(m_hat), perm
         if m_hat.ndim == 2:                 # permuted once, then broadcast
             m_hat, cols = m_hat[:, perm], None
         mt, mh = _stack_pair(truth_m, m_hat, len(a_hat))

@@ -63,18 +63,21 @@ class GenerativeParams:
 
     @classmethod
     def create(cls, n_bands: int, n_endmembers: int, latent_dim: int,
-               rng: np.random.Generator) -> "GenerativeParams":
+               rng) -> "GenerativeParams":
+        """Drawn from the Generator ``rng``, or built over the arrays of a
+        ``dc.StoredParams``."""
+        values = dc.param_values(rng)
         widths = decoder_widths(n_bands, latent_dim)
         acts = ["relu"] * (len(widths) - 2) + ["sigmoid"]
-        decoders = [MlpParams.create(widths, acts, rng, f"gen.em_decoder{k}")
+        decoders = [MlpParams.create(widths, acts, values, f"gen.em_decoder{k}")
                     for k in range(n_endmembers)]
-        log_scales = [dc.parameter(np.log(INIT_EM_SCALE), f"gen.em_log_scale{k}")
+        log_scales = [values.value(f"gen.em_log_scale{k}", np.log(INIT_EM_SCALE))
                       for k in range(n_endmembers)]
         L, P = n_bands, n_endmembers
         mix_widths = [P * (L + 1), P * L, L, L, L]
         mix_acts = ["relu"] * 3 + ["linear"]
-        nlin = MlpParams.create(mix_widths, mix_acts, rng, "gen.nlin_mixing")
-        obs = dc.parameter(np.log(INIT_OBS_SCALE), "gen.obs_log_scale")
+        nlin = MlpParams.create(mix_widths, mix_acts, values, "gen.nlin_mixing")
+        obs = values.value("gen.obs_log_scale", np.log(INIT_OBS_SCALE))
         return cls(decoders, log_scales, nlin, obs)
 
     def named_parameters(self) -> dict[str, Tensor]:

@@ -10,9 +10,10 @@ trunk; the same conditional serves every latent code.  q(a | y, M) is a
 Dirichlet whose concentration is the ReLU of a two-stream sum: an unrolled
 least-squares/shrinkage stream in (y, M) plus a free nonlinear stream in y.
 
-Unmixing a scene (``point_estimates_with_streams``) runs forward-only in
-fixed blocks of ``ROW_BLOCK`` pixels counted from pixel 0, so its outputs
-depend only on the pixel values and the pixel count, not on memory layout.
+Unmixing a scene (``point_estimate_blocks``) runs forward-only in fixed
+blocks of ``ROW_BLOCK`` pixels counted from pixel 0, so its outputs depend
+only on the pixel values and the pixel count, not on memory layout, and a
+caller can stream each block's outputs to disk as it is computed.
 """
 
 from __future__ import annotations
@@ -30,8 +31,8 @@ from .generative import GenerativeParams, em_decode, mixing_mean
 
 __all__ = ["ListaParams", "InferenceParams", "PosteriorSample", "encode_z",
            "lista_concentration", "abundance_streams", "abundance_concentration",
-           "posterior_sample", "point_estimates", "point_estimates_with_streams",
-           "init_model"]
+           "posterior_sample", "point_estimates", "point_estimate_blocks",
+           "point_estimates_with_streams", "init_model"]
 
 INIT_ETA_SPARSE = 0.01
 INIT_ETA_UNC = 10.0
@@ -67,12 +68,13 @@ class ListaParams:
         return len(self.log_eta_steps) + 1
 
     @classmethod
-    def create(cls, n_layers: int, eta_step: float) -> "ListaParams":
-        steps = [dc.parameter(np.log(eta_step), f"inf.lista.log_eta{m}")
+    def create(cls, n_layers: int, eta_step: float, values) -> "ListaParams":
+        """Initial values from ``values``, a ``dc.param_values`` source."""
+        steps = [values.value(f"inf.lista.log_eta{m}", np.log(eta_step))
                  for m in range(n_layers - 1)]
         return cls(steps,
-                   dc.parameter(np.log(INIT_ETA_SPARSE), "inf.lista.log_eta_sp"),
-                   dc.parameter(np.log(INIT_ETA_UNC), "inf.lista.log_eta_unc"))
+                   values.value("inf.lista.log_eta_sp", np.log(INIT_ETA_SPARSE)),
+                   values.value("inf.lista.log_eta_unc", np.log(INIT_ETA_UNC)))
 
     def named_parameters(self) -> dict[str, Tensor]:
         out = {t.name: t for t in self.log_eta_steps}
@@ -107,23 +109,27 @@ class InferenceParams:
 
     @classmethod
     def create(cls, n_bands: int, n_endmembers: int, latent_dim: int,
-               lista_layers: int, rng: np.random.Generator,
-               theta: GenerativeParams,
+               lista_layers: int, rng, theta: GenerativeParams,
                ref_endmembers: np.ndarray | None = None) -> "InferenceParams":
+        """Drawn from the Generator ``rng``, or built over the arrays of a
+        ``dc.StoredParams``."""
+        values = dc.param_values(rng)
         L, H = n_bands, latent_dim
         trunk = MlpParams.create([L, 5 * H, 2 * H], ["relu", "relu"],
-                                 rng, "inf.z_trunk")
-        mean_head = MlpParams.create([2 * H, H], ["linear"], rng, "inf.z_mean_head")
+                                 values, "inf.z_trunk")
+        mean_head = MlpParams.create([2 * H, H], ["linear"], values,
+                                     "inf.z_mean_head")
         scale_head = MlpParams.create([2 * H, 2 * H, 2 * H, H],
                                       ["relu", "relu", "linear"],
-                                      rng, "inf.z_scale_head")
+                                      values, "inf.z_scale_head")
         eta_step = INIT_ETA_STEP
         if ref_endmembers is not None:
             gram = ref_endmembers.T @ ref_endmembers
             eta_step = 1.0 / float(np.linalg.eigvalsh(gram)[-1])
-        lista = ListaParams.create(lista_layers, eta_step)
+        lista = ListaParams.create(lista_layers, eta_step, values)
         nlin = MlpParams.create(nlin_encoder_widths(L, n_endmembers),
-                                ["relu"] * 4 + ["linear"], rng, "inf.nlin_encoder")
+                                ["relu"] * 4 + ["linear"], values,
+                                "inf.nlin_encoder")
         return cls(trunk, mean_head, scale_head, lista, nlin,
                    theta.em_decoders, theta.em_log_scales)
 
@@ -244,44 +250,57 @@ def posterior_sample(y, phi: InferenceParams, theta: GenerativeParams,
                            z_columns=z_cols)
 
 
+def point_estimate_blocks(y, phi: InferenceParams, theta: GenerativeParams):
+    """The forward-only unmixing pass, one block of pixels at a time.
+
+    ``y`` is an (N, L) row source: an array, or anything whose ``y[rows]``
+    returns those rows as an array, such as the ``container.PayloadReader``
+    of a cube on disk.  The pixels run in blocks of ``ROW_BLOCK`` rows
+    counted from pixel 0, each read once and taken from the z-encoder to
+    the reconstruction.  Each block yields (rows, a_hat (B, P),
+    m_hat (B, L, P), lin (B, P), nlin (B, P), recon (B, L)): the point
+    estimates, the two concentration streams they combine, and the
+    ``mixing_mean`` of (a_hat, m_hat).  Nothing larger than a block is
+    held.  BLAS rounding follows a product's row count, so the fixed blocks
+    make every output a function of the pixel values and their number
+    alone, not of how ``y`` is stored.
+    """
+    n, L, P = len(y), theta.n_bands, phi.n_endmembers
+    for start in range(0, n, ROW_BLOCK):
+        rows = slice(start, min(start + ROW_BLOCK, n))
+        with dc.no_grad():
+            y_blk = y[rows]
+            m_blk = np.empty((len(y_blk), L, P))
+            z_mean = encode_z(y_blk, phi).mean
+            for k in range(P):
+                m_blk[..., k] = mlp_forward(theta.em_decoders[k], z_mean).data
+            lin, nlin = abundance_streams(y_blk, dc.constant(m_blk), phi)
+            conc = _combine_streams(lin, nlin).concentration.data
+            a_blk = conc / conc.sum(axis=-1, keepdims=True)
+            recon = mixing_mean(a_blk, m_blk, theta).data
+        yield rows, a_blk, m_blk, lin.data, nlin.data, recon
+
+
 def point_estimates_with_streams(y, phi: InferenceParams,
                                  theta: GenerativeParams
                                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray,
                                             np.ndarray, np.ndarray]:
-    """The forward-only unmixing pass: point estimates, the two concentration
-    streams they combine, and the reconstruction.
+    """``point_estimate_blocks`` of every pixel, collected.
 
     ``y``: (..., L).  Returns (a_hat (..., P), m_hat (..., L, P),
-    lin (..., P), nlin (..., P), recon (..., L)), where recon is the
-    ``mixing_mean`` of (a_hat, m_hat).
-
-    The pixels run in blocks of ``ROW_BLOCK`` rows counted from pixel 0,
-    each block from the z-encoder to the reconstruction, and every result
-    goes into its preallocated output; nothing larger than a block is
-    held besides those outputs.  BLAS rounding follows a product's row
-    count, so the fixed blocks make every output a function of the pixel
-    values and their number alone, not of the memory layout of ``y``.
+    lin (..., P), nlin (..., P), recon (..., L)), bitwise what the blocks
+    hold whatever the memory layout of ``y``.
     """
     y_arr = y.data if isinstance(y, Tensor) else np.asarray(y, dtype=np.float64)
     batch = y_arr.shape[:-1]
     y_rows = y_arr.reshape(-1, y_arr.shape[-1])
     n, L, P = len(y_rows), theta.n_bands, phi.n_endmembers
-    a_hat, lin, nlin = np.empty((n, P)), np.empty((n, P)), np.empty((n, P))
-    m_hat, recon = np.empty((n, L, P)), np.empty((n, L))
-    with dc.no_grad():
-        for start in range(0, n, ROW_BLOCK):
-            rows = slice(start, start + ROW_BLOCK)
-            y_blk, m_blk = y_rows[rows], m_hat[rows]
-            z_mean = encode_z(y_blk, phi).mean
-            for k in range(P):
-                m_blk[..., k] = mlp_forward(theta.em_decoders[k], z_mean).data
-            lin_blk, nlin_blk = abundance_streams(y_blk, dc.constant(m_blk), phi)
-            conc = _combine_streams(lin_blk, nlin_blk).concentration.data
-            np.divide(conc, conc.sum(axis=-1, keepdims=True), out=a_hat[rows])
-            lin[rows], nlin[rows] = lin_blk.data, nlin_blk.data
-            recon[rows] = mixing_mean(a_hat[rows], m_blk, theta).data
-    return tuple(out.reshape(batch + out.shape[1:])
-                 for out in (a_hat, m_hat, lin, nlin, recon))
+    outs = (np.empty((n, P)), np.empty((n, L, P)), np.empty((n, P)),
+            np.empty((n, P)), np.empty((n, L)))
+    for rows, *blocks in point_estimate_blocks(y_rows, phi, theta):
+        for out, block in zip(outs, blocks):
+            out[rows] = block
+    return tuple(out.reshape(batch + out.shape[1:]) for out in outs)
 
 
 def point_estimates(y, phi: InferenceParams,
@@ -296,10 +315,14 @@ def point_estimates(y, phi: InferenceParams,
 
 
 def init_model(n_bands: int, n_endmembers: int, latent_dim: int = 2,
-               lista_layers: int = 11, rng: np.random.Generator | None = None,
+               lista_layers: int = 11, rng=None,
                ref_endmembers: np.ndarray | None = None,
                ) -> tuple[GenerativeParams, InferenceParams]:
-    """Build a generative/inference pair with shared endmember decoders."""
+    """Build a generative/inference pair with shared endmember decoders.
+
+    ``rng`` is the Generator the initial weights are drawn from, or a
+    ``dc.StoredParams`` whose checkpoint arrays become the parameters.
+    """
     if rng is None:
         rng = np.random.default_rng(0)
     theta = GenerativeParams.create(n_bands, n_endmembers, latent_dim, rng)

@@ -6,6 +6,7 @@ import json
 import os
 import pkgutil
 import shutil
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -168,7 +169,7 @@ class TestExitCodes:
     def test_linalg_failure_exits_3(self, scene, monkeypatch, capsys):
         def fail(*args, **kwargs):
             raise np.linalg.LinAlgError("SVD did not converge")
-        monkeypatch.setattr(cli, "point_estimates_with_streams", fail)
+        monkeypatch.setattr(cli, "point_estimate_blocks", fail)
         rc = cli.main(["unmix", scene["cube"], scene["ckpt"],
                        str(scene["root"] / "run_linalg")])
         assert rc == 3
@@ -442,6 +443,37 @@ class TestBundles:
             assert f.read() == np.ascontiguousarray(stack, "<f8").tobytes()
         np.testing.assert_array_equal(dt.load_endmembers(base), stack)
 
+    def test_non_contiguous_payload_is_written_in_row_slices(self, tmp_path):
+        stack = np.random.default_rng(4).random((20000, P, BANDS))
+        stack = stack.transpose(0, 2, 1)
+        base = str(tmp_path / "em")
+        tracemalloc.start()
+        try:
+            dt.save_endmembers(base, stack, len(stack), 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < stack.nbytes / 4, (peak, stack.nbytes)
+        with open(base + ".raw", "rb") as f:
+            assert f.read() == np.ascontiguousarray(stack, "<f8").tobytes()
+
+    def test_payload_reader_reads_row_blocks(self, tmp_path):
+        stack = np.random.default_rng(5).random((7, BANDS, P))
+        path = str(tmp_path / "stack.raw")
+        ct.write_f64(path, [stack])
+        reader = ct.PayloadReader(path, stack.shape)
+        assert (reader.shape, reader.ndim, len(reader)) == (stack.shape, 3, 7)
+        for rows in (slice(0, 3), slice(3, 7), slice(5, 99), slice(7, 9),
+                     slice(None)):
+            assert reader[rows].tobytes() == stack[rows].tobytes()
+        # the size is checked when the reader is made, and again as it reads
+        with pytest.raises(BundleError, match="header implies"):
+            ct.PayloadReader(path, (8, BANDS, P))
+        with open(path, "r+b") as f:
+            f.truncate(8 * BANDS * P * 6)
+        with pytest.raises(BundleError, match="ended early"):
+            reader[5:7]
+
     def test_wrong_role_exits_2(self, scene, capsys):
         est = str(scene["root"] / "wrong_role")
         shutil.copytree(_unmix(scene, "wrong_role_src"), est)
@@ -552,6 +584,193 @@ class TestBundles:
         rc = cli.main(["eval", os.path.dirname(scene["cube"]), est,
                        str(scene["root"] / "eta_two_bands.csv")])
         assert rc == 2 and "field: bands" in capsys.readouterr().err
+
+
+def _resize_payload(path: str, delta: int):
+    """Drop the last value of a payload (delta -1) or append one (+1)."""
+    if delta < 0:
+        with open(path, "r+b") as f:
+            f.truncate(os.path.getsize(path) - 8)
+    else:
+        with open(path, "ab") as f:
+            f.write(np.float64(0.5).tobytes())
+
+
+def _line_cube(scene, name: str, n: int, nan_at=None) -> str:
+    """A one-row cube of ``n`` random pixels; ``nan_at`` (pixel, band)."""
+    y = np.random.default_rng(n).uniform(0.0, 1.0, (n, BANDS))
+    if nan_at is not None:
+        y[nan_at] = np.nan
+    base = str(scene["root"] / name)
+    dt.save_cube(base, dt.HyperCube(width=n, height=1, pixels=y))
+    return base
+
+
+class TestStreamedBundles:
+    """``unmix`` and ``eval`` read and write scene-sized bundles in row
+    blocks.  A bad payload size or a non-finite pixel is caught before
+    anything is written, and a failure part way leaves no bundle."""
+
+    @pytest.mark.parametrize("delta", [-1, 1])
+    @pytest.mark.parametrize("bundle", ["cube", "endmembers",
+                                        "endmembers_est"])
+    def test_bad_payload_size_exits_2_before_writing(self, scene, capsys,
+                                                     bundle, delta):
+        root = scene["root"] / f"size_{bundle}_{delta}"
+        truth = str(root / "truth")
+        shutil.copytree(os.path.dirname(scene["cube"]), truth)
+        est = str(root / "est")
+        assert cli.main(["unmix", scene["cube"], scene["ckpt"], est]) == 0
+        target = os.path.join(est if bundle == "endmembers_est" else truth,
+                              bundle)
+        _resize_payload(target + ".raw", delta)
+        out, csv = str(root / "out"), str(root / "report.csv")
+        capsys.readouterr()
+        if bundle == "cube":
+            rc = cli.main(["unmix", target, scene["ckpt"], out])
+        else:
+            rc = cli.main(["eval", truth, est, csv])
+        err = capsys.readouterr().err
+        assert rc == 2 and err.startswith("error: ")
+        n = WIDTH * HEIGHT * BANDS * (1 if bundle == "cube" else P)
+        assert f"{target}.raw: payload holds {n + delta} values" in err
+        assert not os.path.exists(out) and not os.path.exists(csv)
+
+    def test_nan_in_last_block_exits_2_and_writes_nothing(self, scene,
+                                                          capsys):
+        n = 2 * dt.ROW_BLOCK + 37
+        cube = _line_cube(scene, "nan_last_block", n, (n - 2, 5))
+        out = str(scene["root"] / "run_nan_last_block")
+        capsys.readouterr()
+        rc = cli.main(["unmix", cube, scene["ckpt"], out])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert f"pixel {n - 2} (row 0, column {n - 2}), band 5" in err
+        assert not os.path.exists(out)
+
+    def test_failure_in_second_block_exits_3_leaving_no_bundle(
+            self, scene, monkeypatch, capsys):
+        cube = _line_cube(scene, "two_blocks", inf.ROW_BLOCK + 1)
+        blocks_seen = []
+        least_squares = inf._least_squares_start
+
+        def fail_in_block_2(m, y):
+            blocks_seen.append(len(y))
+            if len(blocks_seen) == 2:
+                raise np.linalg.LinAlgError("SVD did not converge")
+            return least_squares(m, y)
+        monkeypatch.setattr(inf, "_least_squares_start", fail_in_block_2)
+        out = str(scene["root"] / "run_fail_block_2")
+        capsys.readouterr()
+        rc = cli.main(["unmix", cube, scene["ckpt"], out])
+        assert rc == 3
+        assert "SVD did not converge" in capsys.readouterr().err
+        assert blocks_seen == [inf.ROW_BLOCK, 1]
+        assert os.listdir(out) == []
+
+    def test_model_is_built_from_checkpoint_without_draws(self, scene,
+                                                          monkeypatch):
+        def no_draws(*args):
+            raise AssertionError("random draw while loading a checkpoint")
+        monkeypatch.setattr(dc, "xavier_uniform", no_draws)
+        meta, theta, phi = cli._load_model(scene["ckpt"])
+        params = inf.model_parameters(theta, phi)
+        stored = inf.model_parameters(scene["theta"], scene["phi"])
+        assert params.keys() == stored.keys()
+        for name, t in params.items():
+            assert t.data.tobytes() == stored[name].data.tobytes(), name
+        # every tensor is a view of the one payload read, not a copy
+        bases = [t.data.base for t in params.values()]
+        assert bases[0] is not None
+        assert all(base is bases[0] for base in bases)
+
+    @pytest.mark.parametrize("case", ["missing", "misshapen"])
+    def test_missing_or_misshapen_array_exits_2_naming_it(self, scene, capsys,
+                                                          case):
+        name = "gen.nlin_mixing.w1"
+        base = str(scene["root"] / f"ckpt_{case}")
+        for ext in (".json", ".raw"):
+            shutil.copyfile(scene["ckpt"] + ext, base + ext)
+        with open(base + ".json") as f:
+            manifest = json.load(f)
+        if case == "missing":
+            del manifest["arrays"][name]
+        else:                     # the same count, transposed
+            manifest["arrays"][name]["shape"].reverse()
+        with open(base + ".json", "w") as f:
+            json.dump(manifest, f)
+        out = str(scene["root"] / f"run_ckpt_{case}")
+        capsys.readouterr()
+        rc = cli.main(["unmix", scene["cube"], base, out])
+        assert rc == 2 and f"field: {name}" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
+
+# the bench scene's band and endmember counts
+BIG_BANDS, BIG_P = 224, 5
+
+
+def _traced_peak(argv) -> int:
+    tracemalloc.start()
+    try:
+        assert cli.main(argv) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestPeakMemory:
+    """Peak traced memory of ``unmix`` and ``eval`` at N = 4 and 16 blocks,
+    on the bench scene's band and endmember counts: only what a command
+    must hold whole may grow with the scene."""
+
+    def test_unmix_peak_does_not_grow_with_the_scene(self, tmp_path):
+        theta, phi = inf.init_model(BIG_BANDS, BIG_P, 2, 11,
+                                    np.random.default_rng(1))
+        ckpt = str(tmp_path / "model")
+        ct.save_checkpoint(ckpt, {"n_bands": BIG_BANDS,
+                                  "n_endmembers": BIG_P, "latent_dim": 2,
+                                  "lista_layers": 11},
+                           inf.model_parameters(theta, phi))
+        del theta, phi
+        peaks = []
+        for n in (4 * inf.ROW_BLOCK, 16 * inf.ROW_BLOCK):
+            cube = str(tmp_path / f"cube_{n}")
+            y = np.random.default_rng(n).uniform(0.0, 1.0, (n, BIG_BANDS))
+            dt.save_cube(cube, dt.HyperCube(width=n, height=1, pixels=y))
+            del y
+            peaks.append(_traced_peak(["unmix", cube, ckpt,
+                                       str(tmp_path / f"out_{n}")]))
+        assert peaks[1] <= 1.1 * peaks[0], peaks
+
+    def test_eval_peak_beyond_its_whole_arrays_does_not_grow(self, tmp_path):
+        """Besides its one (N, L, P) difference buffer and the three (N, L)
+        arrays of nrmse_y, ``eval``'s peak must not grow with N."""
+        from unmix import evaluation as ev
+        excess = []
+        for n in (4 * ev.ROW_BLOCK, 16 * ev.ROW_BLOCK):
+            rng = np.random.default_rng(n)
+            truth, est = tmp_path / f"truth_{n}", tmp_path / f"est_{n}"
+            truth.mkdir()
+            est.mkdir()
+            stack = (n, BIG_BANDS, BIG_P)
+            dt.save_cube(str(truth / "cube"), dt.HyperCube(
+                n, 1, rng.uniform(0.0, 1.0, (n, BIG_BANDS))))
+            dt.save_cube(str(est / "reconstruction"), dt.HyperCube(
+                n, 1, rng.uniform(0.0, 1.0, (n, BIG_BANDS))))
+            for d, name in ((truth, "abundances"), (est, "abundances_est")):
+                dt.save_abundances(str(d / name),
+                                   rng.dirichlet(np.ones(BIG_P), n), n, 1)
+            for d, name in ((truth, "endmembers"), (est, "endmembers_est")):
+                dt.save_endmembers(str(d / name),
+                                   rng.uniform(0.05, 1.0, stack), n, 1)
+            dt.save_scalar_map(str(est / "eta_d"), rng.uniform(0.0, 1.0, n),
+                               n, 1)
+            peak = _traced_peak(["eval", str(truth), str(est),
+                                 str(tmp_path / f"report_{n}.csv")])
+            excess.append(peak - 8 * (np.prod(stack) + 3 * n * BIG_BANDS))
+        assert excess[0] > 0
+        assert excess[1] <= 1.1 * excess[0], excess
 
 
 class TestPublicSurface:

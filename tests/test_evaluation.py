@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.optimize import linear_sum_assignment
 
+from unmix import container as ct
 from unmix import evaluation as ev
 from unmix.data import GroundTruth
 from unmix.errors import DomainError, InputError
@@ -302,6 +303,11 @@ def _scene(n: int, truth_shared: bool, estimate_shared: bool, seed: int):
     return cube, GroundTruth(abundances=a_true, endmembers=m_true), est
 
 
+def _on_disk(path, stack: np.ndarray) -> ct.PayloadReader:
+    ct.write_f64(str(path), [stack])
+    return ct.PayloadReader(str(path), stack.shape)
+
+
 def _same_report(cube, truth, est):
     got = ev.reports_to_csv([ev.evaluate(cube, truth, est)])
     assert got == ev.reports_to_csv([_ref_evaluate(cube, truth, est)])
@@ -319,6 +325,21 @@ class TestBlockedEvaluate:
                                                      estimate_shared):
         cube, truth, est = _scene(n, truth_shared, estimate_shared, n)
         assert "--" not in _same_report(cube, truth, est)
+
+    @pytest.mark.parametrize("n", SIZES)
+    @pytest.mark.parametrize("truth_shared", [False, True],
+                             ids=["per_pixel_truth", "shared_truth"])
+    def test_stacks_on_disk_score_as_arrays(self, tmp_path, n, truth_shared):
+        """Stacks read in row blocks from their payload files give the
+        report bytes of the same stacks in memory."""
+        cube, truth, est = _scene(n, truth_shared, False, 3 * n)
+        want = _same_report(cube, truth, est)
+        est.endmembers = _on_disk(tmp_path / "est.raw", est.endmembers)
+        if not truth_shared:
+            truth.endmembers = _on_disk(tmp_path / "truth.raw",
+                                        truth.endmembers)
+        got = ev.reports_to_csv([ev.evaluate(cube, truth, est)])
+        assert got == want
 
     @pytest.mark.parametrize("n", SIZES)
     @pytest.mark.parametrize("truth_shared", [False, True],
