@@ -1,9 +1,16 @@
 """Command-line interface: generate | selfsup | train | unmix | eval.
 
 Every command writes a manifest recording its arguments, seed, inputs,
-outputs, and wall time; rerunning a command with the same arguments
-reproduces the output files byte for byte (the manifest's wall-clock and
-the live-measured baseline runtime are the only nondeterministic values).
+outputs, and wall time; rerunning a command with the same arguments and
+the same BLAS thread count reproduces the output files byte for byte (the
+manifest's wall-clock and the live-measured baseline runtime are the only
+nondeterministic values).  The thread count matters because BLAS splits
+large products across its threads, and the rounding follows the split:
+``unmix`` on 1 and on 2 threads writes different ``endmembers_est`` and
+``reconstruction`` bytes (its abundances and eta_d agree).  Set
+``UNMIX_THREADS`` before ``unmix`` is imported to pin the count, as the
+benchmark does with ``UNMIX_THREADS=1``.  ``eval``'s scores of the
+estimates are the same on any thread count.
 
 Exit codes: 0 ok, 2 input error, 3 numeric/training error.
 """
@@ -244,9 +251,10 @@ def cmd_unmix(args) -> int:
 
 
 def _load_truth(truth_dir: str):
-    """The cube and the truth, whose endmembers are a shared matrix or a
-    ``container.PayloadReader`` of the per-pixel stack."""
-    cube = dt.load_cube(os.path.join(truth_dir, "cube"))
+    """The cube, opened as a ``container.PayloadReader`` of its pixels, and
+    the truth, whose endmembers are a shared matrix or a reader of the
+    per-pixel stack."""
+    cube = dt.open_cube(os.path.join(truth_dir, "cube"))
     abundances = endmembers = None
     if os.path.exists(os.path.join(truth_dir, "abundances.json")):
         abundances, _, _ = dt.load_abundances(os.path.join(truth_dir, "abundances"))
@@ -261,11 +269,16 @@ def cmd_eval(args) -> int:
     """Score the estimates against the truth; a NaN or an infinity in any
     bundle exits 2 naming the bundle and the first pixel holding one.
 
-    Both endmember stacks stay on disk: ``evaluate`` reads them in row
-    blocks, in its two passes, and holds one stack-sized buffer.  The cube,
-    the reconstruction and the per-pixel maps are read whole.  Every
-    payload's size is checked against its header before anything is
-    scored or written.
+    The endmember stacks, the cube and the reconstruction stay on disk:
+    ``evaluate`` reads them in row blocks, the stacks in its two passes and
+    the cube and reconstruction once for nrmse_y, and holds no array as
+    large as any of them.  The cube and the reconstruction are checked
+    for finite values in one more blocked pass each, when opened.  Only the
+    abundances and eta_d, a few numbers per pixel, are read whole, and the
+    cube too for ``--baseline fcls``, whose VCA and FCLS need all of it.
+    Every payload's size is checked against its header before anything is
+    scored or written.  The scores of the estimates do not depend on the
+    BLAS thread count.
     """
     cube, truth = _load_truth(args.truth_dir)
     est_dir = args.estimates_dir
@@ -279,7 +292,7 @@ def cmd_eval(args) -> int:
     if os.path.exists(os.path.join(est_dir, "eta_d.json")):
         eta = dt.load_scalar_map(os.path.join(est_dir, "eta_d"))
     if os.path.exists(os.path.join(est_dir, "reconstruction.json")):
-        recon = dt.load_cube(os.path.join(est_dir, "reconstruction")).pixels
+        recon = dt.open_cube(os.path.join(est_dir, "reconstruction")).pixels
     runtime = 0.0
     manifest_path = os.path.join(est_dir, "manifest.json")
     if os.path.exists(manifest_path):
@@ -291,15 +304,16 @@ def cmd_eval(args) -> int:
             abundances=a_hat, endmembers=m_hat, reconstruction=recon,
             eta_d=eta, runtime_s=runtime))]
         if args.baseline == "fcls":
+            pixels = cube.pixels[:]
             t0 = time.perf_counter()
-            refs = dt.vca(cube, a_hat.shape[1],
+            refs = dt.vca(pixels, a_hat.shape[1],
                           np.random.default_rng(args.seed))
-            a_base = ev.fcls(cube, refs)
+            a_base = ev.fcls(pixels, refs)
             base_est = ev.Estimates(abundances=a_base, endmembers=None,
                                     reconstruction=a_base @ refs.T,
                                     align_with=refs,
                                     runtime_s=time.perf_counter() - t0)
-            reports.append(ev.evaluate(cube, truth, base_est))
+            reports.append(ev.evaluate(pixels, truth, base_est))
     except ev.NonFiniteEndmembers as exc:
         raise InputError(f"{em_bundles[exc.which]}: {exc}") from None
     csv_text = ev.reports_to_csv(reports)

@@ -8,33 +8,36 @@ abundance-concentration streams.  Estimated endmember columns are
 aligned to ground truth by the angle-minimizing assignment before any
 metric is computed.
 
-Endmember stacks (N, L, P) are scored in two passes over fixed blocks of
-``ROW_BLOCK`` pixels; a shared (L, P) matrix enters as a broadcast view.
-A stack is a row source: an array, or a ``container.PayloadReader`` of the
-stack on disk, and both passes read it only as ``stack[rows]``, one block
-at a time, so a stack on disk is never read whole.  The first pass
-computes every column norm of both stacks, once, and the angles between
-the unit columns of each pixel, whose mean over pixels is the alignment's
-cost matrix.  The second pass copies the truth block by block into one
-(N, L, P) buffer and takes its whole-vector norm; it then takes the
-estimate's columns in aligned order, reuses the first pass's norms for
-the spectral angles, and overwrites the buffer with truth minus estimate.
-That buffer is the only stack-sized array scoring makes: the endmember
-NRMSE is one dot product of the whole difference over one of the whole
-truth, and a dot product's rounding depends on the length of its vector,
-so summing it by blocks would change the score's last bits.  Everything
-else is computed per pixel, so every score is bitwise equal to its formula
-evaluated on the whole aligned stacks at once.  The estimate's norms are
-summed in the order that whole-stack evaluation sums them for the aligned
-stack, so the cost matrix can differ in the last bit from one computed on
-the unaligned stack; the alignment differs only where two assignments tie
-to within rounding.
+Every score is a streaming sum over fixed blocks of ``ROW_BLOCK`` rows
+counted from row 0.  An input is a row source: an array, or a
+``container.PayloadReader`` of a bundle on disk, read only as
+``source[rows]``, one block at a time; a shared (L, P) endmember matrix
+enters as a broadcast view.  Endmember stacks (N, L, P) are scored in two
+passes.  The first reads each stack's block once and turns it to the
+bands-contiguous layout (B, P, L); it takes every column norm and all
+P x P cross products of each pixel (one batched product) and adds the
+angles between truth column i and estimate column j into a (P, P) sum,
+whose mean over pixels is the alignment's cost matrix.  sam_m is then the
+chosen assignment's total cost, sum_i cost[i, perm(i)], which is the
+formula above.  The second pass reads the stacks again and sums the
+squared truth and the squared difference of the aligned stacks for
+nrmse_m, as ``nrmse`` sums any two row sources.
+
+Sums of squares are taken by numpy's own einsum loop within a block and
+in block order across blocks, and the cross products by one BLAS call per
+pixel on its P x L columns, too small to be split across threads.  So the
+rounding of every score depends on ``ROW_BLOCK`` and never on the BLAS
+thread count (BLAS splits the dot product of a long vector across its
+threads, and its rounding follows the split).  Scoring holds no array as
+large as a stack, a cube or (N, P, P) angles: besides its inputs' few
+numbers per pixel, only a block's worth at a time.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -50,16 +53,15 @@ __all__ = ["nrmse", "nonlinearity_degree", "fcls", "project_simplex",
            "reports_to_csv", "reports_from_csv"]
 
 
-def nrmse(x: np.ndarray, x_hat: np.ndarray) -> float:
-    """||X - X_hat||_F / ||X||_F for arrays of any matching shape."""
-    x = np.asarray(x, dtype=np.float64)
-    x_hat = np.asarray(x_hat, dtype=np.float64)
+def nrmse(x, x_hat) -> float:
+    """||X - X_hat||_F / ||X||_F for row sources of any matching shape,
+    summed over blocks of ``ROW_BLOCK`` rows (see the module docstring)."""
+    x, x_hat = _source(x), _source(x_hat)
     if x.shape != x_hat.shape:
         raise InputError(f"shape mismatch: {x.shape} vs {x_hat.shape}")
-    ref = np.linalg.norm(x.ravel())
-    if ref == 0.0:
-        raise DomainError("reference norm is zero")
-    return float(np.linalg.norm((x - x_hat).ravel()) / ref)
+    if x.ndim == 0:
+        x, x_hat = x.reshape(1), x_hat.reshape(1)
+    return _ratio(*_residual_sums(x, x_hat))
 
 
 def nonlinearity_degree(lin, nlin) -> np.ndarray | float:
@@ -124,7 +126,7 @@ def fcls(cube, em_matrix: np.ndarray) -> np.ndarray:
     return a
 
 
-# Pixels per block of the endmember-scoring passes.
+# Rows per block of every scoring pass.
 ROW_BLOCK = 256
 
 
@@ -145,8 +147,8 @@ class NonFiniteEndmembers(InputError):
 
 
 def _source(m):
-    """An endmember matrix or stack as a float64 array, or a payload reader
-    as it is."""
+    """An array or row source as a float64 array, or a payload reader as
+    it is."""
     return m if isinstance(m, PayloadReader) else np.asarray(m, np.float64)
 
 
@@ -156,12 +158,11 @@ def _per_pixel_stack(m, n: int):
     return m
 
 
-def _stack_pair(m_true, m_hat, n: int | None = None):
-    """Both arguments as (N, L, P) row sources.  N is ``n`` when given, else
-    the length of the first per-pixel stack of the two, else 1."""
+def _stack_pair(m_true, m_hat):
+    """Both arguments as (N, L, P) row sources.  N is the length of the
+    first per-pixel stack of the two, else 1."""
     m_true, m_hat = _source(m_true), _source(m_hat)
-    if n is None:
-        n = next((m.shape[0] for m in (m_true, m_hat) if m.ndim == 3), 1)
+    n = next((m.shape[0] for m in (m_true, m_hat) if m.ndim == 3), 1)
     mt, mh = _per_pixel_stack(m_true, n), _per_pixel_stack(m_hat, n)
     if mt.shape != mh.shape:
         raise InputError(f"shape mismatch: {mt.shape} vs {mh.shape}")
@@ -173,63 +174,75 @@ def _blocks(n: int):
             for start in range(0, n, ROW_BLOCK))
 
 
-def _column_norms(block: np.ndarray, rows: slice, which: str) -> np.ndarray:
-    """(B, P) column norms of a (B, L, P) block.
+def _sum_squares(x: np.ndarray) -> float:
+    """The sum of the squares of ``x``, in one pass of numpy's einsum loop
+    (no BLAS call, and no array of the squares)."""
+    flat = np.ascontiguousarray(x).ravel()
+    return float(np.einsum("i,i->", flat, flat))
+
+
+def _residual_sums(x, x_hat, cols: np.ndarray | None = None
+                   ) -> tuple[float, float]:
+    """(sum (x - x_hat)^2, sum x^2) of two row sources of one shape, block
+    by block, with the last axis of ``x_hat`` taken in the order ``cols``
+    (as it is for None)."""
+    num = den = 0.0
+    for rows in _blocks(len(x)):
+        t, h = x[rows], x_hat[rows]
+        if cols is not None:
+            h = h[..., cols]
+        num += _sum_squares(t - h)
+        den += _sum_squares(t)
+    return num, den
+
+
+def _ratio(num: float, den: float) -> float:
+    if den == 0.0:
+        raise DomainError("reference norm is zero")
+    return math.sqrt(num) / math.sqrt(den)
+
+
+def _bands_last(block: np.ndarray) -> np.ndarray:
+    """A (B, L, P) block as a C-ordered (B, P, L) array, each column's bands
+    contiguous: numpy reduces a strided axis of a few columns slowly."""
+    return np.ascontiguousarray(np.swapaxes(block, 1, 2))
+
+
+def _column_norms(cols: np.ndarray, start: int, which: str) -> np.ndarray:
+    """(B, P) norms of the (B, P, L) columns of the block from pixel
+    ``start``.
 
     A column holding a NaN or an infinity has a non-finite norm, so only a
-    block with such a norm is searched for the value.
+    block with such a norm is searched for the value, in (pixel, band,
+    column) order.
     """
-    norms = np.linalg.norm(block, axis=1)
+    norms = np.sqrt(np.einsum("bpl,bpl->bp", cols, cols))
     if not np.isfinite(norms).all():
+        block = np.swapaxes(cols, 1, 2)
         bad = np.argwhere(~np.isfinite(block))
         if len(bad):                  # else the squares overflowed: no error
             pixel, band, column = (int(i) for i in bad[0])
-            raise NonFiniteEndmembers(which, rows.start + pixel, band, column,
+            raise NonFiniteEndmembers(which, start + pixel, band, column,
                                       float(block[pixel, band, column]))
     return norms
 
 
-def _norm_pass(mt: np.ndarray, mh: np.ndarray):
-    """First pass: the (N, P) column norms of both stacks and the (P, P)
-    cost matrix whose entry (i, j) is the mean over pixels of the angle
-    between truth column i and estimate column j."""
+def _alignment_cost(mt, mh) -> np.ndarray:
+    """First pass: the (P, P) cost matrix whose entry (i, j) is the mean
+    over pixels of the angle between truth column i and estimate column j
+    of two (N, L, P) row sources."""
     n, _, p = mt.shape
-    nt, nh = np.empty((n, p)), np.empty((n, p))
-    angles = np.empty((n, p, p))
+    total = np.zeros((p, p))
     for rows in _blocks(n):
-        t = mt[rows]
-        # The estimate with its bands contiguous, so that numpy sums each
-        # norm pairwise, as it did for the whole column-permuted stack; a
-        # C-ordered block would be summed band after band.
-        h = np.swapaxes(np.ascontiguousarray(np.swapaxes(mh[rows], 1, 2)),
-                        1, 2)
-        nt[rows] = _column_norms(t, rows, "truth")
-        nh[rows] = _column_norms(h, rows, "estimate")
-        if np.any(nt[rows] == 0.0) or np.any(nh[rows] == 0.0):
+        t = _bands_last(mt[rows])
+        h = _bands_last(mh[rows])
+        nt = _column_norms(t, rows.start, "truth")
+        nh = _column_norms(h, rows.start, "estimate")
+        if np.any(nt == 0.0) or np.any(nh == 0.0):
             raise DomainError("zero-norm signature in angle computation")
-        cos = np.swapaxes(t / nt[rows, None], 1, 2) @ (h / nh[rows, None])
-        np.arccos(np.clip(cos, -1.0, 1.0), out=angles[rows])
-    return nt, nh, angles.mean(axis=0)
-
-
-def _angle_pass(mt: np.ndarray, mh: np.ndarray, cols: np.ndarray | None,
-                nt: np.ndarray, nh: np.ndarray,
-                diff: np.ndarray | None = None) -> np.ndarray:
-    """Second pass: the per-pixel sums (N,) of the angles between the truth
-    columns and the estimate's columns ``cols`` (all, in order, for None),
-    from the first pass's norms ``nt`` and ``nh`` (the latter already in
-    ``cols`` order).  With ``diff``, truth minus that estimate is written
-    into it."""
-    sums = np.empty(len(mt))
-    for rows in _blocks(len(mt)):
-        t = mt[rows]
-        h = mh[rows] if cols is None else np.take(mh[rows], cols, axis=2)
-        if diff is not None:
-            np.subtract(t, h, out=diff[rows])
-        cos = np.clip(np.sum(t * h, axis=1) / (nt[rows] * nh[rows]),
-                      -1.0, 1.0)
-        sums[rows] = np.arccos(cos).sum(axis=-1)
-    return sums
+        cos = (t @ np.swapaxes(h, 1, 2)) / (nt[:, :, None] * nh[:, None, :])
+        total += np.arccos(np.clip(cos, -1.0, 1.0)).sum(axis=0)
+    return total / n
 
 
 def _assignment(cost: np.ndarray) -> np.ndarray:
@@ -244,7 +257,7 @@ def align_endmembers(m_true: np.ndarray, m_hat: np.ndarray) -> np.ndarray:
 
     Returns ``perm`` such that estimate column perm[j] matches truth column j.
     """
-    return _assignment(_norm_pass(*_stack_pair(m_true, m_hat))[2])
+    return _assignment(_alignment_cost(*_stack_pair(m_true, m_hat)))
 
 
 @dataclass
@@ -254,7 +267,7 @@ class Estimates:
     abundances: np.ndarray                    # (N, P)
     endmembers: np.ndarray | None = None      # (L, P) or (N, L, P), the
                                               # latter maybe a PayloadReader
-    reconstruction: np.ndarray | None = None  # (N, L)
+    reconstruction: np.ndarray | None = None  # (N, L), maybe a PayloadReader
     eta_d: np.ndarray | None = None           # (N,)
     runtime_s: float = 0.0
     align_with: np.ndarray | None = None      # alignment fallback, (L, P)
@@ -276,32 +289,19 @@ class MetricsReport:
         return None if self.eta_d_map is None else float(np.mean(self.eta_d_map))
 
 
-def _endmember_scores(mt, mh, cols: np.ndarray | None,
-                      nt: np.ndarray, nh: np.ndarray) -> tuple[float, float]:
-    """(nrmse_m, sam_m) from the second pass; the arguments are those of
-    ``_angle_pass``."""
-    diff = np.empty(mt.shape)
-    for rows in _blocks(len(mt)):
-        diff[rows] = mt[rows]
-    ref = np.linalg.norm(diff.ravel())
-    if ref == 0.0:
-        raise DomainError("reference norm is zero")
-    sums = _angle_pass(mt, mh, cols, nt, nh, diff)
-    return float(np.linalg.norm(diff.ravel()) / ref), float(sums.mean())
-
-
 def evaluate(cube, truth, estimates: Estimates) -> MetricsReport:
     """Score estimates against ground truth; endmember metrics are skipped
     when no true endmembers are available.
 
-    Endmember stacks, arrays or ``container.PayloadReader``s, are read in
-    the module's two passes over blocks of ``ROW_BLOCK`` pixels: column
-    norms and the alignment first, then the spectral angles and the
-    difference of the aligned stacks.  Besides arrays of a few numbers per
-    pixel, the only array as large as a stack that scoring holds is that
-    difference, whose one dot product gives nrmse_m.  Every score is
-    bitwise equal to its whole-array formula (see the module docstring)
-    applied to the aligned stacks.
+    The cube, the reconstruction and the endmember stacks are row sources,
+    arrays or ``container.PayloadReader``s, read in blocks of ``ROW_BLOCK``
+    rows.  The stacks are read in the module's two passes: the alignment
+    cost first, from which the assignment and sam_m follow, then the sums
+    of nrmse_m over the aligned stacks.  nrmse_y reads the cube and the
+    reconstruction once.  Besides arrays of a few numbers per pixel,
+    scoring holds one block of each input at a time, and no array of
+    (N, P, P) angles.  The rounding of every score depends on
+    ``ROW_BLOCK``, not on the BLAS thread count.
     """
     report = MetricsReport(eta_d_map=estimates.eta_d,
                            runtime_s=estimates.runtime_s)
@@ -314,23 +314,16 @@ def evaluate(cube, truth, estimates: Estimates) -> MetricsReport:
     if truth_m is not None:
         basis = m_hat if m_hat is not None else estimates.align_with
         if basis is not None:
-            nt, nh, cost = _norm_pass(*_stack_pair(truth_m, basis))
+            mt, mh = _stack_pair(truth_m, basis)
+            cost = _alignment_cost(mt, mh)
             perm = _assignment(cost)
-            nh = nh[:, perm]
 
     if truth_a is not None:
         report.nrmse_a = nrmse(truth_a,
                                a_hat if perm is None else a_hat[:, perm])
     if truth_m is not None and m_hat is not None:
-        m_hat, cols = _source(m_hat), perm
-        if m_hat.ndim == 2:                 # permuted once, then broadcast
-            m_hat, cols = m_hat[:, perm], None
-        mt, mh = _stack_pair(truth_m, m_hat, len(a_hat))
-        # two shared matrices had their norms taken for one pixel
-        per_pixel = mt.shape[::2]
-        report.nrmse_m, report.sam_m = _endmember_scores(
-            mt, mh, cols, np.broadcast_to(nt, per_pixel),
-            np.broadcast_to(nh, per_pixel))
+        report.sam_m = float(cost[np.arange(len(perm)), perm].sum())
+        report.nrmse_m = _ratio(*_residual_sums(mt, mh, perm))
     if estimates.reconstruction is not None:
         report.nrmse_y = nrmse(_as_pixels(cube), estimates.reconstruction)
     return report

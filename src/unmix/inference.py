@@ -271,7 +271,9 @@ def point_estimate_blocks(y, phi: InferenceParams, theta: GenerativeParams):
         with dc.no_grad():
             y_blk = y[rows]
             m_blk = np.empty((len(y_blk), L, P))
-            z_mean = encode_z(y_blk, phi).mean
+            # encode_z's mean alone: the scale head's output is not used
+            z_mean = mlp_forward(phi.z_mean_head,
+                                 mlp_forward(phi.z_trunk, y_blk))
             for k in range(P):
                 m_blk[..., k] = mlp_forward(theta.em_decoders[k], z_mean).data
             lin, nlin = abundance_streams(y_blk, dc.constant(m_blk), phi)

@@ -1,3 +1,5 @@
+import json
+import os
 from contextlib import contextmanager
 
 import numpy as np
@@ -162,3 +164,27 @@ def pinned_warm_starts(monkeypatch):
             patch.setattr(inference, "_least_squares_start", starts.take)
             yield starts
     return pin
+
+
+def _leaves(obj, name: str = ""):
+    """(path, value) of every leaf of nested dicts and lists."""
+    if isinstance(obj, dict):
+        for key, value in obj.items():
+            yield from _leaves(value, f"{name}.{key}" if name else key)
+    elif isinstance(obj, list):
+        for i, value in enumerate(obj):
+            yield from _leaves(value, f"{name}[{i}]")
+    else:
+        yield name, obj
+
+
+def changed_entries(path: str, record: dict) -> list[str]:
+    """The entries of ``record`` that differ from the golden JSON file at
+    ``path``, or are missing from it or from ``record``, in sorted order;
+    every entry when the file does not exist."""
+    old = {}
+    if os.path.exists(path):
+        with open(path) as f:
+            old = dict(_leaves(json.load(f)))
+    new = dict(_leaves(record))
+    return sorted(k for k in old.keys() | new.keys() if old.get(k) != new.get(k))

@@ -6,6 +6,8 @@ import json
 import os
 import pkgutil
 import shutil
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -743,34 +745,66 @@ class TestPeakMemory:
                                        str(tmp_path / f"out_{n}")]))
         assert peaks[1] <= 1.1 * peaks[0], peaks
 
-    def test_eval_peak_beyond_its_whole_arrays_does_not_grow(self, tmp_path):
-        """Besides its one (N, L, P) difference buffer and the three (N, L)
-        arrays of nrmse_y, ``eval``'s peak must not grow with N."""
+    def test_eval_peak_does_not_grow_with_the_scene(self, tmp_path):
+        """``eval`` reads the endmember stacks, the cube and the
+        reconstruction in blocks: its peak must not grow with N."""
         from unmix import evaluation as ev
-        excess = []
+        peaks = []
         for n in (4 * ev.ROW_BLOCK, 16 * ev.ROW_BLOCK):
-            rng = np.random.default_rng(n)
-            truth, est = tmp_path / f"truth_{n}", tmp_path / f"est_{n}"
-            truth.mkdir()
-            est.mkdir()
-            stack = (n, BIG_BANDS, BIG_P)
-            dt.save_cube(str(truth / "cube"), dt.HyperCube(
-                n, 1, rng.uniform(0.0, 1.0, (n, BIG_BANDS))))
-            dt.save_cube(str(est / "reconstruction"), dt.HyperCube(
-                n, 1, rng.uniform(0.0, 1.0, (n, BIG_BANDS))))
-            for d, name in ((truth, "abundances"), (est, "abundances_est")):
-                dt.save_abundances(str(d / name),
-                                   rng.dirichlet(np.ones(BIG_P), n), n, 1)
-            for d, name in ((truth, "endmembers"), (est, "endmembers_est")):
-                dt.save_endmembers(str(d / name),
-                                   rng.uniform(0.05, 1.0, stack), n, 1)
-            dt.save_scalar_map(str(est / "eta_d"), rng.uniform(0.0, 1.0, n),
-                               n, 1)
-            peak = _traced_peak(["eval", str(truth), str(est),
-                                 str(tmp_path / f"report_{n}.csv")])
-            excess.append(peak - 8 * (np.prod(stack) + 3 * n * BIG_BANDS))
-        assert excess[0] > 0
-        assert excess[1] <= 1.1 * excess[0], excess
+            truth, est = _eval_bundles(tmp_path, n, BIG_BANDS, BIG_P)
+            peaks.append(_traced_peak(["eval", truth, est,
+                                       str(tmp_path / f"report_{n}.csv")]))
+        assert peaks[1] <= 1.1 * peaks[0], peaks
+
+
+def _eval_bundles(root, n: int, bands: int, p: int) -> tuple[str, str]:
+    """Truth and estimate directories of random bundles for ``eval``, an
+    n x 1 scene; returns their paths."""
+    rng = np.random.default_rng(n)
+    truth, est = root / f"truth_{n}", root / f"est_{n}"
+    truth.mkdir()
+    est.mkdir()
+    stack = (n, bands, p)
+    dt.save_cube(str(truth / "cube"), dt.HyperCube(
+        n, 1, rng.uniform(0.0, 1.0, (n, bands))))
+    dt.save_cube(str(est / "reconstruction"), dt.HyperCube(
+        n, 1, rng.uniform(0.0, 1.0, (n, bands))))
+    for d, name in ((truth, "abundances"), (est, "abundances_est")):
+        dt.save_abundances(str(d / name), rng.dirichlet(np.ones(p), n), n, 1)
+    for d, name in ((truth, "endmembers"), (est, "endmembers_est")):
+        dt.save_endmembers(str(d / name), rng.uniform(0.05, 1.0, stack), n, 1)
+    dt.save_scalar_map(str(est / "eta_d"), rng.uniform(0.0, 1.0, n), n, 1)
+    return str(truth), str(est)
+
+
+class TestThreadIndependence:
+    def test_eval_report_bytes_do_not_depend_on_blas_threads(self, tmp_path):
+        """``cli eval`` in fresh processes with BLAS on one and on two
+        threads writes the same report, ``runtime_s`` aside, on a scene whose
+        stacks and cube are long enough for BLAS to split a dot product."""
+        # 1.28M values per stack: scored by whole-vector BLAS dots, three
+        # of this scene's scores differ in their last digits between 1 and
+        # 2 threads
+        truth, est = _eval_bundles(tmp_path, 4000, 64, 5)
+        src = os.path.dirname(unmix.__path__[0])
+        path = os.pathsep.join(filter(None, [src,
+                                             os.environ.get("PYTHONPATH")]))
+        reports = []
+        for threads in ("1", "2"):
+            env = {k: v for k, v in os.environ.items()
+                   if k not in ("UNMIX_THREADS", "OMP_NUM_THREADS",
+                                "MKL_NUM_THREADS", "OPENBLAS_NUM_THREADS")}
+            env.update(OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                       PYTHONPATH=path)
+            csv = str(tmp_path / f"report_{threads}.csv")
+            subprocess.run([sys.executable, "-m", "unmix.cli", "eval", truth,
+                            est, csv], env=env, check=True,
+                           capture_output=True, timeout=120)
+            with open(csv, "rb") as f:
+                lines = f.read().splitlines()
+            # the last column is the estimates' runtime_s
+            reports.append([line.rsplit(b",", 1)[0] for line in lines])
+        assert reports[0] == reports[1]
 
 
 class TestPublicSurface:

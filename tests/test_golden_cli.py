@@ -10,6 +10,8 @@ meant to keep the outputs must pass this unchanged; a change meant to
 alter them re-records the file with
 
     PYTHONPATH=src python tests/test_golden_cli.py
+
+which prints the entries that differ from the file it overwrites.
 """
 
 import hashlib
@@ -17,6 +19,7 @@ import json
 import os
 import sys
 
+from conftest import changed_entries
 from unmix import cli
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden_cli.json")
@@ -83,11 +86,23 @@ def test_outputs_match_golden_digests_and_rerun_is_identical(tmp_path):
         assert first[name] == golden[name], name
 
 
+def test_changed_entries_name_what_a_re_record_moves(tmp_path):
+    path = tmp_path / "golden.json"
+    path.write_text(json.dumps({"a": "x", "b": {"c": [1, 2]}, "e": 3}))
+    assert changed_entries(str(path), {"a": "x", "b": {"c": [1, 3]},
+                                       "d": 0}) == ["b.c[1]", "d", "e"]
+    assert changed_entries(str(path), {"a": "x", "b": {"c": [1, 2]},
+                                       "e": 3}) == []
+    assert changed_entries(str(tmp_path / "none.json"), {"a": 1}) == ["a"]
+
+
 if __name__ == "__main__":
     import tempfile
     with tempfile.TemporaryDirectory() as tmp:
         rec = digests(tmp)
+    changed = changed_entries(GOLDEN, rec)
     with open(GOLDEN, "w") as f:
         json.dump(rec, f, indent=1, sort_keys=True)
         f.write("\n")
-    print(f"wrote {GOLDEN} ({len(rec)} files)", file=sys.stderr)
+    print(f"wrote {GOLDEN} ({len(rec)} files); changed: "
+          f"{', '.join(changed) or 'no change'}", file=sys.stderr)

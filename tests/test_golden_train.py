@@ -7,6 +7,8 @@ final checkpoint.  A change meant to keep the numerics must pass this
 unchanged; a change meant to alter them re-records the file with
 
     PYTHONPATH=src python tests/test_golden_train.py
+
+which prints the entries that differ from the file it overwrites.
 """
 
 import hashlib
@@ -16,6 +18,7 @@ import sys
 
 import numpy as np
 
+from conftest import changed_entries
 from unmix import diffcore as dc
 from unmix import objective as ob
 from unmix.inference import model_parameters
@@ -94,7 +97,9 @@ if __name__ == "__main__":
     import tempfile
     with tempfile.TemporaryDirectory() as tmp:
         rec = record(tmp)
+    changed = changed_entries(GOLDEN, rec)
     with open(GOLDEN, "w") as f:
         json.dump(rec, f, indent=1, sort_keys=True)
         f.write("\n")
-    print(f"wrote {GOLDEN} ({len(rec['losses'])} steps)", file=sys.stderr)
+    print(f"wrote {GOLDEN} ({len(rec['losses'])} steps); changed: "
+          f"{', '.join(changed) or 'no change'}", file=sys.stderr)

@@ -333,6 +333,26 @@ class TestPointEstimates:
         a2, m2 = inf.point_estimates(y, phi, theta)
         assert np.array_equal(a1, a2) and np.array_equal(m1, m2)
 
+    def test_latent_scale_head_is_not_run(self, model, rng, monkeypatch):
+        """The point estimates read only the latent mean: the scale head,
+        whose output they would discard, is never evaluated, and the
+        estimates keep their bytes."""
+        theta, phi = model
+        y = rng.uniform(0, 1, (4, L))
+        want = inf.point_estimates_with_streams(y, phi, theta)
+        nets = []
+        forward = inf.mlp_forward
+
+        def spy(net, *args, **kwargs):
+            nets.append(net)
+            return forward(net, *args, **kwargs)
+
+        monkeypatch.setattr(inf, "mlp_forward", spy)
+        got = inf.point_estimates_with_streams(y, phi, theta)
+        assert any(net is phi.z_mean_head for net in nets)
+        assert not any(net is phi.z_scale_head for net in nets)
+        assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+
     def test_trained_toy_concentrates_on_pure_pixels(self):
         # tiny end-to-end fit: the posterior mean must pick the right
         # endmember (argmax only) for pure inputs
