@@ -141,16 +141,23 @@ def cmd_train(args) -> int:
     out_base = args.out_ckpt
     theta = phi = None
     start_epoch = 0
+    latent_dim, lista_layers = args.latent_dim, args.lista_layers
     if args.resume:
-        meta, theta, phi = _load_model(_strip_bundle(args.resume))
+        ckpt = _strip_bundle(args.resume)
+        meta, theta, phi = _load_model(ckpt)
         start_epoch = ct.json_int(meta.get("epoch"), "epoch") + 1
+        _check_fits(ckpt, "n_bands", phi.n_bands, "the cube", cube.n_bands)
+        _check_fits(ckpt, "n_endmembers", phi.n_endmembers,
+                    "the labelled set", a_s.shape[1])
+        # the sizes of the model trained, not the flags'
+        latent_dim, lista_layers = phi.latent_dim, phi.lista.n_layers
     meta = {"n_bands": cube.n_bands, "n_endmembers": a_s.shape[1],
-            "latent_dim": args.latent_dim, "lista_layers": args.lista_layers,
+            "latent_dim": latent_dim, "lista_layers": lista_layers,
             "seed": args.seed, "config": config.as_dict(), "epoch": 0}
     try:
         theta, phi, history = train(
             cube.pixels, (y_s, a_s, m_s), config, args.seed,
-            latent_dim=args.latent_dim, lista_layers=args.lista_layers,
+            latent_dim=latent_dim, lista_layers=lista_layers,
             theta=theta, phi=phi, start_epoch=start_epoch)
     except TrainingError as err:
         if err.last_good is not None and err.last_epoch is not None \
@@ -189,6 +196,13 @@ def _load_model(ckpt_base: str):
     return meta, theta, phi
 
 
+def _check_fits(ckpt_base: str, field: str, have: int, data: str, want: int):
+    """Reject a model whose ``field`` size ``have`` is not the data's."""
+    if have != want:
+        raise InputError(f"{ckpt_base}.json: checkpoint {field} is {have}, "
+                         f"{data} has {want} (field: {field})")
+
+
 def _remove_bundles(bases):
     for base in bases:
         for ext in (".json", ".raw"):
@@ -211,10 +225,9 @@ def cmd_unmix(args) -> int:
     """
     t0 = time.perf_counter()
     cube = dt.open_cube(_strip_bundle(args.cube))
-    meta, theta, phi = _load_model(_strip_bundle(args.ckpt))
-    if meta["n_bands"] != cube.n_bands:
-        raise InputError(
-            f"checkpoint expects {meta['n_bands']} bands, cube has {cube.n_bands}")
+    ckpt = _strip_bundle(args.ckpt)
+    meta, theta, phi = _load_model(ckpt)
+    _check_fits(ckpt, "n_bands", phi.n_bands, "the cube", cube.n_bands)
     _prepare_out_dir(args.out_dir, args.force)
     paths = {n: os.path.join(args.out_dir, n)
              for n in ("abundances_est", "endmembers_est", "eta_d",
@@ -243,7 +256,7 @@ def cmd_unmix(args) -> int:
         os.path.join(args.out_dir, "manifest.json"), "unmix",
         {"ckpt": args.ckpt}, meta.get("seed"),
         {"cube": _strip_bundle(args.cube) + ".json",
-         "checkpoint": _strip_bundle(args.ckpt) + ".json"},
+         "checkpoint": ckpt + ".json"},
         {k: v + ".json" for k, v in paths.items()},
         time.perf_counter() - t0)
     print(f"wrote abundance/endmember/nonlinearity maps to {args.out_dir}")

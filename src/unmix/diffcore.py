@@ -3,22 +3,23 @@
 Dense float64 tensors with reverse-mode accumulation over a per-loss
 recorded graph, small feedforward networks, the Adam update, and the
 learning-rate schedule used by the training loop.  Graphs are rebuilt
-for every loss evaluation; only parameter tensors persist.  Inside
-``no_grad()`` nothing is recorded, so forward-only passes keep no graph.
+for every loss evaluation; only parameter tensors persist.  One rule
+decides what a graph records: a tensor needs a gradient if and only if a
+parameter feeds it, so an op on constants alone records nothing and a
+forward-only pass is a pass over constants.
 
 Training packs the parameters into a ``ParamArena``, owned by the
 ``AdamState`` that ``AdamState.create`` builds: one contiguous float64
 buffer of values, in parameter-dict order, with every tensor's ``.data`` a
-view into it, and a matching gradient buffer.  ``backward`` writes each
-packed leaf's gradient into its view of that buffer, and Adam updates the
-flat buffers.  From packing on, code must write parameters in place
-(``t.data[...] = x``) and never rebind ``.data``.
+view into it and needing a gradient, and a matching gradient buffer.
+``backward`` writes each packed leaf's gradient into its view of that
+buffer, and Adam updates the flat buffers.  From packing on, code must
+write parameters in place (``t.data[...] = x``) and never rebind ``.data``.
 """
 
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,7 +35,7 @@ __all__ = [
     "Tensor", "as_tensor", "constant", "parameter",
     "relu", "sigmoid", "exp", "log", "lgamma", "clip", "matmul", "dense",
     "l2norm", "concat", "stack_last", "logsumexp",
-    "backward", "no_grad", "MlpParams", "mlp_forward",
+    "backward", "MlpParams", "mlp_forward",
     "ParamArena", "AdamState", "adam_step", "lr_schedule", "xavier_uniform",
     "StoredParams", "param_values",
 ]
@@ -53,49 +54,28 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return grad.reshape(shape)
 
 
-_recording = True
-
-
-@contextmanager
-def no_grad():
-    """Run forward-only: tensors made inside record no parents and no VJP.
-
-    Values are computed by the same operations as in recording mode, so
-    they are bitwise identical; every intermediate is freed as soon as the
-    next op has consumed it.  Contexts nest, and the previous mode is
-    restored on exit, also when the body raises.  The mode is process-wide.
-    """
-    global _recording
-    previous = _recording
-    _recording = False
-    try:
-        yield
-    finally:
-        _recording = previous
-
-
 class Tensor:
     """A float64 array recorded on a dynamically built computation graph.
 
-    ``parents`` and ``vjp`` describe how to push a cotangent back to the
-    inputs; leaves (constants and parameters) have neither, and neither
-    does any tensor made inside ``no_grad()``.  A parameter packed into a
-    ``ParamArena`` also holds its view of the arena's gradient buffer.
+    ``requires_grad`` is set when the tensor is made: for a leaf if asked,
+    for an op's output if any parent has it.  Only then does it keep
+    ``parents`` and ``vjp``, which push a cotangent back to the inputs.  A
+    parameter packed into a ``ParamArena`` also holds its gradient view.
     """
 
-    __slots__ = ("data", "grad", "name", "_parents", "_vjp", "_grad_view")
+    __slots__ = ("data", "grad", "name", "requires_grad", "_parents", "_vjp",
+                 "_grad_view")
 
-    def __init__(self, data, parents=(), vjp=None, name=None):
+    def __init__(self, data, parents=(), vjp=None, name=None,
+                 requires_grad=False):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad: np.ndarray | None = None
         self.name = name
         self._grad_view: np.ndarray | None = None
-        if _recording:
-            self._parents: tuple[Tensor, ...] = parents
-            self._vjp = vjp
-        else:
-            self._parents = ()
-            self._vjp = None
+        self.requires_grad = requires_grad or any(
+            p.requires_grad for p in parents)
+        self._parents = parents if self.requires_grad else ()
+        self._vjp = vjp if self.requires_grad else None
 
     # ---- plumbing -------------------------------------------------
 
@@ -208,12 +188,13 @@ def as_tensor(x) -> Tensor:
 
 
 def constant(x) -> Tensor:
-    """A graph leaf that never receives a gradient name."""
+    """A leaf that needs no gradient: data, noise or a stored value."""
     return Tensor(x)
 
 
 def parameter(x, name: str) -> Tensor:
-    return Tensor(np.array(x, dtype=np.float64), name=name)
+    """A named leaf that needs a gradient, over a copy of ``x``."""
+    return Tensor(np.array(x, dtype=np.float64), name=name, requires_grad=True)
 
 
 # ---- elementwise nonlinearities -----------------------------------
@@ -331,17 +312,17 @@ def _toposort(root: Tensor) -> list[Tensor]:
 
 
 def backward(loss: Tensor, params: dict[str, Tensor] | None = None):
-    """Accumulate d(loss)/d(node) into the leaves reachable from ``loss``.
+    """Accumulate d(loss)/d(node) into the parameters that feed ``loss``.
 
-    ``loss`` must be scalar.  Only leaves keep ``.grad``: each interior
-    node's cotangent is dropped as soon as its VJP has run.  A leaf packed
-    into a ``ParamArena`` receives its first contribution as a copy into
-    its view of the arena's gradient buffer and later ones added in place;
-    any other leaf's first contribution aliases the VJP output.  When
-    ``params`` is given, returns a dict of gradients keyed like ``params``;
-    parameters not touched by the loss get exact zeros.  For packed
-    parameters these are the arena's gradient views, valid until the next
-    ``backward``.
+    ``loss`` must be scalar.  No constant ever receives a cotangent, and
+    only leaves keep ``.grad``: each interior node's is dropped as soon as
+    its VJP has run.  A leaf packed into a ``ParamArena`` receives its
+    first contribution as a copy into its view of the arena's gradient
+    buffer and later ones added in place; any other leaf's first
+    contribution aliases the VJP output.  When ``params`` is given, returns
+    a dict of gradients keyed like ``params``; parameters not touched by
+    the loss get exact zeros.  For packed parameters these are the arena's
+    gradient views, valid until the next ``backward``.
     """
     if loss.data.size != 1:
         raise ContractError(f"loss must be scalar, got shape {loss.shape}")
@@ -350,7 +331,8 @@ def backward(loss: Tensor, params: dict[str, Tensor] | None = None):
         node.grad = None
     for t in (params or {}).values():
         t.grad = None
-    loss.grad = np.ones_like(loss.data)
+    if loss.requires_grad:
+        loss.grad = np.ones_like(loss.data)
     # Gradients this pass may add to in place: arena views, and fresh sums.
     # An unpacked node's first contribution aliases the VJP output, which
     # may be shared, so a second one replaces it with a fresh sum.
@@ -361,7 +343,7 @@ def backward(loss: Tensor, params: dict[str, Tensor] | None = None):
         grads = node._vjp(node.grad)
         node.grad = None
         for p, g in zip(node._parents, grads):
-            if g is None:
+            if g is None or not p.requires_grad:
                 continue
             if p.grad is None:
                 if p._grad_view is None:
@@ -397,8 +379,9 @@ def dense(x: Tensor, w: Tensor, b: Tensor, act: str) -> Tensor:
     ``x``: (rows, in); ``w``: (out, in); ``b``: (out,).  The product, the
     bias and the activation share one fresh (rows, out) buffer, and the VJP
     needs only that output: the relu mask is ``out > 0`` and the sigmoid
-    derivative ``out * (1 - out)``.  Values and gradients are bitwise those
-    of the transpose, matmul, add and activation nodes it replaces.
+    derivative ``out * (1 - out)``; it skips ``g @ w`` for a constant
+    input.  Values and gradients are bitwise those of the transpose,
+    matmul, add and activation nodes it replaces.
     """
     x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
     if x.data.ndim != 2 or x.shape[1] != w.shape[1]:
@@ -424,7 +407,8 @@ def dense(x: Tensor, w: Tensor, b: Tensor, act: str) -> Tensor:
             g = g * (out > 0.0)
         elif act == "sigmoid":
             g = g * out * (1.0 - out)
-        return (g @ w.data, (x.data.T @ g).T, g.sum(axis=0))
+        gx = g @ w.data if x.requires_grad else None
+        return (gx, (x.data.T @ g).T, g.sum(axis=0))
     return Tensor(out, (x, w, b), vjp)
 
 
@@ -437,8 +421,9 @@ class StoredParams:
     """Parameter values read by name from a checkpoint's arrays.
 
     Passed where a model's constructors take a Generator, it builds every
-    parameter as a tensor over its stored array: nothing is drawn or
-    copied.  A missing or misshapen array is a ``BundleError`` naming it.
+    parameter as a constant over its stored array, until packing for
+    training: nothing is drawn or copied.  A missing or misshapen array is
+    a ``BundleError`` naming it.
     """
 
     def __init__(self, arrays: dict[str, np.ndarray]):
@@ -548,8 +533,8 @@ class ParamArena:
     Packing copies each tensor's values into ``values``, in dict order, and
     rebinds the tensor's ``.data`` to its view of that buffer; it also gives
     the tensor its view of ``grad``, a matching buffer that ``backward``
-    fills.  ``params`` and ``grads`` map each name to its value view and
-    its gradient view.
+    fills, and marks it as needing a gradient.  ``params`` and ``grads``
+    map each name to its value view and its gradient view.
     """
 
     def __init__(self, params: dict[str, Tensor]):
@@ -570,6 +555,7 @@ class ParamArena:
             view[...] = t.data
             t.data = view
             t._grad_view = self.grads[name]
+            t.requires_grad = True
 
     def views(self, flat: np.ndarray) -> dict[str, np.ndarray]:
         """Name -> view of an arena-sized flat buffer, shaped like the parameter."""

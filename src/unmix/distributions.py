@@ -169,13 +169,11 @@ def dirichlet_rsample(concentration: Tensor, noise) -> Tensor:
     conc = as_tensor(concentration)
     _check_concentration(conc.data)
     a = noise.dirichlet(conc.data)
-    out = Tensor(a, (conc,))
 
     def vjp(g):
         jac = _pathwise_jacobian_data(a, conc.data)
         return (np.einsum("...i,...ij->...j", g, jac),)
-    out._vjp = vjp
-    return out
+    return Tensor(a, (conc,), vjp)
 
 
 # ---------------------------------------------------------------- noise

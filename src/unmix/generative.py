@@ -121,8 +121,8 @@ def mixing_mean(a, M, theta: GenerativeParams) -> Tensor:
     M = as_tensor(M)
     L, P = theta.n_bands, theta.n_endmembers
     lin = dc.matmul(M, a.reshape(a.shape + (1,))).reshape(a.shape[:-1] + (L,))
-    # vec(M) is built inside the call so that, under no_grad, nothing holds
-    # it once the concatenation exists.
+    # vec(M) is built inside the call so that, over constants, nothing
+    # holds it once the concatenation exists.
     nlin = mlp_forward(theta.nlin_mixing, dc.concat(
         [M.transpose().reshape(a.shape[:-1] + (L * P,)), a], axis=-1))
     return lin + nlin

@@ -10,7 +10,7 @@ trunk; the same conditional serves every latent code.  q(a | y, M) is a
 Dirichlet whose concentration is the ReLU of a two-stream sum: an unrolled
 least-squares/shrinkage stream in (y, M) plus a free nonlinear stream in y.
 
-Unmixing a scene (``point_estimate_blocks``) runs forward-only in fixed
+Unmixing a scene (``point_estimate_blocks``) runs over constants, in fixed
 blocks of ``ROW_BLOCK`` pixels counted from pixel 0, so its outputs depend
 only on the pixel values and the pixel count, not on memory layout, and a
 caller can stream each block's outputs to disk as it is computed.
@@ -263,23 +263,25 @@ def point_estimate_blocks(y, phi: InferenceParams, theta: GenerativeParams):
     ``mixing_mean`` of (a_hat, m_hat).  Nothing larger than a block is
     held.  BLAS rounding follows a product's row count, so the fixed blocks
     make every output a function of the pixel values and their number
-    alone, not of how ``y`` is stored.
+    alone, not of how ``y`` is stored.  The pass runs over a constant view
+    of the model's arrays, so it records no graph for any model.
     """
+    stored = {name: t.data for name, t in model_parameters(theta, phi).items()}
+    theta, phi = init_model(phi.n_bands, phi.n_endmembers, phi.latent_dim,
+                            phi.lista.n_layers, dc.StoredParams(stored))
     n, L, P = len(y), theta.n_bands, phi.n_endmembers
     for start in range(0, n, ROW_BLOCK):
         rows = slice(start, min(start + ROW_BLOCK, n))
-        with dc.no_grad():
-            y_blk = y[rows]
-            m_blk = np.empty((len(y_blk), L, P))
-            # encode_z's mean alone: the scale head's output is not used
-            z_mean = mlp_forward(phi.z_mean_head,
-                                 mlp_forward(phi.z_trunk, y_blk))
-            for k in range(P):
-                m_blk[..., k] = mlp_forward(theta.em_decoders[k], z_mean).data
-            lin, nlin = abundance_streams(y_blk, dc.constant(m_blk), phi)
-            conc = _combine_streams(lin, nlin).concentration.data
-            a_blk = conc / conc.sum(axis=-1, keepdims=True)
-            recon = mixing_mean(a_blk, m_blk, theta).data
+        y_blk = y[rows]
+        m_blk = np.empty((len(y_blk), L, P))
+        # encode_z's mean alone: the scale head's output is not used
+        z_mean = mlp_forward(phi.z_mean_head, mlp_forward(phi.z_trunk, y_blk))
+        for k in range(P):
+            m_blk[..., k] = mlp_forward(theta.em_decoders[k], z_mean).data
+        lin, nlin = abundance_streams(y_blk, m_blk, phi)
+        conc = _combine_streams(lin, nlin).concentration.data
+        a_blk = conc / conc.sum(axis=-1, keepdims=True)
+        recon = mixing_mean(a_blk, m_blk, theta).data
         yield rows, a_blk, m_blk, lin.data, nlin.data, recon
 
 

@@ -19,7 +19,8 @@ from unmix import container as ct
 from unmix import data as dt
 from unmix import diffcore as dc
 from unmix import inference as inf
-from unmix.errors import BundleError, InputError
+from unmix.errors import BundleError, InputError, TrainingError
+from unmix.objective import TrainConfig, total_loss
 
 WIDTH, HEIGHT, BANDS, P = 8, 8, 24, 3
 OUTPUTS = ("abundances_est", "endmembers_est", "eta_d", "reconstruction")
@@ -188,6 +189,81 @@ class TestResume:
         _, start = ct.load_checkpoint(scene["ckpt"])
         assert arrays.keys() == start.keys()
         assert any(not np.array_equal(arrays[n], start[n]) for n in start)
+
+    def test_checkpoint_records_the_trained_model_sizes(self, scene, capsys):
+        """The size flags do not apply to a resumed model, and the new
+        checkpoint records the sizes of the model it holds."""
+        out = str(scene["root"] / "resumed_flags")
+        assert cli.main(["train", scene["cube"], _supervised(scene), out,
+                         "--epochs", "1", "--resume", scene["ckpt"],
+                         "--latent-dim", "3", "--lista-layers", "7"]) == 0
+        meta, _ = ct.load_checkpoint(out)
+        assert (meta["latent_dim"], meta["lista_layers"]) == (2, 11)
+        assert cli.main(["unmix", scene["cube"], out, out + "_maps"]) == 0
+
+    def test_last_good_checkpoint_records_the_trained_model_sizes(
+            self, scene, monkeypatch, capsys):
+        def diverge(*args, theta, phi, start_epoch, **kwargs):
+            err = TrainingError("objective diverged", epoch=start_epoch)
+            err.last_good = {n: t.data.copy() for n, t in
+                             inf.model_parameters(theta, phi).items()}
+            err.last_epoch = start_epoch
+            raise err
+
+        monkeypatch.setattr(cli, "train", diverge)
+        out = str(scene["root"] / "diverged_flags")
+        assert cli.main(["train", scene["cube"], _supervised(scene), out,
+                         "--resume", scene["ckpt"], "--latent-dim", "3",
+                         "--lista-layers", "7"]) == 3
+        meta, _ = ct.load_checkpoint(out)
+        assert (meta["latent_dim"], meta["lista_layers"]) == (2, 11)
+        assert cli.main(["unmix", scene["cube"], out, out + "_maps"]) == 0
+
+    @pytest.mark.parametrize("field", ["n_bands", "n_endmembers"])
+    def test_checkpoint_that_does_not_fit_exits_2(self, scene, capsys, field):
+        """A checkpoint sized for other data exits 2 before training, naming
+        the checkpoint and the field."""
+        sizes = {"n_bands": BANDS, "n_endmembers": P}
+        sizes[field] += 1
+        theta, phi = inf.init_model(sizes["n_bands"], sizes["n_endmembers"],
+                                    2, 11, np.random.default_rng(7))
+        ckpt = str(scene["root"] / f"model_{field}")
+        ct.save_checkpoint(ckpt, {**sizes, "latent_dim": 2, "lista_layers": 11,
+                                  "seed": 7, "epoch": 0},
+                           inf.model_parameters(theta, phi))
+        out = str(scene["root"] / f"resumed_{field}")
+        capsys.readouterr()
+        assert cli.main(["train", scene["cube"], _supervised(scene), out,
+                         "--epochs", "1", "--resume", ckpt]) == 2
+        err = capsys.readouterr().err
+        assert f"{ckpt}.json" in err and f"field: {field}" in err
+        assert not os.path.exists(out + ".json")
+
+    def test_model_built_from_a_checkpoint_trains(self, scene):
+        """Packing makes the stored constants parameters: a step over the
+        model ``_load_model`` builds gives the gradients of a drawn model
+        loaded with the same arrays, bit for bit."""
+        _, arrays = ct.load_checkpoint(scene["ckpt"])
+        batch_s = dt.load_supervised(_supervised(scene))
+        batch_u = dt.load_cube(scene["cube"]).pixels[:16]
+        grads = []
+        for loaded in (True, False):
+            if loaded:
+                _, theta, phi = cli._load_model(scene["ckpt"])
+            else:
+                theta, phi = inf.init_model(BANDS, P, 2, 11,
+                                            np.random.default_rng(0))
+                dc.load_params_into(inf.model_parameters(theta, phi), arrays)
+            params = inf.model_parameters(theta, phi)
+            dc.AdamState.create(params)
+            bd = total_loss(batch_u, batch_s, theta, phi, TrainConfig(),
+                            np.random.default_rng(3))
+            grads.append({n: g.copy() for n, g in
+                          dc.backward(-bd.node, params).items()})
+        assert grads[0].keys() == grads[1].keys() == arrays.keys()
+        assert any(g.any() for g in grads[0].values())
+        for name, g in grads[1].items():
+            assert grads[0][name].tobytes() == g.tobytes(), name
 
 
 def _copy_cube(scene, name: str) -> str:

@@ -95,6 +95,29 @@ class TestDense:
         assert max_rel_err(grads, fd) < 1e-6
 
     @pytest.mark.parametrize("act", ACTS)
+    def test_data_input_matches_finite_differences(self, rng, act):
+        """With a constant input the VJP skips the input's cotangent; the
+        weight and bias gradients are those of a parameter input, bit for
+        bit."""
+        x = rng.standard_normal((5, 4))
+        params = {"w": dc.parameter(rng.standard_normal((3, 4)), "w"),
+                  "b": dc.parameter(rng.standard_normal(3), "b")}
+
+        def loss_t(x_t):
+            out = dc.dense(x_t, params["w"], params["b"], act)
+            return (out * out).sum() + _sin(out).sum()
+
+        data = dc.constant(x)
+        grads = dc.backward(loss_t(data), params)
+        assert data.grad is None
+        fd = fd_param_grads(lambda: loss_t(data).item(), params)
+        assert max_rel_err(grads, fd) < 1e-6
+        grads = {k: g.copy() for k, g in grads.items()}
+        full = dc.backward(loss_t(dc.parameter(x, "x")), params)
+        for name in params:
+            assert grads[name].tobytes() == full[name].tobytes()
+
+    @pytest.mark.parametrize("act", ACTS)
     def test_bitwise_equal_to_four_node_chain(self, rng, act):
         tiny = np.finfo(np.float64).smallest_subnormal
         special = np.array([800.0, -800.0, 0.0, -0.0, tiny, -tiny, 1e-310,
@@ -237,7 +260,7 @@ class TestBackward:
         assert all(n.grad is None for n in order if n._vjp is not None)
         leaves = [n for n in order if n._vjp is None]
         assert len(leaves) == len(params) + 1
-        assert x.grad is not None and x.grad.shape == x.shape
+        assert x.grad is None
         fd = fd_param_grads(
             lambda: float(((h2 := dc.mlp_forward(net, x).data) ** 2).sum()
                           + h2.sum()), params)
@@ -289,9 +312,7 @@ class TestBackward:
 
 
 def _sin(t):
-    out = dc.Tensor(np.sin(t.data), (t,))
-    out._vjp = lambda g: (g * np.cos(t.data),)
-    return out
+    return dc.Tensor(np.sin(t.data), (t,), lambda g: (g * np.cos(t.data),))
 
 
 def _every_op(x: dc.Tensor, net: dc.MlpParams) -> list[dc.Tensor]:
@@ -308,48 +329,56 @@ def _every_op(x: dc.Tensor, net: dc.MlpParams) -> list[dc.Tensor]:
                          for act in ACTS]
 
 
-class TestNoGrad:
+def _constant_net(net: dc.MlpParams) -> dc.MlpParams:
+    """The same network over the same arrays, as constants."""
+    arrays = {n: t.data for n, t in net.named_parameters().items()}
+    return dc.MlpParams.create(net.widths, net.activations,
+                               dc.StoredParams(arrays), "net")
+
+
+class TestRequiresGrad:
+    """A tensor needs a gradient if and only if a parameter feeds it."""
+
     @pytest.fixture
     def case(self, rng):
         net = make_mlp([3, 5, 2], ["relu", "sigmoid"], seed=4)
         return rng.standard_normal((4, 3)), net
 
-    def test_values_bitwise_equal_to_recording_mode(self, case):
+    def test_ops_over_constants_record_nothing(self, case):
         x, net = case
         recorded = _every_op(dc.parameter(x, "x"), net)
-        with dc.no_grad():
-            plain = _every_op(dc.parameter(x, "x"), net)
+        plain = _every_op(dc.constant(x), _constant_net(net))
         assert len(recorded) == len(plain)
         for r, p in zip(recorded, plain):
+            assert r.requires_grad and r._parents and r._vjp is not None
+            assert not p.requires_grad and p._parents == () and p._vjp is None
             assert r.data.shape == p.data.shape
             assert r.data.tobytes() == p.data.tobytes()
 
-    def test_tensors_record_no_parents_and_no_vjp(self, case):
+    def test_one_parameter_parent_is_enough(self, case):
         x, net = case
-        with dc.no_grad():
-            outs = _every_op(dc.parameter(x, "x"), net)
-        for t in outs:
-            assert t._parents == () and t._vjp is None
-        recorded = _every_op(dc.parameter(x, "x"), net)
-        assert all(t._parents and t._vjp is not None for t in recorded)
+        c = dc.constant(x)
+        h = dc.dense(c, net.weights[0], net.biases[0], "relu")
+        assert h.requires_grad and h._parents[0] is c
+        assert not (c * 2.0).requires_grad
+        assert (c + dc.parameter(np.ones(3), "b")).requires_grad
 
-    def test_nests_and_restores_recording(self):
-        x = dc.parameter(np.ones(2), "x")
-        with dc.no_grad():
-            with dc.no_grad():
-                assert (x * 2.0)._vjp is None
-            assert (x * 2.0)._vjp is None
-        assert (x * 2.0)._vjp is not None
+    def test_leaves(self, rng):
+        assert dc.parameter(np.ones(2), "p").requires_grad
+        assert not dc.constant(np.ones(2)).requires_grad
+        stored = dc.StoredParams({"s": rng.standard_normal(3)})
+        t = stored.value("s", np.zeros(3))
+        assert not t.requires_grad
+        dc.AdamState.create({"s": t})
+        assert t.requires_grad and t._grad_view is not None
 
-    def test_restores_recording_after_exception(self):
-        x = dc.parameter(np.ones(2), "x")
-        with pytest.raises(ShapeError):
-            with dc.no_grad():
-                dc.matmul(x, x)
-        y = x * 2.0
-        assert y._parents[0] is x and y._vjp is not None
-        grads = dc.backward(y.sum(), {"x": x})
-        np.testing.assert_array_equal(grads["x"], [2.0, 2.0])
+    def test_constant_loss_gives_zeros_and_no_grad(self):
+        c = dc.constant(np.array([1.0, 2.0]))
+        p = dc.parameter(np.array([3.0]), "p")
+        loss = (c * c).sum()
+        grads = dc.backward(loss, {"p": p})
+        assert np.array_equal(grads["p"], [0.0])
+        assert loss.grad is None and c.grad is None
 
 
 class TestSigmoid:

@@ -349,8 +349,37 @@ class TestPointEstimates:
 
         monkeypatch.setattr(inf, "mlp_forward", spy)
         got = inf.point_estimates_with_streams(y, phi, theta)
-        assert any(net is phi.z_mean_head for net in nets)
-        assert not any(net is phi.z_scale_head for net in nets)
+        # the pass runs over a constant view of the model, so nets are
+        # told apart by their parameters' names
+        names = {net.weights[0].name for net in nets}
+        assert phi.z_mean_head.weights[0].name in names
+        assert phi.z_scale_head.weights[0].name not in names
+        assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+
+    def test_records_no_graph_for_a_trainable_model(self, model, rng,
+                                                    monkeypatch):
+        """Over a model of parameters, the pass makes no tensor with
+        parents, leaves the parameters as they were, and keeps the
+        estimates' bytes."""
+        theta, phi = model
+        y = rng.uniform(0, 1, (2 * inf.ROW_BLOCK + 3, L))
+        want = inf.point_estimates_with_streams(y, phi, theta)
+        made = []
+        init = dc.Tensor.__init__
+
+        def spy(t, *args, **kwargs):
+            init(t, *args, **kwargs)
+            made.append(t._parents)
+
+        monkeypatch.setattr(dc.Tensor, "__init__", spy)
+        got = inf.point_estimates_with_streams(y, phi, theta)
+        assert made and not any(made)
+        # the spy sees the tensors a trainable pass records
+        inf.encode_z(y[:2], phi)
+        assert any(made)
+        monkeypatch.undo()
+        params = inf.model_parameters(theta, phi)
+        assert all(t.requires_grad and t.grad is None for t in params.values())
         assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
 
     def test_trained_toy_concentrates_on_pure_pixels(self):

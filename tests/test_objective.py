@@ -312,6 +312,34 @@ class TestTotalLoss:
                       cfg, RngNoise(np.random.default_rng(0)))
         assert len(calls) == 2
 
+    def test_graph_holds_only_what_parameters_feed(self, model, rng):
+        """Every interior node has a parameter among its ancestors, and
+        after ``backward`` no constant leaf (data, noise, observed
+        endmembers) holds a gradient."""
+        theta, phi = model
+        params = model_parameters(theta, phi)
+        cfg = ob.TrainConfig(k=2, k_e=2, tau=0.05)
+        y, a, m = one_hot_batch(rng, 3)
+        loss = -ob.total_loss(rng.uniform(0.1, 0.9, (4, L)), (y, a, m),
+                              theta, phi, cfg,
+                              RngNoise(np.random.default_rng(0))).node
+        fed = {id(t) for t in params.values()}
+        constants, used = [], []
+        for node in dc._toposort(loss):           # parents first
+            if node._parents:
+                assert node.requires_grad
+                assert any(id(p) in fed for p in node._parents)
+                fed.add(id(node))
+            elif id(node) in fed:
+                used.append(node)
+            else:
+                assert not node.requires_grad
+                constants.append(node)
+        assert constants and used
+        dc.backward(loss, params)
+        assert all(t.grad is None for t in constants)
+        assert all(t.grad is not None for t in used)
+
 
 class TestBoundOrdering:
     def test_elbo_below_importance_weighted_bound(self, model, rng):
