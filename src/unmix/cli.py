@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 import time
 
@@ -28,7 +29,7 @@ from . import container as ct
 from . import data as dt
 from . import diffcore as dc
 from . import evaluation as ev
-from .errors import InputError, TrainingError, UnmixError
+from .errors import BundleError, InputError, TrainingError, UnmixError
 from .inference import init_model, model_parameters, point_estimate_blocks
 from .objective import TrainConfig, history_to_csv, train
 
@@ -192,8 +193,33 @@ def _load_model(ckpt_base: str):
     meta, arrays = ct.load_checkpoint(ckpt_base)
     sizes = [ct.json_int(meta.get(key), key, 1) for key in
              ("n_bands", "n_endmembers", "latent_dim", "lista_layers")]
+    arrays = _stack_per_endmember(arrays, sizes[1])
     theta, phi = init_model(*sizes, dc.StoredParams(arrays))
     return meta, theta, phi
+
+
+# The endmember number in the array names of checkpoints written before the
+# decoders were one bank: gen.em_decoder{k}.w{i}, .b{i}, gen.em_log_scale{k}.
+_ENDMEMBER_NUMBER = re.compile(r"(?<=^gen\.em_decoder)\d+|(?<=^gen\.em_log_scale)\d+")
+
+
+def _stack_per_endmember(arrays: dict[str, np.ndarray], n_endmembers: int
+                         ) -> dict[str, np.ndarray]:
+    """The checkpoint's arrays with endmember k's of an older checkpoint
+    stacked, k = 0..P-1, under the bank's name; a missing or misshapen one
+    is a ``BundleError`` naming it."""
+    out = dict(arrays)
+    for name in arrays:
+        bank = _ENDMEMBER_NUMBER.sub("", name)
+        if bank != name and bank not in out:
+            olds = [_ENDMEMBER_NUMBER.sub(str(k), name)
+                    for k in range(n_endmembers)]
+            for old in olds:
+                if old not in arrays or arrays[old].shape != arrays[name].shape:
+                    raise BundleError("checkpoint missing or misshapen "
+                                      "parameter", field=old)
+            out[bank] = np.stack([arrays[old] for old in olds])
+    return out
 
 
 def _check_fits(ckpt_base: str, field: str, have: int, data: str, want: int):

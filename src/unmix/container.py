@@ -30,7 +30,11 @@ Checkpoint manifest:
   ``epoch`` (a JSON int >= 0).
 - ``arrays``: name -> ``offset`` (bytes, a multiple of 8), ``count`` and
   ``shape``, JSON ints >= 0 with count = prod(shape).  The writer lays the
-  arrays out back to back in the order it is given them.
+  arrays out back to back in the order it is given them.  The names and
+  shapes are the model's parameters; this module does not read them.
+  Older checkpoints name each endmember's decoder arrays and log-scale
+  apart (``gen.em_decoder{k}.w{i}``, ``gen.em_log_scale{k}``), and ``cli``
+  stacks them into the decoder bank's arrays when it loads one.
 
 Run manifest: ``command``, ``args``, ``seed``, ``inputs``, ``outputs`` and
 ``wall_clock_s``, which ``eval`` reads (a finite number) as the runtime.

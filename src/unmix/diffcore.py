@@ -5,8 +5,12 @@ recorded graph, small feedforward networks, the Adam update, and the
 learning-rate schedule used by the training loop.  Graphs are rebuilt
 for every loss evaluation; only parameter tensors persist.  One rule
 decides what a graph records: a tensor needs a gradient if and only if a
-parameter feeds it, so an op on constants alone records nothing and a
-forward-only pass is a pass over constants.
+parameter feeds it, so an op on constants alone records nothing, a
+forward-only pass is a pass over constants, and no VJP computes or
+receives a constant operand's cotangent.  An ``MlpParams`` is one network
+or a bank of P networks of one shape stacked along a leading axis; the
+bank's P is the only batch axis that reaches ``matmul``, every other
+leading axis being folded into the rows of each layer's product.
 
 Training packs the parameters into a ``ParamArena``, owned by the
 ``AdamState`` that ``AdamState.create`` builds: one contiguous float64
@@ -34,7 +38,7 @@ from .container import load_checkpoint, save_checkpoint  # noqa: F401
 __all__ = [
     "Tensor", "as_tensor", "constant", "parameter",
     "relu", "sigmoid", "exp", "log", "lgamma", "clip", "matmul", "dense",
-    "l2norm", "concat", "stack_last", "logsumexp",
+    "l2norm", "concat", "moveaxis", "logsumexp",
     "backward", "MlpParams", "mlp_forward",
     "ParamArena", "AdamState", "adam_step", "lr_schedule", "xavier_uniform",
     "StoredParams", "param_values",
@@ -52,6 +56,14 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     if axes:
         grad = grad.sum(axis=axes, keepdims=True)
     return grad.reshape(shape)
+
+
+def _binary_vjp(a: "Tensor", b: "Tensor", da, db):
+    """The VJP of a broadcasting binary op: the cotangents ``da(g)`` and
+    ``db(g)`` reduced to the operands' shapes, each computed only for an
+    operand that needs a gradient."""
+    return lambda g: (_unbroadcast(da(g), a.shape) if a.requires_grad else None,
+                      _unbroadcast(db(g), b.shape) if b.requires_grad else None)
 
 
 class Tensor:
@@ -94,20 +106,15 @@ class Tensor:
 
     def __add__(self, other):
         other = as_tensor(other)
-
-        def vjp(g):
-            return (_unbroadcast(g, self.shape), _unbroadcast(g, other.shape))
-        return Tensor(self.data + other.data, (self, other), vjp)
+        return Tensor(self.data + other.data, (self, other),
+                      _binary_vjp(self, other, lambda g: g, lambda g: g))
 
     __radd__ = __add__
 
     def __mul__(self, other):
         other = as_tensor(other)
-
-        def vjp(g):
-            return (_unbroadcast(g * other.data, self.shape),
-                    _unbroadcast(g * self.data, other.shape))
-        return Tensor(self.data * other.data, (self, other), vjp)
+        return Tensor(self.data * other.data, (self, other), _binary_vjp(
+            self, other, lambda g: g * other.data, lambda g: g * self.data))
 
     __rmul__ = __mul__
 
@@ -122,11 +129,9 @@ class Tensor:
 
     def __truediv__(self, other):
         other = as_tensor(other)
-
-        def vjp(g):
-            return (_unbroadcast(g / other.data, self.shape),
-                    _unbroadcast(-g * self.data / other.data ** 2, other.shape))
-        return Tensor(self.data / other.data, (self, other), vjp)
+        return Tensor(self.data / other.data, (self, other), _binary_vjp(
+            self, other, lambda g: g / other.data,
+            lambda g: -g * self.data / other.data ** 2))
 
     def __rtruediv__(self, other):
         return as_tensor(other) / self
@@ -137,34 +142,14 @@ class Tensor:
 
     # ---- shape ops ------------------------------------------------
 
-    def reshape(self, *shape) -> "Tensor":
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
+    def reshape(self, shape: tuple[int, ...]) -> "Tensor":
         return Tensor(self.data.reshape(shape), (self,),
                       lambda g: (g.reshape(self.shape),))
 
-    def __getitem__(self, index) -> "Tensor":
-        """Basic indexing by ints, slices and Ellipsis; the VJP scatters
-        the cotangent into zeros of the input's shape."""
-        for i in index if isinstance(index, tuple) else (index,):
-            if isinstance(i, bool) or not (
-                    i is Ellipsis or isinstance(i, (int, np.integer, slice))):
-                raise ContractError(f"Tensor indices must be ints, slices or "
-                                    f"Ellipsis, got {type(i).__name__}")
-
-        def vjp(g):
-            full = np.zeros_like(self.data)
-            full[index] = g
-            return (full,)
-        return Tensor(self.data[index], (self,), vjp)
-
-    def transpose(self, axes=None) -> "Tensor":
-        if axes is None:
-            axes = tuple(range(self.data.ndim - 2)) + (-1, -2)
-        axes = tuple(a % self.data.ndim for a in axes)
-        inv = np.argsort(axes)
-        return Tensor(self.data.transpose(axes), (self,),
-                      lambda g: (g.transpose(inv),))
+    def transpose(self) -> "Tensor":
+        """Swap the last two axes."""
+        return Tensor(np.swapaxes(self.data, -1, -2), (self,),
+                      lambda g: (np.swapaxes(g, -1, -2),))
 
     def sum(self, axis=None, keepdims=False) -> "Tensor":
         def vjp(g):
@@ -178,9 +163,8 @@ class Tensor:
                       (self,), vjp)
 
     def mean(self, axis=None, keepdims=False) -> "Tensor":
-        n = self.data.size if axis is None else np.prod(
-            [self.shape[a] for a in (axis if isinstance(axis, tuple) else (axis,))])
-        return self.sum(axis=axis, keepdims=keepdims) * (1.0 / float(n))
+        total = self.sum(axis=axis, keepdims=keepdims)
+        return total * (total.data.size / self.data.size)
 
 
 def as_tensor(x) -> Tensor:
@@ -256,12 +240,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"matmul needs ndim >= 2 operands, got {a.shape} @ {b.shape}")
     if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul inner dims differ: {a.shape} @ {b.shape}")
-
-    def vjp(g):
-        ga = _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape)
-        gb = _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape)
-        return (ga, gb)
-    return Tensor(a.data @ b.data, (a, b), vjp)
+    return Tensor(a.data @ b.data, (a, b), _binary_vjp(
+        a, b, lambda g: g @ np.swapaxes(b.data, -1, -2),
+        lambda g: np.swapaxes(a.data, -1, -2) @ g))
 
 
 def concat(parts: list[Tensor], axis: int = -1) -> Tensor:
@@ -272,40 +253,40 @@ def concat(parts: list[Tensor], axis: int = -1) -> Tensor:
                   tuple(parts), lambda g: tuple(np.split(g, splits, axis=axis)))
 
 
-def stack_last(parts: list[Tensor]) -> Tensor:
-    """Stack same-shape tensors along a new trailing axis (matrix columns)."""
-    return concat([p.reshape(p.shape + (1,)) for p in parts], axis=-1)
+def moveaxis(x: Tensor, source: int, destination: int) -> Tensor:
+    """``np.moveaxis`` as a C-ordered copy; the VJP moves the cotangent
+    back, also as a C-ordered copy."""
+    x = as_tensor(x)
+    return Tensor(np.ascontiguousarray(np.moveaxis(x.data, source, destination)),
+                  (x,), lambda g: (np.ascontiguousarray(
+                      np.moveaxis(g, destination, source)),))
 
 
-def logsumexp(x: Tensor, axis: int = -1, keepdims: bool = False) -> Tensor:
-    """Numerically stable log-sum-exp; the max shift is treated as data."""
+def logsumexp(x: Tensor, axis: int = -1) -> Tensor:
+    """Numerically stable log-sum-exp over ``axis``, which is kept with
+    length 1; the max shift is treated as data."""
     x = as_tensor(x)
     c = np.max(x.data, axis=axis, keepdims=True)
     c = np.where(np.isfinite(c), c, 0.0)
     shifted = x - constant(c)
-    out = log(exp(shifted).sum(axis=axis, keepdims=True)) + constant(c)
-    if not keepdims:
-        out = out.reshape(tuple(s for i, s in enumerate(out.shape)
-                                if i != axis % x.data.ndim))
-    return out
+    return log(exp(shifted).sum(axis=axis, keepdims=True)) + constant(c)
 
 
 # ---- reverse pass -------------------------------------------------
 
 def _toposort(root: Tensor) -> list[Tensor]:
+    """``root`` and the nodes that need a gradient below it, parents first."""
     order: list[Tensor] = []
     seen: set[int] = {id(root)}
     stack: list[tuple[Tensor, object]] = [(root, iter(root._parents))]
     while stack:
         node, it = stack[-1]
-        descended = False
         for p in it:
-            if id(p) not in seen:
+            if p.requires_grad and id(p) not in seen:
                 seen.add(id(p))
                 stack.append((p, iter(p._parents)))
-                descended = True
                 break
-        if not descended:
+        else:
             order.append(node)
             stack.pop()
     return order
@@ -376,20 +357,26 @@ _ACTIVATIONS = ("relu", "sigmoid", "linear")
 def dense(x: Tensor, w: Tensor, b: Tensor, act: str) -> Tensor:
     """One fully connected layer ``act(x @ w.T + b)`` as a single node.
 
-    ``x``: (rows, in); ``w``: (out, in); ``b``: (out,).  The product, the
-    bias and the activation share one fresh (rows, out) buffer, and the VJP
-    needs only that output: the relu mask is ``out > 0`` and the sigmoid
-    derivative ``out * (1 - out)``; it skips ``g @ w`` for a constant
-    input.  Values and gradients are bitwise those of the transpose,
-    matmul, add and activation nodes it replaces.
+    ``x`` (rows, in), ``w`` (out, in), ``b`` (out,); or a bank of P
+    networks, ``w`` (P, out, in) and ``b`` (P, out), over a per-network
+    ``x`` (P, rows, in) or a shared one (rows, in), out (P, rows, out).
+    Slice k of the output and of each gradient, a shared input's excepted,
+    is bitwise network k's alone.  The product, the bias and the
+    activation share one fresh buffer, and the VJP needs only that output:
+    the relu mask is ``out > 0`` and the sigmoid derivative
+    ``out * (1 - out)``; it skips ``g @ w`` for a constant input and sums a
+    shared input's P cotangents in network order.  Values and gradients
+    are bitwise those of the transpose, matmul, add and activation nodes it
+    replaces.
     """
     x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
-    if x.data.ndim != 2 or x.shape[1] != w.shape[1]:
-        raise ShapeError(f"dense needs (rows, {w.shape[1]}) input, got {x.shape}")
+    if x.data.ndim < 2 or x.shape[:-2] not in ((), w.shape[:-2]) \
+            or x.shape[-1] != w.shape[-1]:
+        raise ShapeError(f"dense input {x.shape} does not fit weights {w.shape}")
     if act not in _ACTIVATIONS:
         raise ShapeError(f"unknown activation {act!r}")
-    out = x.data @ w.data.T
-    out += b.data
+    out = x.data @ np.swapaxes(w.data, -1, -2)
+    out += b.data[..., None, :]
     if act == "relu":
         np.maximum(out, 0.0, out=out)
     elif act == "sigmoid":
@@ -407,8 +394,9 @@ def dense(x: Tensor, w: Tensor, b: Tensor, act: str) -> Tensor:
             g = g * (out > 0.0)
         elif act == "sigmoid":
             g = g * out * (1.0 - out)
-        gx = g @ w.data if x.requires_grad else None
-        return (gx, (x.data.T @ g).T, g.sum(axis=0))
+        gx = _unbroadcast(g @ w.data, x.shape) if x.requires_grad else None
+        gw = (np.swapaxes(x.data, -1, -2) @ g).swapaxes(-1, -2)
+        return (gx, gw, g.sum(axis=-2))
     return Tensor(out, (x, w, b), vjp)
 
 
@@ -429,8 +417,11 @@ class StoredParams:
     def __init__(self, arrays: dict[str, np.ndarray]):
         self.arrays = arrays
 
-    def weight(self, name: str, n_out: int, n_in: int) -> Tensor:
-        return self._take(name, (n_out, n_in))
+    def weights(self, name: str, shapes: list[tuple[int, int]],
+                bank: int = 0) -> list[Tensor]:
+        lead = (bank,) if bank else ()
+        return [self._take(f"{name}.w{i}", lead + shape)
+                for i, shape in enumerate(shapes)]
 
     def value(self, name: str, initial) -> Tensor:
         return self._take(name, np.shape(initial))
@@ -445,13 +436,18 @@ class StoredParams:
 
 class _DrawnParams:
     """Fresh values: Xavier-uniform weights drawn from ``rng`` in creation
-    order, every other parameter at its given initial value."""
+    order, a bank's network by network as if its P networks were created
+    one after another, and every other parameter at its initial value."""
 
     def __init__(self, rng: np.random.Generator):
         self.rng = rng
 
-    def weight(self, name: str, n_out: int, n_in: int) -> Tensor:
-        return parameter(xavier_uniform(n_out, n_in, self.rng), name)
+    def weights(self, name: str, shapes: list[tuple[int, int]],
+                bank: int = 0) -> list[Tensor]:
+        nets = [[xavier_uniform(*shape, self.rng) for shape in shapes]
+                for _ in range(max(bank, 1))]
+        return [parameter(np.stack(layer) if bank else layer[0], f"{name}.w{i}")
+                for i, layer in enumerate(zip(*nets))]
 
     def value(self, name: str, initial) -> Tensor:
         return parameter(initial, name)
@@ -467,9 +463,11 @@ def param_values(source) -> "StoredParams | _DrawnParams":
 
 @dataclass
 class MlpParams:
-    """Fully connected network: widths, per-layer weights/biases/activations.
+    """A fully connected network, or a bank of P networks of one shape.
 
-    ``weights[i]`` has shape (widths[i+1], widths[i]); activations are one
+    ``weights[i]`` has shape (widths[i+1], widths[i]) and ``biases[i]``
+    (widths[i+1],); a bank stacks its P networks' along a leading axis,
+    (P, widths[i+1], widths[i]) and (P, widths[i+1]).  Activations are one
     of relu | sigmoid | linear, one tag per weight layer.
     """
 
@@ -478,21 +476,28 @@ class MlpParams:
     biases: list[Tensor]
     activations: list[str]
 
+    @property
+    def bank(self) -> int:
+        """P for a bank of P networks, 0 for one network."""
+        return self.weights[0].shape[0] if self.weights[0].data.ndim == 3 else 0
+
     @classmethod
     def create(cls, widths: list[int], activations: list[str],
-               rng, name: str) -> "MlpParams":
-        """Xavier-uniform weights drawn from ``rng`` and zero biases, or
-        with a ``StoredParams`` for ``rng``, the stored arrays."""
+               rng, name: str, bank: int = 0) -> "MlpParams":
+        """One network, or for ``bank`` > 0 a bank of that many: Xavier-uniform
+        weights drawn from ``rng`` and zero biases, or a ``StoredParams``'
+        arrays."""
         if len(activations) != len(widths) - 1:
             raise ShapeError("need one activation per weight layer")
         for a in activations:
             if a not in _ACTIVATIONS:
                 raise ShapeError(f"unknown activation {a!r}")
         values = param_values(rng)
-        weights, biases = [], []
-        for i, (n_in, n_out) in enumerate(zip(widths[:-1], widths[1:])):
-            weights.append(values.weight(f"{name}.w{i}", n_out, n_in))
-            biases.append(values.value(f"{name}.b{i}", np.zeros(n_out)))
+        shapes = list(zip(widths[1:], widths[:-1]))
+        weights = values.weights(name, shapes, bank)
+        lead = (bank,) if bank else ()
+        biases = [values.value(f"{name}.b{i}", np.zeros(lead + (n_out,)))
+                  for i, (n_out, _) in enumerate(shapes)]
         return cls(list(widths), weights, biases, list(activations))
 
     def named_parameters(self) -> dict[str, Tensor]:
@@ -502,26 +507,29 @@ class MlpParams:
         return out
 
 
-def mlp_forward(params: MlpParams, x) -> Tensor:
+def mlp_forward(params: MlpParams, x, shared: bool = False) -> Tensor:
     """Run the activation chain on input with features along the last axis.
 
-    Any leading axes are folded into one row axis on entry and restored on
-    exit, so each layer is one ``dense`` node: a single (rows, in) @ (in, out)
-    product whose weight gradient is one ``x.T @ g`` product.  2-D input
-    runs without the reshapes.
+    A bank of P networks reads ``x`` as (P, ..., in), one input per
+    network, or with ``shared`` as (..., in), one input for all, and
+    returns (P, ..., out) either way.  Every leading axis but the bank's
+    is folded into one row axis on entry and restored on exit, so each
+    layer is one ``dense`` node: one (rows, in) @ (in, out) product per
+    network.  Input already in that form runs without the reshapes.
     """
     x = as_tensor(x)
     if x.shape[-1] != params.widths[0]:
         raise ShapeError(
             f"input width {x.shape[-1]} != expected {params.widths[0]}")
     lead = x.shape[:-1]
-    fold = x.data.ndim != 2
+    keep = 1 if params.bank and not shared else 0   # leading axes not rows
+    fold = x.data.ndim != keep + 2
     if fold:
-        x = x.reshape((-1, x.shape[-1]))
+        x = x.reshape(x.shape[:keep] + (-1, x.shape[-1]))
     for w, b, act in zip(params.weights, params.biases, params.activations):
         x = dense(x, w, b, act)
     if fold:
-        x = x.reshape(lead + (x.shape[-1],))
+        x = x.reshape(x.shape[:-2] + lead[keep:] + (x.shape[-1],))
     return x
 
 
@@ -608,8 +616,9 @@ def adam_step(params: dict[str, Tensor], grads: dict[str, np.ndarray],
     ``params`` must be the tensors packed in ``state.arena``.  A gradient
     that is not already the arena's view is copied into it.  The whole flat
     gradient is checked before anything changes, so a non-finite entry
-    raises ``TrainingError`` naming the first such parameter in arena order,
-    with the parameters, moments and step as they were.  The update runs
+    raises ``TrainingError`` naming the first such entry in arena order, by
+    parameter and index, with the parameters, moments and step as they
+    were.  The update runs
     over the flat buffers in cache-sized blocks, with the same operations
     in the same order as per tensor.
     """
@@ -626,7 +635,9 @@ def adam_step(params: dict[str, Tensor], grads: dict[str, np.ndarray],
     if not np.isfinite(arena.grad).all():
         bad = next(n for n in arena.names
                    if not np.isfinite(arena.grads[n]).all())
-        raise TrainingError("non-finite gradient", param=bad)
+        index = np.argwhere(~np.isfinite(arena.grads[bad]))[0]
+        raise TrainingError("non-finite gradient", param=bad,
+                            index=tuple(int(i) for i in index))
     state.step += 1
     t = state.step
     b1, b2 = state.beta1, state.beta2
@@ -673,10 +684,7 @@ def load_params_into(params: dict[str, Tensor], arrays: dict[str, np.ndarray]):
     written into each tensor's own buffer, so a packed parameter stays a
     view of its arena.
     """
-    for name, t in params.items():
-        if name not in arrays:
-            raise BundleError("checkpoint missing parameter", field=name)
-        if arrays[name].shape != t.data.shape:
-            raise BundleError("checkpoint shape mismatch", field=name)
-    for name, t in params.items():
-        t.data[...] = arrays[name]
+    stored = StoredParams(arrays)
+    values = [stored.value(name, t.data) for name, t in params.items()]
+    for t, value in zip(params.values(), values):
+        t.data[...] = value.data

@@ -51,19 +51,24 @@ class DegenerateSampleError(NumericError):
 
 
 class TrainingError(UnmixError):
-    """Training failed; carries the offending parameter/epoch/batch when known."""
+    """Training failed; carries the offending parameter, entry index, epoch
+    and batch when known."""
 
     def __init__(self, message: str, *, param: str | None = None,
+                 index: tuple[int, ...] | None = None,
                  epoch: int | None = None, batch: int | None = None):
         parts = [message]
         if param is not None:
-            parts.append(f"parameter={param}")
+            parts.append(f"parameter={param}"
+                         + ("" if index is None else f" index {index}"))
         if epoch is not None:
             parts.append(f"epoch={epoch}")
         if batch is not None:
             parts.append(f"batch={batch}")
         super().__init__("; ".join(parts))
+        self.message = message
         self.param = param
+        self.index = index
         self.epoch = epoch
         self.batch = batch
         self.last_good: dict | None = None

@@ -2,8 +2,12 @@
 
 Pixels follow  y = M a + nonlinear(M, a) + e  with diagonal Gaussian noise,
 abundances carry a flat Dirichlet prior, and each endmember column is decoded
-from a low-dimensional latent code by a per-endmember network with a learned
-isotropic spread.
+from a low-dimensional latent code by its own network with a learned
+isotropic spread.  The P decoders are one bank, a ``dc.MlpParams`` whose
+weights are (P, out, in), and the P spreads one (P,) log-scale.  Decoder
+quantities therefore put the endmember axis first, codes (P, ..., H) and
+means (P, ..., L), and it is the only batch axis that reaches ``matmul``;
+an endmember matrix keeps its columns last, (..., L, P).
 """
 
 from __future__ import annotations
@@ -16,7 +20,6 @@ from . import diffcore as dc
 from .diffcore import MlpParams, Tensor, as_tensor, mlp_forward
 from .distributions import (DiagGaussian, DirichletParams, dirichlet_logpdf,
                             gaussian_logpdf, std_normal_logpdf)
-from .errors import ShapeError
 
 __all__ = ["GenerativeParams", "em_decode", "mixing_mean", "log_likelihood",
            "log_joint", "decoder_widths"]
@@ -42,24 +45,24 @@ def decoder_widths(n_bands: int, latent_dim: int) -> list[int]:
 
 @dataclass
 class GenerativeParams:
-    """Parameters of the mixing model (decoders, spreads, nonlinear net)."""
+    """Parameters of the mixing model (decoder bank, spreads, nonlinear net)."""
 
-    em_decoders: list[MlpParams]
-    em_log_scales: list[Tensor]
+    em_decoder: MlpParams       # a bank of P decoders
+    em_log_scale: Tensor        # (P,)
     nlin_mixing: MlpParams
     obs_log_scale: Tensor
 
     @property
     def n_endmembers(self) -> int:
-        return len(self.em_decoders)
+        return self.em_decoder.bank
 
     @property
     def n_bands(self) -> int:
-        return self.em_decoders[0].widths[-1]
+        return self.em_decoder.widths[-1]
 
     @property
     def latent_dim(self) -> int:
-        return self.em_decoders[0].widths[0]
+        return self.em_decoder.widths[0]
 
     @classmethod
     def create(cls, n_bands: int, n_endmembers: int, latent_dim: int,
@@ -69,46 +72,46 @@ class GenerativeParams:
         values = dc.param_values(rng)
         widths = decoder_widths(n_bands, latent_dim)
         acts = ["relu"] * (len(widths) - 2) + ["sigmoid"]
-        decoders = [MlpParams.create(widths, acts, values, f"gen.em_decoder{k}")
-                    for k in range(n_endmembers)]
-        log_scales = [values.value(f"gen.em_log_scale{k}", np.log(INIT_EM_SCALE))
-                      for k in range(n_endmembers)]
+        decoder = MlpParams.create(widths, acts, values, "gen.em_decoder",
+                                   bank=n_endmembers)
+        log_scale = values.value("gen.em_log_scale",
+                                 np.full(n_endmembers, np.log(INIT_EM_SCALE)))
         L, P = n_bands, n_endmembers
         mix_widths = [P * (L + 1), P * L, L, L, L]
         mix_acts = ["relu"] * 3 + ["linear"]
         nlin = MlpParams.create(mix_widths, mix_acts, values, "gen.nlin_mixing")
         obs = values.value("gen.obs_log_scale", np.log(INIT_OBS_SCALE))
-        return cls(decoders, log_scales, nlin, obs)
+        return cls(decoder, log_scale, nlin, obs)
 
     def named_parameters(self) -> dict[str, Tensor]:
-        out: dict[str, Tensor] = {}
-        for net in self.em_decoders:
-            out.update(net.named_parameters())
-        for t in self.em_log_scales:
-            out[t.name] = t
+        out = self.em_decoder.named_parameters()
+        out[self.em_log_scale.name] = self.em_log_scale
         out.update(self.nlin_mixing.named_parameters())
         out[self.obs_log_scale.name] = self.obs_log_scale
         return out
 
-    def em_scale(self, k: int) -> Tensor:
-        """Isotropic band spread of endmember k, a scalar for every band."""
-        return dc.exp(self.em_log_scales[k])
+    def em_scale(self) -> Tensor:
+        """Isotropic band spreads of the P endmembers, (P,): one scalar per
+        endmember for every band."""
+        return dc.exp(self.em_log_scale)
 
     def obs_scale(self) -> Tensor:
         """Isotropic observation-noise spread, a scalar for every band."""
         return dc.exp(self.obs_log_scale)
 
 
-def em_decode(z_k, k: int, theta: GenerativeParams) -> DiagGaussian:
-    """Conditional of endmember column k given its latent code.
+def em_decode(Z, theta: GenerativeParams) -> DiagGaussian:
+    """Conditionals of the P endmember columns given their latent codes.
 
-    The mean comes from decoder k (sigmoid keeps it inside the reflectance
-    box) and the spread is the endmember's learned isotropic constant.
+    ``Z``: (P, ..., H), code k for endmember k.  The means (P, ..., L) come
+    from the decoder bank (sigmoid keeps them inside the reflectance box);
+    the spreads are the endmembers' learned isotropic constants, shaped
+    (P, 1, ..., 1) to broadcast over the rest.
     """
-    if not 0 <= k < theta.n_endmembers:
-        raise ShapeError(f"endmember index {k} out of range")
-    mean = mlp_forward(theta.em_decoders[k], z_k)
-    return DiagGaussian(mean=mean, scale=theta.em_scale(k))
+    mean = mlp_forward(theta.em_decoder, Z)
+    scale = theta.em_scale().reshape(
+        (theta.n_endmembers,) + (1,) * (mean.data.ndim - 1))
+    return DiagGaussian(mean=mean, scale=scale)
 
 
 def mixing_mean(a, M, theta: GenerativeParams) -> Tensor:
@@ -143,14 +146,12 @@ def flat_abundance_logpdf(a, n_endmembers: int) -> Tensor:
 def log_joint(y, a, M, Z, theta: GenerativeParams) -> Tensor:
     """log p(y, a, M, Z): likelihood + abundance prior + EM model + latent prior.
 
-    ``Z`` holds latent codes as columns, shape (..., H, P).
+    ``M`` (..., L, P) and ``Z`` (..., H, P) hold endmembers and latent codes
+    as columns.
     """
-    Z = as_tensor(Z)
     total = log_likelihood(y, a, M, theta)
     total = total + flat_abundance_logpdf(a, theta.n_endmembers)
-    M = as_tensor(M)
-    for k in range(theta.n_endmembers):
-        z_k = Z[..., k]                         # (..., H)
-        total = total + gaussian_logpdf(M[..., k], em_decode(z_k, k, theta))
-        total = total + std_normal_logpdf(z_k)
-    return total
+    m_first, z_first = dc.moveaxis(M, -1, 0), dc.moveaxis(Z, -1, 0)
+    per_endmember = (gaussian_logpdf(m_first, em_decode(z_first, theta))
+                     + std_normal_logpdf(z_first))          # (P, ...)
+    return total + per_endmember.sum(axis=0)

@@ -6,7 +6,10 @@ M), and the endmember conditional q(M | Z) reuses the generative decoders
 ("bottom-up" sharing), so its density ratio against p(M | Z) vanishes.
 
 q(Z | y) is a diagonal Gaussian computed by a pair of nets with a shared
-trunk; the same conditional serves every latent code.  q(a | y, M) is a
+trunk; the same conditional serves every latent code.  A draw holds the P
+codes as one (P, ..., H) tensor, which the generative decoder bank maps to
+the P endmember columns, endmember axis first; the endmember matrix built
+from them keeps its columns last, (..., L, P).  q(a | y, M) is a
 Dirichlet whose concentration is the ReLU of a two-stream sum: an unrolled
 least-squares/shrinkage stream in (y, M) plus a free nonlinear stream in y.
 
@@ -92,8 +95,8 @@ class InferenceParams:
     z_scale_head: MlpParams
     lista: ListaParams
     nlin_encoder: MlpParams
-    em_decoders: list[MlpParams]      # shared with the generative model
-    em_log_scales: list[Tensor]       # shared with the generative model
+    em_decoder: MlpParams       # shared with the generative model
+    em_log_scale: Tensor        # shared with the generative model
 
     @property
     def latent_dim(self) -> int:
@@ -131,7 +134,7 @@ class InferenceParams:
                                 ["relu"] * 4 + ["linear"], values,
                                 "inf.nlin_encoder")
         return cls(trunk, mean_head, scale_head, lista, nlin,
-                   theta.em_decoders, theta.em_log_scales)
+                   theta.em_decoder, theta.em_log_scale)
 
     def named_parameters(self) -> dict[str, Tensor]:
         """Parameters owned by the posterior (shared decoders excluded)."""
@@ -152,7 +155,7 @@ class PosteriorSample:
     em_matrix: Tensor          # (..., L, P)
     gamma: DirichletParams
     z_dist: DiagGaussian
-    z_columns: list[Tensor]    # the P sampled codes, each (..., H)
+    z: Tensor                  # (P, ..., H), the P sampled codes
 
 
 def encode_z(y, phi: InferenceParams) -> DiagGaussian:
@@ -165,10 +168,6 @@ def encode_z(y, phi: InferenceParams) -> DiagGaussian:
     mean = mlp_forward(phi.z_mean_head, t)
     scale = dc.exp(mlp_forward(phi.z_scale_head, t))
     return DiagGaussian(mean=mean, scale=scale)
-
-
-def _as_column(x: Tensor) -> Tensor:
-    return x.reshape(x.shape + (1,))
 
 
 def _least_squares_start(m_data: np.ndarray, y_arr: np.ndarray) -> np.ndarray:
@@ -209,7 +208,7 @@ def lista_concentration(y, M, phi: InferenceParams) -> Tensor:
     eta_sp = dc.exp(phi.lista.log_eta_sparse)
     for m in range(phi.lista.n_layers - 2):
         eta = dc.exp(phi.lista.log_eta_steps[m])
-        grad = dc.matmul(gram, _as_column(h)).reshape(h.shape) - b
+        grad = dc.matmul(gram, h.reshape(h.shape + (1,))).reshape(h.shape) - b
         h = dc.relu(h - eta * grad - eta_sp * eta)
     return dc.exp(phi.lista.log_eta_unc) * h
 
@@ -232,22 +231,20 @@ def abundance_concentration(y, M, phi: InferenceParams) -> DirichletParams:
 
 def posterior_sample(y, phi: InferenceParams, theta: GenerativeParams,
                      noise) -> PosteriorSample:
-    """Ancestral reparametrized draw Z -> M -> a for pixel(s) y (..., L)."""
+    """Ancestral reparametrized draw Z -> M -> a for pixel(s) y (..., L);
+    the code noise is one (..., P, H) draw and the endmember noise one
+    (P, ..., L) draw."""
     y_arr = y.data if isinstance(y, Tensor) else np.asarray(y, dtype=np.float64)
     batch = y_arr.shape[:-1]
     P, H, L = phi.n_endmembers, phi.latent_dim, phi.n_bands
     z_dist = encode_z(y_arr, phi)
     xi_z = noise.normal(batch + (P, H))
-    z_cols = [gaussian_rsample(z_dist, xi_z[..., k, :]) for k in range(P)]
-    m_cols = []
-    for k in range(P):
-        d_m = em_decode(z_cols[k], k, theta)
-        m_cols.append(gaussian_rsample(d_m, noise.normal(batch + (L,))))
-    em = dc.stack_last(m_cols)
+    z = gaussian_rsample(z_dist, np.moveaxis(xi_z, -2, 0))      # (P, ..., H)
+    m = gaussian_rsample(em_decode(z, theta), noise.normal((P,) + batch + (L,)))
+    em = dc.moveaxis(m, 0, -1)                                   # (..., L, P)
     gamma = abundance_concentration(y_arr, em, phi)
     a = dirichlet_rsample(gamma.concentration, noise)
-    return PosteriorSample(a=a, em_matrix=em, gamma=gamma, z_dist=z_dist,
-                           z_columns=z_cols)
+    return PosteriorSample(a=a, em_matrix=em, gamma=gamma, z_dist=z_dist, z=z)
 
 
 def point_estimate_blocks(y, phi: InferenceParams, theta: GenerativeParams):
@@ -269,15 +266,14 @@ def point_estimate_blocks(y, phi: InferenceParams, theta: GenerativeParams):
     stored = {name: t.data for name, t in model_parameters(theta, phi).items()}
     theta, phi = init_model(phi.n_bands, phi.n_endmembers, phi.latent_dim,
                             phi.lista.n_layers, dc.StoredParams(stored))
-    n, L, P = len(y), theta.n_bands, phi.n_endmembers
+    n = len(y)
     for start in range(0, n, ROW_BLOCK):
         rows = slice(start, min(start + ROW_BLOCK, n))
         y_blk = y[rows]
-        m_blk = np.empty((len(y_blk), L, P))
         # encode_z's mean alone: the scale head's output is not used
         z_mean = mlp_forward(phi.z_mean_head, mlp_forward(phi.z_trunk, y_blk))
-        for k in range(P):
-            m_blk[..., k] = mlp_forward(theta.em_decoders[k], z_mean).data
+        m_blk = dc.moveaxis(mlp_forward(theta.em_decoder, z_mean, shared=True),
+                            0, -1).data
         lin, nlin = abundance_streams(y_blk, m_blk, phi)
         conc = _combine_streams(lin, nlin).concentration.data
         a_blk = conc / conc.sum(axis=-1, keepdims=True)

@@ -33,7 +33,8 @@ import numpy as np
 from . import diffcore as dc
 from .diffcore import AdamState, Tensor, adam_step, backward, lr_schedule
 from .distributions import (DiagGaussian, RngNoise, dirichlet_logpdf,
-                            gaussian_logpdf, std_normal_logpdf)
+                            gaussian_logpdf, gaussian_rsample,
+                            std_normal_logpdf)
 from .errors import ContractError, InputError, NumericError, TrainingError
 from .generative import (GenerativeParams, em_decode, flat_abundance_logpdf,
                          log_likelihood)
@@ -98,7 +99,7 @@ class LossBreakdown:
 
 
 def _assert_shared(theta: GenerativeParams, phi: InferenceParams):
-    if phi.em_decoders is not theta.em_decoders:
+    if phi.em_decoder is not theta.em_decoder:
         raise ContractError("inference model must share the generative decoders")
 
 
@@ -130,15 +131,9 @@ def unsup_term(y, theta: GenerativeParams, phi: InferenceParams, noise,
             "likelihood": log_likelihood(y_b, s.a, s.em_matrix, theta),
             "abundance prior": flat_abundance_logpdf(s.a, theta.n_endmembers),
             "abundance posterior": -dirichlet_logpdf(s.a, s.gamma),
+            "latent prior": std_normal_logpdf(s.z).sum(axis=0),
+            "latent posterior": -gaussian_logpdf(s.z, s.z_dist).sum(axis=0),
         }
-        lp_z = lq_z = None
-        for z_k in s.z_columns:
-            pz = std_normal_logpdf(z_k)
-            qz = gaussian_logpdf(z_k, s.z_dist)
-            lp_z = pz if lp_z is None else lp_z + pz
-            lq_z = qz if lq_z is None else lq_z + qz
-        factors["latent prior"] = lp_z
-        factors["latent posterior"] = -lq_z
         term = None
         for name, f in factors.items():
             if not np.all(np.isfinite(f.data)):
@@ -157,25 +152,22 @@ class ImportanceWeights:
     normalized: Tensor      # (..., K), sums to 1 over the last axis
 
 
-def importance_weights(em_matrix, z_cols, theta: GenerativeParams
+def importance_weights(em_matrix, z, theta: GenerativeParams
                        ) -> ImportanceWeights:
     """Self-normalized weights w_i = q(M | Z_i) for observed M over K draws.
 
-    ``em_matrix``: (..., L, P) observed data; ``z_cols``: the P latent codes,
-    each (..., K, H).  log w_i is the sum over endmembers of
+    ``em_matrix``: (..., L, P) observed data; ``z``: the latent codes,
+    (P, ..., K, H).  log w_i is the sum over endmembers of
     log N(m_k; decoder_k(z_ik), scale_k); gradients reach the decoders and
-    flow back through ``z_cols``, while ``em_matrix`` is treated as data.
+    flow back through ``z``, while ``em_matrix`` is treated as data.
     """
     em = np.asarray(em_matrix.data if isinstance(em_matrix, Tensor)
                     else em_matrix, dtype=np.float64)
-    log_w = None
-    for k, z_k in enumerate(z_cols):
-        m_k = dc.constant(em[..., None, :, k])          # (..., 1, L)
-        lp = gaussian_logpdf(m_k, em_decode(z_k, k, theta))
-        log_w = lp if log_w is None else log_w + lp     # (..., K)
+    m = dc.constant(np.moveaxis(em, -1, 0)[..., None, :])     # (P, ..., 1, L)
+    log_w = gaussian_logpdf(m, em_decode(z, theta)).sum(axis=0)   # (..., K)
     if not np.any(np.isfinite(log_w.data)):
         raise NumericError("all importance weights underflowed")
-    norm = dc.exp(log_w - dc.logsumexp(log_w, axis=-1, keepdims=True))
+    norm = dc.exp(log_w - dc.logsumexp(log_w, axis=-1))
     return ImportanceWeights(log_weights=log_w, normalized=norm)
 
 
@@ -208,24 +200,19 @@ def sup_term(y, a, em_matrix, theta: GenerativeParams, phi: InferenceParams,
     P, H = phi.n_endmembers, phi.latent_dim
 
     z_dist = encode_z(y_b, phi)
-    mean = z_dist.mean.reshape((B, 1, H))
-    scale = z_dist.scale.reshape((B, 1, H))
+    z_q = DiagGaussian(mean=z_dist.mean.reshape((B, 1, H)),
+                       scale=z_dist.scale.reshape((B, 1, H)))
     xi = noise.normal((B, k, P, H))
-    z_cols = [mean + scale * dc.constant(xi[:, :, j, :]) for j in range(P)]
-    w = importance_weights(em, z_cols, theta)                         # (B, K)
+    z = gaussian_rsample(z_q, np.moveaxis(xi, 2, 0))                  # (P, B, K, H)
+    w = importance_weights(em, z, theta)                              # (B, K)
 
     gamma = abundance_concentration(y_b, dc.constant(em), phi)
     lq_a = dirichlet_logpdf(a_b, gamma)                               # (B,)
     ll = log_likelihood(y_b, a_b, em, theta)                          # (B,)
     lp_a = flat_abundance_logpdf(a_b, P)                              # (B,)
     fixed = (ll + lp_a - lq_a).reshape((B, 1))
-    lp_z = None
-    lq_z = None
-    for z_k in z_cols:
-        pz = std_normal_logpdf(z_k)
-        qz = gaussian_logpdf(z_k, DiagGaussian(mean=mean, scale=scale))
-        lp_z = pz if lp_z is None else lp_z + pz
-        lq_z = qz if lq_z is None else lq_z + qz
+    lp_z = std_normal_logpdf(z).sum(axis=0)
+    lq_z = gaussian_logpdf(z, z_q).sum(axis=0)
     bracket = fixed + lp_z - lq_z                                     # (B, K)
     sup_iw = (w.normalized * bracket).sum(axis=-1).sum()
     sup_posterior = (lq_a + w.log_weights.mean(axis=-1)).sum()
@@ -355,8 +342,7 @@ def train(d_u: np.ndarray, d_s, config: TrainConfig, seed: int,
           latent_dim: int = 2, lista_layers: int = 11,
           theta: GenerativeParams | None = None,
           phi: InferenceParams | None = None,
-          start_epoch: int = 0,
-          epoch_callback=None):
+          start_epoch: int = 0):
     """Fit (theta, phi) on unlabeled pixels d_u and labeled triples d_s.
 
     Deterministic given ``seed``: initialization, batch order, and every
@@ -406,9 +392,11 @@ def train(d_u: np.ndarray, d_s, config: TrainConfig, seed: int,
                 grads = backward(-bd.node, params)
                 adam_step(params, grads, state, lr)
             except (TrainingError, NumericError, np.linalg.LinAlgError) as exc:
-                param = exc.param if isinstance(exc, TrainingError) else None
-                err = TrainingError(str(exc), param=param, epoch=epoch,
-                                    batch=n_steps)
+                known = isinstance(exc, TrainingError)
+                err = TrainingError(exc.message if known else str(exc),
+                                    param=exc.param if known else None,
+                                    index=exc.index if known else None,
+                                    epoch=epoch, batch=n_steps)
                 err.last_good, err.last_epoch = last_good, last_epoch
                 raise err from None
             sums += np.array([bd.unsup, bd.sup_iw, bd.sup_posterior,
@@ -422,8 +410,6 @@ def train(d_u: np.ndarray, d_s, config: TrainConfig, seed: int,
         history.append(stats)
         last_good = state.arena.snapshot()
         last_epoch = epoch
-        if epoch_callback is not None:
-            epoch_callback(epoch, theta, phi, stats)
         if len(history) >= 2:
             prev, cur = history[-2].total, history[-1].total
             rel = (cur - prev) / max(abs(prev), 1e-12)

@@ -72,6 +72,15 @@ def zero_mlp(net: dc.MlpParams):
     return net
 
 
+def one_network(bank: dc.MlpParams, k: int) -> dc.MlpParams:
+    """Network k of a bank as a network of its own, over views of the
+    bank's arrays."""
+    return dc.MlpParams(bank.widths,
+                        [dc.constant(w.data[k]) for w in bank.weights],
+                        [dc.constant(b.data[k]) for b in bank.biases],
+                        bank.activations)
+
+
 def scale_mlp(net: dc.MlpParams, factor: float):
     """Multiply every weight and bias by ``factor`` in place."""
     for t in (*net.weights, *net.biases):

@@ -266,6 +266,62 @@ class TestResume:
             assert grads[0][name].tobytes() == g.tobytes(), name
 
 
+def _per_endmember_names(arrays: dict) -> dict:
+    """The arrays under the names of checkpoints written before the decoders
+    were one bank: endmember k's decoder arrays and log-scale apart."""
+    out = {}
+    for name, arr in arrays.items():
+        if name.startswith(("gen.em_decoder.", "gen.em_log_scale")):
+            head, _, layer = name.partition(".em_decoder.")
+            for k in range(len(arr)):
+                out[f"{head}.em_decoder{k}.{layer}" if layer
+                    else f"{name}{k}"] = arr[k, ...]
+        else:
+            out[name] = arr
+    return out
+
+
+class TestPerEndmemberCheckpointNames:
+    @pytest.fixture(scope="class")
+    def old_style(self, scene):
+        meta, arrays = ct.load_checkpoint(scene["ckpt"])
+        base = str(scene["root"] / "model_per_endmember")
+        ct.save_checkpoint(base, meta, _per_endmember_names(arrays))
+        return base
+
+    def test_loads_the_same_model(self, scene, old_style):
+        _, arrays = ct.load_checkpoint(old_style)
+        assert "gen.em_decoder2.w3" in arrays and "gen.em_log_scale1" in arrays
+        _, theta, phi = cli._load_model(old_style)
+        _, stacked = ct.load_checkpoint(scene["ckpt"])
+        loaded = inf.model_parameters(theta, phi)
+        assert loaded.keys() == stacked.keys()
+        for name, t in loaded.items():
+            assert t.data.shape == stacked[name].shape, name
+            assert t.data.tobytes() == stacked[name].tobytes(), name
+
+    def test_unmix_writes_the_same_bytes(self, scene, old_style):
+        out = str(scene["root"] / "run_per_endmember")
+        assert cli.main(["unmix", scene["cube"], old_style, out]) == 0
+        assert _files(out) == _files(_unmix(scene, "run_stacked"))
+
+    @pytest.mark.parametrize("missing", ["gen.em_decoder1.w2",
+                                         "gen.em_decoder2.b0",
+                                         "gen.em_log_scale0"])
+    def test_missing_endmember_array_is_named(self, scene, capsys, missing):
+        meta, arrays = ct.load_checkpoint(scene["ckpt"])
+        arrays = _per_endmember_names(arrays)
+        del arrays[missing]
+        base = str(scene["root"] / f"model_without_{missing}")
+        ct.save_checkpoint(base, meta, arrays)
+        with pytest.raises(BundleError) as info:
+            cli._load_model(base)
+        assert info.value.field == missing
+        capsys.readouterr()
+        assert cli.main(["unmix", scene["cube"], base, base + "_maps"]) == 2
+        assert f"field: {missing}" in capsys.readouterr().err
+
+
 def _copy_cube(scene, name: str) -> str:
     base = str(scene["root"] / name)
     for ext in (".json", ".raw"):

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import fd_param_grads, max_rel_err, zero_mlp
+from conftest import fd_param_grads, max_rel_err, one_network, zero_mlp
 from unmix import diffcore as dc
 from unmix import generative as gen
 from unmix.distributions import DiagGaussian, gaussian_logpdf
@@ -26,39 +26,45 @@ def zero_nonlinearity(theta):
 
 class TestEmDecode:
     def test_zero_weights_give_constant_sigmoid_mean(self, theta, rng):
-        zero_mlp(theta.em_decoders[0])
-        d = gen.em_decode(rng.standard_normal(H), 0, theta)
+        zero_mlp(theta.em_decoder)
+        d = gen.em_decode(rng.standard_normal((P, H)), theta)
         np.testing.assert_allclose(d.mean.data, 0.5)
 
     def test_mean_in_unit_interval(self, theta, rng):
         for _ in range(10):
-            d = gen.em_decode(rng.standard_normal(H) * 3, 1, theta)
+            d = gen.em_decode(rng.standard_normal((P, H)) * 3, theta)
             assert np.all(d.mean.data > 0) and np.all(d.mean.data < 1)
 
     def test_scale_isotropic_across_bands(self, theta, rng):
-        # one scalar spread, broadcast over every band
-        d = gen.em_decode(rng.standard_normal(H), 2, theta)
-        assert d.scale.data.shape == ()
-        assert d.scale.item() == math.exp(theta.em_log_scales[2].item())
+        # one scalar spread per endmember, broadcast over every band
+        d = gen.em_decode(rng.standard_normal((P, 4, H)), theta)
+        assert d.mean.shape == (P, 4, L) and d.scale.data.shape == (P, 1, 1)
+        for k in range(P):
+            assert d.scale.data[k, 0, 0] == math.exp(theta.em_log_scale.data[k])
+
+    def test_each_code_decoded_by_its_own_decoder(self, theta, rng):
+        Z = rng.standard_normal((P, 5, H))
+        mean = gen.em_decode(Z, theta).mean.data
+        for k in range(P):
+            alone = dc.mlp_forward(one_network(theta.em_decoder, k), Z[k]).data
+            assert alone.tobytes() == mean[k].tobytes()
 
     def test_scalar_spreads_match_materialized_vectors(self, theta, rng):
         # log-densities and gradients equal those of the spreads written
         # out as one entry per band
         ones = dc.constant(np.ones(L))
-        z = rng.standard_normal((4, H))
-        m = rng.uniform(0.1, 0.9, (4, L))
+        z = rng.standard_normal((P, 4, H))
+        m = rng.uniform(0.1, 0.9, (P, 4, L))
         y = rng.uniform(0.1, 0.9, (4, L))
         a = rng.dirichlet(np.ones(P), 4)
         M = rng.uniform(0.1, 0.9, (4, L, P))
         params = theta.named_parameters()
 
         def loss(vector: bool):
-            total = dc.constant(0.0)
-            for k in range(P):
-                d = gen.em_decode(z, k, theta)
-                if vector:
-                    d = DiagGaussian(mean=d.mean, scale=d.scale * ones)
-                total = total + gaussian_logpdf(m, d).sum()
+            d = gen.em_decode(z, theta)
+            if vector:
+                d = DiagGaussian(mean=d.mean, scale=d.scale * ones)
+            total = gaussian_logpdf(m, d).sum()
             mean = gen.mixing_mean(a, M, theta)
             obs = theta.obs_scale() * ones if vector else theta.obs_scale()
             return total + gaussian_logpdf(y, DiagGaussian(mean, obs)).sum()
@@ -72,9 +78,9 @@ class TestEmDecode:
                                        atol=1e-12 * np.abs(g_want[name]).max(),
                                        err_msg=name)
 
-    def test_bad_index(self, theta):
+    def test_wrong_code_count_rejected(self, theta):
         with pytest.raises(ShapeError):
-            gen.em_decode(np.zeros(H), P, theta)
+            gen.em_decode(np.zeros((P + 1, H)), theta)
 
     def test_decoder_width_sequence(self):
         assert gen.decoder_widths(64, 2) == [2, 7, 19, 82, 64]
@@ -159,7 +165,9 @@ class TestLogJoint:
         total = gen.log_likelihood(y, a, M, theta).item()
         total += gen.flat_abundance_logpdf(a, P).item()
         for k in range(P):
-            d = gen.em_decode(Z[:, k], k, theta)
+            d = DiagGaussian(
+                mean=dc.mlp_forward(one_network(theta.em_decoder, k), Z[:, k]),
+                scale=dc.constant(math.exp(theta.em_log_scale.data[k])))
             total += gaussian_logpdf(M[:, k], d).item()
             total += std_normal_logpdf(dc.constant(Z[:, k])).item()
         return total
@@ -181,14 +189,9 @@ class TestLogJoint:
         # tie all decoders and spreads, then permute (a, M, Z) jointly;
         # the free-form nonlinear term is off (it is not index-symmetric)
         zero_nonlinearity(theta)
-        for k in range(1, P):
-            for w_dst, w_src in zip(theta.em_decoders[k].weights,
-                                    theta.em_decoders[0].weights):
-                w_dst.data = w_src.data.copy()
-            for b_dst, b_src in zip(theta.em_decoders[k].biases,
-                                    theta.em_decoders[0].biases):
-                b_dst.data = b_src.data.copy()
-            theta.em_log_scales[k].data = theta.em_log_scales[0].data.copy()
+        for t in (*theta.em_decoder.weights, *theta.em_decoder.biases,
+                  theta.em_log_scale):
+            t.data[1:] = t.data[0]
         y = rng.uniform(0, 1, L)
         a = np.array([0.2, 0.3, 0.5])
         M = rng.uniform(0, 1, (L, P))
@@ -212,7 +215,7 @@ class TestLogJoint:
         # toy instance, deterministic path: tolerance 1e-4.  Biases are
         # nudged off zero so no pre-activation sits exactly on a relu kink.
         theta = gen.GenerativeParams.create(6, 2, 2, rng)
-        for net in (*theta.em_decoders, theta.nlin_mixing):
+        for net in (theta.em_decoder, theta.nlin_mixing):
             for b in net.biases:
                 b.data = b.data + rng.uniform(-0.1, 0.1, b.data.shape)
         y = rng.uniform(0, 1, 6)

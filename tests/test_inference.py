@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.optimize import nnls
 
-from conftest import fd_param_grads, max_rel_err, zero_mlp
+from conftest import fd_param_grads, max_rel_err, one_network, zero_mlp
 from unmix import diffcore as dc
 from unmix import inference as inf
 from unmix.distributions import GAMMA_FLOOR, RngNoise
@@ -32,7 +32,7 @@ def set_lista(phi, steps=None, sparse=0.01, unc=1.0):
 
 def _latent(s) -> np.ndarray:
     """The sampled codes as the columns of one (..., H, P) array."""
-    return np.stack([z.data for z in s.z_columns], axis=-1)
+    return np.moveaxis(s.z.data, 0, -1)
 
 
 class TestEncodeZ:
@@ -50,7 +50,7 @@ class TestEncodeZ:
         theta, phi = model
         y = rng.uniform(0, 1, L)
         s = inf.posterior_sample(y, phi, theta, RngNoise(np.random.default_rng(0)))
-        assert len(s.z_columns) == P
+        assert s.z.shape == (P, H)
         assert _latent(s).shape == (H, P)
 
     def test_scales_strictly_positive(self, model, rng):
@@ -281,10 +281,30 @@ class TestAbundanceConcentration:
 
 
 class TestPosteriorSample:
+    def test_draws_follow_the_per_endmember_order(self, model, rng):
+        """The code noise, then endmember k's noise for k = 0..P-1: one
+        (P, ..., L) draw is P successive (..., L) draws."""
+        theta, phi = model
+        y = rng.uniform(0, 1, (4, L))
+        s = inf.posterior_sample(y, phi, theta,
+                                 RngNoise(np.random.default_rng(5)))
+        assert s.em_matrix.shape == (4, L, P)
+        assert s.em_matrix.data.flags.c_contiguous
+        draws = np.random.default_rng(5)
+        d = inf.encode_z(y, phi)
+        xi_z = draws.standard_normal((4, P, H))
+        for k in range(P):
+            z_k = d.mean.data + d.scale.data * xi_z[:, k]
+            assert z_k.tobytes() == s.z.data[k].tobytes()
+            m_k = (dc.mlp_forward(one_network(theta.em_decoder, k), z_k).data
+                   + theta.em_scale().data[k]
+                   * draws.standard_normal((4, L)))
+            assert m_k.tobytes() == np.ascontiguousarray(
+                s.em_matrix.data[..., k]).tobytes()
+
     def test_collapsed_scales_near_deterministic(self, model, rng):
         theta, phi = model
-        for t in theta.em_log_scales:
-            t.data = np.array(np.log(1e-9))
+        theta.em_log_scale.data[...] = np.log(1e-9)
         for w in phi.z_scale_head.weights:
             w.data = np.zeros_like(w.data)
         for b in phi.z_scale_head.biases:
@@ -294,9 +314,7 @@ class TestPosteriorSample:
         s2 = inf.posterior_sample(y, phi, theta, RngNoise(np.random.default_rng(2)))
         assert np.allclose(s1.em_matrix.data, s2.em_matrix.data, atol=1e-6)
         assert np.allclose(_latent(s1), _latent(s2), atol=1e-6)
-        mean_m = np.stack(
-            [dc.mlp_forward(theta.em_decoders[k], s1.z_columns[k]).data
-             for k in range(P)], axis=-1)
+        mean_m = np.moveaxis(dc.mlp_forward(theta.em_decoder, s1.z).data, 0, -1)
         assert np.allclose(s1.em_matrix.data, mean_m, atol=1e-6)
 
     def test_abundances_on_simplex_every_draw(self, model, rng):

@@ -31,16 +31,32 @@ def one_hot_batch(rng, n):
     return y, a, m
 
 
-def columns(z):
-    """Split (..., K, H, P) latent draws into the P per-endmember codes."""
-    return [z[..., k] for k in range(z.shape[-1])]
+def codes(z):
+    """(..., K, H, P) latent draws as the (P, ..., K, H) codes of the bank."""
+    return np.moveaxis(z, -1, 0)
+
+
+def every_node(root) -> list:
+    """Every node reachable from ``root``, constants too, parents first."""
+    order, seen, stack = [], {id(root)}, [(root, iter(root._parents))]
+    while stack:
+        node, parents = stack[-1]
+        for p in parents:
+            if id(p) not in seen:
+                seen.add(id(p))
+                stack.append((p, iter(p._parents)))
+                break
+        else:
+            order.append(node)
+            stack.pop()
+    return order
 
 
 class TestSharedCancellation:
     def test_decoder_objects_are_shared(self, model):
         theta, phi = model
-        assert phi.em_decoders is theta.em_decoders
-        assert phi.em_log_scales is theta.em_log_scales
+        assert phi.em_decoder is theta.em_decoder
+        assert phi.em_log_scale is theta.em_log_scale
 
     def test_log_ratio_is_exactly_zero(self, model, rng):
         # q(M|Z) and p(M|Z) are the same computation; their log ratio is 0
@@ -48,12 +64,11 @@ class TestSharedCancellation:
         theta, phi = model
         from unmix.distributions import gaussian_logpdf
         from unmix.generative import em_decode
-        z = rng.standard_normal(H)
-        m = rng.uniform(0, 1, L)
-        for k in range(P):
-            lq = gaussian_logpdf(m, em_decode(z, k, theta)).item()
-            lp = gaussian_logpdf(m, em_decode(z, k, theta)).item()
-            assert lq == lp
+        z = rng.standard_normal((P, H))
+        m = rng.uniform(0, 1, (P, L))
+        lq = gaussian_logpdf(m, em_decode(z, theta)).data
+        lp = gaussian_logpdf(m, em_decode(z, theta)).data
+        assert lq.shape == (P,) and lq.tobytes() == lp.tobytes()
 
     def test_unshared_model_rejected(self, model, rng):
         theta, phi = model
@@ -76,7 +91,7 @@ class TestImportanceWeights:
         theta, phi = model
         z = rng.standard_normal((1, H, P))
         m = rng.uniform(0, 1, (L, P))
-        w = ob.importance_weights(m, columns(z), theta)
+        w = ob.importance_weights(m, codes(z), theta)
         assert w.normalized.data.shape == (1,)
         assert w.normalized.data[0] == 1.0
 
@@ -84,7 +99,7 @@ class TestImportanceWeights:
         theta, phi = model
         z = np.tile(rng.standard_normal((1, H, P)), (5, 1, 1))
         m = rng.uniform(0, 1, (L, P))
-        w = ob.importance_weights(m, columns(z), theta)
+        w = ob.importance_weights(m, codes(z), theta)
         np.testing.assert_allclose(w.normalized.data, 0.2, rtol=1e-12)
 
     def test_normalized_weights_sum_to_one(self, model, rng):
@@ -92,17 +107,16 @@ class TestImportanceWeights:
         for _ in range(20):
             z = rng.standard_normal((5, H, P)) * 3
             m = rng.uniform(0, 1, (L, P))
-            w = ob.importance_weights(m, columns(z), theta)
+            w = ob.importance_weights(m, codes(z), theta)
             assert abs(w.normalized.data.sum() - 1.0) <= 1e-12
 
     def test_log_domain_survives_huge_scales(self, model, rng):
         # separations up to 1e3 scales stay finite through log-sum-exp
         theta, phi = model
-        for t in theta.em_log_scales:
-            t.data = np.array(np.log(1e-3))
+        theta.em_log_scale.data[...] = np.log(1e-3)
         z = rng.standard_normal((5, H, P)) * 50
         m = rng.uniform(0, 1, (L, P)) + 1e3
-        w = ob.importance_weights(m, columns(z), theta)
+        w = ob.importance_weights(m, codes(z), theta)
         assert np.all(np.isfinite(w.normalized.data))
         assert abs(w.normalized.data.sum() - 1.0) <= 1e-12
 
@@ -111,10 +125,10 @@ class TestImportanceWeights:
         B, K = 3, 4
         m = rng.uniform(0.1, 0.9, (B, L, P))
         z = rng.standard_normal((B, K, H, P))
-        w = ob.importance_weights(m, columns(z), theta)
+        w = ob.importance_weights(m, codes(z), theta)
         assert w.log_weights.data.shape == (B, K)
         for b in range(B):
-            w_b = ob.importance_weights(m[b], columns(z[b]), theta)
+            w_b = ob.importance_weights(m[b], codes(z[b]), theta)
             np.testing.assert_allclose(w.log_weights.data[b],
                                        w_b.log_weights.data, rtol=1e-12)
             np.testing.assert_allclose(w.normalized.data[b],
@@ -325,7 +339,10 @@ class TestTotalLoss:
                               RngNoise(np.random.default_rng(0))).node
         fed = {id(t) for t in params.values()}
         constants, used = [], []
-        for node in dc._toposort(loss):           # parents first
+        order = every_node(loss)                 # parents first
+        assert [id(t) for t in dc._toposort(loss)] \
+            == [id(t) for t in order if t.requires_grad]
+        for node in order:
             if node._parents:
                 assert node.requires_grad
                 assert any(id(p) in fed for p in node._parents)
@@ -339,6 +356,20 @@ class TestTotalLoss:
         dc.backward(loss, params)
         assert all(t.grad is None for t in constants)
         assert all(t.grad is not None for t in used)
+
+    def test_graph_nodes_do_not_grow_with_endmembers(self, rng):
+        """The decoder bank is one node per layer for any P, and no other
+        part of a step loops over the endmembers."""
+        counts = []
+        for n_em in (3, 5):
+            theta, phi = init_model(24, n_em, 2, 11, np.random.default_rng(1))
+            y = rng.uniform(0.1, 0.9, (16, 24))
+            a = np.eye(n_em)[rng.integers(0, n_em, 16)]
+            m = rng.uniform(0.1, 0.9, (16, 24, n_em))
+            bd = ob.total_loss(y, (y, a, m), theta, phi, ob.TrainConfig(),
+                               RngNoise(np.random.default_rng(2)))
+            counts.append(len(every_node(bd.node)))
+        assert counts[0] == counts[1]
 
 
 class TestBoundOrdering:
@@ -361,9 +392,8 @@ class TestBoundOrdering:
             t = log_likelihood(y, s.a, s.em_matrix, theta)
             t = t + flat_abundance_logpdf(s.a, 2)
             t = t - dirichlet_logpdf(s.a, s.gamma)
-            for z_k in s.z_columns:
-                t = t + std_normal_logpdf(z_k)
-                t = t - gaussian_logpdf(z_k, s.z_dist)
+            t = t + std_normal_logpdf(s.z).sum(axis=0)
+            t = t - gaussian_logpdf(s.z, s.z_dist).sum(axis=0)
             return t.item()
 
         iw_vals = []
@@ -387,7 +417,7 @@ class TestFrozenNoiseGradient:
         rng = np.random.default_rng(4)
         theta, phi = init_model(6, 2, 2, lista_layers=4,
                                 rng=np.random.default_rng(21))
-        for net in (*theta.em_decoders, theta.nlin_mixing, phi.z_trunk,
+        for net in (theta.em_decoder, theta.nlin_mixing, phi.z_trunk,
                     phi.z_mean_head, phi.z_scale_head, phi.nlin_encoder):
             for b in net.biases:
                 b.data = b.data + rng.uniform(-0.05, 0.05, b.data.shape)
@@ -471,6 +501,24 @@ class TestTrain:
             if all(t2 >= t1 for t1, t2 in zip(totals, totals[1:])):
                 wins += 1
         assert wins >= 4
+
+    def test_non_finite_gradient_names_the_entry_once(self, monkeypatch):
+        from unmix.errors import TrainingError
+        d_u, d_s = self._toy_data()
+        backward = ob.backward
+
+        def poisoned(loss, params):
+            grads = backward(loss, params)
+            grads["gen.em_decoder.w2"][1, 3, 0] = np.nan
+            return grads
+        monkeypatch.setattr(ob, "backward", poisoned)
+        with pytest.raises(TrainingError) as info:
+            ob.train(d_u, d_s, ob.TrainConfig(max_epochs=1), seed=0,
+                     lista_layers=4)
+        assert str(info.value) == ("non-finite gradient; parameter="
+                                   "gen.em_decoder.w2 index (1, 3, 0); "
+                                   "epoch=0; batch=0")
+        assert info.value.index == (1, 3, 0)
 
     def test_divergence_raises_training_error_with_context(self):
         from unmix.errors import TrainingError
