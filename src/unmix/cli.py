@@ -18,6 +18,7 @@ Exit codes: 0 ok, 2 input error, 3 numeric/training error.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import re
 import sys
@@ -72,7 +73,13 @@ def _write_pgm(path: str, image: np.ndarray):
 
 def cmd_generate(args) -> int:
     t0 = time.perf_counter()
-    p = args.endmembers if args.endmembers else (3 if args.kind == "dc1" else 5)
+    p = args.endmembers
+    if p is None:
+        p = 3 if args.kind == "dc1" else 5
+    for flag, value in (("--width", args.width), ("--height", args.height),
+                        ("--endmembers", p)):
+        if value < 1:
+            raise InputError(f"{flag} must be >= 1, got {value}")
     dt.noise_power_ratio(args.snr, "--snr")
     _prepare_out_dir(args.out_dir, args.force)
     root = np.random.default_rng(args.seed)
@@ -134,6 +141,10 @@ def cmd_train(args) -> int:
     y_s, a_s, m_s = dt.load_supervised(_strip_bundle(args.supervised))
     if y_s.shape[1] != cube.n_bands:
         raise InputError("supervised set band count differs from the cube")
+    # the checkpoint records the config in JSON, which has no inf or NaN
+    if not math.isfinite(args.rel_stop_tol):
+        raise InputError(f"rel_stop_tol must be finite, got "
+                         f"{args.rel_stop_tol}")
     config = TrainConfig(lam=args.lam, beta=args.beta, tau=args.tau,
                          varsigma1=args.varsigma1, varsigma2=args.varsigma2,
                          k=args.k, k_e=args.ke, batch_size=args.batch_size,

@@ -37,8 +37,8 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,9 +48,9 @@ from .container import PayloadReader
 from .data import _as_pixels
 from .errors import DomainError, InputError
 
-__all__ = ["nrmse", "nonlinearity_degree", "fcls", "project_simplex",
-           "align_endmembers", "Estimates", "MetricsReport", "evaluate",
-           "reports_to_csv", "reports_from_csv"]
+__all__ = ["nrmse", "nonlinearity_degree", "fcls", "align_endmembers",
+           "Estimates", "MetricsReport", "evaluate", "reports_to_csv",
+           "reports_from_csv"]
 
 
 def nrmse(x, x_hat) -> float:
@@ -81,49 +81,47 @@ def nonlinearity_degree(lin, nlin) -> np.ndarray | float:
     return float(out) if out.ndim == 0 else out
 
 
-def project_simplex(x: np.ndarray) -> np.ndarray:
-    """Euclidean projection of each row onto the unit simplex (sort-based)."""
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    p = x.shape[-1]
-    u = -np.sort(-x, axis=-1)
-    css = np.cumsum(u, axis=-1) - 1.0
-    ks = np.arange(1, p + 1)
-    cond = u - css / ks > 0.0
-    rho = p - 1 - np.argmax(cond[:, ::-1], axis=-1)
-    theta = css[np.arange(len(x)), rho] / (rho + 1.0)
-    return np.maximum(x - theta[:, None], 0.0)
-
-
-# Iteration cap and stopping residual of the FCLS projected gradient.
-FCLS_MAX_ITER = 5000
-FCLS_TOL = 1e-8
+# The most endmembers ``fcls`` takes: it solves one KKT system per
+# nonempty support, 2^P - 1 of them.
+FCLS_MAX_ENDMEMBERS = 10
 
 
 def fcls(cube, em_matrix: np.ndarray) -> np.ndarray:
-    """Fully constrained least squares by projected gradient, all pixels at once.
+    """Fully constrained least squares, solved exactly for all pixels at once.
 
-    Minimizes ||y - M a||^2 over the simplex with step 1/lambda_max(M^T M),
-    stopping when the projected-gradient residual falls below ``FCLS_TOL``.
-    Non-convergence returns the final iterate with a warning.
+    Minimizes ||y - M a||^2 subject to a >= 0 and sum(a) = 1 by the active
+    sets of Heinz & Chang (IEEE TGRS 39(3), 2001).  For each nonempty
+    support S, one (|S|+1)-square KKT system
+    [M_S^T M_S 1; 1^T 0] [a_S; nu] = [M_S^T y; 1] gives every pixel's
+    sum-to-one optimum on S.  The problem is convex, so a pixel's optimum
+    is its lowest-objective solution with a >= 0; the P vertices (|S| = 1)
+    are always such solutions.  More than ``FCLS_MAX_ENDMEMBERS``
+    endmembers is an ``InputError``.
     """
     Y = _as_pixels(cube)
     M = np.asarray(em_matrix, dtype=np.float64)
-    if np.linalg.matrix_rank(M) < M.shape[1]:
+    p = M.shape[1]
+    if p > FCLS_MAX_ENDMEMBERS:
+        raise InputError(f"fcls takes at most {FCLS_MAX_ENDMEMBERS} "
+                         f"endmembers, got {p}")
+    if np.linalg.matrix_rank(M) < p:
         raise InputError("endmember matrix must have full column rank")
     gram = M.T @ M
-    step = 1.0 / float(np.linalg.eigvalsh(gram)[-1])
     mty = Y @ M                                     # (N, P)
-    a = np.full((len(Y), M.shape[1]), 1.0 / M.shape[1])
-    for _ in range(FCLS_MAX_ITER):
-        grad = a @ gram - mty
-        a_next = project_simplex(a - step * grad)
-        resid = np.abs(a_next - a).max()
-        a = a_next
-        if resid < FCLS_TOL:
-            break
-    else:
-        warnings.warn("fcls: projected gradient did not converge", RuntimeWarning)
-    return a
+    best = np.zeros((len(Y), p))
+    best_cost = np.full(len(Y), np.inf)
+    for k in range(1, p + 1):
+        for s in map(list, itertools.combinations(range(p), k)):
+            kkt = np.pad(gram[np.ix_(s, s)], (0, 1), constant_values=1.0)
+            kkt[k, k] = 0.0
+            rhs = np.vstack([mty[:, s].T, np.ones(len(Y))])
+            a = np.zeros_like(best)
+            a[:, s] = np.linalg.solve(kkt, rhs)[:k].T
+            # ||y - M a||^2 - ||y||^2
+            cost = np.einsum("np,np->n", a @ gram - 2.0 * mty, a)
+            keep = (a >= 0.0).all(axis=1) & (cost < best_cost)
+            best[keep], best_cost[keep] = a[keep], cost[keep]
+    return best
 
 
 # Rows per block of every scoring pass.

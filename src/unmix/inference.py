@@ -29,7 +29,7 @@ from . import diffcore as dc
 from .diffcore import MlpParams, Tensor, as_tensor, mlp_forward
 from .distributions import (GAMMA_FLOOR, DiagGaussian, DirichletParams,
                             dirichlet_rsample, gaussian_rsample)
-from .errors import ShapeError
+from .errors import InputError, ShapeError
 from .generative import GenerativeParams, em_decode, mixing_mean
 
 __all__ = ["ListaParams", "InferenceParams", "PosteriorSample", "encode_z",
@@ -323,6 +323,10 @@ def init_model(n_bands: int, n_endmembers: int, latent_dim: int = 2,
     ``rng`` is the Generator the initial weights are drawn from, or a
     ``dc.StoredParams`` whose checkpoint arrays become the parameters.
     """
+    for name, size in (("latent_dim", latent_dim),
+                       ("lista_layers", lista_layers)):
+        if size < 1:
+            raise InputError(f"{name} must be >= 1, got {size}")
     if rng is None:
         rng = np.random.default_rng(0)
     theta = GenerativeParams.create(n_bands, n_endmembers, latent_dim, rng)

@@ -70,8 +70,10 @@ class TrainConfig:
 
     def __post_init__(self):
         for name in ("lam", "beta", "tau", "varsigma1", "varsigma2"):
-            if getattr(self, name) < 0:
-                raise ContractError(f"{name} must be nonnegative")
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ContractError(f"{name} must be finite and nonnegative, "
+                                    f"got {value}")
         if self.k < 1 or self.k_e < 1:
             raise ContractError("k and k_e must be positive integers")
         if self.batch_size < 1 or self.max_epochs < 1:

@@ -18,7 +18,9 @@ from unmix import cli
 from unmix import container as ct
 from unmix import data as dt
 from unmix import diffcore as dc
+from unmix import evaluation as ev
 from unmix import inference as inf
+from unmix import objective as ob
 from unmix.errors import BundleError, InputError, TrainingError
 from unmix.objective import TrainConfig, total_loss
 
@@ -158,6 +160,22 @@ class TestExitCodes:
         assert "--snr" in capsys.readouterr().err
         assert os.listdir(out) == []
 
+    @pytest.mark.parametrize("flag, value", [("--width", "0"),
+                                             ("--height", "0"),
+                                             ("--width", "-3"),
+                                             ("--endmembers", "0")])
+    def test_bad_size_exits_2_before_writing(self, tmp_path, capsys, flag,
+                                             value):
+        out = tmp_path / "scene"
+        out.mkdir()
+        size = {"--bands": "16", "--width": "4", "--height": "4", flag: value}
+        capsys.readouterr()
+        rc = cli.main(["generate", "dc2", str(out)]
+                      + [arg for item in size.items() for arg in item])
+        assert rc == 2
+        assert f"{flag} must be >= 1, got {value}" in capsys.readouterr().err
+        assert os.listdir(out) == []
+
     @pytest.mark.parametrize("snr", ["inf", "nan", "1e10", "-1e10"])
     def test_unusable_selfsup_snr_exits_2_before_writing(self, scene, tmp_path,
                                                          capsys, snr):
@@ -168,6 +186,39 @@ class TestExitCodes:
         assert rc == 2
         assert "--snr" in capsys.readouterr().err
         assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("flag, value, field", [
+        ("--lambda", "nan", "lam"), ("--beta", "inf", "beta"),
+        ("--tau", "-inf", "tau"), ("--varsigma1", "nan", "varsigma1"),
+        ("--varsigma2", "inf", "varsigma2"),
+        ("--rel-stop-tol", "nan", "rel_stop_tol"),
+        ("--rel-stop-tol", "-inf", "rel_stop_tol"),
+        ("--latent-dim", "0", "latent_dim"),
+        ("--lista-layers", "0", "lista_layers")])
+    def test_bad_train_setting_exits_2_before_training(
+            self, scene, monkeypatch, capsys, flag, value, field):
+        def step(*args, **kwargs):
+            raise AssertionError("a training step ran")
+        monkeypatch.setattr(ob, "total_loss", step)
+        out = str(scene["root"] / f"bad_{field}")
+        capsys.readouterr()
+        rc = cli.main(["train", scene["cube"], _supervised(scene), out,
+                       "--epochs", "1", f"{flag}={value}"])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(f"error: {field} must be")
+        assert not os.path.exists(out + ".json")
+
+    def test_fcls_baseline_over_the_endmember_cap_exits_2(self, tmp_path,
+                                                           capsys):
+        p = ev.FCLS_MAX_ENDMEMBERS + 1
+        truth, est = _eval_bundles(tmp_path, 64, 32, p)
+        csv = str(tmp_path / "report.csv")
+        capsys.readouterr()
+        rc = cli.main(["eval", truth, est, csv, "--baseline", "fcls"])
+        assert rc == 2
+        assert f"at most {ev.FCLS_MAX_ENDMEMBERS} endmembers, got {p}" \
+            in capsys.readouterr().err
+        assert not os.path.exists(csv)
 
     def test_linalg_failure_exits_3(self, scene, monkeypatch, capsys):
         def fail(*args, **kwargs):
@@ -880,7 +931,6 @@ class TestPeakMemory:
     def test_eval_peak_does_not_grow_with_the_scene(self, tmp_path):
         """``eval`` reads the endmember stacks, the cube and the
         reconstruction in blocks: its peak must not grow with N."""
-        from unmix import evaluation as ev
         peaks = []
         for n in (4 * ev.ROW_BLOCK, 16 * ev.ROW_BLOCK):
             truth, est = _eval_bundles(tmp_path, n, BIG_BANDS, BIG_P)

@@ -1,5 +1,5 @@
-"""Metrics: endmember alignment, the nonlinearity degree, the simplex
-projection and the FCLS baseline."""
+"""Metrics: endmember alignment, the nonlinearity degree and the FCLS
+baseline."""
 
 import itertools
 import tracemalloc
@@ -95,50 +95,6 @@ class TestNonlinearityDegree:
                                       np.array([0.0, 3.0])) == 0.75
 
 
-def _rows(draw, low: float, high: float) -> np.ndarray:
-    n = draw(st.integers(1, 5))
-    p = draw(st.integers(1, 6))
-    elems = st.floats(low, high, allow_nan=False, allow_infinity=False)
-    return draw(arrays(np.float64, (n, p), elements=elems))
-
-
-@st.composite
-def _any_rows(draw):
-    return _rows(draw, -10.0, 10.0)
-
-
-@st.composite
-def _simplex_rows(draw):
-    """Rows on the simplex, some of them on a face (exact zeros)."""
-    x = _rows(draw, 0.0, 1.0)
-    assume(np.all(x.sum(axis=1) > 1e-3))
-    return x / x.sum(axis=1, keepdims=True)
-
-
-class TestProjectSimplex:
-    @settings(max_examples=300, deadline=None)
-    @given(_any_rows())
-    def test_rows_are_on_the_simplex(self, x):
-        out = ev.project_simplex(x)
-        assert out.shape == x.shape
-        assert np.all(out >= 0.0)
-        np.testing.assert_allclose(out.sum(axis=1), 1.0, rtol=0, atol=1e-12)
-
-    @settings(max_examples=300, deadline=None)
-    @given(_simplex_rows())
-    def test_point_on_the_simplex_is_unchanged(self, a):
-        np.testing.assert_allclose(ev.project_simplex(a), a, rtol=0,
-                                   atol=1e-14)
-
-    @settings(max_examples=300, deadline=None)
-    @given(_any_rows())
-    def test_idempotent(self, x):
-        once = ev.project_simplex(x)
-        # ``once`` sums to 1 only to rounding of the input's scale
-        np.testing.assert_allclose(ev.project_simplex(once), once, rtol=0,
-                                   atol=1e-13)
-
-
 def _kkt_solve(M: np.ndarray, y: np.ndarray, support) -> np.ndarray:
     """min ||y - M a||^2 subject to sum(a) = 1 and a = 0 off ``support``:
     the exact solve of the equality-constrained KKT system."""
@@ -187,6 +143,37 @@ class TestFcls:
         got = ev.fcls(Y, M)
         want = np.array([_fcls_oracle(M, y, 0.02) for y in Y])
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-6)
+
+    @pytest.mark.parametrize("p", [2, 3, 4, 5, 6])
+    def test_rows_satisfy_the_kkt_conditions(self, rng, p):
+        """The optimality certificate of min ||y - M a||^2 over the simplex,
+        checked without another solver: with g = 2 M^T (M a - y), there is a
+        nu with g_i + nu = 0 where a_i > 0 and g_i + nu >= 0 where a_i = 0
+        (the multiplier of the bound a_i >= 0)."""
+        bands, n = 30, 300
+        M = rng.uniform(0.05, 0.95, (bands, p))
+        a = rng.dirichlet(np.full(p, 0.5), n)
+        a[np.arange(n // 3), rng.integers(0, p, n // 3)] = 0.0
+        a /= a.sum(axis=1, keepdims=True)
+        Y = a @ M.T + rng.normal(0.0, 0.05, (n, bands))
+        Y[n // 2:] += rng.uniform(-1.0, 1.0, (n - n // 2, bands))
+        got = ev.fcls(Y, M)
+        assert np.all(got >= 0.0)
+        np.testing.assert_allclose(got.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+        g = 2.0 * (got @ M.T - Y) @ M
+        scale = 2.0 * (np.linalg.norm(M.T @ M, 2)
+                       + np.linalg.norm(Y @ M, axis=1))
+        free = got > 0.0
+        nu = -(g * free).sum(axis=1) / free.sum(axis=1)
+        mult = (g + nu[:, None]) / scale[:, None]
+        assert np.abs(mult[free]).max() <= 1e-10
+        assert (~free).any() and mult[~free].min() >= -1e-10
+
+    def test_too_many_endmembers_rejected(self, rng):
+        p = ev.FCLS_MAX_ENDMEMBERS + 1
+        M = rng.uniform(0.05, 0.95, (40, p))
+        with pytest.raises(InputError, match=f"got {p}"):
+            ev.fcls(rng.uniform(0.0, 1.0, (3, 40)), M)
 
 
 # ------------------------------------------------------------------------
