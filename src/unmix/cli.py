@@ -69,6 +69,13 @@ def _write_pgm(path: str, image: np.ndarray):
         f.write(gray.tobytes())
 
 
+def _check_sizes(*flags: tuple[str, int]):
+    """Reject the first (flag, value) pair whose size is below 1."""
+    for flag, value in flags:
+        if value < 1:
+            raise InputError(f"{flag} must be >= 1, got {value}")
+
+
 # ----------------------------------------------------------------- commands
 
 def cmd_generate(args) -> int:
@@ -76,10 +83,8 @@ def cmd_generate(args) -> int:
     p = args.endmembers
     if p is None:
         p = 3 if args.kind == "dc1" else 5
-    for flag, value in (("--width", args.width), ("--height", args.height),
-                        ("--endmembers", p)):
-        if value < 1:
-            raise InputError(f"{flag} must be >= 1, got {value}")
+    _check_sizes(("--width", args.width), ("--height", args.height),
+                 ("--endmembers", p))
     dt.noise_power_ratio(args.snr, "--snr")
     _prepare_out_dir(args.out_dir, args.force)
     root = np.random.default_rng(args.seed)
@@ -115,6 +120,8 @@ def cmd_generate(args) -> int:
 
 def cmd_selfsup(args) -> int:
     t0 = time.perf_counter()
+    _check_sizes(("--p", args.p), ("--n-ppx", args.n_ppx),
+                 ("--n-draws", args.n_draws))
     dt.noise_power_ratio(args.snr, "--snr")
     cube_base = _strip_bundle(args.cube)
     cube = dt.load_cube(cube_base)
@@ -360,7 +367,7 @@ def cmd_eval(args) -> int:
                           np.random.default_rng(args.seed))
             a_base = ev.fcls(pixels, refs)
             base_est = ev.Estimates(abundances=a_base, endmembers=None,
-                                    reconstruction=a_base @ refs.T,
+                                    reconstruction=a_base @ refs,
                                     align_with=refs,
                                     runtime_s=time.perf_counter() - t0)
             reports.append(ev.evaluate(pixels, truth, base_est))

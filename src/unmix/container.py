@@ -13,15 +13,20 @@ array in C order.
 Bundle header (``data`` builds it):
 - ``width``, ``height``, ``bands``: JSON ints >= 1; the payload holds the
   (width * height, bands) array, pixels row-major.
-- ``dtype``: ``"f64le"``; ``order``: ``"bip"`` (band-interleaved by pixel).
+- ``dtype``: ``"f64le"``; ``order``: one per role, else a ``BundleError``
+  naming ``order``: ``"bip"`` (band-interleaved by pixel), and for the
+  roles holding endmember matrices ``"bip-pl"``, by pixel with each (P, L)
+  matrix endmember-major.  An older ``"bip"`` endmember bundle, (L, P) per
+  pixel, holds as many values, so only this check refuses it; no reader
+  of that layout is kept (rerun ``generate``, ``selfsup`` and ``unmix``).
 - ``role``: absent for a cube, whose optional ``wavelengths`` is a list of
   ``bands`` finite numbers (nm).  ``"abundances"``: bands = P.
   ``"endmembers"``: adds ``components`` = P (a JSON int >= 1); the payload
-  is the (N, bands, P) stack, a shared (L, P) matrix a 1 x 1 scene.  A
+  is the (N, P, bands) stack, a shared (P, L) matrix a 1 x 1 scene.  A
   scalar map's name (``"nonlinearity_degree"``): bands = 1.
   ``"supervised"``: adds ``count`` = width * height, ``pixel_bands`` = L and
   ``components`` = P (JSON ints >= 1), bands = L + P + L * P; each record
-  is y (L), a (P) and the (L, P) endmember matrix.
+  is y (L), a (P) and the (P, L) endmember matrix.
 
 Checkpoint manifest:
 - ``format``: ``"unmix-ckpt-v1"``; ``dtype``: ``"f64le"``.
@@ -32,6 +37,8 @@ Checkpoint manifest:
   ``shape``, JSON ints >= 0 with count = prod(shape).  The writer lays the
   arrays out back to back in the order it is given them.  The names and
   shapes are the model's parameters; this module does not read them.
+  The endmember layout leaves checkpoints as they were: the mixing net
+  reads a (P, L) matrix's rows back to back, the (L, P) one's columns.
   Older checkpoints name each endmember's decoder arrays and log-scale
   apart (``gen.em_decoder{k}.w{i}``, ``gen.em_log_scale{k}``), and ``cli``
   stacks them into the decoder bank's arrays when it loads one.

@@ -70,7 +70,7 @@ class SupervisedSample:
 
     y: np.ndarray       # (L,)
     a: np.ndarray       # (P,) one-hot up to clipping
-    em: np.ndarray      # (L, P)
+    em: np.ndarray      # (P, L), one endmember per row
 
 
 @dataclass
@@ -91,7 +91,7 @@ class GroundTruth:
     """
 
     abundances: np.ndarray                 # (N, P) simplex rows
-    endmembers: np.ndarray | None = None   # (L, P) or (N, L, P)
+    endmembers: np.ndarray | None = None   # (P, L) or (N, P, L)
 
 
 # ------------------------------------------------------------- generation
@@ -106,7 +106,7 @@ ABUNDANCE_BLUR_SIGMA = 1.5
 
 def synth_endmember_library(n_bands: int, n_endmembers: int,
                             rng: np.random.Generator) -> np.ndarray:
-    """P smooth, well-separated spectra in (0.05, 0.95), as columns.
+    """P smooth, well-separated spectra in (0.05, 0.95), as (P, L) rows.
 
     Each spectrum is a sum of 3-6 Gaussian bumps rescaled into (0.08, 0.92);
     the whole set is redrawn until every pairwise spectral angle reaches
@@ -116,7 +116,7 @@ def synth_endmember_library(n_bands: int, n_endmembers: int,
         raise InputError(f"need at least 16 bands, got {n_bands}")
     grid = np.arange(n_bands, dtype=np.float64)
     for _ in range(LIBRARY_MAX_ATTEMPTS):
-        cols = []
+        rows = []
         for _ in range(n_endmembers):
             n_bumps = int(rng.integers(3, 7))
             centers = rng.uniform(0, n_bands, n_bumps)
@@ -126,8 +126,8 @@ def synth_endmember_library(n_bands: int, n_endmembers: int,
                        * np.exp(-0.5 * ((grid[None, :] - centers[:, None])
                                         / widths[:, None]) ** 2), axis=0)
             lo, hi = s.min(), s.max()
-            cols.append(0.08 + 0.84 * (s - lo) / max(hi - lo, 1e-12))
-        M = np.stack(cols, axis=1)
+            rows.append(0.08 + 0.84 * (s - lo) / max(hi - lo, 1e-12))
+        M = np.stack(rows)
         if _min_pairwise_angle(M) >= LIBRARY_MIN_ANGLE:
             return M
     raise GenerationError(
@@ -136,10 +136,10 @@ def synth_endmember_library(n_bands: int, n_endmembers: int,
 
 
 def _min_pairwise_angle(M: np.ndarray) -> float:
-    norms = np.linalg.norm(M, axis=0)
-    cos = np.clip((M.T @ M) / np.outer(norms, norms), -1.0, 1.0)
+    norms = np.linalg.norm(M, axis=1)
+    cos = np.clip((M @ M.T) / np.outer(norms, norms), -1.0, 1.0)
     ang = np.arccos(cos)
-    iu = np.triu_indices(M.shape[1], k=1)
+    iu = np.triu_indices(M.shape[0], k=1)
     return float(ang[iu].min()) if len(iu[0]) else np.inf
 
 
@@ -212,10 +212,11 @@ def generate_dc1(abundances: np.ndarray, em_matrix: np.ndarray,
                  rng: np.random.Generator | None = None,
                  width: int | None = None, height: int | None = None,
                  ) -> tuple[HyperCube, GroundTruth]:
-    """Bilinear-mixture scene: y = M a + sum_{i<j} a_i a_j m_i * m_j + noise.
+    """Bilinear-mixture scene: y = a M + sum_{i<j} a_i a_j m_i * m_j + noise.
 
-    Noise is white Gaussian, scaled so the cube-level power ratio matches
-    ``snr_db`` (pass None for a noiseless cube).
+    The endmembers m_i are the rows of the (P, L) ``em_matrix``.  Noise is
+    white Gaussian, scaled so the cube-level power ratio matches ``snr_db``
+    (pass None for a noiseless cube).
     """
     if rng is None:
         rng = np.random.default_rng(0)
@@ -223,11 +224,11 @@ def generate_dc1(abundances: np.ndarray, em_matrix: np.ndarray,
     M = np.asarray(em_matrix, dtype=np.float64)
     _simplex_check(A)
     _, noise_rng = rng.spawn(2)
-    clean = A @ M.T
-    P = M.shape[1]
+    clean = A @ M
+    P = len(M)
     for i in range(P):
         for j in range(i + 1, P):
-            clean = clean + np.outer(A[:, i] * A[:, j], M[:, i] * M[:, j])
+            clean = clean + np.outer(A[:, i] * A[:, j], M[i] * M[j])
     sigma = _noise_sigma(clean, snr_db)
     pixels = clean + sigma * noise_rng.standard_normal(clean.shape)
     w, h = _spatial_dims(len(A), width, height)
@@ -241,7 +242,7 @@ def generate_dc2(abundances: np.ndarray, base_em: np.ndarray,
                  rng: np.random.Generator | None = None,
                  width: int | None = None, height: int | None = None,
                  ) -> tuple[HyperCube, GroundTruth]:
-    """Linear mixtures with per-pixel endmember matrices: y_n = M_n a_n + e_n.
+    """Linear mixtures of per-pixel (P, L) endmembers: y_n = a_n M_n + e_n.
 
     Each (pixel, endmember) pair gets a random scale in [1-v, 1+v] modulated
     by a smooth zero-mean spectral bump, so signatures change shape (not just
@@ -255,7 +256,7 @@ def generate_dc2(abundances: np.ndarray, base_em: np.ndarray,
     A = np.asarray(abundances, dtype=np.float64)
     M0 = np.asarray(base_em, dtype=np.float64)
     _simplex_check(A)
-    n, (L, P) = len(A), M0.shape
+    n, (P, L) = len(A), M0.shape
     var_rng, noise_rng = rng.spawn(2)
     if v > 0.0:
         grid = np.arange(L, dtype=np.float64)
@@ -263,8 +264,8 @@ def generate_dc2(abundances: np.ndarray, base_em: np.ndarray,
         centers = var_rng.uniform(0, L, size=(n, P))
         widths = var_rng.uniform(L / 10, L / 3, size=(n, P))
         amps = var_rng.uniform(0.5, 1.5, size=(n, P))
-        # One (N, P, L) buffer updated in place.  The steps evaluate
-        # clip(M0ᵀ · (1 + (s - 1) · (1 + amp · (bump - mean(bump))))),
+        # The (N, P, L) stack, updated in place.  The steps evaluate
+        # clip(M0 · (1 + (s - 1) · (1 + amp · (bump - mean(bump))))),
         # bump = exp(-0.5 · ((grid - center) / width)²), in the same order
         # as the expression would, so the stack is bitwise the same.
         buf = np.subtract(grid[None, None, :], centers[..., None])
@@ -277,12 +278,11 @@ def generate_dc2(abundances: np.ndarray, base_em: np.ndarray,
         buf += 1.0                                            # envelope
         buf *= scales[..., None] - 1.0
         buf += 1.0                                            # multiplier
-        buf *= M0.T[None, :, :]
-        np.clip(buf, 0.0, 1.0, out=buf)
-        em_stack = np.swapaxes(buf, 1, 2)                     # (N, L, P)
+        buf *= M0[None, :, :]
+        em_stack = np.clip(buf, 0.0, 1.0, out=buf)
     else:
-        em_stack = np.broadcast_to(M0, (n, L, P)).copy()
-    clean = np.einsum("nlp,np->nl", em_stack, A)
+        em_stack = np.broadcast_to(M0, (n, P, L)).copy()
+    clean = np.einsum("npl,np->nl", em_stack, A)
     sigma = _noise_sigma(clean, snr_db)
     pixels = clean + sigma * noise_rng.standard_normal(clean.shape)
     w, h = _spatial_dims(n, width, height)
@@ -299,14 +299,15 @@ def _as_pixels(cube) -> np.ndarray:
 
 
 def vca(cube, n_endmembers: int, rng: np.random.Generator) -> np.ndarray:
-    """Vertex selection in the SVD signal subspace; returns pixel spectra.
+    """Vertex selection in the SVD signal subspace; returns P pixels, (P, L).
 
     Projects the data onto its top-P singular subspace, then repeatedly
     draws a random direction, orthogonalizes it against the span of the
     already-selected vertices, and picks the pixel with the largest
     absolute component along it.
     """
-    X = _as_pixels(cube).T                          # (L, N)
+    pixels = _as_pixels(cube)
+    X = pixels.T                                    # (L, N)
     L, n = X.shape
     P = n_endmembers
     if P > min(L, n):
@@ -334,7 +335,7 @@ def vca(cube, n_endmembers: int, rng: np.random.Generator) -> np.ndarray:
         nv = np.linalg.norm(v)
         if nv > 1e-12:
             basis = np.hstack([basis, (v / nv)[:, None]])
-    return X[:, chosen].copy()
+    return pixels[chosen]
 
 
 def spectral_angles(spectra: np.ndarray, ref: np.ndarray) -> np.ndarray:
@@ -346,13 +347,13 @@ def spectral_angles(spectra: np.ndarray, ref: np.ndarray) -> np.ndarray:
 
 def extract_pure_pixels(cube, ref_endmembers: np.ndarray,
                         n_ppx: int = 100) -> PurePixelDict:
-    """The n_ppx cube pixels spectrally closest to each reference column."""
+    """The n_ppx cube pixels spectrally closest to each reference row."""
     pixels = _as_pixels(cube)
     if n_ppx > len(pixels):
         raise InputError(f"asked for {n_ppx} pure pixels, cube has {len(pixels)}")
     spectra, indices, angles = [], [], []
-    for k in range(ref_endmembers.shape[1]):
-        ang = spectral_angles(pixels, ref_endmembers[:, k])
+    for ref in ref_endmembers:
+        ang = spectral_angles(pixels, ref)
         order = np.argsort(ang, kind="stable")[:n_ppx]
         spectra.append(pixels[order].copy())
         indices.append(order.copy())
@@ -366,9 +367,9 @@ def build_supervised_set(ppx: PurePixelDict, n_draws: int,
                          ) -> list[SupervisedSample]:
     """Self-supervised labeled triples from the pure-pixel shortlists.
 
-    Each draw assembles an endmember matrix by sampling one spectrum per
-    endmember, then emits P samples with one-hot abundances and noisy
-    copies of the matching column (per-sample noise at ``snr_db``).
+    Each draw assembles a (P, L) endmember matrix by sampling one spectrum
+    per endmember, then emits P samples with one-hot abundances and noisy
+    copies of the matching row (per-sample noise at ``snr_db``).
     """
     if rng is None:
         rng = np.random.default_rng(0)
@@ -379,13 +380,12 @@ def build_supervised_set(ppx: PurePixelDict, n_draws: int,
     rel = 0.0 if snr_db is None else 10.0 ** (-snr_db / 20.0)
     samples: list[SupervisedSample] = []
     for _ in range(n_draws):
-        cols = [ppx.spectra[k][rng.integers(len(ppx.spectra[k]))]
-                for k in range(P)]
-        em = np.stack(cols, axis=1)
+        em = np.stack([ppx.spectra[k][rng.integers(len(ppx.spectra[k]))]
+                       for k in range(P)])
         for j in range(P):
             a = np.zeros(P)
             a[j] = 1.0
-            clean = em[:, j]
+            clean = em[j]
             sigma = rel * np.linalg.norm(clean) / np.sqrt(L)
             y = clean + sigma * rng.standard_normal(L)
             samples.append(SupervisedSample(y=y, a=a, em=em.copy()))
@@ -394,9 +394,16 @@ def build_supervised_set(ppx: PurePixelDict, n_draws: int,
 
 # ------------------------------------------------------------- bundle io
 
+# Each role's payload order: a pixel's values back to back, any endmember
+# matrix endmember-major (``container``); every other role is "bip".
+_ORDER = {"endmembers": "bip-pl", "supervised": "bip-pl"}
+
+
 def _bundle_writer(base: str, header: dict) -> ct.PayloadWriter:
     """Write the bundle's header; return the writer of its payload."""
-    ct.write_json(base + ".json", {**header, "dtype": ct.DTYPE, "order": "bip"})
+    order = _ORDER.get(header.get("role"), "bip")
+    ct.write_json(base + ".json",
+                  {**header, "dtype": ct.DTYPE, "order": order})
     return ct.PayloadWriter(base + ".raw")
 
 
@@ -415,15 +422,17 @@ def _open_bundle(base: str, role: str | None = None
     if header.get("dtype") != ct.DTYPE:
         raise BundleError(f"unsupported dtype {header.get('dtype')!r}",
                           field="dtype")
-    if header.get("order") != "bip":
-        raise BundleError(f"unsupported order {header.get('order')!r}",
-                          field="order")
     if header.get("role") != role:
         raise BundleError(f"expected role {role!r}, found "
                           f"{header.get('role')!r}", field="role")
+    order = _ORDER.get(role, "bip")
+    if header.get("order") != order:
+        raise BundleError(f"unsupported order {header.get('order')!r}, "
+                          f"expected {order!r}", field="order")
     shape = (header["width"] * header["height"], header["bands"])
     if role == "endmembers":
-        shape += (ct.json_int(header.get("components"), "components", 1),)
+        shape = (shape[0], ct.json_int(header.get("components"),
+                                       "components", 1), shape[1])
     return header, ct.PayloadReader(base + ".raw", shape, field="bands")
 
 
@@ -532,38 +541,37 @@ def _endmember_header(width: int, height: int, bands: int,
 
 def save_endmembers(base: str, endmembers: np.ndarray,
                     width: int = 1, height: int = 1):
-    """Shared (L, P) matrices are stored as a 1x1 scene; per-pixel stacks
-    (N, L, P) use the true spatial dimensions."""
-    M = np.asarray(endmembers, dtype=np.float64)
-    if M.ndim == 2:
+    """Shared (P, L) matrices are stored as a 1x1 scene; per-pixel stacks
+    (N, P, L) use the true spatial dimensions."""
+    stack = np.asarray(endmembers, dtype=np.float64)
+    if stack.ndim == 2:
         width = height = 1
-        stack = M[None, :, :]
-    else:
-        stack = M
-    if stack.shape[0] != width * height:
+        stack = stack[None]
+    n, components, bands = stack.shape
+    if n != width * height:
         raise InputError("endmember stack length must match width * height")
-    _write_bundle(base, _endmember_header(width, height, *stack.shape[1:]),
+    _write_bundle(base, _endmember_header(width, height, bands, components),
                   stack)
 
 
 def endmember_writer(base: str, width: int, height: int, bands: int,
                      components: int) -> ct.PayloadWriter:
     """Write a per-pixel endmember stack's header; return the writer to
-    which the caller appends the (N, L, P) stack, in blocks of whole pixels
+    which the caller appends the (N, P, L) stack, in blocks of whole pixels
     from pixel 0."""
     return _bundle_writer(base, _endmember_header(width, height, bands,
                                                   components))
 
 
 def load_endmembers(base: str) -> np.ndarray:
-    """Returns (L, P) when the bundle stores one shared matrix, else (N, L, P)."""
+    """Returns (P, L) when the bundle stores one shared matrix, else (N, P, L)."""
     stack = open_endmembers(base)
     return stack if stack.ndim == 2 else stack[:]
 
 
 def open_endmembers(base: str):
-    """The shared (L, P) matrix of a 1 x 1 bundle, else a
-    ``container.PayloadReader`` of its (N, L, P) stack."""
+    """The shared (P, L) matrix of a 1 x 1 bundle, else a
+    ``container.PayloadReader`` of its (N, P, L) stack."""
     _, reader = _open_bundle(base, "endmembers")
     return reader[:][0] if len(reader) == 1 else reader
 
@@ -607,7 +615,7 @@ def save_supervised(base: str, samples: list[SupervisedSample]):
 
 
 def load_supervised(base: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Returns (Y, A, M) arrays of shapes (n, L), (n, P), (n, L, P).
+    """Returns (Y, A, M) arrays of shapes (n, L), (n, P), (n, P, L).
 
     A NaN or infinite value raises ``InputError`` naming the first offending
     sample (as its pixel) and its value index (as its band)."""
@@ -624,4 +632,4 @@ def load_supervised(base: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             f"values per sample, header bands is {header['bands']}",
             field="pixel_bands")
     _check_finite("supervised set", base, header, data)
-    return data[:, :L], data[:, L:L + P], data[:, L + P:].reshape(count, L, P)
+    return data[:, :L], data[:, L:L + P], data[:, L + P:].reshape(count, P, L)

@@ -2,30 +2,29 @@
 
 NRMSE is a Frobenius ratio ``nrmse``; the spectral-angle score sam_m is
 the mean over pixels n of sum_k arccos(<m_nk, m^_nk> / (|m_nk| |m^_nk|)),
-the angles between each truth column and its aligned estimate column; and
-the nonlinearity degree compares the norms of the two
-abundance-concentration streams.  Estimated endmember columns are
-aligned to ground truth by the angle-minimizing assignment before any
-metric is computed.
+the angles between each true endmember and its aligned estimate; and the
+nonlinearity degree compares the norms of the two abundance-concentration
+streams.  Estimated endmembers are aligned to ground truth by the
+angle-minimizing assignment before any metric is computed.
 
 Every score is a streaming sum over fixed blocks of ``ROW_BLOCK`` rows
 counted from row 0.  An input is a row source: an array, or a
 ``container.PayloadReader`` of a bundle on disk, read only as
-``source[rows]``, one block at a time; a shared (L, P) endmember matrix
-enters as a broadcast view.  Endmember stacks (N, L, P) are scored in two
-passes.  The first reads each stack's block once and turns it to the
-bands-contiguous layout (B, P, L); it takes every column norm and all
-P x P cross products of each pixel (one batched product) and adds the
-angles between truth column i and estimate column j into a (P, P) sum,
-whose mean over pixels is the alignment's cost matrix.  sam_m is then the
-chosen assignment's total cost, sum_i cost[i, perm(i)], which is the
-formula above.  The second pass reads the stacks again and sums the
-squared truth and the squared difference of the aligned stacks for
-nrmse_m, as ``nrmse`` sums any two row sources.
+``source[rows]``, one block at a time; a shared (P, L) endmember matrix
+enters as a broadcast view.  Endmember stacks (N, P, L), each endmember's
+bands contiguous, are scored in two passes.  The first reads each stack's
+block once; it takes every endmember's norm and all P x P cross products
+of each pixel (one batched product) and adds the angles between true
+endmember i and estimate j into a (P, P) sum, whose mean over pixels is
+the alignment's cost matrix.  sam_m is then the chosen assignment's total
+cost, sum_i cost[i, perm(i)], which is the formula above.  The second
+pass reads the stacks again and sums the squared truth and the squared
+difference of the aligned stacks, the estimate's rows gathered whole,
+for nrmse_m, as ``nrmse`` sums any two row sources.
 
 Sums of squares are taken by numpy's own einsum loop within a block and
 in block order across blocks, and the cross products by one BLAS call per
-pixel on its P x L columns, too small to be split across threads.  So the
+pixel on its P x L endmembers, too small to be split across threads.  So the
 rounding of every score depends on ``ROW_BLOCK`` and never on the BLAS
 thread count (BLAS splits the dot product of a long vector across its
 threads, and its rounding follows the split).  Scoring holds no array as
@@ -67,9 +66,9 @@ def nrmse(x, x_hat) -> float:
 def nonlinearity_degree(lin, nlin) -> np.ndarray | float:
     """Share of the nonlinear stream in the concentration, per pixel, in [0, 1].
 
-    ``lin`` and ``nlin`` are the two concentration streams (..., P), the
-    third and fourth outputs of ``inference.point_estimates_with_streams``
-    (``cli unmix`` writes this map as ``eta_d``): the share is
+    ``lin`` and ``nlin`` are the two concentration streams (..., P) that
+    each block of ``inference.point_estimate_blocks`` yields (``cli unmix``
+    writes this map as ``eta_d``): the share is
     ||nlin|| / (||lin|| + ||nlin||), and 0 where both norms are 0.  Each
     pixel's share reads only that pixel's streams.
     """
@@ -89,10 +88,10 @@ FCLS_MAX_ENDMEMBERS = 10
 def fcls(cube, em_matrix: np.ndarray) -> np.ndarray:
     """Fully constrained least squares, solved exactly for all pixels at once.
 
-    Minimizes ||y - M a||^2 subject to a >= 0 and sum(a) = 1 by the active
-    sets of Heinz & Chang (IEEE TGRS 39(3), 2001).  For each nonempty
-    support S, one (|S|+1)-square KKT system
-    [M_S^T M_S 1; 1^T 0] [a_S; nu] = [M_S^T y; 1] gives every pixel's
+    Minimizes ||y - a M||^2, M the (P, L) endmember rows, subject to a >= 0
+    and sum(a) = 1 by the active sets of Heinz & Chang (IEEE TGRS 39(3),
+    2001).  For each nonempty support S, one (|S|+1)-square KKT system
+    [M_S M_S^T 1; 1^T 0] [a_S; nu] = [M_S y; 1] gives every pixel's
     sum-to-one optimum on S.  The problem is convex, so a pixel's optimum
     is its lowest-objective solution with a >= 0; the P vertices (|S| = 1)
     are always such solutions.  More than ``FCLS_MAX_ENDMEMBERS``
@@ -100,14 +99,14 @@ def fcls(cube, em_matrix: np.ndarray) -> np.ndarray:
     """
     Y = _as_pixels(cube)
     M = np.asarray(em_matrix, dtype=np.float64)
-    p = M.shape[1]
+    p = len(M)
     if p > FCLS_MAX_ENDMEMBERS:
         raise InputError(f"fcls takes at most {FCLS_MAX_ENDMEMBERS} "
                          f"endmembers, got {p}")
     if np.linalg.matrix_rank(M) < p:
-        raise InputError("endmember matrix must have full column rank")
-    gram = M.T @ M
-    mty = Y @ M                                     # (N, P)
+        raise InputError("endmember matrix must have full row rank")
+    gram = M @ M.T
+    mty = Y @ M.T                                   # (N, P)
     best = np.zeros((len(Y), p))
     best_cost = np.full(len(Y), np.inf)
     for k in range(1, p + 1):
@@ -117,7 +116,7 @@ def fcls(cube, em_matrix: np.ndarray) -> np.ndarray:
             rhs = np.vstack([mty[:, s].T, np.ones(len(Y))])
             a = np.zeros_like(best)
             a[:, s] = np.linalg.solve(kkt, rhs)[:k].T
-            # ||y - M a||^2 - ||y||^2
+            # ||y - a M||^2 - ||y||^2
             cost = np.einsum("np,np->n", a @ gram - 2.0 * mty, a)
             keep = (a >= 0.0).all(axis=1) & (cost < best_cost)
             best[keep], best_cost[keep] = a[keep], cost[keep]
@@ -157,7 +156,7 @@ def _per_pixel_stack(m, n: int):
 
 
 def _stack_pair(m_true, m_hat):
-    """Both arguments as (N, L, P) row sources.  N is the length of the
+    """Both arguments as (N, P, L) row sources.  N is the length of the
     first per-pixel stack of the two, else 1."""
     m_true, m_hat = _source(m_true), _source(m_hat)
     n = next((m.shape[0] for m in (m_true, m_hat) if m.ndim == 3), 1)
@@ -179,16 +178,16 @@ def _sum_squares(x: np.ndarray) -> float:
     return float(np.einsum("i,i->", flat, flat))
 
 
-def _residual_sums(x, x_hat, cols: np.ndarray | None = None
+def _residual_sums(x, x_hat, perm: np.ndarray | None = None
                    ) -> tuple[float, float]:
     """(sum (x - x_hat)^2, sum x^2) of two row sources of one shape, block
-    by block, with the last axis of ``x_hat`` taken in the order ``cols``
+    by block, with the second axis of ``x_hat`` taken in the order ``perm``
     (as it is for None)."""
     num = den = 0.0
     for rows in _blocks(len(x)):
         t, h = x[rows], x_hat[rows]
-        if cols is not None:
-            h = h[..., cols]
+        if perm is not None:
+            h = h[:, perm]
         num += _sum_squares(t - h)
         den += _sum_squares(t)
     return num, den
@@ -200,40 +199,32 @@ def _ratio(num: float, den: float) -> float:
     return math.sqrt(num) / math.sqrt(den)
 
 
-def _bands_last(block: np.ndarray) -> np.ndarray:
-    """A (B, L, P) block as a C-ordered (B, P, L) array, each column's bands
-    contiguous: numpy reduces a strided axis of a few columns slowly."""
-    return np.ascontiguousarray(np.swapaxes(block, 1, 2))
-
-
-def _column_norms(cols: np.ndarray, start: int, which: str) -> np.ndarray:
-    """(B, P) norms of the (B, P, L) columns of the block from pixel
+def _column_norms(block: np.ndarray, start: int, which: str) -> np.ndarray:
+    """(B, P) norms of the endmembers of the (B, P, L) block from pixel
     ``start``.
 
-    A column holding a NaN or an infinity has a non-finite norm, so only a
-    block with such a norm is searched for the value, in (pixel, band,
-    column) order.
+    An endmember holding a NaN or an infinity has a non-finite norm, so
+    only a block with such a norm is searched for the value, in (pixel,
+    column, band) order.
     """
-    norms = np.sqrt(np.einsum("bpl,bpl->bp", cols, cols))
+    norms = np.sqrt(np.einsum("bpl,bpl->bp", block, block))
     if not np.isfinite(norms).all():
-        block = np.swapaxes(cols, 1, 2)
         bad = np.argwhere(~np.isfinite(block))
         if len(bad):                  # else the squares overflowed: no error
-            pixel, band, column = (int(i) for i in bad[0])
+            pixel, column, band = (int(i) for i in bad[0])
             raise NonFiniteEndmembers(which, start + pixel, band, column,
-                                      float(block[pixel, band, column]))
+                                      float(block[pixel, column, band]))
     return norms
 
 
 def _alignment_cost(mt, mh) -> np.ndarray:
     """First pass: the (P, P) cost matrix whose entry (i, j) is the mean
-    over pixels of the angle between truth column i and estimate column j
-    of two (N, L, P) row sources."""
-    n, _, p = mt.shape
+    over pixels of the angle between true endmember i and estimate j of
+    two (N, P, L) row sources."""
+    n, p, _ = mt.shape
     total = np.zeros((p, p))
     for rows in _blocks(n):
-        t = _bands_last(mt[rows])
-        h = _bands_last(mh[rows])
+        t, h = mt[rows], mh[rows]
         nt = _column_norms(t, rows.start, "truth")
         nh = _column_norms(h, rows.start, "estimate")
         if np.any(nt == 0.0) or np.any(nh == 0.0):
@@ -251,9 +242,10 @@ def _assignment(cost: np.ndarray) -> np.ndarray:
 
 
 def align_endmembers(m_true: np.ndarray, m_hat: np.ndarray) -> np.ndarray:
-    """Column permutation of the estimate minimizing total mean angle.
+    """Endmember permutation of the estimate minimizing total mean angle.
 
-    Returns ``perm`` such that estimate column perm[j] matches truth column j.
+    Returns ``perm`` such that estimate endmember perm[j] matches true
+    endmember j.
     """
     return _assignment(_alignment_cost(*_stack_pair(m_true, m_hat)))
 
@@ -263,12 +255,12 @@ class Estimates:
     """Unmixing outputs entering a metrics report."""
 
     abundances: np.ndarray                    # (N, P)
-    endmembers: np.ndarray | None = None      # (L, P) or (N, L, P), the
+    endmembers: np.ndarray | None = None      # (P, L) or (N, P, L), the
                                               # latter maybe a PayloadReader
     reconstruction: np.ndarray | None = None  # (N, L), maybe a PayloadReader
     eta_d: np.ndarray | None = None           # (N,)
     runtime_s: float = 0.0
-    align_with: np.ndarray | None = None      # alignment fallback, (L, P)
+    align_with: np.ndarray | None = None      # alignment fallback, (P, L)
 
 
 @dataclass

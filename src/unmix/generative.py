@@ -1,13 +1,14 @@
 """The data-generating model: endmember decoders, priors, and the mixing law.
 
-Pixels follow  y = M a + nonlinear(M, a) + e  with diagonal Gaussian noise,
-abundances carry a flat Dirichlet prior, and each endmember column is decoded
+Pixels follow  y = a M + nonlinear(M, a) + e  with diagonal Gaussian noise,
+abundances carry a flat Dirichlet prior, and each endmember is decoded
 from a low-dimensional latent code by its own network with a learned
-isotropic spread.  The P decoders are one bank, a ``dc.MlpParams`` whose
-weights are (P, out, in), and the P spreads one (P,) log-scale.  Decoder
-quantities therefore put the endmember axis first, codes (P, ..., H) and
-means (P, ..., L), and it is the only batch axis that reaches ``matmul``;
-an endmember matrix keeps its columns last, (..., L, P).
+isotropic spread.  An endmember matrix M is endmember-major, (..., P, L),
+each row one endmember's L contiguous bands.  The P decoders are one
+bank, a ``dc.MlpParams`` whose weights are (P, out, in), and the P spreads
+one (P,) log-scale.  Decoder quantities put the endmember axis first,
+codes (P, ..., H) and means (P, ..., L), and it is the only batch axis
+that reaches ``matmul``.
 """
 
 from __future__ import annotations
@@ -101,7 +102,7 @@ class GenerativeParams:
 
 
 def em_decode(Z, theta: GenerativeParams) -> DiagGaussian:
-    """Conditionals of the P endmember columns given their latent codes.
+    """Conditionals of the P endmembers given their latent codes.
 
     ``Z``: (P, ..., H), code k for endmember k.  The means (P, ..., L) come
     from the decoder bank (sigmoid keeps them inside the reflectance box);
@@ -115,19 +116,17 @@ def em_decode(Z, theta: GenerativeParams) -> DiagGaussian:
 
 
 def mixing_mean(a, M, theta: GenerativeParams) -> Tensor:
-    """Linear mixture M a plus the learned nonlinear contribution.
+    """Linear mixture a M plus the learned nonlinear contribution.
 
-    ``a``: (..., P) simplex vectors, ``M``: (..., L, P).  The nonlinear net
-    sees the column-major vectorization of M followed by a.
+    ``a``: (..., P) simplex vectors, ``M``: (..., P, L).  The nonlinear net
+    sees M's P rows back to back followed by a.
     """
     a = as_tensor(a)
     M = as_tensor(M)
-    L, P = theta.n_bands, theta.n_endmembers
-    lin = dc.matmul(M, a.reshape(a.shape + (1,))).reshape(a.shape[:-1] + (L,))
-    # vec(M) is built inside the call so that, over constants, nothing
-    # holds it once the concatenation exists.
-    nlin = mlp_forward(theta.nlin_mixing, dc.concat(
-        [M.transpose().reshape(a.shape[:-1] + (L * P,)), a], axis=-1))
+    batch, L, P = a.shape[:-1], theta.n_bands, theta.n_endmembers
+    lin = dc.matmul(a.reshape(batch + (1, P)), M).reshape(batch + (L,))
+    nlin = mlp_forward(theta.nlin_mixing,
+                       dc.concat([M.reshape(batch + (P * L,)), a], axis=-1))
     return lin + nlin
 
 
@@ -146,12 +145,12 @@ def flat_abundance_logpdf(a, n_endmembers: int) -> Tensor:
 def log_joint(y, a, M, Z, theta: GenerativeParams) -> Tensor:
     """log p(y, a, M, Z): likelihood + abundance prior + EM model + latent prior.
 
-    ``M`` (..., L, P) and ``Z`` (..., H, P) hold endmembers and latent codes
-    as columns.
+    ``M`` (..., P, L) and ``Z`` (..., P, H) hold endmembers and latent codes
+    as rows.
     """
     total = log_likelihood(y, a, M, theta)
     total = total + flat_abundance_logpdf(a, theta.n_endmembers)
-    m_first, z_first = dc.moveaxis(M, -1, 0), dc.moveaxis(Z, -1, 0)
+    m_first, z_first = dc.moveaxis(M, -2, 0), dc.moveaxis(Z, -2, 0)
     per_endmember = (gaussian_logpdf(m_first, em_decode(z_first, theta))
                      + std_normal_logpdf(z_first))          # (P, ...)
     return total + per_endmember.sum(axis=0)

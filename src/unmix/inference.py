@@ -8,10 +8,11 @@ M), and the endmember conditional q(M | Z) reuses the generative decoders
 q(Z | y) is a diagonal Gaussian computed by a pair of nets with a shared
 trunk; the same conditional serves every latent code.  A draw holds the P
 codes as one (P, ..., H) tensor, which the generative decoder bank maps to
-the P endmember columns, endmember axis first; the endmember matrix built
-from them keeps its columns last, (..., L, P).  q(a | y, M) is a
-Dirichlet whose concentration is the ReLU of a two-stream sum: an unrolled
-least-squares/shrinkage stream in (y, M) plus a free nonlinear stream in y.
+the P endmembers, endmember axis first, (P, ..., L); the endmember matrix
+moves that axis once, to (..., P, L), the one layout of every endmember
+matrix (``generative``).  q(a | y, M) is a Dirichlet whose concentration
+is the ReLU of a two-stream sum: an unrolled least-squares/shrinkage
+stream in (y, M) plus a free nonlinear stream in y.
 
 Unmixing a scene (``point_estimate_blocks``) runs over constants, in fixed
 blocks of ``ROW_BLOCK`` pixels counted from pixel 0, so its outputs depend
@@ -35,7 +36,7 @@ from .generative import GenerativeParams, em_decode, mixing_mean
 __all__ = ["ListaParams", "InferenceParams", "PosteriorSample", "encode_z",
            "lista_concentration", "abundance_streams", "abundance_concentration",
            "posterior_sample", "point_estimates", "point_estimate_blocks",
-           "point_estimates_with_streams", "init_model"]
+           "init_model"]
 
 INIT_ETA_SPARSE = 0.01
 INIT_ETA_UNC = 10.0
@@ -127,7 +128,7 @@ class InferenceParams:
                                       values, "inf.z_scale_head")
         eta_step = INIT_ETA_STEP
         if ref_endmembers is not None:
-            gram = ref_endmembers.T @ ref_endmembers
+            gram = ref_endmembers @ ref_endmembers.T
             eta_step = 1.0 / float(np.linalg.eigvalsh(gram)[-1])
         lista = ListaParams.create(lista_layers, eta_step, values)
         nlin = MlpParams.create(nlin_encoder_widths(L, n_endmembers),
@@ -152,7 +153,7 @@ class PosteriorSample:
     """One ancestral draw (Z -> M -> a) with its abundance concentration."""
 
     a: Tensor                  # (..., P) simplex
-    em_matrix: Tensor          # (..., L, P)
+    em_matrix: Tensor          # (..., P, L)
     gamma: DirichletParams
     z_dist: DiagGaussian
     z: Tensor                  # (P, ..., H), the P sampled codes
@@ -171,13 +172,14 @@ def encode_z(y, phi: InferenceParams) -> DiagGaussian:
 
 
 def _least_squares_start(m_data: np.ndarray, y_arr: np.ndarray) -> np.ndarray:
-    """pinv(M, rcond=1e-8) y for each pixel, from a thin SVD of M applied to y.
+    """pinv(M^T, rcond=1e-8) y for each pixel, from a thin SVD of M^T.
 
-    V diag(1/s) U^T y with pinv's cut: singular values at or below 1e-8 of
-    the largest count as zero.  Holds U (..., L, P) but never the (..., P, L)
-    pseudoinverse.
+    With M^T = U diag(s) V^T, that is V diag(1/s) U^T y with pinv's cut:
+    singular values at or below 1e-8 of the largest count as zero.  LAPACK
+    factors the tall (..., L, P) view M^T about twice as fast as the wide
+    M.  Holds U (..., L, P) but never the pseudoinverse.
     """
-    u, s, vt = np.linalg.svd(m_data, full_matrices=False)
+    u, s, vt = np.linalg.svd(np.swapaxes(m_data, -1, -2), full_matrices=False)
     large = s > 1e-8 * s.max(axis=-1, keepdims=True)
     coef = np.squeeze(np.swapaxes(u, -1, -2) @ y_arr[..., None], axis=-1)
     coef *= np.divide(1.0, s, out=np.zeros_like(s), where=large)
@@ -189,9 +191,9 @@ def lista_concentration(y, M, phi: InferenceParams) -> Tensor:
 
     Starts from the least-squares (pseudoinverse) solution, runs
     n_layers - 2 shrinkage steps h <- relu(h - eta (G h - b) - eta eta_sp),
-    and scales by the uncertainty factor.  ``y``: (..., L); ``M``: (..., L, P).
+    and scales by the uncertainty factor.  ``y``: (..., L); ``M``: (..., P, L).
 
-    The steps use the Gram form: G = M^T M (..., P, P) and b = M^T y
+    The steps use the Gram form: G = M M^T (..., P, P) and b = M y
     (..., P) are formed once per pass, so each layer costs a P x P product
     in place of two L x P ones.  The reverse pass reaches M through G and b
     and the step scalars through every layer; the warm start and ``y`` are
@@ -199,12 +201,11 @@ def lista_concentration(y, M, phi: InferenceParams) -> Tensor:
     """
     M = as_tensor(M)
     y_arr = y.data if isinstance(y, Tensor) else np.asarray(y, dtype=np.float64)
-    if M.shape[-2] != y_arr.shape[-1]:
-        raise ShapeError(f"M has {M.shape[-2]} bands, y has {y_arr.shape[-1]}")
+    if M.shape[-1] != y_arr.shape[-1]:
+        raise ShapeError(f"M has {M.shape[-1]} bands, y has {y_arr.shape[-1]}")
     h = dc.constant(_least_squares_start(M.data, y_arr))
-    m_t = M.transpose()
-    gram = dc.matmul(m_t, M)
-    b = dc.matmul(m_t, dc.constant(y_arr[..., None])).reshape(h.shape)
+    gram = dc.matmul(M, M.transpose())
+    b = dc.matmul(M, dc.constant(y_arr[..., None])).reshape(h.shape)
     eta_sp = dc.exp(phi.lista.log_eta_sparse)
     for m in range(phi.lista.n_layers - 2):
         eta = dc.exp(phi.lista.log_eta_steps[m])
@@ -241,7 +242,7 @@ def posterior_sample(y, phi: InferenceParams, theta: GenerativeParams,
     xi_z = noise.normal(batch + (P, H))
     z = gaussian_rsample(z_dist, np.moveaxis(xi_z, -2, 0))      # (P, ..., H)
     m = gaussian_rsample(em_decode(z, theta), noise.normal((P,) + batch + (L,)))
-    em = dc.moveaxis(m, 0, -1)                                   # (..., L, P)
+    em = dc.moveaxis(m, 0, -2)                                   # (..., P, L)
     gamma = abundance_concentration(y_arr, em, phi)
     a = dirichlet_rsample(gamma.concentration, noise)
     return PosteriorSample(a=a, em_matrix=em, gamma=gamma, z_dist=z_dist, z=z)
@@ -255,7 +256,7 @@ def point_estimate_blocks(y, phi: InferenceParams, theta: GenerativeParams):
     of a cube on disk.  The pixels run in blocks of ``ROW_BLOCK`` rows
     counted from pixel 0, each read once and taken from the z-encoder to
     the reconstruction.  Each block yields (rows, a_hat (B, P),
-    m_hat (B, L, P), lin (B, P), nlin (B, P), recon (B, L)): the point
+    m_hat (B, P, L), lin (B, P), nlin (B, P), recon (B, L)): the point
     estimates, the two concentration streams they combine, and the
     ``mixing_mean`` of (a_hat, m_hat).  Nothing larger than a block is
     held.  BLAS rounding follows a product's row count, so the fixed blocks
@@ -273,7 +274,7 @@ def point_estimate_blocks(y, phi: InferenceParams, theta: GenerativeParams):
         # encode_z's mean alone: the scale head's output is not used
         z_mean = mlp_forward(phi.z_mean_head, mlp_forward(phi.z_trunk, y_blk))
         m_blk = dc.moveaxis(mlp_forward(theta.em_decoder, z_mean, shared=True),
-                            0, -1).data
+                            0, -2).data
         lin, nlin = abundance_streams(y_blk, m_blk, phi)
         conc = _combine_streams(lin, nlin).concentration.data
         a_blk = conc / conc.sum(axis=-1, keepdims=True)
@@ -281,37 +282,21 @@ def point_estimate_blocks(y, phi: InferenceParams, theta: GenerativeParams):
         yield rows, a_blk, m_blk, lin.data, nlin.data, recon
 
 
-def point_estimates_with_streams(y, phi: InferenceParams,
-                                 theta: GenerativeParams
-                                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray,
-                                            np.ndarray, np.ndarray]:
-    """``point_estimate_blocks`` of every pixel, collected.
-
-    ``y``: (..., L).  Returns (a_hat (..., P), m_hat (..., L, P),
-    lin (..., P), nlin (..., P), recon (..., L)), bitwise what the blocks
-    hold whatever the memory layout of ``y``.
-    """
-    y_arr = y.data if isinstance(y, Tensor) else np.asarray(y, dtype=np.float64)
-    batch = y_arr.shape[:-1]
-    y_rows = y_arr.reshape(-1, y_arr.shape[-1])
-    n, L, P = len(y_rows), theta.n_bands, phi.n_endmembers
-    outs = (np.empty((n, P)), np.empty((n, L, P)), np.empty((n, P)),
-            np.empty((n, P)), np.empty((n, L)))
-    for rows, *blocks in point_estimate_blocks(y_rows, phi, theta):
-        for out, block in zip(outs, blocks):
-            out[rows] = block
-    return tuple(out.reshape(batch + out.shape[1:]) for out in outs)
-
-
 def point_estimates(y, phi: InferenceParams,
                     theta: GenerativeParams) -> tuple[np.ndarray, np.ndarray]:
     """Deterministic summaries: Dirichlet-mean abundances and decoder-mean EMs.
 
-    ``y``: (..., L).  Returns (a_hat (..., P), m_hat (..., L, P)), read from
-    ``point_estimates_with_streams``: what ``cli unmix`` writes, bit for bit.
+    ``y``: (..., L).  Returns (a_hat (..., P), m_hat (..., P, L)), the
+    ``point_estimate_blocks`` of every pixel collected: what ``cli unmix``
+    writes, bit for bit, whatever the memory layout of ``y``.
     """
-    a_hat, m_hat, *_ = point_estimates_with_streams(y, phi, theta)
-    return a_hat, m_hat
+    y_arr = y.data if isinstance(y, Tensor) else np.asarray(y, dtype=np.float64)
+    batch, L, P = y_arr.shape[:-1], y_arr.shape[-1], phi.n_endmembers
+    y_rows = y_arr.reshape(-1, L)
+    a_hat, m_hat = np.empty((len(y_rows), P)), np.empty((len(y_rows), P, L))
+    for rows, a_blk, m_blk, *_ in point_estimate_blocks(y_rows, phi, theta):
+        a_hat[rows], m_hat[rows] = a_blk, m_blk
+    return a_hat.reshape(batch + (P,)), m_hat.reshape(batch + (P, L))
 
 
 def init_model(n_bands: int, n_endmembers: int, latent_dim: int = 2,

@@ -158,14 +158,14 @@ def importance_weights(em_matrix, z, theta: GenerativeParams
                        ) -> ImportanceWeights:
     """Self-normalized weights w_i = q(M | Z_i) for observed M over K draws.
 
-    ``em_matrix``: (..., L, P) observed data; ``z``: the latent codes,
+    ``em_matrix``: (..., P, L) observed data; ``z``: the latent codes,
     (P, ..., K, H).  log w_i is the sum over endmembers of
     log N(m_k; decoder_k(z_ik), scale_k); gradients reach the decoders and
     flow back through ``z``, while ``em_matrix`` is treated as data.
     """
     em = np.asarray(em_matrix.data if isinstance(em_matrix, Tensor)
                     else em_matrix, dtype=np.float64)
-    m = dc.constant(np.moveaxis(em, -1, 0)[..., None, :])     # (P, ..., 1, L)
+    m = dc.constant(np.moveaxis(em, -2, 0)[..., None, :])     # (P, ..., 1, L)
     log_w = gaussian_logpdf(m, em_decode(z, theta)).sum(axis=0)   # (..., K)
     if not np.any(np.isfinite(log_w.data)):
         raise NumericError("all importance weights underflowed")

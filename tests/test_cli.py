@@ -136,7 +136,7 @@ class TestExitCodes:
             dt.save_abundances(base, a_hat, WIDTH, HEIGHT)
         elif bundle == "endmembers_est":
             m_hat = dt.load_endmembers(base)
-            m_hat[13, 5, 1] = np.nan
+            m_hat[13, 1, 5] = np.nan
             dt.save_endmembers(base, m_hat, WIDTH, HEIGHT)
         else:
             eta = dt.load_scalar_map(base)
@@ -185,6 +185,21 @@ class TestExitCodes:
                        "--n-draws", "2"])
         assert rc == 2
         assert "--snr" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("flag, value", [("--p", "0"), ("--p", "-1"),
+                                             ("--n-ppx", "0"),
+                                             ("--n-ppx", "-2"),
+                                             ("--n-draws", "0"),
+                                             ("--n-draws", "-1")])
+    def test_bad_selfsup_size_exits_2_before_writing(self, scene, tmp_path,
+                                                     capsys, flag, value):
+        sizes = {"--p": str(P), "--n-ppx": "4", "--n-draws": "2", flag: value}
+        capsys.readouterr()
+        rc = cli.main(["selfsup", scene["cube"], str(tmp_path / "sup")]
+                      + [arg for item in sizes.items() for arg in item])
+        assert rc == 2
+        assert f"{flag} must be >= 1, got {value}" in capsys.readouterr().err
         assert os.listdir(tmp_path) == []
 
     @pytest.mark.parametrize("flag, value, field", [
@@ -399,7 +414,7 @@ def _supervised(scene) -> str:
         rng = np.random.default_rng(2)
         dt.save_supervised(base, [
             dt.SupervisedSample(y=rng.random(BANDS), a=np.eye(P)[j],
-                                em=rng.random((BANDS, P)))
+                                em=rng.random((P, BANDS)))
             for j in range(P)])
     return base
 
@@ -454,7 +469,7 @@ class TestBundles:
         rng = np.random.default_rng(2)
         dt.save_supervised(base, [
             dt.SupervisedSample(y=rng.random(BANDS), a=np.eye(P)[j],
-                                em=rng.random((BANDS, P)))
+                                em=rng.random((P, BANDS)))
             for j in range(P)])
         _edit_header(base, key, value)
         with pytest.raises(BundleError) as exc_info:
@@ -620,7 +635,7 @@ class TestBundles:
 
     def test_non_contiguous_payload_writes_c_order_bytes(self, tmp_path):
         rng = np.random.default_rng(3)
-        stack = rng.random((WIDTH * HEIGHT, P, BANDS)).transpose(0, 2, 1)
+        stack = rng.random((WIDTH * HEIGHT, BANDS, P)).transpose(0, 2, 1)
         assert not stack.flags.c_contiguous
         base = str(tmp_path / "em")
         dt.save_endmembers(base, stack, WIDTH, HEIGHT)
@@ -629,7 +644,7 @@ class TestBundles:
         np.testing.assert_array_equal(dt.load_endmembers(base), stack)
 
     def test_non_contiguous_payload_is_written_in_row_slices(self, tmp_path):
-        stack = np.random.default_rng(4).random((20000, P, BANDS))
+        stack = np.random.default_rng(4).random((20000, BANDS, P))
         stack = stack.transpose(0, 2, 1)
         base = str(tmp_path / "em")
         tracemalloc.start()
@@ -718,6 +733,23 @@ class TestBundles:
         capsys.readouterr()
         assert cli.main(argv) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("reader, order", [("endmembers", "bip"),
+                                               ("supervised", "bip"),
+                                               ("cube", "bip-pl")])
+    def test_bundle_in_another_order_exits_2_before_writing(
+            self, scene, capsys, reader, order):
+        """Each role has one payload order.  A bundle in the older
+        (..., L, P) endmember layout holds as many values as one in the
+        (..., P, L) layout, so only its ``order`` tells them apart."""
+        root = scene["root"] / f"order_{reader}"
+        base, argv = self._json_case(scene, reader, root)
+        _edit_header(base, "order", order)
+        before = sorted(os.listdir(root))
+        capsys.readouterr()
+        assert cli.main(argv) == 2
+        assert "field: order" in capsys.readouterr().err
+        assert sorted(os.listdir(root)) == before
 
     @pytest.mark.parametrize("value", ["fast", True, [1.5]],
                              ids=["str", "bool", "list"])
@@ -946,7 +978,7 @@ def _eval_bundles(root, n: int, bands: int, p: int) -> tuple[str, str]:
     truth, est = root / f"truth_{n}", root / f"est_{n}"
     truth.mkdir()
     est.mkdir()
-    stack = (n, bands, p)
+    stack = (n, p, bands)
     dt.save_cube(str(truth / "cube"), dt.HyperCube(
         n, 1, rng.uniform(0.0, 1.0, (n, bands))))
     dt.save_cube(str(est / "reconstruction"), dt.HyperCube(

@@ -1,0 +1,121 @@
+"""Data layer: the generators' mixing laws and the endmember-major layout
+(..., P, L) of every endmember matrix, at P != L."""
+
+import numpy as np
+import pytest
+
+from unmix import data as dt
+
+L, P, W, H = 20, 3, 5, 4
+
+
+@pytest.fixture
+def scene_parts():
+    root = np.random.default_rng(7)
+    lib_rng, map_rng = root.spawn(2)
+    library = dt.synth_endmember_library(L, P, lib_rng)
+    maps = dt.synth_abundance_maps(W, H, P, map_rng)
+    return library, maps
+
+
+def test_library_is_p_rows_of_l_bands(scene_parts):
+    library, _ = scene_parts
+    assert library.shape == (P, L)
+    unit = library / np.linalg.norm(library, axis=1, keepdims=True)
+    cos = np.clip(unit @ unit.T, -1.0, 1.0)
+    angles = np.arccos(cos[np.triu_indices(P, k=1)])
+    assert angles.min() >= dt.LIBRARY_MIN_ANGLE
+
+
+def test_noiseless_dc1_is_linear_plus_bilinear(scene_parts):
+    library, maps = scene_parts
+    cube, truth = dt.generate_dc1(maps, library, None,
+                                  np.random.default_rng(1), width=W, height=H)
+    want = maps @ library
+    for i in range(P):
+        for j in range(i + 1, P):
+            want += (maps[:, i] * maps[:, j])[:, None] * (library[i] * library[j])
+    np.testing.assert_allclose(cube.pixels, want, rtol=1e-13, atol=0)
+    assert truth.endmembers.shape == (P, L)
+    np.testing.assert_array_equal(truth.endmembers, library)
+
+
+def test_noiseless_dc2_mixes_each_pixels_own_rows(scene_parts):
+    library, maps = scene_parts
+    cube, truth = dt.generate_dc2(maps, library, 0.3, None,
+                                  np.random.default_rng(2), width=W, height=H)
+    stack = truth.endmembers
+    assert stack.shape == (W * H, P, L) and stack.flags.c_contiguous
+    for n in range(W * H):
+        want = sum(maps[n, p] * stack[n, p] for p in range(P))
+        np.testing.assert_allclose(cube.pixels[n], want, rtol=1e-13, atol=0)
+    # the variability moves the signatures off the library
+    assert not np.allclose(stack, library[None])
+
+
+def test_dc2_without_variability_gives_every_pixel_the_library(scene_parts):
+    library, maps = scene_parts
+    _, truth = dt.generate_dc2(maps, library, 0.0, 30.0,
+                               np.random.default_rng(3), width=W, height=H)
+    assert truth.endmembers.shape == (W * H, P, L)
+    for n in range(W * H):
+        np.testing.assert_array_equal(truth.endmembers[n], library)
+
+
+def test_vca_returns_p_cube_pixels_as_rows(scene_parts):
+    library, maps = scene_parts
+    cube, _ = dt.generate_dc1(maps, library, 40.0, np.random.default_rng(4),
+                              width=W, height=H)
+    refs = dt.vca(cube, P, np.random.default_rng(5))
+    assert refs.shape == (P, L)
+    for row in refs:
+        assert (cube.pixels == row).all(axis=1).any()
+
+
+def test_noiseless_supervised_set_is_one_hot_rows(scene_parts):
+    library, maps = scene_parts
+    cube, _ = dt.generate_dc1(maps, library, 40.0, np.random.default_rng(6),
+                              width=W, height=H)
+    ppx = dt.extract_pure_pixels(cube, library, 4)
+    samples = dt.build_supervised_set(ppx, 3, None, np.random.default_rng(8))
+    assert len(samples) == 3 * P
+    for i, s in enumerate(samples):
+        j = i % P
+        assert s.em.shape == (P, L)
+        np.testing.assert_array_equal(s.a, np.eye(P)[j])
+        np.testing.assert_array_equal(s.y, s.em[j])
+        # row k of the matrix is one of endmember k's pure pixels
+        for k in range(P):
+            assert (ppx.spectra[k] == s.em[k]).all(axis=1).any()
+
+
+def test_endmember_stack_round_trip(tmp_path, scene_parts):
+    library, maps = scene_parts
+    _, truth = dt.generate_dc2(maps, library, 0.2, 30.0,
+                               np.random.default_rng(9), width=W, height=H)
+    base = str(tmp_path / "endmembers")
+    dt.save_endmembers(base, truth.endmembers, W, H)
+    back = dt.load_endmembers(base)
+    assert back.shape == (W * H, P, L)
+    assert back.tobytes() == truth.endmembers.tobytes()
+    reader = dt.open_endmembers(base)
+    assert reader.shape == (W * H, P, L)
+    assert reader[3:5].tobytes() == truth.endmembers[3:5].tobytes()
+    shared = str(tmp_path / "library")
+    dt.save_endmembers(shared, library)
+    np.testing.assert_array_equal(dt.load_endmembers(shared), library)
+
+
+def test_supervised_round_trip(tmp_path, scene_parts):
+    library, maps = scene_parts
+    cube, _ = dt.generate_dc1(maps, library, 40.0, np.random.default_rng(10),
+                              width=W, height=H)
+    ppx = dt.extract_pure_pixels(cube, library, 4)
+    samples = dt.build_supervised_set(ppx, 2, 30.0, np.random.default_rng(11))
+    base = str(tmp_path / "sup")
+    dt.save_supervised(base, samples)
+    y, a, m = dt.load_supervised(base)
+    assert m.shape == (len(samples), P, L)
+    for i, s in enumerate(samples):
+        assert (y[i].tobytes(), a[i].tobytes(), m[i].tobytes()) == \
+            (s.y.tobytes(), s.a.tobytes(), s.em.tobytes())

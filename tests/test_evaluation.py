@@ -20,8 +20,8 @@ from unmix.errors import DomainError, InputError
 def _loop_cost(mt, mh):
     """Reference cost matrix: one ``_ref_sam`` call per (truth, estimate)
     pair."""
-    p = mt.shape[-1]
-    return np.array([[_ref_sam(mt[:, :, [i]], mh[:, :, [j]]) for j in range(p)]
+    p = mt.shape[-2]
+    return np.array([[_ref_sam(mt[:, [i]], mh[:, [j]]) for j in range(p)]
                      for i in range(p)])
 
 
@@ -31,16 +31,16 @@ def _stacks(draw):
     bands = draw(st.integers(2, 8))
     p = draw(st.integers(1, 4))
     elems = st.floats(0.01, 1.0, allow_nan=False, allow_infinity=False)
-    mt = draw(arrays(np.float64, (n, bands, p), elements=elems))
-    mh = draw(arrays(np.float64, (n, bands, p), elements=elems))
+    mt = draw(arrays(np.float64, (n, p, bands), elements=elems))
+    mh = draw(arrays(np.float64, (n, p, bands), elements=elems))
     return mt, mh
 
 
 def _well_conditioned(mt, mh) -> bool:
     """arccos amplifies rounding near cos = 1; keep angles away from 0."""
-    ut = mt / np.linalg.norm(mt, axis=1, keepdims=True)
-    uh = mh / np.linalg.norm(mh, axis=1, keepdims=True)
-    cos = np.swapaxes(ut, 1, 2) @ uh
+    ut = mt / np.linalg.norm(mt, axis=2, keepdims=True)
+    uh = mh / np.linalg.norm(mh, axis=2, keepdims=True)
+    cos = ut @ np.swapaxes(uh, 1, 2)
     return bool(np.all(cos < 1.0 - 1e-6))
 
 
@@ -69,16 +69,16 @@ class TestAlignEndmembers:
         np.testing.assert_array_equal(ev.align_endmembers(mt, mh), expected)
 
     def test_recovers_shuffled_columns_of_shared_matrix(self, rng):
-        m_true = rng.uniform(0.05, 0.95, (12, 4))
+        m_true = rng.uniform(0.05, 0.95, (4, 12))
         perm = np.array([2, 0, 3, 1])
         m_hat = np.empty_like(m_true)
-        m_hat[:, perm] = m_true
+        m_hat[perm] = m_true
         np.testing.assert_array_equal(ev.align_endmembers(m_true, m_hat), perm)
 
     def test_zero_norm_column_rejected(self, rng):
-        m_true = rng.uniform(0.1, 0.9, (3, 6, 2))
+        m_true = rng.uniform(0.1, 0.9, (3, 2, 6))
         m_hat = m_true.copy()
-        m_hat[1, :, 0] = 0.0
+        m_hat[1, 0, :] = 0.0
         with pytest.raises(DomainError):
             ev.align_endmembers(m_true, m_hat)
 
@@ -96,15 +96,15 @@ class TestNonlinearityDegree:
 
 
 def _kkt_solve(M: np.ndarray, y: np.ndarray, support) -> np.ndarray:
-    """min ||y - M a||^2 subject to sum(a) = 1 and a = 0 off ``support``:
+    """min ||y - a M||^2 subject to sum(a) = 1 and a = 0 off ``support``:
     the exact solve of the equality-constrained KKT system."""
-    ms = M[:, support]
+    ms = M[support]
     k = len(support)
     kkt = np.zeros((k + 1, k + 1))
-    kkt[:k, :k] = 2.0 * ms.T @ ms
+    kkt[:k, :k] = 2.0 * ms @ ms.T
     kkt[:k, k] = kkt[k, :k] = 1.0
-    sol = np.linalg.solve(kkt, np.concatenate([2.0 * ms.T @ y, [1.0]]))
-    a = np.zeros(M.shape[1])
+    sol = np.linalg.solve(kkt, np.concatenate([2.0 * ms @ y, [1.0]]))
+    a = np.zeros(len(M))
     a[list(support)] = sol[:k]
     return a
 
@@ -112,10 +112,10 @@ def _kkt_solve(M: np.ndarray, y: np.ndarray, support) -> np.ndarray:
 def _fcls_oracle(M: np.ndarray, y: np.ndarray, step: float) -> np.ndarray:
     """Brute force: the best feasible exact KKT solve over every active set,
     checked against every point of a simplex grid of spacing ``step``."""
-    p = M.shape[1]
+    p = len(M)
 
     def cost(a):
-        return float(((y - M @ a) ** 2).sum())
+        return float(((y - a @ M) ** 2).sum())
 
     solves = [_kkt_solve(M, y, list(support)) for r in range(1, p + 1)
               for support in itertools.combinations(range(p), r)]
@@ -131,14 +131,14 @@ class TestFcls:
     @pytest.mark.parametrize("p", [1, 2, 3])
     def test_matches_brute_force_oracle(self, rng, p):
         bands = 8
-        M = rng.uniform(0.05, 0.95, (bands, p))
+        M = rng.uniform(0.05, 0.95, (p, bands))
         # mixtures inside the simplex, on its faces, and pixels pushed off
         # the cone so that the simplex constraints bind
         a = rng.dirichlet(np.ones(p), 12)
         if p > 1:
             a[:4, 0] = 0.0
             a /= a.sum(axis=1, keepdims=True)
-        Y = a @ M.T + rng.normal(0.0, 0.05, (12, bands))
+        Y = a @ M + rng.normal(0.0, 0.05, (12, bands))
         Y[8:] += rng.uniform(-0.5, 0.5, (4, bands))
         got = ev.fcls(Y, M)
         want = np.array([_fcls_oracle(M, y, 0.02) for y in Y])
@@ -146,23 +146,23 @@ class TestFcls:
 
     @pytest.mark.parametrize("p", [2, 3, 4, 5, 6])
     def test_rows_satisfy_the_kkt_conditions(self, rng, p):
-        """The optimality certificate of min ||y - M a||^2 over the simplex,
-        checked without another solver: with g = 2 M^T (M a - y), there is a
+        """The optimality certificate of min ||y - a M||^2 over the simplex,
+        checked without another solver: with g = 2 M (M^T a - y), there is a
         nu with g_i + nu = 0 where a_i > 0 and g_i + nu >= 0 where a_i = 0
         (the multiplier of the bound a_i >= 0)."""
         bands, n = 30, 300
-        M = rng.uniform(0.05, 0.95, (bands, p))
+        M = rng.uniform(0.05, 0.95, (p, bands))
         a = rng.dirichlet(np.full(p, 0.5), n)
         a[np.arange(n // 3), rng.integers(0, p, n // 3)] = 0.0
         a /= a.sum(axis=1, keepdims=True)
-        Y = a @ M.T + rng.normal(0.0, 0.05, (n, bands))
+        Y = a @ M + rng.normal(0.0, 0.05, (n, bands))
         Y[n // 2:] += rng.uniform(-1.0, 1.0, (n - n // 2, bands))
         got = ev.fcls(Y, M)
         assert np.all(got >= 0.0)
         np.testing.assert_allclose(got.sum(axis=1), 1.0, rtol=0, atol=1e-12)
-        g = 2.0 * (got @ M.T - Y) @ M
-        scale = 2.0 * (np.linalg.norm(M.T @ M, 2)
-                       + np.linalg.norm(Y @ M, axis=1))
+        g = 2.0 * (got @ M - Y) @ M.T
+        scale = 2.0 * (np.linalg.norm(M @ M.T, 2)
+                       + np.linalg.norm(Y @ M.T, axis=1))
         free = got > 0.0
         nu = -(g * free).sum(axis=1) / free.sum(axis=1)
         mult = (g + nu[:, None]) / scale[:, None]
@@ -171,7 +171,7 @@ class TestFcls:
 
     def test_too_many_endmembers_rejected(self, rng):
         p = ev.FCLS_MAX_ENDMEMBERS + 1
-        M = rng.uniform(0.05, 0.95, (40, p))
+        M = rng.uniform(0.05, 0.95, (p, 40))
         with pytest.raises(InputError, match=f"got {p}"):
             ev.fcls(rng.uniform(0.0, 1.0, (3, 40)), M)
 
@@ -208,11 +208,11 @@ def _ref_sam(m_true, m_hat):
     mh = _ref_stack(m_hat, n)
     if mt.shape != mh.shape:
         raise InputError(f"shape mismatch: {mt.shape} vs {mh.shape}")
-    nt = np.linalg.norm(mt, axis=1)
-    nh = np.linalg.norm(mh, axis=1)
+    nt = np.linalg.norm(mt, axis=2)
+    nh = np.linalg.norm(mh, axis=2)
     if np.any(nt == 0.0) or np.any(nh == 0.0):
         raise DomainError("zero-norm signature in angle computation")
-    cos = np.clip(np.sum(mt * mh, axis=1) / (nt * nh), -1.0, 1.0)
+    cos = np.clip(np.sum(mt * mh, axis=2) / (nt * nh), -1.0, 1.0)
     return float(np.arccos(cos).sum(axis=-1).mean())
 
 
@@ -225,11 +225,11 @@ def _ref_cost(m_true, m_hat):
     mh = _ref_stack(m_hat, n)
     if mt.shape != mh.shape:
         raise InputError(f"shape mismatch: {mt.shape} vs {mh.shape}")
-    nt = np.linalg.norm(mt, axis=1, keepdims=True)
-    nh = np.linalg.norm(mh, axis=1, keepdims=True)
+    nt = np.linalg.norm(mt, axis=2, keepdims=True)
+    nh = np.linalg.norm(mh, axis=2, keepdims=True)
     if np.any(nt == 0.0) or np.any(nh == 0.0):
         raise DomainError("zero-norm signature in angle computation")
-    cos = np.swapaxes(mt / nt, 1, 2) @ (mh / nh)
+    cos = (mt / nt) @ np.swapaxes(mh / nh, 1, 2)
     return np.arccos(np.clip(cos, -1.0, 1.0)).mean(axis=0)
 
 
@@ -255,7 +255,7 @@ def _ref_evaluate(cube, truth, estimates):
     if perm is not None:
         a_hat = a_hat[:, perm]
         if m_hat is not None:
-            m_hat = np.asarray(m_hat)[..., perm]
+            m_hat = np.asarray(m_hat)[..., perm, :]
     if truth_a is not None:
         report.nrmse_a = _ref_nrmse(truth_a, a_hat)
     if truth_m is not None and m_hat is not None:
@@ -275,17 +275,17 @@ BANDS, P = 24, 4
 
 
 def _scene(n: int, truth_shared: bool, estimate_shared: bool, seed: int):
-    """Cube, truth and estimates whose endmember columns are a noisy,
-    shuffled copy of the truth's, so the alignment has work to do."""
+    """Cube, truth and estimates whose endmembers are a noisy, shuffled
+    copy of the truth's, so the alignment has work to do."""
     rng = np.random.default_rng(seed)
-    m_true = rng.uniform(0.05, 1.0, (BANDS, P) if truth_shared
-                         else (n, BANDS, P))
-    m_hat = (np.broadcast_to(m_true, (n, BANDS, P))[..., [2, 0, 3, 1]]
-             * rng.uniform(0.8, 1.2, (n, BANDS, P)))
+    m_true = rng.uniform(0.05, 1.0, (P, BANDS) if truth_shared
+                         else (n, P, BANDS))
+    m_hat = (np.broadcast_to(m_true, (n, P, BANDS))[:, [2, 0, 3, 1]]
+             * rng.uniform(0.8, 1.2, (n, P, BANDS)))
     if estimate_shared:
         m_hat = m_hat[0]
     a_true = rng.dirichlet(np.ones(P), n)
-    cube = np.einsum("nlp,np->nl", np.broadcast_to(m_true, (n, BANDS, P)),
+    cube = np.einsum("npl,np->nl", np.broadcast_to(m_true, (n, P, BANDS)),
                      a_true)
     est = ev.Estimates(abundances=rng.dirichlet(np.ones(P), n),
                        endmembers=m_hat,
@@ -356,14 +356,14 @@ class TestBlockedEvaluate:
         cube, truth, est = _scene(n, truth_shared, True, 7 * n)
         refs = est.endmembers
         a_base = ev.fcls(cube, refs)
-        base = ev.Estimates(abundances=a_base, reconstruction=a_base @ refs.T,
+        base = ev.Estimates(abundances=a_base, reconstruction=a_base @ refs,
                             align_with=refs)
         _same_report(cube, truth, base)
 
     @pytest.mark.parametrize("truth_shared", [False, True])
     def test_zero_norm_column_raises_domain_error(self, truth_shared):
         cube, truth, est = _scene(3 * B + 7, truth_shared, False, 3)
-        est.endmembers[B + 1, :, 2] = 0.0
+        est.endmembers[B + 1, 2, :] = 0.0
         for score in (ev.evaluate, _ref_evaluate):
             with pytest.raises(DomainError):
                 score(cube, truth, est)
@@ -376,7 +376,7 @@ class TestBlockedEvaluate:
             est.endmembers = est.endmembers[:-1]
         else:
             est.endmembers = np.concatenate(
-                [est.endmembers, est.endmembers[:, :1]], axis=1)
+                [est.endmembers, est.endmembers[..., :1]], axis=-1)
         for score in (ev.evaluate, _ref_evaluate):
             with pytest.raises(InputError):
                 score(cube, truth, est)
@@ -387,8 +387,8 @@ class TestBlockedEvaluate:
                                                               value):
         cube, truth, est = _scene(3 * B + 7, False, False, 11)
         stack = truth.endmembers if which == "truth" else est.endmembers
-        stack[2 * B + 5, 7, 1] = value
-        stack[2 * B + 9, 3, 0] = value
+        stack[2 * B + 5, 1, 7] = value
+        stack[2 * B + 9, 0, 3] = value
         with pytest.raises(ev.NonFiniteEndmembers) as exc_info:
             ev.evaluate(cube, truth, est)
         assert exc_info.value.which == which
@@ -402,7 +402,7 @@ class TestBlockedEvaluate:
         peaks = []
         for n in (4 * B, 16 * B):
             rng = np.random.default_rng(n)
-            m_true = rng.uniform(0.05, 1.0, (n, 224, 5))
+            m_true = rng.uniform(0.05, 1.0, (n, 5, 224))
             est = ev.Estimates(abundances=rng.dirichlet(np.ones(5), n),
                                endmembers=rng.uniform(0.05, 1.0, m_true.shape),
                                reconstruction=rng.uniform(0.0, 1.0, (n, 224)),
@@ -435,7 +435,7 @@ class TestBlockedEvaluate:
         perm = _ref_align(truth.endmembers, est.endmembers)
         total = cost[np.arange(P), perm].sum()
         aligned = _ref_sam(truth.endmembers,
-                           np.asarray(est.endmembers)[..., perm])
+                           np.asarray(est.endmembers)[..., perm, :])
         assert abs(aligned - total) <= 1e-12 * total
         sam = ev.evaluate(cube, truth, est).sam_m
         assert abs(sam - total) <= 1e-12 * total

@@ -57,7 +57,7 @@ class TestEmDecode:
         m = rng.uniform(0.1, 0.9, (P, 4, L))
         y = rng.uniform(0.1, 0.9, (4, L))
         a = rng.dirichlet(np.ones(P), 4)
-        M = rng.uniform(0.1, 0.9, (4, L, P))
+        M = rng.uniform(0.1, 0.9, (4, P, L))
         params = theta.named_parameters()
 
         def loss(vector: bool):
@@ -91,33 +91,38 @@ class TestMixingMean:
     def test_zero_nonlinearity_is_lmm(self, theta, rng):
         zero_nonlinearity(theta)
         a = np.array([0.2, 0.5, 0.3])
-        M = rng.uniform(0, 1, (L, P))
+        M = rng.uniform(0, 1, (P, L))
         out = gen.mixing_mean(a, M, theta)
-        np.testing.assert_allclose(out.data, M @ a, rtol=1e-12)
+        np.testing.assert_allclose(out.data, a @ M, rtol=1e-12)
 
     def test_pure_pixel_returns_column(self, theta, rng):
         zero_nonlinearity(theta)
-        M = rng.uniform(0, 1, (L, P))
+        M = rng.uniform(0, 1, (P, L))
         a = np.zeros(P)
         a[1] = 1.0
         out = gen.mixing_mean(a, M, theta)
-        np.testing.assert_allclose(out.data, M[:, 1], rtol=1e-12)
+        np.testing.assert_allclose(out.data, M[1], rtol=1e-12)
 
-    def test_gradient_wrt_abundances(self, theta, rng):
-        M = rng.uniform(0, 1, (L, P))
-        a = dc.parameter(np.array([0.3, 0.4, 0.3]), "a")
+    @pytest.mark.parametrize("batch", [(), (4,)], ids=["pixel", "batch"])
+    def test_gradient_wrt_abundances(self, theta, rng, batch):
+        """The VJPs reach both the abundances and the endmember rows, the
+        latter through the linear part and the net's input alike."""
+        M = dc.parameter(rng.uniform(0, 1, batch + (P, L)), "M")
+        a = dc.parameter(rng.dirichlet(np.ones(P), size=batch or None), "a")
+        weights = rng.standard_normal(batch + (L,))
+        params = {"a": a, "M": M}
         out = gen.mixing_mean(a, M, theta)
-        grads = dc.backward(out.sum(), {"a": a})
+        grads = dc.backward((out * weights).sum(), params)
 
         def loss_fn():
-            return float(gen.mixing_mean(a, M, theta).data.sum())
+            return float((gen.mixing_mean(a, M, theta).data * weights).sum())
 
-        fd = fd_param_grads(loss_fn, {"a": a})
+        fd = fd_param_grads(loss_fn, params)
         assert max_rel_err(grads, fd) < 1e-4
 
     def test_batched_matches_loop(self, theta, rng):
         A = rng.dirichlet(np.ones(P), size=4)
-        M = rng.uniform(0, 1, (4, L, P))
+        M = rng.uniform(0, 1, (4, P, L))
         batched = gen.mixing_mean(A, M, theta).data
         rows = np.stack([gen.mixing_mean(A[i], M[i], theta).data
                          for i in range(4)])
@@ -127,7 +132,7 @@ class TestMixingMean:
 class TestLogLikelihood:
     def test_maximum_at_exact_reconstruction(self, theta, rng):
         a = np.array([0.5, 0.2, 0.3])
-        M = rng.uniform(0, 1, (L, P))
+        M = rng.uniform(0, 1, (P, L))
         y = gen.mixing_mean(a, M, theta).data
         sigma = math.exp(theta.obs_log_scale.item())
         want = -L / 2 * math.log(2 * math.pi * sigma**2)
@@ -135,7 +140,7 @@ class TestLogLikelihood:
 
     def test_decreasing_in_residual(self, theta, rng):
         a = np.array([0.5, 0.2, 0.3])
-        M = rng.uniform(0, 1, (L, P))
+        M = rng.uniform(0, 1, (P, L))
         y = gen.mixing_mean(a, M, theta).data
         direction = rng.standard_normal(L)
         direction /= np.linalg.norm(direction)
@@ -149,10 +154,10 @@ class TestLogLikelihood:
         theta = gen.GenerativeParams.create(3, 2, 2, rng)
         zero_nonlinearity(theta)
         theta.obs_log_scale.data = np.array(math.log(0.1))
-        M = np.array([[1.0, 0.0], [0.0, 1.0], [0.5, 0.5]])
+        M = np.array([[1.0, 0.0, 0.5], [0.0, 1.0, 0.5]])
         a = np.array([0.6, 0.4])
         y = np.array([0.7, 0.3, 0.6])
-        mean = M @ a                       # (0.6, 0.4, 0.5)
+        mean = a @ M                       # (0.6, 0.4, 0.5)
         want = float(np.sum(-0.5 * ((y - mean) / 0.1) ** 2
                             - math.log(0.1) - 0.5 * math.log(2 * math.pi)))
         got = gen.log_likelihood(y, a, M, theta).item()
@@ -166,17 +171,17 @@ class TestLogJoint:
         total += gen.flat_abundance_logpdf(a, P).item()
         for k in range(P):
             d = DiagGaussian(
-                mean=dc.mlp_forward(one_network(theta.em_decoder, k), Z[:, k]),
+                mean=dc.mlp_forward(one_network(theta.em_decoder, k), Z[k]),
                 scale=dc.constant(math.exp(theta.em_log_scale.data[k])))
-            total += gaussian_logpdf(M[:, k], d).item()
-            total += std_normal_logpdf(dc.constant(Z[:, k])).item()
+            total += gaussian_logpdf(M[k], d).item()
+            total += std_normal_logpdf(dc.constant(Z[k])).item()
         return total
 
     def test_additivity(self, theta, rng):
         y = rng.uniform(0, 1, L)
         a = np.array([0.2, 0.3, 0.5])
-        M = rng.uniform(0, 1, (L, P))
-        Z = rng.standard_normal((H, P))
+        M = rng.uniform(0, 1, (P, L))
+        Z = rng.standard_normal((P, H))
         got = gen.log_joint(y, a, M, Z, theta).item()
         assert abs(got - self._parts(theta, y, a, M, Z)) < 1e-9
 
@@ -194,11 +199,11 @@ class TestLogJoint:
             t.data[1:] = t.data[0]
         y = rng.uniform(0, 1, L)
         a = np.array([0.2, 0.3, 0.5])
-        M = rng.uniform(0, 1, (L, P))
-        Z = rng.standard_normal((H, P))
+        M = rng.uniform(0, 1, (P, L))
+        Z = rng.standard_normal((P, H))
         perm = np.array([2, 0, 1])
         base = gen.log_joint(y, a, M, Z, theta).item()
-        permuted = gen.log_joint(y, a[perm], M[:, perm], Z[:, perm], theta).item()
+        permuted = gen.log_joint(y, a[perm], M[perm], Z[perm], theta).item()
         assert abs(base - permuted) < 1e-9
 
     def test_finite_for_interior_inputs(self, theta, rng):
@@ -207,8 +212,8 @@ class TestLogJoint:
             a = rng.dirichlet(np.ones(P))
             a = np.clip(a, 1e-6, 1.0)
             a /= a.sum()
-            M = rng.uniform(0, 1, (L, P))
-            Z = rng.standard_normal((H, P)) * 2
+            M = rng.uniform(0, 1, (P, L))
+            Z = rng.standard_normal((P, H)) * 2
             assert math.isfinite(gen.log_joint(y, a, M, Z, theta).item())
 
     def test_gradient_matches_finite_differences(self, rng):
@@ -220,7 +225,7 @@ class TestLogJoint:
                 b.data = b.data + rng.uniform(-0.1, 0.1, b.data.shape)
         y = rng.uniform(0, 1, 6)
         a = np.array([0.4, 0.6])
-        M = rng.uniform(0, 1, (6, 2))
+        M = rng.uniform(0, 1, (2, 6))
         Z = rng.standard_normal((2, 2))
         params = theta.named_parameters()
         grads = dc.backward(gen.log_joint(y, a, M, Z, theta), params)

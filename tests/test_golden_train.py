@@ -44,7 +44,7 @@ def _data():
     y_s = np.stack([m[:, k] for k in range(P)] * 4)
     a_s = np.concatenate([np.eye(P)] * 4)
     m_s = np.stack([m] * (P * 4)) + 0.01 * r.standard_normal((P * 4, BANDS, P))
-    return y, (y_s, a_s, m_s)
+    return y, (y_s, a_s, m_s.transpose(0, 2, 1))
 
 
 def record(tmp_dir: str) -> dict:

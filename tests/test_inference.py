@@ -31,8 +31,15 @@ def set_lista(phi, steps=None, sparse=0.01, unc=1.0):
 
 
 def _latent(s) -> np.ndarray:
-    """The sampled codes as the columns of one (..., H, P) array."""
-    return np.moveaxis(s.z.data, 0, -1)
+    """The sampled codes as the rows of one (..., P, H) array."""
+    return np.moveaxis(s.z.data, 0, -2)
+
+
+def _collected(y, phi, theta) -> list[np.ndarray]:
+    """Each of the unmixing pass's outputs over every pixel, its blocks
+    joined in order."""
+    blocks = [outs for _, *outs in inf.point_estimate_blocks(y, phi, theta)]
+    return [np.concatenate(parts) for parts in zip(*blocks)]
 
 
 class TestEncodeZ:
@@ -51,7 +58,7 @@ class TestEncodeZ:
         y = rng.uniform(0, 1, L)
         s = inf.posterior_sample(y, phi, theta, RngNoise(np.random.default_rng(0)))
         assert s.z.shape == (P, H)
-        assert _latent(s).shape == (H, P)
+        assert _latent(s).shape == (P, H)
 
     def test_scales_strictly_positive(self, model, rng):
         theta, phi = model
@@ -75,14 +82,14 @@ class TestEncodeZ:
 class TestListaConcentration:
     def test_pure_pixel_matches_nnls_oracle(self, rng):
         theta, phi = inf.init_model(L, P, H, lista_layers=60, rng=rng)
-        M = rng.uniform(0.1, 0.9, (L, P))
+        M = rng.uniform(0.1, 0.9, (P, L))
         set_lista(phi, steps=None, sparse=0.0, unc=1.0)
-        gram_lip = np.linalg.eigvalsh(M.T @ M)[-1]
+        gram_lip = np.linalg.eigvalsh(M @ M.T)[-1]
         for t in phi.lista.log_eta_steps:
             t.data = np.array(np.log(1.0 / gram_lip))
-        y = M[:, 1]
+        y = M[1]
         out = inf.lista_concentration(y, dc.constant(M), phi).data
-        ref, _ = nnls(M, y)
+        ref, _ = nnls(M.T, y)
         peak = out.max()
         assert np.argmax(out) == np.argmax(ref) == 1
         off = np.delete(out, 1)
@@ -91,7 +98,7 @@ class TestListaConcentration:
     def test_huge_shrinkage_zeroes_output(self, model, rng):
         theta, phi = model
         set_lista(phi, steps=0.05, sparse=1e6, unc=1.0)
-        M = rng.uniform(0.1, 0.9, (L, P))
+        M = rng.uniform(0.1, 0.9, (P, L))
         y = rng.uniform(0, 1, L)
         out = inf.lista_concentration(y, dc.constant(M), phi).data
         np.testing.assert_allclose(out, 0.0)
@@ -99,45 +106,45 @@ class TestListaConcentration:
     def test_zero_steps_fixed_point(self, model, rng):
         theta, phi = model
         set_lista(phi, steps=0.0, sparse=0.01, unc=7.0)
-        M = rng.uniform(0.1, 0.9, (L, P))
+        M = rng.uniform(0.1, 0.9, (P, L))
         a = rng.dirichlet(np.ones(P))
-        y = M @ a                       # pseudoinverse solution is >= 0
-        h1 = np.linalg.pinv(M, rcond=1e-8) @ y
+        y = a @ M                       # pseudoinverse solution is >= 0
+        h1 = np.linalg.pinv(M.T, rcond=1e-8) @ y
         assert np.all(h1 >= 0)
         out = inf.lista_concentration(y, dc.constant(M), phi).data
         np.testing.assert_allclose(out, 7.0 * h1, rtol=1e-9)
 
     def test_residual_decreases_across_layers(self, rng):
-        # property: gradient steps below 2 / sigma_max(M^T M) shrink the
+        # property: gradient steps below 2 / sigma_max(M M^T) shrink the
         # least squares residual layer by layer (shrinkage off).  The
         # comparison starts at the first projected iterate; the
         # pseudoinverse warm start is the unconstrained minimizer and may
         # sit outside the nonnegative orthant.
         for trial in range(5):
-            M = rng.uniform(0.1, 0.9, (L, P))
+            M = rng.uniform(0.1, 0.9, (P, L))
             y = rng.uniform(0, 1, L)
-            lip = np.linalg.eigvalsh(M.T @ M)[-1]
+            lip = np.linalg.eigvalsh(M @ M.T)[-1]
             resids = []
             for layers in range(3, 10):
                 theta, phi = inf.init_model(L, P, H, lista_layers=layers,
                                             rng=np.random.default_rng(trial))
                 set_lista(phi, steps=1.0 / lip, sparse=0.0, unc=1.0)
                 h = inf.lista_concentration(y, dc.constant(M), phi).data
-                resids.append(np.linalg.norm(M @ h - y))
+                resids.append(np.linalg.norm(h @ M - y))
             assert all(r2 <= r1 + 1e-12 for r1, r2 in zip(resids, resids[1:]))
 
     def test_rank_deficient_matrix_no_error(self, model, rng):
         theta, phi = model
-        M = np.zeros((L, P))
-        M[:, 0] = rng.uniform(0.1, 0.9, L)
-        M[:, 1] = M[:, 0]               # duplicate column: rank 2
-        M[:, 2] = rng.uniform(0.1, 0.9, L)
-        out = inf.lista_concentration(M[:, 0], dc.constant(M), phi).data
+        M = np.zeros((P, L))
+        M[0] = rng.uniform(0.1, 0.9, L)
+        M[1] = M[0]                     # duplicate endmember: rank 2
+        M[2] = rng.uniform(0.1, 0.9, L)
+        out = inf.lista_concentration(M[0], dc.constant(M), phi).data
         assert np.all(np.isfinite(out))
 
     def test_unused_last_step_size_gets_zero_gradient(self, model, rng):
         theta, phi = model
-        M = rng.uniform(0.1, 0.9, (L, P))
+        M = rng.uniform(0.1, 0.9, (P, L))
         y = rng.uniform(0, 1, L)
         out = inf.lista_concentration(y, dc.constant(M), phi)
         params = phi.lista.named_parameters()
@@ -147,15 +154,17 @@ class TestListaConcentration:
 
 
 def _explicit_lista(y, M, phi):
-    """Reference recurrence h <- relu(h - eta M^T (M h - y) - eta eta_sp)."""
-    h = dc.constant(np.squeeze(np.linalg.pinv(M.data, rcond=1e-8)
+    """Reference recurrence h <- relu(h - eta M (M^T h - y) - eta eta_sp)
+    of the (..., P, L) M."""
+    h = dc.constant(np.squeeze(np.linalg.pinv(np.swapaxes(M.data, -1, -2),
+                                              rcond=1e-8)
                                @ y[..., None], axis=-1))
     y_col = dc.constant(y[..., None])
     eta_sp = dc.exp(phi.lista.log_eta_sparse)
     for m in range(phi.lista.n_layers - 2):
         eta = dc.exp(phi.lista.log_eta_steps[m])
-        resid = dc.matmul(M, h.reshape(h.shape + (1,))) - y_col
-        grad = dc.matmul(M.transpose(), resid).reshape(h.shape)
+        resid = dc.matmul(M.transpose(), h.reshape(h.shape + (1,))) - y_col
+        grad = dc.matmul(M, resid).reshape(h.shape)
         h = dc.relu(h - eta * grad - eta_sp * eta)
     return dc.exp(phi.lista.log_eta_unc) * h
 
@@ -164,13 +173,13 @@ class TestListaGramForm:
     """The Gram-form layers against the explicit residual recurrence."""
 
     def _case(self, rng, batch, rank_deficient=False):
-        M = rng.uniform(0.1, 0.9, batch + (L, P))
+        M = rng.uniform(0.1, 0.9, batch + (P, L))
         if rank_deficient:
-            M[..., 1] = M[..., 0]
+            M[..., 1, :] = M[..., 0, :]
         a = rng.dirichlet(np.ones(P), size=batch or None)
-        y = np.einsum("...lp,...p->...l", M, a) + 0.05 * rng.standard_normal(
+        y = np.einsum("...pl,...p->...l", M, a) + 0.05 * rng.standard_normal(
             batch + (L,))
-        ref_em = M.reshape(-1, L, P).mean(axis=0)
+        ref_em = M.reshape(-1, P, L).mean(axis=0)
         _, phi = inf.init_model(L, P, H, lista_layers=11, rng=rng,
                                 ref_endmembers=ref_em)
         for k, t in enumerate(phi.lista.log_eta_steps):
@@ -201,19 +210,20 @@ class TestListaGramForm:
 
 
 class TestWarmStart:
-    """The SVD-applied warm start against pinv(M, rcond=1e-8) @ y."""
+    """The SVD-applied warm start against pinv(M^T, rcond=1e-8) @ y."""
 
     @pytest.mark.parametrize("batch,column", [
         ((), None), ((6,), None), ((2, 3), None),
         ((6,), "duplicate"), ((6,), "zero")])
     def test_matches_pseudoinverse_solution(self, rng, batch, column):
-        M = rng.uniform(0.1, 0.9, batch + (L, P))
+        M = rng.uniform(0.1, 0.9, batch + (P, L))
         if column == "duplicate":
-            M[..., 2] = M[..., 0]
+            M[..., 2, :] = M[..., 0, :]
         elif column == "zero":
-            M[..., 1] = 0.0
+            M[..., 1, :] = 0.0
         y = rng.uniform(0.0, 1.0, batch + (L,))
-        ref = np.squeeze(np.linalg.pinv(M, rcond=1e-8) @ y[..., None], axis=-1)
+        ref = np.squeeze(np.linalg.pinv(np.swapaxes(M, -1, -2), rcond=1e-8)
+                         @ y[..., None], axis=-1)
         got = inf._least_squares_start(M, y)
         assert got.shape == batch + (P,)
         assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
@@ -222,7 +232,7 @@ class TestWarmStart:
         # pinv holds a copy of M, U, s U^T and the (N, P, L) result at
         # once (about 3x M); the SVD-applied solve holds U (1x M) and
         # per-pixel vectors, which are small at the scene's L and P
-        M = rng.uniform(0.1, 0.9, (500, 224, 5))
+        M = rng.uniform(0.1, 0.9, (500, 5, 224))
         y = rng.uniform(0.0, 1.0, (500, 224))
         tracemalloc.start()
         try:
@@ -235,7 +245,7 @@ class TestWarmStart:
     def test_pin_replays_the_first_warm_start(self, model, rng,
                                               pinned_warm_starts):
         theta, phi = model
-        M = rng.uniform(0.1, 0.9, (4, L, P))
+        M = rng.uniform(0.1, 0.9, (4, P, L))
         y = rng.uniform(0.0, 1.0, (4, L))
         with pinned_warm_starts() as pin:
             first = inf.lista_concentration(y, dc.constant(M), phi).data
@@ -252,7 +262,7 @@ class TestAbundanceConcentration:
     def test_single_stream_when_nonlinear_zeroed(self, model, rng):
         theta, phi = model
         zero_mlp(phi.nlin_encoder)
-        M = rng.uniform(0.1, 0.9, (L, P))
+        M = rng.uniform(0.1, 0.9, (P, L))
         y = rng.uniform(0, 1, L)
         lin = inf.lista_concentration(y, dc.constant(M), phi).data
         conc = inf.abundance_concentration(y, dc.constant(M), phi)
@@ -262,7 +272,7 @@ class TestAbundanceConcentration:
     def test_floor_always_respected(self, model, rng):
         theta, phi = model
         for _ in range(20):
-            M = rng.uniform(0.1, 0.9, (L, P))
+            M = rng.uniform(0.1, 0.9, (P, L))
             y = rng.uniform(-1, 2, L)
             conc = inf.abundance_concentration(y, dc.constant(M), phi)
             assert np.all(conc.concentration.data >= GAMMA_FLOOR)
@@ -270,7 +280,7 @@ class TestAbundanceConcentration:
     def test_disentangled_from_latent_encoder(self, model, rng):
         # abundances see Z only through M: the latent nets get no gradient
         theta, phi = model
-        M = rng.uniform(0.1, 0.9, (L, P))
+        M = rng.uniform(0.1, 0.9, (P, L))
         y = rng.uniform(0, 1, L)
         conc = inf.abundance_concentration(y, dc.constant(M), phi)
         z_params = {}
@@ -288,7 +298,7 @@ class TestPosteriorSample:
         y = rng.uniform(0, 1, (4, L))
         s = inf.posterior_sample(y, phi, theta,
                                  RngNoise(np.random.default_rng(5)))
-        assert s.em_matrix.shape == (4, L, P)
+        assert s.em_matrix.shape == (4, P, L)
         assert s.em_matrix.data.flags.c_contiguous
         draws = np.random.default_rng(5)
         d = inf.encode_z(y, phi)
@@ -300,7 +310,7 @@ class TestPosteriorSample:
                    + theta.em_scale().data[k]
                    * draws.standard_normal((4, L)))
             assert m_k.tobytes() == np.ascontiguousarray(
-                s.em_matrix.data[..., k]).tobytes()
+                s.em_matrix.data[:, k]).tobytes()
 
     def test_collapsed_scales_near_deterministic(self, model, rng):
         theta, phi = model
@@ -314,7 +324,7 @@ class TestPosteriorSample:
         s2 = inf.posterior_sample(y, phi, theta, RngNoise(np.random.default_rng(2)))
         assert np.allclose(s1.em_matrix.data, s2.em_matrix.data, atol=1e-6)
         assert np.allclose(_latent(s1), _latent(s2), atol=1e-6)
-        mean_m = np.moveaxis(dc.mlp_forward(theta.em_decoder, s1.z).data, 0, -1)
+        mean_m = np.moveaxis(dc.mlp_forward(theta.em_decoder, s1.z).data, 0, -2)
         assert np.allclose(s1.em_matrix.data, mean_m, atol=1e-6)
 
     def test_abundances_on_simplex_every_draw(self, model, rng):
@@ -332,9 +342,9 @@ class TestPosteriorSample:
         draws = 10_000
         Y = np.tile(y, (draws, 1))
         s = inf.posterior_sample(Y, phi, theta, RngNoise(np.random.default_rng(3)))
-        emp = _latent(s).mean(axis=0)               # (H, P)
+        emp = _latent(s).mean(axis=0)               # (P, H)
         se = d.scale.data.max() / math.sqrt(draws)
-        assert np.all(np.abs(emp - d.mean.data[:, None]) < 5 * se)
+        assert np.all(np.abs(emp - d.mean.data[None, :]) < 5 * se)
 
 
 class TestPointEstimates:
@@ -342,7 +352,7 @@ class TestPointEstimates:
         theta, phi = model
         a_hat, m_hat = inf.point_estimates(rng.uniform(0, 1, (7, L)), phi, theta)
         np.testing.assert_allclose(a_hat.sum(axis=-1), 1.0, atol=1e-12)
-        assert m_hat.shape == (7, L, P)
+        assert m_hat.shape == (7, P, L)
 
     def test_deterministic(self, model, rng):
         theta, phi = model
@@ -357,7 +367,7 @@ class TestPointEstimates:
         estimates keep their bytes."""
         theta, phi = model
         y = rng.uniform(0, 1, (4, L))
-        want = inf.point_estimates_with_streams(y, phi, theta)
+        want = _collected(y, phi, theta)
         nets = []
         forward = inf.mlp_forward
 
@@ -366,7 +376,7 @@ class TestPointEstimates:
             return forward(net, *args, **kwargs)
 
         monkeypatch.setattr(inf, "mlp_forward", spy)
-        got = inf.point_estimates_with_streams(y, phi, theta)
+        got = _collected(y, phi, theta)
         # the pass runs over a constant view of the model, so nets are
         # told apart by their parameters' names
         names = {net.weights[0].name for net in nets}
@@ -381,7 +391,7 @@ class TestPointEstimates:
         estimates' bytes."""
         theta, phi = model
         y = rng.uniform(0, 1, (2 * inf.ROW_BLOCK + 3, L))
-        want = inf.point_estimates_with_streams(y, phi, theta)
+        want = _collected(y, phi, theta)
         made = []
         init = dc.Tensor.__init__
 
@@ -390,7 +400,7 @@ class TestPointEstimates:
             made.append(t._parents)
 
         monkeypatch.setattr(dc.Tensor, "__init__", spy)
-        got = inf.point_estimates_with_streams(y, phi, theta)
+        got = _collected(y, phi, theta)
         assert made and not any(made)
         # the spy sees the tensors a trainable pass records
         inf.encode_z(y[:2], phi)
@@ -456,9 +466,8 @@ class TestBlockedPass:
     def test_blocks_are_counted_from_pixel_zero(self, model24, n):
         theta, phi = model24
         y = self._pixels(n)
-        whole = inf.point_estimates_with_streams(y, phi, theta)
-        parts = [inf.point_estimates_with_streams(y[s:s + inf.ROW_BLOCK],
-                                                  phi, theta)
+        whole = _collected(y, phi, theta)
+        parts = [_collected(y[s:s + inf.ROW_BLOCK], phi, theta)
                  for s in range(0, n, inf.ROW_BLOCK)]
         for i, out in enumerate(whole):
             joined = np.concatenate([part[i] for part in parts])
@@ -470,13 +479,13 @@ class TestBlockedPass:
     def test_memory_beyond_the_outputs_is_flat_in_the_block_count(self,
                                                                   model24):
         theta, phi = model24
-        inf.point_estimates_with_streams(self._pixels(3), phi, theta)
+        inf.point_estimates(self._pixels(3), phi, theta)
         extra = []
         for blocks in (4, 16):
             y = self._pixels(blocks * inf.ROW_BLOCK)
             tracemalloc.start()
             try:
-                outs = inf.point_estimates_with_streams(y, phi, theta)
+                outs = inf.point_estimates(y, phi, theta)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()

@@ -27,13 +27,13 @@ def model(rng):
 def one_hot_batch(rng, n):
     a = np.eye(P)[rng.integers(0, P, n)]
     y = rng.uniform(0.1, 0.9, (n, L))
-    m = rng.uniform(0.1, 0.9, (n, L, P))
+    m = rng.uniform(0.1, 0.9, (n, P, L))
     return y, a, m
 
 
 def codes(z):
-    """(..., K, H, P) latent draws as the (P, ..., K, H) codes of the bank."""
-    return np.moveaxis(z, -1, 0)
+    """(..., K, P, H) latent draws as the (P, ..., K, H) codes of the bank."""
+    return np.moveaxis(z, -2, 0)
 
 
 def every_node(root) -> list:
@@ -89,24 +89,24 @@ class TestSharedCancellation:
 class TestImportanceWeights:
     def test_single_sample_weight_is_one(self, model, rng):
         theta, phi = model
-        z = rng.standard_normal((1, H, P))
-        m = rng.uniform(0, 1, (L, P))
+        z = rng.standard_normal((1, P, H))
+        m = rng.uniform(0, 1, (P, L))
         w = ob.importance_weights(m, codes(z), theta)
         assert w.normalized.data.shape == (1,)
         assert w.normalized.data[0] == 1.0
 
     def test_identical_samples_uniform_weights(self, model, rng):
         theta, phi = model
-        z = np.tile(rng.standard_normal((1, H, P)), (5, 1, 1))
-        m = rng.uniform(0, 1, (L, P))
+        z = np.tile(rng.standard_normal((1, P, H)), (5, 1, 1))
+        m = rng.uniform(0, 1, (P, L))
         w = ob.importance_weights(m, codes(z), theta)
         np.testing.assert_allclose(w.normalized.data, 0.2, rtol=1e-12)
 
     def test_normalized_weights_sum_to_one(self, model, rng):
         theta, phi = model
         for _ in range(20):
-            z = rng.standard_normal((5, H, P)) * 3
-            m = rng.uniform(0, 1, (L, P))
+            z = rng.standard_normal((5, P, H)) * 3
+            m = rng.uniform(0, 1, (P, L))
             w = ob.importance_weights(m, codes(z), theta)
             assert abs(w.normalized.data.sum() - 1.0) <= 1e-12
 
@@ -114,8 +114,8 @@ class TestImportanceWeights:
         # separations up to 1e3 scales stay finite through log-sum-exp
         theta, phi = model
         theta.em_log_scale.data[...] = np.log(1e-3)
-        z = rng.standard_normal((5, H, P)) * 50
-        m = rng.uniform(0, 1, (L, P)) + 1e3
+        z = rng.standard_normal((5, P, H)) * 50
+        m = rng.uniform(0, 1, (P, L)) + 1e3
         w = ob.importance_weights(m, codes(z), theta)
         assert np.all(np.isfinite(w.normalized.data))
         assert abs(w.normalized.data.sum() - 1.0) <= 1e-12
@@ -123,8 +123,8 @@ class TestImportanceWeights:
     def test_batched_equals_per_pixel(self, model, rng):
         theta, phi = model
         B, K = 3, 4
-        m = rng.uniform(0.1, 0.9, (B, L, P))
-        z = rng.standard_normal((B, K, H, P))
+        m = rng.uniform(0.1, 0.9, (B, P, L))
+        z = rng.standard_normal((B, K, P, H))
         w = ob.importance_weights(m, codes(z), theta)
         assert w.log_weights.data.shape == (B, K)
         for b in range(B):
@@ -365,7 +365,7 @@ class TestTotalLoss:
             theta, phi = init_model(24, n_em, 2, 11, np.random.default_rng(1))
             y = rng.uniform(0.1, 0.9, (16, 24))
             a = np.eye(n_em)[rng.integers(0, n_em, 16)]
-            m = rng.uniform(0.1, 0.9, (16, 24, n_em))
+            m = rng.uniform(0.1, 0.9, (16, n_em, 24))
             bd = ob.total_loss(y, (y, a, m), theta, phi, ob.TrainConfig(),
                                RngNoise(np.random.default_rng(2)))
             counts.append(len(every_node(bd.node)))
@@ -424,7 +424,7 @@ class TestFrozenNoiseGradient:
         y_u = rng.uniform(0.1, 0.9, (2, 6))
         a_s = np.eye(2)[rng.integers(0, 2, 2)]
         y_s = rng.uniform(0.1, 0.9, (2, 6))
-        m_s = rng.uniform(0.1, 0.9, (2, 6, 2))
+        m_s = rng.uniform(0.1, 0.9, (2, 2, 6))
         cfg = ob.TrainConfig(k=2, k_e=1, lam=0.8, beta=0.2, tau=0.02,
                              varsigma1=0.5, varsigma2=0.5)
         noise = ReplayNoise(np.random.default_rng(7))
@@ -446,10 +446,10 @@ class TestFrozenNoiseGradient:
 class TestTrain:
     def _toy_data(self, seed=0, n=60, l_bands=8):
         r = np.random.default_rng(seed)
-        m = r.uniform(0.2, 0.8, (l_bands, P))
+        m = r.uniform(0.2, 0.8, (P, l_bands))
         a = r.dirichlet(np.ones(P), size=n)
-        y = a @ m.T + 0.01 * r.standard_normal((n, l_bands))
-        y_s = np.stack([m[:, k] for k in range(P)] * 10)
+        y = a @ m + 0.01 * r.standard_normal((n, l_bands))
+        y_s = np.stack([m[k] for k in range(P)] * 10)
         a_s = np.concatenate([np.eye(P)] * 10)
         m_s = np.stack([m] * (P * 10))
         return y, (y_s, a_s, m_s)
