@@ -69,11 +69,11 @@ def _write_pgm(path: str, image: np.ndarray):
         f.write(gray.tobytes())
 
 
-def _check_sizes(*flags: tuple[str, int]):
-    """Reject the first (flag, value) pair whose size is below 1."""
+def _check_sizes(*flags: tuple[str, int], least: int = 1):
+    """Reject the first (flag, value) pair whose size is below ``least``."""
     for flag, value in flags:
-        if value < 1:
-            raise InputError(f"{flag} must be >= 1, got {value}")
+        if value < least:
+            raise InputError(f"{flag} must be >= {least}, got {value}")
 
 
 # ----------------------------------------------------------------- commands
@@ -85,6 +85,11 @@ def cmd_generate(args) -> int:
         p = 3 if args.kind == "dc1" else 5
     _check_sizes(("--width", args.width), ("--height", args.height),
                  ("--endmembers", p))
+    _check_sizes(("--bands", args.bands), least=dt.MIN_BANDS)
+    if args.kind == "dc2" \
+            and not 0.0 <= args.variability <= dt.MAX_VARIABILITY:
+        raise InputError(f"--variability must be in [0, "
+                         f"{dt.MAX_VARIABILITY}], got {args.variability}")
     dt.noise_power_ratio(args.snr, "--snr")
     _prepare_out_dir(args.out_dir, args.force)
     root = np.random.default_rng(args.seed)
@@ -129,16 +134,16 @@ def cmd_selfsup(args) -> int:
     vca_rng, set_rng = rng.spawn(2)
     refs = dt.vca(cube, args.p, vca_rng)
     ppx = dt.extract_pure_pixels(cube, refs, args.n_ppx)
-    samples = dt.build_supervised_set(ppx, args.n_draws, args.snr, set_rng)
+    y, a, m = dt.build_supervised_set(ppx, args.n_draws, args.snr, set_rng)
     out_base = _strip_bundle(args.out)
-    dt.save_supervised(out_base, samples)
+    dt.save_supervised(out_base, y, a, m)
     _write_manifest(
         out_base + ".manifest.json", "selfsup",
         {"p": args.p, "n_ppx": args.n_ppx, "n_draws": args.n_draws,
          "snr_db": args.snr}, args.seed,
         {"cube": cube_base + ".json"}, {"supervised": out_base + ".json"},
         time.perf_counter() - t0)
-    print(f"wrote {len(samples)} supervised samples to {out_base}.json")
+    print(f"wrote {len(y)} supervised samples to {out_base}.json")
     return 0
 
 
@@ -268,7 +273,9 @@ def cmd_unmix(args) -> int:
     the bundles written so far.
     """
     t0 = time.perf_counter()
-    cube = dt.open_cube(_strip_bundle(args.cube))
+    cube_base = _strip_bundle(args.cube)
+    cube = dt.open_cube(cube_base)
+    dt.check_cube_finite(cube_base, cube)
     ckpt = _strip_bundle(args.ckpt)
     meta, theta, phi = _load_model(ckpt)
     _check_fits(ckpt, "n_bands", phi.n_bands, "the cube", cube.n_bands)
@@ -299,8 +306,7 @@ def cmd_unmix(args) -> int:
     _write_manifest(
         os.path.join(args.out_dir, "manifest.json"), "unmix",
         {"ckpt": args.ckpt}, meta.get("seed"),
-        {"cube": _strip_bundle(args.cube) + ".json",
-         "checkpoint": ckpt + ".json"},
+        {"cube": cube_base + ".json", "checkpoint": ckpt + ".json"},
         {k: v + ".json" for k, v in paths.items()},
         time.perf_counter() - t0)
     print(f"wrote abundance/endmember/nonlinearity maps to {args.out_dir}")
@@ -329,10 +335,10 @@ def cmd_eval(args) -> int:
     The endmember stacks, the cube and the reconstruction stay on disk:
     ``evaluate`` reads them in row blocks, the stacks in its two passes and
     the cube and reconstruction once for nrmse_y, and holds no array as
-    large as any of them.  The cube and the reconstruction are checked
-    for finite values in one more blocked pass each, when opened.  Only the
-    abundances and eta_d, a few numbers per pixel, are read whole, and the
-    cube too for ``--baseline fcls``, whose VCA and FCLS need all of it.
+    large as any of them.  Those passes also find a non-finite value in
+    them.  Only the abundances and eta_d, a few numbers per pixel, are read
+    whole, and the cube too for ``--baseline fcls``, whose VCA and FCLS
+    need all of it (``load_cube`` checks it then).
     Every payload's size is checked against its header before anything is
     scored or written.  The scores of the estimates do not depend on the
     BLAS thread count.
@@ -341,15 +347,17 @@ def cmd_eval(args) -> int:
     est_dir = args.estimates_dir
     a_hat, _, _ = dt.load_abundances(os.path.join(est_dir, "abundances_est"))
     m_hat = eta = recon = None
-    # the endmember stacks are checked by ``evaluate``'s first pass
-    em_bundles = {"truth": os.path.join(args.truth_dir, "endmembers"),
-                  "estimate": os.path.join(est_dir, "endmembers_est")}
-    if os.path.exists(em_bundles["estimate"] + ".json"):
-        m_hat = dt.open_endmembers(em_bundles["estimate"])
+    # the bundles ``evaluate`` checks as it reads them, by its names
+    streamed = {"truth": os.path.join(args.truth_dir, "endmembers"),
+                "estimate": os.path.join(est_dir, "endmembers_est"),
+                "cube": os.path.join(args.truth_dir, "cube"),
+                "reconstruction": os.path.join(est_dir, "reconstruction")}
+    if os.path.exists(streamed["estimate"] + ".json"):
+        m_hat = dt.open_endmembers(streamed["estimate"])
     if os.path.exists(os.path.join(est_dir, "eta_d.json")):
         eta = dt.load_scalar_map(os.path.join(est_dir, "eta_d"))
-    if os.path.exists(os.path.join(est_dir, "reconstruction.json")):
-        recon = dt.open_cube(os.path.join(est_dir, "reconstruction")).pixels
+    if os.path.exists(streamed["reconstruction"] + ".json"):
+        recon = dt.open_cube(streamed["reconstruction"]).pixels
     runtime = 0.0
     manifest_path = os.path.join(est_dir, "manifest.json")
     if os.path.exists(manifest_path):
@@ -361,7 +369,7 @@ def cmd_eval(args) -> int:
             abundances=a_hat, endmembers=m_hat, reconstruction=recon,
             eta_d=eta, runtime_s=runtime))]
         if args.baseline == "fcls":
-            pixels = cube.pixels[:]
+            pixels = dt.load_cube(streamed["cube"]).pixels
             t0 = time.perf_counter()
             refs = dt.vca(pixels, a_hat.shape[1],
                           np.random.default_rng(args.seed))
@@ -371,8 +379,8 @@ def cmd_eval(args) -> int:
                                     align_with=refs,
                                     runtime_s=time.perf_counter() - t0)
             reports.append(ev.evaluate(pixels, truth, base_est))
-    except ev.NonFiniteEndmembers as exc:
-        raise InputError(f"{em_bundles[exc.which]}: {exc}") from None
+    except ev.NonFiniteValue as exc:
+        raise InputError(f"{streamed[exc.which]}: {exc}") from None
     csv_text = ev.reports_to_csv(reports)
     with open(args.out_csv, "w") as f:
         f.write(csv_text)

@@ -1,4 +1,4 @@
-"""The on-disk container: a JSON header next to a raw float64 payload.
+"""The on-disk container: named float64 arrays behind one JSON header.
 
 Every file one command hands to the next (cubes, ground truth, the labelled
 set, estimates, checkpoints) is a container, and every command writes a
@@ -6,58 +6,57 @@ JSON run manifest.  Only this module reads or writes them; a reader
 failure is a ``BundleError`` naming the file or the offending field.
 
 Bytes: ``<base>.json`` is one JSON object, ASCII, indent 1, sorted keys,
-finite numbers only, trailing newline.  ``<base>.raw`` is little-endian
-IEEE-754 float64 values back to back, with no header or padding, each
-array in C order.
+finite numbers only, trailing newline.  ``<base>.raw`` holds the arrays
+back to back as little-endian IEEE-754 float64 values, each array in C
+order, with no header or padding.
 
-Bundle header (``data`` builds it):
-- ``width``, ``height``, ``bands``: JSON ints >= 1; the payload holds the
-  (width * height, bands) array, pixels row-major.
-- ``dtype``: ``"f64le"``; ``order``: one per role, else a ``BundleError``
-  naming ``order``: ``"bip"`` (band-interleaved by pixel), and for the
-  roles holding endmember matrices ``"bip-pl"``, by pixel with each (P, L)
-  matrix endmember-major.  An older ``"bip"`` endmember bundle, (L, P) per
-  pixel, holds as many values, so only this check refuses it; no reader
-  of that layout is kept (rerun ``generate``, ``selfsup`` and ``unmix``).
-- ``role``: absent for a cube, whose optional ``wavelengths`` is a list of
-  ``bands`` finite numbers (nm).  ``"abundances"``: bands = P.
-  ``"endmembers"``: adds ``components`` = P (a JSON int >= 1); the payload
-  is the (N, P, bands) stack, a shared (P, L) matrix a 1 x 1 scene.  A
-  scalar map's name (``"nonlinearity_degree"``): bands = 1.
-  ``"supervised"``: adds ``count`` = width * height, ``pixel_bands`` = L and
-  ``components`` = P (JSON ints >= 1), bands = L + P + L * P; each record
-  is y (L), a (P) and the (P, L) endmember matrix.
-
-Checkpoint manifest:
-- ``format``: ``"unmix-ckpt-v1"``; ``dtype``: ``"f64le"``.
-- ``meta``: an object; ``cli`` reads ``n_bands``, ``n_endmembers``,
-  ``latent_dim``, ``lista_layers`` (JSON ints >= 1) and, to resume,
-  ``epoch`` (a JSON int >= 0).
+Header:
+- ``format``: ``"unmix-v1"``.  Checkpoints written before every file
+  shared this schema say ``"unmix-ckpt-v1"`` and read the same.  A bundle
+  written before then has no ``format`` and is refused naming it; no
+  reader of that older header is kept (rerun the commands that wrote it).
+- ``dtype``: ``"f64le"``.
+- ``meta``: an object of the kind's scalar fields (below).
 - ``arrays``: name -> ``offset`` (bytes, a multiple of 8), ``count`` and
   ``shape``, JSON ints >= 0 with count = prod(shape).  The writer lays the
-  arrays out back to back in the order it is given them.  The names and
-  shapes are the model's parameters; this module does not read them.
-  The endmember layout leaves checkpoints as they were: the mixing net
-  reads a (P, L) matrix's rows back to back, the (L, P) one's columns.
-  Older checkpoints name each endmember's decoder arrays and log-scale
-  apart (``gen.em_decoder{k}.w{i}``, ``gen.em_log_scale{k}``), and ``cli``
-  stacks them into the decoder bank's arrays when it loads one.
+  arrays out back to back in the order it is given them.  An array
+  reaching past the payload's end is a ``BundleError`` naming the array,
+  and a payload that goes on past the furthest array's end is one naming
+  the file.
+
+Kinds (``data`` and ``cli`` build them; N = width * height pixels,
+row-major; each endmember matrix is (P, L), endmember-major):
+
+  kind            arrays                        meta
+  cube            pixels (N, L)                 width, height, wavelengths?
+  abundances      abundances (N, P)             width, height
+  endmembers      endmembers (P, L) shared, or  --
+                  endmembers (N, P, L)          width, height
+  eta_d map       nonlinearity_degree (N,)      width, height
+  labelled set    y (n, L), a (n, P), m (n, P, L)   --
+  checkpoint      the model's parameters        n_bands, n_endmembers,
+                                                latent_dim, lista_layers,
+                                                seed, config, epoch
+
+A bundle (every kind but the checkpoint) holds exactly its kind's arrays,
+each with its number of axes and no empty axis; ``width`` and ``height``
+are JSON ints >= 1 whose product is the row count, and ``wavelengths``
+lists one finite number (nm) per band.  ``data`` names the array or key
+that breaks one of these.  ``cli`` reads the checkpoint's sizes (JSON ints
+>= 1) and, to resume, ``epoch`` (a JSON int >= 0).  Older checkpoints name
+each endmember's decoder arrays apart (``gen.em_decoder{k}.w{i}``,
+``gen.em_log_scale{k}``); ``cli`` stacks them into the bank's arrays.
 
 Run manifest: ``command``, ``args``, ``seed``, ``inputs``, ``outputs`` and
 ``wall_clock_s``, which ``eval`` reads (a finite number) as the runtime.
 
-Payloads in row blocks.  A scene-sized payload need not be held whole:
-- ``PayloadReader(path, shape)`` checks, when it is made, that the file
-  holds exactly prod(shape) values, else a ``BundleError`` naming the file.
-  ``reader[start:stop]`` then reads just those rows of the C-order array,
-  from byte 8 * start * prod(shape[1:]), into a new array; a file that
-  ends early is a ``BundleError``.  ``read_f64`` is one whole-array read.
-- ``PayloadWriter(path)`` truncates the file, and each ``append(array)``
-  adds the array's values in C order.  Appending the row blocks of an
-  array, in order from row 0, writes the same bytes as writing it whole.
-  An array that is not C-ordered little-endian float64 is converted in
-  slices of whole rows, never as one whole contiguous copy.  ``write_f64``
-  appends each of its arrays.
+Payloads in row blocks.  A scene-sized array need not be held whole:
+- ``open_container(base)`` returns the meta and one ``PayloadReader`` per
+  array, whose ``reader[start:stop]`` reads just those rows.
+- ``container_writer(base, meta, shapes)`` writes the header and returns
+  the ``PayloadWriter`` whose ``append(array)`` adds the array's values.
+  Appending each array's row blocks in turn, from row 0, writes the same
+  bytes as ``write_container`` of the whole arrays.
 
 Nothing is memory-mapped.  The pages of a mapped file that a pass touches
 count toward the process's resident set until the kernel reclaims them,
@@ -76,12 +75,15 @@ import numpy as np
 
 from .errors import BundleError, InputError
 
-__all__ = ["DTYPE", "write_json", "read_json", "PayloadReader",
-           "PayloadWriter", "write_f64", "read_f64", "json_int", "json_float",
-           "save_checkpoint", "load_checkpoint"]
+__all__ = ["DTYPE", "FORMAT", "write_json", "read_json", "PayloadReader",
+           "PayloadWriter", "open_container", "container_writer",
+           "write_container", "json_int", "json_float", "save_checkpoint",
+           "load_checkpoint"]
 
 DTYPE = "f64le"
-_CKPT_FORMAT = "unmix-ckpt-v1"
+FORMAT = "unmix-v1"
+# ``FORMAT`` and the checkpoint format it replaced, the same schema.
+_FORMATS = (FORMAT, "unmix-ckpt-v1")
 
 
 def write_json(path: str, obj: dict):
@@ -114,31 +116,20 @@ def read_json(path: str, what: str) -> dict:
 
 
 class PayloadReader:
-    """Row blocks of the C-order float64 array of ``shape`` stored at ``path``.
+    """Row blocks of the C-order float64 array of ``shape`` stored at byte
+    ``offset`` of the file ``path``.
 
-    Making the reader checks the file's size against ``shape``, else a
-    ``BundleError`` naming the file and ``field``; ``reader[rows]`` (a
-    slice of the first axis) then reads just those rows, from their offset,
-    into a new native float64 array.  Each read opens the file for itself,
-    so a reader holds no file between reads and needs no closing.  With
-    ``shape`` None the payload is one flat array of every whole value in
-    the file.
+    ``reader[rows]`` (a slice of the first axis) reads just those rows, from
+    their offset, into a new native float64 array.  Each read opens the
+    file for itself, so a reader holds no file between reads and needs no
+    closing.  ``open_container`` checks the file's size once, when it makes
+    the readers.
     """
 
-    def __init__(self, path: str, shape: tuple[int, ...] | None = None,
-                 field: str | None = None):
-        try:
-            size = os.path.getsize(path)
-        except FileNotFoundError:
-            raise BundleError(f"missing payload {path}") from None
-        if shape is None:
-            shape = (size // 8,)
-        elif size != 8 * math.prod(shape):
-            raise BundleError(f"{path}: payload holds {size // 8} values, "
-                              f"header implies {math.prod(shape)}",
-                              field=field)
+    def __init__(self, path: str, shape: tuple[int, ...], offset: int = 0):
         self.path = path
         self.shape = tuple(shape)
+        self.offset = offset
         self._row_bytes = 8 * math.prod(self.shape[1:])
 
     @property
@@ -156,7 +147,7 @@ class PayloadReader:
         view = memoryview(out.reshape(-1).view(np.uint8))
         try:
             with open(self.path, "rb", buffering=0) as f:
-                f.seek(start * self._row_bytes)
+                f.seek(self.offset + start * self._row_bytes)
                 while view:
                     got = f.readinto(view)
                     if not got:
@@ -168,32 +159,18 @@ class PayloadReader:
         return out.astype(np.float64, copy=False)
 
 
-# Values per slice in which ``PayloadWriter`` copies a non-contiguous array.
-_WRITE_SLICE_VALUES = 1 << 17
-
-
 class PayloadWriter:
     """Appends arrays to ``path``, each as little-endian float64 in C order.
 
-    An array that is not already C-ordered little-endian float64 is copied
-    in slices of whole rows of about ``_WRITE_SLICE_VALUES`` values, never
-    as one whole contiguous copy.  Close it, or use it as a context manager.
+    Close it, or use it as a context manager.
     """
 
     def __init__(self, path: str):
         self._file = open(path, "wb")
 
     def append(self, arr):
-        arr = np.asarray(arr)
-        if arr.ndim == 0:
-            arr = arr.reshape(1)
-        if arr.dtype == np.dtype("<f8") and arr.flags.c_contiguous:
-            self._file.write(arr.reshape(-1).view(np.uint8))
-            return
-        rows = max(1, _WRITE_SLICE_VALUES // max(1, math.prod(arr.shape[1:])))
-        for start in range(0, len(arr), rows):
-            block = np.ascontiguousarray(arr[start:start + rows], dtype="<f8")
-            self._file.write(block.reshape(-1).view(np.uint8))
+        data = np.ascontiguousarray(arr, dtype="<f8")
+        self._file.write(data.reshape(-1).view(np.uint8))
 
     def close(self):
         self._file.close()
@@ -203,19 +180,6 @@ class PayloadWriter:
 
     def __exit__(self, *exc):
         self.close()
-
-
-def write_f64(path: str, arrays):
-    """Write the arrays back to back as little-endian float64, C order."""
-    with PayloadWriter(path) as writer:
-        for arr in arrays:
-            writer.append(arr)
-
-
-def read_f64(path: str) -> np.ndarray:
-    """Every whole value of the payload at ``path``, as one flat native
-    float64 array."""
-    return PayloadReader(path)[:]
 
 
 def json_int(value, field: str, least: int = 0) -> int:
@@ -236,48 +200,72 @@ def json_float(value, field: str) -> float:
     return float(value)
 
 
-# ---- checkpoints ----------------------------------------------------
+# ---- containers -----------------------------------------------------
 
-def save_checkpoint(base_path: str, meta: dict, params: dict):
-    """Write the named arrays (or tensors' values) back to back, in
-    ``params`` order, to ``<base>.raw``, and their table to ``<base>.json``."""
-    arrays, payload = {}, []
-    offset = 0
-    for name, value in params.items():
-        data = value if isinstance(value, np.ndarray) else value.data
-        arrays[name] = {"offset": offset, "count": int(data.size),
-                        "shape": list(data.shape)}
-        payload.append(data)
-        offset += 8 * data.size
-    write_json(base_path + ".json", {"format": _CKPT_FORMAT, "dtype": DTYPE,
-                                     "meta": meta, "arrays": arrays})
-    write_f64(base_path + ".raw", payload)
+def container_writer(base: str, meta: dict,
+                     shapes: dict[str, tuple[int, ...]]) -> PayloadWriter:
+    """Write the header of arrays of these names and shapes, laid out back
+    to back in this order; return the writer to which the caller appends
+    them, in the same order."""
+    arrays, offset = {}, 0
+    for name, shape in shapes.items():
+        count = math.prod(shape)
+        arrays[name] = {"offset": offset, "count": count,
+                        "shape": list(shape)}
+        offset += 8 * count
+    write_json(base + ".json", {"format": FORMAT, "dtype": DTYPE,
+                                "meta": meta, "arrays": arrays})
+    return PayloadWriter(base + ".raw")
 
 
-def load_checkpoint(base_path: str) -> tuple[dict, dict[str, np.ndarray]]:
-    """The meta table and name -> array, each a view of one payload read."""
-    manifest = read_json(base_path + ".json", "checkpoint manifest")
-    if manifest.get("format") != _CKPT_FORMAT:
-        raise BundleError("unknown checkpoint format", field="format")
-    if manifest.get("dtype") != DTYPE:
-        raise BundleError("unsupported dtype", field="dtype")
-    meta = manifest.get("meta")
+def write_container(base: str, meta: dict, arrays: dict[str, np.ndarray]):
+    """Write the named arrays whole, in ``arrays`` order."""
+    with container_writer(base, meta, {name: np.shape(arr) for name, arr
+                                       in arrays.items()}) as writer:
+        for arr in arrays.values():
+            writer.append(arr)
+
+
+def open_container(base: str, what: str = "container header"
+                   ) -> tuple[dict, dict[str, PayloadReader]]:
+    """The checked meta and name -> ``PayloadReader`` of a container;
+    ``what`` names its header in errors."""
+    header = read_json(base + ".json", what)
+    if header.get("format") not in _FORMATS:
+        raise BundleError(f"{base}.json: unknown format "
+                          f"{header.get('format')!r}", field="format")
+    if header.get("dtype") != DTYPE:
+        raise BundleError(f"{base}.json: unsupported dtype "
+                          f"{header.get('dtype')!r}", field="dtype")
+    meta = header.get("meta")
     if not isinstance(meta, dict):
         raise BundleError("missing or malformed meta table", field="meta")
-    specs = manifest.get("arrays")
+    specs = header.get("arrays")
     if not isinstance(specs, dict):
         raise BundleError("missing array table", field="arrays")
-    flat = read_f64(base_path + ".raw")
-    arrays = {}
-    for name, spec in specs.items():
-        start, count, shape = _array_entry(spec, name, flat.size)
-        arrays[name] = flat[start:start + count].reshape(shape)
-    return meta, arrays
+    entries = {name: _array_entry(spec, name) for name, spec in specs.items()}
+    path = base + ".raw"
+    try:
+        size = os.path.getsize(path)
+    except FileNotFoundError:
+        raise BundleError(f"missing payload {path}") from None
+    end = 0
+    for name, (offset, shape) in entries.items():
+        stop = offset + 8 * math.prod(shape)
+        if stop > size:
+            raise BundleError(f"{path}: payload holds {size // 8} values, "
+                              f"the array ends at value {stop // 8}",
+                              field=name)
+        end = max(end, stop)
+    if size != end:
+        raise BundleError(f"{path}: payload holds {size // 8} values, "
+                          f"header implies {end // 8}")
+    return meta, {name: PayloadReader(path, shape, offset)
+                  for name, (offset, shape) in entries.items()}
 
 
-def _array_entry(spec, name: str, n_values: int
-                 ) -> tuple[int, int, tuple[int, ...]]:
-    """(first value, count, shape) of one entry, else a ``BundleError``."""
+def _array_entry(spec, name: str) -> tuple[int, tuple[int, ...]]:
+    """(byte offset, shape) of one entry, else a ``BundleError``."""
     if not isinstance(spec, dict) or not isinstance(spec.get("shape"), list):
         raise BundleError("malformed array entry", field=name)
     offset = json_int(spec.get("offset"), name)
@@ -289,6 +277,23 @@ def _array_entry(spec, name: str, n_values: int
     if count != math.prod(shape):
         raise BundleError(f"array count {count} != product of shape {shape}",
                           field=name)
-    if offset // 8 + count > n_values:
-        raise BundleError("array extends past payload", field=name)
-    return offset // 8, count, shape
+    return offset, shape
+
+
+# ---- checkpoints ----------------------------------------------------
+
+def save_checkpoint(base_path: str, meta: dict, params: dict):
+    """Write the named arrays (or tensors' values) as a container, in
+    ``params`` order."""
+    write_container(base_path, meta, {
+        name: value if isinstance(value, np.ndarray) else value.data
+        for name, value in params.items()})
+
+
+def load_checkpoint(base_path: str) -> tuple[dict, dict[str, np.ndarray]]:
+    """The meta table and name -> array, each a view of one payload read."""
+    meta, readers = open_container(base_path, "checkpoint manifest")
+    path = base_path + ".raw"
+    flat = PayloadReader(path, (os.path.getsize(path) // 8,))[:]
+    return meta, {name: flat[r.offset // 8:][:math.prod(r.shape)]
+                  .reshape(r.shape) for name, r in readers.items()}

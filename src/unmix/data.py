@@ -1,11 +1,14 @@
-"""Data supply: cube bundles on disk, synthetic scenes, endmember extraction,
+"""Data supply: bundles on disk, synthetic scenes, endmember extraction,
 and the self-supervised construction of the labeled set.
 
-The bundle schema (``container`` documents the format) is built here: a
-cube carries no ``role``, ground truth, estimates and the labelled set
-carry one.  All generation is deterministic given the caller's Generator;
-functions that add noise spawn (variability, noise) child streams in a fixed
-order so the noise realization is comparable across generators.
+Each bundle is a ``container`` of the arrays its name says: a cube's
+``pixels``, ``abundances``, ``endmembers``, the ``nonlinearity_degree``
+map, or the labelled set's ``y``, ``a`` and ``m``; ``container`` lists
+their shapes and meta.  The readers here check each kind's array names,
+axes and scene size, and every ``load_*`` reads with ``reader[:]``.  All
+generation is deterministic given the caller's Generator; functions that
+add noise spawn (variability, noise) child streams in a fixed order so the
+noise realization is comparable across generators.
 """
 
 from __future__ import annotations
@@ -19,12 +22,12 @@ from . import container as ct
 from .errors import BundleError, ExtractionError, GenerationError, InputError
 
 __all__ = [
-    "HyperCube", "SupervisedSample", "PurePixelDict", "GroundTruth",
+    "HyperCube", "PurePixelDict", "GroundTruth",
     "synth_endmember_library", "synth_abundance_maps", "noise_power_ratio",
     "generate_dc1", "generate_dc2", "vca", "extract_pure_pixels",
     "build_supervised_set", "save_cube", "cube_writer", "load_cube",
-    "open_cube", "save_abundances", "load_abundances", "save_endmembers",
-    "endmember_writer", "load_endmembers", "open_endmembers",
+    "open_cube", "check_cube_finite", "save_abundances", "load_abundances",
+    "save_endmembers", "endmember_writer", "load_endmembers", "open_endmembers",
     "save_scalar_map", "load_scalar_map",
     "save_supervised", "load_supervised",
 ]
@@ -65,21 +68,10 @@ class HyperCube:
 
 
 @dataclass
-class SupervisedSample:
-    """A labeled triple: pixel, abundance vector, endmember matrix."""
-
-    y: np.ndarray       # (L,)
-    a: np.ndarray       # (P,) one-hot up to clipping
-    em: np.ndarray      # (P, L), one endmember per row
-
-
-@dataclass
 class PurePixelDict:
     """Per-endmember pure-pixel shortlists, sorted by spectral angle."""
 
     spectra: list[np.ndarray]    # P arrays of shape (n_ppx, L)
-    indices: list[np.ndarray]    # source pixel indices into the cube
-    angles: list[np.ndarray]     # matching angles, non-decreasing
 
 
 @dataclass
@@ -95,6 +87,11 @@ class GroundTruth:
 
 
 # ------------------------------------------------------------- generation
+
+# The fewest bands a synthetic library has, and the largest variability
+# strength of a dc2 scene.
+MIN_BANDS = 16
+MAX_VARIABILITY = 0.5
 
 # Smallest pairwise spectral angle (radians) of a synthetic library, and the
 # draws allowed to reach it.
@@ -112,8 +109,8 @@ def synth_endmember_library(n_bands: int, n_endmembers: int,
     the whole set is redrawn until every pairwise spectral angle reaches
     ``LIBRARY_MIN_ANGLE`` radians.
     """
-    if n_bands < 16:
-        raise InputError(f"need at least 16 bands, got {n_bands}")
+    if n_bands < MIN_BANDS:
+        raise InputError(f"need at least {MIN_BANDS} bands, got {n_bands}")
     grid = np.arange(n_bands, dtype=np.float64)
     for _ in range(LIBRARY_MAX_ATTEMPTS):
         rows = []
@@ -251,8 +248,9 @@ def generate_dc2(abundances: np.ndarray, base_em: np.ndarray,
     if rng is None:
         rng = np.random.default_rng(0)
     v = float(variability_strength)
-    if not 0.0 <= v <= 0.5:
-        raise InputError(f"variability strength must be in [0, 0.5], got {v}")
+    if not 0.0 <= v <= MAX_VARIABILITY:
+        raise InputError(f"variability strength must be in "
+                         f"[0, {MAX_VARIABILITY}], got {v}")
     A = np.asarray(abundances, dtype=np.float64)
     M0 = np.asarray(base_em, dtype=np.float64)
     _simplex_check(A)
@@ -351,21 +349,17 @@ def extract_pure_pixels(cube, ref_endmembers: np.ndarray,
     pixels = _as_pixels(cube)
     if n_ppx > len(pixels):
         raise InputError(f"asked for {n_ppx} pure pixels, cube has {len(pixels)}")
-    spectra, indices, angles = [], [], []
-    for ref in ref_endmembers:
-        ang = spectral_angles(pixels, ref)
-        order = np.argsort(ang, kind="stable")[:n_ppx]
-        spectra.append(pixels[order].copy())
-        indices.append(order.copy())
-        angles.append(ang[order].copy())
-    return PurePixelDict(spectra=spectra, indices=indices, angles=angles)
+    return PurePixelDict(spectra=[
+        pixels[np.argsort(spectral_angles(pixels, ref), kind="stable")[:n_ppx]]
+        for ref in ref_endmembers])
 
 
 def build_supervised_set(ppx: PurePixelDict, n_draws: int,
                          snr_db: float | None = 30.0,
                          rng: np.random.Generator | None = None
-                         ) -> list[SupervisedSample]:
-    """Self-supervised labeled triples from the pure-pixel shortlists.
+                         ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Self-supervised labeled triples from the pure-pixel shortlists, as
+    (Y, A, M) arrays of shapes (n, L), (n, P), (n, P, L), n = n_draws * P.
 
     Each draw assembles a (P, L) endmember matrix by sampling one spectrum
     per endmember, then emits P samples with one-hot abundances and noisy
@@ -378,180 +372,171 @@ def build_supervised_set(ppx: PurePixelDict, n_draws: int,
         raise InputError("pure-pixel dictionary has an empty endmember list")
     L = ppx.spectra[0].shape[1]
     rel = 0.0 if snr_db is None else 10.0 ** (-snr_db / 20.0)
-    samples: list[SupervisedSample] = []
-    for _ in range(n_draws):
+    Y = np.empty((n_draws * P, L))
+    A = np.tile(np.eye(P), (n_draws, 1))
+    M = np.empty((n_draws * P, P, L))
+    for d in range(n_draws):
         em = np.stack([ppx.spectra[k][rng.integers(len(ppx.spectra[k]))]
                        for k in range(P)])
         for j in range(P):
-            a = np.zeros(P)
-            a[j] = 1.0
             clean = em[j]
             sigma = rel * np.linalg.norm(clean) / np.sqrt(L)
-            y = clean + sigma * rng.standard_normal(L)
-            samples.append(SupervisedSample(y=y, a=a, em=em.copy()))
-    return samples
+            Y[d * P + j] = clean + sigma * rng.standard_normal(L)
+            M[d * P + j] = em
+    return Y, A, M
 
 
 # ------------------------------------------------------------- bundle io
 
-# Each role's payload order: a pixel's values back to back, any endmember
-# matrix endmember-major (``container``); every other role is "bip".
-_ORDER = {"endmembers": "bip-pl", "supervised": "bip-pl"}
+# The axes of each bundle array that ``_check_finite`` names.
+_AXES = {"pixels": ("pixel", "band"), "abundances": ("pixel", "endmember"),
+         "nonlinearity_degree": ("pixel",), "y": ("sample", "band"),
+         "a": ("sample", "endmember"), "m": ("sample", "endmember", "band")}
 
 
-def _bundle_writer(base: str, header: dict) -> ct.PayloadWriter:
-    """Write the bundle's header; return the writer of its payload."""
-    order = _ORDER.get(header.get("role"), "bip")
-    ct.write_json(base + ".json",
-                  {**header, "dtype": ct.DTYPE, "order": order})
-    return ct.PayloadWriter(base + ".raw")
+def _open(base: str, ndims: dict[str, tuple[int, ...]]
+          ) -> tuple[dict, dict[str, ct.PayloadReader]]:
+    """A bundle's meta and the readers of exactly the arrays ``ndims``
+    names, each with one of the numbers of axes listed and no empty axis;
+    else a ``BundleError`` naming the array."""
+    meta, readers = ct.open_container(base, "bundle header")
+    for name, allowed in ndims.items():
+        if name not in readers:
+            raise BundleError(f"{base}.json: no array {name!r}", field=name)
+        shape = readers[name].shape
+        if len(shape) not in allowed or 0 in shape:
+            raise BundleError(f"{base}.json: {name} needs "
+                              f"{' or '.join(map(str, allowed))} nonempty "
+                              f"axes, got shape {shape}", field=name)
+    extra = sorted(readers.keys() - ndims.keys())
+    if extra:
+        raise BundleError(f"{base}.json: unexpected array", field=extra[0])
+    return meta, readers
 
 
-def _write_bundle(base: str, header: dict, payload: np.ndarray):
-    with _bundle_writer(base, header) as writer:
-        writer.append(payload)
+def _scene(meta: dict, rows: int) -> tuple[int, int]:
+    """The meta's width and height, JSON ints >= 1 whose product is
+    ``rows``, else a ``BundleError`` naming the first bad one."""
+    width, height = (ct.json_int(meta.get(key), key, 1)
+                     for key in ("width", "height"))
+    if width * height != rows:
+        raise BundleError(f"width * height is {width * height}, the arrays "
+                          f"have {rows} rows", field="width")
+    return width, height
 
 
-def _open_bundle(base: str, role: str | None = None
-                 ) -> tuple[dict, ct.PayloadReader]:
-    """A bundle's checked header and the reader of its payload, whose rows
-    are the width * height pixels; ``role`` None is a cube."""
-    header = ct.read_json(base + ".json", "bundle header")
-    for key in ("width", "height", "bands"):
-        ct.json_int(header.get(key), key, 1)
-    if header.get("dtype") != ct.DTYPE:
-        raise BundleError(f"unsupported dtype {header.get('dtype')!r}",
-                          field="dtype")
-    if header.get("role") != role:
-        raise BundleError(f"expected role {role!r}, found "
-                          f"{header.get('role')!r}", field="role")
-    order = _ORDER.get(role, "bip")
-    if header.get("order") != order:
-        raise BundleError(f"unsupported order {header.get('order')!r}, "
-                          f"expected {order!r}", field="order")
-    shape = (header["width"] * header["height"], header["bands"])
-    if role == "endmembers":
-        shape = (shape[0], ct.json_int(header.get("components"),
-                                       "components", 1), shape[1])
-    return header, ct.PayloadReader(base + ".raw", shape, field="bands")
-
-
-def _read_bundle(base: str, role: str | None = None) -> tuple[dict, np.ndarray]:
-    """A bundle's checked header and its whole payload."""
-    header, reader = _open_bundle(base, role)
-    return header, reader[:]
-
-
-def _check_finite(kind: str, base: str, header: dict, data: np.ndarray,
-                  start: int = 0):
-    """InputError naming the first pixel, with its row, column and band,
-    that holds a NaN or an infinity; ``data`` holds the rows from pixel
-    ``start`` on."""
+def _check_finite(base: str, name: str, data: np.ndarray,
+                  width: int | None, start: int = 0):
+    """``InputError`` naming the first NaN or infinity of the array
+    ``name``, ``data`` holding its rows from ``start`` on: its index on each
+    axis, and for a scene ``width`` pixels wide its row and column."""
     bad = np.flatnonzero(~np.isfinite(data))
     if bad.size:
-        pixel, band = divmod(int(bad[0]), header["bands"])
-        pixel += start
-        row, col = divmod(pixel, header["width"])
-        raise InputError(
-            f"{kind} {base} has a non-finite value ({data.flat[bad[0]]}) at "
-            f"pixel {pixel} (row {row}, column {col}), band {band}")
+        first, *rest = (int(i) for i in np.unravel_index(bad[0], data.shape))
+        axes = _AXES[name]
+        where = f"{axes[0]} {start + first}"
+        if width is not None:
+            where += " (row {}, column {})".format(*divmod(start + first,
+                                                          width))
+        where += "".join(f", {axis} {i}" for axis, i in zip(axes[1:], rest))
+        raise InputError(f"{base}: {name} has a non-finite value "
+                         f"({data.flat[bad[0]]}) at {where}")
 
 
-def _cube_header(width: int, height: int, bands: int,
-                 wavelengths: np.ndarray | None) -> dict:
-    header = {"width": width, "height": height, "bands": bands}
+def _cube_meta(width: int, height: int,
+               wavelengths: np.ndarray | None) -> dict:
+    meta = {"width": width, "height": height}
     if wavelengths is not None:
-        header["wavelengths"] = [float(w) for w in wavelengths]
-    return header
-
-
-def _cube_from(base: str, header: dict, pixels) -> HyperCube:
-    wl = header.get("wavelengths")
-    if wl is not None:
-        if not isinstance(wl, list) or len(wl) != header["bands"]:
-            raise BundleError("wavelengths must list one number per band",
-                              field="wavelengths")
-        wl = np.asarray([ct.json_float(w, "wavelengths") for w in wl])
-    return HyperCube(width=header["width"], height=header["height"],
-                     pixels=pixels, wavelengths=wl)
+        meta["wavelengths"] = [float(w) for w in wavelengths]
+    return meta
 
 
 def save_cube(base: str, cube: HyperCube):
-    _write_bundle(base, _cube_header(cube.width, cube.height, cube.n_bands,
-                                     cube.wavelengths), cube.pixels)
+    ct.write_container(base, _cube_meta(cube.width, cube.height,
+                                        cube.wavelengths),
+                       {"pixels": cube.pixels})
 
 
 def cube_writer(base: str, width: int, height: int, bands: int,
                 wavelengths: np.ndarray | None = None) -> ct.PayloadWriter:
     """Write a cube's header; return the writer to which the caller appends
     its (N, L) pixels, in blocks of whole rows from pixel 0."""
-    return _bundle_writer(base, _cube_header(width, height, bands,
-                                             wavelengths))
-
-
-def load_cube(base: str) -> HyperCube:
-    """Read a cube bundle; a NaN or infinite value raises ``InputError``
-    naming the first offending pixel and band."""
-    header, data = _read_bundle(base)
-    cube = _cube_from(base, header, data)
-    _check_finite("cube", base, header, data)
-    return cube
-
-
-# Pixels per block of ``open_cube``'s finiteness pass.
-ROW_BLOCK = 512
+    return ct.container_writer(base, _cube_meta(width, height, wavelengths),
+                               {"pixels": (width * height, bands)})
 
 
 def open_cube(base: str) -> HyperCube:
     """A cube bundle whose ``pixels`` is a ``container.PayloadReader``.
 
-    The payload is checked in one pass over blocks of ``ROW_BLOCK`` pixels;
-    a NaN or infinite value raises ``InputError`` naming the first
-    offending pixel and band, as ``load_cube`` does.  Only one block is in
-    memory at a time.
-    """
-    header, reader = _open_bundle(base)
-    cube = _cube_from(base, header, reader)
-    for start in range(0, len(reader), ROW_BLOCK):
-        _check_finite("cube", base, header,
-                      reader[start:start + ROW_BLOCK], start)
+    Nothing is read but the header: ``check_cube_finite`` or a blocked
+    pass of the caller's own must look for non-finite values."""
+    meta, readers = _open(base, {"pixels": (2,)})
+    pixels = readers["pixels"]
+    width, height = _scene(meta, len(pixels))
+    wl = meta.get("wavelengths")
+    if wl is not None:
+        if not isinstance(wl, list) or len(wl) != pixels.shape[1]:
+            raise BundleError("wavelengths must list one number per band",
+                              field="wavelengths")
+        wl = np.asarray([ct.json_float(w, "wavelengths") for w in wl])
+    return HyperCube(width=width, height=height, pixels=pixels,
+                     wavelengths=wl)
+
+
+def load_cube(base: str) -> HyperCube:
+    """Read a cube bundle; a NaN or infinite value raises ``InputError``
+    naming the first offending pixel and band."""
+    cube = open_cube(base)
+    cube.pixels = cube.pixels[:]
+    _check_finite(base, "pixels", cube.pixels, cube.width)
     return cube
 
 
+# Pixels per block of ``check_cube_finite``.
+ROW_BLOCK = 512
+
+
+def check_cube_finite(base: str, cube: HyperCube):
+    """``load_cube``'s check of an opened cube, read one block of
+    ``ROW_BLOCK`` pixels at a time."""
+    for start in range(0, cube.n_pixels, ROW_BLOCK):
+        _check_finite(base, "pixels", cube.pixels[start:start + ROW_BLOCK],
+                      cube.width, start)
+
+
 def save_abundances(base: str, abundances: np.ndarray, width: int, height: int):
-    A = np.asarray(abundances, dtype=np.float64)
-    header = {"width": width, "height": height, "bands": A.shape[1],
-              "role": "abundances"}
-    _write_bundle(base, header, A)
+    ct.write_container(base, {"width": width, "height": height},
+                       {"abundances": abundances})
+
+
+def _load_map(base: str, name: str, ndim: int
+              ) -> tuple[np.ndarray, int, int]:
+    """The bundle's one array ``name`` of a scene's pixels, read whole, and
+    the scene's width and height; a NaN or infinite value raises
+    ``InputError`` naming the first offending pixel."""
+    meta, readers = _open(base, {name: (ndim,)})
+    width, height = _scene(meta, len(readers[name]))
+    data = readers[name][:]
+    _check_finite(base, name, data, width)
+    return data, width, height
 
 
 def load_abundances(base: str) -> tuple[np.ndarray, int, int]:
-    """Read an abundance bundle; a NaN or infinite value raises
-    ``InputError`` naming the first offending pixel and band."""
-    header, data = _read_bundle(base, "abundances")
-    _check_finite("abundances", base, header, data)
-    return data, header["width"], header["height"]
-
-
-def _endmember_header(width: int, height: int, bands: int,
-                      components: int) -> dict:
-    return {"width": width, "height": height, "bands": bands,
-            "components": components, "role": "endmembers"}
+    return _load_map(base, "abundances", 2)
 
 
 def save_endmembers(base: str, endmembers: np.ndarray,
                     width: int = 1, height: int = 1):
-    """Shared (P, L) matrices are stored as a 1x1 scene; per-pixel stacks
-    (N, P, L) use the true spatial dimensions."""
+    """A shared (P, L) matrix is stored with no meta; a per-pixel (N, P, L)
+    stack with the scene's width and height."""
     stack = np.asarray(endmembers, dtype=np.float64)
-    if stack.ndim == 2:
-        width = height = 1
-        stack = stack[None]
-    n, components, bands = stack.shape
-    if n != width * height:
-        raise InputError("endmember stack length must match width * height")
-    _write_bundle(base, _endmember_header(width, height, bands, components),
-                  stack)
+    meta = {}
+    if stack.ndim == 3:
+        if len(stack) != width * height:
+            raise InputError("endmember stack length must match "
+                             "width * height")
+        meta = {"width": width, "height": height}
+    ct.write_container(base, meta, {"endmembers": stack})
 
 
 def endmember_writer(base: str, width: int, height: int, bands: int,
@@ -559,77 +544,64 @@ def endmember_writer(base: str, width: int, height: int, bands: int,
     """Write a per-pixel endmember stack's header; return the writer to
     which the caller appends the (N, P, L) stack, in blocks of whole pixels
     from pixel 0."""
-    return _bundle_writer(base, _endmember_header(width, height, bands,
-                                                  components))
+    return ct.container_writer(
+        base, {"width": width, "height": height},
+        {"endmembers": (width * height, components, bands)})
 
 
 def load_endmembers(base: str) -> np.ndarray:
     """Returns (P, L) when the bundle stores one shared matrix, else (N, P, L)."""
     stack = open_endmembers(base)
-    return stack if stack.ndim == 2 else stack[:]
+    return stack if isinstance(stack, np.ndarray) else stack[:]
 
 
 def open_endmembers(base: str):
-    """The shared (P, L) matrix of a 1 x 1 bundle, else a
-    ``container.PayloadReader`` of its (N, P, L) stack."""
-    _, reader = _open_bundle(base, "endmembers")
-    return reader[:][0] if len(reader) == 1 else reader
+    """The shared (P, L) matrix, read whole, else a
+    ``container.PayloadReader`` of the (N, P, L) stack."""
+    meta, readers = _open(base, {"endmembers": (2, 3)})
+    stack = readers["endmembers"]
+    if stack.ndim == 2:
+        return stack[:]
+    _scene(meta, len(stack))
+    return stack
 
 
-# The role of the one scalar map the commands write, the eta_d map.
-SCALAR_MAP_ROLE = "nonlinearity_degree"
+# The array name of the one scalar map the commands write, the eta_d map.
+SCALAR_MAP = "nonlinearity_degree"
 
 
 def save_scalar_map(base: str, values: np.ndarray, width: int, height: int):
-    vals = np.asarray(values, dtype=np.float64).reshape(-1, 1)
-    header = {"width": width, "height": height, "bands": 1,
-              "role": SCALAR_MAP_ROLE}
-    _write_bundle(base, header, vals)
+    ct.write_container(base, {"width": width, "height": height},
+                       {SCALAR_MAP: np.reshape(values, -1)})
 
 
 def load_scalar_map(base: str) -> np.ndarray:
-    """Read a one-band map; a NaN or infinite value raises ``InputError``
-    naming the first offending pixel."""
-    header, data = _read_bundle(base, SCALAR_MAP_ROLE)
-    if header["bands"] != 1:
-        raise BundleError(f"a scalar map has 1 band, header has "
-                          f"{header['bands']}", field="bands")
-    _check_finite(SCALAR_MAP_ROLE, base, header, data)
-    return data.reshape(-1)
+    return _load_map(base, SCALAR_MAP, 1)[0]
 
 
-def save_supervised(base: str, samples: list[SupervisedSample]):
-    if not samples:
+def save_supervised(base: str, y: np.ndarray, a: np.ndarray, m: np.ndarray):
+    """Write the labelled set's (n, L), (n, P) and (n, P, L) arrays."""
+    if not len(y):
         raise InputError("cannot save an empty supervised set")
-    y = np.stack([s.y for s in samples])
-    a = np.stack([s.a for s in samples])
-    m = np.stack([s.em for s in samples])
-    count, L = y.shape
-    P = a.shape[1]
-    payload = np.concatenate([y.reshape(count, -1), a.reshape(count, -1),
-                              m.reshape(count, -1)], axis=1)
-    header = {"width": count, "height": 1, "bands": L + P + L * P,
-              "role": "supervised", "count": count, "pixel_bands": L,
-              "components": P}
-    _write_bundle(base, header, payload)
+    ct.write_container(base, {}, {"y": y, "a": a, "m": m})
 
 
 def load_supervised(base: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Returns (Y, A, M) arrays of shapes (n, L), (n, P), (n, P, L).
 
-    A NaN or infinite value raises ``InputError`` naming the first offending
-    sample (as its pixel) and its value index (as its band)."""
-    header, data = _read_bundle(base, "supervised")
-    count, L, P = (ct.json_int(header.get(key), key, 1)
-                   for key in ("count", "pixel_bands", "components"))
-    if count != header["width"] * header["height"]:
-        raise BundleError(
-            f"count {count} != width * height "
-            f"{header['width'] * header['height']}", field="count")
-    if header["bands"] != L + P + L * P:
-        raise BundleError(
-            f"pixel_bands {L} and components {P} imply {L + P + L * P} "
-            f"values per sample, header bands is {header['bands']}",
-            field="pixel_bands")
-    _check_finite("supervised set", base, header, data)
-    return data[:, :L], data[:, L:L + P], data[:, L + P:].reshape(count, P, L)
+    Shapes that disagree are a ``BundleError`` naming ``a`` or ``m``, and a
+    NaN or infinite value an ``InputError`` naming the first offending
+    sample."""
+    _, readers = _open(base, {"y": (2,), "a": (2,), "m": (3,)})
+    n, bands = readers["y"].shape
+    want = {"a": (n, readers["a"].shape[1])}
+    want["m"] = want["a"] + (bands,)
+    for name, shape in want.items():
+        if readers[name].shape != shape:
+            raise BundleError(f"{base}.json: {name} has shape "
+                              f"{readers[name].shape}, y and a imply "
+                              f"{shape}", field=name)
+    arrays = tuple(readers[name][:] for name in ("y", "a", "m"))
+    for name, data in zip(("y", "a", "m"), arrays):
+        _check_finite(base, name, data, None)
+    return arrays

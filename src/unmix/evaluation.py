@@ -20,7 +20,9 @@ the alignment's cost matrix.  sam_m is then the chosen assignment's total
 cost, sum_i cost[i, perm(i)], which is the formula above.  The second
 pass reads the stacks again and sums the squared truth and the squared
 difference of the aligned stacks, the estimate's rows gathered whole,
-for nrmse_m, as ``nrmse`` sums any two row sources.
+for nrmse_m, as ``nrmse`` sums any two row sources.  Only a block whose
+norms or sums are not finite is searched for a NaN or an infinity, so no
+input needs a pass of its own to be checked.
 
 Sums of squares are taken by numpy's own einsum loop within a block and
 in block order across blocks, and the cross products by one BLAS call per
@@ -52,15 +54,18 @@ __all__ = ["nrmse", "nonlinearity_degree", "fcls", "align_endmembers",
            "reports_from_csv"]
 
 
-def nrmse(x, x_hat) -> float:
+def nrmse(x, x_hat, which: tuple[str, str] = ("truth", "estimate")
+          ) -> float:
     """||X - X_hat||_F / ||X||_F for row sources of any matching shape,
-    summed over blocks of ``ROW_BLOCK`` rows (see the module docstring)."""
+    summed over blocks of ``ROW_BLOCK`` rows (see the module docstring); a
+    NaN or an infinity is a ``NonFiniteValue`` naming its source by
+    ``which``."""
     x, x_hat = _source(x), _source(x_hat)
     if x.shape != x_hat.shape:
         raise InputError(f"shape mismatch: {x.shape} vs {x_hat.shape}")
     if x.ndim == 0:
         x, x_hat = x.reshape(1), x_hat.reshape(1)
-    return _ratio(*_residual_sums(x, x_hat))
+    return _ratio(*_residual_sums(x, x_hat, which=which))
 
 
 def nonlinearity_degree(lin, nlin) -> np.ndarray | float:
@@ -127,20 +132,27 @@ def fcls(cube, em_matrix: np.ndarray) -> np.ndarray:
 ROW_BLOCK = 256
 
 
-class NonFiniteEndmembers(InputError):
-    """An endmember stack holds a NaN or an infinity.
+class NonFiniteValue(InputError):
+    """A row source holds a NaN or an infinity: ``which`` names it (the
+    ``"truth"`` or ``"estimate"`` endmembers, the ``"cube"`` or the
+    ``"reconstruction"``), and ``pixel`` is the first pixel with one."""
 
-    ``which`` is ``"truth"`` or ``"estimate"``; ``pixel`` is the first
-    pixel (counted from 0) with such a value.
-    """
+    def __init__(self, message: str, which: str, pixel: int):
+        super().__init__(message)
+        self.which, self.pixel = which, pixel
 
-    def __init__(self, which: str, pixel: int, band: int, column: int,
-                 value: float):
-        super().__init__(f"{which} endmembers have a non-finite value "
-                         f"({value}) at pixel {pixel}, band {band}, "
-                         f"column {column}")
-        self.which = which
-        self.pixel = pixel
+
+def _find_non_finite(which: str, block: np.ndarray, start: int):
+    """Raise ``NonFiniteValue`` at the first NaN or infinity, in C order, of
+    ``block``, the rows of ``which`` from pixel ``start`` on, if any."""
+    bad = np.argwhere(~np.isfinite(block))
+    if len(bad):
+        pixel, *index = (int(i) for i in bad[0])
+        column = f", column {index[0]}" if len(index) == 2 else ""
+        raise NonFiniteValue(f"{which} has a non-finite value "
+                             f"({block[tuple(bad[0])]}) at pixel "
+                             f"{start + pixel}, band {index[-1]}{column}",
+                             which, start + pixel)
 
 
 def _source(m):
@@ -178,18 +190,25 @@ def _sum_squares(x: np.ndarray) -> float:
     return float(np.einsum("i,i->", flat, flat))
 
 
-def _residual_sums(x, x_hat, perm: np.ndarray | None = None
+def _residual_sums(x, x_hat, perm: np.ndarray | None = None,
+                   which: tuple[str, str] = ("truth", "estimate")
                    ) -> tuple[float, float]:
     """(sum (x - x_hat)^2, sum x^2) of two row sources of one shape, block
     by block, with the second axis of ``x_hat`` taken in the order ``perm``
-    (as it is for None)."""
+    (as it is for None).  A block whose sums are not finite is searched,
+    ``x`` first, for a ``NonFiniteValue`` of the source named by ``which``.
+    """
     num = den = 0.0
     for rows in _blocks(len(x)):
         t, h = x[rows], x_hat[rows]
         if perm is not None:
             h = h[:, perm]
-        num += _sum_squares(t - h)
-        den += _sum_squares(t)
+        block_num, block_den = _sum_squares(t - h), _sum_squares(t)
+        if not math.isfinite(block_num + block_den):
+            for name, block in zip(which, (t, h)):
+                _find_non_finite(name, block, rows.start)
+        num += block_num
+        den += block_den
     return num, den
 
 
@@ -208,12 +227,8 @@ def _column_norms(block: np.ndarray, start: int, which: str) -> np.ndarray:
     column, band) order.
     """
     norms = np.sqrt(np.einsum("bpl,bpl->bp", block, block))
-    if not np.isfinite(norms).all():
-        bad = np.argwhere(~np.isfinite(block))
-        if len(bad):                  # else the squares overflowed: no error
-            pixel, column, band = (int(i) for i in bad[0])
-            raise NonFiniteEndmembers(which, start + pixel, band, column,
-                                      float(block[pixel, column, band]))
+    if not np.isfinite(norms).all():   # finds none if the squares overflowed
+        _find_non_finite(which, block, start)
     return norms
 
 
@@ -315,7 +330,8 @@ def evaluate(cube, truth, estimates: Estimates) -> MetricsReport:
         report.sam_m = float(cost[np.arange(len(perm)), perm].sum())
         report.nrmse_m = _ratio(*_residual_sums(mt, mh, perm))
     if estimates.reconstruction is not None:
-        report.nrmse_y = nrmse(_as_pixels(cube), estimates.reconstruction)
+        report.nrmse_y = nrmse(_as_pixels(cube), estimates.reconstruction,
+                               ("cube", "reconstruction"))
     return report
 
 

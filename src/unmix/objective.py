@@ -307,17 +307,6 @@ class EpochStats:
     lr: float
 
 
-def _supervised_arrays(d_s) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    if isinstance(d_s, tuple):
-        y, a, m = d_s
-        return (np.asarray(y, np.float64), np.asarray(a, np.float64),
-                np.asarray(m, np.float64))
-    y = np.stack([s.y for s in d_s])
-    a = np.stack([s.a for s in d_s])
-    m = np.stack([s.em for s in d_s])
-    return y, a, m
-
-
 class _SupervisedCycler:
     """Deterministic shuffled cycling through the labeled set."""
 
@@ -345,7 +334,8 @@ def train(d_u: np.ndarray, d_s, config: TrainConfig, seed: int,
           theta: GenerativeParams | None = None,
           phi: InferenceParams | None = None,
           start_epoch: int = 0):
-    """Fit (theta, phi) on unlabeled pixels d_u and labeled triples d_s.
+    """Fit (theta, phi) on unlabeled pixels d_u and the labeled triples d_s,
+    the (Y, A, M) arrays of shapes (n, L), (n, P), (n, P, L).
 
     Deterministic given ``seed``: initialization, batch order, and every
     sampled noise value flow from named substreams of one seed sequence.
@@ -356,7 +346,7 @@ def train(d_u: np.ndarray, d_s, config: TrainConfig, seed: int,
     d_u = np.asarray(d_u, dtype=np.float64)
     if d_u.ndim != 2 or not len(d_u):
         raise InputError("unlabeled data must be a nonempty (N, L) array")
-    y_s, a_s, m_s = _supervised_arrays(d_s)
+    y_s, a_s, m_s = (np.asarray(x, np.float64) for x in d_s)
     ss = np.random.SeedSequence(seed)
     init_ss, order_ss, noise_ss = ss.spawn(3)
     if theta is None or phi is None:

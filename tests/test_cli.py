@@ -160,21 +160,31 @@ class TestExitCodes:
         assert "--snr" in capsys.readouterr().err
         assert os.listdir(out) == []
 
-    @pytest.mark.parametrize("flag, value", [("--width", "0"),
-                                             ("--height", "0"),
-                                             ("--width", "-3"),
-                                             ("--endmembers", "0")])
-    def test_bad_size_exits_2_before_writing(self, tmp_path, capsys, flag,
-                                             value):
-        out = tmp_path / "scene"
-        out.mkdir()
+    @pytest.mark.parametrize("kind, flag, value, rule", [
+        ("dc2", "--width", "0", ">= 1, got 0"),
+        ("dc2", "--height", "0", ">= 1, got 0"),
+        ("dc2", "--width", "-3", ">= 1, got -3"),
+        ("dc2", "--endmembers", "0", ">= 1, got 0"),
+        ("dc1", "--bands", "8", ">= 16, got 8"),
+        ("dc2", "--bands", "15", ">= 16, got 15"),
+        ("dc2", "--variability", "0.9", "in [0, 0.5], got 0.9"),
+        ("dc2", "--variability", "-0.1", "in [0, 0.5], got -0.1"),
+        ("dc2", "--variability", "nan", "in [0, 0.5], got nan")])
+    def test_bad_size_exits_2_before_writing(self, tmp_path, capsys, kind,
+                                             flag, value, rule):
+        """Into an empty directory it leaves empty, or one that did not
+        exist, which it does not make."""
         size = {"--bands": "16", "--width": "4", "--height": "4", flag: value}
-        capsys.readouterr()
-        rc = cli.main(["generate", "dc2", str(out)]
-                      + [arg for item in size.items() for arg in item])
-        assert rc == 2
-        assert f"{flag} must be >= 1, got {value}" in capsys.readouterr().err
-        assert os.listdir(out) == []
+        for made in (True, False):
+            out = tmp_path / f"scene_{made}"
+            if made:
+                out.mkdir()
+            capsys.readouterr()
+            rc = cli.main(["generate", kind, str(out)]
+                          + [arg for item in size.items() for arg in item])
+            assert rc == 2
+            assert f"{flag} must be {rule}" in capsys.readouterr().err
+            assert os.listdir(out) == [] if made else not out.exists()
 
     @pytest.mark.parametrize("snr", ["inf", "nan", "1e10", "-1e10"])
     def test_unusable_selfsup_snr_exits_2_before_writing(self, scene, tmp_path,
@@ -395,14 +405,16 @@ def _copy_cube(scene, name: str) -> str:
     return base
 
 
-def _edit_header(base: str, key: str, value):
-    """Set one header entry of a bundle; None removes it."""
+def _edit_header(base: str, key: str, value, table: str | None = None):
+    """Set one entry of a JSON file, or of its object ``table``; None
+    removes it."""
     with open(base + ".json") as f:
         header = json.load(f)
+    entries = header if table is None else header[table]
     if value is None:
-        del header[key]
+        del entries[key]
     else:
-        header[key] = value
+        entries[key] = value
     with open(base + ".json", "w") as f:
         json.dump(header, f)
 
@@ -412,10 +424,8 @@ def _supervised(scene) -> str:
     base = str(scene["root"] / "sup_valid")
     if not os.path.exists(base + ".json"):
         rng = np.random.default_rng(2)
-        dt.save_supervised(base, [
-            dt.SupervisedSample(y=rng.random(BANDS), a=np.eye(P)[j],
-                                em=rng.random((P, BANDS)))
-            for j in range(P)])
+        dt.save_supervised(base, rng.random((P, BANDS)), np.eye(P),
+                           rng.random((P, P, BANDS)))
     return base
 
 
@@ -428,15 +438,57 @@ class TestBundles:
                        str(scene["root"] / ("run_" + os.path.basename(cube)))])
         return rc, capsys.readouterr().err
 
-    @pytest.mark.parametrize("key", ["width", "height", "bands"])
-    def test_boolean_header_field_exits_2(self, scene, capsys, key):
-        base = _copy_cube(scene, f"bool_{key}")
-        _edit_header(base, key, True)
+    # the product of width and height must be the pixel count, else the
+    # error names width
+    @pytest.mark.parametrize("key, value, named", [
+        ("width", True, "width"), ("height", True, "height"),
+        ("width", 0, "width"), ("height", "8", "height"),
+        ("height", None, "height"), ("width", WIDTH + 1, "width"),
+        ("height", 2 * HEIGHT, "width")])
+    def test_bad_scene_size_exits_2(self, scene, capsys, key, value, named):
+        base = _copy_cube(scene, f"size_{key}_{value}")
+        _edit_header(base, key, value, "meta")
         with pytest.raises(BundleError) as exc_info:
             dt.load_cube(base)
-        assert exc_info.value.field == key
+        assert exc_info.value.field == named
         rc, err = self._unmix_rc(scene, base, capsys)
-        assert rc == 2 and f"field: {key}" in err
+        assert rc == 2 and f"field: {named}" in err
+
+    # one header entry edited; None removes it
+    @pytest.mark.parametrize("key, value", [
+        ("format", None), ("format", "unmix-v2"), ("format", 1),
+        ("dtype", None), ("dtype", "f32le"), ("meta", None),
+        ("meta", [1]), ("arrays", None), ("arrays", [1])])
+    def test_bad_container_field_exits_2_before_writing(self, scene, capsys,
+                                                        key, value):
+        base = _copy_cube(scene, f"container_{key}_{value}")
+        _edit_header(base, key, value)
+        with pytest.raises(BundleError) as exc_info:
+            dt.open_cube(base)
+        assert exc_info.value.field == key
+        out = str(scene["root"] / f"run_container_{key}_{value}")
+        capsys.readouterr()
+        assert cli.main(["unmix", base, scene["ckpt"], out]) == 2
+        assert f"field: {key}" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
+    # the pixels' entry edited: past the payload's end, a count that is not
+    # the shape's, and shapes of the same count with 1 and 3 axes
+    @pytest.mark.parametrize("key, value", [
+        ("offset", 8), ("count", 1), ("shape", [WIDTH * HEIGHT * BANDS]),
+        ("shape", [WIDTH * HEIGHT, BANDS, 1])])
+    def test_bad_array_entry_exits_2(self, scene, capsys, key, value):
+        base = _copy_cube(scene, f"entry_{key}_{value}")
+        with open(base + ".json") as f:
+            header = json.load(f)
+        header["arrays"]["pixels"][key] = value
+        with open(base + ".json", "w") as f:
+            json.dump(header, f)
+        with pytest.raises(BundleError) as exc_info:
+            dt.open_cube(base)
+        assert exc_info.value.field == "pixels"
+        rc, err = self._unmix_rc(scene, base, capsys)
+        assert rc == 2 and "field: pixels" in err
 
     def test_truncated_payload_exits_2(self, scene, capsys):
         base = _copy_cube(scene, "truncated")
@@ -445,8 +497,8 @@ class TestBundles:
         rc, err = self._unmix_rc(scene, base, capsys)
         assert rc == 2
         n = WIDTH * HEIGHT * BANDS
-        assert f"payload holds {n - 1} values, header implies {n}" in err
-        assert "field: bands" in err
+        assert f"{base}.raw: payload holds {n - 1} values, the array ends " \
+               f"at value {n} (field: pixels)" in err
 
     def test_missing_payload_exits_2(self, scene, capsys):
         base = _copy_cube(scene, "no_raw")
@@ -454,24 +506,21 @@ class TestBundles:
         rc, err = self._unmix_rc(scene, base, capsys)
         assert rc == 2 and "no_raw.raw" in err
 
-    # a value that disagrees with the record width names pixel_bands,
-    # whichever of pixel_bands and components is wrong
-    @pytest.mark.parametrize("key,value,named", [
-        ("count", True, "count"), ("count", 0, "count"),
-        ("count", P + 1, "count"), ("pixel_bands", True, "pixel_bands"),
-        ("pixel_bands", -1, "pixel_bands"),
-        ("pixel_bands", BANDS + 1, "pixel_bands"),
-        ("components", True, "components"), ("components", "3", "components"),
-        ("components", P + 1, "pixel_bands")])
-    def test_bad_supervised_header_exits_2(self, scene, capsys, key, value,
-                                           named):
-        base = str(scene["root"] / f"sup_{key}_{value}")
+    # (y, a, m) shapes; the error names the first array that disagrees
+    # with y and a, or that has the wrong number of axes
+    @pytest.mark.parametrize("case, shapes, named", [
+        ("a_rows", ((P, BANDS), (P + 1, P), (P, P, BANDS)), "a"),
+        ("a_columns", ((P, BANDS), (P, P + 1), (P, P, BANDS)), "m"),
+        ("m_bands", ((P, BANDS), (P, P), (P, P, BANDS + 1)), "m"),
+        ("m_rows", ((P, BANDS), (P, P), (P + 1, P, BANDS)), "m"),
+        ("y_axes", ((P, BANDS, 1), (P, P), (P, P, BANDS)), "y"),
+        ("m_axes", ((P, BANDS), (P, P), (P, P * BANDS)), "m")])
+    def test_mismatched_supervised_shapes_exit_2(self, scene, capsys, case,
+                                                 shapes, named):
+        base = str(scene["root"] / f"sup_shapes_{case}")
         rng = np.random.default_rng(2)
-        dt.save_supervised(base, [
-            dt.SupervisedSample(y=rng.random(BANDS), a=np.eye(P)[j],
-                                em=rng.random((P, BANDS)))
-            for j in range(P)])
-        _edit_header(base, key, value)
+        ct.write_container(base, {}, {name: rng.random(shape) for name, shape
+                                      in zip(("y", "a", "m"), shapes)})
         with pytest.raises(BundleError) as exc_info:
             dt.load_supervised(base)
         assert exc_info.value.field == named
@@ -482,12 +531,9 @@ class TestBundles:
 
     def test_non_finite_supervised_value_exits_2(self, scene, capsys):
         base = str(scene["root"] / "sup_nan")
-        for ext in (".json", ".raw"):
-            shutil.copyfile(_supervised(scene) + ext, base + ext)
-        payload = np.fromfile(base + ".raw", dtype="<f8")
-        record = BANDS + P + BANDS * P
-        payload[2 * record + BANDS + P + 7] = np.nan   # sample 2, its M
-        payload.tofile(base + ".raw")
+        y, a, m = dt.load_supervised(_supervised(scene))
+        m[2, 0, 7] = np.nan
+        dt.save_supervised(base, y, a, m)
         with pytest.raises(InputError):
             dt.load_supervised(base)
         capsys.readouterr()
@@ -495,20 +541,34 @@ class TestBundles:
                        str(scene["root"] / "sup_nan_ckpt"), "--epochs", "1"])
         err = capsys.readouterr().err
         assert rc == 2 and base in err
-        assert f"pixel 2 (row 0, column 2), band {BANDS + P + 7}" in err
+        assert "m has a non-finite value (nan) at sample 2, endmember 0, " \
+               "band 7" in err
 
-    @pytest.mark.parametrize("value", [True, False, 0, None])
-    def test_bad_endmember_components_exits_2(self, scene, capsys, value):
-        truth = str(scene["root"] / f"em_components_{value}")
+    # a per-pixel stack of 4 or 1 axes, and one without a width
+    @pytest.mark.parametrize("case, named", [
+        ("4_axes", "endmembers"), ("1_axis", "endmembers"),
+        ("no_width", "width")])
+    def test_bad_endmember_stack_exits_2(self, scene, capsys, case, named):
+        truth = str(scene["root"] / f"em_{case}")
         shutil.copytree(os.path.dirname(scene["cube"]), truth)
-        _edit_header(os.path.join(truth, "endmembers"), "components", value)
+        base = os.path.join(truth, "endmembers")
+        with open(base + ".json") as f:
+            header = json.load(f)
+        entry = header["arrays"]["endmembers"]
+        if case == "no_width":
+            del header["meta"]["width"]
+        else:
+            entry["shape"] = (entry["shape"] + [1] if case == "4_axes"
+                              else [entry["count"]])
+        with open(base + ".json", "w") as f:
+            json.dump(header, f)
         with pytest.raises(BundleError) as exc_info:
-            dt.load_endmembers(os.path.join(truth, "endmembers"))
-        assert exc_info.value.field == "components"
+            dt.load_endmembers(base)
+        assert exc_info.value.field == named
         capsys.readouterr()
-        rc = cli.main(["eval", truth, _unmix(scene, f"em_est_{value}"),
-                       str(scene["root"] / f"em_{value}.csv")])
-        assert rc == 2 and "field: components" in capsys.readouterr().err
+        rc = cli.main(["eval", truth, _unmix(scene, f"em_est_{case}"),
+                       str(scene["root"] / f"em_{case}.csv")])
+        assert rc == 2 and f"field: {named}" in capsys.readouterr().err
 
     # one manifest entry edited; value None removes the key.  The scalar
     # entry makes true pass as the int 1 unless bools are rejected.
@@ -643,48 +703,75 @@ class TestBundles:
             assert f.read() == np.ascontiguousarray(stack, "<f8").tobytes()
         np.testing.assert_array_equal(dt.load_endmembers(base), stack)
 
-    def test_non_contiguous_payload_is_written_in_row_slices(self, tmp_path):
-        stack = np.random.default_rng(4).random((20000, BANDS, P))
-        stack = stack.transpose(0, 2, 1)
-        base = str(tmp_path / "em")
-        tracemalloc.start()
-        try:
-            dt.save_endmembers(base, stack, len(stack), 1)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < stack.nbytes / 4, (peak, stack.nbytes)
-        with open(base + ".raw", "rb") as f:
-            assert f.read() == np.ascontiguousarray(stack, "<f8").tobytes()
-
     def test_payload_reader_reads_row_blocks(self, tmp_path):
-        stack = np.random.default_rng(5).random((7, BANDS, P))
-        path = str(tmp_path / "stack.raw")
-        ct.write_f64(path, [stack])
-        reader = ct.PayloadReader(path, stack.shape)
-        assert (reader.shape, reader.ndim, len(reader)) == (stack.shape, 3, 7)
+        rng = np.random.default_rng(5)
+        arrays = {"head": rng.random((3, BANDS)),
+                  "stack": rng.random((7, P, BANDS))}
+        base = str(tmp_path / "stacks")
+        ct.write_container(base, {"note": 1}, arrays)
+        meta, readers = ct.open_container(base)
+        assert meta == {"note": 1} and readers.keys() == arrays.keys()
+        reader = readers["stack"]
+        assert (reader.shape, reader.ndim, len(reader)) == \
+            ((7, P, BANDS), 3, 7)
+        assert reader.offset == 8 * 3 * BANDS
+        stack = arrays["stack"]
         for rows in (slice(0, 3), slice(3, 7), slice(5, 99), slice(7, 9),
                      slice(None)):
             assert reader[rows].tobytes() == stack[rows].tobytes()
-        # the size is checked when the reader is made, and again as it reads
+        assert readers["head"][:].tobytes() == arrays["head"].tobytes()
+        # the size is checked when the container is opened, and again as a
+        # reader reads
+        _resize_payload(base + ".raw", 1)
         with pytest.raises(BundleError, match="header implies"):
-            ct.PayloadReader(path, (8, BANDS, P))
-        with open(path, "r+b") as f:
-            f.truncate(8 * BANDS * P * 6)
+            ct.open_container(base)
+        with open(base + ".raw", "r+b") as f:
+            f.truncate(8 * (3 * BANDS + 6 * BANDS * P))
         with pytest.raises(BundleError, match="ended early"):
             reader[5:7]
 
-    def test_wrong_role_exits_2(self, scene, capsys):
-        est = str(scene["root"] / "wrong_role")
-        shutil.copytree(_unmix(scene, "wrong_role_src"), est)
+    def test_older_checkpoint_format_unmixes_the_same_bytes(self, scene):
+        """A checkpoint that says ``unmix-ckpt-v1``, the format checkpoints
+        had before every file was a container, reads as one that says
+        ``unmix-v1``."""
+        base = str(scene["root"] / "ckpt_v1")
         for ext in (".json", ".raw"):
-            shutil.copyfile(os.path.join(est, "eta_d" + ext),
-                            os.path.join(est, "abundances_est" + ext))
+            shutil.copyfile(scene["ckpt"] + ext, base + ext)
+        _edit_header(base, "format", "unmix-ckpt-v1")
+        out = str(scene["root"] / "run_ckpt_v1")
+        assert cli.main(["unmix", scene["cube"], base, out]) == 0
+        assert _files(out) == _files(_unmix(scene, "run_ckpt_v1_ref"))
+
+    @pytest.mark.parametrize("case, named", [
+        ("eta_d as abundances", "abundances"), ("renamed", "pixels"),
+        ("extra", "extra")])
+    def test_missing_or_unexpected_array_exits_2(self, scene, capsys, case,
+                                                 named):
+        """A bundle holds exactly its kind's arrays: a missing one is named,
+        and so is one more."""
+        root = scene["root"] / f"names_{case.replace(' ', '_')}"
+        truth, est = str(root / "truth"), str(root / "est")
+        shutil.copytree(os.path.dirname(scene["cube"]), truth)
+        shutil.copytree(self._estimates(scene), est)
+        cube = os.path.join(truth, "cube")
+        if case == "eta_d as abundances":
+            for ext in (".json", ".raw"):
+                shutil.copyfile(os.path.join(est, "eta_d" + ext),
+                                os.path.join(est, "abundances_est" + ext))
+        with open(cube + ".json") as f:
+            header = json.load(f)
+        if case == "renamed":
+            header["arrays"]["pixel"] = header["arrays"].pop("pixels")
+        elif case == "extra":
+            header["arrays"]["extra"] = {
+                "offset": os.path.getsize(cube + ".raw"), "count": 0,
+                "shape": [0]}
+        with open(cube + ".json", "w") as f:
+            json.dump(header, f)
         capsys.readouterr()
-        rc = cli.main(["eval", os.path.dirname(scene["cube"]), est,
-                       str(scene["root"] / "wrong_role.csv")])
-        err = capsys.readouterr().err
-        assert rc == 2 and "field: role" in err
+        assert cli.main(["eval", truth, est, str(root / "report.csv")]) == 2
+        assert f"field: {named}" in capsys.readouterr().err
+        assert not os.path.exists(root / "report.csv")
 
     def _estimates(self, scene) -> str:
         """One ``unmix`` output directory, made once and shared."""
@@ -734,21 +821,35 @@ class TestBundles:
         assert cli.main(argv) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
-    @pytest.mark.parametrize("reader, order", [("endmembers", "bip"),
-                                               ("supervised", "bip"),
-                                               ("cube", "bip-pl")])
-    def test_bundle_in_another_order_exits_2_before_writing(
-            self, scene, capsys, reader, order):
-        """Each role has one payload order.  A bundle in the older
-        (..., L, P) endmember layout holds as many values as one in the
-        (..., P, L) layout, so only its ``order`` tells them apart."""
-        root = scene["root"] / f"order_{reader}"
+    # Each kind's header as it was before every file was a container: no
+    # format, the array's shape in width, height, bands (and components).
+    _OLD_HEADERS = {
+        "cube": {"bands": BANDS},
+        "abundances": {"bands": P, "role": "abundances"},
+        "endmembers": {"bands": BANDS, "components": P,
+                       "role": "endmembers", "order": "bip-pl"},
+        "scalar_map": {"bands": 1, "role": "nonlinearity_degree"},
+        "supervised": {"width": P, "height": 1, "count": P,
+                       "bands": BANDS + P + BANDS * P, "pixel_bands": BANDS,
+                       "components": P, "role": "supervised",
+                       "order": "bip-pl"},
+    }
+
+    @pytest.mark.parametrize("reader", sorted(_OLD_HEADERS))
+    def test_bundle_of_the_older_header_exits_2_before_writing(
+            self, scene, capsys, reader):
+        """No reader of the older bundle header is kept: it has no
+        ``format``, and the error names that field."""
+        root = scene["root"] / f"old_header_{reader}"
         base, argv = self._json_case(scene, reader, root)
-        _edit_header(base, "order", order)
+        header = {"width": WIDTH, "height": HEIGHT, "dtype": "f64le",
+                  "order": "bip", **self._OLD_HEADERS[reader]}
+        with open(base + ".json", "w") as f:
+            json.dump(header, f)
         before = sorted(os.listdir(root))
         capsys.readouterr()
         assert cli.main(argv) == 2
-        assert "field: order" in capsys.readouterr().err
+        assert "field: format" in capsys.readouterr().err
         assert sorted(os.listdir(root)) == before
 
     @pytest.mark.parametrize("value", ["fast", True, [1.5]],
@@ -763,14 +864,14 @@ class TestBundles:
         assert rc == 2 and "field: wall_clock_s" in capsys.readouterr().err
 
     @pytest.mark.parametrize("name", ["abundances", "endmembers"])
-    def test_cube_with_a_role_exits_2(self, scene, capsys, name):
+    def test_other_bundle_as_cube_exits_2(self, scene, capsys, name):
         base = os.path.join(os.path.dirname(scene["cube"]), name)
         with pytest.raises(BundleError) as exc_info:
             dt.load_cube(base)
-        assert exc_info.value.field == "role"
+        assert exc_info.value.field == "pixels"
         capsys.readouterr()
         rc = cli.main(["selfsup", base, str(scene["root"] / f"sup_of_{name}")])
-        assert rc == 2 and "field: role" in capsys.readouterr().err
+        assert rc == 2 and "field: pixels" in capsys.readouterr().err
 
     @pytest.mark.parametrize("case", ["int", "str", "short", "str_item",
                                       "bool_item", "nan_item"])
@@ -780,27 +881,30 @@ class TestBundles:
                  "str_item": head + ["400"], "bool_item": head + [True],
                  "nan_item": head + [float("nan")]}[case]
         base = _copy_cube(scene, f"wavelengths_{case}")
-        _edit_header(base, "wavelengths", value)
+        _edit_header(base, "wavelengths", value, "meta")
         with pytest.raises(BundleError) as exc_info:
             dt.load_cube(base)
         assert exc_info.value.field == "wavelengths"
         rc, err = self._unmix_rc(scene, base, capsys)
         assert rc == 2 and "field: wavelengths" in err
 
-    def test_scalar_map_with_two_bands_exits_2(self, scene, capsys):
-        est = str(scene["root"] / "eta_two_bands")
+    def test_scalar_map_with_two_axes_exits_2(self, scene, capsys):
+        est = str(scene["root"] / "eta_two_axes")
         shutil.copytree(self._estimates(scene), est)
         eta = os.path.join(est, "eta_d")
-        # the payload still matches width * height * bands
-        _edit_header(eta, "height", HEIGHT // 2)
-        _edit_header(eta, "bands", 2)
+        # the same count, as (N / 2, 2)
+        with open(eta + ".json") as f:
+            header = json.load(f)
+        header["arrays"][dt.SCALAR_MAP]["shape"] = [WIDTH * HEIGHT // 2, 2]
+        with open(eta + ".json", "w") as f:
+            json.dump(header, f)
         with pytest.raises(BundleError) as exc_info:
             dt.load_scalar_map(eta)
-        assert exc_info.value.field == "bands"
+        assert exc_info.value.field == dt.SCALAR_MAP
         capsys.readouterr()
         rc = cli.main(["eval", os.path.dirname(scene["cube"]), est,
-                       str(scene["root"] / "eta_two_bands.csv")])
-        assert rc == 2 and "field: bands" in capsys.readouterr().err
+                       str(scene["root"] / "eta_two_axes.csv")])
+        assert rc == 2 and f"field: {dt.SCALAR_MAP}" in capsys.readouterr().err
 
 
 def _resize_payload(path: str, delta: int):
@@ -864,6 +968,42 @@ class TestStreamedBundles:
         assert rc == 2
         assert f"pixel {n - 2} (row 0, column {n - 2}), band 5" in err
         assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("bundle", ["cube", "reconstruction"])
+    def test_eval_nan_in_last_block_exits_2_naming_bundle(self, tmp_path,
+                                                          capsys, bundle):
+        n = 2 * ev.ROW_BLOCK + 37
+        truth, est = _eval_bundles(tmp_path, n, BANDS, P)
+        base = os.path.join(truth if bundle == "cube" else est, bundle)
+        pixels = dt.load_cube(base).pixels
+        pixels[n - 2, 5] = np.nan
+        dt.save_cube(base, dt.HyperCube(n, 1, pixels))
+        csv = str(tmp_path / "report.csv")
+        capsys.readouterr()
+        assert cli.main(["eval", truth, est, csv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {base}: {bundle} has a non-finite "
+                              f"value (nan) at pixel {n - 2}, band 5")
+        assert not os.path.exists(csv)
+
+    def test_eval_reads_each_cube_row_once(self, tmp_path, monkeypatch):
+        """The cube and the reconstruction are read by nrmse_y's pass
+        alone, which also looks for non-finite values."""
+        n = 2 * ev.ROW_BLOCK + 37
+        truth, est = _eval_bundles(tmp_path, n, BANDS, P)
+        reads = {}
+        getitem = ct.PayloadReader.__getitem__
+
+        def counted(reader, rows):
+            start, stop, _ = rows.indices(len(reader))
+            reads.setdefault(reader.path, np.zeros(len(reader), int))[
+                start:stop] += 1
+            return getitem(reader, rows)
+        monkeypatch.setattr(ct.PayloadReader, "__getitem__", counted)
+        assert cli.main(["eval", truth, est, str(tmp_path / "r.csv")]) == 0
+        for path in (os.path.join(truth, "cube.raw"),
+                     os.path.join(est, "reconstruction.raw")):
+            assert reads[path].tolist() == [1] * n, path
 
     def test_failure_in_second_block_exits_3_leaving_no_bundle(
             self, scene, monkeypatch, capsys):

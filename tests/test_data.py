@@ -77,16 +77,16 @@ def test_noiseless_supervised_set_is_one_hot_rows(scene_parts):
     cube, _ = dt.generate_dc1(maps, library, 40.0, np.random.default_rng(6),
                               width=W, height=H)
     ppx = dt.extract_pure_pixels(cube, library, 4)
-    samples = dt.build_supervised_set(ppx, 3, None, np.random.default_rng(8))
-    assert len(samples) == 3 * P
-    for i, s in enumerate(samples):
+    y, a, m = dt.build_supervised_set(ppx, 3, None, np.random.default_rng(8))
+    assert (y.shape, a.shape, m.shape) == ((3 * P, L), (3 * P, P),
+                                           (3 * P, P, L))
+    for i in range(3 * P):
         j = i % P
-        assert s.em.shape == (P, L)
-        np.testing.assert_array_equal(s.a, np.eye(P)[j])
-        np.testing.assert_array_equal(s.y, s.em[j])
+        np.testing.assert_array_equal(a[i], np.eye(P)[j])
+        np.testing.assert_array_equal(y[i], m[i, j])
         # row k of the matrix is one of endmember k's pure pixels
         for k in range(P):
-            assert (ppx.spectra[k] == s.em[k]).all(axis=1).any()
+            assert (ppx.spectra[k] == m[i, k]).all(axis=1).any()
 
 
 def test_endmember_stack_round_trip(tmp_path, scene_parts):
@@ -111,11 +111,10 @@ def test_supervised_round_trip(tmp_path, scene_parts):
     cube, _ = dt.generate_dc1(maps, library, 40.0, np.random.default_rng(10),
                               width=W, height=H)
     ppx = dt.extract_pure_pixels(cube, library, 4)
-    samples = dt.build_supervised_set(ppx, 2, 30.0, np.random.default_rng(11))
+    labelled = dt.build_supervised_set(ppx, 2, 30.0,
+                                       np.random.default_rng(11))
     base = str(tmp_path / "sup")
-    dt.save_supervised(base, samples)
-    y, a, m = dt.load_supervised(base)
-    assert m.shape == (len(samples), P, L)
-    for i, s in enumerate(samples):
-        assert (y[i].tobytes(), a[i].tobytes(), m[i].tobytes()) == \
-            (s.y.tobytes(), s.a.tobytes(), s.em.tobytes())
+    dt.save_supervised(base, *labelled)
+    back = dt.load_supervised(base)
+    assert back[2].shape == (2 * P, P, L)
+    assert [x.tobytes() for x in back] == [x.tobytes() for x in labelled]

@@ -294,9 +294,9 @@ def _scene(n: int, truth_shared: bool, estimate_shared: bool, seed: int):
     return cube, GroundTruth(abundances=a_true, endmembers=m_true), est
 
 
-def _on_disk(path, stack: np.ndarray) -> ct.PayloadReader:
-    ct.write_f64(str(path), [stack])
-    return ct.PayloadReader(str(path), stack.shape)
+def _on_disk(base, stack: np.ndarray) -> ct.PayloadReader:
+    ct.write_container(str(base), {}, {"endmembers": stack})
+    return ct.open_container(str(base))[1]["endmembers"]
 
 
 SCORES = ("nrmse_a", "nrmse_m", "sam_m", "nrmse_y", "eta_d_mean",
@@ -342,9 +342,9 @@ class TestBlockedEvaluate:
         report bytes of the same stacks in memory."""
         cube, truth, est = _scene(n, truth_shared, False, 3 * n)
         want = _same_report(cube, truth, est)
-        est.endmembers = _on_disk(tmp_path / "est.raw", est.endmembers)
+        est.endmembers = _on_disk(tmp_path / "est", est.endmembers)
         if not truth_shared:
-            truth.endmembers = _on_disk(tmp_path / "truth.raw",
+            truth.endmembers = _on_disk(tmp_path / "truth",
                                         truth.endmembers)
         got = ev.reports_to_csv([ev.evaluate(cube, truth, est)])
         assert got == want
@@ -389,11 +389,27 @@ class TestBlockedEvaluate:
         stack = truth.endmembers if which == "truth" else est.endmembers
         stack[2 * B + 5, 1, 7] = value
         stack[2 * B + 9, 0, 3] = value
-        with pytest.raises(ev.NonFiniteEndmembers) as exc_info:
+        with pytest.raises(ev.NonFiniteValue) as exc_info:
             ev.evaluate(cube, truth, est)
         assert exc_info.value.which == which
         assert exc_info.value.pixel == 2 * B + 5
         assert f"pixel {2 * B + 5}, band 7, column 1" in str(exc_info.value)
+
+    @pytest.mark.parametrize("which", ["cube", "reconstruction"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_pixel_names_cube_or_reconstruction(self, which,
+                                                           value):
+        """nrmse_y's pass, the one read of the cube and the
+        reconstruction, names the first non-finite pixel of either."""
+        cube, truth, est = _scene(3 * B + 7, False, False, 13)
+        rows = cube if which == "cube" else est.reconstruction
+        rows[2 * B + 5, 7] = value
+        rows[2 * B + 9, 3] = value
+        with pytest.raises(ev.NonFiniteValue) as exc_info:
+            ev.evaluate(cube, truth, est)
+        assert exc_info.value.which == which
+        assert exc_info.value.pixel == 2 * B + 5
+        assert f"pixel {2 * B + 5}, band 7" in str(exc_info.value)
 
     def test_peak_memory_does_not_grow_with_the_scene(self):
         """Besides its inputs, ``evaluate`` holds a block of each and arrays

@@ -12,6 +12,11 @@ alter them re-records the file with
     PYTHONPATH=src python tests/test_golden_cli.py
 
 which prints the entries that differ from the file it overwrites.
+
+Every ``.json``/``.raw`` pair the pipeline writes is a ``container``, and
+a wrong ``dtype``, an unknown ``format`` or a payload one value short in
+any of them makes the command that reads it exit 2 naming the field or
+the file.
 """
 
 import hashlib
@@ -19,8 +24,11 @@ import json
 import os
 import sys
 
+import pytest
+
 from conftest import changed_entries
 from unmix import cli
+from unmix import container as ct
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden_cli.json")
 SCENE = ["--width", "6", "--height", "6", "--bands", "24", "--endmembers", "3"]
@@ -84,6 +92,73 @@ def test_outputs_match_golden_digests_and_rerun_is_identical(tmp_path):
     assert first.keys() == golden.keys()
     for name in golden:
         assert first[name] == golden[name], name
+
+
+# A command that reads each container the pipeline writes, run in its
+# directory, and the outputs such a command would write.
+_EVAL_DC1 = ["eval", "dc1", "est", "new_report.csv"]
+_EVAL = ["eval", "dc2", "est", "new_report.csv"]
+_UNMIX = ["unmix", "dc2/cube", "model", "new_est"]
+READERS = {
+    "dc1/cube": ["selfsup", "dc1/cube", "new_sup", "--p", "3", "--n-ppx",
+                 "5", "--n-draws", "4"],
+    "dc1/abundances": _EVAL_DC1, "dc1/endmembers": _EVAL_DC1,
+    "dc2/cube": _UNMIX, "dc2/abundances": _EVAL, "dc2/endmembers": _EVAL,
+    "est/abundances_est": _EVAL, "est/endmembers_est": _EVAL,
+    "est/eta_d": _EVAL, "est/reconstruction": _EVAL,
+    "model": _UNMIX,
+    "sup": ["train", "dc2/cube", "sup", "new_model", "--epochs", "1"],
+}
+NEW_OUTPUTS = ("new_report.csv", "new_est", "new_sup.json", "new_model.json")
+
+
+@pytest.fixture(scope="module")
+def pipeline(tmp_path_factory) -> str:
+    root = str(tmp_path_factory.mktemp("pipeline"))
+    digests(root)
+    return root
+
+
+def test_every_file_but_the_manifests_is_a_container(pipeline):
+    names = {os.path.relpath(os.path.join(folder, name), pipeline)
+             for folder, _, files in os.walk(pipeline) for name in files}
+    pairs = {name[:-len(ext)] for name in names for ext in (".json", ".raw")
+             if name.endswith(ext) and not name.endswith("manifest.json")}
+    assert pairs == READERS.keys()
+    for base in pairs:
+        assert {base + ".json", base + ".raw"} <= names
+        ct.open_container(os.path.join(pipeline, base))
+
+
+@pytest.mark.parametrize("corruption", ["dtype", "format", "short"])
+@pytest.mark.parametrize("base", sorted(READERS))
+def test_bad_container_exits_2_through_its_reader(pipeline, monkeypatch,
+                                                  capsys, base, corruption):
+    monkeypatch.chdir(pipeline)
+    saved = {}
+    for ext in (".json", ".raw"):
+        with open(base + ext, "rb") as f:
+            saved[ext] = f.read()
+    try:
+        if corruption == "short":
+            with open(base + ".raw", "wb") as f:
+                f.write(saved[".raw"][:-8])
+            named = f"{base}.raw: payload holds"
+        else:
+            header = json.loads(saved[".json"])
+            header[corruption] = {"dtype": "f32le",
+                                  "format": "unmix-v0"}[corruption]
+            with open(base + ".json", "w") as f:
+                json.dump(header, f)
+            named = f"field: {corruption}"
+        capsys.readouterr()
+        assert cli.main(READERS[base]) == 2
+        assert named in capsys.readouterr().err
+        assert not any(os.path.exists(out) for out in NEW_OUTPUTS)
+    finally:
+        for ext, raw in saved.items():
+            with open(base + ext, "wb") as f:
+                f.write(raw)
 
 
 def test_changed_entries_name_what_a_re_record_moves(tmp_path):
