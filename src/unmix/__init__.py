@@ -20,7 +20,7 @@ from .diffcore import (AdamState, MlpParams, Tensor, adam_step, backward,
                        lr_schedule, mlp_forward)
 from .distributions import (DiagGaussian, DirichletParams, dirichlet_logpdf,
                             gaussian_logpdf, gaussian_rsample)
-from .generative import GenerativeParams, em_decode, log_joint, log_likelihood, mixing_mean
+from .generative import GenerativeParams, em_decode, log_likelihood, mixing_mean
 from .inference import (InferenceParams, abundance_concentration, encode_z,
                         init_model, lista_concentration, point_estimates,
                         posterior_sample)

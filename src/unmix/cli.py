@@ -315,17 +315,15 @@ def cmd_unmix(args) -> int:
 
 def _load_truth(truth_dir: str):
     """The cube, opened as a ``container.PayloadReader`` of its pixels, and
-    the truth, whose endmembers are a shared matrix or a reader of the
-    per-pixel stack."""
+    the truth: each of its bundles the directory holds, the endmembers as a
+    shared matrix or a reader of the per-pixel stack."""
     cube = dt.open_cube(os.path.join(truth_dir, "cube"))
     abundances = endmembers = None
     if os.path.exists(os.path.join(truth_dir, "abundances.json")):
         abundances, _, _ = dt.load_abundances(os.path.join(truth_dir, "abundances"))
     if os.path.exists(os.path.join(truth_dir, "endmembers.json")):
         endmembers = dt.open_endmembers(os.path.join(truth_dir, "endmembers"))
-    truth = (dt.GroundTruth(abundances=abundances, endmembers=endmembers)
-             if abundances is not None else None)
-    return cube, truth
+    return cube, dt.GroundTruth(abundances=abundances, endmembers=endmembers)
 
 
 def cmd_eval(args) -> int:

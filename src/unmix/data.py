@@ -28,7 +28,7 @@ __all__ = [
     "build_supervised_set", "save_cube", "cube_writer", "load_cube",
     "open_cube", "check_cube_finite", "save_abundances", "load_abundances",
     "save_endmembers", "endmember_writer", "load_endmembers", "open_endmembers",
-    "save_scalar_map", "load_scalar_map",
+    "save_scalar_map", "load_scalar_map", "check_simplex",
     "save_supervised", "load_supervised",
 ]
 
@@ -76,13 +76,14 @@ class PurePixelDict:
 
 @dataclass
 class GroundTruth:
-    """True abundances plus either one shared or per-pixel endmember matrices.
+    """True abundances and one shared or per-pixel endmember matrices;
+    ``evaluation.evaluate`` skips the scores of either that is missing.
 
     A per-pixel stack may stay on disk as a ``container.PayloadReader``
     (``open_endmembers``), which ``evaluation.evaluate`` reads in blocks.
     """
 
-    abundances: np.ndarray                 # (N, P) simplex rows
+    abundances: np.ndarray | None = None   # (N, P) simplex rows
     endmembers: np.ndarray | None = None   # (P, L) or (N, P, L)
 
 
@@ -166,7 +167,9 @@ def synth_abundance_maps(width: int, height: int, n_endmembers: int,
     return blurred.reshape(height * width, P)
 
 
-def _simplex_check(A: np.ndarray):
+def check_simplex(A: np.ndarray):
+    """Raise ``InputError`` unless every row of ``A`` lies on the unit
+    simplex: no entry below -1e-9 and a sum within 1e-6 of 1."""
     if np.any(A < -1e-9) or np.any(np.abs(A.sum(axis=-1) - 1.0) > 1e-6):
         raise InputError("abundance rows must lie on the unit simplex")
 
@@ -195,31 +198,18 @@ def _noise_sigma(clean: np.ndarray, snr_db: float | None) -> float:
     return float(np.sqrt(power / noise_power_ratio(snr_db)))
 
 
-def _spatial_dims(n: int, width, height) -> tuple[int, int]:
-    if width is not None and height is not None:
-        if width * height != n:
-            raise InputError("width * height must equal the abundance count")
-        return width, height
-    side = int(np.sqrt(n))
-    return (side, side) if side * side == n else (n, 1)
-
-
 def generate_dc1(abundances: np.ndarray, em_matrix: np.ndarray,
-                 snr_db: float | None = 30.0,
-                 rng: np.random.Generator | None = None,
-                 width: int | None = None, height: int | None = None,
-                 ) -> tuple[HyperCube, GroundTruth]:
+                 snr_db: float | None, rng: np.random.Generator,
+                 width: int, height: int) -> tuple[HyperCube, GroundTruth]:
     """Bilinear-mixture scene: y = a M + sum_{i<j} a_i a_j m_i * m_j + noise.
 
     The endmembers m_i are the rows of the (P, L) ``em_matrix``.  Noise is
     white Gaussian, scaled so the cube-level power ratio matches ``snr_db``
     (pass None for a noiseless cube).
     """
-    if rng is None:
-        rng = np.random.default_rng(0)
     A = np.asarray(abundances, dtype=np.float64)
     M = np.asarray(em_matrix, dtype=np.float64)
-    _simplex_check(A)
+    check_simplex(A)
     _, noise_rng = rng.spawn(2)
     clean = A @ M
     P = len(M)
@@ -228,16 +218,13 @@ def generate_dc1(abundances: np.ndarray, em_matrix: np.ndarray,
             clean = clean + np.outer(A[:, i] * A[:, j], M[i] * M[j])
     sigma = _noise_sigma(clean, snr_db)
     pixels = clean + sigma * noise_rng.standard_normal(clean.shape)
-    w, h = _spatial_dims(len(A), width, height)
-    cube = HyperCube(width=w, height=h, pixels=pixels)
+    cube = HyperCube(width=width, height=height, pixels=pixels)
     return cube, GroundTruth(abundances=A.copy(), endmembers=M.copy())
 
 
 def generate_dc2(abundances: np.ndarray, base_em: np.ndarray,
-                 variability_strength: float = 0.15,
-                 snr_db: float | None = 30.0,
-                 rng: np.random.Generator | None = None,
-                 width: int | None = None, height: int | None = None,
+                 variability_strength: float, snr_db: float | None,
+                 rng: np.random.Generator, width: int, height: int,
                  ) -> tuple[HyperCube, GroundTruth]:
     """Linear mixtures of per-pixel (P, L) endmembers: y_n = a_n M_n + e_n.
 
@@ -245,15 +232,13 @@ def generate_dc2(abundances: np.ndarray, base_em: np.ndarray,
     by a smooth zero-mean spectral bump, so signatures change shape (not just
     amplitude) while averaging to the drawn scale across bands.
     """
-    if rng is None:
-        rng = np.random.default_rng(0)
     v = float(variability_strength)
     if not 0.0 <= v <= MAX_VARIABILITY:
         raise InputError(f"variability strength must be in "
                          f"[0, {MAX_VARIABILITY}], got {v}")
     A = np.asarray(abundances, dtype=np.float64)
     M0 = np.asarray(base_em, dtype=np.float64)
-    _simplex_check(A)
+    check_simplex(A)
     n, (P, L) = len(A), M0.shape
     var_rng, noise_rng = rng.spawn(2)
     if v > 0.0:
@@ -283,8 +268,7 @@ def generate_dc2(abundances: np.ndarray, base_em: np.ndarray,
     clean = np.einsum("npl,np->nl", em_stack, A)
     sigma = _noise_sigma(clean, snr_db)
     pixels = clean + sigma * noise_rng.standard_normal(clean.shape)
-    w, h = _spatial_dims(n, width, height)
-    cube = HyperCube(width=w, height=h, pixels=pixels)
+    cube = HyperCube(width=width, height=height, pixels=pixels)
     return cube, GroundTruth(abundances=A.copy(), endmembers=em_stack)
 
 

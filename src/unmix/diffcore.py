@@ -7,10 +7,12 @@ for every loss evaluation; only parameter tensors persist.  One rule
 decides what a graph records: a tensor needs a gradient if and only if a
 parameter feeds it, so an op on constants alone records nothing, a
 forward-only pass is a pass over constants, and no VJP computes or
-receives a constant operand's cotangent.  An ``MlpParams`` is one network
-or a bank of P networks of one shape stacked along a leading axis; the
-bank's P is the only batch axis that reaches ``matmul``, every other
-leading axis being folded into the rows of each layer's product.
+receives a constant operand's cotangent.  Each arithmetic op records one
+node: ``a - b`` is a subtraction node, not a negation feeding an addition.
+An ``MlpParams`` is one network or a bank of P networks of one shape
+stacked along a leading axis; the bank's P is the only batch axis that
+reaches ``matmul``, every other leading axis being folded into the rows of
+each layer's product.
 
 Training packs the parameters into a ``ParamArena``, owned by the
 ``AdamState`` that ``AdamState.create`` builds: one contiguous float64
@@ -122,10 +124,12 @@ class Tensor:
         return Tensor(-self.data, (self,), lambda g: (-g,))
 
     def __sub__(self, other):
-        return self + (-as_tensor(other))
+        other = as_tensor(other)
+        return Tensor(self.data - other.data, (self, other),
+                      _binary_vjp(self, other, lambda g: g, lambda g: -g))
 
     def __rsub__(self, other):
-        return as_tensor(other) + (-self)
+        return as_tensor(other) - self
 
     def __truediv__(self, other):
         other = as_tensor(other)

@@ -16,14 +16,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import special as _sp
 
 from . import diffcore as dc
 from .diffcore import MlpParams, Tensor, as_tensor, mlp_forward
-from .distributions import (DiagGaussian, DirichletParams, dirichlet_logpdf,
-                            gaussian_logpdf, std_normal_logpdf)
+from .distributions import DiagGaussian, gaussian_logpdf
 
 __all__ = ["GenerativeParams", "em_decode", "mixing_mean", "log_likelihood",
-           "log_joint", "decoder_widths"]
+           "flat_abundance_logpdf", "decoder_widths"]
 
 # Initial spreads; positive scalars live as logs.  The observation scale
 # matches a ~30 dB noise floor at unit signal.  The endmember scale must
@@ -137,20 +137,10 @@ def log_likelihood(y, a, M, theta: GenerativeParams) -> Tensor:
 
 
 def flat_abundance_logpdf(a, n_endmembers: int) -> Tensor:
-    """log Dir(a; 1_P): constant log((P-1)!) for interior a."""
-    conc = dc.constant(np.ones(n_endmembers))
-    return dirichlet_logpdf(a, DirichletParams(concentration=conc))
+    """log Dir(a; 1_P) = log Γ(P) for each row of ``a``, as a constant.
 
-
-def log_joint(y, a, M, Z, theta: GenerativeParams) -> Tensor:
-    """log p(y, a, M, Z): likelihood + abundance prior + EM model + latent prior.
-
-    ``M`` (..., P, L) and ``Z`` (..., P, H) hold endmembers and latent codes
-    as rows.
+    The flat prior's gradient in ``a`` is zero everywhere, so it records no
+    node.  The value is bitwise ``dirichlet_logpdf``'s at concentration 1.
     """
-    total = log_likelihood(y, a, M, theta)
-    total = total + flat_abundance_logpdf(a, theta.n_endmembers)
-    m_first, z_first = dc.moveaxis(M, -2, 0), dc.moveaxis(Z, -2, 0)
-    per_endmember = (gaussian_logpdf(m_first, em_decode(z_first, theta))
-                     + std_normal_logpdf(z_first))          # (P, ...)
-    return total + per_endmember.sum(axis=0)
+    return dc.constant(np.full(as_tensor(a).shape[:-1],
+                               _sp.gammaln(n_endmembers)))

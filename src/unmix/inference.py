@@ -193,25 +193,26 @@ def lista_concentration(y, M, phi: InferenceParams) -> Tensor:
     n_layers - 2 shrinkage steps h <- relu(h - eta (G h - b) - eta eta_sp),
     and scales by the uncertainty factor.  ``y``: (..., L); ``M``: (..., P, L).
 
-    The steps use the Gram form: G = M M^T (..., P, P) and b = M y
-    (..., P) are formed once per pass, so each layer costs a P x P product
-    in place of two L x P ones.  The reverse pass reaches M through G and b
-    and the step scalars through every layer; the warm start and ``y`` are
-    treated as data.
+    The steps use the Gram form: G = M M^T (..., P, P) and b = M y are
+    formed once per pass, so each layer costs a P x P product in place of
+    two L x P ones.  h and b are (..., P, 1) columns from the warm start
+    on, so G h is one ``matmul`` node, and one reshape at the end gives
+    (..., P).  The reverse pass reaches M through G and b and the step
+    scalars through every layer; the warm start and ``y`` are data.
     """
     M = as_tensor(M)
     y_arr = y.data if isinstance(y, Tensor) else np.asarray(y, dtype=np.float64)
     if M.shape[-1] != y_arr.shape[-1]:
         raise ShapeError(f"M has {M.shape[-1]} bands, y has {y_arr.shape[-1]}")
-    h = dc.constant(_least_squares_start(M.data, y_arr))
+    h = dc.constant(_least_squares_start(M.data, y_arr)[..., None])
     gram = dc.matmul(M, M.transpose())
-    b = dc.matmul(M, dc.constant(y_arr[..., None])).reshape(h.shape)
+    b = dc.matmul(M, dc.constant(y_arr[..., None]))
     eta_sp = dc.exp(phi.lista.log_eta_sparse)
     for m in range(phi.lista.n_layers - 2):
         eta = dc.exp(phi.lista.log_eta_steps[m])
-        grad = dc.matmul(gram, h.reshape(h.shape + (1,))).reshape(h.shape) - b
+        grad = dc.matmul(gram, h) - b
         h = dc.relu(h - eta * grad - eta_sp * eta)
-    return dc.exp(phi.lista.log_eta_unc) * h
+    return dc.exp(phi.lista.log_eta_unc) * h.reshape(h.shape[:-1])
 
 
 def abundance_streams(y, M, phi: InferenceParams) -> tuple[Tensor, Tensor]:

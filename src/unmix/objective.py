@@ -31,6 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import diffcore as dc
+from .data import check_simplex
 from .diffcore import AdamState, Tensor, adam_step, backward, lr_schedule
 from .distributions import (DiagGaussian, RngNoise, dirichlet_logpdf,
                             gaussian_logpdf, gaussian_rsample,
@@ -121,8 +122,6 @@ def unsup_term(y, theta: GenerativeParams, phi: InferenceParams, noise,
     sparsity penalty.
     """
     _assert_shared(theta, phi)
-    if isinstance(noise, np.random.Generator):
-        noise = RngNoise(noise)
     y_b = _as_batch(y)
     total = None
     concentrations = []
@@ -173,11 +172,6 @@ def importance_weights(em_matrix, z, theta: GenerativeParams
     return ImportanceWeights(log_weights=log_w, normalized=norm)
 
 
-def _check_simplex(a: np.ndarray):
-    if np.any(a < -1e-9) or np.any(np.abs(a.sum(axis=-1) - 1.0) > 1e-6):
-        raise InputError("observed abundances must lie on the unit simplex")
-
-
 def sup_term(y, a, em_matrix, theta: GenerativeParams, phi: InferenceParams,
              noise, k: int = 5) -> tuple[Tensor, Tensor, Tensor]:
     """Supervised bound pieces for labeled triples, summed over the batch.
@@ -189,15 +183,13 @@ def sup_term(y, a, em_matrix, theta: GenerativeParams, phi: InferenceParams,
     penalty.
     """
     _assert_shared(theta, phi)
-    if isinstance(noise, np.random.Generator):
-        noise = RngNoise(noise)
     y_b = _as_batch(y)
     a_b = _as_batch(a)
     em = np.asarray(em_matrix.data if isinstance(em_matrix, Tensor)
                     else em_matrix, dtype=np.float64)
     if em.ndim == 2:
         em = em[None, :, :]
-    _check_simplex(a_b)
+    check_simplex(a_b)
     B = y_b.shape[0]
     P, H = phi.n_endmembers, phi.latent_dim
 
@@ -268,10 +260,9 @@ def total_loss(batch_u, batch_s, theta: GenerativeParams, phi: InferenceParams,
     """Assemble the maximized objective on one (possibly partial) batch.
 
     ``batch_u``: (B, L) unlabeled pixels or None; ``batch_s``: tuple
-    (Y, A, M) of labeled arrays or None.
+    (Y, A, M) of labeled arrays or None; ``noise``: a noise source, such as
+    ``RngNoise``.
     """
-    if isinstance(noise, np.random.Generator):
-        noise = RngNoise(noise)
     zero = dc.constant(0.0)
     unsup, gamma_u = zero, []
     if batch_u is not None and len(batch_u):

@@ -21,6 +21,7 @@ from unmix import diffcore as dc
 from unmix import evaluation as ev
 from unmix import inference as inf
 from unmix import objective as ob
+from unmix.distributions import RngNoise
 from unmix.errors import BundleError, InputError, TrainingError
 from unmix.objective import TrainConfig, total_loss
 
@@ -333,7 +334,7 @@ class TestResume:
             params = inf.model_parameters(theta, phi)
             dc.AdamState.create(params)
             bd = total_loss(batch_u, batch_s, theta, phi, TrainConfig(),
-                            np.random.default_rng(3))
+                            RngNoise(np.random.default_rng(3)))
             grads.append({n: g.copy() for n, g in
                           dc.backward(-bd.node, params).items()})
         assert grads[0].keys() == grads[1].keys() == arrays.keys()

@@ -325,6 +325,20 @@ class TestBackward:
             assert np.max(np.abs(folded[k] - acc[k])) \
                 <= 1e-12 * np.max(np.abs(acc[k]))
 
+    @pytest.mark.parametrize("q_shape", [(3, 4), (4,), (3, 1)])
+    def test_subtraction_is_one_node(self, rng, q_shape):
+        p = dc.parameter(rng.standard_normal((3, 4)), "p")
+        q = dc.parameter(rng.standard_normal(q_shape), "q")
+        loss = (p - q).sum()
+        walked = dc._toposort(loss)
+        assert len(walked) == 4 and walked[-1] is loss
+        assert {id(t) for t in walked[:2]} == {id(p), id(q)}
+        assert walked[2]._parents == (p, q)
+        params = {"p": p, "q": q}
+        grads = dc.backward(loss, params)
+        fd = fd_param_grads(lambda: (p - q).sum().item(), params)
+        assert max_rel_err(grads, fd) < 1e-6
+
     def test_shared_operand_accumulates(self):
         x = dc.parameter(np.array([2.0]), "x")
         loss = (x * x + x * 3.0).sum()
@@ -452,9 +466,9 @@ class TestRequiresGrad:
         c = dc.constant(rng.standard_normal((3, 3)))
         p = dc.parameter(rng.standard_normal((3, 3)), "p")
         g = np.ones((3, 3))
-        for out in (p + c, p * c, p / c, dc.matmul(p, c)):
+        for out in (p + c, p - c, p * c, p / c, dc.matmul(p, c)):
             assert out._vjp(g)[1] is None and out._vjp(g)[0] is not None
-        for out in (c + p, c * p, c / p, dc.matmul(c, p)):
+        for out in (c + p, c - p, c * p, c / p, dc.matmul(c, p)):
             assert out._vjp(g)[0] is None and out._vjp(g)[1] is not None
         # the reverse walk does not reach constants at all
         loss = (p * c + c).sum()

@@ -1,14 +1,16 @@
-"""Mixing model: endmember decoders, mixing mean, likelihood, joint density."""
+"""Mixing model: endmember decoders, mixing mean, likelihood, flat prior."""
 
 import math
 
 import numpy as np
 import pytest
+from scipy.special import gammaln
 
 from conftest import fd_param_grads, max_rel_err, one_network, zero_mlp
 from unmix import diffcore as dc
 from unmix import generative as gen
-from unmix.distributions import DiagGaussian, gaussian_logpdf
+from unmix.distributions import (DiagGaussian, DirichletParams,
+                                 dirichlet_logpdf, gaussian_logpdf)
 from unmix.errors import ShapeError
 
 L, P, H = 12, 3, 2
@@ -164,74 +166,19 @@ class TestLogLikelihood:
         assert abs(got - want) < 1e-12
 
 
-class TestLogJoint:
-    def _parts(self, theta, y, a, M, Z):
-        from unmix.distributions import gaussian_logpdf, std_normal_logpdf
-        total = gen.log_likelihood(y, a, M, theta).item()
-        total += gen.flat_abundance_logpdf(a, P).item()
-        for k in range(P):
-            d = DiagGaussian(
-                mean=dc.mlp_forward(one_network(theta.em_decoder, k), Z[k]),
-                scale=dc.constant(math.exp(theta.em_log_scale.data[k])))
-            total += gaussian_logpdf(M[k], d).item()
-            total += std_normal_logpdf(dc.constant(Z[k])).item()
-        return total
-
-    def test_additivity(self, theta, rng):
-        y = rng.uniform(0, 1, L)
-        a = np.array([0.2, 0.3, 0.5])
-        M = rng.uniform(0, 1, (P, L))
-        Z = rng.standard_normal((P, H))
-        got = gen.log_joint(y, a, M, Z, theta).item()
-        assert abs(got - self._parts(theta, y, a, M, Z)) < 1e-9
-
+class TestFlatPrior:
     def test_flat_prior_contribution_constant(self):
         for a in ([0.1, 0.2, 0.7], [0.4, 0.4, 0.2]):
             val = gen.flat_abundance_logpdf(np.array(a), 3).item()
             assert abs(val - math.log(2.0)) < 1e-9
 
-    def test_permutation_symmetry_with_tied_decoders(self, theta, rng):
-        # tie all decoders and spreads, then permute (a, M, Z) jointly;
-        # the free-form nonlinear term is off (it is not index-symmetric)
-        zero_nonlinearity(theta)
-        for t in (*theta.em_decoder.weights, *theta.em_decoder.biases,
-                  theta.em_log_scale):
-            t.data[1:] = t.data[0]
-        y = rng.uniform(0, 1, L)
-        a = np.array([0.2, 0.3, 0.5])
-        M = rng.uniform(0, 1, (P, L))
-        Z = rng.standard_normal((P, H))
-        perm = np.array([2, 0, 1])
-        base = gen.log_joint(y, a, M, Z, theta).item()
-        permuted = gen.log_joint(y, a[perm], M[perm], Z[perm], theta).item()
-        assert abs(base - permuted) < 1e-9
-
-    def test_finite_for_interior_inputs(self, theta, rng):
-        for _ in range(5):
-            y = rng.uniform(0, 1, L)
-            a = rng.dirichlet(np.ones(P))
-            a = np.clip(a, 1e-6, 1.0)
-            a /= a.sum()
-            M = rng.uniform(0, 1, (P, L))
-            Z = rng.standard_normal((P, H)) * 2
-            assert math.isfinite(gen.log_joint(y, a, M, Z, theta).item())
-
-    def test_gradient_matches_finite_differences(self, rng):
-        # toy instance, deterministic path: tolerance 1e-4.  Biases are
-        # nudged off zero so no pre-activation sits exactly on a relu kink.
-        theta = gen.GenerativeParams.create(6, 2, 2, rng)
-        for net in (theta.em_decoder, theta.nlin_mixing):
-            for b in net.biases:
-                b.data = b.data + rng.uniform(-0.1, 0.1, b.data.shape)
-        y = rng.uniform(0, 1, 6)
-        a = np.array([0.4, 0.6])
-        M = rng.uniform(0, 1, (2, 6))
-        Z = rng.standard_normal((2, 2))
-        params = theta.named_parameters()
-        grads = dc.backward(gen.log_joint(y, a, M, Z, theta), params)
-
-        def loss_fn():
-            return gen.log_joint(y, a, M, Z, theta).item()
-
-        fd = fd_param_grads(loss_fn, params)
-        assert max_rel_err(grads, fd) < 1e-4
+    @pytest.mark.parametrize("n_endmembers", [2, 3, 5])
+    def test_parameter_input_records_no_node(self, rng, n_endmembers):
+        # a constant log Gamma(P) per row, bitwise the Dirichlet(1) density
+        a = dc.parameter(rng.dirichlet(np.ones(n_endmembers), 4), "a")
+        lp = gen.flat_abundance_logpdf(a, n_endmembers)
+        assert not lp.requires_grad and lp._parents == ()
+        assert lp.shape == (4,)
+        assert (lp.data == gammaln(n_endmembers)).all()
+        flat = DirichletParams(dc.constant(np.ones(n_endmembers)))
+        assert lp.data.tobytes() == dirichlet_logpdf(a, flat).data.tobytes()

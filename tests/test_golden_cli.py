@@ -22,6 +22,7 @@ the file.
 import hashlib
 import json
 import os
+import shutil
 import sys
 
 import pytest
@@ -29,6 +30,7 @@ import pytest
 from conftest import changed_entries
 from unmix import cli
 from unmix import container as ct
+from unmix import evaluation as ev
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden_cli.json")
 SCENE = ["--width", "6", "--height", "6", "--bands", "24", "--endmembers", "3"]
@@ -159,6 +161,24 @@ def test_bad_container_exits_2_through_its_reader(pipeline, monkeypatch,
         for ext, raw in saved.items():
             with open(base + ext, "wb") as f:
                 f.write(raw)
+
+
+def test_eval_without_truth_abundances_scores_the_endmembers(pipeline,
+                                                            tmp_path):
+    truth = tmp_path / "dc2"
+    shutil.copytree(os.path.join(pipeline, "dc2"), truth)
+    for ext in (".json", ".raw"):
+        os.remove(truth / f"abundances{ext}")
+    report = str(tmp_path / "report.csv")
+    assert cli.main(["eval", str(truth), os.path.join(pipeline, "est"),
+                     report]) == 0
+    with open(report) as f:
+        (row,) = ev.reports_from_csv(f.read())
+    with open(os.path.join(pipeline, "report.csv")) as f:
+        full = ev.reports_from_csv(f.read())[0]
+    assert [k for k, v in row.items() if v is None] == ["nrmse_a"]
+    for name in ("nrmse_m", "sam_m", "nrmse_y"):
+        assert row[name] == full[name], name
 
 
 def test_changed_entries_name_what_a_re_record_moves(tmp_path):

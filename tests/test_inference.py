@@ -209,6 +209,30 @@ class TestListaGramForm:
             assert np.abs(g_got[name] - g_ref[name]).max() <= tol, name
 
 
+class TestListaColumnForm:
+    """h stays a (..., P, 1) column through the layers."""
+
+    @staticmethod
+    def _graph(rng, n_layers: int) -> list:
+        _, phi = inf.init_model(L, P, H, lista_layers=n_layers,
+                                rng=np.random.default_rng(0))
+        M = dc.parameter(rng.uniform(0.1, 0.9, (4, P, L)), "M")
+        return dc._toposort(inf.lista_concentration(
+            rng.uniform(0.0, 1.0, (4, L)), M, phi))
+
+    def test_one_reshape_for_any_depth(self, rng):
+        depths = (3, 4, 5, 8)
+        graphs = [self._graph(rng, n) for n in depths]
+        for nodes in graphs:
+            reshapes = [t for t in nodes if t._vjp is not None and
+                        t._vjp.__qualname__.startswith("Tensor.reshape.")]
+            assert len(reshapes) == 1
+        per_layer = len(graphs[1]) - len(graphs[0])
+        assert per_layer > 0
+        for n, nodes in zip(depths, graphs):
+            assert len(nodes) == len(graphs[0]) + per_layer * (n - 3)
+
+
 class TestWarmStart:
     """The SVD-applied warm start against pinv(M^T, rcond=1e-8) @ y."""
 

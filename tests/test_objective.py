@@ -371,6 +371,18 @@ class TestTotalLoss:
             counts.append(len(every_node(bd.node)))
         assert counts[0] == counts[1]
 
+    def test_graph_node_ceiling(self, rng):
+        """One step's graph at a fixed small shape: 432 nodes that need a
+        gradient, 484 with the constant leaves they read."""
+        theta, phi = init_model(24, 3, 2, 11, np.random.default_rng(1))
+        y = rng.uniform(0.1, 0.9, (16, 24))
+        a = np.eye(3)[rng.integers(0, 3, 16)]
+        m = rng.uniform(0.1, 0.9, (16, 3, 24))
+        bd = ob.total_loss(y, (y, a, m), theta, phi, ob.TrainConfig(),
+                           RngNoise(np.random.default_rng(2)))
+        assert len(dc._toposort(bd.node)) <= 432
+        assert len(every_node(bd.node)) <= 484
+
 
 class TestBoundOrdering:
     def test_elbo_below_importance_weighted_bound(self, model, rng):
