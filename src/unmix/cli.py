@@ -12,7 +12,8 @@ large products across its threads, and the rounding follows the split:
 benchmark does with ``UNMIX_THREADS=1``.  ``eval``'s scores of the
 estimates are the same on any thread count.
 
-Exit codes: 0 ok, 2 input error, 3 numeric/training error.
+Exit codes: 0 ok, 2 input error (a path that cannot be read or written
+included), 3 numeric/training error.
 """
 
 from __future__ import annotations
@@ -149,6 +150,9 @@ def cmd_selfsup(args) -> int:
 
 def cmd_train(args) -> int:
     t0 = time.perf_counter()
+    out_base = args.out_ckpt
+    if not os.path.isdir(os.path.dirname(out_base) or os.curdir):
+        raise InputError(f"{out_base}: no directory to write it in")
     cube = dt.load_cube(_strip_bundle(args.cube))
     y_s, a_s, m_s = dt.load_supervised(_strip_bundle(args.supervised))
     if y_s.shape[1] != cube.n_bands:
@@ -162,7 +166,6 @@ def cmd_train(args) -> int:
                          k=args.k, k_e=args.ke, batch_size=args.batch_size,
                          max_epochs=args.epochs,
                          rel_stop_tol=args.rel_stop_tol)
-    out_base = args.out_ckpt
     theta = phi = None
     start_epoch = 0
     latent_dim, lista_layers = args.latent_dim, args.lista_layers
@@ -467,7 +470,7 @@ def main(argv=None) -> int:
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_INPUT
-    except FileNotFoundError as exc:
+    except OSError as exc:      # a path that cannot be read or written
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_INPUT
     except (UnmixError, np.linalg.LinAlgError) as exc:

@@ -167,11 +167,15 @@ def synth_abundance_maps(width: int, height: int, n_endmembers: int,
     return blurred.reshape(height * width, P)
 
 
-def check_simplex(A: np.ndarray):
-    """Raise ``InputError`` unless every row of ``A`` lies on the unit
-    simplex: no entry below -1e-9 and a sum within 1e-6 of 1."""
-    if np.any(A < -1e-9) or np.any(np.abs(A.sum(axis=-1) - 1.0) > 1e-6):
-        raise InputError("abundance rows must lie on the unit simplex")
+def check_simplex(A: np.ndarray, row: str = "abundance row"):
+    """Raise ``InputError`` naming the first row of ``A`` off the unit
+    simplex, one with an entry below -1e-9 or a sum more than 1e-6 from 1,
+    as ``row`` and its index."""
+    bad = np.flatnonzero(np.any(A < -1e-9, axis=-1)
+                         | (np.abs(A.sum(axis=-1) - 1.0) > 1e-6))
+    if bad.size:
+        raise InputError(f"{row} {bad[0]} is off the unit simplex: "
+                         f"{A[bad[0]].tolist()}")
 
 
 def noise_power_ratio(snr_db: float, name: str = "snr_db") -> float:
@@ -339,18 +343,16 @@ def extract_pure_pixels(cube, ref_endmembers: np.ndarray,
 
 
 def build_supervised_set(ppx: PurePixelDict, n_draws: int,
-                         snr_db: float | None = 30.0,
-                         rng: np.random.Generator | None = None
+                         snr_db: float | None, rng: np.random.Generator
                          ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Self-supervised labeled triples from the pure-pixel shortlists, as
     (Y, A, M) arrays of shapes (n, L), (n, P), (n, P, L), n = n_draws * P.
 
     Each draw assembles a (P, L) endmember matrix by sampling one spectrum
     per endmember, then emits P samples with one-hot abundances and noisy
-    copies of the matching row (per-sample noise at ``snr_db``).
+    copies of the matching row (per-sample noise at ``snr_db``, none for
+    None), every draw from ``rng``.
     """
-    if rng is None:
-        rng = np.random.default_rng(0)
     P = len(ppx.spectra)
     if any(len(s) == 0 for s in ppx.spectra):
         raise InputError("pure-pixel dictionary has an empty endmember list")
@@ -574,8 +576,8 @@ def load_supervised(base: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Returns (Y, A, M) arrays of shapes (n, L), (n, P), (n, P, L).
 
     Shapes that disagree are a ``BundleError`` naming ``a`` or ``m``, and a
-    NaN or infinite value an ``InputError`` naming the first offending
-    sample."""
+    NaN or infinite value or a row of ``a`` off the unit simplex an
+    ``InputError`` naming the first offending sample."""
     _, readers = _open(base, {"y": (2,), "a": (2,), "m": (3,)})
     n, bands = readers["y"].shape
     want = {"a": (n, readers["a"].shape[1])}
@@ -588,4 +590,5 @@ def load_supervised(base: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     arrays = tuple(readers[name][:] for name in ("y", "a", "m"))
     for name, data in zip(("y", "a", "m"), arrays):
         _check_finite(base, name, data, None)
+    check_simplex(arrays[1], f"{base}: a at sample")
     return arrays

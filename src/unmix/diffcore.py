@@ -12,7 +12,8 @@ node: ``a - b`` is a subtraction node, not a negation feeding an addition.
 An ``MlpParams`` is one network or a bank of P networks of one shape
 stacked along a leading axis; the bank's P is the only batch axis that
 reaches ``matmul``, every other leading axis being folded into the rows of
-each layer's product.
+each layer's product.  A bank reads one input per network; to run the P
+networks on one input, pass a broadcast view of it, which is not copied.
 
 Training packs the parameters into a ``ParamArena``, owned by the
 ``AdamState`` that ``AdamState.create`` builds: one contiguous float64
@@ -26,7 +27,7 @@ write parameters in place (``t.data[...] = x``) and never rebind ``.data``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import special as _sp
@@ -362,19 +363,17 @@ def dense(x: Tensor, w: Tensor, b: Tensor, act: str) -> Tensor:
     """One fully connected layer ``act(x @ w.T + b)`` as a single node.
 
     ``x`` (rows, in), ``w`` (out, in), ``b`` (out,); or a bank of P
-    networks, ``w`` (P, out, in) and ``b`` (P, out), over a per-network
-    ``x`` (P, rows, in) or a shared one (rows, in), out (P, rows, out).
-    Slice k of the output and of each gradient, a shared input's excepted,
-    is bitwise network k's alone.  The product, the bias and the
-    activation share one fresh buffer, and the VJP needs only that output:
-    the relu mask is ``out > 0`` and the sigmoid derivative
-    ``out * (1 - out)``; it skips ``g @ w`` for a constant input and sums a
-    shared input's P cotangents in network order.  Values and gradients
-    are bitwise those of the transpose, matmul, add and activation nodes it
-    replaces.
+    networks, ``w`` (P, out, in) and ``b`` (P, out), over ``x``
+    (P, rows, in), one input per network, out (P, rows, out).  Slice k of
+    the output and of each gradient is bitwise network k's alone.  The
+    product, the bias and the activation share one fresh buffer, and the
+    VJP needs only that output: the relu mask is ``out > 0`` and the
+    sigmoid derivative ``out * (1 - out)``; it skips ``g @ w`` for a
+    constant input.  Values and gradients are bitwise those of the
+    transpose, matmul, add and activation nodes it replaces.
     """
     x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
-    if x.data.ndim < 2 or x.shape[:-2] not in ((), w.shape[:-2]) \
+    if x.data.ndim < 2 or x.shape[:-2] != w.shape[:-2] \
             or x.shape[-1] != w.shape[-1]:
         raise ShapeError(f"dense input {x.shape} does not fit weights {w.shape}")
     if act not in _ACTIVATIONS:
@@ -398,7 +397,7 @@ def dense(x: Tensor, w: Tensor, b: Tensor, act: str) -> Tensor:
             g = g * (out > 0.0)
         elif act == "sigmoid":
             g = g * out * (1.0 - out)
-        gx = _unbroadcast(g @ w.data, x.shape) if x.requires_grad else None
+        gx = g @ w.data if x.requires_grad else None
         gw = (np.swapaxes(x.data, -1, -2) @ g).swapaxes(-1, -2)
         return (gx, gw, g.sum(axis=-2))
     return Tensor(out, (x, w, b), vjp)
@@ -511,12 +510,11 @@ class MlpParams:
         return out
 
 
-def mlp_forward(params: MlpParams, x, shared: bool = False) -> Tensor:
+def mlp_forward(params: MlpParams, x) -> Tensor:
     """Run the activation chain on input with features along the last axis.
 
     A bank of P networks reads ``x`` as (P, ..., in), one input per
-    network, or with ``shared`` as (..., in), one input for all, and
-    returns (P, ..., out) either way.  Every leading axis but the bank's
+    network, and returns (P, ..., out).  Every leading axis but the bank's
     is folded into one row axis on entry and restored on exit, so each
     layer is one ``dense`` node: one (rows, in) @ (in, out) product per
     network.  Input already in that form runs without the reshapes.
@@ -526,7 +524,7 @@ def mlp_forward(params: MlpParams, x, shared: bool = False) -> Tensor:
         raise ShapeError(
             f"input width {x.shape[-1]} != expected {params.widths[0]}")
     lead = x.shape[:-1]
-    keep = 1 if params.bank and not shared else 0   # leading axes not rows
+    keep = 1 if params.bank else 0          # leading axes not rows
     fold = x.data.ndim != keep + 2
     if fold:
         x = x.reshape(x.shape[:keep] + (-1, x.shape[-1]))
@@ -579,33 +577,30 @@ class ParamArena:
         return self.views(self.values.copy())
 
 
+# Adam's decay rates and denominator offset (Kingma & Ba's defaults).
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 @dataclass
 class AdamState:
     """Adam moments and step counter over a ``ParamArena`` that it owns.
 
     ``create`` packs the parameters into the arena; ``m_flat`` and
-    ``v_flat`` are the arena-sized moment buffers, and ``m`` and ``v`` map
-    each name to its view of them.
+    ``v_flat`` are the arena-sized first and second moment buffers, in the
+    arena's order (``arena.views`` gives each parameter's part).
     """
 
     arena: ParamArena
     m_flat: np.ndarray
     v_flat: np.ndarray
     step: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    m: dict[str, np.ndarray] = field(init=False)
-    v: dict[str, np.ndarray] = field(init=False)
-
-    def __post_init__(self):
-        self.m = self.arena.views(self.m_flat)
-        self.v = self.arena.views(self.v_flat)
 
     @classmethod
-    def create(cls, params: dict[str, Tensor], **kw) -> "AdamState":
+    def create(cls, params: dict[str, Tensor]) -> "AdamState":
         arena = ParamArena(params)
-        return cls(arena, np.zeros(arena.size), np.zeros(arena.size), **kw)
+        return cls(arena, np.zeros(arena.size), np.zeros(arena.size))
 
 
 # Elements per block of the flat Adam update: the four flat buffers and
@@ -644,7 +639,7 @@ def adam_step(params: dict[str, Tensor], grads: dict[str, np.ndarray],
                             index=tuple(int(i) for i in index))
     state.step += 1
     t = state.step
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     bc1 = 1.0 - b1 ** t
     bc2 = 1.0 - b2 ** t
     n = arena.size
@@ -666,7 +661,7 @@ def adam_step(params: dict[str, Tensor], grads: dict[str, np.ndarray],
         step *= lr
         np.divide(v, bc2, out=den)
         np.sqrt(den, out=den)
-        den += state.eps
+        den += ADAM_EPS
         step /= den
         arena.values[start:stop] -= step
     return state

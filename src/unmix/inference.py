@@ -2,8 +2,10 @@
 
 The approximate posterior factorizes as q(a | y, M) q(M | Z) q(Z | y):
 abundances are disentangled from the latent codes (they see Z only through
-M), and the endmember conditional q(M | Z) reuses the generative decoders
-("bottom-up" sharing), so its density ratio against p(M | Z) vanishes.
+M), and the endmember conditional q(M | Z) is the generative decoder bank
+itself ("bottom-up" sharing), so its density ratio against p(M | Z)
+vanishes.  The posterior's parameters, ``InferenceParams``, therefore hold
+no decoder: q(M | Z) is read from theta, so the two cannot drift apart.
 
 q(Z | y) is a diagonal Gaussian computed by a pair of nets with a shared
 trunk; the same conditional serves every latent code.  A draw holds the P
@@ -59,24 +61,23 @@ def nlin_encoder_widths(n_bands: int, n_endmembers: int) -> list[int]:
 class ListaParams:
     """Scalars of the unrolled stream, stored as logs of positive values.
 
-    ``log_eta_steps`` holds n_layers - 1 step sizes; the recurrence consumes
-    the first n_layers - 2 (the final layer is the uncertainty scaling).
+    Of the stream's ``n_layers`` layers, the first is the least-squares warm
+    start, the last the uncertainty scaling, and each of the n_layers - 2
+    between them a shrinkage step with its own step size in
+    ``log_eta_steps``; a stream of 1 or 2 layers has no step.
     """
 
+    n_layers: int
     log_eta_steps: list[Tensor]
     log_eta_sparse: Tensor
     log_eta_unc: Tensor
-
-    @property
-    def n_layers(self) -> int:
-        return len(self.log_eta_steps) + 1
 
     @classmethod
     def create(cls, n_layers: int, eta_step: float, values) -> "ListaParams":
         """Initial values from ``values``, a ``dc.param_values`` source."""
         steps = [values.value(f"inf.lista.log_eta{m}", np.log(eta_step))
-                 for m in range(n_layers - 1)]
-        return cls(steps,
+                 for m in range(n_layers - 2)]
+        return cls(n_layers, steps,
                    values.value("inf.lista.log_eta_sp", np.log(INIT_ETA_SPARSE)),
                    values.value("inf.lista.log_eta_unc", np.log(INIT_ETA_UNC)))
 
@@ -89,15 +90,17 @@ class ListaParams:
 
 @dataclass
 class InferenceParams:
-    """Posterior parameters; endmember decoders are references into theta."""
+    """Parameters of q(Z | y) and q(a | y, M).
+
+    q(M | Z) has none of its own: it is theta's decoder bank, which every
+    function that draws from the posterior takes as ``theta``.
+    """
 
     z_trunk: MlpParams
     z_mean_head: MlpParams
     z_scale_head: MlpParams
     lista: ListaParams
     nlin_encoder: MlpParams
-    em_decoder: MlpParams       # shared with the generative model
-    em_log_scale: Tensor        # shared with the generative model
 
     @property
     def latent_dim(self) -> int:
@@ -113,7 +116,7 @@ class InferenceParams:
 
     @classmethod
     def create(cls, n_bands: int, n_endmembers: int, latent_dim: int,
-               lista_layers: int, rng, theta: GenerativeParams,
+               lista_layers: int, rng,
                ref_endmembers: np.ndarray | None = None) -> "InferenceParams":
         """Drawn from the Generator ``rng``, or built over the arrays of a
         ``dc.StoredParams``."""
@@ -134,11 +137,9 @@ class InferenceParams:
         nlin = MlpParams.create(nlin_encoder_widths(L, n_endmembers),
                                 ["relu"] * 4 + ["linear"], values,
                                 "inf.nlin_encoder")
-        return cls(trunk, mean_head, scale_head, lista, nlin,
-                   theta.em_decoder, theta.em_log_scale)
+        return cls(trunk, mean_head, scale_head, lista, nlin)
 
     def named_parameters(self) -> dict[str, Tensor]:
-        """Parameters owned by the posterior (shared decoders excluded)."""
         out: dict[str, Tensor] = {}
         out.update(self.z_trunk.named_parameters())
         out.update(self.z_mean_head.named_parameters())
@@ -208,8 +209,8 @@ def lista_concentration(y, M, phi: InferenceParams) -> Tensor:
     gram = dc.matmul(M, M.transpose())
     b = dc.matmul(M, dc.constant(y_arr[..., None]))
     eta_sp = dc.exp(phi.lista.log_eta_sparse)
-    for m in range(phi.lista.n_layers - 2):
-        eta = dc.exp(phi.lista.log_eta_steps[m])
+    for log_eta in phi.lista.log_eta_steps:
+        eta = dc.exp(log_eta)
         grad = dc.matmul(gram, h) - b
         h = dc.relu(h - eta * grad - eta_sp * eta)
     return dc.exp(phi.lista.log_eta_unc) * h.reshape(h.shape[:-1])
@@ -273,9 +274,10 @@ def point_estimate_blocks(y, phi: InferenceParams, theta: GenerativeParams):
         rows = slice(start, min(start + ROW_BLOCK, n))
         y_blk = y[rows]
         # encode_z's mean alone: the scale head's output is not used
-        z_mean = mlp_forward(phi.z_mean_head, mlp_forward(phi.z_trunk, y_blk))
-        m_blk = dc.moveaxis(mlp_forward(theta.em_decoder, z_mean, shared=True),
-                            0, -2).data
+        z_mean = mlp_forward(phi.z_mean_head,
+                             mlp_forward(phi.z_trunk, y_blk)).data
+        codes = np.broadcast_to(z_mean, (phi.n_endmembers,) + z_mean.shape)
+        m_blk = dc.moveaxis(mlp_forward(theta.em_decoder, codes), 0, -2).data
         lin, nlin = abundance_streams(y_blk, m_blk, phi)
         conc = _combine_streams(lin, nlin).concentration.data
         a_blk = conc / conc.sum(axis=-1, keepdims=True)
@@ -300,11 +302,12 @@ def point_estimates(y, phi: InferenceParams,
     return a_hat.reshape(batch + (P,)), m_hat.reshape(batch + (P, L))
 
 
-def init_model(n_bands: int, n_endmembers: int, latent_dim: int = 2,
-               lista_layers: int = 11, rng=None,
+def init_model(n_bands: int, n_endmembers: int, latent_dim: int,
+               lista_layers: int, rng,
                ref_endmembers: np.ndarray | None = None,
                ) -> tuple[GenerativeParams, InferenceParams]:
-    """Build a generative/inference pair with shared endmember decoders.
+    """Build a generative/inference pair; the posterior's q(M | Z) is the
+    generative decoder bank, which only theta holds.
 
     ``rng`` is the Generator the initial weights are drawn from, or a
     ``dc.StoredParams`` whose checkpoint arrays become the parameters.
@@ -313,17 +316,15 @@ def init_model(n_bands: int, n_endmembers: int, latent_dim: int = 2,
                        ("lista_layers", lista_layers)):
         if size < 1:
             raise InputError(f"{name} must be >= 1, got {size}")
-    if rng is None:
-        rng = np.random.default_rng(0)
     theta = GenerativeParams.create(n_bands, n_endmembers, latent_dim, rng)
     phi = InferenceParams.create(n_bands, n_endmembers, latent_dim,
-                                 lista_layers, rng, theta, ref_endmembers)
+                                 lista_layers, rng, ref_endmembers)
     return theta, phi
 
 
 def model_parameters(theta: GenerativeParams,
                      phi: InferenceParams) -> dict[str, Tensor]:
-    """All trainable tensors, shared decoders counted once."""
+    """All trainable tensors, theta's then phi's."""
     params = theta.named_parameters()
     params.update(phi.named_parameters())
     return params

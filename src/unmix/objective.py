@@ -4,8 +4,8 @@ The maximized objective combines, per batch:
 
 * an unsupervised bound: Monte Carlo average of
   log p(y, a, M, Z) - log q(a, M, Z | y) over ancestral posterior draws,
-  where the q(M|Z)/p(M|Z) ratio vanishes identically because the decoders
-  are shared;
+  where the q(M|Z)/p(M|Z) ratio vanishes identically because q(M|Z) is
+  the generative decoder bank itself;
 * a supervised bound over labeled (y, a, M) triples: a self-normalized
   importance-weighted log-ratio over latent draws, plus a posterior-
   likelihood regularizer weighted by (1 + beta), the whole block scaled
@@ -101,11 +101,6 @@ class LossBreakdown:
     node: Tensor | None = None
 
 
-def _assert_shared(theta: GenerativeParams, phi: InferenceParams):
-    if phi.em_decoder is not theta.em_decoder:
-        raise ContractError("inference model must share the generative decoders")
-
-
 def _as_batch(y) -> np.ndarray:
     y = np.asarray(y, dtype=np.float64)
     return y[None, :] if y.ndim == 1 else y
@@ -121,7 +116,6 @@ def unsup_term(y, theta: GenerativeParams, phi: InferenceParams, noise,
     abundance concentration of each draw, (B, P) apiece, for the
     sparsity penalty.
     """
-    _assert_shared(theta, phi)
     y_b = _as_batch(y)
     total = None
     concentrations = []
@@ -182,7 +176,6 @@ def sup_term(y, a, em_matrix, theta: GenerativeParams, phi: InferenceParams,
     abundance concentration at the observed endmembers, for the sparsity
     penalty.
     """
-    _assert_shared(theta, phi)
     y_b = _as_batch(y)
     a_b = _as_batch(a)
     em = np.asarray(em_matrix.data if isinstance(em_matrix, Tensor)

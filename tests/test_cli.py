@@ -234,6 +234,51 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith(f"error: {field} must be")
         assert not os.path.exists(out + ".json")
 
+    @pytest.mark.parametrize("case", ["generate into a file",
+                                      "unmix through a file",
+                                      "eval into a directory"])
+    def test_unusable_path_exits_2_writing_nothing(self, scene, tmp_path,
+                                                   capsys, case):
+        """A path that cannot be written exits 2 with a message naming it,
+        not with a traceback, and leaves everything as it was."""
+        est = _unmix(scene, "run_for_paths") if case.startswith("eval") \
+            else None
+        root = tmp_path / "paths"
+        root.mkdir()
+        (root / "afile").write_bytes(b"kept")
+        (root / "adir").mkdir()
+        path = {"generate into a file": root / "afile",
+                "unmix through a file": root / "afile" / "maps",
+                "eval into a directory": root / "adir"}[case]
+        argv = {"generate": ["generate", "dc1", str(path), "--width", "4",
+                             "--height", "4", "--bands", "16"],
+                "unmix": ["unmix", scene["cube"], scene["ckpt"], str(path)],
+                "eval": ["eval", os.path.dirname(scene["cube"]), est,
+                         str(path)]}[case.split()[0]]
+        capsys.readouterr()
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(path) in err
+        assert sorted(os.listdir(root)) == ["adir", "afile"]
+        assert (root / "afile").read_bytes() == b"kept"
+        assert os.listdir(root / "adir") == []
+
+    @pytest.mark.parametrize("case", ["missing", "file"])
+    def test_unwritable_checkpoint_path_exits_2_before_training(
+            self, scene, monkeypatch, capsys, tmp_path, case):
+        def step(*args, **kwargs):
+            raise AssertionError("a training step ran")
+        monkeypatch.setattr(ob, "total_loss", step)
+        (tmp_path / "file").write_bytes(b"")
+        out = str(tmp_path / case / "model")
+        capsys.readouterr()
+        rc = cli.main(["train", scene["cube"], _supervised(scene), out,
+                       "--epochs", "1"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and out in err
+        assert sorted(os.listdir(tmp_path)) == ["file"]
+
     def test_fcls_baseline_over_the_endmember_cap_exits_2(self, tmp_path,
                                                            capsys):
         p = ev.FCLS_MAX_ENDMEMBERS + 1
@@ -315,6 +360,16 @@ class TestResume:
         err = capsys.readouterr().err
         assert f"{ckpt}.json" in err and f"field: {field}" in err
         assert not os.path.exists(out + ".json")
+
+    def test_stream_without_shrinkage_steps_trains(self, scene):
+        """``--lista-layers 1`` gives a stream with no step size, which
+        trains and unmixes."""
+        out = str(scene["root"] / "lista_1")
+        assert cli.main(["train", scene["cube"], _supervised(scene), out,
+                         "--epochs", "1", "--lista-layers", "1"]) == 0
+        meta, arrays = ct.load_checkpoint(out)
+        assert meta["lista_layers"] == 1 and "inf.lista.log_eta0" not in arrays
+        assert cli.main(["unmix", scene["cube"], out, out + "_maps"]) == 0
 
     def test_model_built_from_a_checkpoint_trains(self, scene):
         """Packing makes the stored constants parameters: a step over the
@@ -545,6 +600,25 @@ class TestBundles:
         assert "m has a non-finite value (nan) at sample 2, endmember 0, " \
                "band 7" in err
 
+    def test_off_simplex_supervised_row_exits_2_before_training(
+            self, scene, monkeypatch, capsys):
+        def step(*args, **kwargs):
+            raise AssertionError("a training step ran")
+        base = str(scene["root"] / "sup_off_simplex")
+        y, a, m = dt.load_supervised(_supervised(scene))
+        a[-1] = (0.7, 0.7, 0.0)
+        dt.save_supervised(base, y, a, m)
+        with pytest.raises(InputError, match=f"a at sample {P - 1} is off "
+                                             "the unit simplex"):
+            dt.load_supervised(base)
+        monkeypatch.setattr(ob, "total_loss", step)
+        out = str(scene["root"] / "sup_off_simplex_ckpt")
+        capsys.readouterr()
+        rc = cli.main(["train", scene["cube"], base, out, "--epochs", "1"])
+        err = capsys.readouterr().err
+        assert rc == 2 and base in err and f"sample {P - 1}" in err
+        assert not os.path.exists(out + ".json")
+
     # a per-pixel stack of 4 or 1 axes, and one without a width
     @pytest.mark.parametrize("case, named", [
         ("4_axes", "endmembers"), ("1_axis", "endmembers"),
@@ -742,6 +816,26 @@ class TestBundles:
         out = str(scene["root"] / "run_ckpt_v1")
         assert cli.main(["unmix", scene["cube"], base, out]) == 0
         assert _files(out) == _files(_unmix(scene, "run_ckpt_v1_ref"))
+
+    def test_checkpoint_with_an_unread_step_size_unmixes_the_same_bytes(
+            self, scene):
+        """Checkpoints once held one LISTA step size more than the stream
+        reads, ``inf.lista.log_eta{K-2}``; one that holds it loads and
+        unmixes as one without it."""
+        meta, arrays = ct.load_checkpoint(scene["ckpt"])
+        extra = f"inf.lista.log_eta{meta['lista_layers'] - 2}"
+        assert extra not in arrays
+        with_extra = {}
+        for name, arr in arrays.items():
+            if name == "inf.lista.log_eta_sp":
+                with_extra[extra] = arrays["inf.lista.log_eta0"]
+            with_extra[name] = arr
+        base = str(scene["root"] / "ckpt_extra_step")
+        ct.save_checkpoint(base, meta, with_extra)
+        assert extra in ct.load_checkpoint(base)[1]
+        out = str(scene["root"] / "run_ckpt_extra_step")
+        assert cli.main(["unmix", scene["cube"], base, out]) == 0
+        assert _files(out) == _files(_unmix(scene, "run_ckpt_extra_ref"))
 
     @pytest.mark.parametrize("case, named", [
         ("eta_d as abundances", "abundances"), ("renamed", "pixels"),
@@ -1160,6 +1254,26 @@ class TestThreadIndependence:
             # the last column is the estimates' runtime_s
             reports.append([line.rsplit(b",", 1)[0] for line in lines])
         assert reports[0] == reports[1]
+
+
+class TestProcessExitStatus:
+    def test_unusable_path_exits_2_without_traceback(self, tmp_path):
+        """``python -m unmix.cli`` exits with status 2, and prints no
+        traceback, for an output directory that is a regular file."""
+        src = os.path.dirname(unmix.__path__[0])
+        path = os.pathsep.join(filter(None, [src,
+                                             os.environ.get("PYTHONPATH")]))
+        afile = tmp_path / "afile"
+        afile.write_bytes(b"kept")
+        proc = subprocess.run(
+            [sys.executable, "-m", "unmix.cli", "generate", "dc1", str(afile),
+             "--width", "4", "--height", "4", "--bands", "16"],
+            env={**os.environ, "PYTHONPATH": path}, capture_output=True,
+            text=True, timeout=120)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: ") and str(afile) in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert afile.read_bytes() == b"kept"
 
 
 class TestPublicSurface:

@@ -163,25 +163,33 @@ class TestDense:
             dc.dense(dc.constant(np.ones((4, 3))), w, b, "tanh")
 
 
-def _bank_case(rng, shared: bool):
-    """A (P, out, in) bank with bias, and a per-network or a shared input."""
+def _bank_case(rng, layout: str):
+    """A (P, out, in) bank with bias, and its input: one per network
+    ("own"), or a constant broadcast view of one input ("broadcast"), the
+    one code unmixing passes all P decoders.  Returns the input and the
+    parameters, the input among them when it is one."""
     P, rows, n_in, n_out = 3, 5, 4, 6
-    x_shape = (rows, n_in) if shared else (P, rows, n_in)
-    return {"x": dc.parameter(rng.standard_normal(x_shape), "x"),
-            "w": dc.parameter(rng.standard_normal((P, n_out, n_in)), "w"),
-            "b": dc.parameter(rng.standard_normal((P, n_out)), "b")}
+    x = rng.standard_normal((P, rows, n_in) if layout == "own"
+                            else (rows, n_in))
+    params = {"w": dc.parameter(rng.standard_normal((P, n_out, n_in)), "w"),
+              "b": dc.parameter(rng.standard_normal((P, n_out)), "b")}
+    if layout == "own":
+        params["x"] = x = dc.parameter(x, "x")
+    else:
+        x = dc.constant(np.broadcast_to(x, (P, rows, n_in)))
+    return x, params
 
 
 class TestDenseBank:
     """A bank of P networks in one ``dense`` node: P is a batch axis."""
 
-    @pytest.mark.parametrize("shared", [False, True], ids=["own", "shared"])
+    @pytest.mark.parametrize("layout", ["own", "broadcast"])
     @pytest.mark.parametrize("act", ACTS)
-    def test_matches_finite_differences(self, rng, act, shared):
-        params = _bank_case(rng, shared)
+    def test_matches_finite_differences(self, rng, act, layout):
+        x, params = _bank_case(rng, layout)
 
         def loss_t():
-            out = dc.dense(params["x"], params["w"], params["b"], act)
+            out = dc.dense(x, params["w"], params["b"], act)
             return (out * out).sum() + _sin(out).sum()
 
         assert loss_t().shape == ()
@@ -189,26 +197,26 @@ class TestDenseBank:
         fd = fd_param_grads(lambda: loss_t().item(), params)
         assert max_rel_err(grads, fd) < 1e-6
 
-    @pytest.mark.parametrize("shared", [False, True], ids=["own", "shared"])
+    @pytest.mark.parametrize("layout", ["own", "broadcast"])
     @pytest.mark.parametrize("act", ACTS)
-    def test_slices_bitwise_equal_one_network(self, rng, act, shared):
-        params = _bank_case(rng, shared)
-        out = dc.dense(params["x"], params["w"], params["b"], act)
+    def test_slices_bitwise_equal_one_network(self, rng, act, layout):
+        x, params = _bank_case(rng, layout)
+        out = dc.dense(x, params["w"], params["b"], act)
         weights = rng.standard_normal(out.shape)
         bank = dc.backward((out * weights).sum(), params)
         bank = {k: g.copy() for k, g in bank.items()}
         for k in range(params["w"].shape[0]):
-            x_k = params["x"].data if shared else params["x"].data[k]
-            one = {"x": dc.parameter(x_k, "x"),
-                   "w": dc.parameter(params["w"].data[k], "w"),
+            one = {"w": dc.parameter(params["w"].data[k], "w"),
                    "b": dc.parameter(params["b"].data[k], "b")}
-            out_k = dc.dense(one["x"], one["w"], one["b"], act)
+            if layout == "own":
+                one["x"] = x_k = dc.parameter(x.data[k], "x")
+            else:
+                x_k = dc.constant(x.data[k])
+            out_k = dc.dense(x_k, one["w"], one["b"], act)
             g_k = dc.backward((out_k * weights[k]).sum(), one)
             assert out_k.data.tobytes() == out.data[k].tobytes()
-            for name in ("w", "b"):
+            for name in one:
                 assert g_k[name].tobytes() == bank[name][k].tobytes(), name
-            if not shared:
-                assert g_k["x"].tobytes() == bank["x"][k].tobytes()
 
     def test_mlp_bank_folds_all_but_the_bank_axis(self, rng):
         net = dc.MlpParams.create([2, 5, 3], ["relu", "sigmoid"],
@@ -222,7 +230,8 @@ class TestDenseBank:
         for k in range(4):
             assert dc.mlp_forward(one_network(net, k), z.data[k]).data.tobytes() \
                 == out.data[k].tobytes()
-        shared = dc.mlp_forward(net, z.data[0], shared=True)
+        # one input for every network: a broadcast view, not a copy
+        shared = dc.mlp_forward(net, np.broadcast_to(z.data[0], z.shape))
         assert shared.shape == (4, 2, 6, 3)
         assert shared.data[0].tobytes() == out.data[0].tobytes()
 
@@ -236,7 +245,7 @@ class TestDenseBank:
                 assert w.data[k].tobytes() == w_k.data.tobytes()
 
     def test_rejects_a_bank_of_another_size(self, rng):
-        params = _bank_case(rng, shared=False)
+        _, params = _bank_case(rng, "own")
         with pytest.raises(ShapeError):
             dc.dense(dc.constant(np.ones((2, 5, 4))), params["w"],
                      params["b"], "relu")
@@ -548,21 +557,22 @@ class TestAdam:
         state = dc.AdamState.create(params)
         grads = {n: rng.standard_normal(t.data.shape) for n, t in params.items()}
         dc.adam_step(params, grads, state, 0.01)
+        m, v = state.arena.views(state.m_flat), state.arena.views(state.v_flat)
         before = ({n: t.data.copy() for n, t in params.items()},
-                  {n: a.copy() for n, a in state.m.items()},
-                  {n: a.copy() for n, a in state.v.items()}, state.step)
+                  {n: a.copy() for n, a in m.items()},
+                  {n: a.copy() for n, a in v.items()}, state.step)
         grads["b"] = np.array(np.inf)
         with pytest.raises(TrainingError, match=r"parameter=b index \(\)"):
             dc.adam_step(params, grads, state, 0.01)
-        after = ({n: t.data for n, t in params.items()}, state.m, state.v,
-                 state.step)
+        after = ({n: t.data for n, t in params.items()}, m, v, state.step)
         for old, new in zip(before[:3], after[:3]):
             for n in old:
                 assert old[n].tobytes() == new[n].tobytes(), n
         assert after[3] == before[3] == 1
 
     def test_in_place_steps_bitwise_equal_allocating_form(self, rng):
-        def reference(params, grads, m, v, t, lr, b1=0.9, b2=0.999, eps=1e-8):
+        def reference(params, grads, m, v, t, lr, b1=dc.ADAM_BETA1,
+                      b2=dc.ADAM_BETA2, eps=dc.ADAM_EPS):
             # the allocating update written as plain expressions
             bc1, bc2 = 1.0 - b1 ** t, 1.0 - b2 ** t
             for n in params:
@@ -579,6 +589,7 @@ class TestAdam:
         params = {n: dc.parameter(rng.standard_normal(s), n)
                   for n, s in shapes.items()}
         state = dc.AdamState.create(params)
+        m, v = state.arena.views(state.m_flat), state.arena.views(state.v_flat)
         start = state.arena.values.__array_interface__["data"][0]
         assert params["edge"].data.__array_interface__["data"][0] \
             == start + 8 * block
@@ -594,8 +605,8 @@ class TestAdam:
             reference(ref, grads, ref_m, ref_v, t, 0.003)
             for n in shapes:
                 assert params[n].data.tobytes() == ref[n].tobytes(), n
-                assert state.m[n].tobytes() == ref_m[n].tobytes(), n
-                assert state.v[n].tobytes() == ref_v[n].tobytes(), n
+                assert m[n].tobytes() == ref_m[n].tobytes(), n
+                assert v[n].tobytes() == ref_v[n].tobytes(), n
         assert all(params[n].data is buffers[n] for n in shapes)
 
     def test_non_finite_gradient_names_first_in_arena_order(self, rng):

@@ -142,15 +142,19 @@ class TestListaConcentration:
         out = inf.lista_concentration(M[0], dc.constant(M), phi).data
         assert np.all(np.isfinite(out))
 
-    def test_unused_last_step_size_gets_zero_gradient(self, model, rng):
-        theta, phi = model
-        M = rng.uniform(0.1, 0.9, (P, L))
-        y = rng.uniform(0, 1, L)
-        out = inf.lista_concentration(y, dc.constant(M), phi)
-        params = phi.lista.named_parameters()
-        grads = dc.backward(out.sum(), params)
-        last = f"inf.lista.log_eta{phi.lista.n_layers - 2}"
-        assert np.array_equal(grads[last], np.zeros(()))
+    @pytest.mark.parametrize("n_layers", [1, 2, 3, 11])
+    def test_one_step_size_per_shrinkage_step(self, n_layers):
+        """A stream of K layers holds the K - 2 step sizes its shrinkage
+        steps read, none below 3 layers, and runs at every depth."""
+        _, phi = inf.init_model(L, P, H, n_layers, np.random.default_rng(0))
+        n_steps = max(n_layers - 2, 0)
+        assert phi.lista.n_layers == n_layers
+        assert [t.name for t in phi.lista.log_eta_steps] == [
+            f"inf.lista.log_eta{m}" for m in range(n_steps)]
+        assert len(phi.lista.named_parameters()) == n_steps + 2
+        M = np.random.default_rng(1).uniform(0.1, 0.9, (P, L))
+        out = inf.lista_concentration(M[0], dc.constant(M), phi)
+        assert out.shape == (P,) and np.all(np.isfinite(out.data))
 
 
 def _explicit_lista(y, M, phi):
@@ -161,8 +165,8 @@ def _explicit_lista(y, M, phi):
                                @ y[..., None], axis=-1))
     y_col = dc.constant(y[..., None])
     eta_sp = dc.exp(phi.lista.log_eta_sparse)
-    for m in range(phi.lista.n_layers - 2):
-        eta = dc.exp(phi.lista.log_eta_steps[m])
+    for log_eta in phi.lista.log_eta_steps:
+        eta = dc.exp(log_eta)
         resid = dc.matmul(M.transpose(), h.reshape(h.shape + (1,))) - y_col
         grad = dc.matmul(M, resid).reshape(h.shape)
         h = dc.relu(h - eta * grad - eta_sp * eta)

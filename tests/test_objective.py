@@ -12,7 +12,7 @@ from unmix import inference
 from unmix import objective as ob
 from unmix.distributions import (GAMMA_FLOOR, RngNoise, dirichlet_logpdf,
                                  DirichletParams)
-from unmix.errors import ContractError, InputError
+from unmix.errors import InputError
 from unmix.generative import flat_abundance_logpdf
 from unmix.inference import init_model, model_parameters, posterior_sample
 
@@ -53,11 +53,6 @@ def every_node(root) -> list:
 
 
 class TestSharedCancellation:
-    def test_decoder_objects_are_shared(self, model):
-        theta, phi = model
-        assert phi.em_decoder is theta.em_decoder
-        assert phi.em_log_scale is theta.em_log_scale
-
     def test_log_ratio_is_exactly_zero(self, model, rng):
         # q(M|Z) and p(M|Z) are the same computation; their log ratio is 0
         # bit for bit, not merely small
@@ -69,14 +64,6 @@ class TestSharedCancellation:
         lq = gaussian_logpdf(m, em_decode(z, theta)).data
         lp = gaussian_logpdf(m, em_decode(z, theta)).data
         assert lq.shape == (P,) and lq.tobytes() == lp.tobytes()
-
-    def test_unshared_model_rejected(self, model, rng):
-        theta, phi = model
-        theta2, _ = init_model(L, P, H, lista_layers=4,
-                               rng=np.random.default_rng(99))
-        with pytest.raises(ContractError):
-            ob.unsup_term(rng.uniform(0, 1, (2, L)), theta2, phi,
-                          np.random.default_rng(0))
 
     def test_flat_posterior_cancels_flat_prior(self, rng):
         a = rng.dirichlet(np.ones(3))
@@ -370,6 +357,22 @@ class TestTotalLoss:
                                RngNoise(np.random.default_rng(2)))
             counts.append(len(every_node(bd.node)))
         assert counts[0] == counts[1]
+
+    @pytest.mark.parametrize("lista_layers", [4, 11])
+    def test_every_parameter_is_read(self, rng, lista_layers):
+        """One step reaches every parameter the model holds: each gets a
+        gradient that is not all zero, the last LISTA step size too."""
+        theta, phi = init_model(24, 3, 2, lista_layers,
+                                np.random.default_rng(1))
+        y = rng.uniform(0.1, 0.9, (16, 24))
+        a = np.eye(3)[rng.integers(0, 3, 16)]
+        m = rng.uniform(0.1, 0.9, (16, 3, 24))
+        params = model_parameters(theta, phi)
+        bd = ob.total_loss(y, (y, a, m), theta, phi, ob.TrainConfig(),
+                           RngNoise(np.random.default_rng(2)))
+        grads = dc.backward(-bd.node, params)
+        assert f"inf.lista.log_eta{lista_layers - 3}" in grads
+        assert [name for name, g in grads.items() if not g.any()] == []
 
     def test_graph_node_ceiling(self, rng):
         """One step's graph at a fixed small shape: 432 nodes that need a
