@@ -60,6 +60,15 @@ def _prepare_out_dir(path: str, force: bool):
     os.makedirs(path, exist_ok=True)
 
 
+def _check_out_file(path: str):
+    """Reject an output file that cannot be written, before any work: one
+    whose directory does not exist, or a path that is a directory."""
+    if not os.path.isdir(os.path.dirname(path) or os.curdir):
+        raise InputError(f"{path}: no directory to write it in")
+    if os.path.isdir(path):
+        raise InputError(f"{path}: is a directory")
+
+
 def _write_pgm(path: str, image: np.ndarray):
     """8-bit grayscale PGM from values in [0, 1]."""
     arr = np.clip(np.asarray(image, dtype=np.float64), 0.0, 1.0)
@@ -129,6 +138,8 @@ def cmd_selfsup(args) -> int:
     _check_sizes(("--p", args.p), ("--n-ppx", args.n_ppx),
                  ("--n-draws", args.n_draws))
     dt.noise_power_ratio(args.snr, "--snr")
+    out_base = _strip_bundle(args.out)
+    _check_out_file(out_base + ".json")
     cube_base = _strip_bundle(args.cube)
     cube = dt.load_cube(cube_base)
     rng = np.random.default_rng(args.seed)
@@ -136,7 +147,6 @@ def cmd_selfsup(args) -> int:
     refs = dt.vca(cube, args.p, vca_rng)
     ppx = dt.extract_pure_pixels(cube, refs, args.n_ppx)
     y, a, m = dt.build_supervised_set(ppx, args.n_draws, args.snr, set_rng)
-    out_base = _strip_bundle(args.out)
     dt.save_supervised(out_base, y, a, m)
     _write_manifest(
         out_base + ".manifest.json", "selfsup",
@@ -151,8 +161,7 @@ def cmd_selfsup(args) -> int:
 def cmd_train(args) -> int:
     t0 = time.perf_counter()
     out_base = args.out_ckpt
-    if not os.path.isdir(os.path.dirname(out_base) or os.curdir):
-        raise InputError(f"{out_base}: no directory to write it in")
+    _check_out_file(out_base + ".json")
     cube = dt.load_cube(_strip_bundle(args.cube))
     y_s, a_s, m_s = dt.load_supervised(_strip_bundle(args.supervised))
     if y_s.shape[1] != cube.n_bands:
@@ -340,10 +349,12 @@ def cmd_eval(args) -> int:
     them.  Only the abundances and eta_d, a few numbers per pixel, are read
     whole, and the cube too for ``--baseline fcls``, whose VCA and FCLS
     need all of it (``load_cube`` checks it then).
-    Every payload's size is checked against its header before anything is
-    scored or written.  The scores of the estimates do not depend on the
+    An output path that cannot be written exits 2 before anything is read,
+    and every payload's size is checked against its header before anything
+    is scored or written.  The scores of the estimates do not depend on the
     BLAS thread count.
     """
+    _check_out_file(args.out_csv)
     cube, truth = _load_truth(args.truth_dir)
     est_dir = args.estimates_dir
     a_hat, _, _ = dt.load_abundances(os.path.join(est_dir, "abundances_est"))

@@ -228,10 +228,15 @@ def clip(x: Tensor, lo: float, hi: float) -> Tensor:
 
 
 def l2norm(x: Tensor) -> Tensor:
-    """Euclidean norm of all entries, with subgradient 0 at the origin."""
+    """Euclidean norm of all entries, with subgradient 0 at the origin.
+
+    The norm is one BLAS dot of the flat entries with themselves, and the
+    VJP one pass over them, ``x * (g / n)``.
+    """
     x = as_tensor(x)
-    n = float(np.sqrt((x.data * x.data).sum()))
-    return Tensor(n, (x,), lambda g: (g * x.data / max(n, 1e-300),))
+    flat = x.data.ravel()
+    n = math.sqrt(float(np.dot(flat, flat)))
+    return Tensor(n, (x,), lambda g: (x.data * (g / n if n > 0.0 else 0.0),))
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -369,8 +374,11 @@ def dense(x: Tensor, w: Tensor, b: Tensor, act: str) -> Tensor:
     product, the bias and the activation share one fresh buffer, and the
     VJP needs only that output: the relu mask is ``out > 0`` and the
     sigmoid derivative ``out * (1 - out)``; it skips ``g @ w`` for a
-    constant input.  Values and gradients are bitwise those of the
-    transpose, matmul, add and activation nodes it replaces.
+    constant input.  Values, and the input and bias gradients, are bitwise
+    those of the transpose, matmul, add and activation nodes it replaces.
+    The weight gradient is ``swapaxes(g) @ x``, C-ordered like the weight, so
+    accumulating it is a contiguous pass; it is bitwise the gradient of
+    the weight-first product ``matmul(w, x.transpose()).transpose()``.
     """
     x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
     if x.data.ndim < 2 or x.shape[:-2] != w.shape[:-2] \
@@ -398,7 +406,7 @@ def dense(x: Tensor, w: Tensor, b: Tensor, act: str) -> Tensor:
         elif act == "sigmoid":
             g = g * out * (1.0 - out)
         gx = g @ w.data if x.requires_grad else None
-        gw = (np.swapaxes(x.data, -1, -2) @ g).swapaxes(-1, -2)
+        gw = np.swapaxes(g, -1, -2) @ x.data
         return (gx, gw, g.sum(axis=-2))
     return Tensor(out, (x, w, b), vjp)
 

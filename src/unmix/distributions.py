@@ -3,8 +3,9 @@
 Diagonal Gaussians (log-density, reparametrized sampling), the Dirichlet
 (log-density, and a reparametrized sample whose reverse pass applies the
 pathwise Jacobian w.r.t. the concentration), and the Beta pdf/cdf machinery
-behind that Jacobian.  All log-densities are built from
-:mod:`unmix.diffcore` ops so they can sit inside a recorded loss.
+behind that Jacobian.  Every log-density can sit inside a recorded loss:
+the Gaussian's is one graph node with its own VJP, the Dirichlet's is
+built from :mod:`unmix.diffcore` ops.
 
 Sampling is routed through a noise source: any object with
 ``normal(shape)`` and ``dirichlet(conc)`` methods.  ``RngNoise`` draws live
@@ -55,21 +56,59 @@ def _data(x) -> np.ndarray:
 
 # ---------------------------------------------------------------- Gaussian
 
+def _gaussian_node(x: Tensor, mean: Tensor, scale: Tensor) -> Tensor:
+    """Sum over the last axis of log N(x; mean, scale) as one node.
+
+    z = (x - mean) / scale is formed once; the value takes the operations
+    of the chain ``z * z * (-0.5) - log(scale) - 0.5 log(2 pi)`` in that
+    order, so it is bitwise that chain's.  The VJP of the sum's cotangent
+    g gives -g z / scale for x, g z / scale for the mean and
+    g (z^2 - 1) / scale for the scale, each reduced to its operand's
+    shape and computed only for an operand that needs a gradient.
+    """
+    s = scale.data
+    z = (x.data - mean.data) / s
+    v = z * z
+    v *= -0.5
+    v -= np.log(s)
+    v -= 0.5 * _LOG_2PI
+
+    def vjp(g):
+        g = np.expand_dims(g, -1)
+        dx = dm = ds = None
+        if x.requires_grad or mean.requires_grad:
+            gz = z * g
+            gz /= s
+            if x.requires_grad:
+                dx = -dc._unbroadcast(gz, x.shape)
+            if mean.requires_grad:
+                dm = dc._unbroadcast(gz, mean.shape)
+        if scale.requires_grad:
+            gs = z * z
+            gs -= 1.0
+            gs *= g
+            gs /= s
+            ds = dc._unbroadcast(gs, scale.shape)
+        return dx, dm, ds
+    return Tensor(v.sum(axis=-1), (x, mean, scale), vjp)
+
+
 def gaussian_logpdf(x, d: DiagGaussian) -> Tensor:
-    """Exact diagonal-Gaussian log-density, summed over the last axis."""
-    mean, scale = as_tensor(d.mean), as_tensor(d.scale)
-    xd = _data(x)
-    if xd.shape[-1] != mean.shape[-1]:
-        raise ShapeError(f"x has {xd.shape[-1]} coords, mean has {mean.shape[-1]}")
+    """Exact diagonal-Gaussian log-density, summed over the last axis, as
+    one graph node (``_gaussian_node``)."""
+    x, mean, scale = as_tensor(x), as_tensor(d.mean), as_tensor(d.scale)
+    if x.shape[-1] != mean.shape[-1]:
+        raise ShapeError(f"x has {x.shape[-1]} coords, mean has {mean.shape[-1]}")
     if np.any(scale.data <= 0.0):
         raise DomainError("Gaussian scale must be positive")
-    z = (as_tensor(x) - mean) / scale
-    return (z * z * (-0.5) - dc.log(scale) - 0.5 * _LOG_2PI).sum(axis=-1)
+    return _gaussian_node(x, mean, scale)
 
 
 def std_normal_logpdf(x) -> Tensor:
-    x = as_tensor(x)
-    return (x * x * (-0.5) - 0.5 * _LOG_2PI).sum(axis=-1)
+    """The standard-normal log-density, summed over the last axis: the
+    Gaussian node at mean 0 and scale 1, bitwise ``x * x * (-0.5) -
+    0.5 log(2 pi)`` summed."""
+    return _gaussian_node(as_tensor(x), constant(0.0), constant(1.0))
 
 
 def gaussian_rsample(d: DiagGaussian, noise) -> Tensor:

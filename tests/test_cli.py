@@ -279,6 +279,52 @@ class TestExitCodes:
         assert err.startswith("error: ") and out in err
         assert sorted(os.listdir(tmp_path)) == ["file"]
 
+    @pytest.mark.parametrize("case", ["usable", "missing", "file",
+                                      "directory"])
+    @pytest.mark.parametrize("command", ["selfsup", "eval"])
+    def test_unusable_output_exits_2_before_any_work(
+            self, scene, monkeypatch, capsys, tmp_path, command, case):
+        """``selfsup`` and ``eval --baseline fcls`` check the file they
+        write before they run VCA or FCLS: an output in a missing
+        directory, through a file or onto a directory exits 2 naming it,
+        and the spies on ``dt.vca`` and ``ev.fcls`` see no call."""
+        calls = []
+
+        def spy(fn):
+            def counted(*args, **kwargs):
+                calls.append(fn.__name__)
+                return fn(*args, **kwargs)
+            return counted
+        monkeypatch.setattr(dt, "vca", spy(dt.vca))
+        monkeypatch.setattr(ev, "fcls", spy(ev.fcls))
+        (tmp_path / "file").write_bytes(b"")
+        out = str({"usable": tmp_path / "out",
+                   "missing": tmp_path / "no" / "out",
+                   "file": tmp_path / "file" / "out",
+                   "directory": tmp_path / "out"}[case])
+        written = out + ".json" if command == "selfsup" else out
+        if case == "directory":
+            os.mkdir(written)
+        if command == "selfsup":
+            argv = ["selfsup", scene["cube"], out, "--p", str(P),
+                    "--n-ppx", "4", "--n-draws", "2"]
+        else:
+            est = str(scene["root"] / "run_for_spies")
+            if not os.path.isdir(est):
+                _unmix(scene, "run_for_spies")
+            argv = ["eval", os.path.dirname(scene["cube"]), est, out,
+                    "--baseline", "fcls"]
+        capsys.readouterr()
+        rc = cli.main(argv)
+        err = capsys.readouterr().err
+        if case == "usable":
+            assert rc == 0 and os.path.isfile(written)
+            assert calls == (["vca"] if command == "selfsup"
+                             else ["vca", "fcls"])
+        else:
+            assert rc == 2 and calls == []
+            assert err.startswith("error: ") and written in err
+
     def test_fcls_baseline_over_the_endmember_cap_exits_2(self, tmp_path,
                                                            capsys):
         p = ev.FCLS_MAX_ENDMEMBERS + 1

@@ -80,6 +80,21 @@ def _chain(x, w, b, act):
     return _CHAIN_ACTS[act](dc.matmul(x, w.transpose()) + b)
 
 
+def _weight_first_chain(x, w, b, act):
+    """The same layer with the product taken weight first, (w xᵀ)ᵀ: the
+    reference for ``dense``'s C-ordered weight gradient gᵀ x."""
+    b = b.reshape(b.shape[:-1] + (1, b.shape[-1]))
+    return _CHAIN_ACTS[act](dc.matmul(w, x.transpose()).transpose() + b)
+
+
+def _chain_grads(fn, x, w, b, act, weights):
+    """The output of ``fn`` and the gradients of its weighted sum."""
+    params = {"x": dc.parameter(x, "x"), "w": dc.parameter(w, "w"),
+              "b": dc.parameter(b, "b")}
+    out = fn(params["x"], params["w"], params["b"], act)
+    return out.data, dc.backward((out * weights).sum(), params)
+
+
 class TestDense:
     @pytest.mark.parametrize("act", ACTS)
     def test_matches_finite_differences(self, rng, act):
@@ -120,6 +135,11 @@ class TestDense:
 
     @pytest.mark.parametrize("act", ACTS)
     def test_bitwise_equal_to_four_node_chain(self, rng, act):
+        """The value and the input and bias gradients are the chain's bit
+        for bit; the weight gradient is the weight-first chain's.  The
+        (64, 1125) x (1120, 1125) layer, the mixing net's first, and the
+        (5, 320, 274) x (5, 224, 274) bank layer are large enough that
+        (xᵀ g)ᵀ, the weight gradient's other order, differs from gᵀ x."""
         tiny = np.finfo(np.float64).smallest_subnormal
         special = np.array([800.0, -800.0, 0.0, -0.0, tiny, -tiny, 1e-310,
                             -1e-310, 36.7, -36.7, 745.2, -745.2])
@@ -127,20 +147,40 @@ class TestDense:
         # pre-activations; a random layer mixes them with the others
         x = np.concatenate([rng.uniform(-800.0, 800.0, (20, 12)),
                             rng.standard_normal((20, 12)), np.diag(special)])
-        for w, b in ((np.eye(12), np.zeros(12)),
-                     (rng.standard_normal((7, 12)), rng.standard_normal(7))):
-            weights = rng.standard_normal((x.shape[0], w.shape[0]))
-            outs, grads = [], []
-            for fn in (dc.dense, _chain):
-                params = {"x": dc.parameter(x, "x"), "w": dc.parameter(w, "w"),
-                          "b": dc.parameter(b, "b")}
-                out = fn(params["x"], params["w"], params["b"], act)
-                grads.append(dc.backward((out * weights).sum(), params))
-                outs.append(out.data)
-            assert outs[0].tobytes() == outs[1].tobytes()
-            for name in ("x", "w", "b"):
-                assert grads[0][name].shape == grads[1][name].shape
-                assert grads[0][name].tobytes() == grads[1][name].tobytes()
+        cases = [(x, np.eye(12), np.zeros(12)),
+                 (x, rng.standard_normal((7, 12)), rng.standard_normal(7)),
+                 (rng.standard_normal((64, 1125)),
+                  0.03 * rng.standard_normal((1120, 1125)),
+                  rng.standard_normal(1120)),
+                 (rng.standard_normal((5, 320, 274)),
+                  0.06 * rng.standard_normal((5, 224, 274)),
+                  rng.standard_normal((5, 224)))]
+        for x, w, b in cases:
+            weights = rng.standard_normal(x.shape[:-1] + w.shape[-2:-1])
+            out, grads = _chain_grads(dc.dense, x, w, b, act, weights)
+            if w.ndim == 2:
+                want, chain = _chain_grads(_chain, x, w, b, act, weights)
+                assert out.tobytes() == want.tobytes()
+                for name in ("x", "b"):
+                    assert grads[name].shape == chain[name].shape
+                    assert grads[name].tobytes() == chain[name].tobytes()
+            want, first = _chain_grads(_weight_first_chain, x, w, b, act,
+                                       weights)
+            assert out.tobytes() == want.tobytes()
+            assert grads["w"].shape == first["w"].shape
+            assert grads["w"].tobytes() == first["w"].tobytes()
+
+    @pytest.mark.parametrize("bank", [0, 3])
+    def test_weight_gradient_is_c_ordered(self, rng, bank):
+        """The weight gradient is C-ordered like the weight, for one
+        network and for a bank, so accumulating it is a contiguous pass."""
+        lead = (bank,) if bank else ()
+        x = dc.constant(rng.standard_normal(lead + (6, 4)))
+        params = {"w": dc.parameter(rng.standard_normal(lead + (5, 4)), "w"),
+                  "b": dc.parameter(rng.standard_normal(lead + (5,)), "b")}
+        out = dc.dense(x, params["w"], params["b"], "relu")
+        _, gw, _ = out._vjp(rng.standard_normal(out.shape))
+        assert gw.shape == params["w"].shape and gw.flags.c_contiguous
 
     def test_one_graph_node_per_layer(self, rng):
         net = make_mlp([3, 5, 4, 2], ["relu", "sigmoid", "linear"], seed=2)
@@ -408,6 +448,16 @@ class TestBackward:
         assert np.array_equal(second["a"], [2.0, 4.0])
         assert np.array_equal(second["b"], np.zeros((1, 2)))
         assert b.grad is None or not b.grad.any()
+
+    @pytest.mark.parametrize("shape", [(3, 2), (4, 3, 5)],
+                             ids=["network", "bank"])
+    def test_l2norm_matches_finite_differences(self, rng, shape):
+        w = dc.parameter(rng.standard_normal(shape), "w")
+        grads = dc.backward(dc.l2norm(w) * 1.7, {"w": w})
+        fd = fd_param_grads(lambda: 1.7 * dc.l2norm(w).item(), {"w": w})
+        assert max_rel_err(grads, fd) < 1e-6
+        assert abs(dc.l2norm(w).item() - np.linalg.norm(w.data.ravel())) \
+            <= 1e-15 * np.linalg.norm(w.data.ravel())
 
     def test_l2norm_gradient_and_zero_subgradient(self, rng):
         w = dc.parameter(rng.standard_normal((3, 2)), "w")

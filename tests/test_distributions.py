@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special as sp
 
-from conftest import ReplayNoise
+from conftest import ReplayNoise, fd_param_grads, max_rel_err
 from unmix import diffcore as dc
 from unmix import distributions as ds
 from unmix.errors import (ContractError, DegenerateSampleError, DomainError,
@@ -53,6 +53,109 @@ class TestGaussianLogpdf:
         d = ds.DiagGaussian(mean=dc.constant([0.0]), scale=dc.constant([0.0]))
         with pytest.raises(DomainError):
             ds.gaussian_logpdf(np.array([0.0]), d)
+
+
+def _chain_logpdf(x, mean, scale):
+    """The diffcore-op chain ``gaussian_logpdf`` was before it was one node:
+    subtract, divide, square, halve, log, subtract, subtract and sum."""
+    z = (dc.as_tensor(x) - mean) / scale
+    return (z * z * (-0.5) - dc.log(scale) - 0.5 * LOG_2PI).sum(axis=-1)
+
+
+# (x, mean, scale) shapes of the uses: an observation under one scalar
+# spread; endmembers, the observed (P, B, 1, L) against K decoded means
+# with a (P, 1, 1, 1) spread each; latent codes (P, B, H) under a full
+# spread, and K draws of them (P, B, K, H) under a (B, 1, H) one.
+GAUSS_LAYOUTS = {"observation": ((4, 6), (4, 6), ()),
+                 "endmembers": ((2, 3, 1, 5), (2, 3, 4, 5), (2, 1, 1, 1)),
+                 "latent": ((2, 3, 2), (2, 3, 2), (2, 3, 2)),
+                 "latent-draws": ((2, 3, 4, 2), (3, 1, 2), (3, 1, 2))}
+
+
+def _gauss_case(rng, layout):
+    xs, ms, ss = GAUSS_LAYOUTS[layout]
+    return (rng.standard_normal(xs), rng.standard_normal(ms),
+            rng.uniform(0.4, 1.6, ss))
+
+
+class TestGaussianNode:
+    """``gaussian_logpdf`` and ``std_normal_logpdf`` are one graph node."""
+
+    @pytest.mark.parametrize("wrt", ["x", "mean", "scale", "all"])
+    @pytest.mark.parametrize("layout", list(GAUSS_LAYOUTS))
+    def test_matches_finite_differences(self, rng, layout, wrt):
+        values = dict(zip(("x", "mean", "scale"), _gauss_case(rng, layout)))
+        names = list(values) if wrt == "all" else [wrt]
+        params = {n: dc.parameter(values[n], n) for n in names}
+        t = {n: params.get(n, dc.constant(v)) for n, v in values.items()}
+        weights = rng.standard_normal(np.broadcast_shapes(
+            *(v.shape for v in values.values()))[:-1])
+
+        def loss_t():
+            d = ds.DiagGaussian(mean=t["mean"], scale=t["scale"])
+            return (ds.gaussian_logpdf(t["x"], d) * weights).sum()
+
+        grads = dc.backward(loss_t(), params)
+        fd = fd_param_grads(lambda: loss_t().item(), params)
+        assert max_rel_err(grads, fd) < 1e-6
+
+    @pytest.mark.parametrize("lead", [(), (3,), (2, 3, 4)])
+    def test_std_normal_matches_finite_differences(self, rng, lead):
+        x = dc.parameter(rng.standard_normal(lead + (5,)), "x")
+        weights = rng.standard_normal(lead)
+
+        def loss_t():
+            return (ds.std_normal_logpdf(x) * weights).sum()
+
+        grads = dc.backward(loss_t(), {"x": x})
+        fd = fd_param_grads(lambda: loss_t().item(), {"x": x})
+        assert max_rel_err(grads, fd) < 1e-6
+
+    @pytest.mark.parametrize("layout", list(GAUSS_LAYOUTS))
+    def test_bitwise_value_of_the_chain(self, rng, layout):
+        """The value is the chain's bit for bit; the gradients agree with
+        the chain's to 1e-12 of their largest entry."""
+        x, mean, scale = _gauss_case(rng, layout)
+        x = x * 10.0 ** rng.integers(-6, 7, x.shape)
+        weights = rng.standard_normal(
+            np.broadcast_shapes(x.shape, mean.shape, scale.shape)[:-1])
+        outs, grads = [], []
+        for fn in (lambda x, m, s: ds.gaussian_logpdf(
+                x, ds.DiagGaussian(mean=m, scale=s)), _chain_logpdf):
+            params = {"x": dc.parameter(x, "x"),
+                      "mean": dc.parameter(mean, "mean"),
+                      "scale": dc.parameter(scale, "scale")}
+            out = fn(*params.values())
+            outs.append(out.data)
+            grads.append(dc.backward((out * weights).sum(), params))
+        assert outs[0].tobytes() == outs[1].tobytes()
+        for name, g in grads[1].items():
+            err = np.abs(grads[0][name] - g).max()
+            assert err <= 1e-12 * np.abs(g).max(), name
+
+    def test_std_normal_bitwise_value_of_the_chain(self, rng):
+        x = rng.standard_normal((3, 4, 5)) \
+            * 10.0 ** rng.integers(-6, 7, (3, 4, 5))
+        x[0, 0, :2] = (0.0, -0.0)
+        want = (dc.constant(x) * dc.constant(x) * (-0.5)
+                - 0.5 * LOG_2PI).sum(axis=-1)
+        assert ds.std_normal_logpdf(x).data.tobytes() == want.data.tobytes()
+
+    def test_one_node(self, rng):
+        x, mean, scale = _gauss_case(rng, "endmembers")
+        params = [dc.parameter(v, n) for n, v in
+                  zip(("x", "mean", "scale"), (x, mean, scale))]
+        out = ds.gaussian_logpdf(params[0], ds.DiagGaussian(*params[1:]))
+        assert out._parents == tuple(params)
+        assert len(dc._toposort(out)) == 4
+        assert len(dc._toposort(ds.std_normal_logpdf(params[0]))) == 2
+
+    def test_constant_operands_get_no_cotangent(self, rng):
+        x, mean, scale = _gauss_case(rng, "latent")
+        out = ds.gaussian_logpdf(dc.constant(x), ds.DiagGaussian(
+            mean=dc.parameter(mean, "mean"), scale=dc.constant(scale)))
+        dx, dm, ds_ = out._vjp(np.ones(out.shape))
+        assert dx is None and ds_ is None and dm.shape == mean.shape
 
 
 class TestGaussianRsample:

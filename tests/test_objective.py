@@ -375,16 +375,16 @@ class TestTotalLoss:
         assert [name for name, g in grads.items() if not g.any()] == []
 
     def test_graph_node_ceiling(self, rng):
-        """One step's graph at a fixed small shape: 432 nodes that need a
-        gradient, 484 with the constant leaves they read."""
+        """One step's graph at a fixed small shape: 391 nodes that need a
+        gradient, 433 with the constant leaves they read."""
         theta, phi = init_model(24, 3, 2, 11, np.random.default_rng(1))
         y = rng.uniform(0.1, 0.9, (16, 24))
         a = np.eye(3)[rng.integers(0, 3, 16)]
         m = rng.uniform(0.1, 0.9, (16, 3, 24))
         bd = ob.total_loss(y, (y, a, m), theta, phi, ob.TrainConfig(),
                            RngNoise(np.random.default_rng(2)))
-        assert len(dc._toposort(bd.node)) <= 432
-        assert len(every_node(bd.node)) <= 484
+        assert len(dc._toposort(bd.node)) <= 391
+        assert len(every_node(bd.node)) <= 433
 
 
 class TestBoundOrdering:
