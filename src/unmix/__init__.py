@@ -18,8 +18,8 @@ if "UNMIX_THREADS" in _os.environ:
 
 from .diffcore import (AdamState, MlpParams, Tensor, adam_step, backward,
                        lr_schedule, mlp_forward)
-from .distributions import (DiagGaussian, DirichletParams, dirichlet_logpdf,
-                            gaussian_logpdf, gaussian_rsample)
+from .distributions import (DiagGaussian, dirichlet_logpdf, gaussian_logpdf,
+                            gaussian_rsample)
 from .generative import GenerativeParams, em_decode, log_likelihood, mixing_mean
 from .inference import (InferenceParams, abundance_concentration, encode_z,
                         init_model, lista_concentration, point_estimates,

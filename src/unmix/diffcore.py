@@ -421,8 +421,9 @@ class StoredParams:
 
     Passed where a model's constructors take a Generator, it builds every
     parameter as a constant over its stored array, until packing for
-    training: nothing is drawn or copied.  A missing or misshapen array is
-    a ``BundleError`` naming it.
+    training: nothing is drawn or copied.  A missing or misshapen array,
+    or one holding a NaN or an infinity, is a ``BundleError`` naming it;
+    a non-finite one also names its first bad index.
     """
 
     def __init__(self, arrays: dict[str, np.ndarray]):
@@ -440,9 +441,14 @@ class StoredParams:
     def _take(self, name: str, shape: tuple[int, ...]) -> Tensor:
         if name not in self.arrays:
             raise BundleError("checkpoint missing parameter", field=name)
-        if self.arrays[name].shape != shape:
+        arr = self.arrays[name]
+        if arr.shape != shape:
             raise BundleError("checkpoint shape mismatch", field=name)
-        return Tensor(self.arrays[name], name=name)
+        if not np.isfinite(arr).all():
+            index = tuple(int(i) for i in np.argwhere(~np.isfinite(arr))[0])
+            raise BundleError(f"checkpoint parameter is not finite at index "
+                              f"{index}", field=name)
+        return Tensor(arr, name=name)
 
 
 class _DrawnParams:

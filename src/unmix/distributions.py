@@ -5,7 +5,9 @@ Diagonal Gaussians (log-density, reparametrized sampling), the Dirichlet
 pathwise Jacobian w.r.t. the concentration), and the Beta pdf/cdf machinery
 behind that Jacobian.  Every log-density can sit inside a recorded loss:
 the Gaussian's is one graph node with its own VJP, the Dirichlet's is
-built from :mod:`unmix.diffcore` ops.
+built from :mod:`unmix.diffcore` ops.  A diagonal Gaussian is a
+``DiagGaussian`` pair of Tensors; a Dirichlet is given by its concentration
+alone, one (..., P) Tensor whose entries stay at or above ``GAMMA_FLOOR``.
 
 Sampling is routed through a noise source: any object with
 ``normal(shape)`` and ``dirichlet(conc)`` methods.  ``RngNoise`` draws live
@@ -29,9 +31,9 @@ SIMPLEX_EPS = 1e-9
 _LOG_2PI = float(np.log(2.0 * np.pi))
 
 __all__ = [
-    "GAMMA_FLOOR", "SIMPLEX_EPS", "DiagGaussian", "DirichletParams",
-    "gaussian_logpdf", "gaussian_rsample", "std_normal_logpdf",
-    "dirichlet_logpdf", "dirichlet_rsample", "RngNoise",
+    "GAMMA_FLOOR", "SIMPLEX_EPS", "DiagGaussian", "gaussian_logpdf",
+    "gaussian_rsample", "std_normal_logpdf", "dirichlet_logpdf",
+    "dirichlet_rsample", "RngNoise",
 ]
 
 
@@ -41,13 +43,6 @@ class DiagGaussian:
 
     mean: Tensor
     scale: Tensor
-
-
-@dataclass
-class DirichletParams:
-    """Concentration vector; entries must stay at or above GAMMA_FLOOR."""
-
-    concentration: Tensor
 
 
 def _data(x) -> np.ndarray:
@@ -128,9 +123,12 @@ def _check_concentration(conc: np.ndarray):
             f"concentration below floor {GAMMA_FLOOR}: min {conc.min()}")
 
 
-def dirichlet_logpdf(a, p: DirichletParams) -> Tensor:
-    """Dirichlet log-density with boundary clipping and renormalization."""
-    conc = as_tensor(p.concentration)
+def dirichlet_logpdf(a, concentration) -> Tensor:
+    """Dirichlet log-density with boundary clipping and renormalization.
+
+    ``concentration``: (..., P), every entry at or above ``GAMMA_FLOOR``.
+    """
+    conc = as_tensor(concentration)
     _check_concentration(conc.data)
     at = dc.clip(as_tensor(a), SIMPLEX_EPS, 1.0 - SIMPLEX_EPS)
     at = at / at.sum(axis=-1, keepdims=True)

@@ -249,20 +249,18 @@ def _alignment_cost(mt, mh) -> np.ndarray:
     return total / n
 
 
-def _assignment(cost: np.ndarray) -> np.ndarray:
-    rows, cols = linear_sum_assignment(cost)
-    perm = np.empty(len(cost), dtype=int)
-    perm[rows] = cols
-    return perm
-
-
-def align_endmembers(m_true: np.ndarray, m_hat: np.ndarray) -> np.ndarray:
+def align_endmembers(m_true, m_hat) -> tuple[np.ndarray, np.ndarray]:
     """Endmember permutation of the estimate minimizing total mean angle.
 
-    Returns ``perm`` such that estimate endmember perm[j] matches true
-    endmember j.
+    ``m_true`` and ``m_hat`` are (P, L) or (N, P, L) row sources.  Returns
+    ``(perm, cost)``: ``perm`` such that estimate endmember perm[j] matches
+    true endmember j, and the (P, P) matrix of mean angles, true endmember
+    i against estimate j, whose entries (j, perm[j]) sum to the least
+    total.
     """
-    return _assignment(_alignment_cost(*_stack_pair(m_true, m_hat)))
+    cost = _alignment_cost(*_stack_pair(m_true, m_hat))
+    # a square cost's row indices come back as 0..P-1, so the columns are perm
+    return linear_sum_assignment(cost)[1], cost
 
 
 @dataclass
@@ -319,16 +317,15 @@ def evaluate(cube, truth, estimates: Estimates) -> MetricsReport:
     if truth_m is not None:
         basis = m_hat if m_hat is not None else estimates.align_with
         if basis is not None:
-            mt, mh = _stack_pair(truth_m, basis)
-            cost = _alignment_cost(mt, mh)
-            perm = _assignment(cost)
+            perm, cost = align_endmembers(truth_m, basis)
 
     if truth_a is not None:
         report.nrmse_a = nrmse(truth_a,
                                a_hat if perm is None else a_hat[:, perm])
     if truth_m is not None and m_hat is not None:
         report.sam_m = float(cost[np.arange(len(perm)), perm].sum())
-        report.nrmse_m = _ratio(*_residual_sums(mt, mh, perm))
+        report.nrmse_m = _ratio(*_residual_sums(*_stack_pair(truth_m, m_hat),
+                                                perm))
     if estimates.reconstruction is not None:
         report.nrmse_y = nrmse(_as_pixels(cube), estimates.reconstruction,
                                ("cube", "reconstruction"))

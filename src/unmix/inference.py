@@ -30,8 +30,8 @@ import numpy as np
 
 from . import diffcore as dc
 from .diffcore import MlpParams, Tensor, as_tensor, mlp_forward
-from .distributions import (GAMMA_FLOOR, DiagGaussian, DirichletParams,
-                            dirichlet_rsample, gaussian_rsample)
+from .distributions import (GAMMA_FLOOR, DiagGaussian, dirichlet_rsample,
+                            gaussian_rsample)
 from .errors import InputError, ShapeError
 from .generative import GenerativeParams, em_decode, mixing_mean
 
@@ -155,7 +155,7 @@ class PosteriorSample:
 
     a: Tensor                  # (..., P) simplex
     em_matrix: Tensor          # (..., P, L)
-    gamma: DirichletParams
+    gamma: Tensor              # (..., P) concentration of q(a | y, M)
     z_dist: DiagGaussian
     z: Tensor                  # (P, ..., H), the P sampled codes
 
@@ -202,7 +202,7 @@ def lista_concentration(y, M, phi: InferenceParams) -> Tensor:
     scalars through every layer; the warm start and ``y`` are data.
     """
     M = as_tensor(M)
-    y_arr = y.data if isinstance(y, Tensor) else np.asarray(y, dtype=np.float64)
+    y_arr = np.asarray(y, dtype=np.float64)
     if M.shape[-1] != y_arr.shape[-1]:
         raise ShapeError(f"M has {M.shape[-1]} bands, y has {y_arr.shape[-1]}")
     h = dc.constant(_least_squares_start(M.data, y_arr)[..., None])
@@ -223,11 +223,11 @@ def abundance_streams(y, M, phi: InferenceParams) -> tuple[Tensor, Tensor]:
     return lin, nlin
 
 
-def _combine_streams(lin: Tensor, nlin: Tensor) -> DirichletParams:
-    return DirichletParams(concentration=dc.relu(lin + nlin) + GAMMA_FLOOR)
+def _combine_streams(lin: Tensor, nlin: Tensor) -> Tensor:
+    return dc.relu(lin + nlin) + GAMMA_FLOOR
 
 
-def abundance_concentration(y, M, phi: InferenceParams) -> DirichletParams:
+def abundance_concentration(y, M, phi: InferenceParams) -> Tensor:
     """gamma = relu(linear stream + nonlinear stream) + floor."""
     return _combine_streams(*abundance_streams(y, M, phi))
 
@@ -237,7 +237,7 @@ def posterior_sample(y, phi: InferenceParams, theta: GenerativeParams,
     """Ancestral reparametrized draw Z -> M -> a for pixel(s) y (..., L);
     the code noise is one (..., P, H) draw and the endmember noise one
     (P, ..., L) draw."""
-    y_arr = y.data if isinstance(y, Tensor) else np.asarray(y, dtype=np.float64)
+    y_arr = np.asarray(y, dtype=np.float64)
     batch = y_arr.shape[:-1]
     P, H, L = phi.n_endmembers, phi.latent_dim, phi.n_bands
     z_dist = encode_z(y_arr, phi)
@@ -246,7 +246,7 @@ def posterior_sample(y, phi: InferenceParams, theta: GenerativeParams,
     m = gaussian_rsample(em_decode(z, theta), noise.normal((P,) + batch + (L,)))
     em = dc.moveaxis(m, 0, -2)                                   # (..., P, L)
     gamma = abundance_concentration(y_arr, em, phi)
-    a = dirichlet_rsample(gamma.concentration, noise)
+    a = dirichlet_rsample(gamma, noise)
     return PosteriorSample(a=a, em_matrix=em, gamma=gamma, z_dist=z_dist, z=z)
 
 
@@ -279,7 +279,7 @@ def point_estimate_blocks(y, phi: InferenceParams, theta: GenerativeParams):
         codes = np.broadcast_to(z_mean, (phi.n_endmembers,) + z_mean.shape)
         m_blk = dc.moveaxis(mlp_forward(theta.em_decoder, codes), 0, -2).data
         lin, nlin = abundance_streams(y_blk, m_blk, phi)
-        conc = _combine_streams(lin, nlin).concentration.data
+        conc = _combine_streams(lin, nlin).data
         a_blk = conc / conc.sum(axis=-1, keepdims=True)
         recon = mixing_mean(a_blk, m_blk, theta).data
         yield rows, a_blk, m_blk, lin.data, nlin.data, recon
@@ -293,7 +293,7 @@ def point_estimates(y, phi: InferenceParams,
     ``point_estimate_blocks`` of every pixel collected: what ``cli unmix``
     writes, bit for bit, whatever the memory layout of ``y``.
     """
-    y_arr = y.data if isinstance(y, Tensor) else np.asarray(y, dtype=np.float64)
+    y_arr = np.asarray(y, dtype=np.float64)
     batch, L, P = y_arr.shape[:-1], y_arr.shape[-1], phi.n_endmembers
     y_rows = y_arr.reshape(-1, L)
     a_hat, m_hat = np.empty((len(y_rows), P)), np.empty((len(y_rows), P, L))

@@ -2,19 +2,22 @@
 
 The maximized objective combines, per batch:
 
-* an unsupervised bound: Monte Carlo average of
-  log p(y, a, M, Z) - log q(a, M, Z | y) over ancestral posterior draws,
-  where the q(M|Z)/p(M|Z) ratio vanishes identically because q(M|Z) is
-  the generative decoder bank itself;
-* a supervised bound over labeled (y, a, M) triples: a self-normalized
-  importance-weighted log-ratio over latent draws, plus a posterior-
-  likelihood regularizer weighted by (1 + beta), the whole block scaled
-  by lambda;
+* an unsupervised bound: Monte Carlo average of the integrand
+  log p(y, a, M, Z) - log q(a, M, Z | y) over k_e ancestral posterior
+  draws, where the q(M|Z)/p(M|Z) ratio vanishes identically because
+  q(M|Z) is the generative decoder bank itself.  The k_e draws are rows
+  of one posterior pass over the batch tiled k_e times;
+* a supervised bound over labeled (y, a, M) triples: the same integrand,
+  self-normalized importance-weighted over K latent draws, plus a
+  posterior-likelihood regularizer weighted by (1 + beta), the whole
+  block scaled by lambda;
 * an L1/2 penalty on the Dirichlet concentrations (sparsity), taken on
   the concentrations the two bounds already built: the labeled pixels'
   at their observed endmembers and the unlabeled pixels' at each
   posterior draw;
 * a norm penalty on the two nonlinear networks.
+
+Both bounds take the integrand's factors from one definition, ``_integrand``.
 
 Training minimizes the negation with Adam under the decaying schedule and
 stops early once the relative objective increase between epochs falls
@@ -26,7 +29,7 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -55,7 +58,8 @@ class TrainConfig:
     ``lam`` balances the supervised block, ``beta`` weights the posterior
     regularizer, ``tau`` the sparsity penalty, ``varsigma1``/``varsigma2``
     the nonlinear-network norms.  ``k`` is the importance-sample count,
-    ``k_e`` the Monte Carlo sample count for plain expectations.
+    ``k_e`` the Monte Carlo sample count for plain expectations, drawn as
+    k_e copies of the batch's rows in one posterior pass.
     """
 
     lam: float = 1.0
@@ -101,42 +105,45 @@ class LossBreakdown:
     node: Tensor | None = None
 
 
-def _as_batch(y) -> np.ndarray:
-    y = np.asarray(y, dtype=np.float64)
-    return y[None, :] if y.ndim == 1 else y
+def _integrand(y, a, M, gamma: Tensor, z: Tensor, z_dist: DiagGaussian,
+               theta: GenerativeParams, bound: str) -> tuple[Tensor, ...]:
+    """The factors (log p(y | a, M), log p(a), log q(a | y, M), log p(z),
+    log q(z | y)) of both bounds' integrand, the last two summed over the
+    P codes of ``z`` (P, ..., H); q(M | Z) / p(M | Z) cancels exactly.  A
+    non-finite factor is a ``TrainingError`` naming it and the ``bound``.
+    """
+    factors = {
+        "likelihood": log_likelihood(y, a, M, theta),
+        "abundance prior": flat_abundance_logpdf(a, theta.n_endmembers),
+        "abundance posterior": dirichlet_logpdf(a, gamma),
+        "latent prior": std_normal_logpdf(z).sum(axis=0),
+        "latent posterior": gaussian_logpdf(z, z_dist).sum(axis=0),
+    }
+    for name, f in factors.items():
+        if not np.isfinite(f.data).all():
+            raise TrainingError(f"non-finite {name} term in the {bound} bound")
+    return tuple(factors.values())
 
 
 def unsup_term(y, theta: GenerativeParams, phi: InferenceParams, noise,
-               k_e: int = 1) -> tuple[Tensor, list[Tensor]]:
-    """Evidence bound for unlabeled pixels, summed over the batch.
+               k_e: int = 1) -> tuple[Tensor, Tensor]:
+    """Evidence bound for the unlabeled pixels ``y`` (B, L), summed over
+    the batch.
 
-    For each pixel, averages log p(y, a, M, Z) - log q(a, M, Z | y) over
-    ``k_e`` ancestral draws; the shared-decoder terms cancel exactly and
-    are therefore omitted rather than computed.  Also returns the
-    abundance concentration of each draw, (B, P) apiece, for the
-    sparsity penalty.
+    For each pixel, averages the integrand log p(y, a, M, Z) -
+    log q(a, M, Z | y) over ``k_e`` ancestral draws.  The draws are rows:
+    one ``posterior_sample`` of the batch tiled k_e times, draw d of pixel
+    b at row d B + b.  Also returns the (k_e, B, P) abundance
+    concentrations of the draws, for the sparsity penalty.
     """
-    y_b = _as_batch(y)
-    total = None
-    concentrations = []
-    for _ in range(k_e):
-        s = posterior_sample(y_b, phi, theta, noise)
-        concentrations.append(s.gamma.concentration)
-        factors = {
-            "likelihood": log_likelihood(y_b, s.a, s.em_matrix, theta),
-            "abundance prior": flat_abundance_logpdf(s.a, theta.n_endmembers),
-            "abundance posterior": -dirichlet_logpdf(s.a, s.gamma),
-            "latent prior": std_normal_logpdf(s.z).sum(axis=0),
-            "latent posterior": -gaussian_logpdf(s.z, s.z_dist).sum(axis=0),
-        }
-        term = None
-        for name, f in factors.items():
-            if not np.all(np.isfinite(f.data)):
-                raise TrainingError(f"non-finite {name} term in the "
-                                    "unsupervised bound")
-            term = f if term is None else term + f
-        total = term if total is None else total + term
-    return (total * (1.0 / k_e)).sum(), concentrations
+    B = len(y)
+    rows = np.tile(y, (k_e, 1))
+    s = posterior_sample(rows, phi, theta, noise)
+    ll, lp_a, lq_a, lp_z, lq_z = _integrand(rows, s.a, s.em_matrix, s.gamma,
+                                            s.z, s.z_dist, theta,
+                                            "unsupervised")
+    term = ll + lp_a - lq_a + lp_z - lq_z                          # (k_e B,)
+    return (term * (1.0 / k_e)).sum(), s.gamma.reshape((k_e, B, -1))
 
 
 @dataclass
@@ -147,7 +154,7 @@ class ImportanceWeights:
     normalized: Tensor      # (..., K), sums to 1 over the last axis
 
 
-def importance_weights(em_matrix, z, theta: GenerativeParams
+def importance_weights(em_matrix: np.ndarray, z, theta: GenerativeParams
                        ) -> ImportanceWeights:
     """Self-normalized weights w_i = q(M | Z_i) for observed M over K draws.
 
@@ -156,9 +163,7 @@ def importance_weights(em_matrix, z, theta: GenerativeParams
     log N(m_k; decoder_k(z_ik), scale_k); gradients reach the decoders and
     flow back through ``z``, while ``em_matrix`` is treated as data.
     """
-    em = np.asarray(em_matrix.data if isinstance(em_matrix, Tensor)
-                    else em_matrix, dtype=np.float64)
-    m = dc.constant(np.moveaxis(em, -2, 0)[..., None, :])     # (P, ..., 1, L)
+    m = dc.constant(np.moveaxis(em_matrix, -2, 0)[..., None, :])
     log_w = gaussian_logpdf(m, em_decode(z, theta)).sum(axis=0)   # (..., K)
     if not np.any(np.isfinite(log_w.data)):
         raise NumericError("all importance weights underflowed")
@@ -168,42 +173,33 @@ def importance_weights(em_matrix, z, theta: GenerativeParams
 
 def sup_term(y, a, em_matrix, theta: GenerativeParams, phi: InferenceParams,
              noise, k: int = 5) -> tuple[Tensor, Tensor, Tensor]:
-    """Supervised bound pieces for labeled triples, summed over the batch.
+    """Supervised bound pieces for the labeled triples (y (B, L), a (B, P),
+    em_matrix (B, P, L)), summed over the batch.
 
     Returns ``(sup_iw, sup_posterior, concentration)``: the
-    importance-weighted log-ratio, the posterior-likelihood regularizer
-    (it enters the total with weight lambda * (1 + beta)), and the (B, P)
-    abundance concentration at the observed endmembers, for the sparsity
-    penalty.
+    importance-weighted integrand over ``k`` latent draws, the
+    posterior-likelihood regularizer (it enters the total with weight
+    lambda * (1 + beta)), and the (B, P) abundance concentration at the
+    observed endmembers, for the sparsity penalty.
     """
-    y_b = _as_batch(y)
-    a_b = _as_batch(a)
-    em = np.asarray(em_matrix.data if isinstance(em_matrix, Tensor)
-                    else em_matrix, dtype=np.float64)
-    if em.ndim == 2:
-        em = em[None, :, :]
-    check_simplex(a_b)
-    B = y_b.shape[0]
+    check_simplex(a)
+    B = len(y)
     P, H = phi.n_endmembers, phi.latent_dim
 
-    z_dist = encode_z(y_b, phi)
+    z_dist = encode_z(y, phi)
     z_q = DiagGaussian(mean=z_dist.mean.reshape((B, 1, H)),
                        scale=z_dist.scale.reshape((B, 1, H)))
     xi = noise.normal((B, k, P, H))
     z = gaussian_rsample(z_q, np.moveaxis(xi, 2, 0))                  # (P, B, K, H)
-    w = importance_weights(em, z, theta)                              # (B, K)
+    w = importance_weights(em_matrix, z, theta)                       # (B, K)
 
-    gamma = abundance_concentration(y_b, dc.constant(em), phi)
-    lq_a = dirichlet_logpdf(a_b, gamma)                               # (B,)
-    ll = log_likelihood(y_b, a_b, em, theta)                          # (B,)
-    lp_a = flat_abundance_logpdf(a_b, P)                              # (B,)
-    fixed = (ll + lp_a - lq_a).reshape((B, 1))
-    lp_z = std_normal_logpdf(z).sum(axis=0)
-    lq_z = gaussian_logpdf(z, z_q).sum(axis=0)
-    bracket = fixed + lp_z - lq_z                                     # (B, K)
+    gamma = abundance_concentration(y, dc.constant(em_matrix), phi)
+    ll, lp_a, lq_a, lp_z, lq_z = _integrand(y, a, em_matrix, gamma, z, z_q,
+                                            theta, "supervised")
+    bracket = (ll + lp_a - lq_a).reshape((B, 1)) + lp_z - lq_z        # (B, K)
     sup_iw = (w.normalized * bracket).sum(axis=-1).sum()
     sup_posterior = (lq_a + w.log_weights.mean(axis=-1)).sum()
-    return sup_iw, sup_posterior, gamma.concentration
+    return sup_iw, sup_posterior, gamma
 
 
 def l_half_norm(x: Tensor) -> Tensor:
@@ -211,26 +207,21 @@ def l_half_norm(x: Tensor) -> Tensor:
     return (dc.as_tensor(x) ** 0.5).sum(axis=-1)
 
 
-def sparsity_penalty(gamma_u: list[Tensor], gamma_s: Tensor | None,
+def sparsity_penalty(gamma_u: Tensor | None, gamma_s: Tensor | None,
                      tau: float = 0.01) -> Tensor:
     """tau-weighted L1/2 norm of the abundance concentrations.
 
     ``gamma_s``: the (B, P) concentration of the labeled pixels at their
-    observed endmember matrices, or None; ``gamma_u``: one (B, P)
-    concentration per posterior draw of the unlabeled pixels (possibly
-    none), whose norms are averaged over the draws.
+    observed endmember matrices, or None; ``gamma_u``: the (k_e, B, P)
+    concentrations of the unlabeled pixels' k_e posterior draws, or None,
+    whose norms are averaged over the draws.
     """
-    if tau == 0.0:
-        return dc.constant(0.0)
     total = dc.constant(0.0)
     if gamma_s is not None:
         total = total + l_half_norm(gamma_s).sum()
-    if gamma_u:
-        acc = None
-        for gamma in gamma_u:
-            term = l_half_norm(gamma)
-            acc = term if acc is None else acc + term
-        total = total + (acc * (1.0 / len(gamma_u))).sum()
+    if gamma_u is not None:
+        k_e = gamma_u.shape[0]
+        total = total + (l_half_norm(gamma_u) * (1.0 / k_e)).sum()
     return tau * total
 
 
@@ -257,7 +248,7 @@ def total_loss(batch_u, batch_s, theta: GenerativeParams, phi: InferenceParams,
     ``RngNoise``.
     """
     zero = dc.constant(0.0)
-    unsup, gamma_u = zero, []
+    unsup, gamma_u = zero, None
     if batch_u is not None and len(batch_u):
         unsup, gamma_u = unsup_term(batch_u, theta, phi, noise, config.k_e)
     sup_iw, sup_post, gamma_s = zero, zero, None
@@ -289,6 +280,12 @@ class EpochStats:
     reg: float
     total: float
     lr: float
+
+
+# The history's columns, and between epoch and lr the LossBreakdown pieces
+# that an epoch averages.
+_HISTORY_COLUMNS = [f.name for f in fields(EpochStats)]
+_LOSS_TERMS = _HISTORY_COLUMNS[1:-1]
 
 
 class _SupervisedCycler:
@@ -351,7 +348,7 @@ def train(d_u: np.ndarray, d_s, config: TrainConfig, seed: int,
     for epoch in range(start_epoch, start_epoch + config.max_epochs):
         lr = lr_schedule(epoch)
         perm = order_rng.permutation(n_u)
-        sums = np.zeros(6)
+        sums = np.zeros(len(_LOSS_TERMS))
         n_steps = 0
         for start in range(0, n_u, config.batch_size):
             idx = perm[start:start + config.batch_size]
@@ -375,14 +372,11 @@ def train(d_u: np.ndarray, d_s, config: TrainConfig, seed: int,
                                     epoch=epoch, batch=n_steps)
                 err.last_good, err.last_epoch = last_good, last_epoch
                 raise err from None
-            sums += np.array([bd.unsup, bd.sup_iw, bd.sup_posterior,
-                              bd.sparsity, bd.reg, bd.total])
+            sums += [getattr(bd, term) for term in _LOSS_TERMS]
             n_steps += 1
             bd = grads = None       # free the spent graph before the next forward
-        means = (sums / n_steps).tolist()
-        stats = EpochStats(epoch=epoch, unsup=means[0], sup_iw=means[1],
-                           sup_posterior=means[2], sparsity=means[3],
-                           reg=means[4], total=means[5], lr=lr)
+        means = dict(zip(_LOSS_TERMS, (sums / n_steps).tolist()))
+        stats = EpochStats(epoch=epoch, lr=lr, **means)
         history.append(stats)
         last_good = state.arena.snapshot()
         last_epoch = epoch
@@ -394,16 +388,10 @@ def train(d_u: np.ndarray, d_s, config: TrainConfig, seed: int,
     return theta, phi, history
 
 
-_HISTORY_COLUMNS = ["epoch", "unsup", "sup_iw", "sup_posterior", "sparsity",
-                    "reg", "total", "lr"]
-
-
 def history_to_csv(history: list[EpochStats]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(_HISTORY_COLUMNS)
     for h in history:
-        writer.writerow([h.epoch, repr(h.unsup), repr(h.sup_iw),
-                         repr(h.sup_posterior), repr(h.sparsity),
-                         repr(h.reg), repr(h.total), repr(h.lr)])
+        writer.writerow([repr(getattr(h, col)) for col in _HISTORY_COLUMNS])
     return buf.getvalue()

@@ -521,6 +521,74 @@ def _edit_header(base: str, key: str, value, table: str | None = None):
         json.dump(header, f)
 
 
+class TestNonFiniteCheckpoint:
+    """A checkpoint value that is NaN or infinite is a ``BundleError``
+    naming the parameter and its first bad index, before any output."""
+
+    CASES = [("gen.nlin_mixing.w0", (3, 7), np.nan),
+             ("inf.z_trunk.w0", (1, 2), np.inf),
+             ("gen.em_log_scale", (2,), -np.inf)]
+
+    def _ckpt(self, scene, name, index, value, rename=lambda a: a) -> str:
+        meta, arrays = ct.load_checkpoint(scene["ckpt"])
+        arrays = {n: a.copy() for n, a in arrays.items()}
+        arrays[name][index] = value
+        # a second bad entry later in the array: the first one is named
+        arrays[name].reshape(-1)[-1] = value
+        base = str(scene["root"] / f"nonfinite_{name}_{value}")
+        ct.save_checkpoint(base, meta, rename(arrays))
+        return base
+
+    @pytest.mark.parametrize("name,index,value", CASES)
+    def test_unmix_exits_2_before_any_output(self, scene, capsys, name,
+                                             index, value):
+        base = self._ckpt(scene, name, index, value)
+        out = base + "_maps"
+        capsys.readouterr()
+        assert cli.main(["unmix", scene["cube"], base, out]) == 2
+        err = capsys.readouterr().err
+        assert f"field: {name}" in err and f"index {index}" in err
+        assert "Traceback" not in err
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("name,index,value", CASES)
+    def test_resume_exits_2_before_any_output(self, scene, capsys, name,
+                                              index, value):
+        base = self._ckpt(scene, name, index, value)
+        out = base + "_resumed"
+        capsys.readouterr()
+        assert cli.main(["train", scene["cube"], _supervised(scene), out,
+                         "--epochs", "1", "--resume", base]) == 2
+        err = capsys.readouterr().err
+        assert f"field: {name}" in err and f"index {index}" in err
+        assert not any(os.path.exists(out + ext) for ext in
+                       (".json", ".raw", ".history.csv", ".manifest.json"))
+
+    def test_older_checkpoint_names_the_stacked_bank(self, scene):
+        # endmember 1's array of a per-endmember checkpoint is entry 1 of
+        # the bank it is stacked into
+        base = self._ckpt(scene, "gen.em_decoder.w2", (1, 4, 0), np.nan,
+                          _per_endmember_names)
+        with pytest.raises(BundleError) as info:
+            cli._load_model(base)
+        assert info.value.field == "gen.em_decoder.w2"
+        assert "index (1, 4, 0)" in str(info.value)
+
+    def test_load_params_into_writes_nothing(self, scene):
+        _, arrays = ct.load_checkpoint(scene["ckpt"])
+        arrays = {n: a.copy() for n, a in arrays.items()}
+        arrays["inf.lista.log_eta_unc"][()] = np.nan
+        theta, phi = inf.init_model(BANDS, P, 2, 11, np.random.default_rng(0))
+        params = inf.model_parameters(theta, phi)
+        before = {n: t.data.copy() for n, t in params.items()}
+        with pytest.raises(BundleError) as info:
+            dc.load_params_into(params, arrays)
+        assert info.value.field == "inf.lista.log_eta_unc"
+        assert "index ()" in str(info.value)
+        for name, t in params.items():
+            assert t.data.tobytes() == before[name].tobytes(), name
+
+
 def _supervised(scene) -> str:
     """A valid labelled set for the scene's band count."""
     base = str(scene["root"] / "sup_valid")

@@ -204,7 +204,7 @@ class TestGaussianRsample:
 
 class TestDirichletLogpdf:
     def test_flat_is_log_factorial(self):
-        p = ds.DirichletParams(concentration=dc.constant(np.ones(3)))
+        p = dc.constant(np.ones(3))
         for a in ([0.2, 0.3, 0.5], [0.6, 0.3, 0.1], [1 / 3, 1 / 3, 1 / 3]):
             val = ds.dirichlet_logpdf(np.array(a), p).item()
             assert abs(val - math.log(2.0)) < 1e-9
@@ -215,20 +215,20 @@ class TestDirichletLogpdf:
         gamma = np.array([2.0, 5.0])
         want = (math.lgamma(7.0) - math.lgamma(2.0) - math.lgamma(5.0)
                 + (2.0 - 1) * math.log(0.3) + (5.0 - 1) * math.log(0.7))
-        p = ds.DirichletParams(concentration=dc.constant(gamma))
+        p = dc.constant(gamma)
         assert abs(ds.dirichlet_logpdf(a, p).item() - want) < 1e-9
 
     def test_integrates_to_one_on_grid(self):
         # trapezoid quadrature over the P=2 simplex with 1e4 points
         gamma = np.array([2.5, 1.5])
-        p = ds.DirichletParams(concentration=dc.constant(gamma))
+        p = dc.constant(gamma)
         t = np.linspace(1e-6, 1 - 1e-6, 10_000)
         a = np.stack([t, 1 - t], axis=1)
         dens = np.exp(ds.dirichlet_logpdf(a, p).data)
         assert abs(np.trapezoid(dens, t) - 1.0) < 1e-4
 
     def test_floor_violation_rejected(self):
-        p = ds.DirichletParams(concentration=dc.constant([1e-4, 1.0]))
+        p = dc.constant([1e-4, 1.0])
         with pytest.raises(DomainError):
             ds.dirichlet_logpdf(np.array([0.5, 0.5]), p)
 

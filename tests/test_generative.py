@@ -9,8 +9,8 @@ from scipy.special import gammaln
 from conftest import fd_param_grads, max_rel_err, one_network, zero_mlp
 from unmix import diffcore as dc
 from unmix import generative as gen
-from unmix.distributions import (DiagGaussian, DirichletParams,
-                                 dirichlet_logpdf, gaussian_logpdf)
+from unmix.distributions import (DiagGaussian, dirichlet_logpdf,
+                                 gaussian_logpdf)
 from unmix.errors import ShapeError
 
 L, P, H = 12, 3, 2
@@ -180,5 +180,5 @@ class TestFlatPrior:
         assert not lp.requires_grad and lp._parents == ()
         assert lp.shape == (4,)
         assert (lp.data == gammaln(n_endmembers)).all()
-        flat = DirichletParams(dc.constant(np.ones(n_endmembers)))
+        flat = dc.constant(np.ones(n_endmembers))
         assert lp.data.tobytes() == dirichlet_logpdf(a, flat).data.tobytes()

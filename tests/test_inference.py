@@ -294,7 +294,7 @@ class TestAbundanceConcentration:
         y = rng.uniform(0, 1, L)
         lin = inf.lista_concentration(y, dc.constant(M), phi).data
         conc = inf.abundance_concentration(y, dc.constant(M), phi)
-        np.testing.assert_allclose(conc.concentration.data,
+        np.testing.assert_allclose(conc.data,
                                    np.maximum(lin, 0) + GAMMA_FLOOR)
 
     def test_floor_always_respected(self, model, rng):
@@ -303,7 +303,7 @@ class TestAbundanceConcentration:
             M = rng.uniform(0.1, 0.9, (P, L))
             y = rng.uniform(-1, 2, L)
             conc = inf.abundance_concentration(y, dc.constant(M), phi)
-            assert np.all(conc.concentration.data >= GAMMA_FLOOR)
+            assert np.all(conc.data >= GAMMA_FLOOR)
 
     def test_disentangled_from_latent_encoder(self, model, rng):
         # abundances see Z only through M: the latent nets get no gradient
@@ -314,7 +314,7 @@ class TestAbundanceConcentration:
         z_params = {}
         for net in (phi.z_trunk, phi.z_mean_head, phi.z_scale_head):
             z_params.update(net.named_parameters())
-        grads = dc.backward(conc.concentration.sum(), z_params)
+        grads = dc.backward(conc.sum(), z_params)
         assert all(np.array_equal(g, np.zeros_like(g)) for g in grads.values())
 
 

@@ -11,9 +11,9 @@ from unmix import diffcore as dc
 from unmix import inference
 from unmix import objective as ob
 from unmix.distributions import (GAMMA_FLOOR, RngNoise, dirichlet_logpdf,
-                                 DirichletParams)
-from unmix.errors import InputError
-from unmix.generative import flat_abundance_logpdf
+                                 gaussian_logpdf, std_normal_logpdf)
+from unmix.errors import InputError, TrainingError
+from unmix.generative import flat_abundance_logpdf, log_likelihood
 from unmix.inference import init_model, model_parameters, posterior_sample
 
 L, P, H = 8, 2, 2
@@ -67,7 +67,7 @@ class TestSharedCancellation:
 
     def test_flat_posterior_cancels_flat_prior(self, rng):
         a = rng.dirichlet(np.ones(3))
-        flat = DirichletParams(concentration=dc.constant(np.ones(3)))
+        flat = dc.constant(np.ones(3))
         lq = dirichlet_logpdf(a, flat).item()
         lp = flat_abundance_logpdf(a, 3).item()
         assert lq == lp
@@ -132,6 +132,100 @@ class _ZeroNoise:
         return conc / conc.sum(axis=-1, keepdims=True)
 
 
+def per_draw_unsup(y, theta, phi, noise, k_e):
+    """The unsupervised bound drawn one posterior pass per draw: the
+    reference for ``unsup_term``, whose draws are rows of one pass.
+    Returns the bound and the list of the draws' concentrations."""
+    total, concentrations = None, []
+    for _ in range(k_e):
+        s = posterior_sample(y, phi, theta, noise)
+        concentrations.append(s.gamma)
+        term = (log_likelihood(y, s.a, s.em_matrix, theta)
+                + flat_abundance_logpdf(s.a, theta.n_endmembers)
+                + -dirichlet_logpdf(s.a, s.gamma)
+                + std_normal_logpdf(s.z).sum(axis=0)
+                + -gaussian_logpdf(s.z, s.z_dist).sum(axis=0))
+        total = term if total is None else total + term
+    return (total * (1.0 / k_e)).sum(), concentrations
+
+
+class TestUnsupTerm:
+    def test_one_draw_is_bitwise_the_per_draw_loop(self, model, rng):
+        # value, concentration and every parameter gradient, bit for bit
+        theta, phi = model
+        params = model_parameters(theta, phi)
+        y = rng.uniform(0.1, 0.9, (5, L))
+        got, gamma = ob.unsup_term(y, theta, phi,
+                                   RngNoise(np.random.default_rng(8)), k_e=1)
+        want, gammas = per_draw_unsup(y, theta, phi,
+                                      RngNoise(np.random.default_rng(8)), 1)
+        assert gamma.shape == (1, 5, P)
+        assert got.data.tobytes() == want.data.tobytes()
+        assert gamma.data[0].tobytes() == gammas[0].data.tobytes()
+        g_got = {n: g.copy() for n, g in dc.backward(got, params).items()}
+        g_want = dc.backward(want, params)
+        assert any(g.any() for g in g_got.values())
+        for name, g in g_want.items():
+            assert g_got[name].tobytes() == g.tobytes(), name
+
+    def test_draws_as_rows_keep_the_mean(self, model, rng):
+        # estimator change at k_e > 1: one pass takes the noise in another
+        # order, so a seed gives other draws, but the bound and the
+        # concentration norm keep their means
+        theta, phi = model
+        y = rng.uniform(0.1, 0.9, (3, L))
+        n, k_e = 240, 3
+        new, ref = np.empty((n, 2)), np.empty((n, 2))
+        for s in range(n):
+            bound, gamma = ob.unsup_term(
+                y, theta, phi, RngNoise(np.random.default_rng(s)), k_e=k_e)
+            new[s] = bound.item(), ob.sparsity_penalty(gamma, None,
+                                                       tau=1.0).item()
+            bound, gammas = per_draw_unsup(
+                y, theta, phi, RngNoise(np.random.default_rng(50_000 + s)),
+                k_e)
+            ref[s] = bound.item(), np.mean(
+                [ob.l_half_norm(g).sum().item() for g in gammas])
+        assert np.all(new.std(axis=0) > 0) and np.all(ref.std(axis=0) > 0)
+        se = np.sqrt(new.var(axis=0) / n + ref.var(axis=0) / n)
+        assert np.all(np.abs(new.mean(axis=0) - ref.mean(axis=0)) <= 3 * se)
+
+
+# The objective's log-density functions, the factor each gives the
+# integrand, and which of their calls give it: the latent posterior's
+# ``gaussian_logpdf`` is the one over the codes, of width H.
+FACTORS = [pytest.param(fn, factor, poison, id=fn) for fn, factor, poison in [
+    ("log_likelihood", "likelihood", lambda x: True),
+    ("flat_abundance_logpdf", "abundance prior", lambda x: True),
+    ("dirichlet_logpdf", "abundance posterior", lambda x: True),
+    ("std_normal_logpdf", "latent prior", lambda x: True),
+    ("gaussian_logpdf", "latent posterior",
+     lambda x: dc.as_tensor(x).shape[-1] == H)]]
+
+
+class TestIntegrand:
+    @pytest.mark.parametrize("fn,factor,poison", FACTORS)
+    @pytest.mark.parametrize("bound", ["unsupervised", "supervised"])
+    def test_non_finite_factor_is_named(self, model, rng, monkeypatch, fn,
+                                        factor, poison, bound):
+        theta, phi = model
+        original = getattr(ob, fn)
+
+        def poisoned(x, *args):
+            out = original(x, *args)
+            return out + dc.constant(np.nan) if poison(x) else out
+        monkeypatch.setattr(ob, fn, poisoned)
+        noise = RngNoise(np.random.default_rng(0))
+        y, a, m = one_hot_batch(rng, 3)
+        with pytest.raises(TrainingError,
+                           match=f"^non-finite {factor} term in the {bound} "
+                                 "bound$"):
+            if bound == "unsupervised":
+                ob.unsup_term(y, theta, phi, noise, k_e=2)
+            else:
+                ob.sup_term(y, a, m, theta, phi, noise, k=3)
+
+
 class TestSupTerm:
     def test_one_hot_abundances_finite(self, model, rng):
         theta, phi = model
@@ -162,7 +256,7 @@ class TestSupTerm:
         total = 6.0
         vals = []
         for c in (2.0, 3.5, 5.0, 5.9):
-            p = DirichletParams(concentration=dc.constant([c, total - c]))
+            p = dc.constant([c, total - c])
             vals.append(dirichlet_logpdf(a, p).item())
         assert all(v2 > v1 for v1, v2 in zip(vals, vals[1:]))
 
@@ -191,7 +285,7 @@ class TestSparsityPenalty:
         a = np.eye(3)[:1]
         _, _, gamma_s = ob.sup_term(y, a, m, theta, phi,
                                     RngNoise(np.random.default_rng(0)), k=1)
-        val = ob.sparsity_penalty([], gamma_s, tau=0.5)
+        val = ob.sparsity_penalty(None, gamma_s, tau=0.5)
         assert abs(val.item() - 0.5 * 3.0) < 1e-9
 
     def test_total_loss_reuses_the_bounds_concentrations(self, model, rng):
@@ -206,10 +300,10 @@ class TestSparsityPenalty:
         noise = RngNoise(np.random.default_rng(3))
         _, gamma_u = ob.unsup_term(y_u, theta, phi, noise, k_e=2)
         _, _, gamma_s = ob.sup_term(y, a, m, theta, phi, noise, k=2)
-        assert len(gamma_u) == 2
-        assert not np.array_equal(gamma_u[0].data, gamma_u[1].data)
+        assert gamma_u.shape == (2, 4, P)
+        assert not np.array_equal(gamma_u.data[0], gamma_u.data[1])
         want = cfg.tau * (np.sqrt(gamma_s.data).sum()
-                          + np.mean([np.sqrt(g.data).sum() for g in gamma_u]))
+                          + np.mean([np.sqrt(g).sum() for g in gamma_u.data]))
         assert abs(bd.sparsity - want) <= 1e-12 * abs(want)
 
     def test_unlabeled_penalty_matches_fresh_posterior_draw(self, model, rng):
@@ -225,7 +319,7 @@ class TestSparsityPenalty:
             new[s] = ob.sparsity_penalty(gamma_u, None, tau=1.0).item()
             draw = posterior_sample(y_u, phi, theta,
                                     RngNoise(np.random.default_rng(10_000 + s)))
-            ref[s] = ob.l_half_norm(draw.gamma.concentration).sum().item()
+            ref[s] = ob.l_half_norm(draw.gamma).sum().item()
         assert new.std() > 0 and ref.std() > 0
         se = math.sqrt(new.var() / n + ref.var() / n)
         assert abs(new.mean() - ref.mean()) <= 3 * se
@@ -375,16 +469,16 @@ class TestTotalLoss:
         assert [name for name, g in grads.items() if not g.any()] == []
 
     def test_graph_node_ceiling(self, rng):
-        """One step's graph at a fixed small shape: 391 nodes that need a
-        gradient, 433 with the constant leaves they read."""
+        """One step's graph at a fixed small shape: 390 nodes that need a
+        gradient, 432 with the constant leaves they read."""
         theta, phi = init_model(24, 3, 2, 11, np.random.default_rng(1))
         y = rng.uniform(0.1, 0.9, (16, 24))
         a = np.eye(3)[rng.integers(0, 3, 16)]
         m = rng.uniform(0.1, 0.9, (16, 3, 24))
         bd = ob.total_loss(y, (y, a, m), theta, phi, ob.TrainConfig(),
                            RngNoise(np.random.default_rng(2)))
-        assert len(dc._toposort(bd.node)) <= 391
-        assert len(every_node(bd.node)) <= 433
+        assert len(dc._toposort(bd.node)) <= 390
+        assert len(every_node(bd.node)) <= 432
 
 
 class TestBoundOrdering:
@@ -395,7 +489,7 @@ class TestBoundOrdering:
                                 rng=np.random.default_rng(0))
         y = rng.uniform(0.2, 0.8, 2)
         elbos = np.array([
-            ob.unsup_term(y, theta, phi,
+            ob.unsup_term(y[None, :], theta, phi,
                           RngNoise(np.random.default_rng(s)), k_e=1)[0].item()
             for s in range(1000)])
 
