@@ -106,21 +106,24 @@ def cmd_generate(args) -> int:
     lib_rng, map_rng, mix_rng = root.spawn(3)
     library = dt.synth_endmember_library(args.bands, p, lib_rng)
     maps = dt.synth_abundance_maps(args.width, args.height, p, map_rng)
+    wavelengths = np.linspace(400.0, 2400.0, args.bands)
+    paths = {n: os.path.join(args.out_dir, n)
+             for n in ("cube", "abundances", "endmembers")}
     if args.kind == "dc1":
         cube, truth = dt.generate_dc1(maps, library, args.snr, mix_rng,
                                       width=args.width, height=args.height)
+        cube.wavelengths = wavelengths
+        dt.save_cube(paths["cube"], cube)
+        dt.save_endmembers(paths["endmembers"], truth.endmembers,
+                           args.width, args.height)
     else:
-        cube, truth = dt.generate_dc2(maps, library, args.variability,
-                                      args.snr, mix_rng,
-                                      width=args.width, height=args.height)
-    cube.wavelengths = np.linspace(400.0, 2400.0, args.bands)
-    paths = {n: os.path.join(args.out_dir, n)
-             for n in ("cube", "abundances", "endmembers")}
-    dt.save_cube(paths["cube"], cube)
-    dt.save_abundances(paths["abundances"], truth.abundances,
-                       args.width, args.height)
-    dt.save_endmembers(paths["endmembers"], truth.endmembers,
-                       args.width, args.height)
+        with dt.endmember_writer(paths["endmembers"], args.width,
+                                 args.height, args.bands, p) as m_out, \
+                dt.cube_writer(paths["cube"], args.width, args.height,
+                               args.bands, wavelengths) as y_out:
+            dt.generate_dc2(maps, library, args.variability, args.snr,
+                            mix_rng, m_out, y_out)
+    dt.save_abundances(paths["abundances"], maps, args.width, args.height)
     _write_manifest(
         os.path.join(args.out_dir, "manifest.json"), "generate",
         {"kind": args.kind, "width": args.width, "height": args.height,

@@ -228,13 +228,18 @@ def generate_dc1(abundances: np.ndarray, em_matrix: np.ndarray,
 
 def generate_dc2(abundances: np.ndarray, base_em: np.ndarray,
                  variability_strength: float, snr_db: float | None,
-                 rng: np.random.Generator, width: int, height: int,
-                 ) -> tuple[HyperCube, GroundTruth]:
+                 rng: np.random.Generator, endmembers_out, pixels_out):
     """Linear mixtures of per-pixel (P, L) endmembers: y_n = a_n M_n + e_n.
 
     Each (pixel, endmember) pair gets a random scale in [1-v, 1+v] modulated
     by a smooth zero-mean spectral bump, so signatures change shape (not just
     amplitude) while averaging to the drawn scale across bands.
+
+    The (N, P, L) stack is appended to ``endmembers_out`` and then the
+    noisy (N, L) pixels to ``pixels_out``, each in blocks of ``ROW_BLOCK``
+    pixels from pixel 0; either may be a ``container.PayloadWriter`` or a
+    list.  Only the clean (N, L) cube is held whole, since the noise is
+    scaled to its power.
     """
     v = float(variability_strength)
     if not 0.0 <= v <= MAX_VARIABILITY:
@@ -251,29 +256,36 @@ def generate_dc2(abundances: np.ndarray, base_em: np.ndarray,
         centers = var_rng.uniform(0, L, size=(n, P))
         widths = var_rng.uniform(L / 10, L / 3, size=(n, P))
         amps = var_rng.uniform(0.5, 1.5, size=(n, P))
-        # The (N, P, L) stack, updated in place.  The steps evaluate
-        # clip(M0 · (1 + (s - 1) · (1 + amp · (bump - mean(bump))))),
-        # bump = exp(-0.5 · ((grid - center) / width)²), in the same order
-        # as the expression would, so the stack is bitwise the same.
-        buf = np.subtract(grid[None, None, :], centers[..., None])
-        buf /= widths[..., None]
-        np.square(buf, out=buf)
-        buf *= -0.5
-        np.exp(buf, out=buf)                                  # bump
-        buf -= buf.mean(axis=-1, keepdims=True)
-        buf *= amps[..., None]
-        buf += 1.0                                            # envelope
-        buf *= scales[..., None] - 1.0
-        buf += 1.0                                            # multiplier
-        buf *= M0[None, :, :]
-        em_stack = np.clip(buf, 0.0, 1.0, out=buf)
-    else:
-        em_stack = np.broadcast_to(M0, (n, P, L)).copy()
-    clean = np.einsum("npl,np->nl", em_stack, A)
+    blocks = [slice(start, min(start + ROW_BLOCK, n))
+              for start in range(0, n, ROW_BLOCK)]
+    clean = np.empty((n, L))
+    for rows in blocks:
+        if v > 0.0:
+            # The block of the stack, updated in place.  The steps evaluate
+            # clip(M0 · (1 + (s - 1) · (1 + amp · (bump - mean(bump))))),
+            # bump = exp(-0.5 · ((grid - center) / width)²), in the same
+            # order as the expression would, so the stack is bitwise the same.
+            buf = np.subtract(grid[None, None, :], centers[rows, :, None])
+            buf /= widths[rows, :, None]
+            np.square(buf, out=buf)
+            buf *= -0.5
+            np.exp(buf, out=buf)                              # bump
+            buf -= buf.mean(axis=-1, keepdims=True)
+            buf *= amps[rows, :, None]
+            buf += 1.0                                        # envelope
+            buf *= scales[rows, :, None] - 1.0
+            buf += 1.0                                        # multiplier
+            buf *= M0[None, :, :]
+            em = np.clip(buf, 0.0, 1.0, out=buf)
+        else:
+            em = np.broadcast_to(M0, (rows.stop - rows.start, P, L)).copy()
+        endmembers_out.append(em)
+        clean[rows] = np.einsum("npl,np->nl", em, A[rows])
     sigma = _noise_sigma(clean, snr_db)
-    pixels = clean + sigma * noise_rng.standard_normal(clean.shape)
-    cube = HyperCube(width=width, height=height, pixels=pixels)
-    return cube, GroundTruth(abundances=A.copy(), endmembers=em_stack)
+    for rows in blocks:
+        pixels = clean[rows]
+        pixels += sigma * noise_rng.standard_normal(pixels.shape)
+        pixels_out.append(pixels)
 
 
 # ------------------------------------------------------------- extraction

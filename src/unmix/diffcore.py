@@ -22,6 +22,14 @@ view into it and needing a gradient, and a matching gradient buffer.
 ``backward`` writes each packed leaf's gradient into its view of that
 buffer, and Adam updates the flat buffers.  From packing on, code must
 write parameters in place (``t.data[...] = x``) and never rebind ``.data``.
+
+A VJP hands back each operand's cotangent as an array or, where the
+cotangent is as large as a parameter, as a writer ``into(out, add)``.
+``out`` is a C-ordered buffer of the operand's shape; the writer writes
+the cotangent into it (``add`` false) or adds it (``add`` true) without
+building it first.  ``dense`` gives its weight gradient and ``l2norm`` its
+whole VJP this way, so every contribution to a packed weight lands in its
+arena view with no temporary of the weight's size.
 """
 
 from __future__ import annotations
@@ -31,6 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import special as _sp
+from scipy.linalg import blas as _blas
 
 from .errors import BundleError, ContractError, ShapeError, TrainingError
 
@@ -230,13 +239,24 @@ def clip(x: Tensor, lo: float, hi: float) -> Tensor:
 def l2norm(x: Tensor) -> Tensor:
     """Euclidean norm of all entries, with subgradient 0 at the origin.
 
-    The norm is one BLAS dot of the flat entries with themselves, and the
-    VJP one pass over them, ``x * (g / n)``.
+    The norm is one BLAS dot of the flat entries with themselves.  The VJP
+    is a writer of ``x * (g / n)``, one pass over the entries: it writes
+    with ``np.multiply`` and adds with ``daxpy``.
     """
     x = as_tensor(x)
     flat = x.data.ravel()
     n = math.sqrt(float(np.dot(flat, flat)))
-    return Tensor(n, (x,), lambda g: (x.data * (g / n if n > 0.0 else 0.0),))
+
+    def vjp(g):
+        s = float(g) / n if n > 0.0 else 0.0
+
+        def into(out, add):
+            if add:
+                _blas.daxpy(flat, out.reshape(-1), a=s)
+            else:
+                np.multiply(x.data, s, out=out)
+        return (into,)
+    return Tensor(n, (x,), vjp)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -307,13 +327,16 @@ def backward(loss: Tensor, params: dict[str, Tensor] | None = None):
 
     ``loss`` must be scalar.  No constant ever receives a cotangent, and
     only leaves keep ``.grad``: each interior node's is dropped as soon as
-    its VJP has run.  A leaf packed into a ``ParamArena`` receives its
-    first contribution as a copy into its view of the arena's gradient
-    buffer and later ones added in place; any other leaf's first
-    contribution aliases the VJP output.  When ``params`` is given, returns
-    a dict of gradients keyed like ``params``; parameters not touched by
-    the loss get exact zeros.  For packed parameters these are the arena's
-    gradient views, valid until the next ``backward``.
+    its VJP has run.  A leaf packed into a ``ParamArena`` accumulates in its
+    view of the arena's gradient buffer: the first contribution is written
+    there and later ones are added in place.  A writer ``into(out, add)``
+    does both itself, so its cotangent never exists apart from the view; an
+    array is copied in, then added.  Any other node's first array
+    contribution aliases the VJP output, and a writer's lands in a fresh
+    array.  When ``params`` is given, returns a dict of gradients keyed like
+    ``params``; parameters not touched by the loss get exact zeros.  For
+    packed parameters these are the arena's gradient views, valid until the
+    next ``backward``.
     """
     if loss.data.size != 1:
         raise ContractError(f"loss must be scalar, got shape {loss.shape}")
@@ -324,9 +347,10 @@ def backward(loss: Tensor, params: dict[str, Tensor] | None = None):
         t.grad = None
     if loss.requires_grad:
         loss.grad = np.ones_like(loss.data)
-    # Gradients this pass may add to in place: arena views, and fresh sums.
-    # An unpacked node's first contribution aliases the VJP output, which
-    # may be shared, so a second one replaces it with a fresh sum.
+    # Gradients this pass may add to in place: arena views, writers' fresh
+    # arrays and fresh sums.  An unpacked node's first array contribution
+    # aliases the VJP output, which may be shared, so a second contribution
+    # replaces it with a fresh sum or a copy.
     owned: set[int] = set()
     for node in reversed(order):
         if node._vjp is None or node.grad is None:
@@ -336,7 +360,17 @@ def backward(loss: Tensor, params: dict[str, Tensor] | None = None):
         for p, g in zip(node._parents, grads):
             if g is None or not p.requires_grad:
                 continue
-            if p.grad is None:
+            if callable(g):
+                if p.grad is None:
+                    p.grad = (np.empty(p.shape) if p._grad_view is None
+                              else p._grad_view)
+                    g(p.grad, False)
+                else:
+                    if id(p) not in owned:
+                        p.grad = np.array(p.grad)
+                    g(p.grad, True)
+                owned.add(id(p))
+            elif p.grad is None:
                 if p._grad_view is None:
                     p.grad = g
                 else:
@@ -376,9 +410,13 @@ def dense(x: Tensor, w: Tensor, b: Tensor, act: str) -> Tensor:
     sigmoid derivative ``out * (1 - out)``; it skips ``g @ w`` for a
     constant input.  Values, and the input and bias gradients, are bitwise
     those of the transpose, matmul, add and activation nodes it replaces.
-    The weight gradient is ``swapaxes(g) @ x``, C-ordered like the weight, so
-    accumulating it is a contiguous pass; it is bitwise the gradient of
-    the weight-first product ``matmul(w, x.transpose()).transpose()``.
+    The weight gradient ``swapaxes(g) @ x`` is a writer: it writes with
+    ``np.matmul(..., out=)`` and adds with one ``dgemm`` (beta = 1) per
+    network on the Fortran view of the C-ordered target, so no array of
+    the weight's size is built.  Written, it is bitwise the gradient of the
+    weight-first product ``matmul(w, x.transpose()).transpose()``; added,
+    it is bitwise that gradient added whenever BLAS sums the rows in one
+    pass, and within rounding of it otherwise.
     """
     x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
     if x.data.ndim < 2 or x.shape[:-2] != w.shape[:-2] \
@@ -406,8 +444,15 @@ def dense(x: Tensor, w: Tensor, b: Tensor, act: str) -> Tensor:
         elif act == "sigmoid":
             g = g * out * (1.0 - out)
         gx = g @ w.data if x.requires_grad else None
-        gw = np.swapaxes(g, -1, -2) @ x.data
-        return (gx, gw, g.sum(axis=-2))
+
+        def into(gw, add):
+            if not add:
+                np.matmul(np.swapaxes(g, -1, -2), x.data, out=gw)
+                return
+            for k in np.ndindex(gw.shape[:-2]):     # gw.T += x.T @ g
+                _blas.dgemm(1.0, x.data[k].T, g[k].T, beta=1.0, c=gw[k].T,
+                            trans_b=True, overwrite_c=True)
+        return (gx, into, g.sum(axis=-2))
     return Tensor(out, (x, w, b), vjp)
 
 
@@ -618,22 +663,34 @@ class AdamState:
 
 
 # Elements per block of the flat Adam update: the four flat buffers and
-# two scratch blocks of 64K float64 each fit in a 4 MiB L2 cache.
-_ADAM_BLOCK = 1 << 16
+# two scratch blocks of 32K float64 each, 1.5 MiB, fit in a 2 MiB L2 cache.
+_ADAM_BLOCK = 1 << 15
 
 
 def adam_step(params: dict[str, Tensor], grads: dict[str, np.ndarray],
               state: AdamState, lr: float) -> AdamState:
-    """Standard Adam update with bias correction, in place on the arena.
+    """Adam with bias correction, in place on the arena.
+
+    The bias corrections are folded into the step size and the offset, as
+    Kingma & Ba ("Adam", ICLR 2015, sec. 2) suggest: with
+    bc1 = 1 - beta1^t and bc2 = 1 - beta2^t,
+
+        m <- beta1 m + (1 - beta1) g,   v <- beta2 v + (1 - beta2) g^2,
+        theta <- theta - alpha_t m / (sqrt(v) + eps_hat),
+
+    where alpha_t = lr sqrt(bc2) / bc1 and eps_hat = eps sqrt(bc2), which
+    is the textbook lr m_hat / (sqrt(v_hat) + eps) up to rounding.  The
+    update runs over the flat buffers in cache-sized blocks, nine passes
+    each: ``dscal`` and ``daxpy`` for the moments, one ``daxpy`` for the
+    parameters.
 
     ``params`` must be the tensors packed in ``state.arena``.  A gradient
     that is not already the arena's view is copied into it.  The whole flat
-    gradient is checked before anything changes, so a non-finite entry
-    raises ``TrainingError`` naming the first such entry in arena order, by
-    parameter and index, with the parameters, moments and step as they
-    were.  The update runs
-    over the flat buffers in cache-sized blocks, with the same operations
-    in the same order as per tensor.
+    gradient is checked before anything changes, by one dot product with
+    itself and, only when that is not finite, an exact scan: a non-finite
+    entry raises ``TrainingError`` naming the first such entry in arena
+    order, by parameter and index, with the parameters, moments and step
+    as they were; finite entries whose squares overflow the dot proceed.
     """
     if lr <= 0:
         raise ContractError(f"learning rate must be positive, got {lr}")
@@ -645,7 +702,9 @@ def adam_step(params: dict[str, Tensor], grads: dict[str, np.ndarray],
         view, g = arena.grads[name], grads[name]
         if g is not view:
             np.copyto(view, g)
-    if not np.isfinite(arena.grad).all():
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = np.dot(arena.grad, arena.grad)
+    if not math.isfinite(total) and not np.isfinite(arena.grad).all():
         bad = next(n for n in arena.names
                    if not np.isfinite(arena.grads[n]).all())
         index = np.argwhere(~np.isfinite(arena.grads[bad]))[0]
@@ -656,28 +715,25 @@ def adam_step(params: dict[str, Tensor], grads: dict[str, np.ndarray],
     b1, b2 = ADAM_BETA1, ADAM_BETA2
     bc1 = 1.0 - b1 ** t
     bc2 = 1.0 - b2 ** t
+    alpha = lr * math.sqrt(bc2) / bc1
+    eps_hat = ADAM_EPS * math.sqrt(bc2)
     n = arena.size
-    step_buf = np.empty(min(n, _ADAM_BLOCK))
-    den_buf = np.empty_like(step_buf)
+    tmp_buf = np.empty(min(n, _ADAM_BLOCK))
+    den_buf = np.empty_like(tmp_buf)
     for start in range(0, n, _ADAM_BLOCK):
         stop = min(start + _ADAM_BLOCK, n)
         g = arena.grad[start:stop]
         m, v = state.m_flat[start:stop], state.v_flat[start:stop]
-        step, den = step_buf[:stop - start], den_buf[:stop - start]
-        m *= b1
-        np.multiply(g, 1 - b1, out=step)        # (1 - b1) * g
-        m += step
-        np.multiply(g, 1 - b2, out=step)        # ((1 - b2) * g) * g
-        step *= g
-        v *= b2
-        v += step
-        np.divide(m, bc1, out=step)
-        step *= lr
-        np.divide(v, bc2, out=den)
-        np.sqrt(den, out=den)
-        den += ADAM_EPS
-        step /= den
-        arena.values[start:stop] -= step
+        tmp, den = tmp_buf[:stop - start], den_buf[:stop - start]
+        _blas.dscal(b1, m)
+        _blas.daxpy(g, m, a=1.0 - b1)
+        _blas.dscal(b2, v)
+        np.multiply(g, g, out=tmp)
+        _blas.daxpy(tmp, v, a=1.0 - b2)
+        np.sqrt(v, out=den)
+        den += eps_hat
+        np.divide(m, den, out=tmp)
+        _blas.daxpy(tmp, arena.values[start:stop], a=-alpha)
     return state
 
 

@@ -539,6 +539,20 @@ class TestNonFiniteCheckpoint:
         ct.save_checkpoint(base, meta, rename(arrays))
         return base
 
+    def test_unmix_checks_each_parameter_once(self, scene, monkeypatch):
+        """The loaded model is checked once; the unmixing pass reads it
+        without a second scan."""
+        taken = []
+        take = dc.StoredParams._take
+
+        def spy(self, name, shape):
+            taken.append(name)
+            return take(self, name, shape)
+        monkeypatch.setattr(dc.StoredParams, "_take", spy)
+        _unmix(scene, "checked_once")
+        names = list(ct.load_checkpoint(scene["ckpt"])[1])
+        assert sorted(taken) == sorted(names) and len(names) == 51
+
     @pytest.mark.parametrize("name,index,value", CASES)
     def test_unmix_exits_2_before_any_output(self, scene, capsys, name,
                                              index, value):
@@ -1308,6 +1322,19 @@ class TestPeakMemory:
             peaks.append(_traced_peak(["unmix", cube, ckpt,
                                        str(tmp_path / f"out_{n}")]))
         assert peaks[1] <= 1.1 * peaks[0], peaks
+
+    def test_generate_dc2_peak_grows_by_at_most_two_cubes(self, tmp_path):
+        """``generate dc2`` holds the clean cube whole, and its square for
+        the noise power, but the (N, P, L) stack and the noisy pixels only
+        a block at a time."""
+        peaks, cubes = [], []
+        for blocks in (4, 16):
+            peaks.append(_traced_peak([
+                "generate", "dc2", str(tmp_path / f"scene_{blocks}"),
+                "--width", str(dt.ROW_BLOCK), "--height", str(blocks),
+                "--bands", str(BIG_BANDS), "--endmembers", str(BIG_P)]))
+            cubes.append(8 * blocks * dt.ROW_BLOCK * BIG_BANDS)
+        assert peaks[1] - peaks[0] <= 1.1 * 2 * (cubes[1] - cubes[0]), peaks
 
     def test_eval_peak_does_not_grow_with_the_scene(self, tmp_path):
         """``eval`` reads the endmember stacks, the cube and the

@@ -18,6 +18,14 @@ def scene_parts():
     return library, maps
 
 
+def dc2_scene(maps, library, variability, snr_db, rng):
+    """``generate_dc2``'s (N, L) pixels and (N, P, L) stack, each collected
+    from its blocks."""
+    stack, pixels = [], []
+    dt.generate_dc2(maps, library, variability, snr_db, rng, stack, pixels)
+    return np.concatenate(pixels), np.concatenate(stack)
+
+
 def test_library_is_p_rows_of_l_bands(scene_parts):
     library, _ = scene_parts
     assert library.shape == (P, L)
@@ -42,24 +50,51 @@ def test_noiseless_dc1_is_linear_plus_bilinear(scene_parts):
 
 def test_noiseless_dc2_mixes_each_pixels_own_rows(scene_parts):
     library, maps = scene_parts
-    cube, truth = dt.generate_dc2(maps, library, 0.3, None,
-                                  np.random.default_rng(2), width=W, height=H)
-    stack = truth.endmembers
-    assert stack.shape == (W * H, P, L) and stack.flags.c_contiguous
+    pixels, stack = dc2_scene(maps, library, 0.3, None,
+                              np.random.default_rng(2))
+    assert stack.shape == (W * H, P, L)
     for n in range(W * H):
         want = sum(maps[n, p] * stack[n, p] for p in range(P))
-        np.testing.assert_allclose(cube.pixels[n], want, rtol=1e-13, atol=0)
+        np.testing.assert_allclose(pixels[n], want, rtol=1e-13, atol=0)
     # the variability moves the signatures off the library
     assert not np.allclose(stack, library[None])
 
 
 def test_dc2_without_variability_gives_every_pixel_the_library(scene_parts):
     library, maps = scene_parts
-    _, truth = dt.generate_dc2(maps, library, 0.0, 30.0,
-                               np.random.default_rng(3), width=W, height=H)
-    assert truth.endmembers.shape == (W * H, P, L)
+    _, stack = dc2_scene(maps, library, 0.0, 30.0, np.random.default_rng(3))
+    assert stack.shape == (W * H, P, L)
     for n in range(W * H):
-        np.testing.assert_array_equal(truth.endmembers[n], library)
+        np.testing.assert_array_equal(stack[n], library)
+
+
+@pytest.mark.parametrize("variability", [0.3, 0.0])
+def test_dc2_blocks_equal_the_whole_scene_formulas(scene_parts, variability):
+    """Over three blocks, the stack and the pixels are bitwise those of the
+    whole-scene formulas: each variability array drawn whole, the noise
+    scaled to the power of the whole clean cube and drawn as one stream."""
+    library, _ = scene_parts
+    n = 2 * dt.ROW_BLOCK + 37
+    maps = dt.synth_abundance_maps(n, 1, P, np.random.default_rng(4))
+    stack, pixels = [], []
+    dt.generate_dc2(maps, library, variability, 25.0,
+                    np.random.default_rng(5), stack, pixels)
+    assert [len(b) for b in stack] == [len(b) for b in pixels] \
+        == [dt.ROW_BLOCK, dt.ROW_BLOCK, 37]
+    var_rng, noise_rng = np.random.default_rng(5).spawn(2)
+    want = np.broadcast_to(library, (n, P, L))
+    if variability:
+        s, c, w, amp = (var_rng.uniform(lo, hi, (n, P))[..., None]
+                        for lo, hi in ((0.7, 1.3), (0, L), (L / 10, L / 3),
+                                       (0.5, 1.5)))
+        bump = np.exp(-0.5 * ((np.arange(L, dtype=np.float64) - c) / w) ** 2)
+        envelope = 1.0 + amp * (bump - bump.mean(axis=-1, keepdims=True))
+        want = np.clip(library * (1.0 + (s - 1.0) * envelope), 0.0, 1.0)
+    assert np.concatenate(stack).tobytes() == want.tobytes()
+    clean = np.einsum("npl,np->nl", want, maps)
+    sigma = np.sqrt(np.mean(clean ** 2) / dt.noise_power_ratio(25.0))
+    noisy = clean + sigma * noise_rng.standard_normal(clean.shape)
+    assert np.concatenate(pixels).tobytes() == noisy.tobytes()
 
 
 def test_vca_returns_p_cube_pixels_as_rows(scene_parts):
@@ -91,16 +126,15 @@ def test_noiseless_supervised_set_is_one_hot_rows(scene_parts):
 
 def test_endmember_stack_round_trip(tmp_path, scene_parts):
     library, maps = scene_parts
-    _, truth = dt.generate_dc2(maps, library, 0.2, 30.0,
-                               np.random.default_rng(9), width=W, height=H)
+    _, stack = dc2_scene(maps, library, 0.2, 30.0, np.random.default_rng(9))
     base = str(tmp_path / "endmembers")
-    dt.save_endmembers(base, truth.endmembers, W, H)
+    dt.save_endmembers(base, stack, W, H)
     back = dt.load_endmembers(base)
     assert back.shape == (W * H, P, L)
-    assert back.tobytes() == truth.endmembers.tobytes()
+    assert back.tobytes() == stack.tobytes()
     reader = dt.open_endmembers(base)
     assert reader.shape == (W * H, P, L)
-    assert reader[3:5].tobytes() == truth.endmembers[3:5].tobytes()
+    assert reader[3:5].tobytes() == stack[3:5].tobytes()
     shared = str(tmp_path / "library")
     dt.save_endmembers(shared, library)
     np.testing.assert_array_equal(dt.load_endmembers(shared), library)

@@ -1,6 +1,7 @@
 """Tensor core: forward ops, reverse accumulation, Adam, schedule, checkpoints."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -172,15 +173,20 @@ class TestDense:
 
     @pytest.mark.parametrize("bank", [0, 3])
     def test_weight_gradient_is_c_ordered(self, rng, bank):
-        """The weight gradient is C-ordered like the weight, for one
-        network and for a bank, so accumulating it is a contiguous pass."""
+        """The weight gradient is written into the weight's C-ordered arena
+        view, for one network and for a bank, as ``swapaxes(g) @ x``."""
         lead = (bank,) if bank else ()
         x = dc.constant(rng.standard_normal(lead + (6, 4)))
         params = {"w": dc.parameter(rng.standard_normal(lead + (5, 4)), "w"),
                   "b": dc.parameter(rng.standard_normal(lead + (5,)), "b")}
+        state = dc.AdamState.create(params)
         out = dc.dense(x, params["w"], params["b"], "relu")
-        _, gw, _ = out._vjp(rng.standard_normal(out.shape))
-        assert gw.shape == params["w"].shape and gw.flags.c_contiguous
+        weights = rng.standard_normal(out.shape)
+        grads = dc.backward((out * weights).sum(), params)
+        view = state.arena.grads["w"]
+        assert grads["w"] is view and view.flags.c_contiguous
+        g = weights * (out.data > 0.0)
+        assert view.tobytes() == (np.swapaxes(g, -1, -2) @ x.data).tobytes()
 
     def test_one_graph_node_per_layer(self, rng):
         net = make_mlp([3, 5, 4, 2], ["relu", "sigmoid", "linear"], seed=2)
@@ -469,6 +475,121 @@ class TestBackward:
         assert np.array_equal(grads["z"], np.zeros(4))
 
 
+class TestGradientWriters:
+    """``dense`` hands back its weight gradient, and ``l2norm`` its VJP, as
+    a writer ``into(out, add)``: ``backward`` has it write the first
+    contribution into the gradient's buffer and add later ones in place."""
+
+    # (bank, rows): one network and a bank of three, at a short contraction
+    # and at one long enough for dgemm to sum the rows in several passes
+    DENSE = [(0, 6), (3, 6), (0, 3000), (3, 3000)]
+
+    @pytest.mark.parametrize("bank, rows", DENSE)
+    def test_dense_writer_equals_the_materialized_gradient(self, rng, bank,
+                                                           rows):
+        lead = (bank,) if bank else ()
+        x = rng.standard_normal(lead + (rows, 4))
+        w = dc.parameter(rng.standard_normal(lead + (5, 4)), "w")
+        b = dc.parameter(rng.standard_normal(lead + (5,)), "b")
+        out = dc.dense(dc.constant(x), w, b, "linear")
+        g = rng.standard_normal(out.shape)
+        _, into, _ = out._vjp(g)
+        gw = np.swapaxes(g, -1, -2) @ x
+        written = np.full(w.shape, np.nan)
+        into(written, False)
+        assert written.tobytes() == gw.tobytes()
+        start = rng.standard_normal(w.shape)
+        added = start.copy()
+        into(added, True)
+        want = start + gw
+        assert np.max(np.abs(added - want)) <= 1e-12 * np.max(np.abs(want))
+        if rows < 100:
+            assert added.tobytes() == want.tobytes()
+
+    def test_l2norm_writer_equals_the_materialized_gradient(self, rng):
+        x = dc.parameter(rng.standard_normal((4, 3, 5)), "x")
+        norm = dc.l2norm(x)
+        (into,) = norm._vjp(np.array(1.7))
+        want = x.data * (1.7 / norm.item())
+        written = np.full(x.shape, np.nan)
+        into(written, False)
+        assert written.tobytes() == want.tobytes()
+        start = rng.standard_normal(x.shape)
+        added = start.copy()
+        into(added, True)
+        assert np.max(np.abs(added - (start + want))) \
+            <= 1e-12 * np.max(np.abs(start + want))
+
+    @pytest.mark.parametrize("bank", [0, 3])
+    def test_weight_with_three_contributions_matches_finite_differences(
+            self, rng, bank):
+        """A weight read by two ``dense`` calls and its norm, like the
+        mixing net's first layer: packed, it gets the unpacked gradient
+        bit for bit, and both match finite differences."""
+        lead = (bank,) if bank else ()
+        x1, x2 = (dc.constant(rng.standard_normal(lead + (6, 4)))
+                  for _ in range(2))
+        values = {"w": rng.standard_normal(lead + (5, 4)),
+                  "b": rng.standard_normal(lead + (5,))}
+
+        def run(packed):
+            params = {n: dc.parameter(v, n) for n, v in values.items()}
+            if packed:
+                dc.AdamState.create(params)
+            w, b = params["w"], params["b"]
+
+            def loss_t():
+                return (_sin(dc.dense(x1, w, b, "relu")).sum()
+                        + (dc.dense(x2, w, b, "sigmoid") * 1.3).sum()
+                        + dc.l2norm(w) * 0.7)
+            grads = dc.backward(loss_t(), params)
+            grads = {n: g.copy() for n, g in grads.items()}
+            fd = fd_param_grads(lambda: loss_t().item(), params)
+            assert max_rel_err(grads, fd) < 1e-6
+            return grads
+
+        own, arena = run(False), run(True)
+        for name in own:
+            assert arena[name].tobytes() == own[name].tobytes(), name
+
+    def test_writer_after_a_shared_array_copies_it_first(self, rng):
+        """A sum's VJP hands both operands one read-only array; a writer
+        adding to the first operand's gradient must not touch the other's."""
+        x = dc.constant(rng.standard_normal((6, 4)))
+        w = dc.parameter(rng.standard_normal((5, 4)), "w")
+        b = dc.parameter(rng.standard_normal(5), "b")
+        other = dc.parameter(rng.standard_normal((5, 4)), "other")
+        out = dc.dense(x, w, b, "linear")
+        g = rng.standard_normal(out.shape)
+        # the sum's nodes run first, so w's first contribution is the array
+        loss = (out * g).sum() + (w + other).sum()
+        grads = dc.backward(loss, {"w": w, "b": b, "other": other})
+        assert np.array_equal(grads["other"], np.ones((5, 4)))
+        want = 1.0 + g.T @ x.data
+        assert np.max(np.abs(grads["w"] - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_step_allocates_no_weight_sized_temporary(self, rng):
+        """One ``backward`` and Adam step on a 1120 x 1125 weight with three
+        contributions, like the mixing net's first layer: no temporary as
+        large as the weight is allocated."""
+        w = dc.parameter(0.03 * rng.standard_normal((1120, 1125)), "w")
+        b = dc.parameter(np.zeros(1120), "b")
+        params = {"w": w, "b": b}
+        state = dc.AdamState.create(params)
+        x1, x2 = (dc.constant(rng.standard_normal((64, 1125)))
+                  for _ in range(2))
+        loss = (dc.dense(x1, w, b, "relu").sum()
+                + dc.dense(x2, w, b, "sigmoid").sum() + dc.l2norm(w))
+        tracemalloc.start()
+        try:
+            grads = dc.backward(loss, params)
+            dc.adam_step(params, grads, state, 1e-3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < w.data.nbytes, peak
+
+
 def _sin(t):
     return dc.Tensor(np.sin(t.data), (t,), lambda g: (g * np.cos(t.data),))
 
@@ -611,26 +732,26 @@ class TestAdam:
         before = ({n: t.data.copy() for n, t in params.items()},
                   {n: a.copy() for n, a in m.items()},
                   {n: a.copy() for n, a in v.items()}, state.step)
-        grads["b"] = np.array(np.inf)
-        with pytest.raises(TrainingError, match=r"parameter=b index \(\)"):
-            dc.adam_step(params, grads, state, 0.01)
-        after = ({n: t.data for n, t in params.items()}, m, v, state.step)
-        for old, new in zip(before[:3], after[:3]):
-            for n in old:
-                assert old[n].tobytes() == new[n].tobytes(), n
-        assert after[3] == before[3] == 1
+        for bad in (np.nan, np.inf, -np.inf):
+            grads["b"] = np.array(bad)
+            with pytest.raises(TrainingError,
+                               match=r"parameter=b index \(\)"):
+                dc.adam_step(params, grads, state, 0.01)
+            after = ({n: t.data for n, t in params.items()}, m, v, state.step)
+            for old, new in zip(before[:3], after[:3]):
+                for n in old:
+                    assert old[n].tobytes() == new[n].tobytes(), (n, bad)
+            assert after[3] == before[3] == 1
 
-    def test_in_place_steps_bitwise_equal_allocating_form(self, rng):
-        def reference(params, grads, m, v, t, lr, b1=dc.ADAM_BETA1,
-                      b2=dc.ADAM_BETA2, eps=dc.ADAM_EPS):
-            # the allocating update written as plain expressions
-            bc1, bc2 = 1.0 - b1 ** t, 1.0 - b2 ** t
-            for n in params:
-                g = grads[n]
-                m[n] = b1 * m[n] + (1 - b1) * g
-                v[n] = b2 * v[n] + (1 - b2) * g * g
-                params[n] = params[n] - lr * (m[n] / bc1) / (
-                    np.sqrt(v[n] / bc2) + eps)
+    def test_matches_textbook_update_across_block_edges(self, rng):
+        """The folded update is the textbook one to rounding: each step, from
+        the same state, within 1e-12 of the magnitudes it sums."""
+        def textbook(p, m, v, g, t, lr, b1=dc.ADAM_BETA1, b2=dc.ADAM_BETA2,
+                     eps=dc.ADAM_EPS):
+            m = b1 * m + (1 - b1) * g
+            v = b2 * v + (1 - b2) * g * g
+            step = lr * (m / (1 - b1 ** t)) / (np.sqrt(v / (1 - b2 ** t)) + eps)
+            return p - step, m, v, step
 
         block = dc._ADAM_BLOCK
         # "edge" (0-d) starts the second block; "big" spans more than one
@@ -639,24 +760,27 @@ class TestAdam:
         params = {n: dc.parameter(rng.standard_normal(s), n)
                   for n, s in shapes.items()}
         state = dc.AdamState.create(params)
-        m, v = state.arena.views(state.m_flat), state.arena.views(state.v_flat)
-        start = state.arena.values.__array_interface__["data"][0]
+        arena = state.arena
+        start = arena.values.__array_interface__["data"][0]
         assert params["edge"].data.__array_interface__["data"][0] \
             == start + 8 * block
-        assert state.arena.size > 2 * block
+        assert arena.size > 2 * block
         buffers = {n: t.data for n, t in params.items()}
-        ref = {n: t.data.copy() for n, t in params.items()}
-        ref_m = {n: np.zeros(s) for n, s in shapes.items()}
-        ref_v = {n: np.zeros(s) for n, s in shapes.items()}
         for t in range(1, 5):
             grads = {n: rng.standard_normal(s) * 10.0 ** rng.integers(-3, 3)
                      for n, s in shapes.items()}
+            g = np.concatenate([grads[n].ravel() for n in shapes])
+            before = (arena.values.copy(), state.m_flat.copy(),
+                      state.v_flat.copy())
             dc.adam_step(params, grads, state, 0.003)
-            reference(ref, grads, ref_m, ref_v, t, 0.003)
-            for n in shapes:
-                assert params[n].data.tobytes() == ref[n].tobytes(), n
-                assert m[n].tobytes() == ref_m[n].tobytes(), n
-                assert v[n].tobytes() == ref_v[n].tobytes(), n
+            p, m, v, step = textbook(*before, g, t, 0.003)
+            scales = (np.abs(before[0]) + np.abs(step),
+                      dc.ADAM_BETA1 * np.abs(before[1]) + np.abs(g),
+                      v)
+            for got, want, scale in zip(
+                    (arena.values, state.m_flat, state.v_flat), (p, m, v),
+                    scales):
+                assert np.all(np.abs(got - want) <= 1e-12 * scale), t
         assert all(params[n].data is buffers[n] for n in shapes)
 
     def test_non_finite_gradient_names_first_in_arena_order(self, rng):
@@ -683,6 +807,29 @@ class TestAdam:
         assert "parameter=gen.em_decoder.w2 index (3, 10, 4)" \
             in str(info.value)
         assert info.value.index == (3, 10, 4)
+
+    @pytest.mark.parametrize("big", [1.2e154, 1e200])
+    def test_finite_gradient_that_overflows_the_check_proceeds(self, rng,
+                                                               big):
+        """Entries whose squares sum past the largest double make the
+        check's dot product infinite; the exact scan finds them finite, so
+        the step runs.  At 1.2e154 each square is still finite, so the step
+        warns of nothing and is the textbook one; at 1e200 the square in
+        the second moment overflows too."""
+        p = dc.parameter(rng.standard_normal(6), "p")
+        state = dc.AdamState.create({"p": p})
+        g = rng.standard_normal(6)
+        g[[1, 4]] = big
+        with np.errstate(over="ignore"):
+            assert not np.isfinite(np.dot(g, g))
+        old = p.data.copy()
+        squares_overflow = not np.isfinite(big * big)
+        with np.errstate(over="ignore" if squares_overflow else "raise"):
+            dc.adam_step({"p": p}, {"p": g}, state, 0.01)
+        assert state.step == 1 and np.isfinite(p.data).all()
+        if not squares_overflow:
+            want = old - 0.01 * g / (np.sqrt(g * g) + dc.ADAM_EPS)
+            np.testing.assert_allclose(p.data, want, rtol=1e-12)
 
     def test_rejects_parameters_outside_the_arena(self):
         p = dc.parameter(np.ones(3), "p")

@@ -1,10 +1,14 @@
 """Training objective: bound terms, weights, penalties, composition, training."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import unmix
 from conftest import (ReplayNoise, fd_param_grads, max_rel_err, scale_mlp,
                       zero_mlp)
 from unmix import diffcore as dc
@@ -479,6 +483,82 @@ class TestTotalLoss:
                            RngNoise(np.random.default_rng(2)))
         assert len(dc._toposort(bd.node)) <= 390
         assert len(every_node(bd.node)) <= 432
+
+
+def _materialize_writers(loss):
+    """Wrap every VJP under ``loss`` so that each writer it hands back comes
+    back as the array it writes: ``backward`` then takes the path of array
+    cotangents alone, a copy into the arena and in-place adds."""
+    def materializing(vjp, parents):
+        def wrapped(g):
+            out = []
+            for c, p in zip(vjp(g), parents):
+                if callable(c):
+                    arr = np.empty(p.shape)
+                    c(arr, False)
+                    c = arr
+                out.append(c)
+            return tuple(out)
+        return wrapped
+
+    for node in dc._toposort(loss):
+        if node._vjp is not None:
+            node._vjp = materializing(node._vjp, node._parents)
+
+
+def writer_gap(bands: int, n_em: int, batch: int) -> tuple[float, bool]:
+    """One step's gradients at this shape: a packed model's, through the
+    writers, against an unpacked copy's with the writers materialized, from
+    identical parameters and noise.  Returns the largest difference as a
+    share of the parameter's max |g|, and whether all 51 are bitwise equal."""
+    def gradients(packed):
+        theta, phi = init_model(bands, n_em, 2, 11,
+                                np.random.default_rng(4101))
+        params = model_parameters(theta, phi)
+        if packed:
+            dc.AdamState.create(params)
+        r = np.random.default_rng(4102)
+        y = r.uniform(0.1, 0.9, (batch, bands))
+        a = np.eye(n_em)[r.integers(0, n_em, batch)]
+        m = r.uniform(0.1, 0.9, (batch, n_em, bands))
+        loss = -ob.total_loss(y, (y, a, m), theta, phi,
+                              ob.TrainConfig(batch_size=batch),
+                              RngNoise(np.random.default_rng(4103))).node
+        if not packed:
+            _materialize_writers(loss)
+        return {n: g.copy() for n, g in dc.backward(loss, params).items()}
+
+    arena, own = gradients(True), gradients(False)
+    assert len(own) == 51
+    gap = max(float(np.max(np.abs(arena[n] - g)) / (np.max(np.abs(g)) or 1.0))
+              for n, g in own.items())
+    return gap, all(arena[n].tobytes() == g.tobytes() for n, g in own.items())
+
+
+class TestGradientWriters:
+    @pytest.mark.parametrize("bands, n_em, batch", [(224, 5, 64),
+                                                    (64, 3, 16)],
+                             ids=["dc2", "dc1"])
+    def test_step_gradients_equal_the_materialized_path(self, bands, n_em,
+                                                        batch):
+        """At both bench shapes the writers give the materialized path's
+        gradients: bitwise on one BLAS thread, as the benchmark runs, and
+        within 1e-12 of max |g| on any, since a threaded dgemm may split a
+        contraction where the separate product and add would not."""
+        gap, _ = writer_gap(bands, n_em, batch)
+        assert gap <= 1e-12
+        here = os.path.dirname(os.path.abspath(__file__))
+        src = os.path.dirname(unmix.__path__[0])
+        env = {k: v for k, v in os.environ.items()
+               if k not in ("UNMIX_THREADS", "MKL_NUM_THREADS")}
+        env.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+                   PYTHONPATH=os.pathsep.join([here, src]))
+        proc = subprocess.run(
+            [sys.executable, "-c", "import test_objective as t; "
+             f"print(*t.writer_gap({bands}, {n_em}, {batch}))"],
+            env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["0.0", "True"]
 
 
 class TestBoundOrdering:
