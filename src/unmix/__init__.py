@@ -16,7 +16,7 @@ if "UNMIX_THREADS" in _os.environ:
                  "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
         _os.environ.setdefault(_var, _os.environ["UNMIX_THREADS"])
 
-from .diffcore import (AdamState, MlpParams, Tensor, adam_step, backward,
+from .diffcore import (MlpParams, ParamArena, Tensor, adam_step, backward,
                        lr_schedule, mlp_forward)
 from .distributions import (DiagGaussian, dirichlet_logpdf, gaussian_logpdf,
                             gaussian_rsample)

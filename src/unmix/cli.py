@@ -24,6 +24,7 @@ import os
 import re
 import sys
 import time
+from dataclasses import fields
 
 import numpy as np
 
@@ -173,11 +174,8 @@ def cmd_train(args) -> int:
     if not math.isfinite(args.rel_stop_tol):
         raise InputError(f"rel_stop_tol must be finite, got "
                          f"{args.rel_stop_tol}")
-    config = TrainConfig(lam=args.lam, beta=args.beta, tau=args.tau,
-                         varsigma1=args.varsigma1, varsigma2=args.varsigma2,
-                         k=args.k, k_e=args.ke, batch_size=args.batch_size,
-                         max_epochs=args.epochs,
-                         rel_stop_tol=args.rel_stop_tol)
+    config = TrainConfig(**{f.name: getattr(args, f.name)
+                            for f in fields(TrainConfig)})
     theta = phi = None
     start_epoch = 0
     latent_dim, lista_layers = args.latent_dim, args.lista_layers
@@ -282,10 +280,10 @@ def cmd_unmix(args) -> int:
     (``point_estimate_blocks``), whose endmember and reconstruction blocks
     are appended to their bundles as they are computed.  Only the
     abundances and eta_d, a few numbers per pixel, are held whole.  The
-    outputs depend only on the pixel values and the pixel count, and
-    ``inference.point_estimates`` of the cube's pixels returns the same
-    bytes as the abundance and endmember maps.  A failure part way removes
-    the bundles written so far.
+    outputs depend only on the pixel values, the pixel count and the BLAS
+    thread count, and ``inference.point_estimates`` of the cube's pixels
+    returns the same bytes as the abundance and endmember maps.  A failure
+    part way removes the bundles written so far.
     """
     t0 = time.perf_counter()
     cube_base = _strip_bundle(args.cube)
@@ -410,6 +408,10 @@ def cmd_eval(args) -> int:
 
 # ----------------------------------------------------------------- parser
 
+# The train flags not spelled like their ``TrainConfig`` field.
+_TRAIN_FLAGS = {"lam": "lambda", "k_e": "ke", "max_epochs": "epochs"}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="unmix",
@@ -443,18 +445,12 @@ def _build_parser() -> argparse.ArgumentParser:
     t.add_argument("cube")
     t.add_argument("supervised")
     t.add_argument("out_ckpt")
-    t.add_argument("--lambda", dest="lam", type=float, default=1.0)
-    t.add_argument("--beta", type=float, default=0.1)
-    t.add_argument("--tau", type=float, default=0.01)
-    t.add_argument("--varsigma1", type=float, default=1.0)
-    t.add_argument("--varsigma2", type=float, default=1.0)
+    for f in fields(TrainConfig):
+        flag = _TRAIN_FLAGS.get(f.name, f.name).replace("_", "-")
+        t.add_argument(f"--{flag}", dest=f.name, type=type(f.default),
+                       default=f.default)
     t.add_argument("--latent-dim", type=int, default=2)
     t.add_argument("--lista-layers", type=int, default=11)
-    t.add_argument("--k", type=int, default=5)
-    t.add_argument("--ke", type=int, default=1)
-    t.add_argument("--epochs", type=int, default=30)
-    t.add_argument("--batch-size", type=int, default=16)
-    t.add_argument("--rel-stop-tol", type=float, default=0.01)
     t.add_argument("--seed", type=int, default=0)
     t.add_argument("--resume", default=None)
     t.set_defaults(func=cmd_train)

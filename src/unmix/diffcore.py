@@ -15,21 +15,22 @@ reaches ``matmul``, every other leading axis being folded into the rows of
 each layer's product.  A bank reads one input per network; to run the P
 networks on one input, pass a broadcast view of it, which is not copied.
 
-Training packs the parameters into a ``ParamArena``, owned by the
-``AdamState`` that ``AdamState.create`` builds: one contiguous float64
-buffer of values, in parameter-dict order, with every tensor's ``.data`` a
-view into it and needing a gradient, and a matching gradient buffer.
-``backward`` writes each packed leaf's gradient into its view of that
-buffer, and Adam updates the flat buffers.  From packing on, code must
-write parameters in place (``t.data[...] = x``) and never rebind ``.data``.
+Training packs the parameters into a ``ParamArena``, the one store of
+trainable state: flat float64 buffers of the values, their gradients and
+Adam's moments, in parameter-dict order.  Each tensor's ``.data`` becomes
+a view of the values, so from then on code must write parameters in place
+(``t.data[...] = x``) and never rebind ``.data``.
 
 A VJP hands back each operand's cotangent as an array or, where the
-cotangent is as large as a parameter, as a writer ``into(out, add)``.
-``out`` is a C-ordered buffer of the operand's shape; the writer writes
-the cotangent into it (``add`` false) or adds it (``add`` true) without
-building it first.  ``dense`` gives its weight gradient and ``l2norm`` its
-whole VJP this way, so every contribution to a packed weight lands in its
-arena view with no temporary of the weight's size.
+cotangent is as large as a parameter, as a writer ``into(out, add)`` that
+writes it into (``add`` false) or adds it to (``add`` true) a C-ordered
+buffer ``out`` of the operand's shape without building it first.
+``dense``'s weight gradient and ``l2norm``'s VJP are writers, so every
+contribution to a packed weight lands in its arena view with no temporary
+of the weight's size.  ``backward`` has two rules.  A leaf accumulates in a
+buffer of its own, its arena view if packed and a fresh array otherwise:
+the first contribution is written there, later ones are added in place.
+An interior node's gradient is the plain sum of its contributions.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ __all__ = [
     "relu", "sigmoid", "exp", "log", "lgamma", "clip", "matmul", "dense",
     "l2norm", "concat", "moveaxis", "logsumexp",
     "backward", "MlpParams", "mlp_forward",
-    "ParamArena", "AdamState", "adam_step", "lr_schedule", "xavier_uniform",
+    "ParamArena", "adam_step", "lr_schedule", "xavier_uniform",
     "StoredParams", "param_values",
 ]
 
@@ -322,21 +323,23 @@ def _toposort(root: Tensor) -> list[Tensor]:
     return order
 
 
+def _materialize(into, shape: tuple[int, ...]) -> np.ndarray:
+    """The cotangent a writer ``into(out, add)`` stands for, as an array."""
+    out = np.empty(shape)
+    into(out, False)
+    return out
+
+
 def backward(loss: Tensor, params: dict[str, Tensor] | None = None):
     """Accumulate d(loss)/d(node) into the parameters that feed ``loss``.
 
     ``loss`` must be scalar.  No constant ever receives a cotangent, and
     only leaves keep ``.grad``: each interior node's is dropped as soon as
-    its VJP has run.  A leaf packed into a ``ParamArena`` accumulates in its
-    view of the arena's gradient buffer: the first contribution is written
-    there and later ones are added in place.  A writer ``into(out, add)``
-    does both itself, so its cotangent never exists apart from the view; an
-    array is copied in, then added.  Any other node's first array
-    contribution aliases the VJP output, and a writer's lands in a fresh
-    array.  When ``params`` is given, returns a dict of gradients keyed like
-    ``params``; parameters not touched by the loss get exact zeros.  For
-    packed parameters these are the arena's gradient views, valid until the
-    next ``backward``.
+    its VJP has run.  Gradients accumulate by the module docstring's two
+    rules, a writer reaching an interior node being materialized first.
+    Given ``params``, returns their gradients in a dict keyed like it:
+    exact zeros for parameters the loss does not touch, and for packed ones
+    the arena's gradient views, valid until the next ``backward``.
     """
     if loss.data.size != 1:
         raise ContractError(f"loss must be scalar, got shape {loss.shape}")
@@ -347,11 +350,6 @@ def backward(loss: Tensor, params: dict[str, Tensor] | None = None):
         t.grad = None
     if loss.requires_grad:
         loss.grad = np.ones_like(loss.data)
-    # Gradients this pass may add to in place: arena views, writers' fresh
-    # arrays and fresh sums.  An unpacked node's first array contribution
-    # aliases the VJP output, which may be shared, so a second contribution
-    # replaces it with a fresh sum or a copy.
-    owned: set[int] = set()
     for node in reversed(order):
         if node._vjp is None or node.grad is None:
             continue
@@ -360,28 +358,21 @@ def backward(loss: Tensor, params: dict[str, Tensor] | None = None):
         for p, g in zip(node._parents, grads):
             if g is None or not p.requires_grad:
                 continue
+            if p._vjp is not None:
+                if callable(g):
+                    g = _materialize(g, p.shape)
+                p.grad = g if p.grad is None else p.grad + g
+                continue
+            add = p.grad is not None
+            if not add:
+                p.grad = (np.empty(p.shape) if p._grad_view is None
+                          else p._grad_view)
             if callable(g):
-                if p.grad is None:
-                    p.grad = (np.empty(p.shape) if p._grad_view is None
-                              else p._grad_view)
-                    g(p.grad, False)
-                else:
-                    if id(p) not in owned:
-                        p.grad = np.array(p.grad)
-                    g(p.grad, True)
-                owned.add(id(p))
-            elif p.grad is None:
-                if p._grad_view is None:
-                    p.grad = g
-                else:
-                    np.copyto(p._grad_view, g)
-                    p.grad = p._grad_view
-                    owned.add(id(p))
-            elif id(p) in owned:
+                g(p.grad, add)
+            elif add:
                 p.grad += g
             else:
-                p.grad = p.grad + g
-                owned.add(id(p))
+                np.copyto(p.grad, g)
     if params is None:
         return None
     out = {}
@@ -597,13 +588,14 @@ def mlp_forward(params: MlpParams, x) -> Tensor:
 # ---- optimizer -----------------------------------------------------
 
 class ParamArena:
-    """The values of a set of parameters in one contiguous float64 buffer.
+    """A set of parameters and their Adam state, in flat float64 buffers.
 
     Packing copies each tensor's values into ``values``, in dict order, and
     rebinds the tensor's ``.data`` to its view of that buffer; it also gives
     the tensor its view of ``grad``, a matching buffer that ``backward``
-    fills, and marks it as needing a gradient.  ``params`` and ``grads``
-    map each name to its value view and its gradient view.
+    fills, and marks it as needing a gradient.  ``m`` and ``v`` hold Adam's
+    moments in the same order and ``step`` counts its updates.  ``params``
+    and ``grads`` map each name to its value view and its gradient view.
     """
 
     def __init__(self, params: dict[str, Tensor]):
@@ -625,6 +617,10 @@ class ParamArena:
             t.data = view
             t._grad_view = self.grads[name]
             t.requires_grad = True
+        # allocated after packing frees the old arrays: 2 MB less peak RSS
+        self.m = np.zeros(self.size)
+        self.v = np.zeros(self.size)
+        self.step = 0
 
     def views(self, flat: np.ndarray) -> dict[str, np.ndarray]:
         """Name -> view of an arena-sized flat buffer, shaped like the parameter."""
@@ -641,35 +637,14 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
-
-@dataclass
-class AdamState:
-    """Adam moments and step counter over a ``ParamArena`` that it owns.
-
-    ``create`` packs the parameters into the arena; ``m_flat`` and
-    ``v_flat`` are the arena-sized first and second moment buffers, in the
-    arena's order (``arena.views`` gives each parameter's part).
-    """
-
-    arena: ParamArena
-    m_flat: np.ndarray
-    v_flat: np.ndarray
-    step: int = 0
-
-    @classmethod
-    def create(cls, params: dict[str, Tensor]) -> "AdamState":
-        arena = ParamArena(params)
-        return cls(arena, np.zeros(arena.size), np.zeros(arena.size))
-
-
 # Elements per block of the flat Adam update: the four flat buffers and
 # two scratch blocks of 32K float64 each, 1.5 MiB, fit in a 2 MiB L2 cache.
 _ADAM_BLOCK = 1 << 15
 
 
 def adam_step(params: dict[str, Tensor], grads: dict[str, np.ndarray],
-              state: AdamState, lr: float) -> AdamState:
-    """Adam with bias correction, in place on the arena.
+              store: ParamArena, lr: float) -> None:
+    """Adam with bias correction, in place on the arena ``store``.
 
     The bias corrections are folded into the step size and the offset, as
     Kingma & Ba ("Adam", ICLR 2015, sec. 2) suggest: with
@@ -684,46 +659,47 @@ def adam_step(params: dict[str, Tensor], grads: dict[str, np.ndarray],
     each: ``dscal`` and ``daxpy`` for the moments, one ``daxpy`` for the
     parameters.
 
-    ``params`` must be the tensors packed in ``state.arena``.  A gradient
-    that is not already the arena's view is copied into it.  The whole flat
-    gradient is checked before anything changes, by one dot product with
-    itself and, only when that is not finite, an exact scan: a non-finite
-    entry raises ``TrainingError`` naming the first such entry in arena
-    order, by parameter and index, with the parameters, moments and step
-    as they were; finite entries whose squares overflow the dot proceed.
+    ``lr`` must be positive and finite.  ``params`` must be the tensors
+    packed in ``store``.  A gradient that is not already the arena's view
+    is copied into it.  The whole flat gradient is checked before anything
+    changes, by one dot product with itself and, only when that is not
+    finite, an exact scan: a non-finite entry raises ``TrainingError``
+    naming the first such entry in arena order, by parameter and index,
+    with the parameters, moments and step as they were; finite entries
+    whose squares overflow the dot proceed.
     """
-    if lr <= 0:
-        raise ContractError(f"learning rate must be positive, got {lr}")
-    arena = state.arena
-    for name in arena.names:
-        if params[name].data is not arena.params[name]:
+    if not 0.0 < lr < math.inf:
+        raise ContractError(f"learning rate must be positive and finite, "
+                            f"got {lr}")
+    for name in store.names:
+        if params[name].data is not store.params[name]:
             raise ContractError(f"parameter {name} is not packed in the "
                                 "optimizer's arena")
-        view, g = arena.grads[name], grads[name]
+        view, g = store.grads[name], grads[name]
         if g is not view:
             np.copyto(view, g)
     with np.errstate(over="ignore", invalid="ignore"):
-        total = np.dot(arena.grad, arena.grad)
-    if not math.isfinite(total) and not np.isfinite(arena.grad).all():
-        bad = next(n for n in arena.names
-                   if not np.isfinite(arena.grads[n]).all())
-        index = np.argwhere(~np.isfinite(arena.grads[bad]))[0]
+        total = np.dot(store.grad, store.grad)
+    if not math.isfinite(total) and not np.isfinite(store.grad).all():
+        bad = next(n for n in store.names
+                   if not np.isfinite(store.grads[n]).all())
+        index = np.argwhere(~np.isfinite(store.grads[bad]))[0]
         raise TrainingError("non-finite gradient", param=bad,
                             index=tuple(int(i) for i in index))
-    state.step += 1
-    t = state.step
+    store.step += 1
+    t = store.step
     b1, b2 = ADAM_BETA1, ADAM_BETA2
     bc1 = 1.0 - b1 ** t
     bc2 = 1.0 - b2 ** t
     alpha = lr * math.sqrt(bc2) / bc1
     eps_hat = ADAM_EPS * math.sqrt(bc2)
-    n = arena.size
+    n = store.size
     tmp_buf = np.empty(min(n, _ADAM_BLOCK))
     den_buf = np.empty_like(tmp_buf)
     for start in range(0, n, _ADAM_BLOCK):
         stop = min(start + _ADAM_BLOCK, n)
-        g = arena.grad[start:stop]
-        m, v = state.m_flat[start:stop], state.v_flat[start:stop]
+        g = store.grad[start:stop]
+        m, v = store.m[start:stop], store.v[start:stop]
         tmp, den = tmp_buf[:stop - start], den_buf[:stop - start]
         _blas.dscal(b1, m)
         _blas.daxpy(g, m, a=1.0 - b1)
@@ -733,8 +709,7 @@ def adam_step(params: dict[str, Tensor], grads: dict[str, np.ndarray],
         np.sqrt(v, out=den)
         den += eps_hat
         np.divide(m, den, out=tmp)
-        _blas.daxpy(tmp, arena.values[start:stop], a=-alpha)
-    return state
+        _blas.daxpy(tmp, store.values[start:stop], a=-alpha)
 
 
 def lr_schedule(epoch: int) -> float:

@@ -332,6 +332,7 @@ def evaluate(cube, truth, estimates: Estimates) -> MetricsReport:
     return report
 
 
+# Each column is the ``MetricsReport`` attribute of its name.
 _CSV_COLUMNS = ["nrmse_a", "nrmse_m", "sam_m", "nrmse_y", "eta_d_mean",
                 "runtime_s"]
 
@@ -345,9 +346,7 @@ def reports_to_csv(reports: list[MetricsReport]) -> str:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(_CSV_COLUMNS)
     for r in reports:
-        writer.writerow([_cell(r.nrmse_a), _cell(r.nrmse_m), _cell(r.sam_m),
-                         _cell(r.nrmse_y), _cell(r.eta_d_mean),
-                         _cell(r.runtime_s)])
+        writer.writerow([_cell(getattr(r, col)) for col in _CSV_COLUMNS])
     return buf.getvalue()
 
 

@@ -17,9 +17,10 @@ is the ReLU of a two-stream sum: an unrolled least-squares/shrinkage
 stream in (y, M) plus a free nonlinear stream in y.
 
 Unmixing a scene (``point_estimate_blocks``) runs over constants, in fixed
-blocks of ``ROW_BLOCK`` pixels counted from pixel 0, so its outputs depend
-only on the pixel values and the pixel count, not on memory layout, and a
-caller can stream each block's outputs to disk as it is computed.
+blocks of ``ROW_BLOCK`` pixels counted from pixel 0, so a caller can stream
+each block's outputs as it is computed, and the outputs depend only on the
+pixel values, the pixel count and the BLAS thread count (the endmembers and
+the reconstruction differ on 1 and 2 threads), not on memory layout.
 """
 
 from __future__ import annotations
@@ -270,10 +271,11 @@ def point_estimate_blocks(y, phi: InferenceParams, theta: GenerativeParams):
     m_hat (B, P, L), lin (B, P), nlin (B, P), recon (B, L)): the point
     estimates, the two concentration streams they combine, and the
     ``mixing_mean`` of (a_hat, m_hat).  Nothing larger than a block is
-    held.  BLAS rounding follows a product's row count, so the fixed blocks
-    make every output a function of the pixel values and their number
-    alone, not of how ``y`` is stored.  The pass runs over a constant view
-    of the model's arrays, so it records no graph for any model.
+    held.  BLAS rounding follows a product's row count and thread count,
+    so the fixed blocks make every output a function of the pixel values,
+    their number and the BLAS thread count alone, not of how ``y`` is
+    stored.  The pass runs over a constant view of the model's arrays, so
+    it records no graph for any model.
     """
     stored = {name: t.data for name, t in model_parameters(theta, phi).items()}
     theta, phi = init_model(phi.n_bands, phi.n_endmembers, phi.latent_dim,

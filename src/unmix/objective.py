@@ -29,13 +29,13 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
 from . import diffcore as dc
 from .data import check_simplex
-from .diffcore import AdamState, Tensor, adam_step, backward, lr_schedule
+from .diffcore import Tensor, adam_step, backward, lr_schedule
 from .distributions import (DiagGaussian, RngNoise, dirichlet_logpdf,
                             gaussian_logpdf, gaussian_rsample,
                             std_normal_logpdf)
@@ -85,11 +85,9 @@ class TrainConfig:
             raise ContractError("batch_size and max_epochs must be positive")
 
     def as_dict(self) -> dict:
-        return {"lambda": self.lam, "beta": self.beta, "tau": self.tau,
-                "varsigma1": self.varsigma1, "varsigma2": self.varsigma2,
-                "k": self.k, "k_e": self.k_e, "batch_size": self.batch_size,
-                "max_epochs": self.max_epochs,
-                "rel_stop_tol": self.rel_stop_tol}
+        out = asdict(self)
+        out["lambda"] = out.pop("lam")
+        return out
 
 
 @dataclass
@@ -336,13 +334,13 @@ def train(d_u: np.ndarray, d_s, config: TrainConfig, seed: int,
                                 lista_layers, np.random.default_rng(init_ss),
                                 ref_endmembers=ref)
     params = model_parameters(theta, phi)
-    state = AdamState.create(params)
+    arena = dc.ParamArena(params)
     order_rng = np.random.default_rng(order_ss)
     noise = RngNoise(np.random.default_rng(noise_ss))
     sup_cycler = _SupervisedCycler(len(y_s), order_rng) if len(y_s) else None
     n_u = len(d_u)
     history: list[EpochStats] = []
-    last_good = state.arena.snapshot()
+    last_good = arena.snapshot()
     last_epoch = start_epoch - 1
 
     for epoch in range(start_epoch, start_epoch + config.max_epochs):
@@ -363,7 +361,7 @@ def train(d_u: np.ndarray, d_s, config: TrainConfig, seed: int,
                 if not math.isfinite(bd.total):
                     raise TrainingError("objective diverged")
                 grads = backward(-bd.node, params)
-                adam_step(params, grads, state, lr)
+                adam_step(params, grads, arena, lr)
             except (TrainingError, NumericError, np.linalg.LinAlgError) as exc:
                 known = isinstance(exc, TrainingError)
                 err = TrainingError(exc.message if known else str(exc),
@@ -378,7 +376,7 @@ def train(d_u: np.ndarray, d_s, config: TrainConfig, seed: int,
         means = dict(zip(_LOSS_TERMS, (sums / n_steps).tolist()))
         stats = EpochStats(epoch=epoch, lr=lr, **means)
         history.append(stats)
-        last_good = state.arena.snapshot()
+        last_good = arena.snapshot()
         last_epoch = epoch
         if len(history) >= 2:
             prev, cur = history[-2].total, history[-1].total

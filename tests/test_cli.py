@@ -1,6 +1,8 @@
 """Command-line contract: reproducible outputs, what they hold, exit codes."""
 
+import argparse
 import ast
+import dataclasses
 import importlib
 import json
 import os
@@ -347,6 +349,39 @@ class TestExitCodes:
         assert "SVD did not converge" in capsys.readouterr().err
 
 
+class TestTrainFlags:
+    """``train`` takes one flag per ``TrainConfig`` field, with the field's
+    default, besides the model sizes, the seed and the resume path."""
+
+    @staticmethod
+    def _train_parser():
+        sub = next(a for a in cli._build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        return sub.choices["train"]
+
+    def test_flag_set_is_unchanged(self):
+        flags = {s for a in self._train_parser()._actions
+                 for s in a.option_strings}
+        assert flags == {"-h", "--help", "--lambda", "--beta", "--tau",
+                         "--varsigma1", "--varsigma2", "--latent-dim",
+                         "--lista-layers", "--k", "--ke", "--epochs",
+                         "--batch-size", "--rel-stop-tol", "--seed",
+                         "--resume"}
+
+    def test_parsed_flags_fill_the_config(self):
+        names = [f.name for f in dataclasses.fields(TrainConfig)]
+        args = self._train_parser().parse_args(["cube", "sup", "out"])
+        assert TrainConfig(**{n: getattr(args, n) for n in names}) \
+            == TrainConfig()
+        for n in names:
+            assert type(getattr(args, n)) is type(getattr(TrainConfig(), n))
+        args = self._train_parser().parse_args(
+            ["cube", "sup", "out", "--lambda", "0.5", "--ke", "3",
+             "--epochs", "7", "--batch-size", "9", "--rel-stop-tol", "0.2"])
+        assert (args.lam, args.k_e, args.max_epochs, args.batch_size,
+                args.rel_stop_tol) == (0.5, 3, 7, 9, 0.2)
+
+
 class TestResume:
     def test_resume_continues_from_checkpoint_epoch(self, scene):
         out = str(scene["root"] / "resumed_ok")
@@ -433,7 +468,7 @@ class TestResume:
                                             np.random.default_rng(0))
                 dc.load_params_into(inf.model_parameters(theta, phi), arrays)
             params = inf.model_parameters(theta, phi)
-            dc.AdamState.create(params)
+            dc.ParamArena(params)
             bd = total_loss(batch_u, batch_s, theta, phi, TrainConfig(),
                             RngNoise(np.random.default_rng(3)))
             grads.append({n: g.copy() for n, g in

@@ -179,11 +179,11 @@ class TestDense:
         x = dc.constant(rng.standard_normal(lead + (6, 4)))
         params = {"w": dc.parameter(rng.standard_normal(lead + (5, 4)), "w"),
                   "b": dc.parameter(rng.standard_normal(lead + (5,)), "b")}
-        state = dc.AdamState.create(params)
+        arena = dc.ParamArena(params)
         out = dc.dense(x, params["w"], params["b"], "relu")
         weights = rng.standard_normal(out.shape)
         grads = dc.backward((out * weights).sum(), params)
-        view = state.arena.grads["w"]
+        view = arena.grads["w"]
         assert grads["w"] is view and view.flags.c_contiguous
         g = weights * (out.data > 0.0)
         assert view.tobytes() == (np.swapaxes(g, -1, -2) @ x.data).tobytes()
@@ -400,12 +400,23 @@ class TestBackward:
         grads = dc.backward(loss, {"x": x})
         np.testing.assert_allclose(grads["x"], [7.0])
 
+    def test_leaves_fed_one_shared_cotangent_get_their_own_arrays(self):
+        """A sum hands both operands one read-only cotangent; each unpacked
+        leaf still gets a writable gradient array of its own."""
+        a = dc.parameter(np.array([1.0, 2.0]), "a")
+        b = dc.parameter(np.array([3.0, 4.0]), "b")
+        grads = dc.backward((a + b).sum(), {"a": a, "b": b})
+        assert grads["a"] is not grads["b"]
+        grads["a"] += 5.0
+        assert np.array_equal(grads["a"], [6.0, 6.0])
+        assert np.array_equal(grads["b"], [1.0, 1.0])
+
     @pytest.mark.parametrize("packed", [False, True], ids=["own", "arena"])
     def test_only_leaves_keep_grad(self, rng, packed):
         net = make_mlp([3, 4, 2], ["relu", "sigmoid"], seed=3)
         params = net.named_parameters()
         if packed:
-            dc.AdamState.create(params)
+            dc.ParamArena(params)
         x = dc.constant(rng.standard_normal((5, 3)))
         h = dc.mlp_forward(net, x)
         loss = (h * h).sum() + h.sum()
@@ -428,18 +439,18 @@ class TestBackward:
         def run(packed):
             net = make_mlp([3, 4, 2], ["relu", "linear"], seed=9)
             params = net.named_parameters()
-            state = dc.AdamState.create(params) if packed else None
+            store = dc.ParamArena(params) if packed else None
             x = dc.constant(np.random.default_rng(5).standard_normal((6, 3)))
             w = net.weights[1]
             loss = ((dc.mlp_forward(net, x) * 1.7).sum() + dc.l2norm(w)
                     + (w * w).sum() * 0.3)
-            return dc.backward(loss, params), state
+            return dc.backward(loss, params), store
 
         own, _ = run(False)
-        arena, state = run(True)
+        packed, store = run(True)
         for name in own:
-            assert arena[name].tobytes() == own[name].tobytes(), name
-            assert arena[name] is state.arena.grads[name]
+            assert packed[name].tobytes() == own[name].tobytes(), name
+            assert packed[name] is store.grads[name]
 
     @pytest.mark.parametrize("packed", [False, True], ids=["own", "arena"])
     def test_touched_then_untouched_reads_exact_zeros(self, packed):
@@ -447,7 +458,7 @@ class TestBackward:
         b = dc.parameter(np.array([[3.0, -1.0]]), "b")
         params = {"a": a, "b": b}
         if packed:
-            dc.AdamState.create(params)
+            dc.ParamArena(params)
         first = dc.backward((a * b).sum(), params)
         assert np.array_equal(first["b"], [[1.0, 2.0]])
         second = dc.backward((a * a).sum(), params)
@@ -535,7 +546,7 @@ class TestGradientWriters:
         def run(packed):
             params = {n: dc.parameter(v, n) for n, v in values.items()}
             if packed:
-                dc.AdamState.create(params)
+                dc.ParamArena(params)
             w, b = params["w"], params["b"]
 
             def loss_t():
@@ -575,7 +586,7 @@ class TestGradientWriters:
         w = dc.parameter(0.03 * rng.standard_normal((1120, 1125)), "w")
         b = dc.parameter(np.zeros(1120), "b")
         params = {"w": w, "b": b}
-        state = dc.AdamState.create(params)
+        arena = dc.ParamArena(params)
         x1, x2 = (dc.constant(rng.standard_normal((64, 1125)))
                   for _ in range(2))
         loss = (dc.dense(x1, w, b, "relu").sum()
@@ -583,7 +594,7 @@ class TestGradientWriters:
         tracemalloc.start()
         try:
             grads = dc.backward(loss, params)
-            dc.adam_step(params, grads, state, 1e-3)
+            dc.adam_step(params, grads, arena, 1e-3)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -660,7 +671,7 @@ class TestRequiresGrad:
         stored = dc.StoredParams({"s": rng.standard_normal(3)})
         t = stored.value("s", np.zeros(3))
         assert not t.requires_grad
-        dc.AdamState.create({"s": t})
+        dc.ParamArena({"s": t})
         assert t.requires_grad and t._grad_view is not None
 
     def test_constant_loss_gives_zeros_and_no_grad(self):
@@ -688,15 +699,15 @@ class TestSigmoid:
 class TestAdam:
     def test_zero_gradient_leaves_parameters(self):
         p = dc.parameter(np.array([1.0, -2.0]), "p")
-        state = dc.AdamState.create({"p": p})
-        dc.adam_step({"p": p}, {"p": np.zeros(2)}, state, lr=0.01)
+        arena = dc.ParamArena({"p": p})
+        dc.adam_step({"p": p}, {"p": np.zeros(2)}, arena, lr=0.01)
         np.testing.assert_allclose(p.data, [1.0, -2.0])
-        assert state.step == 1
+        assert arena.step == 1
 
     def test_first_step_magnitude_is_lr(self):
         p = dc.parameter(np.array(0.0), "p")
-        state = dc.AdamState.create({"p": p})
-        dc.adam_step({"p": p}, {"p": np.array(1.0)}, state, lr=0.001)
+        arena = dc.ParamArena({"p": p})
+        dc.adam_step({"p": p}, {"p": np.array(1.0)}, arena, lr=0.001)
         assert abs(abs(float(p.data)) - 0.001) < 1e-6
 
     def test_sign_flips_shrink_steps(self):
@@ -712,10 +723,10 @@ class TestAdam:
             return vals
 
         p = dc.parameter(np.array(0.0), "p")
-        state = dc.AdamState.create({"p": p})
-        dc.adam_step({"p": p}, {"p": np.array(1.0)}, state, lr=0.001)
+        arena = dc.ParamArena({"p": p})
+        dc.adam_step({"p": p}, {"p": np.array(1.0)}, arena, lr=0.001)
         x1 = float(p.data)
-        dc.adam_step({"p": p}, {"p": np.array(-1.0)}, state, lr=0.001)
+        dc.adam_step({"p": p}, {"p": np.array(-1.0)}, arena, lr=0.001)
         flip_second = abs(float(p.data) - x1)
         const_second = abs(two_steps(1.0, 1.0)[1])
         assert flip_second < const_second
@@ -725,19 +736,19 @@ class TestAdam:
     def test_non_finite_gradient_changes_nothing(self, rng):
         params = {n: dc.parameter(rng.standard_normal(shape), n)
                   for n, shape in (("a", (3, 2)), ("b", ()), ("c", (4,)))}
-        state = dc.AdamState.create(params)
+        arena = dc.ParamArena(params)
         grads = {n: rng.standard_normal(t.data.shape) for n, t in params.items()}
-        dc.adam_step(params, grads, state, 0.01)
-        m, v = state.arena.views(state.m_flat), state.arena.views(state.v_flat)
+        dc.adam_step(params, grads, arena, 0.01)
+        m, v = arena.views(arena.m), arena.views(arena.v)
         before = ({n: t.data.copy() for n, t in params.items()},
                   {n: a.copy() for n, a in m.items()},
-                  {n: a.copy() for n, a in v.items()}, state.step)
+                  {n: a.copy() for n, a in v.items()}, arena.step)
         for bad in (np.nan, np.inf, -np.inf):
             grads["b"] = np.array(bad)
             with pytest.raises(TrainingError,
                                match=r"parameter=b index \(\)"):
-                dc.adam_step(params, grads, state, 0.01)
-            after = ({n: t.data for n, t in params.items()}, m, v, state.step)
+                dc.adam_step(params, grads, arena, 0.01)
+            after = ({n: t.data for n, t in params.items()}, m, v, arena.step)
             for old, new in zip(before[:3], after[:3]):
                 for n in old:
                     assert old[n].tobytes() == new[n].tobytes(), (n, bad)
@@ -759,8 +770,7 @@ class TestAdam:
                   "edge": (), "big": (block + 37,), "tail": ()}
         params = {n: dc.parameter(rng.standard_normal(s), n)
                   for n, s in shapes.items()}
-        state = dc.AdamState.create(params)
-        arena = state.arena
+        arena = dc.ParamArena(params)
         start = arena.values.__array_interface__["data"][0]
         assert params["edge"].data.__array_interface__["data"][0] \
             == start + 8 * block
@@ -770,15 +780,15 @@ class TestAdam:
             grads = {n: rng.standard_normal(s) * 10.0 ** rng.integers(-3, 3)
                      for n, s in shapes.items()}
             g = np.concatenate([grads[n].ravel() for n in shapes])
-            before = (arena.values.copy(), state.m_flat.copy(),
-                      state.v_flat.copy())
-            dc.adam_step(params, grads, state, 0.003)
+            before = (arena.values.copy(), arena.m.copy(),
+                      arena.v.copy())
+            dc.adam_step(params, grads, arena, 0.003)
             p, m, v, step = textbook(*before, g, t, 0.003)
             scales = (np.abs(before[0]) + np.abs(step),
                       dc.ADAM_BETA1 * np.abs(before[1]) + np.abs(g),
                       v)
             for got, want, scale in zip(
-                    (arena.values, state.m_flat, state.v_flat), (p, m, v),
+                    (arena.values, arena.m, arena.v), (p, m, v),
                     scales):
                 assert np.all(np.abs(got - want) <= 1e-12 * scale), t
         assert all(params[n].data is buffers[n] for n in shapes)
@@ -786,24 +796,24 @@ class TestAdam:
     def test_non_finite_gradient_names_first_in_arena_order(self, rng):
         params = {n: dc.parameter(rng.standard_normal(4), n)
                   for n in ("a", "b", "c")}
-        state = dc.AdamState.create(params)
+        arena = dc.ParamArena(params)
         grads = {n: np.ones(4) for n in params}
         grads["c"][1] = np.nan
         grads["b"][3] = -np.inf
         with pytest.raises(TrainingError, match=r"parameter=b index \(3,\)"):
-            dc.adam_step(params, grads, state, 0.01)
-        assert state.step == 0 and not state.m_flat.any()
+            dc.adam_step(params, grads, arena, 0.01)
+        assert arena.step == 0 and not arena.m.any()
 
     def test_non_finite_gradient_names_the_entry_of_a_bank(self, rng):
         params = {"w": dc.parameter(rng.standard_normal((5, 11, 6)), "w"),
                   "gen.em_decoder.w2": dc.parameter(
                       rng.standard_normal((4, 12, 5)), "gen.em_decoder.w2")}
-        state = dc.AdamState.create(params)
+        arena = dc.ParamArena(params)
         grads = {n: np.ones(t.data.shape) for n, t in params.items()}
         grads["gen.em_decoder.w2"][3, 10, 4] = np.nan
         grads["gen.em_decoder.w2"][3, 11, 0] = np.inf
         with pytest.raises(TrainingError) as info:
-            dc.adam_step(params, grads, state, 0.01)
+            dc.adam_step(params, grads, arena, 0.01)
         assert "parameter=gen.em_decoder.w2 index (3, 10, 4)" \
             in str(info.value)
         assert info.value.index == (3, 10, 4)
@@ -817,7 +827,7 @@ class TestAdam:
         warns of nothing and is the textbook one; at 1e200 the square in
         the second moment overflows too."""
         p = dc.parameter(rng.standard_normal(6), "p")
-        state = dc.AdamState.create({"p": p})
+        arena = dc.ParamArena({"p": p})
         g = rng.standard_normal(6)
         g[[1, 4]] = big
         with np.errstate(over="ignore"):
@@ -825,25 +835,34 @@ class TestAdam:
         old = p.data.copy()
         squares_overflow = not np.isfinite(big * big)
         with np.errstate(over="ignore" if squares_overflow else "raise"):
-            dc.adam_step({"p": p}, {"p": g}, state, 0.01)
-        assert state.step == 1 and np.isfinite(p.data).all()
+            dc.adam_step({"p": p}, {"p": g}, arena, 0.01)
+        assert arena.step == 1 and np.isfinite(p.data).all()
         if not squares_overflow:
             want = old - 0.01 * g / (np.sqrt(g * g) + dc.ADAM_EPS)
             np.testing.assert_allclose(p.data, want, rtol=1e-12)
 
+    @pytest.mark.parametrize("lr", [np.nan, np.inf, -np.inf, 0.0, -1e-3])
+    def test_bad_learning_rate_changes_nothing(self, lr):
+        p = dc.parameter(np.array([1.0, -2.0]), "p")
+        arena = dc.ParamArena({"p": p})
+        with pytest.raises(ContractError, match="learning rate"):
+            dc.adam_step({"p": p}, {"p": np.ones(2)}, arena, lr)
+        assert np.array_equal(p.data, [1.0, -2.0])
+        assert arena.step == 0 and not arena.m.any() and not arena.v.any()
+
     def test_rejects_parameters_outside_the_arena(self):
         p = dc.parameter(np.ones(3), "p")
-        state = dc.AdamState.create({"p": p})
+        arena = dc.ParamArena({"p": p})
         p.data = np.ones(3)
         with pytest.raises(ContractError, match="p is not packed"):
-            dc.adam_step({"p": p}, {"p": np.ones(3)}, state, 0.01)
+            dc.adam_step({"p": p}, {"p": np.ones(3)}, arena, 0.01)
 
     def test_non_finite_gradient_names_parameter(self):
         p = dc.parameter(np.array(0.0), "gen.obs_log_scale")
-        state = dc.AdamState.create({"gen.obs_log_scale": p})
+        arena = dc.ParamArena({"gen.obs_log_scale": p})
         with pytest.raises(TrainingError, match="gen.obs_log_scale"):
             dc.adam_step({"gen.obs_log_scale": p},
-                         {"gen.obs_log_scale": np.array(np.nan)}, state, 0.001)
+                         {"gen.obs_log_scale": np.array(np.nan)}, arena, 0.001)
 
 
 class TestHelpersOnPackedParameters:
@@ -866,22 +885,22 @@ class TestHelpersOnPackedParameters:
             return fn
 
         plain, packed = self._params(), self._params()
-        state = dc.AdamState.create(packed)
+        arena = dc.ParamArena(packed)
         ref = fd_param_grads(loss(plain), plain)
         got = fd_param_grads(loss(packed), packed)
         for name, t in packed.items():
-            assert t.data is state.arena.params[name]
+            assert t.data is arena.params[name]
             assert np.array_equal(t.data, plain[name].data)
             assert np.array_equal(got[name], ref[name])
 
     def test_zero_mlp_keeps_arena_views(self):
         net = make_mlp([3, 4, 2], ["relu", "linear"], seed=2)
         params = net.named_parameters()
-        state = dc.AdamState.create(params)
+        arena = dc.ParamArena(params)
         zero_mlp(net)
         for name, t in params.items():
-            assert t.data is state.arena.params[name]
-        assert not state.arena.values.any()
+            assert t.data is arena.params[name]
+        assert not arena.values.any()
 
 
 class TestLrSchedule:
@@ -929,14 +948,14 @@ class TestCheckpoint:
         ct.save_checkpoint(base, {}, net.named_parameters())
         net2 = make_mlp([3, 2], ["linear"], seed=99)
         params = net2.named_parameters()
-        state = dc.AdamState.create(params)
+        arena = dc.ParamArena(params)
         _, arrays = ct.load_checkpoint(base)
         dc.load_params_into(params, arrays)
         for name, t in params.items():
-            assert t.data is state.arena.params[name]
+            assert t.data is arena.params[name]
             assert np.array_equal(t.data, arrays[name])
         grads = {n: np.ones_like(a) for n, a in arrays.items()}
-        dc.adam_step(params, grads, state, 0.01)
+        dc.adam_step(params, grads, arena, 0.01)
         for name, t in params.items():
             # Adam's first step moves every entry by lr against the gradient
             np.testing.assert_allclose(t.data, arrays[name] - 0.01, rtol=0,

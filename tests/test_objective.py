@@ -516,7 +516,7 @@ def writer_gap(bands: int, n_em: int, batch: int) -> tuple[float, bool]:
                                 np.random.default_rng(4101))
         params = model_parameters(theta, phi)
         if packed:
-            dc.AdamState.create(params)
+            dc.ParamArena(params)
         r = np.random.default_rng(4102)
         y = r.uniform(0.1, 0.9, (batch, bands))
         a = np.eye(n_em)[r.integers(0, n_em, batch)]
