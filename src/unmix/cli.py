@@ -164,7 +164,7 @@ def cmd_selfsup(args) -> int:
 
 def cmd_train(args) -> int:
     t0 = time.perf_counter()
-    out_base = args.out_ckpt
+    out_base = _strip_bundle(args.out_ckpt)
     _check_out_file(out_base + ".json")
     cube = dt.load_cube(_strip_bundle(args.cube))
     y_s, a_s, m_s = dt.load_supervised(_strip_bundle(args.supervised))
@@ -179,8 +179,11 @@ def cmd_train(args) -> int:
     theta = phi = None
     start_epoch = 0
     latent_dim, lista_layers = args.latent_dim, args.lista_layers
+    inputs = {"cube": _strip_bundle(args.cube) + ".json",
+              "supervised": _strip_bundle(args.supervised) + ".json"}
     if args.resume:
         ckpt = _strip_bundle(args.resume)
+        inputs["checkpoint"] = ckpt + ".json"
         meta, theta, phi = _load_model(ckpt)
         start_epoch = ct.json_int(meta.get("epoch"), "epoch") + 1
         _check_fits(ckpt, "n_bands", phi.n_bands, "the cube", cube.n_bands)
@@ -210,11 +213,9 @@ def cmd_train(args) -> int:
         f.write(history_to_csv(history))
     _write_manifest(
         out_base + ".manifest.json", "train",
-        {"config": config.as_dict(), "latent_dim": args.latent_dim,
-         "lista_layers": args.lista_layers, "resume": args.resume},
-        args.seed,
-        {"cube": _strip_bundle(args.cube) + ".json",
-         "supervised": _strip_bundle(args.supervised) + ".json"},
+        {"config": config.as_dict(), "latent_dim": latent_dim,
+         "lista_layers": lista_layers, "resume": args.resume},
+        args.seed, inputs,
         {"checkpoint": out_base + ".json",
          "history": out_base + ".history.csv"},
         time.perf_counter() - t0)
@@ -225,12 +226,20 @@ def cmd_train(args) -> int:
 
 
 def _load_model(ckpt_base: str):
-    """The checkpoint's meta and the model built over its arrays."""
+    """The checkpoint's meta and the model built over its arrays, once older
+    names are adapted (per-endmember arrays stacked, the unread step size
+    ``inf.lista.log_eta{K-2}`` dropped); an array the model does not read
+    is a ``BundleError`` naming it."""
     meta, arrays = ct.load_checkpoint(ckpt_base)
     sizes = [ct.json_int(meta.get(key), key, 1) for key in
              ("n_bands", "n_endmembers", "latent_dim", "lista_layers")]
     arrays = _stack_per_endmember(arrays, sizes[1])
+    arrays.pop(f"inf.lista.log_eta{sizes[3] - 2}", None)
     theta, phi = init_model(*sizes, dc.StoredParams(arrays))
+    unread = arrays.keys() - model_parameters(theta, phi).keys()
+    if unread:
+        raise BundleError("checkpoint array the model does not read",
+                          field=next(n for n in arrays if n in unread))
     return meta, theta, phi
 
 
@@ -242,8 +251,8 @@ _ENDMEMBER_NUMBER = re.compile(r"(?<=^gen\.em_decoder)\d+|(?<=^gen\.em_log_scale
 def _stack_per_endmember(arrays: dict[str, np.ndarray], n_endmembers: int
                          ) -> dict[str, np.ndarray]:
     """The checkpoint's arrays with endmember k's of an older checkpoint
-    stacked, k = 0..P-1, under the bank's name; a missing or misshapen one
-    is a ``BundleError`` naming it."""
+    stacked, k = 0..P-1, under the bank's name in their place; a missing or
+    misshapen one is a ``BundleError`` naming it."""
     out = dict(arrays)
     for name in arrays:
         bank = _ENDMEMBER_NUMBER.sub("", name)
@@ -254,7 +263,7 @@ def _stack_per_endmember(arrays: dict[str, np.ndarray], n_endmembers: int
                 if old not in arrays or arrays[old].shape != arrays[name].shape:
                     raise BundleError("checkpoint missing or misshapen "
                                       "parameter", field=old)
-            out[bank] = np.stack([arrays[old] for old in olds])
+            out[bank] = np.stack([out.pop(old) for old in olds])
     return out
 
 
@@ -341,59 +350,50 @@ def _load_truth(truth_dir: str):
 
 def cmd_eval(args) -> int:
     """Score the estimates against the truth; a NaN or an infinity in any
-    bundle exits 2 naming the bundle and the first pixel holding one.
+    bundle exits 2 naming the bundle and the first value's index.
 
     The endmember stacks, the cube and the reconstruction stay on disk:
     ``evaluate`` reads them in row blocks, the stacks in its two passes and
-    the cube and reconstruction once for nrmse_y, and holds no array as
-    large as any of them.  Those passes also find a non-finite value in
-    them.  Only the abundances and eta_d, a few numbers per pixel, are read
-    whole, and the cube too for ``--baseline fcls``, whose VCA and FCLS
-    need all of it (``load_cube`` checks it then).
+    the cube and reconstruction once for nrmse_y, passes that also find a
+    non-finite value, and holds no array as large as any of them.  Only the
+    abundances and eta_d, a few numbers per pixel, are read whole, and the
+    cube too for ``--baseline fcls``, whose VCA and FCLS need all of it.
     An output path that cannot be written exits 2 before anything is read,
     and every payload's size is checked against its header before anything
     is scored or written.  The scores of the estimates do not depend on the
     BLAS thread count.
     """
+    t0 = time.perf_counter()
     _check_out_file(args.out_csv)
     cube, truth = _load_truth(args.truth_dir)
     est_dir = args.estimates_dir
     a_hat, _, _ = dt.load_abundances(os.path.join(est_dir, "abundances_est"))
     m_hat = eta = recon = None
-    # the bundles ``evaluate`` checks as it reads them, by its names
-    streamed = {"truth": os.path.join(args.truth_dir, "endmembers"),
-                "estimate": os.path.join(est_dir, "endmembers_est"),
-                "cube": os.path.join(args.truth_dir, "cube"),
-                "reconstruction": os.path.join(est_dir, "reconstruction")}
-    if os.path.exists(streamed["estimate"] + ".json"):
-        m_hat = dt.open_endmembers(streamed["estimate"])
+    if os.path.exists(os.path.join(est_dir, "endmembers_est.json")):
+        m_hat = dt.open_endmembers(os.path.join(est_dir, "endmembers_est"))
     if os.path.exists(os.path.join(est_dir, "eta_d.json")):
         eta = dt.load_scalar_map(os.path.join(est_dir, "eta_d"))
-    if os.path.exists(streamed["reconstruction"] + ".json"):
-        recon = dt.open_cube(streamed["reconstruction"]).pixels
+    if os.path.exists(os.path.join(est_dir, "reconstruction.json")):
+        recon = dt.open_cube(os.path.join(est_dir, "reconstruction")).pixels
     runtime = 0.0
     manifest_path = os.path.join(est_dir, "manifest.json")
     if os.path.exists(manifest_path):
         manifest = ct.read_json(manifest_path, "estimates manifest")
         runtime = ct.json_float(manifest.get("wall_clock_s", 0.0),
                                 "wall_clock_s")
-    try:
-        reports = [ev.evaluate(cube, truth, ev.Estimates(
-            abundances=a_hat, endmembers=m_hat, reconstruction=recon,
-            eta_d=eta, runtime_s=runtime))]
-        if args.baseline == "fcls":
-            pixels = dt.load_cube(streamed["cube"]).pixels
-            t0 = time.perf_counter()
-            refs = dt.vca(pixels, a_hat.shape[1],
-                          np.random.default_rng(args.seed))
-            a_base = ev.fcls(pixels, refs)
-            base_est = ev.Estimates(abundances=a_base, endmembers=None,
-                                    reconstruction=a_base @ refs,
-                                    align_with=refs,
-                                    runtime_s=time.perf_counter() - t0)
-            reports.append(ev.evaluate(pixels, truth, base_est))
-    except ev.NonFiniteValue as exc:
-        raise InputError(f"{streamed[exc.which]}: {exc}") from None
+    reports = [ev.evaluate(cube, truth, ev.Estimates(
+        abundances=a_hat, endmembers=m_hat, reconstruction=recon,
+        eta_d=eta, runtime_s=runtime))]
+    if args.baseline == "fcls":
+        pixels = dt.load_cube(os.path.join(args.truth_dir, "cube")).pixels
+        t_base = time.perf_counter()
+        refs = dt.vca(pixels, a_hat.shape[1], np.random.default_rng(args.seed))
+        a_base = ev.fcls(pixels, refs)
+        base_est = ev.Estimates(abundances=a_base, endmembers=None,
+                                reconstruction=a_base @ refs,
+                                align_with=refs,
+                                runtime_s=time.perf_counter() - t_base)
+        reports.append(ev.evaluate(pixels, truth, base_est))
     csv_text = ev.reports_to_csv(reports)
     with open(args.out_csv, "w") as f:
         f.write(csv_text)
@@ -401,7 +401,7 @@ def cmd_eval(args) -> int:
         args.out_csv + ".manifest.json", "eval",
         {"baseline": args.baseline}, args.seed,
         {"truth": args.truth_dir, "estimates": est_dir},
-        {"report": args.out_csv}, 0.0)
+        {"report": args.out_csv}, time.perf_counter() - t0)
     print(csv_text, end="")
     return 0
 

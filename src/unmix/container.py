@@ -38,14 +38,16 @@ row-major; each endmember matrix is (P, L), endmember-major):
                                                 latent_dim, lista_layers,
                                                 seed, config, epoch
 
-A bundle (every kind but the checkpoint) holds exactly its kind's arrays,
-each with its number of axes and no empty axis; ``width`` and ``height``
-are JSON ints >= 1 whose product is the row count, and ``wavelengths``
-lists one finite number (nm) per band.  ``data`` names the array or key
-that breaks one of these.  ``cli`` reads the checkpoint's sizes (JSON ints
->= 1) and, to resume, ``epoch`` (a JSON int >= 0).  Older checkpoints name
-each endmember's decoder arrays apart (``gen.em_decoder{k}.w{i}``,
-``gen.em_log_scale{k}``); ``cli`` stacks them into the bank's arrays.
+A bundle holds exactly its kind's arrays, each with its number of axes
+and no empty axis, and a checkpoint exactly the model's; every value is
+finite, checked as a command reads it.  ``width`` and ``height`` are
+JSON ints >= 1 whose product is the row count, and ``wavelengths`` lists
+one finite number (nm) per band.  ``data`` and ``cli`` name the array or
+key that breaks one of these.  ``cli`` reads the checkpoint's sizes (JSON
+ints >= 1) and, to resume, ``epoch`` (a JSON int >= 0).  Older
+checkpoints name each endmember's decoder arrays apart
+(``gen.em_decoder{k}.w{i}``, ``gen.em_log_scale{k}``), which ``cli``
+stacks into the bank's, and hold an unread step size, which it drops.
 
 Run manifest: ``command``, ``args``, ``seed``, ``inputs``, ``outputs`` and
 ``wall_clock_s``, which ``eval`` reads (a finite number) as the runtime.
@@ -291,9 +293,17 @@ def save_checkpoint(base_path: str, meta: dict, params: dict):
 
 
 def load_checkpoint(base_path: str) -> tuple[dict, dict[str, np.ndarray]]:
-    """The meta table and name -> array, each a view of one payload read."""
+    """The meta table and name -> array, each a view of one payload read,
+    whose values are scanned once: a NaN or an infinity is a ``BundleError``
+    naming the first array holding one and its first bad index."""
     meta, readers = open_container(base_path, "checkpoint manifest")
     path = base_path + ".raw"
     flat = PayloadReader(path, (os.path.getsize(path) // 8,))[:]
-    return meta, {name: flat[r.offset // 8:][:math.prod(r.shape)]
-                  .reshape(r.shape) for name, r in readers.items()}
+    arrays = {name: flat[r.offset // 8:][:math.prod(r.shape)].reshape(r.shape)
+              for name, r in readers.items()}
+    bad = next((n for n, a in arrays.items() if not np.isfinite(a).all()), None)
+    if bad is not None:
+        index = tuple(map(int, np.argwhere(~np.isfinite(arrays[bad]))[0]))
+        raise BundleError(f"checkpoint parameter is not finite at index "
+                          f"{index}", field=bad)
+    return meta, arrays

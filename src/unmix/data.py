@@ -37,7 +37,7 @@ __all__ = [
 class HyperCube:
     """An L-band W x H reflectance raster flattened to N pixels (row-major).
 
-    ``pixels`` is an (N, L) array, or for a cube streamed from disk
+    ``pixels`` is an (N, L) array, or for a cube read in blocks from disk
     (``open_cube``) a ``container.PayloadReader`` of one.
     """
 
@@ -386,8 +386,9 @@ def build_supervised_set(ppx: PurePixelDict, n_draws: int,
 
 # ------------------------------------------------------------- bundle io
 
-# The axes of each bundle array that ``_check_finite`` names.
+# The axes of each array that ``_check_finite`` names (of fewer, the last).
 _AXES = {"pixels": ("pixel", "band"), "abundances": ("pixel", "endmember"),
+         "endmembers": ("pixel", "endmember", "band"),
          "nonlinearity_degree": ("pixel",), "y": ("sample", "band"),
          "a": ("sample", "endmember"), "m": ("sample", "endmember", "band")}
 
@@ -425,13 +426,14 @@ def _scene(meta: dict, rows: int) -> tuple[int, int]:
 
 def _check_finite(base: str, name: str, data: np.ndarray,
                   width: int | None, start: int = 0):
-    """``InputError`` naming the first NaN or infinity of the array
-    ``name``, ``data`` holding its rows from ``start`` on: its index on each
-    axis, and for a scene ``width`` pixels wide its row and column."""
+    """``data``, the rows of the array ``name`` of ``base`` from ``start``
+    on, if every value is finite; else an ``InputError`` naming the first
+    NaN or infinity by its index on each axis, and for a scene ``width``
+    pixels wide by its row and column."""
     bad = np.flatnonzero(~np.isfinite(data))
     if bad.size:
         first, *rest = (int(i) for i in np.unravel_index(bad[0], data.shape))
-        axes = _AXES[name]
+        axes = _AXES[name][-data.ndim:]
         where = f"{axes[0]} {start + first}"
         if width is not None:
             where += " (row {}, column {})".format(*divmod(start + first,
@@ -439,6 +441,7 @@ def _check_finite(base: str, name: str, data: np.ndarray,
         where += "".join(f", {axis} {i}" for axis, i in zip(axes[1:], rest))
         raise InputError(f"{base}: {name} has a non-finite value "
                          f"({data.flat[bad[0]]}) at {where}")
+    return data
 
 
 def _cube_meta(width: int, height: int,
@@ -485,8 +488,7 @@ def load_cube(base: str) -> HyperCube:
     """Read a cube bundle; a NaN or infinite value raises ``InputError``
     naming the first offending pixel and band."""
     cube = open_cube(base)
-    cube.pixels = cube.pixels[:]
-    _check_finite(base, "pixels", cube.pixels, cube.width)
+    cube.pixels = _check_finite(base, "pixels", cube.pixels[:], cube.width)
     return cube
 
 
@@ -514,9 +516,7 @@ def _load_map(base: str, name: str, ndim: int
     ``InputError`` naming the first offending pixel."""
     meta, readers = _open(base, {name: (ndim,)})
     width, height = _scene(meta, len(readers[name]))
-    data = readers[name][:]
-    _check_finite(base, name, data, width)
-    return data, width, height
+    return _check_finite(base, name, readers[name][:], width), width, height
 
 
 def load_abundances(base: str) -> tuple[np.ndarray, int, int]:
@@ -554,12 +554,13 @@ def load_endmembers(base: str) -> np.ndarray:
 
 
 def open_endmembers(base: str):
-    """The shared (P, L) matrix, read whole, else a
-    ``container.PayloadReader`` of the (N, P, L) stack."""
+    """The shared (P, L) matrix, read whole and checked as ``load_cube``
+    checks a cube, else a ``container.PayloadReader`` of the (N, P, L)
+    stack."""
     meta, readers = _open(base, {"endmembers": (2, 3)})
     stack = readers["endmembers"]
     if stack.ndim == 2:
-        return stack[:]
+        return _check_finite(base, "endmembers", stack[:], None)
     _scene(meta, len(stack))
     return stack
 
@@ -599,8 +600,7 @@ def load_supervised(base: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             raise BundleError(f"{base}.json: {name} has shape "
                               f"{readers[name].shape}, y and a imply "
                               f"{shape}", field=name)
-    arrays = tuple(readers[name][:] for name in ("y", "a", "m"))
-    for name, data in zip(("y", "a", "m"), arrays):
-        _check_finite(base, name, data, None)
+    arrays = tuple(_check_finite(base, name, readers[name][:], None)
+                   for name in ("y", "a", "m"))
     check_simplex(arrays[1], f"{base}: a at sample")
     return arrays

@@ -457,9 +457,9 @@ class StoredParams:
 
     Passed where a model's constructors take a Generator, it builds every
     parameter as a constant over its stored array, until packing for
-    training: nothing is drawn or copied.  A missing or misshapen array,
-    or one holding a NaN or an infinity, is a ``BundleError`` naming it;
-    a non-finite one also names its first bad index.
+    training: nothing is drawn or copied.  A missing or misshapen array is
+    a ``BundleError`` naming it.  No value is read: ``load_checkpoint``
+    has checked them.
     """
 
     def __init__(self, arrays: dict[str, np.ndarray]):
@@ -480,10 +480,6 @@ class StoredParams:
         arr = self.arrays[name]
         if arr.shape != shape:
             raise BundleError("checkpoint shape mismatch", field=name)
-        if not np.isfinite(arr).all():
-            index = tuple(int(i) for i in np.argwhere(~np.isfinite(arr))[0])
-            raise BundleError(f"checkpoint parameter is not finite at index "
-                              f"{index}", field=name)
         return Tensor(arr, name=name)
 
 
@@ -724,9 +720,10 @@ def lr_schedule(epoch: int) -> float:
 def load_params_into(params: dict[str, Tensor], arrays: dict[str, np.ndarray]):
     """Copy checkpoint arrays into live parameter tensors, by name.
 
-    Every name and shape is checked before any value is written.  Values are
-    written into each tensor's own buffer, so a packed parameter stays a
-    view of its arena.
+    Every name and shape is checked before any value is written (the
+    values themselves ``load_checkpoint`` checks).  Values are written into
+    each tensor's own buffer, so a packed parameter stays a view of its
+    arena.
     """
     stored = StoredParams(arrays)
     values = [stored.value(name, t.data) for name, t in params.items()]

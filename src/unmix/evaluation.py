@@ -22,7 +22,9 @@ pass reads the stacks again and sums the squared truth and the squared
 difference of the aligned stacks, the estimate's rows gathered whole,
 for nrmse_m, as ``nrmse`` sums any two row sources.  Only a block whose
 norms or sums are not finite is searched for a NaN or an infinity, so no
-input needs a pass of its own to be checked.
+input needs a pass of its own to be checked; ``data``'s bundle check
+reports the first, naming a bundle on disk by its path and an array by
+its role (``truth``, ``estimate``, ``cube`` or ``reconstruction``).
 
 Sums of squares are taken by numpy's own einsum loop within a block and
 in block order across blocks, and the cross products by one BLAS call per
@@ -46,7 +48,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .container import PayloadReader
-from .data import _as_pixels
+from .data import _as_pixels, _check_finite
 from .errors import DomainError, InputError
 
 __all__ = ["nrmse", "nonlinearity_degree", "fcls", "align_endmembers",
@@ -54,18 +56,17 @@ __all__ = ["nrmse", "nonlinearity_degree", "fcls", "align_endmembers",
            "reports_from_csv"]
 
 
-def nrmse(x, x_hat, which: tuple[str, str] = ("truth", "estimate")
-          ) -> float:
+def nrmse(x, x_hat, name: str = "pixels", roles=("truth", "estimate")):
     """||X - X_hat||_F / ||X||_F for row sources of any matching shape,
-    summed over blocks of ``ROW_BLOCK`` rows (see the module docstring); a
-    NaN or an infinity is a ``NonFiniteValue`` naming its source by
-    ``which``."""
+    summed over blocks of ``ROW_BLOCK`` rows; a NaN or an infinity is
+    reported as a value of the array ``name`` of its source, an array
+    source named by its entry of ``roles`` (see the module docstring)."""
     x, x_hat = _source(x), _source(x_hat)
     if x.shape != x_hat.shape:
         raise InputError(f"shape mismatch: {x.shape} vs {x_hat.shape}")
     if x.ndim == 0:
         x, x_hat = x.reshape(1), x_hat.reshape(1)
-    return _ratio(*_residual_sums(x, x_hat, which=which))
+    return _ratio(*_residual_sums(x, x_hat, name, roles=roles))
 
 
 def nonlinearity_degree(lin, nlin) -> np.ndarray | float:
@@ -132,33 +133,17 @@ def fcls(cube, em_matrix: np.ndarray) -> np.ndarray:
 ROW_BLOCK = 256
 
 
-class NonFiniteValue(InputError):
-    """A row source holds a NaN or an infinity: ``which`` names it (the
-    ``"truth"`` or ``"estimate"`` endmembers, the ``"cube"`` or the
-    ``"reconstruction"``), and ``pixel`` is the first pixel with one."""
-
-    def __init__(self, message: str, which: str, pixel: int):
-        super().__init__(message)
-        self.which, self.pixel = which, pixel
-
-
-def _find_non_finite(which: str, block: np.ndarray, start: int):
-    """Raise ``NonFiniteValue`` at the first NaN or infinity, in C order, of
-    ``block``, the rows of ``which`` from pixel ``start`` on, if any."""
-    bad = np.argwhere(~np.isfinite(block))
-    if len(bad):
-        pixel, *index = (int(i) for i in bad[0])
-        column = f", column {index[0]}" if len(index) == 2 else ""
-        raise NonFiniteValue(f"{which} has a non-finite value "
-                             f"({block[tuple(bad[0])]}) at pixel "
-                             f"{start + pixel}, band {index[-1]}{column}",
-                             which, start + pixel)
-
-
 def _source(m):
     """An array or row source as a float64 array, or a payload reader as
     it is."""
     return m if isinstance(m, PayloadReader) else np.asarray(m, np.float64)
+
+
+def _label(source, role: str) -> str:
+    """A row source as a non-finite value's report names it: a payload
+    reader by its bundle's path, an array by its ``role``."""
+    return (source.path.removesuffix(".raw")
+            if isinstance(source, PayloadReader) else role)
 
 
 def _per_pixel_stack(m, n: int):
@@ -190,14 +175,14 @@ def _sum_squares(x: np.ndarray) -> float:
     return float(np.einsum("i,i->", flat, flat))
 
 
-def _residual_sums(x, x_hat, perm: np.ndarray | None = None,
-                   which: tuple[str, str] = ("truth", "estimate")
-                   ) -> tuple[float, float]:
+def _residual_sums(x, x_hat, name: str, perm: np.ndarray | None = None,
+                   roles=("truth", "estimate")) -> tuple[float, float]:
     """(sum (x - x_hat)^2, sum x^2) of two row sources of one shape, block
     by block, with the second axis of ``x_hat`` taken in the order ``perm``
     (as it is for None).  A block whose sums are not finite is searched,
-    ``x`` first, for a ``NonFiniteValue`` of the source named by ``which``.
+    ``x`` first, as ``nrmse`` says.
     """
+    labels = [_label(src, role) for src, role in zip((x, x_hat), roles)]
     num = den = 0.0
     for rows in _blocks(len(x)):
         t, h = x[rows], x_hat[rows]
@@ -205,8 +190,8 @@ def _residual_sums(x, x_hat, perm: np.ndarray | None = None,
             h = h[:, perm]
         block_num, block_den = _sum_squares(t - h), _sum_squares(t)
         if not math.isfinite(block_num + block_den):
-            for name, block in zip(which, (t, h)):
-                _find_non_finite(name, block, rows.start)
+            for label, block in zip(labels, (t, h)):
+                _check_finite(label, name, block, None, rows.start)
         num += block_num
         den += block_den
     return num, den
@@ -218,17 +203,17 @@ def _ratio(num: float, den: float) -> float:
     return math.sqrt(num) / math.sqrt(den)
 
 
-def _column_norms(block: np.ndarray, start: int, which: str) -> np.ndarray:
+def _column_norms(block: np.ndarray, start: int, label: str) -> np.ndarray:
     """(B, P) norms of the endmembers of the (B, P, L) block from pixel
-    ``start``.
+    ``start`` of the stack ``label``.
 
     An endmember holding a NaN or an infinity has a non-finite norm, so
     only a block with such a norm is searched for the value, in (pixel,
-    column, band) order.
+    endmember, band) order.
     """
     norms = np.sqrt(np.einsum("bpl,bpl->bp", block, block))
     if not np.isfinite(norms).all():   # finds none if the squares overflowed
-        _find_non_finite(which, block, start)
+        _check_finite(label, "endmembers", block, None, start)
     return norms
 
 
@@ -237,11 +222,12 @@ def _alignment_cost(mt, mh) -> np.ndarray:
     over pixels of the angle between true endmember i and estimate j of
     two (N, P, L) row sources."""
     n, p, _ = mt.shape
+    lt, lh = _label(mt, "truth"), _label(mh, "estimate")
     total = np.zeros((p, p))
     for rows in _blocks(n):
         t, h = mt[rows], mh[rows]
-        nt = _column_norms(t, rows.start, "truth")
-        nh = _column_norms(h, rows.start, "estimate")
+        nt = _column_norms(t, rows.start, lt)
+        nh = _column_norms(h, rows.start, lh)
         if np.any(nt == 0.0) or np.any(nh == 0.0):
             raise DomainError("zero-norm signature in angle computation")
         cos = (t @ np.swapaxes(h, 1, 2)) / (nt[:, :, None] * nh[:, None, :])
@@ -321,14 +307,15 @@ def evaluate(cube, truth, estimates: Estimates) -> MetricsReport:
 
     if truth_a is not None:
         report.nrmse_a = nrmse(truth_a,
-                               a_hat if perm is None else a_hat[:, perm])
+                               a_hat if perm is None else a_hat[:, perm],
+                               "abundances")
     if truth_m is not None and m_hat is not None:
         report.sam_m = float(cost[np.arange(len(perm)), perm].sum())
         report.nrmse_m = _ratio(*_residual_sums(*_stack_pair(truth_m, m_hat),
-                                                perm))
+                                                "endmembers", perm))
     if estimates.reconstruction is not None:
         report.nrmse_y = nrmse(_as_pixels(cube), estimates.reconstruction,
-                               ("cube", "reconstruction"))
+                               "pixels", ("cube", "reconstruction"))
     return report
 
 

@@ -251,15 +251,6 @@ def posterior_sample(y, phi: InferenceParams, theta: GenerativeParams,
     return PosteriorSample(a=a, em_matrix=em, gamma=gamma, z_dist=z_dist, z=z)
 
 
-class _ModelArrays(dc.StoredParams):
-    """A built model's arrays by name, as constants.  They came from a
-    checked checkpoint or from fresh draws, so ``StoredParams``' checks do
-    not run again."""
-
-    def _take(self, name: str, shape: tuple[int, ...]) -> Tensor:
-        return Tensor(self.arrays[name], name=name)
-
-
 def point_estimate_blocks(y, phi: InferenceParams, theta: GenerativeParams):
     """The forward-only unmixing pass, one block of pixels at a time.
 
@@ -274,12 +265,13 @@ def point_estimate_blocks(y, phi: InferenceParams, theta: GenerativeParams):
     held.  BLAS rounding follows a product's row count and thread count,
     so the fixed blocks make every output a function of the pixel values,
     their number and the BLAS thread count alone, not of how ``y`` is
-    stored.  The pass runs over a constant view of the model's arrays, so
-    it records no graph for any model.
+    stored.  The pass runs over a constant view of the model's arrays, a
+    ``dc.StoredParams`` that checks their names and shapes but reads no
+    value, so it records no graph for any model.
     """
     stored = {name: t.data for name, t in model_parameters(theta, phi).items()}
     theta, phi = init_model(phi.n_bands, phi.n_endmembers, phi.latent_dim,
-                            phi.lista.n_layers, _ModelArrays(stored))
+                            phi.lista.n_layers, dc.StoredParams(stored))
     n = len(y)
     for start in range(0, n, ROW_BLOCK):
         rows = slice(start, min(start + ROW_BLOCK, n))

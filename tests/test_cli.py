@@ -153,6 +153,35 @@ class TestExitCodes:
         assert base in err and "pixel 13" in err
         assert not os.path.exists(csv)
 
+    @pytest.mark.parametrize("bundle", ["endmembers", "endmembers_est"])
+    def test_non_finite_endmember_exits_2_naming_endmember_and_band(
+            self, scene, tmp_path, capsys, bundle):
+        """``eval`` names a NaN in a dc1 truth's shared (P, L) matrix, or in
+        the estimated (N, P, L) stack, by its bundle, endmember and band, in
+        the words of every bundle reader."""
+        truth, est = str(tmp_path / "dc1"), str(tmp_path / "est")
+        assert cli.main(["generate", "dc1", truth, "--width", str(WIDTH),
+                         "--height", str(HEIGHT), "--bands", str(BANDS),
+                         "--endmembers", str(P)]) == 0
+        assert cli.main(["unmix", os.path.join(truth, "cube"), scene["ckpt"],
+                         est]) == 0
+        base = os.path.join(truth if bundle == "endmembers" else est, bundle)
+        m = dt.load_endmembers(base)
+        if bundle == "endmembers":
+            m[1, 5] = np.nan
+            where = "endmember 1, band 5"
+        else:
+            m[13, 1, 5] = np.nan
+            where = "pixel 13, endmember 1, band 5"
+        dt.save_endmembers(base, m, WIDTH, HEIGHT)
+        csv = str(tmp_path / "report.csv")
+        capsys.readouterr()
+        assert cli.main(["eval", truth, est, csv]) == 2
+        assert capsys.readouterr().err == (f"error: {base}: endmembers has a "
+                                           f"non-finite value (nan) at "
+                                           f"{where}\n")
+        assert not os.path.exists(csv)
+
     @pytest.mark.parametrize("snr", ["inf", "nan", "1e10", "-1e10"])
     def test_unusable_snr_exits_2_before_writing(self, tmp_path, capsys, snr):
         out = tmp_path / "scene"
@@ -188,6 +217,35 @@ class TestExitCodes:
             assert rc == 2
             assert f"{flag} must be {rule}" in capsys.readouterr().err
             assert os.listdir(out) == [] if made else not out.exists()
+
+    @pytest.mark.parametrize("bundle", ["endmembers", "endmembers_est"])
+    def test_non_finite_endmember_exits_2_naming_endmember_and_band(
+            self, scene, tmp_path, capsys, bundle):
+        """``eval`` names a NaN in a dc1 truth's shared (P, L) matrix, or in
+        the estimated (N, P, L) stack, by its bundle, endmember and band, in
+        the words of every bundle reader."""
+        truth, est = str(tmp_path / "dc1"), str(tmp_path / "est")
+        assert cli.main(["generate", "dc1", truth, "--width", str(WIDTH),
+                         "--height", str(HEIGHT), "--bands", str(BANDS),
+                         "--endmembers", str(P)]) == 0
+        assert cli.main(["unmix", os.path.join(truth, "cube"), scene["ckpt"],
+                         est]) == 0
+        base = os.path.join(truth if bundle == "endmembers" else est, bundle)
+        m = dt.load_endmembers(base)
+        if bundle == "endmembers":
+            m[1, 5] = np.nan
+            where = "endmember 1, band 5"
+        else:
+            m[13, 1, 5] = np.nan
+            where = "pixel 13, endmember 1, band 5"
+        dt.save_endmembers(base, m, WIDTH, HEIGHT)
+        csv = str(tmp_path / "report.csv")
+        capsys.readouterr()
+        assert cli.main(["eval", truth, est, csv]) == 2
+        assert capsys.readouterr().err == (f"error: {base}: endmembers has a "
+                                           f"non-finite value (nan) at "
+                                           f"{where}\n")
+        assert not os.path.exists(csv)
 
     @pytest.mark.parametrize("snr", ["inf", "nan", "1e10", "-1e10"])
     def test_unusable_selfsup_snr_exits_2_before_writing(self, scene, tmp_path,
@@ -479,6 +537,47 @@ class TestResume:
             assert grads[0][name].tobytes() == g.tobytes(), name
 
 
+class TestManifests:
+    def test_train_output_path_drops_its_suffix(self, scene):
+        """``train``'s checkpoint path may name the bundle's header, as
+        every other bundle argument may."""
+        out = str(scene["root"] / "suffixed")
+        assert cli.main(["train", scene["cube"], _supervised(scene),
+                         out + ".json", "--epochs", "1"]) == 0
+        assert os.path.exists(out + ".raw")
+        assert not os.path.exists(out + ".json.json")
+        manifest = ct.read_json(out + ".manifest.json", "manifest")
+        assert manifest["outputs"]["checkpoint"] == out + ".json"
+        assert cli.main(["unmix", scene["cube"], out + ".json",
+                         out + "_maps"]) == 0
+
+    def test_resumed_train_records_the_model_it_trained(self, scene):
+        """A resumed run records the sizes of the model it trained, not the
+        flags', and the checkpoint it resumed among its inputs."""
+        first = str(scene["root"] / "latent_3")
+        assert cli.main(["train", scene["cube"], _supervised(scene), first,
+                         "--epochs", "1", "--latent-dim", "3",
+                         "--lista-layers", "7"]) == 0
+        resumed = first + "_resumed"
+        assert cli.main(["train", scene["cube"], _supervised(scene), resumed,
+                         "--epochs", "1", "--resume", first + ".json"]) == 0
+        fresh, again = (ct.read_json(base + ".manifest.json", "manifest")
+                        for base in (first, resumed))
+        assert (again["args"]["latent_dim"],
+                again["args"]["lista_layers"]) == (3, 7)
+        assert set(fresh["inputs"]) == {"cube", "supervised"}
+        assert again["inputs"] == dict(fresh["inputs"],
+                                       checkpoint=first + ".json")
+
+    def test_eval_records_its_wall_time(self, scene):
+        out = _unmix(scene, "run_eval_time")
+        csv = out + ".csv"
+        assert cli.main(["eval", os.path.dirname(scene["cube"]), out,
+                         csv]) == 0
+        manifest = ct.read_json(csv + ".manifest.json", "manifest")
+        assert manifest["wall_clock_s"] > 0.0
+
+
 def _per_endmember_names(arrays: dict) -> dict:
     """The arrays under the names of checkpoints written before the decoders
     were one bank: endmember k's decoder arrays and log-scale apart."""
@@ -575,18 +674,35 @@ class TestNonFiniteCheckpoint:
         return base
 
     def test_unmix_checks_each_parameter_once(self, scene, monkeypatch):
-        """The loaded model is checked once; the unmixing pass reads it
-        without a second scan."""
-        taken = []
-        take = dc.StoredParams._take
+        """``load_checkpoint`` scans every value once.  ``StoredParams``,
+        over which ``cli unmix`` builds the model twice (to load it, then
+        for the unmixing pass), scans none, so no other scan of the values
+        is made."""
+        scanned, loaded = [], []
+        isfinite, load = np.isfinite, ct.load_checkpoint
 
-        def spy(self, name, shape):
-            taken.append(name)
-            return take(self, name, shape)
-        monkeypatch.setattr(dc.StoredParams, "_take", spy)
+        def spy_isfinite(x, *args, **kwargs):
+            scanned.append(x)
+            return isfinite(x, *args, **kwargs)
+
+        def spy_load(base):
+            meta, arrays = load(base)
+            loaded.append(arrays)
+            return meta, arrays
+        monkeypatch.setattr(ct, "load_checkpoint", spy_load)
+        monkeypatch.setattr(np, "isfinite", spy_isfinite)
         _unmix(scene, "checked_once")
-        names = list(ct.load_checkpoint(scene["ckpt"])[1])
-        assert sorted(taken) == sorted(names) and len(names) == 51
+        monkeypatch.undo()
+        (arrays,) = loaded
+        assert len(arrays) == 51
+        from_checkpoint = [x for x in scanned if any(
+            np.shares_memory(x, a) for a in arrays.values())]
+        assert sum(np.size(x) for x in from_checkpoint) \
+            == sum(a.size for a in arrays.values())
+        # the pass builds its constants with plain ``StoredParams``, which
+        # takes values with a NaN as they are
+        nan = {n: np.full_like(a, np.nan) for n, a in arrays.items()}
+        inf.init_model(BANDS, P, 2, 11, dc.StoredParams(nan))
 
     @pytest.mark.parametrize("name,index,value", CASES)
     def test_unmix_exits_2_before_any_output(self, scene, capsys, name,
@@ -613,27 +729,26 @@ class TestNonFiniteCheckpoint:
         assert not any(os.path.exists(out + ext) for ext in
                        (".json", ".raw", ".history.csv", ".manifest.json"))
 
-    def test_older_checkpoint_names_the_stacked_bank(self, scene):
-        # endmember 1's array of a per-endmember checkpoint is entry 1 of
-        # the bank it is stacked into
+    def test_older_checkpoint_names_the_array_it_holds(self, scene):
+        # the values are checked as read, before endmember 1's arrays of a
+        # per-endmember checkpoint are stacked into the bank's
         base = self._ckpt(scene, "gen.em_decoder.w2", (1, 4, 0), np.nan,
                           _per_endmember_names)
         with pytest.raises(BundleError) as info:
             cli._load_model(base)
-        assert info.value.field == "gen.em_decoder.w2"
-        assert "index (1, 4, 0)" in str(info.value)
+        assert info.value.field == "gen.em_decoder1.w2"
+        assert "index (4, 0)" in str(info.value)
 
     def test_load_params_into_writes_nothing(self, scene):
         _, arrays = ct.load_checkpoint(scene["ckpt"])
-        arrays = {n: a.copy() for n, a in arrays.items()}
-        arrays["inf.lista.log_eta_unc"][()] = np.nan
+        arrays = dict(arrays, **{"inf.lista.log_eta_unc": np.zeros(2)})
         theta, phi = inf.init_model(BANDS, P, 2, 11, np.random.default_rng(0))
         params = inf.model_parameters(theta, phi)
         before = {n: t.data.copy() for n, t in params.items()}
         with pytest.raises(BundleError) as info:
             dc.load_params_into(params, arrays)
         assert info.value.field == "inf.lista.log_eta_unc"
-        assert "index ()" in str(info.value)
+        assert "shape mismatch" in str(info.value)
         for name, t in params.items():
             assert t.data.tobytes() == before[name].tobytes(), name
 
@@ -1001,6 +1116,31 @@ class TestBundles:
         assert _files(out) == _files(_unmix(scene, "run_ckpt_extra_ref"))
 
     @pytest.mark.parametrize("case, named", [
+        # log_eta3 reads as the step size older checkpoints held unread
+        ("fewer lista layers", "inf.lista.log_eta4"),
+        ("extra array", "gen.extra"),
+        ("bank and its per-endmember arrays", "gen.em_log_scale0")])
+    def test_array_the_model_does_not_read_exits_2(self, scene, capsys,
+                                                   case, named):
+        """A checkpoint holds exactly the model's arrays: ``unmix`` of one
+        holding more exits 2 naming the first, before any output."""
+        meta, arrays = ct.load_checkpoint(scene["ckpt"])
+        if case == "fewer lista layers":
+            meta = dict(meta, lista_layers=5)
+        elif case == "extra array":
+            arrays = dict(arrays, **{"gen.extra": np.zeros(2)})
+        else:
+            arrays = dict(_per_endmember_names(arrays), **{
+                "gen.em_log_scale": arrays["gen.em_log_scale"]})
+        base = str(scene["root"] / f"unread_{case.replace(' ', '_')}")
+        ct.save_checkpoint(base, meta, arrays)
+        out = base + "_maps"
+        capsys.readouterr()
+        assert cli.main(["unmix", scene["cube"], base, out]) == 2
+        assert f"field: {named}" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("case, named", [
         ("eta_d as abundances", "abundances"), ("renamed", "pixels"),
         ("extra", "extra")])
     def test_missing_or_unexpected_array_exits_2(self, scene, capsys, case,
@@ -1240,8 +1380,8 @@ class TestStreamedBundles:
         capsys.readouterr()
         assert cli.main(["eval", truth, est, csv]) == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"error: {base}: {bundle} has a non-finite "
-                              f"value (nan) at pixel {n - 2}, band 5")
+        assert err.startswith(f"error: {base}: pixels has a non-finite "
+                              f"value (nan) at pixel {n - 2}, band 5\n")
         assert not os.path.exists(csv)
 
     def test_eval_reads_each_cube_row_once(self, tmp_path, monkeypatch):
