@@ -6,8 +6,8 @@ the same BLAS thread count reproduces the output files byte for byte (the
 manifest's wall-clock and the live-measured baseline runtime are the only
 nondeterministic values).  The thread count matters because BLAS splits
 large products across its threads, and the rounding follows the split:
-``unmix`` on 1 and on 2 threads writes different ``endmembers_est`` and
-``reconstruction`` bytes (its abundances and eta_d agree).  Set
+``unmix`` of a trained model on 1 and on 2 threads can write different
+bytes in each of its four bundles, abundances and eta_d included.  Set
 ``UNMIX_THREADS`` before ``unmix`` is imported to pin the count, as the
 benchmark does with ``UNMIX_THREADS=1``.  ``eval``'s scores of the
 estimates are the same on any thread count.
@@ -290,9 +290,10 @@ def cmd_unmix(args) -> int:
     are appended to their bundles as they are computed.  Only the
     abundances and eta_d, a few numbers per pixel, are held whole.  The
     outputs depend only on the pixel values, the pixel count and the BLAS
-    thread count, and ``inference.point_estimates`` of the cube's pixels
-    returns the same bytes as the abundance and endmember maps.  A failure
-    part way removes the bundles written so far.
+    thread count (any of them may change with it), and
+    ``inference.point_estimates`` of the cube's pixels returns the same
+    bytes as the abundance and endmember maps.  A failure part way removes
+    the bundles written so far.
     """
     t0 = time.perf_counter()
     cube_base = _strip_bundle(args.cube)

@@ -424,23 +424,27 @@ def _scene(meta: dict, rows: int) -> tuple[int, int]:
     return width, height
 
 
-def _check_finite(base: str, name: str, data: np.ndarray,
-                  width: int | None, start: int = 0):
+def _check_finite(base: str, name: str, data, width: int | None,
+                  start: int = 0):
     """``data``, the rows of the array ``name`` of ``base`` from ``start``
-    on, if every value is finite; else an ``InputError`` naming the first
-    NaN or infinity by its index on each axis, and for a scene ``width``
-    pixels wide by its row and column."""
-    bad = np.flatnonzero(~np.isfinite(data))
-    if bad.size:
-        first, *rest = (int(i) for i in np.unravel_index(bad[0], data.shape))
-        axes = _AXES[name][-data.ndim:]
-        where = f"{axes[0]} {start + first}"
+    on (an array or a ``container.PayloadReader``), if every value is
+    finite, read and checked ``ROW_BLOCK`` rows at a time; else an
+    ``InputError`` naming the first NaN or infinity by its index on each
+    axis, and for a scene ``width`` pixels wide by its row and column."""
+    for at in range(0, len(data), ROW_BLOCK):
+        block = data[at:at + ROW_BLOCK]
+        bad = np.flatnonzero(~np.isfinite(block))
+        if not bad.size:
+            continue
+        first, *rest = (int(i) for i in np.unravel_index(bad[0], block.shape))
+        first += start + at
+        axes = _AXES[name][-block.ndim:]
+        where = f"{axes[0]} {first}"
         if width is not None:
-            where += " (row {}, column {})".format(*divmod(start + first,
-                                                          width))
+            where += " (row {}, column {})".format(*divmod(first, width))
         where += "".join(f", {axis} {i}" for axis, i in zip(axes[1:], rest))
         raise InputError(f"{base}: {name} has a non-finite value "
-                         f"({data.flat[bad[0]]}) at {where}")
+                         f"({block.flat[bad[0]]}) at {where}")
     return data
 
 
@@ -492,16 +496,13 @@ def load_cube(base: str) -> HyperCube:
     return cube
 
 
-# Pixels per block of ``check_cube_finite``.
+# Rows per block of the finite check.
 ROW_BLOCK = 512
 
 
 def check_cube_finite(base: str, cube: HyperCube):
-    """``load_cube``'s check of an opened cube, read one block of
-    ``ROW_BLOCK`` pixels at a time."""
-    for start in range(0, cube.n_pixels, ROW_BLOCK):
-        _check_finite(base, "pixels", cube.pixels[start:start + ROW_BLOCK],
-                      cube.width, start)
+    """``load_cube``'s check of an opened cube, read in blocks."""
+    _check_finite(base, "pixels", cube.pixels, cube.width)
 
 
 def save_abundances(base: str, abundances: np.ndarray, width: int, height: int):
@@ -547,22 +548,28 @@ def endmember_writer(base: str, width: int, height: int, bands: int,
         {"endmembers": (width * height, components, bands)})
 
 
+def _endmembers(base: str):
+    """A reader of the bundle's shared (P, L) matrix and None, or of its
+    (N, P, L) stack and the scene's width."""
+    meta, readers = _open(base, {"endmembers": (2, 3)})
+    stack = readers["endmembers"]
+    return stack, None if stack.ndim == 2 else _scene(meta, len(stack))[0]
+
+
 def load_endmembers(base: str) -> np.ndarray:
-    """Returns (P, L) when the bundle stores one shared matrix, else (N, P, L)."""
-    stack = open_endmembers(base)
-    return stack if isinstance(stack, np.ndarray) else stack[:]
+    """Returns (P, L) when the bundle stores one shared matrix, else
+    (N, P, L); a NaN or infinite value raises ``InputError`` naming the
+    first offending pixel (row and column in a stack), endmember and band."""
+    stack, width = _endmembers(base)
+    return _check_finite(base, "endmembers", stack[:], width)
 
 
 def open_endmembers(base: str):
     """The shared (P, L) matrix, read whole and checked as ``load_cube``
     checks a cube, else a ``container.PayloadReader`` of the (N, P, L)
     stack."""
-    meta, readers = _open(base, {"endmembers": (2, 3)})
-    stack = readers["endmembers"]
-    if stack.ndim == 2:
-        return _check_finite(base, "endmembers", stack[:], None)
-    _scene(meta, len(stack))
-    return stack
+    stack, width = _endmembers(base)
+    return stack if width else _check_finite(base, "endmembers", stack[:], None)
 
 
 # The array name of the one scalar map the commands write, the eta_d map.

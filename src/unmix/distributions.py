@@ -127,6 +127,9 @@ def dirichlet_logpdf(a, concentration) -> Tensor:
     """Dirichlet log-density with boundary clipping and renormalization.
 
     ``concentration``: (..., P), every entry at or above ``GAMMA_FLOOR``.
+    ``a`` is clipped to [eps, 1 - eps] (eps = ``SIMPLEX_EPS``) and renormalized,
+    so at a one-hot ``a`` the gradient in an off-label gamma_j, psi(sum gamma)
+    - psi(gamma_j) + log(eps / (1 + (P - 2) eps)), vanishes where eps says.
     """
     conc = as_tensor(concentration)
     _check_concentration(conc.data)

@@ -19,8 +19,8 @@ stream in (y, M) plus a free nonlinear stream in y.
 Unmixing a scene (``point_estimate_blocks``) runs over constants, in fixed
 blocks of ``ROW_BLOCK`` pixels counted from pixel 0, so a caller can stream
 each block's outputs as it is computed, and the outputs depend only on the
-pixel values, the pixel count and the BLAS thread count (the endmembers and
-the reconstruction differ on 1 and 2 threads), not on memory layout.
+pixel values, the pixel count and the BLAS thread count (for a trained
+model every output can differ on 1 and 2 threads), not on memory layout.
 """
 
 from __future__ import annotations
@@ -48,14 +48,17 @@ INIT_ETA_STEP = 0.1
 # Pixels per block of the forward-only unmixing pass.
 ROW_BLOCK = 512
 
-
-def _round_half_up(x: float) -> int:
-    return int(np.floor(x + 0.5))
+# The warm start's cut on G = M M^T's eigenvalues, as a share of the largest
+# (a singular-value cut of 1e-6 on M^T).  eigh leaves a rank-deficient G's
+# null eigenvalues near 1e-16 of the largest; a cut there keeps them and
+# misses pinv by O(1), so this one sits well above that rounding floor.
+WARM_START_CUT = 1e-12
 
 
 def nlin_encoder_widths(n_bands: int, n_endmembers: int) -> list[int]:
+    """L, 2L, L/2 and L/4 rounded half up, 4P, P."""
     L, P = n_bands, n_endmembers
-    return [L, 2 * L, _round_half_up(L / 2), _round_half_up(L / 4), 4 * P, P]
+    return [L, 2 * L, (L + 1) // 2, (L + 2) // 4, 4 * P, P]
 
 
 @dataclass
@@ -173,19 +176,15 @@ def encode_z(y, phi: InferenceParams) -> DiagGaussian:
     return DiagGaussian(mean=mean, scale=scale)
 
 
-def _least_squares_start(m_data: np.ndarray, y_arr: np.ndarray) -> np.ndarray:
-    """pinv(M^T, rcond=1e-8) y for each pixel, from a thin SVD of M^T.
-
-    With M^T = U diag(s) V^T, that is V diag(1/s) U^T y with pinv's cut:
-    singular values at or below 1e-8 of the largest count as zero.  LAPACK
-    factors the tall (..., L, P) view M^T about twice as fast as the wide
-    M.  Holds U (..., L, P) but never the pseudoinverse.
-    """
-    u, s, vt = np.linalg.svd(np.swapaxes(m_data, -1, -2), full_matrices=False)
-    large = s > 1e-8 * s.max(axis=-1, keepdims=True)
-    coef = np.squeeze(np.swapaxes(u, -1, -2) @ y_arr[..., None], axis=-1)
-    coef *= np.divide(1.0, s, out=np.zeros_like(s), where=large)
-    return np.squeeze(np.swapaxes(vt, -1, -2) @ coef[..., None], axis=-1)
+def _least_squares_start(gram: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The (..., P, 1) column pinv(G) b = pinv(M^T, rcond=1e-6) y per pixel,
+    from the stream's own G = M M^T and b = M y: with G = V diag(w) V^T
+    (``eigh``), V diag(1/w) V^T b, where an eigenvalue at or below
+    ``WARM_START_CUT`` of the largest counts as zero."""
+    w, v = np.linalg.eigh(gram)
+    large = w > WARM_START_CUT * w[..., -1:]
+    inv = np.divide(1.0, w, out=np.zeros_like(w), where=large)
+    return v @ (inv[..., None] * (np.swapaxes(v, -1, -2) @ b))
 
 
 def lista_concentration(y, M, phi: InferenceParams) -> Tensor:
@@ -195,20 +194,20 @@ def lista_concentration(y, M, phi: InferenceParams) -> Tensor:
     n_layers - 2 shrinkage steps h <- relu(h - eta (G h - b) - eta eta_sp),
     and scales by the uncertainty factor.  ``y``: (..., L); ``M``: (..., P, L).
 
-    The steps use the Gram form: G = M M^T (..., P, P) and b = M y are
-    formed once per pass, so each layer costs a P x P product in place of
-    two L x P ones.  h and b are (..., P, 1) columns from the warm start
-    on, so G h is one ``matmul`` node, and one reshape at the end gives
-    (..., P).  The reverse pass reaches M through G and b and the step
-    scalars through every layer; the warm start and ``y`` are data.
+    Everything uses the Gram form: G = M M^T (..., P, P) and b = M y are
+    formed once per pass; the warm start is solved from them, and each
+    layer costs a P x P product in place of two L x P ones.  h and b are
+    (..., P, 1) columns, so G h is one ``matmul`` node, and one reshape at
+    the end gives (..., P).  The reverse pass reaches M through G and b and
+    the step scalars through every layer; the warm start and ``y`` are data.
     """
     M = as_tensor(M)
     y_arr = np.asarray(y, dtype=np.float64)
     if M.shape[-1] != y_arr.shape[-1]:
         raise ShapeError(f"M has {M.shape[-1]} bands, y has {y_arr.shape[-1]}")
-    h = dc.constant(_least_squares_start(M.data, y_arr)[..., None])
     gram = dc.matmul(M, M.transpose())
     b = dc.matmul(M, dc.constant(y_arr[..., None]))
+    h = dc.constant(_least_squares_start(gram.data, b.data))
     eta_sp = dc.exp(phi.lista.log_eta_sparse)
     for log_eta in phi.lista.log_eta_steps:
         eta = dc.exp(log_eta)
@@ -265,9 +264,10 @@ def point_estimate_blocks(y, phi: InferenceParams, theta: GenerativeParams):
     held.  BLAS rounding follows a product's row count and thread count,
     so the fixed blocks make every output a function of the pixel values,
     their number and the BLAS thread count alone, not of how ``y`` is
-    stored.  The pass runs over a constant view of the model's arrays, a
-    ``dc.StoredParams`` that checks their names and shapes but reads no
-    value, so it records no graph for any model.
+    stored; any of the six may change with the thread count.  The pass runs
+    over a constant view of the model's arrays, a ``dc.StoredParams`` that
+    checks their names and shapes but reads no value, so it records no
+    graph for any model.
     """
     stored = {name: t.data for name, t in model_parameters(theta, phi).items()}
     theta, phi = init_model(phi.n_bands, phi.n_endmembers, phi.latent_dim,

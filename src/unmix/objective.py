@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import math
 from dataclasses import asdict, dataclass, fields
 
@@ -178,7 +179,9 @@ def sup_term(y, a, em_matrix, theta: GenerativeParams, phi: InferenceParams,
     importance-weighted integrand over ``k`` latent draws, the
     posterior-likelihood regularizer (it enters the total with weight
     lambda * (1 + beta)), and the (B, P) abundance concentration at the
-    observed endmembers, for the sparsity penalty.
+    observed endmembers, for the sparsity penalty.  At a one-hot label,
+    sup_posterior pulls an off-label concentration toward a point set by
+    ``SIMPLEX_EPS`` (``dirichlet_logpdf``): 0.0535 at 1e-9, P = 5, on-label 5.
     """
     check_simplex(a)
     B = len(y)
@@ -286,28 +289,6 @@ _HISTORY_COLUMNS = [f.name for f in fields(EpochStats)]
 _LOSS_TERMS = _HISTORY_COLUMNS[1:-1]
 
 
-class _SupervisedCycler:
-    """Deterministic shuffled cycling through the labeled set."""
-
-    def __init__(self, n: int, rng: np.random.Generator):
-        self.n = n
-        self.rng = rng
-        self.order = rng.permutation(n)
-        self.pos = 0
-
-    def take(self, count: int) -> np.ndarray:
-        out = []
-        while count > 0:
-            if self.pos >= self.n:
-                self.order = self.rng.permutation(self.n)
-                self.pos = 0
-            grab = min(count, self.n - self.pos)
-            out.append(self.order[self.pos:self.pos + grab])
-            self.pos += grab
-            count -= grab
-        return np.concatenate(out)
-
-
 def train(d_u: np.ndarray, d_s, config: TrainConfig, seed: int,
           latent_dim: int = 2, lista_layers: int = 11,
           theta: GenerativeParams | None = None,
@@ -337,7 +318,11 @@ def train(d_u: np.ndarray, d_s, config: TrainConfig, seed: int,
     arena = dc.ParamArena(params)
     order_rng = np.random.default_rng(order_ss)
     noise = RngNoise(np.random.default_rng(noise_ss))
-    sup_cycler = _SupervisedCycler(len(y_s), order_rng) if len(y_s) else None
+    sup_order = None
+    if len(y_s):     # shuffled passes, each drawn when the last runs out
+        sup_order = itertools.chain(
+            order_rng.permutation(len(y_s)), itertools.chain.from_iterable(
+                map(order_rng.permutation, itertools.repeat(len(y_s)))))
     n_u = len(d_u)
     history: list[EpochStats] = []
     last_good = arena.snapshot()
@@ -351,8 +336,9 @@ def train(d_u: np.ndarray, d_s, config: TrainConfig, seed: int,
         for start in range(0, n_u, config.batch_size):
             idx = perm[start:start + config.batch_size]
             batch_u = d_u[idx]
-            if sup_cycler is not None:
-                s_idx = sup_cycler.take(min(config.batch_size, len(y_s)))
+            if sup_order is not None:
+                s_idx = np.fromiter(itertools.islice(
+                    sup_order, min(config.batch_size, len(y_s))), np.intp)
                 batch_s = (y_s[s_idx], a_s[s_idx], m_s[s_idx])
             else:
                 batch_s = None

@@ -149,9 +149,9 @@ class PinnedStarts:
     def rewind(self):
         self.pos = 0
 
-    def take(self, m_data: np.ndarray, y_arr: np.ndarray) -> np.ndarray:
+    def take(self, gram: np.ndarray, b: np.ndarray) -> np.ndarray:
         if self.pos == len(self.store):
-            self.store.append(self.solve(m_data, y_arr))
+            self.store.append(self.solve(gram, b))
         self.pos += 1
         return self.store[self.pos - 1]
 

@@ -1409,17 +1409,17 @@ class TestStreamedBundles:
         blocks_seen = []
         least_squares = inf._least_squares_start
 
-        def fail_in_block_2(m, y):
-            blocks_seen.append(len(y))
+        def fail_in_block_2(gram, b):
+            blocks_seen.append(len(b))
             if len(blocks_seen) == 2:
-                raise np.linalg.LinAlgError("SVD did not converge")
-            return least_squares(m, y)
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return least_squares(gram, b)
         monkeypatch.setattr(inf, "_least_squares_start", fail_in_block_2)
         out = str(scene["root"] / "run_fail_block_2")
         capsys.readouterr()
         rc = cli.main(["unmix", cube, scene["ckpt"], out])
         assert rc == 3
-        assert "SVD did not converge" in capsys.readouterr().err
+        assert "Eigenvalues did not converge" in capsys.readouterr().err
         assert blocks_seen == [inf.ROW_BLOCK, 1]
         assert os.listdir(out) == []
 
@@ -1570,6 +1570,38 @@ class TestThreadIndependence:
             # the last column is the estimates' runtime_s
             reports.append([line.rsplit(b",", 1)[0] for line in lines])
         assert reports[0] == reports[1]
+
+
+    def test_trained_unmix_rerun_on_one_thread_count_repeats_its_bytes(
+            self, scene):
+        """Fresh-process ``cli unmix`` of a trained checkpoint writes the
+        same bytes twice on one BLAS thread count, for 1 and for 2 threads.
+        Across the counts its abundances and eta_d may differ."""
+        root = scene["root"] / "threads"
+        root.mkdir()
+        sup, ckpt = str(root / "sup"), str(root / "model")
+        assert cli.main(["selfsup", scene["cube"], sup, "--p", str(P),
+                         "--n-ppx", "5", "--n-draws", "4", "--seed", "5"]) == 0
+        assert cli.main(["train", scene["cube"], sup, ckpt, "--epochs", "2",
+                         "--batch-size", "16", "--seed", "6"]) == 0
+        src = os.path.dirname(unmix.__path__[0])
+        path = os.pathsep.join(filter(None, [src,
+                                             os.environ.get("PYTHONPATH")]))
+        for threads in ("1", "2"):
+            env = {k: v for k, v in os.environ.items()
+                   if k not in ("UNMIX_THREADS", "OMP_NUM_THREADS",
+                                "MKL_NUM_THREADS", "OPENBLAS_NUM_THREADS")}
+            env.update(OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                       PYTHONPATH=path)
+            runs = []
+            for rerun in ("a", "b"):
+                out = str(root / f"est_{threads}_{rerun}")
+                subprocess.run([sys.executable, "-m", "unmix.cli", "unmix",
+                                scene["cube"], ckpt, out], env=env,
+                               check=True, capture_output=True, timeout=120)
+                runs.append(_files(out))
+            assert {f"{n}.raw" for n in OUTPUTS} <= set(runs[0])
+            assert runs[0] == runs[1], threads
 
 
 class TestProcessExitStatus:

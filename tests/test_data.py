@@ -1,10 +1,13 @@
 """Data layer: the generators' mixing laws and the endmember-major layout
 (..., P, L) of every endmember matrix, at P != L."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from unmix import data as dt
+from unmix.errors import ExtractionError, InputError
 
 L, P, W, H = 20, 3, 5, 4
 
@@ -152,3 +155,46 @@ def test_supervised_round_trip(tmp_path, scene_parts):
     back = dt.load_supervised(base)
     assert back[2].shape == (2 * P, P, L)
     assert [x.tobytes() for x in back] == [x.tobytes() for x in labelled]
+
+
+def test_vca_refuses_a_cube_of_rank_below_the_endmember_count():
+    # row 3 is the mean of rows 0 and 1, so the linear cube has rank 3:
+    # singular values about 88, 9.7, 8.3 and then 1e-14
+    r = np.random.default_rng(3)
+    library = r.uniform(0.1, 0.9, (4, 64))
+    library[3] = 0.5 * (library[0] + library[1])
+    cube = r.dirichlet(np.ones(4), 400) @ library
+    assert dt.vca(cube, 3, np.random.default_rng(0)).shape == (3, 64)
+    with pytest.raises(ExtractionError, match="rank below the endmember"):
+        dt.vca(cube, 4, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("row_block", [dt.ROW_BLOCK, 16])
+def test_endmember_stack_with_a_nan_names_pixel_endmember_and_band(
+        tmp_path, monkeypatch, row_block):
+    monkeypatch.setattr(dt, "ROW_BLOCK", row_block)
+    stack = np.random.default_rng(12).uniform(0.1, 0.9, (64, P, L))
+    stack[45, 2, 7] = np.nan
+    base = str(tmp_path / "endmembers")
+    dt.save_endmembers(base, stack, 8, 8)
+    with pytest.raises(InputError) as err:
+        dt.load_endmembers(base)
+    assert str(err.value) == (f"{base}: endmembers has a non-finite value "
+                              "(nan) at pixel 45 (row 5, column 5), "
+                              "endmember 2, band 7")
+
+
+def test_endmember_stack_check_holds_no_stack_sized_temporary(tmp_path):
+    stack = np.random.default_rng(13).uniform(0.1, 0.9, (64 * 64, P, L))
+    base = str(tmp_path / "endmembers")
+    dt.save_endmembers(base, stack, 64, 64)
+    tracemalloc.start()
+    try:
+        back = dt.load_endmembers(base)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert back.tobytes() == stack.tobytes()
+    # the stack read whole, plus a block's booleans; a whole-stack
+    # isfinite would add a quarter of the stack's bytes
+    assert peak < 1.1 * stack.nbytes

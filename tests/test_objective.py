@@ -7,12 +7,14 @@ import sys
 
 import numpy as np
 import pytest
+from scipy import special as sp
+from scipy.optimize import brentq
 
 import unmix
 from conftest import (ReplayNoise, fd_param_grads, max_rel_err, scale_mlp,
                       zero_mlp)
 from unmix import diffcore as dc
-from unmix import inference
+from unmix import distributions, inference
 from unmix import objective as ob
 from unmix.distributions import (GAMMA_FLOOR, RngNoise, dirichlet_logpdf,
                                  gaussian_logpdf, std_normal_logpdf)
@@ -630,6 +632,40 @@ class TestFrozenNoiseGradient:
 
             fd = fd_param_grads(loss_fn, params, h=1e-5)
         assert max_rel_err(grads, fd) < 1e-3
+
+
+class TestOneHotStationaryPoint:
+    @pytest.mark.parametrize("eps, root", [(1e-6, 0.0848), (1e-9, 0.0535)])
+    def test_off_label_pull_vanishes_where_simplex_eps_sets_it(
+            self, monkeypatch, eps, root):
+        """With a one-hot label, P = 5, an on-label gamma of 5 and four equal
+        off-label gammas x, d sup_posterior / dx vanishes where
+        psi(5 + 4x) - psi(x) + log a~ = 0, a~ = eps / (1 + 3 eps) being the
+        clipped, renormalized zero: the stationary point follows
+        ``SIMPLEX_EPS``."""
+        monkeypatch.setattr(distributions, "SIMPLEX_EPS", eps)
+        theta, phi = init_model(8, 5, 2, lista_layers=3,
+                                rng=np.random.default_rng(0))
+        r = np.random.default_rng(1)
+        y, m = r.uniform(0.1, 0.9, (1, 8)), r.uniform(0.1, 0.9, (1, 5, 8))
+
+        def pull(x):
+            gamma = dc.parameter([[5.0, x, x, x, x]], "gamma")
+            monkeypatch.setattr(ob, "abundance_concentration",
+                                lambda *args: gamma)
+            _, sup_posterior, _ = ob.sup_term(
+                y, np.eye(5)[:1], m, theta, phi,
+                RngNoise(np.random.default_rng(2)), k=2)
+            g = dc.backward(sup_posterior, {"gamma": gamma})["gamma"][0]
+            assert np.allclose(g[1:], g[1], rtol=1e-12, atol=0.0)
+            return g[1:].sum()
+
+        found = brentq(pull, 0.01, 1.0, xtol=1e-13)
+        a_tilde = eps / (1.0 + 3.0 * eps)
+        closed = brentq(lambda x: sp.digamma(5.0 + 4.0 * x) - sp.digamma(x)
+                        + np.log(a_tilde), 0.01, 1.0, xtol=1e-13)
+        assert abs(found - closed) <= 1e-10
+        assert abs(found - root) <= 5e-5
 
 
 class TestTrain:
