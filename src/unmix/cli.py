@@ -21,7 +21,6 @@ from __future__ import annotations
 import argparse
 import math
 import os
-import re
 import sys
 import time
 from dataclasses import fields
@@ -226,45 +225,18 @@ def cmd_train(args) -> int:
 
 
 def _load_model(ckpt_base: str):
-    """The checkpoint's meta and the model built over its arrays, once older
-    names are adapted (per-endmember arrays stacked, the unread step size
-    ``inf.lista.log_eta{K-2}`` dropped); an array the model does not read
-    is a ``BundleError`` naming it."""
+    """The checkpoint's meta and the model built over its arrays, under the
+    model's names: an array the model misses, or one it does not read, is
+    a ``BundleError`` naming it."""
     meta, arrays = ct.load_checkpoint(ckpt_base)
     sizes = [ct.json_int(meta.get(key), key, 1) for key in
              ("n_bands", "n_endmembers", "latent_dim", "lista_layers")]
-    arrays = _stack_per_endmember(arrays, sizes[1])
-    arrays.pop(f"inf.lista.log_eta{sizes[3] - 2}", None)
     theta, phi = init_model(*sizes, dc.StoredParams(arrays))
     unread = arrays.keys() - model_parameters(theta, phi).keys()
     if unread:
         raise BundleError("checkpoint array the model does not read",
                           field=next(n for n in arrays if n in unread))
     return meta, theta, phi
-
-
-# The endmember number in the array names of checkpoints written before the
-# decoders were one bank: gen.em_decoder{k}.w{i}, .b{i}, gen.em_log_scale{k}.
-_ENDMEMBER_NUMBER = re.compile(r"(?<=^gen\.em_decoder)\d+|(?<=^gen\.em_log_scale)\d+")
-
-
-def _stack_per_endmember(arrays: dict[str, np.ndarray], n_endmembers: int
-                         ) -> dict[str, np.ndarray]:
-    """The checkpoint's arrays with endmember k's of an older checkpoint
-    stacked, k = 0..P-1, under the bank's name in their place; a missing or
-    misshapen one is a ``BundleError`` naming it."""
-    out = dict(arrays)
-    for name in arrays:
-        bank = _ENDMEMBER_NUMBER.sub("", name)
-        if bank != name and bank not in out:
-            olds = [_ENDMEMBER_NUMBER.sub(str(k), name)
-                    for k in range(n_endmembers)]
-            for old in olds:
-                if old not in arrays or arrays[old].shape != arrays[name].shape:
-                    raise BundleError("checkpoint missing or misshapen "
-                                      "parameter", field=old)
-            out[bank] = np.stack([out.pop(old) for old in olds])
-    return out
 
 
 def _check_fits(ckpt_base: str, field: str, have: int, data: str, want: int):

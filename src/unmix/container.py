@@ -11,10 +11,9 @@ back to back as little-endian IEEE-754 float64 values, each array in C
 order, with no header or padding.
 
 Header:
-- ``format``: ``"unmix-v1"``.  Checkpoints written before every file
-  shared this schema say ``"unmix-ckpt-v1"`` and read the same.  A bundle
-  written before then has no ``format`` and is refused naming it; no
-  reader of that older header is kept (rerun the commands that wrote it).
+- ``format``: ``"unmix-v1"``, the one format read.  A file written before
+  this schema, with no ``format`` or another, is refused naming it; no
+  reader of an older schema is kept (rerun the command that wrote it).
 - ``dtype``: ``"f64le"``.
 - ``meta``: an object of the kind's scalar fields (below).
 - ``arrays``: name -> ``offset`` (bytes, a multiple of 8), ``count`` and
@@ -44,10 +43,10 @@ finite, checked as a command reads it.  ``width`` and ``height`` are
 JSON ints >= 1 whose product is the row count, and ``wavelengths`` lists
 one finite number (nm) per band.  ``data`` and ``cli`` name the array or
 key that breaks one of these.  ``cli`` reads the checkpoint's sizes (JSON
-ints >= 1) and, to resume, ``epoch`` (a JSON int >= 0).  Older
-checkpoints name each endmember's decoder arrays apart
-(``gen.em_decoder{k}.w{i}``, ``gen.em_log_scale{k}``), which ``cli``
-stacks into the bank's, and hold an unread step size, which it drops.
+ints >= 1) and, to resume, ``epoch`` (a JSON int >= 0).  A checkpoint
+under older array names (each endmember's decoder apart, or an unread
+LISTA step size) is refused naming the first array the model misses or
+does not read; rerun the ``train`` that wrote it.
 
 Run manifest: ``command``, ``args``, ``seed``, ``inputs``, ``outputs`` and
 ``wall_clock_s``, which ``eval`` reads (a finite number) as the runtime.
@@ -84,8 +83,6 @@ __all__ = ["DTYPE", "FORMAT", "write_json", "read_json", "PayloadReader",
 
 DTYPE = "f64le"
 FORMAT = "unmix-v1"
-# ``FORMAT`` and the checkpoint format it replaced, the same schema.
-_FORMATS = (FORMAT, "unmix-ckpt-v1")
 
 
 def write_json(path: str, obj: dict):
@@ -233,7 +230,7 @@ def open_container(base: str, what: str = "container header"
     """The checked meta and name -> ``PayloadReader`` of a container;
     ``what`` names its header in errors."""
     header = read_json(base + ".json", what)
-    if header.get("format") not in _FORMATS:
+    if header.get("format") != FORMAT:
         raise BundleError(f"{base}.json: unknown format "
                           f"{header.get('format')!r}", field="format")
     if header.get("dtype") != DTYPE:

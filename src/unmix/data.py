@@ -226,6 +226,11 @@ def generate_dc1(abundances: np.ndarray, em_matrix: np.ndarray,
     return cube, GroundTruth(abundances=A.copy(), endmembers=M.copy())
 
 
+# Rows per block of the finite checks and of ``generate_dc2``'s writes.  It
+# bounds the memory those passes hold; no output byte depends on it.
+ROW_BLOCK = 512
+
+
 def generate_dc2(abundances: np.ndarray, base_em: np.ndarray,
                  variability_strength: float, snr_db: float | None,
                  rng: np.random.Generator, endmembers_out, pixels_out):
@@ -494,10 +499,6 @@ def load_cube(base: str) -> HyperCube:
     cube = open_cube(base)
     cube.pixels = _check_finite(base, "pixels", cube.pixels[:], cube.width)
     return cube
-
-
-# Rows per block of the finite check.
-ROW_BLOCK = 512
 
 
 def check_cube_finite(base: str, cube: HyperCube):

@@ -593,47 +593,6 @@ def _per_endmember_names(arrays: dict) -> dict:
     return out
 
 
-class TestPerEndmemberCheckpointNames:
-    @pytest.fixture(scope="class")
-    def old_style(self, scene):
-        meta, arrays = ct.load_checkpoint(scene["ckpt"])
-        base = str(scene["root"] / "model_per_endmember")
-        ct.save_checkpoint(base, meta, _per_endmember_names(arrays))
-        return base
-
-    def test_loads_the_same_model(self, scene, old_style):
-        _, arrays = ct.load_checkpoint(old_style)
-        assert "gen.em_decoder2.w3" in arrays and "gen.em_log_scale1" in arrays
-        _, theta, phi = cli._load_model(old_style)
-        _, stacked = ct.load_checkpoint(scene["ckpt"])
-        loaded = inf.model_parameters(theta, phi)
-        assert loaded.keys() == stacked.keys()
-        for name, t in loaded.items():
-            assert t.data.shape == stacked[name].shape, name
-            assert t.data.tobytes() == stacked[name].tobytes(), name
-
-    def test_unmix_writes_the_same_bytes(self, scene, old_style):
-        out = str(scene["root"] / "run_per_endmember")
-        assert cli.main(["unmix", scene["cube"], old_style, out]) == 0
-        assert _files(out) == _files(_unmix(scene, "run_stacked"))
-
-    @pytest.mark.parametrize("missing", ["gen.em_decoder1.w2",
-                                         "gen.em_decoder2.b0",
-                                         "gen.em_log_scale0"])
-    def test_missing_endmember_array_is_named(self, scene, capsys, missing):
-        meta, arrays = ct.load_checkpoint(scene["ckpt"])
-        arrays = _per_endmember_names(arrays)
-        del arrays[missing]
-        base = str(scene["root"] / f"model_without_{missing}")
-        ct.save_checkpoint(base, meta, arrays)
-        with pytest.raises(BundleError) as info:
-            cli._load_model(base)
-        assert info.value.field == missing
-        capsys.readouterr()
-        assert cli.main(["unmix", scene["cube"], base, base + "_maps"]) == 2
-        assert f"field: {missing}" in capsys.readouterr().err
-
-
 def _copy_cube(scene, name: str) -> str:
     base = str(scene["root"] / name)
     for ext in (".json", ".raw"):
@@ -663,14 +622,14 @@ class TestNonFiniteCheckpoint:
              ("inf.z_trunk.w0", (1, 2), np.inf),
              ("gen.em_log_scale", (2,), -np.inf)]
 
-    def _ckpt(self, scene, name, index, value, rename=lambda a: a) -> str:
+    def _ckpt(self, scene, name, index, value) -> str:
         meta, arrays = ct.load_checkpoint(scene["ckpt"])
         arrays = {n: a.copy() for n, a in arrays.items()}
         arrays[name][index] = value
         # a second bad entry later in the array: the first one is named
         arrays[name].reshape(-1)[-1] = value
         base = str(scene["root"] / f"nonfinite_{name}_{value}")
-        ct.save_checkpoint(base, meta, rename(arrays))
+        ct.save_checkpoint(base, meta, arrays)
         return base
 
     def test_unmix_checks_each_parameter_once(self, scene, monkeypatch):
@@ -729,15 +688,19 @@ class TestNonFiniteCheckpoint:
         assert not any(os.path.exists(out + ext) for ext in
                        (".json", ".raw", ".history.csv", ".manifest.json"))
 
-    def test_older_checkpoint_names_the_array_it_holds(self, scene):
-        # the values are checked as read, before endmember 1's arrays of a
-        # per-endmember checkpoint are stacked into the bank's
-        base = self._ckpt(scene, "gen.em_decoder.w2", (1, 4, 0), np.nan,
-                          _per_endmember_names)
+    def test_array_the_model_does_not_read_is_named_by_its_value(
+            self, scene):
+        # the values are checked as read, before any model is built: a NaN
+        # in an array that no model reads is named with its index
+        meta, arrays = ct.load_checkpoint(scene["ckpt"])
+        extra = np.zeros((5, 2))
+        extra[4, 0] = np.nan
+        base = str(scene["root"] / "nonfinite_unread")
+        ct.save_checkpoint(base, meta, dict(arrays, **{"gen.extra": extra}))
         with pytest.raises(BundleError) as info:
             cli._load_model(base)
-        assert info.value.field == "gen.em_decoder1.w2"
-        assert "index (4, 0)" in str(info.value)
+        assert info.value.field == "gen.extra"
+        assert "not finite at index (4, 0)" in str(info.value)
 
     def test_load_params_into_writes_nothing(self, scene):
         _, arrays = ct.load_checkpoint(scene["ckpt"])
@@ -791,6 +754,7 @@ class TestBundles:
     # one header entry edited; None removes it
     @pytest.mark.parametrize("key, value", [
         ("format", None), ("format", "unmix-v2"), ("format", 1),
+        ("format", "unmix-ckpt-v1"),
         ("dtype", None), ("dtype", "f32le"), ("meta", None),
         ("meta", [1]), ("arrays", None), ("arrays", [1])])
     def test_bad_container_field_exits_2_before_writing(self, scene, capsys,
@@ -1083,43 +1047,9 @@ class TestBundles:
         with pytest.raises(BundleError, match="ended early"):
             reader[5:7]
 
-    def test_older_checkpoint_format_unmixes_the_same_bytes(self, scene):
-        """A checkpoint that says ``unmix-ckpt-v1``, the format checkpoints
-        had before every file was a container, reads as one that says
-        ``unmix-v1``."""
-        base = str(scene["root"] / "ckpt_v1")
-        for ext in (".json", ".raw"):
-            shutil.copyfile(scene["ckpt"] + ext, base + ext)
-        _edit_header(base, "format", "unmix-ckpt-v1")
-        out = str(scene["root"] / "run_ckpt_v1")
-        assert cli.main(["unmix", scene["cube"], base, out]) == 0
-        assert _files(out) == _files(_unmix(scene, "run_ckpt_v1_ref"))
-
-    def test_checkpoint_with_an_unread_step_size_unmixes_the_same_bytes(
-            self, scene):
-        """Checkpoints once held one LISTA step size more than the stream
-        reads, ``inf.lista.log_eta{K-2}``; one that holds it loads and
-        unmixes as one without it."""
-        meta, arrays = ct.load_checkpoint(scene["ckpt"])
-        extra = f"inf.lista.log_eta{meta['lista_layers'] - 2}"
-        assert extra not in arrays
-        with_extra = {}
-        for name, arr in arrays.items():
-            if name == "inf.lista.log_eta_sp":
-                with_extra[extra] = arrays["inf.lista.log_eta0"]
-            with_extra[name] = arr
-        base = str(scene["root"] / "ckpt_extra_step")
-        ct.save_checkpoint(base, meta, with_extra)
-        assert extra in ct.load_checkpoint(base)[1]
-        out = str(scene["root"] / "run_ckpt_extra_step")
-        assert cli.main(["unmix", scene["cube"], base, out]) == 0
-        assert _files(out) == _files(_unmix(scene, "run_ckpt_extra_ref"))
-
     @pytest.mark.parametrize("case, named", [
-        # log_eta3 reads as the step size older checkpoints held unread
-        ("fewer lista layers", "inf.lista.log_eta4"),
-        ("extra array", "gen.extra"),
-        ("bank and its per-endmember arrays", "gen.em_log_scale0")])
+        ("fewer lista layers", "inf.lista.log_eta3"),
+        ("extra array", "gen.extra")])
     def test_array_the_model_does_not_read_exits_2(self, scene, capsys,
                                                    case, named):
         """A checkpoint holds exactly the model's arrays: ``unmix`` of one
@@ -1127,11 +1057,8 @@ class TestBundles:
         meta, arrays = ct.load_checkpoint(scene["ckpt"])
         if case == "fewer lista layers":
             meta = dict(meta, lista_layers=5)
-        elif case == "extra array":
-            arrays = dict(arrays, **{"gen.extra": np.zeros(2)})
         else:
-            arrays = dict(_per_endmember_names(arrays), **{
-                "gen.em_log_scale": arrays["gen.em_log_scale"]})
+            arrays = dict(arrays, **{"gen.extra": np.zeros(2)})
         base = str(scene["root"] / f"unread_{case.replace(' ', '_')}")
         ct.save_checkpoint(base, meta, arrays)
         out = base + "_maps"
@@ -1139,6 +1066,43 @@ class TestBundles:
         assert cli.main(["unmix", scene["cube"], base, out]) == 2
         assert f"field: {named}" in capsys.readouterr().err
         assert not os.path.exists(out)
+
+    # The 11-layer checkpoint with: its lista_layers one too small, so that
+    # its last step size goes unread; the format that checkpoints had before
+    # every file was a container; each endmember's decoder arrays named
+    # apart; and the step size log_eta{K-2} that the stream once held unread.
+    @pytest.mark.parametrize("case, named", [
+        ("one lista layer fewer", "inf.lista.log_eta8"),
+        ("checkpoint format", "format"),
+        ("per-endmember names", "gen.em_decoder.w0"),
+        ("unread step size", "inf.lista.log_eta9")])
+    @pytest.mark.parametrize("command", ["unmix", "resume"])
+    def test_checkpoint_off_the_schema_exits_2_before_any_output(
+            self, scene, capsys, case, named, command):
+        """A checkpoint is read under today's names only: ``unmix`` and
+        ``train --resume`` of one whose arrays disagree with its meta or its
+        format exit 2 naming the field, and write nothing."""
+        meta, arrays = ct.load_checkpoint(scene["ckpt"])
+        if case == "one lista layer fewer":
+            meta = dict(meta, lista_layers=10)
+        elif case == "per-endmember names":
+            arrays = _per_endmember_names(arrays)
+        elif case == "unread step size":
+            arrays = dict(arrays, **{
+                "inf.lista.log_eta9": arrays["inf.lista.log_eta0"]})
+        base = str(scene["root"] / f"off_schema_{case.replace(' ', '_')}")
+        ct.save_checkpoint(base, meta, arrays)
+        if case == "checkpoint format":
+            _edit_header(base, "format", "unmix-ckpt-v1")
+        out = f"{base}_{command}"
+        argv = (["unmix", scene["cube"], base, out] if command == "unmix"
+                else ["train", scene["cube"], _supervised(scene), out,
+                      "--epochs", "1", "--resume", base])
+        capsys.readouterr()
+        assert cli.main(argv) == 2
+        assert f"field: {named}" in capsys.readouterr().err
+        assert not any(os.path.exists(out + ext) for ext in
+                       ("", ".json", ".raw", ".history.csv", ".manifest.json"))
 
     @pytest.mark.parametrize("case, named", [
         ("eta_d as abundances", "abundances"), ("renamed", "pixels"),

@@ -626,6 +626,28 @@ def _constant_net(net: dc.MlpParams) -> dc.MlpParams:
                                dc.StoredParams(arrays), "net")
 
 
+_N_OPS = len(_every_op(dc.constant(np.zeros((4, 3))),
+                       make_mlp([3, 5, 2], ["relu", "sigmoid"])))
+
+
+@pytest.mark.parametrize("op", range(_N_OPS))
+def test_every_op_matches_finite_differences(rng, op):
+    """Each hand-written VJP, through ``backward`` of the op's output
+    weighted by fixed random values, gives the central differences over
+    ``x`` and the network's parameters."""
+    x = dc.parameter(rng.standard_normal((4, 3)), "x")
+    net = make_mlp([3, 5, 2], ["relu", "sigmoid"], seed=4)
+    params = {"x": x, **net.named_parameters()}
+    out = _every_op(x, net)[op]
+    weights = rng.standard_normal(out.data.shape)
+
+    def loss_fn():
+        return float((_every_op(x, net)[op].data * weights).sum())
+
+    grads = dc.backward((out * weights).sum(), params)
+    assert max_rel_err(grads, fd_param_grads(loss_fn, params)) < 1e-4
+
+
 class TestRequiresGrad:
     """A tensor needs a gradient if and only if a parameter feeds it."""
 
