@@ -199,8 +199,7 @@ def cmd_train(args) -> int:
             latent_dim=latent_dim, lista_layers=lista_layers,
             theta=theta, phi=phi, start_epoch=start_epoch)
     except TrainingError as err:
-        if err.last_good is not None and err.last_epoch is not None \
-                and err.last_epoch >= 0:
+        if err.last_epoch >= 0:
             meta["epoch"] = err.last_epoch
             ct.save_checkpoint(out_base, meta, err.last_good)
             print(f"training diverged; last-good checkpoint saved to "
@@ -331,6 +330,8 @@ def cmd_eval(args) -> int:
     non-finite value, and holds no array as large as any of them.  Only the
     abundances and eta_d, a few numbers per pixel, are read whole, and the
     cube too for ``--baseline fcls``, whose VCA and FCLS need all of it.
+    The baseline row is scored like any estimate, the VCA references being
+    its shared (P, L) endmembers, so it has every score but eta_d.
     An output path that cannot be written exits 2 before anything is read,
     and every payload's size is checked against its header before anything
     is scored or written.  The scores of the estimates do not depend on the
@@ -362,9 +363,8 @@ def cmd_eval(args) -> int:
         t_base = time.perf_counter()
         refs = dt.vca(pixels, a_hat.shape[1], np.random.default_rng(args.seed))
         a_base = ev.fcls(pixels, refs)
-        base_est = ev.Estimates(abundances=a_base, endmembers=None,
+        base_est = ev.Estimates(abundances=a_base, endmembers=refs,
                                 reconstruction=a_base @ refs,
-                                align_with=refs,
                                 runtime_s=time.perf_counter() - t_base)
         reports.append(ev.evaluate(pixels, truth, base_est))
     csv_text = ev.reports_to_csv(reports)

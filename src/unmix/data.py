@@ -22,7 +22,7 @@ from . import container as ct
 from .errors import BundleError, ExtractionError, GenerationError, InputError
 
 __all__ = [
-    "HyperCube", "PurePixelDict", "GroundTruth",
+    "HyperCube", "GroundTruth",
     "synth_endmember_library", "synth_abundance_maps", "noise_power_ratio",
     "generate_dc1", "generate_dc2", "vca", "extract_pure_pixels",
     "build_supervised_set", "save_cube", "cube_writer", "load_cube",
@@ -65,13 +65,6 @@ class HyperCube:
     @property
     def n_bands(self) -> int:
         return self.pixels.shape[1]
-
-
-@dataclass
-class PurePixelDict:
-    """Per-endmember pure-pixel shortlists, sorted by spectral angle."""
-
-    spectra: list[np.ndarray]    # P arrays of shape (n_ppx, L)
 
 
 @dataclass
@@ -349,38 +342,37 @@ def spectral_angles(spectra: np.ndarray, ref: np.ndarray) -> np.ndarray:
 
 
 def extract_pure_pixels(cube, ref_endmembers: np.ndarray,
-                        n_ppx: int = 100) -> PurePixelDict:
-    """The n_ppx cube pixels spectrally closest to each reference row."""
+                        n_ppx: int) -> np.ndarray:
+    """The pure-pixel shortlists, (P, n_ppx, L): row k holds the n_ppx
+    cube pixels spectrally closest to reference row k, closest first."""
     pixels = _as_pixels(cube)
-    if n_ppx > len(pixels):
-        raise InputError(f"asked for {n_ppx} pure pixels, cube has {len(pixels)}")
-    return PurePixelDict(spectra=[
+    if not 1 <= n_ppx <= len(pixels):
+        raise InputError(f"n_ppx must be in [1, {len(pixels)}], the cube's "
+                         f"pixel count, got {n_ppx}")
+    return np.stack([
         pixels[np.argsort(spectral_angles(pixels, ref), kind="stable")[:n_ppx]]
         for ref in ref_endmembers])
 
 
-def build_supervised_set(ppx: PurePixelDict, n_draws: int,
+def build_supervised_set(ppx: np.ndarray, n_draws: int,
                          snr_db: float | None, rng: np.random.Generator
                          ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Self-supervised labeled triples from the pure-pixel shortlists, as
-    (Y, A, M) arrays of shapes (n, L), (n, P), (n, P, L), n = n_draws * P.
+    """Self-supervised labeled triples from the (P, n_ppx, L) pure-pixel
+    shortlists ``ppx`` of ``extract_pure_pixels``, as (Y, A, M) arrays of
+    shapes (n, L), (n, P), (n, P, L), n = n_draws * P.
 
     Each draw assembles a (P, L) endmember matrix by sampling one spectrum
     per endmember, then emits P samples with one-hot abundances and noisy
     copies of the matching row (per-sample noise at ``snr_db``, none for
     None), every draw from ``rng``.
     """
-    P = len(ppx.spectra)
-    if any(len(s) == 0 for s in ppx.spectra):
-        raise InputError("pure-pixel dictionary has an empty endmember list")
-    L = ppx.spectra[0].shape[1]
+    P, n_ppx, L = ppx.shape
     rel = 0.0 if snr_db is None else 10.0 ** (-snr_db / 20.0)
     Y = np.empty((n_draws * P, L))
     A = np.tile(np.eye(P), (n_draws, 1))
     M = np.empty((n_draws * P, P, L))
     for d in range(n_draws):
-        em = np.stack([ppx.spectra[k][rng.integers(len(ppx.spectra[k]))]
-                       for k in range(P)])
+        em = np.stack([ppx[k][rng.integers(n_ppx)] for k in range(P)])
         for j in range(P):
             clean = em[j]
             sigma = rel * np.linalg.norm(clean) / np.sqrt(L)

@@ -34,12 +34,12 @@ class ExtractionError(InputError):
     """Endmember extraction failed (signal subspace rank below P)."""
 
 
-class DomainError(UnmixError):
-    """Numeric argument outside the mathematical domain of an operation."""
-
-
 class NumericError(UnmixError):
     """A numeric procedure failed to converge or underflowed irrecoverably."""
+
+
+class DomainError(NumericError):
+    """Numeric argument outside the mathematical domain of an operation."""
 
 
 class GenerationError(NumericError):

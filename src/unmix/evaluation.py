@@ -4,8 +4,9 @@ NRMSE is a Frobenius ratio ``nrmse``; the spectral-angle score sam_m is
 the mean over pixels n of sum_k arccos(<m_nk, m^_nk> / (|m_nk| |m^_nk|)),
 the angles between each true endmember and its aligned estimate; and the
 nonlinearity degree compares the norms of the two abundance-concentration
-streams.  Estimated endmembers are aligned to ground truth by the
-angle-minimizing assignment before any metric is computed.
+streams.  Estimated endmembers, the VCA references of ``cli eval``'s FCLS
+baseline among them, are aligned to ground truth by the angle-minimizing
+assignment before any metric is computed.
 
 Every score is a streaming sum over fixed blocks of ``ROW_BLOCK`` rows
 counted from row 0.  An input is a row source: an array, or a
@@ -57,15 +58,14 @@ __all__ = ["nrmse", "nonlinearity_degree", "fcls", "align_endmembers",
 
 
 def nrmse(x, x_hat, name: str = "pixels", roles=("truth", "estimate")):
-    """||X - X_hat||_F / ||X||_F for row sources of any matching shape,
-    summed over blocks of ``ROW_BLOCK`` rows; a NaN or an infinity is
-    reported as a value of the array ``name`` of its source, an array
-    source named by its entry of ``roles`` (see the module docstring)."""
+    """||X - X_hat||_F / ||X||_F for row sources of one shape, of one axis
+    or more, summed over blocks of ``ROW_BLOCK`` rows; a NaN or an
+    infinity is reported as a value of the array ``name`` of its source,
+    an array source named by its entry of ``roles`` (see the module
+    docstring)."""
     x, x_hat = _source(x), _source(x_hat)
     if x.shape != x_hat.shape:
         raise InputError(f"shape mismatch: {x.shape} vs {x_hat.shape}")
-    if x.ndim == 0:
-        x, x_hat = x.reshape(1), x_hat.reshape(1)
     return _ratio(*_residual_sums(x, x_hat, name, roles=roles))
 
 
@@ -260,7 +260,6 @@ class Estimates:
     reconstruction: np.ndarray | None = None  # (N, L), maybe a PayloadReader
     eta_d: np.ndarray | None = None           # (N,)
     runtime_s: float = 0.0
-    align_with: np.ndarray | None = None      # alignment fallback, (P, L)
 
 
 @dataclass
@@ -280,8 +279,9 @@ class MetricsReport:
 
 
 def evaluate(cube, truth, estimates: Estimates) -> MetricsReport:
-    """Score estimates against ground truth; endmember metrics are skipped
-    when no true endmembers are available.
+    """Score estimates against the ``data.GroundTruth`` ``truth``; the
+    endmember metrics, and the alignment of the abundances, are skipped
+    when the truth or the estimate has no endmembers.
 
     The cube, the reconstruction and the endmember stacks are row sources,
     arrays or ``container.PayloadReader``s, read in blocks of ``ROW_BLOCK``
@@ -296,21 +296,17 @@ def evaluate(cube, truth, estimates: Estimates) -> MetricsReport:
     report = MetricsReport(eta_d_map=estimates.eta_d,
                            runtime_s=estimates.runtime_s)
     a_hat = np.asarray(estimates.abundances, dtype=np.float64)
-    m_hat = estimates.endmembers
-    truth_m = None if truth is None else truth.endmembers
-    truth_a = None if truth is None else truth.abundances
+    m_hat, truth_m = estimates.endmembers, truth.endmembers
 
     perm = None
-    if truth_m is not None:
-        basis = m_hat if m_hat is not None else estimates.align_with
-        if basis is not None:
-            perm, cost = align_endmembers(truth_m, basis)
+    if truth_m is not None and m_hat is not None:
+        perm, cost = align_endmembers(truth_m, m_hat)
 
-    if truth_a is not None:
-        report.nrmse_a = nrmse(truth_a,
+    if truth.abundances is not None:
+        report.nrmse_a = nrmse(truth.abundances,
                                a_hat if perm is None else a_hat[:, perm],
                                "abundances")
-    if truth_m is not None and m_hat is not None:
+    if perm is not None:
         report.sam_m = float(cost[np.arange(len(perm)), perm].sum())
         report.nrmse_m = _ratio(*_residual_sums(*_stack_pair(truth_m, m_hat),
                                                 "endmembers", perm))

@@ -61,10 +61,6 @@ class GenerativeParams:
     def n_bands(self) -> int:
         return self.em_decoder.widths[-1]
 
-    @property
-    def latent_dim(self) -> int:
-        return self.em_decoder.widths[0]
-
     @classmethod
     def create(cls, n_bands: int, n_endmembers: int, latent_dim: int,
                rng) -> "GenerativeParams":

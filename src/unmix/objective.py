@@ -17,6 +17,7 @@ The maximized objective combines, per batch:
   posterior draw;
 * a norm penalty on the two nonlinear networks.
 
+Every batch holds both parts, and ``train`` refuses an empty set of either.
 Both bounds take the integrand's factors from one definition, ``_integrand``.
 
 Training minimizes the negation with Adam under the decaying schedule and
@@ -125,7 +126,7 @@ def _integrand(y, a, M, gamma: Tensor, z: Tensor, z_dist: DiagGaussian,
 
 
 def unsup_term(y, theta: GenerativeParams, phi: InferenceParams, noise,
-               k_e: int = 1) -> tuple[Tensor, Tensor]:
+               k_e: int) -> tuple[Tensor, Tensor]:
     """Evidence bound for the unlabeled pixels ``y`` (B, L), summed over
     the batch.
 
@@ -171,7 +172,7 @@ def importance_weights(em_matrix: np.ndarray, z, theta: GenerativeParams
 
 
 def sup_term(y, a, em_matrix, theta: GenerativeParams, phi: InferenceParams,
-             noise, k: int = 5) -> tuple[Tensor, Tensor, Tensor]:
+             noise, k: int) -> tuple[Tensor, Tensor, Tensor]:
     """Supervised bound pieces for the labeled triples (y (B, L), a (B, P),
     em_matrix (B, P, L)), summed over the batch.
 
@@ -208,22 +209,17 @@ def l_half_norm(x: Tensor) -> Tensor:
     return (dc.as_tensor(x) ** 0.5).sum(axis=-1)
 
 
-def sparsity_penalty(gamma_u: Tensor | None, gamma_s: Tensor | None,
-                     tau: float = 0.01) -> Tensor:
-    """tau-weighted L1/2 norm of the abundance concentrations.
+def sparsity_penalty(gamma_u: Tensor, gamma_s: Tensor, tau: float) -> Tensor:
+    """tau-weighted L1/2 norm of both parts' abundance concentrations.
 
     ``gamma_s``: the (B, P) concentration of the labeled pixels at their
-    observed endmember matrices, or None; ``gamma_u``: the (k_e, B, P)
-    concentrations of the unlabeled pixels' k_e posterior draws, or None,
-    whose norms are averaged over the draws.
+    observed endmember matrices; ``gamma_u``: the (k_e, B, P)
+    concentrations of the unlabeled pixels' k_e posterior draws, whose
+    norms are averaged over the draws.
     """
-    total = dc.constant(0.0)
-    if gamma_s is not None:
-        total = total + l_half_norm(gamma_s).sum()
-    if gamma_u is not None:
-        k_e = gamma_u.shape[0]
-        total = total + (l_half_norm(gamma_u) * (1.0 / k_e)).sum()
-    return tau * total
+    k_e = gamma_u.shape[0]
+    return tau * (l_half_norm(gamma_s).sum()
+                  + (l_half_norm(gamma_u) * (1.0 / k_e)).sum())
 
 
 def fnn_norm(net) -> Tensor:
@@ -242,21 +238,16 @@ def network_norm_penalty(theta: GenerativeParams, phi: InferenceParams,
 
 def total_loss(batch_u, batch_s, theta: GenerativeParams, phi: InferenceParams,
                config: TrainConfig, noise) -> LossBreakdown:
-    """Assemble the maximized objective on one (possibly partial) batch.
+    """Assemble the maximized objective on one batch of both parts.
 
-    ``batch_u``: (B, L) unlabeled pixels or None; ``batch_s``: tuple
-    (Y, A, M) of labeled arrays or None; ``noise``: a noise source, such as
-    ``RngNoise``.
+    ``batch_u``: (B, L) unlabeled pixels; ``batch_s``: tuple (Y, A, M) of
+    labeled arrays; both required and nonempty.  ``noise``: a noise
+    source, such as ``RngNoise``.
     """
-    zero = dc.constant(0.0)
-    unsup, gamma_u = zero, None
-    if batch_u is not None and len(batch_u):
-        unsup, gamma_u = unsup_term(batch_u, theta, phi, noise, config.k_e)
-    sup_iw, sup_post, gamma_s = zero, zero, None
-    if batch_s is not None and len(batch_s[0]):
-        y_s, a_s, em_s = batch_s
-        sup_iw, sup_post, gamma_s = sup_term(y_s, a_s, em_s, theta, phi,
-                                             noise, config.k)
+    unsup, gamma_u = unsup_term(batch_u, theta, phi, noise, config.k_e)
+    y_s, a_s, em_s = batch_s
+    sup_iw, sup_post, gamma_s = sup_term(y_s, a_s, em_s, theta, phi, noise,
+                                         config.k)
     sparsity = sparsity_penalty(gamma_u, gamma_s, config.tau)
     reg = network_norm_penalty(theta, phi, config.varsigma1, config.varsigma2)
     node = (unsup + config.lam * (sup_iw + (1.0 + config.beta) * sup_post)
@@ -295,7 +286,8 @@ def train(d_u: np.ndarray, d_s, config: TrainConfig, seed: int,
           phi: InferenceParams | None = None,
           start_epoch: int = 0):
     """Fit (theta, phi) on unlabeled pixels d_u and the labeled triples d_s,
-    the (Y, A, M) arrays of shapes (n, L), (n, P), (n, P, L).
+    the (Y, A, M) arrays of shapes (n, L), (n, P), (n, P, L), both
+    nonempty, else an ``InputError``; every step takes a batch of each.
 
     Deterministic given ``seed``: initialization, batch order, and every
     sampled noise value flow from named substreams of one seed sequence.
@@ -307,22 +299,22 @@ def train(d_u: np.ndarray, d_s, config: TrainConfig, seed: int,
     if d_u.ndim != 2 or not len(d_u):
         raise InputError("unlabeled data must be a nonempty (N, L) array")
     y_s, a_s, m_s = (np.asarray(x, np.float64) for x in d_s)
+    if not len(y_s):
+        raise InputError("labeled set must be nonempty")
     ss = np.random.SeedSequence(seed)
     init_ss, order_ss, noise_ss = ss.spawn(3)
     if theta is None or phi is None:
-        ref = m_s.mean(axis=0) if len(m_s) else None
         theta, phi = init_model(d_u.shape[1], a_s.shape[1], latent_dim,
                                 lista_layers, np.random.default_rng(init_ss),
-                                ref_endmembers=ref)
+                                ref_endmembers=m_s.mean(axis=0))
     params = model_parameters(theta, phi)
     arena = dc.ParamArena(params)
     order_rng = np.random.default_rng(order_ss)
     noise = RngNoise(np.random.default_rng(noise_ss))
-    sup_order = None
-    if len(y_s):     # shuffled passes, each drawn when the last runs out
-        sup_order = itertools.chain(
-            order_rng.permutation(len(y_s)), itertools.chain.from_iterable(
-                map(order_rng.permutation, itertools.repeat(len(y_s)))))
+    # shuffled passes, each drawn when the last runs out
+    sup_order = itertools.chain(
+        order_rng.permutation(len(y_s)), itertools.chain.from_iterable(
+            map(order_rng.permutation, itertools.repeat(len(y_s)))))
     n_u = len(d_u)
     history: list[EpochStats] = []
     last_good = arena.snapshot()
@@ -336,12 +328,9 @@ def train(d_u: np.ndarray, d_s, config: TrainConfig, seed: int,
         for start in range(0, n_u, config.batch_size):
             idx = perm[start:start + config.batch_size]
             batch_u = d_u[idx]
-            if sup_order is not None:
-                s_idx = np.fromiter(itertools.islice(
-                    sup_order, min(config.batch_size, len(y_s))), np.intp)
-                batch_s = (y_s[s_idx], a_s[s_idx], m_s[s_idx])
-            else:
-                batch_s = None
+            s_idx = np.fromiter(itertools.islice(
+                sup_order, min(config.batch_size, len(y_s))), np.intp)
+            batch_s = (y_s[s_idx], a_s[s_idx], m_s[s_idx])
             try:
                 bd = total_loss(batch_u, batch_s, theta, phi, config, noise)
                 if not math.isfinite(bd.total):

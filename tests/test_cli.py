@@ -4,6 +4,7 @@ import argparse
 import ast
 import dataclasses
 import importlib
+import inspect
 import json
 import os
 import pkgutil
@@ -479,6 +480,31 @@ class TestResume:
         meta, _ = ct.load_checkpoint(out)
         assert (meta["latent_dim"], meta["lista_layers"]) == (2, 11)
         assert cli.main(["unmix", scene["cube"], out, out + "_maps"]) == 0
+
+    def test_domain_error_in_a_step_saves_the_last_good_checkpoint(
+            self, scene, capsys):
+        """A ``DomainError`` in a training step is a training error: a
+        q(z|y) scale that underflows to 0 exits 3 naming the epoch and
+        batch, and the resumed checkpoint is saved as the last good one."""
+        meta, arrays = ct.load_checkpoint(scene["ckpt"])
+        arrays = dict(arrays, **{"inf.z_scale_head.b2": np.full_like(
+            arrays["inf.z_scale_head.b2"], -800.0)})
+        base = str(scene["root"] / "zero_z_scale")
+        ct.save_checkpoint(base, meta, arrays)
+        out = base + "_resumed"
+        capsys.readouterr()
+        assert cli.main(["train", scene["cube"], _supervised(scene), out,
+                         "--epochs", "1", "--resume", base]) == 3
+        err = capsys.readouterr().err
+        assert (f"training diverged; last-good checkpoint saved to {out}.json"
+                in err)
+        assert "error: Gaussian scale must be positive; epoch=1; batch=0" \
+            in err
+        saved_meta, saved = ct.load_checkpoint(out)
+        assert saved_meta["epoch"] == meta["epoch"]
+        assert saved.keys() == arrays.keys()
+        for name, a in arrays.items():
+            assert saved[name].tobytes() == a.tobytes(), name
 
     @pytest.mark.parametrize("field", ["n_bands", "n_endmembers"])
     def test_checkpoint_that_does_not_fit_exits_2(self, scene, capsys, field):
@@ -1589,8 +1615,8 @@ class TestProcessExitStatus:
 
 
 class TestPublicSurface:
-    """Every exported name resolves, and so does every function the
-    benchmark's tracer wraps, so a deletion that would break either fails
+    """Every exported name resolves, and so does every name the benchmark
+    calls or its tracer wraps, so a deletion that would break either fails
     here."""
 
     def test_import_unmix(self):
@@ -1619,3 +1645,52 @@ class TestPublicSurface:
                    if not callable(getattr(
                        importlib.import_module(f"unmix.{layer}"), name, None))]
         assert targets and missing == []
+
+    def test_benchmark_child_names_exist(self):
+        """Every ``unmix`` name that ``perfbench/child.py`` imports, or reads
+        as an attribute of an imported ``unmix`` module, resolves, and every
+        keyword it passes to ``TrainConfig`` is a field."""
+        path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
+                            "child.py")
+        with open(path) as f:
+            tree = ast.parse(f.read())
+        modules, missing, found = {}, [], 0
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    if alias.name.split(".")[0] == "unmix":
+                        found += 1      # a missing module raises, naming it
+                        module = importlib.import_module(alias.name)
+                        modules[alias.asname or "unmix"] = \
+                            module if alias.asname else unmix
+            elif isinstance(node, ast.ImportFrom) \
+                    and (node.module or "").split(".")[0] == "unmix":
+                mod = importlib.import_module(node.module)
+                for alias in node.names:
+                    found += 1
+                    try:
+                        value = importlib.import_module(
+                            f"{node.module}.{alias.name}")
+                    except ImportError:
+                        value = getattr(mod, alias.name, None)
+                    if value is None:
+                        missing.append(f"{node.module}.{alias.name}")
+                    elif inspect.ismodule(value):
+                        modules[alias.asname or alias.name] = value
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) \
+                    and isinstance(node.value, ast.Name) \
+                    and node.value.id in modules:
+                found += 1
+                if not hasattr(modules[node.value.id], node.attr):
+                    missing.append(f"{modules[node.value.id].__name__}."
+                                   f"{node.attr}")
+        config_fields = {f.name for f in dataclasses.fields(TrainConfig)}
+        calls = [node for node in ast.walk(tree)
+                 if isinstance(node, ast.Call)
+                 and getattr(node.func, "attr",
+                             getattr(node.func, "id", None)) == "TrainConfig"]
+        missing += [f"TrainConfig({kw.arg}=)" for call in calls
+                    for kw in call.keywords if kw.arg not in config_fields]
+        assert found and calls
+        assert missing == []

@@ -124,7 +124,16 @@ def test_noiseless_supervised_set_is_one_hot_rows(scene_parts):
         np.testing.assert_array_equal(y[i], m[i, j])
         # row k of the matrix is one of endmember k's pure pixels
         for k in range(P):
-            assert (ppx.spectra[k] == m[i, k]).all(axis=1).any()
+            assert (ppx[k] == m[i, k]).all(axis=1).any()
+
+
+@pytest.mark.parametrize("n_ppx", [0, W * H + 1])
+def test_pure_pixel_count_outside_the_cube_is_refused(scene_parts, n_ppx):
+    library, maps = scene_parts
+    cube, _ = dt.generate_dc1(maps, library, 40.0, np.random.default_rng(6),
+                              width=W, height=H)
+    with pytest.raises(InputError, match=f"got {n_ppx}$"):
+        dt.extract_pure_pixels(cube, library, n_ppx)
 
 
 def test_endmember_stack_round_trip(tmp_path, scene_parts):

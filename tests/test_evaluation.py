@@ -246,17 +246,12 @@ def _ref_evaluate(cube, truth, estimates):
                               runtime_s=estimates.runtime_s)
     a_hat = np.asarray(estimates.abundances, dtype=np.float64)
     m_hat = estimates.endmembers
-    truth_m = None if truth is None else truth.endmembers
-    truth_a = None if truth is None else truth.abundances
+    truth_m, truth_a = truth.endmembers, truth.abundances
     perm = None
-    if truth_m is not None:
-        basis = m_hat if m_hat is not None else estimates.align_with
-        if basis is not None:
-            perm = _ref_align(truth_m, basis)
-    if perm is not None:
+    if truth_m is not None and m_hat is not None:
+        perm = _ref_align(truth_m, m_hat)
         a_hat = a_hat[:, perm]
-        if m_hat is not None:
-            m_hat = np.asarray(m_hat)[..., perm, :]
+        m_hat = np.asarray(m_hat)[..., perm, :]
     if truth_a is not None:
         report.nrmse_a = _ref_nrmse(truth_a, a_hat)
     if truth_m is not None and m_hat is not None:
@@ -310,11 +305,9 @@ def _same_report(cube, truth, est):
     1e-12 relative.  Returns the report's CSV."""
     got = ev.evaluate(cube, truth, est)
     want = _ref_evaluate(cube, truth, est)
-    basis = est.endmembers if est.endmembers is not None else est.align_with
-    if basis is not None:
-        np.testing.assert_array_equal(
-            ev.align_endmembers(truth.endmembers, basis)[0],
-            _ref_align(truth.endmembers, basis))
+    np.testing.assert_array_equal(
+        ev.align_endmembers(truth.endmembers, est.endmembers)[0],
+        _ref_align(truth.endmembers, est.endmembers))
     for name in SCORES:
         g, w = getattr(got, name), getattr(want, name)
         assert (g is None) == (w is None), name
@@ -349,17 +342,6 @@ class TestBlockedEvaluate:
                                         truth.endmembers)
         got = ev.reports_to_csv([ev.evaluate(cube, truth, est)])
         assert got == want
-
-    @pytest.mark.parametrize("n", SIZES)
-    @pytest.mark.parametrize("truth_shared", [False, True],
-                             ids=["per_pixel_truth", "shared_truth"])
-    def test_fcls_align_with_path_matches(self, n, truth_shared):
-        cube, truth, est = _scene(n, truth_shared, True, 7 * n)
-        refs = est.endmembers
-        a_base = ev.fcls(cube, refs)
-        base = ev.Estimates(abundances=a_base, reconstruction=a_base @ refs,
-                            align_with=refs)
-        _same_report(cube, truth, base)
 
     @pytest.mark.parametrize("truth_shared", [False, True])
     def test_zero_norm_column_raises_domain_error(self, truth_shared):

@@ -185,8 +185,8 @@ class TestUnsupTerm:
         for s in range(n):
             bound, gamma = ob.unsup_term(
                 y, theta, phi, RngNoise(np.random.default_rng(s)), k_e=k_e)
-            new[s] = bound.item(), ob.sparsity_penalty(gamma, None,
-                                                       tau=1.0).item()
+            new[s] = bound.item(), (ob.l_half_norm(gamma)
+                                    * (1.0 / k_e)).sum().item()
             bound, gammas = per_draw_unsup(
                 y, theta, phi, RngNoise(np.random.default_rng(50_000 + s)),
                 k_e)
@@ -291,8 +291,8 @@ class TestSparsityPenalty:
         a = np.eye(3)[:1]
         _, _, gamma_s = ob.sup_term(y, a, m, theta, phi,
                                     RngNoise(np.random.default_rng(0)), k=1)
-        val = ob.sparsity_penalty(None, gamma_s, tau=0.5)
-        assert abs(val.item() - 0.5 * 3.0) < 1e-9
+        val = 0.5 * ob.l_half_norm(gamma_s).sum().item()
+        assert abs(val - 0.5 * 3.0) < 1e-9
 
     def test_total_loss_reuses_the_bounds_concentrations(self, model, rng):
         # the penalty is tau * (L1/2 of sup_term's concentration + the mean
@@ -321,8 +321,9 @@ class TestSparsityPenalty:
         new, ref = np.empty(n), np.empty(n)
         for s in range(n):
             _, gamma_u = ob.unsup_term(y_u, theta, phi,
-                                       RngNoise(np.random.default_rng(s)))
-            new[s] = ob.sparsity_penalty(gamma_u, None, tau=1.0).item()
+                                       RngNoise(np.random.default_rng(s)),
+                                       k_e=1)
+            new[s] = ob.l_half_norm(gamma_u).sum().item()
             draw = posterior_sample(y_u, phi, theta,
                                     RngNoise(np.random.default_rng(10_000 + s)))
             ref[s] = ob.l_half_norm(draw.gamma).sum().item()
@@ -371,18 +372,6 @@ class TestTotalLoss:
         ref, _ = ob.unsup_term(y_u, theta, phi,
                                RngNoise(np.random.default_rng(5)), k_e=1)
         assert abs(bd.total - ref.item()) < 1e-9
-
-    def test_empty_unsupervised_batch(self, model, rng):
-        theta, phi = model
-        cfg = ob.TrainConfig(k=2, k_e=1)
-        y, a, m = one_hot_batch(rng, 2)
-        bd = ob.total_loss(None, (y, a, m), theta, phi, cfg,
-                           RngNoise(np.random.default_rng(5)))
-        assert bd.unsup == 0.0
-        recomposed = (bd.unsup + cfg.lam * (bd.sup_iw
-                                            + (1 + cfg.beta) * bd.sup_posterior)
-                      - bd.sparsity - bd.reg)
-        assert abs(recomposed - bd.total) < 1e-10
 
     def test_breakdown_recomposes(self, model, rng):
         theta, phi = model
@@ -678,6 +667,12 @@ class TestTrain:
         a_s = np.concatenate([np.eye(P)] * 10)
         m_s = np.stack([m] * (P * 10))
         return y, (y_s, a_s, m_s)
+
+    def test_empty_labelled_set_is_refused(self):
+        d_u, (y_s, a_s, m_s) = self._toy_data()
+        with pytest.raises(InputError, match="^labeled set must be nonempty$"):
+            ob.train(d_u, (y_s[:0], a_s[:0], m_s[:0]), ob.TrainConfig(),
+                     seed=0, lista_layers=4)
 
     def test_history_capped_at_max_epochs(self):
         d_u, d_s = self._toy_data()
