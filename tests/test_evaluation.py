@@ -343,6 +343,21 @@ class TestBlockedEvaluate:
         got = ev.reports_to_csv([ev.evaluate(cube, truth, est)])
         assert got == want
 
+    @pytest.mark.parametrize("n", SIZES)
+    @pytest.mark.parametrize("truth_shared", [False, True],
+                             ids=["per_pixel_truth", "shared_truth"])
+    def test_fcls_baseline_matches(self, n, truth_shared):
+        """The FCLS baseline, built as ``eval --baseline fcls`` builds it,
+        scores its shared references as endmembers."""
+        cube, truth, est = _scene(n, truth_shared, True, 7 * n)
+        refs = est.endmembers
+        a_base = ev.fcls(cube, refs)
+        base = ev.Estimates(abundances=a_base, endmembers=refs,
+                            reconstruction=a_base @ refs)
+        _same_report(cube, truth, base)
+        report = ev.evaluate(cube, truth, base)
+        assert report.nrmse_m is not None and report.sam_m is not None
+
     @pytest.mark.parametrize("truth_shared", [False, True])
     def test_zero_norm_column_raises_domain_error(self, truth_shared):
         cube, truth, est = _scene(3 * B + 7, truth_shared, False, 3)
