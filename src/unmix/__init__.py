@@ -9,8 +9,9 @@ benchmark cubes, a fully-constrained least squares baseline, and metrics.
 
 import os as _os
 
-# UNMIX_THREADS caps worker counts; BLAS pools must be pinned before numpy
-# loads for the cap to take effect.
+# UNMIX_THREADS caps worker counts.  A BLAS pool reads its cap when it loads,
+# so the cap is set before numpy loads; scipy's BLAS, imported only where a
+# command calls it, loads later and reads the same cap.
 if "UNMIX_THREADS" in _os.environ:
     for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
                  "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):

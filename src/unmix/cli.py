@@ -9,8 +9,14 @@ large products across its threads, and the rounding follows the split:
 ``unmix`` of a trained model on 1 and on 2 threads can write different
 bytes in each of its four bundles, abundances and eta_d included.  Set
 ``UNMIX_THREADS`` before ``unmix`` is imported to pin the count, as the
-benchmark does with ``UNMIX_THREADS=1``.  ``eval``'s scores of the
-estimates are the same on any thread count.
+benchmark does with ``UNMIX_THREADS=1``; scipy's BLAS, loaded later,
+keeps the pin too.  ``eval``'s scores of the estimates are the same on any
+thread count.
+
+scipy is imported in the functions that call it, so each command loads
+only its own: ``generate`` ``scipy.ndimage``, ``train`` ``scipy.special``
+and ``scipy.linalg``, ``eval`` ``scipy.optimize``, and ``selfsup`` and
+``unmix`` none.
 
 Exit codes: 0 ok, 2 input error (a path that cannot be read or written
 included), 3 numeric/training error.

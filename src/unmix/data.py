@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage as _ndi
 
 from . import container as ct
 from .errors import BundleError, ExtractionError, GenerationError, InputError
@@ -141,6 +140,7 @@ def synth_abundance_maps(width: int, height: int, n_endmembers: int,
     3P seeds, each endmember labelling at least one.  Returns (N, P)
     simplex rows; region interiors stay pure, boundaries mix.
     """
+    from scipy.ndimage import gaussian_filter
     P = n_endmembers
     n_regions = 3 * P
     seeds = rng.uniform([0.0, 0.0], [height, width], size=(n_regions, 2))
@@ -151,9 +151,9 @@ def synth_abundance_maps(width: int, height: int, n_endmembers: int,
           + (xx[..., None] - seeds[:, 1]) ** 2)
     region = labels[np.argmin(d2, axis=-1)]
     onehot = np.eye(P)[region]                       # (H, W, P)
-    blurred = np.stack([_ndi.gaussian_filter(onehot[..., k],
-                                             ABUNDANCE_BLUR_SIGMA,
-                                             mode="nearest")
+    blurred = np.stack([gaussian_filter(onehot[..., k],
+                                        ABUNDANCE_BLUR_SIGMA,
+                                        mode="nearest")
                         for k in range(P)], axis=-1)
     blurred = np.clip(blurred, 0.0, None)
     blurred /= blurred.sum(axis=-1, keepdims=True)

@@ -39,8 +39,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special as _sp
-from scipy.linalg import blas as _blas
 
 from .errors import BundleError, ContractError, ShapeError, TrainingError
 
@@ -225,9 +223,9 @@ def log(x: Tensor) -> Tensor:
 
 
 def lgamma(x: Tensor) -> Tensor:
+    from scipy.special import digamma, gammaln
     x = as_tensor(x)
-    return Tensor(_sp.gammaln(x.data), (x,),
-                  lambda g: (g * _sp.digamma(x.data),))
+    return Tensor(gammaln(x.data), (x,), lambda g: (g * digamma(x.data),))
 
 
 def clip(x: Tensor, lo: float, hi: float) -> Tensor:
@@ -253,7 +251,8 @@ def l2norm(x: Tensor) -> Tensor:
 
         def into(out, add):
             if add:
-                _blas.daxpy(flat, out.reshape(-1), a=s)
+                from scipy.linalg.blas import daxpy
+                daxpy(flat, out.reshape(-1), a=s)
             else:
                 np.multiply(x.data, s, out=out)
         return (into,)
@@ -440,9 +439,10 @@ def dense(x: Tensor, w: Tensor, b: Tensor, act: str) -> Tensor:
             if not add:
                 np.matmul(np.swapaxes(g, -1, -2), x.data, out=gw)
                 return
+            from scipy.linalg.blas import dgemm
             for k in np.ndindex(gw.shape[:-2]):     # gw.T += x.T @ g
-                _blas.dgemm(1.0, x.data[k].T, g[k].T, beta=1.0, c=gw[k].T,
-                            trans_b=True, overwrite_c=True)
+                dgemm(1.0, x.data[k].T, g[k].T, beta=1.0, c=gw[k].T,
+                      trans_b=True, overwrite_c=True)
         return (gx, into, g.sum(axis=-2))
     return Tensor(out, (x, w, b), vjp)
 
@@ -682,6 +682,7 @@ def adam_step(params: dict[str, Tensor], grads: dict[str, np.ndarray],
         index = np.argwhere(~np.isfinite(store.grads[bad]))[0]
         raise TrainingError("non-finite gradient", param=bad,
                             index=tuple(int(i) for i in index))
+    from scipy.linalg.blas import daxpy, dscal
     store.step += 1
     t = store.step
     b1, b2 = ADAM_BETA1, ADAM_BETA2
@@ -697,15 +698,15 @@ def adam_step(params: dict[str, Tensor], grads: dict[str, np.ndarray],
         g = store.grad[start:stop]
         m, v = store.m[start:stop], store.v[start:stop]
         tmp, den = tmp_buf[:stop - start], den_buf[:stop - start]
-        _blas.dscal(b1, m)
-        _blas.daxpy(g, m, a=1.0 - b1)
-        _blas.dscal(b2, v)
+        dscal(b1, m)
+        daxpy(g, m, a=1.0 - b1)
+        dscal(b2, v)
         np.multiply(g, g, out=tmp)
-        _blas.daxpy(tmp, v, a=1.0 - b2)
+        daxpy(tmp, v, a=1.0 - b2)
         np.sqrt(v, out=den)
         den += eps_hat
         np.divide(m, den, out=tmp)
-        _blas.daxpy(tmp, store.values[start:stop], a=-alpha)
+        daxpy(tmp, store.values[start:stop], a=-alpha)
 
 
 def lr_schedule(epoch: int) -> float:

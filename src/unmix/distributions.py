@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special as _sp
 
 from . import diffcore as dc
 from .diffcore import Tensor, as_tensor, constant
@@ -164,13 +163,15 @@ def _sample_dirichlet_data(conc: np.ndarray,
 
 
 def _beta_pdf_data(x, a, b):
+    from scipy.special import betaln
     return np.exp((a - 1.0) * np.log(x) + (b - 1.0) * np.log1p(-x)
-                  - _sp.betaln(a, b))
+                  - betaln(a, b))
 
 
 def _beta_cdf_data(x, a, b):
     """Regularized incomplete beta I_x(a, b), the Beta(a, b) cdf at x."""
-    out = _sp.betainc(a, b, x)
+    from scipy.special import betainc
+    out = betainc(a, b, x)
     if not np.all(np.isfinite(out)):
         raise NumericError("Beta cdf is not finite")
     return out

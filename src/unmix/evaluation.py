@@ -46,7 +46,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .container import PayloadReader
 from .data import _as_pixels, _check_finite
@@ -69,7 +68,7 @@ def nrmse(x, x_hat, name: str = "pixels", roles=("truth", "estimate")):
     return _ratio(*_residual_sums(x, x_hat, name, roles=roles))
 
 
-def nonlinearity_degree(lin, nlin) -> np.ndarray | float:
+def nonlinearity_degree(lin, nlin) -> np.ndarray:
     """Share of the nonlinear stream in the concentration, per pixel, in [0, 1].
 
     ``lin`` and ``nlin`` are the two concentration streams (..., P) that
@@ -81,9 +80,8 @@ def nonlinearity_degree(lin, nlin) -> np.ndarray | float:
     n_lin = np.linalg.norm(np.asarray(lin, dtype=np.float64), axis=-1)
     n_nlin = np.linalg.norm(np.asarray(nlin, dtype=np.float64), axis=-1)
     denom = n_lin + n_nlin
-    out = np.divide(n_nlin, denom, out=np.zeros_like(denom),
-                    where=denom > 0.0)
-    return float(out) if out.ndim == 0 else out
+    return np.divide(n_nlin, denom, out=np.zeros_like(denom),
+                     where=denom > 0.0)
 
 
 # The most endmembers ``fcls`` takes: it solves one KKT system per
@@ -245,6 +243,7 @@ def align_endmembers(m_true, m_hat) -> tuple[np.ndarray, np.ndarray]:
     i against estimate j, whose entries (j, perm[j]) sum to the least
     total.
     """
+    from scipy.optimize import linear_sum_assignment
     cost = _alignment_cost(*_stack_pair(m_true, m_hat))
     # a square cost's row indices come back as 0..P-1, so the columns are perm
     return linear_sum_assignment(cost)[1], cost

@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special as _sp
 
 from . import diffcore as dc
 from .diffcore import MlpParams, Tensor, as_tensor, mlp_forward
@@ -138,5 +137,6 @@ def flat_abundance_logpdf(a, n_endmembers: int) -> Tensor:
     The flat prior's gradient in ``a`` is zero everywhere, so it records no
     node.  The value is bitwise ``dirichlet_logpdf``'s at concentration 1.
     """
+    from scipy.special import gammaln
     return dc.constant(np.full(as_tensor(a).shape[:-1],
-                               _sp.gammaln(n_endmembers)))
+                               gammaln(n_endmembers)))

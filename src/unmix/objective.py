@@ -280,8 +280,8 @@ _HISTORY_COLUMNS = [f.name for f in fields(EpochStats)]
 _LOSS_TERMS = _HISTORY_COLUMNS[1:-1]
 
 
-def train(d_u: np.ndarray, d_s, config: TrainConfig, seed: int,
-          latent_dim: int = 2, lista_layers: int = 11,
+def train(d_u: np.ndarray, d_s, config: TrainConfig, seed: int, *,
+          latent_dim: int, lista_layers: int,
           theta: GenerativeParams | None = None,
           phi: InferenceParams | None = None,
           start_epoch: int = 0):

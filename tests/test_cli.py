@@ -1456,6 +1456,9 @@ BIG_BANDS, BIG_P = 224, 5
 
 
 def _traced_peak(argv) -> int:
+    # the commands import scipy where they call it; loading it here keeps
+    # a cold first run from counting the import in its peak
+    import scipy.ndimage, scipy.optimize  # noqa: E401, F401
     tracemalloc.start()
     try:
         assert cli.main(argv) == 0
@@ -1532,6 +1535,17 @@ def _eval_bundles(root, n: int, bands: int, p: int) -> tuple[str, str]:
     return str(truth), str(est)
 
 
+def _fresh_env(**env) -> dict:
+    """This process's environment for a fresh ``unmix`` process: ``src`` on
+    PYTHONPATH, no BLAS thread variables, then ``env``."""
+    src = os.path.dirname(unmix.__path__[0])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**{k: v for k, v in os.environ.items()
+               if k not in ("UNMIX_THREADS", "OMP_NUM_THREADS",
+                            "MKL_NUM_THREADS", "OPENBLAS_NUM_THREADS")},
+            **env, "PYTHONPATH": path}
+
+
 class TestThreadIndependence:
     def test_eval_report_bytes_do_not_depend_on_blas_threads(self, tmp_path):
         """``cli eval`` in fresh processes with BLAS on one and on two
@@ -1541,16 +1555,10 @@ class TestThreadIndependence:
         # of this scene's scores differ in their last digits between 1 and
         # 2 threads
         truth, est = _eval_bundles(tmp_path, 4000, 64, 5)
-        src = os.path.dirname(unmix.__path__[0])
-        path = os.pathsep.join(filter(None, [src,
-                                             os.environ.get("PYTHONPATH")]))
         reports = []
         for threads in ("1", "2"):
-            env = {k: v for k, v in os.environ.items()
-                   if k not in ("UNMIX_THREADS", "OMP_NUM_THREADS",
-                                "MKL_NUM_THREADS", "OPENBLAS_NUM_THREADS")}
-            env.update(OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
-                       PYTHONPATH=path)
+            env = _fresh_env(OPENBLAS_NUM_THREADS=threads,
+                             OMP_NUM_THREADS=threads)
             csv = str(tmp_path / f"report_{threads}.csv")
             subprocess.run([sys.executable, "-m", "unmix.cli", "eval", truth,
                             est, csv], env=env, check=True,
@@ -1574,15 +1582,9 @@ class TestThreadIndependence:
                          "--n-ppx", "5", "--n-draws", "4", "--seed", "5"]) == 0
         assert cli.main(["train", scene["cube"], sup, ckpt, "--epochs", "2",
                          "--batch-size", "16", "--seed", "6"]) == 0
-        src = os.path.dirname(unmix.__path__[0])
-        path = os.pathsep.join(filter(None, [src,
-                                             os.environ.get("PYTHONPATH")]))
         for threads in ("1", "2"):
-            env = {k: v for k, v in os.environ.items()
-                   if k not in ("UNMIX_THREADS", "OMP_NUM_THREADS",
-                                "MKL_NUM_THREADS", "OPENBLAS_NUM_THREADS")}
-            env.update(OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
-                       PYTHONPATH=path)
+            env = _fresh_env(OPENBLAS_NUM_THREADS=threads,
+                             OMP_NUM_THREADS=threads)
             runs = []
             for rerun in ("a", "b"):
                 out = str(root / f"est_{threads}_{rerun}")
@@ -1594,20 +1596,92 @@ class TestThreadIndependence:
             assert runs[0] == runs[1], threads
 
 
+# Runs ``cli.main`` on its arguments (none: import only) and prints, as
+# JSON, the process's thread count at the end (None without /proc) and the
+# scipy subpackages it loaded.
+_COLD_START = """
+import json, sys
+from unmix import cli
+if len(sys.argv) > 1 and cli.main(sys.argv[1:]):
+    sys.exit(1)
+try:
+    with open("/proc/self/status") as f:
+        threads = next(int(line.split()[1]) for line in f
+                       if line.startswith("Threads:"))
+except OSError:
+    threads = None
+print(json.dumps({"threads": threads, "scipy": sorted(
+    {m.split(".")[1] for m in sys.modules if m.startswith("scipy.")})}))
+"""
+
+
+def _cold_start(argv, **env) -> dict:
+    """``_COLD_START`` of ``argv`` in a fresh process, in ``_fresh_env``."""
+    proc = subprocess.run([sys.executable, "-c", _COLD_START, *argv],
+                          env=_fresh_env(**env), check=True,
+                          capture_output=True, text=True, timeout=120)
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+class TestColdStart:
+    """Each command, run alone in a fresh process, loads only the scipy
+    subpackages it calls."""
+
+    def _train(self, scene, tmp_path, **env) -> dict:
+        return _cold_start(["train", scene["cube"], _supervised(scene),
+                            str(tmp_path / "model"), "--epochs", "1",
+                            "--batch-size", "16"], **env)
+
+    def test_import_loads_no_scipy(self):
+        assert _cold_start([])["scipy"] == []
+
+    def test_selfsup_loads_no_scipy(self, scene, tmp_path):
+        assert _cold_start(["selfsup", scene["cube"], str(tmp_path / "sup"),
+                            "--p", str(P), "--n-ppx", "5",
+                            "--n-draws", "4"])["scipy"] == []
+
+    def test_unmix_loads_no_scipy(self, scene, tmp_path):
+        assert _cold_start(["unmix", scene["cube"], scene["ckpt"],
+                            str(tmp_path / "est")])["scipy"] == []
+
+    def test_generate_loads_ndimage_alone(self, tmp_path):
+        loaded = set(_cold_start([
+            "generate", "dc2", str(tmp_path / "scene"), "--width", "4",
+            "--height", "4", "--bands", "16", "--endmembers", "3"])["scipy"])
+        assert "ndimage" in loaded
+        assert not loaded & {"optimize", "linalg"}, loaded
+
+    def test_train_loads_neither_optimize_nor_ndimage(self, scene, tmp_path):
+        loaded = set(self._train(scene, tmp_path)["scipy"])
+        assert {"special", "linalg"} <= loaded
+        assert not loaded & {"optimize", "ndimage"}, loaded
+
+    def test_eval_loads_optimize(self, scene, tmp_path):
+        est = _unmix(scene, "cold_est")
+        assert "optimize" in _cold_start([
+            "eval", os.path.dirname(scene["cube"]), est,
+            str(tmp_path / "report.csv")])["scipy"]
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                        reason="thread count is read from /proc")
+    def test_train_keeps_the_blas_pin(self, scene, tmp_path):
+        """``UNMIX_THREADS=1`` still pins scipy's BLAS, which ``train``
+        loads after the pin is set: the process ends on one thread."""
+        run = self._train(scene, tmp_path, UNMIX_THREADS="1")
+        assert "linalg" in run["scipy"]
+        assert run["threads"] == 1
+
+
 class TestProcessExitStatus:
     def test_unusable_path_exits_2_without_traceback(self, tmp_path):
         """``python -m unmix.cli`` exits with status 2, and prints no
         traceback, for an output directory that is a regular file."""
-        src = os.path.dirname(unmix.__path__[0])
-        path = os.pathsep.join(filter(None, [src,
-                                             os.environ.get("PYTHONPATH")]))
         afile = tmp_path / "afile"
         afile.write_bytes(b"kept")
         proc = subprocess.run(
             [sys.executable, "-m", "unmix.cli", "generate", "dc1", str(afile),
              "--width", "4", "--height", "4", "--bands", "16"],
-            env={**os.environ, "PYTHONPATH": path}, capture_output=True,
-            text=True, timeout=120)
+            env=_fresh_env(), capture_output=True, text=True, timeout=120)
         assert proc.returncode == 2
         assert proc.stderr.startswith("error: ") and str(afile) in proc.stderr
         assert "Traceback" not in proc.stderr

@@ -91,9 +91,10 @@ class TestNonlinearityDegree:
         np.testing.assert_array_equal(ev.nonlinearity_degree(lin, nlin),
                                       [0.5, 1.0, 0.0])
 
-    def test_single_pixel_gives_float(self):
-        assert ev.nonlinearity_degree(np.array([1.0, 0.0]),
-                                      np.array([0.0, 3.0])) == 0.75
+    def test_single_pixel_row(self):
+        np.testing.assert_array_equal(
+            ev.nonlinearity_degree(np.array([[1.0, 0.0]]),
+                                   np.array([[0.0, 3.0]])), [0.75])
 
 
 def _kkt_solve(M: np.ndarray, y: np.ndarray, support) -> np.ndarray:

@@ -67,7 +67,8 @@ def record(tmp_dir: str) -> dict:
     try:
         d_u, d_s = _data()
         cfg = ob.TrainConfig(batch_size=BATCH, max_epochs=1)
-        theta, phi, hist = ob.train(d_u, d_s, cfg, seed=21)
+        theta, phi, hist = ob.train(d_u, d_s, cfg, seed=21, latent_dim=2,
+                                    lista_layers=11)
     finally:
         ob.total_loss, ob.adam_step = total_loss, adam_step
     base = os.path.join(tmp_dir, "golden")

@@ -480,7 +480,8 @@ class TestPointEstimates:
         ppx = dt.extract_pure_pixels(cube, refs, 20)
         sup = dt.build_supervised_set(ppx, 30, 30.0, np.random.default_rng(4))
         cfg = TrainConfig(max_epochs=20, rel_stop_tol=-1.0)
-        theta, phi, _ = train(cube.pixels, sup, cfg, seed=0, lista_layers=6)
+        theta, phi, _ = train(cube.pixels, sup, cfg, seed=0,
+                              latent_dim=2, lista_layers=6)
         a_hat, _ = inf.point_estimates(cube.pixels, phi, theta)
         pure = truth.abundances.max(axis=1) > 0.999
         agree = (np.argmax(a_hat[pure], axis=1)

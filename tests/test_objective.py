@@ -672,31 +672,31 @@ class TestTrain:
         d_u, (y_s, a_s, m_s) = self._toy_data()
         with pytest.raises(InputError, match="^labeled set must be nonempty$"):
             ob.train(d_u, (y_s[:0], a_s[:0], m_s[:0]), ob.TrainConfig(),
-                     seed=0, lista_layers=4)
+                     seed=0, latent_dim=2, lista_layers=4)
 
     def test_history_capped_at_max_epochs(self):
         d_u, d_s = self._toy_data()
         cfg = ob.TrainConfig(max_epochs=30, batch_size=16)
-        _, _, hist = ob.train(d_u, d_s, cfg, seed=0, lista_layers=4)
+        _, _, hist = ob.train(d_u, d_s, cfg, seed=0, latent_dim=2, lista_layers=4)
         assert len(hist) <= 30
 
     def test_single_epoch_history(self):
         d_u, d_s = self._toy_data()
         cfg = ob.TrainConfig(max_epochs=1)
-        _, _, hist = ob.train(d_u, d_s, cfg, seed=0, lista_layers=4)
+        _, _, hist = ob.train(d_u, d_s, cfg, seed=0, latent_dim=2, lista_layers=4)
         assert len(hist) == 1 and hist[0].epoch == 0
 
     def test_bitwise_deterministic_history(self):
         d_u, d_s = self._toy_data()
         cfg = ob.TrainConfig(max_epochs=3, rel_stop_tol=-1.0)
-        _, _, h1 = ob.train(d_u, d_s, cfg, seed=7, lista_layers=4)
-        _, _, h2 = ob.train(d_u, d_s, cfg, seed=7, lista_layers=4)
+        _, _, h1 = ob.train(d_u, d_s, cfg, seed=7, latent_dim=2, lista_layers=4)
+        _, _, h2 = ob.train(d_u, d_s, cfg, seed=7, latent_dim=2, lista_layers=4)
         assert ob.history_to_csv(h1) == ob.history_to_csv(h2)
 
     def test_early_stop_on_small_relative_increase(self):
         d_u, d_s = self._toy_data()
         cfg = ob.TrainConfig(max_epochs=30, rel_stop_tol=1e9)
-        _, _, hist = ob.train(d_u, d_s, cfg, seed=0, lista_layers=4)
+        _, _, hist = ob.train(d_u, d_s, cfg, seed=0, latent_dim=2, lista_layers=4)
         assert len(hist) == 2
 
     def test_objective_trends_up_on_dc1_toy(self):
@@ -716,7 +716,7 @@ class TestTrain:
             sup = dt.build_supervised_set(ppx, 30, 30.0, set_r)
             cfg = ob.TrainConfig(max_epochs=5, rel_stop_tol=-1.0)
             _, _, hist = ob.train(cube.pixels, sup, cfg, seed=seed,
-                                  lista_layers=6)
+                                  latent_dim=2, lista_layers=6)
             totals = [h.total for h in hist]
             if all(t2 >= t1 for t1, t2 in zip(totals, totals[1:])):
                 wins += 1
@@ -734,7 +734,7 @@ class TestTrain:
         monkeypatch.setattr(ob, "backward", poisoned)
         with pytest.raises(TrainingError) as info:
             ob.train(d_u, d_s, ob.TrainConfig(max_epochs=1), seed=0,
-                     lista_layers=4)
+                     latent_dim=2, lista_layers=4)
         assert str(info.value) == ("non-finite gradient; parameter="
                                    "gen.em_decoder.w2 index (1, 3, 0); "
                                    "epoch=0; batch=0")
@@ -747,6 +747,6 @@ class TestTrain:
         d_u[5, 2] = np.nan
         cfg = ob.TrainConfig(max_epochs=2)
         with pytest.raises(TrainingError) as exc_info:
-            ob.train(d_u, d_s, cfg, seed=0, lista_layers=4)
+            ob.train(d_u, d_s, cfg, seed=0, latent_dim=2, lista_layers=4)
         assert exc_info.value.epoch is not None
         assert exc_info.value.batch is not None
