@@ -115,20 +115,16 @@ def cmd_generate(args) -> int:
     wavelengths = np.linspace(400.0, 2400.0, args.bands)
     paths = {n: os.path.join(args.out_dir, n)
              for n in ("cube", "abundances", "endmembers")}
-    if args.kind == "dc1":
-        cube, truth = dt.generate_dc1(maps, library, args.snr, mix_rng,
-                                      width=args.width, height=args.height)
-        cube.wavelengths = wavelengths
-        dt.save_cube(paths["cube"], cube)
-        dt.save_endmembers(paths["endmembers"], truth.endmembers,
-                           args.width, args.height)
-    else:
-        with dt.endmember_writer(paths["endmembers"], args.width,
-                                 args.height, args.bands, p) as m_out, \
-                dt.cube_writer(paths["cube"], args.width, args.height,
-                               args.bands, wavelengths) as y_out:
-            dt.generate_dc2(maps, library, args.variability, args.snr,
-                            mix_rng, m_out, y_out)
+    with dt.cube_writer(paths["cube"], args.width, args.height, args.bands,
+                        wavelengths) as y_out:
+        if args.kind == "dc1":
+            dt.generate_dc1(maps, library, args.snr, mix_rng, y_out)
+            dt.save_endmembers(paths["endmembers"], library)
+        else:
+            with dt.endmember_writer(paths["endmembers"], args.width,
+                                     args.height, args.bands, p) as m_out:
+                dt.generate_dc2(maps, library, args.variability, args.snr,
+                                mix_rng, m_out, y_out)
     dt.save_abundances(paths["abundances"], maps, args.width, args.height)
     _write_manifest(
         os.path.join(args.out_dir, "manifest.json"), "generate",
@@ -144,8 +140,8 @@ def cmd_generate(args) -> int:
 
 def cmd_selfsup(args) -> int:
     t0 = time.perf_counter()
-    _check_sizes(("--p", args.p), ("--n-ppx", args.n_ppx),
-                 ("--n-draws", args.n_draws))
+    _check_sizes(("--p", args.p), least=2)
+    _check_sizes(("--n-ppx", args.n_ppx), ("--n-draws", args.n_draws))
     dt.noise_power_ratio(args.snr, "--snr")
     out_base = _strip_bundle(args.out)
     _check_out_file(out_base + ".json")
@@ -171,8 +167,9 @@ def cmd_train(args) -> int:
     t0 = time.perf_counter()
     out_base = _strip_bundle(args.out_ckpt)
     _check_out_file(out_base + ".json")
-    cube = dt.load_cube(_strip_bundle(args.cube))
-    y_s, a_s, m_s = dt.load_supervised(_strip_bundle(args.supervised))
+    cube_base, sup_base = map(_strip_bundle, (args.cube, args.supervised))
+    cube = dt.load_cube(cube_base)
+    y_s, a_s, m_s = dt.load_supervised(sup_base)
     if y_s.shape[1] != cube.n_bands:
         raise InputError("supervised set band count differs from the cube")
     # the checkpoint records the config in JSON, which has no inf or NaN
@@ -184,8 +181,7 @@ def cmd_train(args) -> int:
     theta = phi = None
     start_epoch = 0
     latent_dim, lista_layers = args.latent_dim, args.lista_layers
-    inputs = {"cube": _strip_bundle(args.cube) + ".json",
-              "supervised": _strip_bundle(args.supervised) + ".json"}
+    inputs = {"cube": cube_base + ".json", "supervised": sup_base + ".json"}
     if args.resume:
         ckpt = _strip_bundle(args.resume)
         inputs["checkpoint"] = ckpt + ".json"
@@ -456,10 +452,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _EXIT_INPUT
-    except OSError as exc:      # a path that cannot be read or written
+    except (InputError, OSError) as exc:  # a path that cannot be read or written
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_INPUT
     except (UnmixError, np.linalg.LinAlgError) as exc:

@@ -14,6 +14,7 @@ noise realization is comparable across generators.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
@@ -188,40 +189,47 @@ def noise_power_ratio(snr_db: float, name: str = "snr_db") -> float:
     return ratio
 
 
-def _noise_sigma(clean: np.ndarray, snr_db: float | None) -> float:
-    if snr_db is None:
-        return 0.0
-    power = float(np.mean(clean ** 2))
-    return float(np.sqrt(power / noise_power_ratio(snr_db)))
+# Rows per block of the finite checks and of the generators' writes.  It
+# bounds the memory those passes hold; no output byte depends on it.
+ROW_BLOCK = 512
+
+
+def _append_noisy(clean: np.ndarray, snr_db: float | None,
+                  noise_rng: np.random.Generator, pixels_out):
+    """Append ``clean`` (N, L) plus white Gaussian noise to ``pixels_out``,
+    made noisy in place in blocks of ``ROW_BLOCK`` pixels from pixel 0.
+
+    The noise, one stream of ``noise_rng``, is scaled so the cube-level
+    power ratio is ``snr_db`` (None: noiseless).  Its sigma is taken here
+    alone, from the whole clean cube, which each generator therefore holds
+    whole, and its square too while sigma is taken: two cubes at the peak.
+    """
+    sigma = 0.0 if snr_db is None else float(
+        np.sqrt(np.mean(clean ** 2) / noise_power_ratio(snr_db)))
+    for start in range(0, len(clean), ROW_BLOCK):
+        pixels = clean[start:start + ROW_BLOCK]
+        pixels += sigma * noise_rng.standard_normal(pixels.shape)
+        pixels_out.append(pixels)
 
 
 def generate_dc1(abundances: np.ndarray, em_matrix: np.ndarray,
-                 snr_db: float | None, rng: np.random.Generator,
-                 width: int, height: int) -> tuple[HyperCube, GroundTruth]:
+                 snr_db: float | None, rng: np.random.Generator, pixels_out):
     """Bilinear-mixture scene: y = a M + sum_{i<j} a_i a_j m_i * m_j + noise.
 
-    The endmembers m_i are the rows of the (P, L) ``em_matrix``.  Noise is
-    white Gaussian, scaled so the cube-level power ratio matches ``snr_db``
-    (pass None for a noiseless cube).
+    The endmembers m_i are the rows of the (P, L) ``em_matrix``.  The noisy
+    (N, L) pixels are appended to ``pixels_out``, a
+    ``container.PayloadWriter`` or a list, as ``generate_dc2``'s are.
     """
     A = np.asarray(abundances, dtype=np.float64)
     M = np.asarray(em_matrix, dtype=np.float64)
     check_simplex(A)
     _, noise_rng = rng.spawn(2)
-    clean = A @ M
-    P = len(M)
-    for i in range(P):
-        for j in range(i + 1, P):
-            clean = clean + np.outer(A[:, i] * A[:, j], M[i] * M[j])
-    sigma = _noise_sigma(clean, snr_db)
-    pixels = clean + sigma * noise_rng.standard_normal(clean.shape)
-    cube = HyperCube(width=width, height=height, pixels=pixels)
-    return cube, GroundTruth(abundances=A.copy(), endmembers=M.copy())
-
-
-# Rows per block of the finite checks and of ``generate_dc2``'s writes.  It
-# bounds the memory those passes hold; no output byte depends on it.
-ROW_BLOCK = 512
+    clean = A @ M       # whole: a one-row product (gemv) may round otherwise
+    for start in range(0, len(A), ROW_BLOCK):
+        rows = slice(start, start + ROW_BLOCK)
+        for i, j in combinations(range(len(M)), 2):
+            clean[rows] += np.outer(A[rows, i] * A[rows, j], M[i] * M[j])
+    _append_noisy(clean, snr_db, noise_rng, pixels_out)
 
 
 def generate_dc2(abundances: np.ndarray, base_em: np.ndarray,
@@ -231,13 +239,13 @@ def generate_dc2(abundances: np.ndarray, base_em: np.ndarray,
 
     Each (pixel, endmember) pair gets a random scale in [1-v, 1+v] modulated
     by a smooth zero-mean spectral bump, so signatures change shape (not just
-    amplitude) while averaging to the drawn scale across bands.
+    amplitude) while averaging to the drawn scale across bands; the stack is
+    clipped to [0, 1].
 
     The (N, P, L) stack is appended to ``endmembers_out`` and then the
     noisy (N, L) pixels to ``pixels_out``, each in blocks of ``ROW_BLOCK``
     pixels from pixel 0; either may be a ``container.PayloadWriter`` or a
-    list.  Only the clean (N, L) cube is held whole, since the noise is
-    scaled to its power.
+    list.
     """
     v = float(variability_strength)
     if not 0.0 <= v <= MAX_VARIABILITY:
@@ -248,42 +256,34 @@ def generate_dc2(abundances: np.ndarray, base_em: np.ndarray,
     check_simplex(A)
     n, (P, L) = len(A), M0.shape
     var_rng, noise_rng = rng.spawn(2)
-    if v > 0.0:
-        grid = np.arange(L, dtype=np.float64)
-        scales = var_rng.uniform(1.0 - v, 1.0 + v, size=(n, P))
-        centers = var_rng.uniform(0, L, size=(n, P))
-        widths = var_rng.uniform(L / 10, L / 3, size=(n, P))
-        amps = var_rng.uniform(0.5, 1.5, size=(n, P))
-    blocks = [slice(start, min(start + ROW_BLOCK, n))
-              for start in range(0, n, ROW_BLOCK)]
+    grid = np.arange(L, dtype=np.float64)
+    scales = var_rng.uniform(1.0 - v, 1.0 + v, size=(n, P))
+    centers = var_rng.uniform(0, L, size=(n, P))
+    widths = var_rng.uniform(L / 10, L / 3, size=(n, P))
+    amps = var_rng.uniform(0.5, 1.5, size=(n, P))
     clean = np.empty((n, L))
-    for rows in blocks:
-        if v > 0.0:
-            # The block of the stack, updated in place.  The steps evaluate
-            # clip(M0 · (1 + (s - 1) · (1 + amp · (bump - mean(bump))))),
-            # bump = exp(-0.5 · ((grid - center) / width)²), in the same
-            # order as the expression would, so the stack is bitwise the same.
-            buf = np.subtract(grid[None, None, :], centers[rows, :, None])
-            buf /= widths[rows, :, None]
-            np.square(buf, out=buf)
-            buf *= -0.5
-            np.exp(buf, out=buf)                              # bump
-            buf -= buf.mean(axis=-1, keepdims=True)
-            buf *= amps[rows, :, None]
-            buf += 1.0                                        # envelope
-            buf *= scales[rows, :, None] - 1.0
-            buf += 1.0                                        # multiplier
-            buf *= M0[None, :, :]
-            em = np.clip(buf, 0.0, 1.0, out=buf)
-        else:
-            em = np.broadcast_to(M0, (rows.stop - rows.start, P, L)).copy()
+    for start in range(0, n, ROW_BLOCK):
+        rows = slice(start, start + ROW_BLOCK)
+        # The block of the stack, updated in place.  The steps evaluate
+        # clip(M0 · (1 + (s - 1) · (1 + amp · (bump - mean(bump))))),
+        # bump = exp(-0.5 · ((grid - center) / width)²), in the same
+        # order as the expression would, so the stack is bitwise the same.
+        # At v = 0 every s is 1 exactly: the block is M0's, clipped.
+        buf = np.subtract(grid[None, None, :], centers[rows, :, None])
+        buf /= widths[rows, :, None]
+        np.square(buf, out=buf)
+        buf *= -0.5
+        np.exp(buf, out=buf)                              # bump
+        buf -= buf.mean(axis=-1, keepdims=True)
+        buf *= amps[rows, :, None]
+        buf += 1.0                                        # envelope
+        buf *= scales[rows, :, None] - 1.0
+        buf += 1.0                                        # multiplier
+        buf *= M0[None, :, :]
+        em = np.clip(buf, 0.0, 1.0, out=buf)
         endmembers_out.append(em)
         clean[rows] = np.einsum("npl,np->nl", em, A[rows])
-    sigma = _noise_sigma(clean, snr_db)
-    for rows in blocks:
-        pixels = clean[rows]
-        pixels += sigma * noise_rng.standard_normal(pixels.shape)
-        pixels_out.append(pixels)
+    _append_noisy(clean, snr_db, noise_rng, pixels_out)
 
 
 # ------------------------------------------------------------- extraction

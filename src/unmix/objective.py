@@ -287,7 +287,8 @@ def train(d_u: np.ndarray, d_s, config: TrainConfig, seed: int, *,
           start_epoch: int = 0):
     """Fit (theta, phi) on unlabeled pixels d_u and the labeled triples d_s,
     the (Y, A, M) arrays of shapes (n, L), (n, P), (n, P, L), both
-    nonempty, else an ``InputError``; every step takes a batch of each.
+    nonempty and P >= 2, else an ``InputError``; every step takes a batch
+    of each.
 
     Deterministic given ``seed``: initialization, batch order, and every
     sampled noise value flow from named substreams of one seed sequence.
@@ -301,6 +302,9 @@ def train(d_u: np.ndarray, d_s, config: TrainConfig, seed: int, *,
     y_s, a_s, m_s = (np.asarray(x, np.float64) for x in d_s)
     if not len(y_s):
         raise InputError("labeled set must be nonempty")
+    if a_s.shape[1] < 2:
+        raise InputError(f"labeled set must have at least 2 endmembers, "
+                         f"got {a_s.shape[1]}")
     ss = np.random.SeedSequence(seed)
     init_ss, order_ss, noise_ss = ss.spawn(3)
     if theta is None or phi is None:

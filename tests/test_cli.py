@@ -259,20 +259,44 @@ class TestExitCodes:
         assert "--snr" in capsys.readouterr().err
         assert os.listdir(tmp_path) == []
 
-    @pytest.mark.parametrize("flag, value", [("--p", "0"), ("--p", "-1"),
+    @pytest.mark.parametrize("flag, value", [("--p", "1"), ("--p", "0"),
+                                             ("--p", "-1"),
                                              ("--n-ppx", "0"),
                                              ("--n-ppx", "-2"),
                                              ("--n-draws", "0"),
                                              ("--n-draws", "-1")])
-    def test_bad_selfsup_size_exits_2_before_writing(self, scene, tmp_path,
-                                                     capsys, flag, value):
+    def test_bad_selfsup_size_exits_2_before_writing(
+            self, scene, tmp_path, monkeypatch, capsys, flag, value):
+        """Before the cube is read; a labelled set needs two endmembers,
+        since ``train`` cannot sample a one-endmember Dirichlet."""
+        def read(*args, **kwargs):
+            raise AssertionError("the cube was read")
+        monkeypatch.setattr(dt, "load_cube", read)
+        least = 2 if flag == "--p" else 1
         sizes = {"--p": str(P), "--n-ppx": "4", "--n-draws": "2", flag: value}
         capsys.readouterr()
         rc = cli.main(["selfsup", scene["cube"], str(tmp_path / "sup")]
                       + [arg for item in sizes.items() for arg in item])
         assert rc == 2
-        assert f"{flag} must be >= 1, got {value}" in capsys.readouterr().err
+        assert f"{flag} must be >= {least}, got {value}" \
+            in capsys.readouterr().err
         assert os.listdir(tmp_path) == []
+
+    def test_one_endmember_labelled_set_exits_2_before_training(
+            self, scene, tmp_path, monkeypatch, capsys):
+        def step(*args, **kwargs):
+            raise AssertionError("a training step ran")
+        monkeypatch.setattr(ob, "total_loss", step)
+        sup, out = str(tmp_path / "sup"), str(tmp_path / "model")
+        rng = np.random.default_rng(2)
+        dt.save_supervised(sup, rng.random((4, BANDS)), np.ones((4, 1)),
+                           rng.random((4, 1, BANDS)))
+        capsys.readouterr()
+        rc = cli.main(["train", scene["cube"], sup, out, "--epochs", "1"])
+        assert rc == 2
+        assert capsys.readouterr().err == ("error: labeled set must have at "
+                                           "least 2 endmembers, got 1\n")
+        assert not os.path.exists(out + ".json")
 
     @pytest.mark.parametrize("flag, value, field", [
         ("--lambda", "nan", "lam"), ("--beta", "inf", "beta"),
@@ -1491,14 +1515,15 @@ class TestPeakMemory:
                                        str(tmp_path / f"out_{n}")]))
         assert peaks[1] <= 1.1 * peaks[0], peaks
 
-    def test_generate_dc2_peak_grows_by_at_most_two_cubes(self, tmp_path):
-        """``generate dc2`` holds the clean cube whole, and its square for
-        the noise power, but the (N, P, L) stack and the noisy pixels only
-        a block at a time."""
+    @pytest.mark.parametrize("kind", ["dc1", "dc2"])
+    def test_generate_peak_grows_by_at_most_two_cubes(self, tmp_path, kind):
+        """``generate`` holds the clean cube whole, and its square for the
+        noise power, but dc2's (N, P, L) stack and the noisy pixels only a
+        block at a time."""
         peaks, cubes = [], []
         for blocks in (4, 16):
             peaks.append(_traced_peak([
-                "generate", "dc2", str(tmp_path / f"scene_{blocks}"),
+                "generate", kind, str(tmp_path / f"scene_{blocks}"),
                 "--width", str(dt.ROW_BLOCK), "--height", str(blocks),
                 "--bands", str(BIG_BANDS), "--endmembers", str(BIG_P)]))
             cubes.append(8 * blocks * dt.ROW_BLOCK * BIG_BANDS)

@@ -21,6 +21,13 @@ def scene_parts():
     return library, maps
 
 
+def dc1_scene(maps, library, snr_db, rng):
+    """``generate_dc1``'s (N, L) pixels, collected from their blocks."""
+    pixels = []
+    dt.generate_dc1(maps, library, snr_db, rng, pixels)
+    return np.concatenate(pixels)
+
+
 def dc2_scene(maps, library, variability, snr_db, rng):
     """``generate_dc2``'s (N, L) pixels and (N, P, L) stack, each collected
     from its blocks."""
@@ -40,15 +47,12 @@ def test_library_is_p_rows_of_l_bands(scene_parts):
 
 def test_noiseless_dc1_is_linear_plus_bilinear(scene_parts):
     library, maps = scene_parts
-    cube, truth = dt.generate_dc1(maps, library, None,
-                                  np.random.default_rng(1), width=W, height=H)
+    pixels = dc1_scene(maps, library, None, np.random.default_rng(1))
     want = maps @ library
     for i in range(P):
         for j in range(i + 1, P):
             want += (maps[:, i] * maps[:, j])[:, None] * (library[i] * library[j])
-    np.testing.assert_allclose(cube.pixels, want, rtol=1e-13, atol=0)
-    assert truth.endmembers.shape == (P, L)
-    np.testing.assert_array_equal(truth.endmembers, library)
+    np.testing.assert_allclose(pixels, want, rtol=1e-13, atol=0)
 
 
 def test_noiseless_dc2_mixes_each_pixels_own_rows(scene_parts):
@@ -100,21 +104,40 @@ def test_dc2_blocks_equal_the_whole_scene_formulas(scene_parts, variability):
     assert np.concatenate(pixels).tobytes() == noisy.tobytes()
 
 
+@pytest.mark.parametrize("kind, variability", [("dc1", None), ("dc2", 0.0),
+                                               ("dc2", 0.2)])
+@pytest.mark.parametrize("row_block", [1, 7, 37 * 29 + 1])
+def test_no_generated_byte_depends_on_the_row_block(monkeypatch, kind,
+                                                    variability, row_block):
+    """The pixels, and dc2's stack, of a noisy 37 x 29 x 30 scene are
+    bitwise those written in blocks of the default ``ROW_BLOCK``."""
+    library = dt.synth_endmember_library(30, P, np.random.default_rng(14))
+    maps = dt.synth_abundance_maps(37, 29, P, np.random.default_rng(15))
+
+    def scene():
+        rng = np.random.default_rng(16)
+        if kind == "dc1":
+            return [dc1_scene(maps, library, 20.0, rng).tobytes()]
+        return [x.tobytes() for x in dc2_scene(maps, library, variability,
+                                               20.0, rng)]
+    want = scene()
+    monkeypatch.setattr(dt, "ROW_BLOCK", row_block)
+    assert scene() == want
+
+
 def test_vca_returns_p_cube_pixels_as_rows(scene_parts):
     library, maps = scene_parts
-    cube, _ = dt.generate_dc1(maps, library, 40.0, np.random.default_rng(4),
-                              width=W, height=H)
-    refs = dt.vca(cube, P, np.random.default_rng(5))
+    pixels = dc1_scene(maps, library, 40.0, np.random.default_rng(4))
+    refs = dt.vca(pixels, P, np.random.default_rng(5))
     assert refs.shape == (P, L)
     for row in refs:
-        assert (cube.pixels == row).all(axis=1).any()
+        assert (pixels == row).all(axis=1).any()
 
 
 def test_noiseless_supervised_set_is_one_hot_rows(scene_parts):
     library, maps = scene_parts
-    cube, _ = dt.generate_dc1(maps, library, 40.0, np.random.default_rng(6),
-                              width=W, height=H)
-    ppx = dt.extract_pure_pixels(cube, library, 4)
+    pixels = dc1_scene(maps, library, 40.0, np.random.default_rng(6))
+    ppx = dt.extract_pure_pixels(pixels, library, 4)
     y, a, m = dt.build_supervised_set(ppx, 3, None, np.random.default_rng(8))
     assert (y.shape, a.shape, m.shape) == ((3 * P, L), (3 * P, P),
                                            (3 * P, P, L))
@@ -130,10 +153,9 @@ def test_noiseless_supervised_set_is_one_hot_rows(scene_parts):
 @pytest.mark.parametrize("n_ppx", [0, W * H + 1])
 def test_pure_pixel_count_outside_the_cube_is_refused(scene_parts, n_ppx):
     library, maps = scene_parts
-    cube, _ = dt.generate_dc1(maps, library, 40.0, np.random.default_rng(6),
-                              width=W, height=H)
+    pixels = dc1_scene(maps, library, 40.0, np.random.default_rng(6))
     with pytest.raises(InputError, match=f"got {n_ppx}$"):
-        dt.extract_pure_pixels(cube, library, n_ppx)
+        dt.extract_pure_pixels(pixels, library, n_ppx)
 
 
 def test_endmember_stack_round_trip(tmp_path, scene_parts):
@@ -154,9 +176,8 @@ def test_endmember_stack_round_trip(tmp_path, scene_parts):
 
 def test_supervised_round_trip(tmp_path, scene_parts):
     library, maps = scene_parts
-    cube, _ = dt.generate_dc1(maps, library, 40.0, np.random.default_rng(10),
-                              width=W, height=H)
-    ppx = dt.extract_pure_pixels(cube, library, 4)
+    pixels = dc1_scene(maps, library, 40.0, np.random.default_rng(10))
+    ppx = dt.extract_pure_pixels(pixels, library, 4)
     labelled = dt.build_supervised_set(ppx, 2, 30.0,
                                        np.random.default_rng(11))
     base = str(tmp_path / "sup")

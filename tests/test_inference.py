@@ -469,23 +469,23 @@ class TestPointEstimates:
     def test_trained_toy_concentrates_on_pure_pixels(self):
         # tiny end-to-end fit: the posterior mean must pick the right
         # endmember (argmax only) for pure inputs
+        from test_data import dc1_scene
         from unmix import data as dt
         from unmix.objective import TrainConfig, train
         root = np.random.default_rng(0)
         lib = dt.synth_endmember_library(24, 2, root.spawn(1)[0])
         maps = dt.synth_abundance_maps(12, 12, 2, np.random.default_rng(1))
-        cube, truth = dt.generate_dc1(maps, lib, 30.0, np.random.default_rng(2),
-                                      width=12, height=12)
-        refs = dt.vca(cube, 2, np.random.default_rng(3))
-        ppx = dt.extract_pure_pixels(cube, refs, 20)
+        pixels = dc1_scene(maps, lib, 30.0, np.random.default_rng(2))
+        refs = dt.vca(pixels, 2, np.random.default_rng(3))
+        ppx = dt.extract_pure_pixels(pixels, refs, 20)
         sup = dt.build_supervised_set(ppx, 30, 30.0, np.random.default_rng(4))
         cfg = TrainConfig(max_epochs=20, rel_stop_tol=-1.0)
-        theta, phi, _ = train(cube.pixels, sup, cfg, seed=0,
+        theta, phi, _ = train(pixels, sup, cfg, seed=0,
                               latent_dim=2, lista_layers=6)
-        a_hat, _ = inf.point_estimates(cube.pixels, phi, theta)
-        pure = truth.abundances.max(axis=1) > 0.999
+        a_hat, _ = inf.point_estimates(pixels, phi, theta)
+        pure = maps.max(axis=1) > 0.999
         agree = (np.argmax(a_hat[pure], axis=1)
-                 == np.argmax(truth.abundances[pure], axis=1))
+                 == np.argmax(maps[pure], axis=1))
         # label order between the model (VCA-derived) and truth may differ
         frac = agree.mean()
         assert frac > 0.9 or frac < 0.1

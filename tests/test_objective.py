@@ -702,6 +702,7 @@ class TestTrain:
     def test_objective_trends_up_on_dc1_toy(self):
         # epoch-mean objective is non-decreasing over the first 5 epochs
         # for at least 4 of 5 seeds on reduced synthetic bilinear scenes
+        from test_data import dc1_scene
         from unmix import data as dt
         wins = 0
         for seed in range(5):
@@ -709,13 +710,12 @@ class TestTrain:
             lib_r, map_r, mix_r, vca_r, set_r = root.spawn(5)
             lib = dt.synth_endmember_library(24, 2, lib_r)
             maps = dt.synth_abundance_maps(12, 12, 2, map_r)
-            cube, _ = dt.generate_dc1(maps, lib, 30.0, mix_r,
-                                      width=12, height=12)
-            refs = dt.vca(cube, 2, vca_r)
-            ppx = dt.extract_pure_pixels(cube, refs, 20)
+            pixels = dc1_scene(maps, lib, 30.0, mix_r)
+            refs = dt.vca(pixels, 2, vca_r)
+            ppx = dt.extract_pure_pixels(pixels, refs, 20)
             sup = dt.build_supervised_set(ppx, 30, 30.0, set_r)
             cfg = ob.TrainConfig(max_epochs=5, rel_stop_tol=-1.0)
-            _, _, hist = ob.train(cube.pixels, sup, cfg, seed=seed,
+            _, _, hist = ob.train(pixels, sup, cfg, seed=seed,
                                   latent_dim=2, lista_layers=6)
             totals = [h.total for h in hist]
             if all(t2 >= t1 for t1, t2 in zip(totals, totals[1:])):
