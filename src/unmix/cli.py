@@ -207,7 +207,7 @@ def cmd_train(args) -> int:
             print(f"training diverged; last-good checkpoint saved to "
                   f"{out_base}.json", file=sys.stderr)
         raise
-    meta["epoch"] = history[-1].epoch if history else start_epoch
+    meta["epoch"] = history[-1].epoch
     ct.save_checkpoint(out_base, meta, model_parameters(theta, phi))
     with open(out_base + ".history.csv", "w") as f:
         f.write(history_to_csv(history))

@@ -202,10 +202,12 @@ def _append_noisy(clean: np.ndarray, snr_db: float | None,
     The noise, one stream of ``noise_rng``, is scaled so the cube-level
     power ratio is ``snr_db`` (None: noiseless).  Its sigma is taken here
     alone, from the whole clean cube, which each generator therefore holds
-    whole, and its square too while sigma is taken: two cubes at the peak.
+    whole; the power is einsum's sum of squares, which forms no square of
+    the cube, so the clean cube is the one cube held at the peak.
     """
-    sigma = 0.0 if snr_db is None else float(
-        np.sqrt(np.mean(clean ** 2) / noise_power_ratio(snr_db)))
+    sigma = 0.0 if snr_db is None else float(np.sqrt(
+        np.einsum("ij,ij->", clean, clean) / clean.size
+        / noise_power_ratio(snr_db)))
     for start in range(0, len(clean), ROW_BLOCK):
         pixels = clean[start:start + ROW_BLOCK]
         pixels += sigma * noise_rng.standard_normal(pixels.shape)

@@ -12,6 +12,10 @@ alone, one (..., P) Tensor whose entries stay at or above ``GAMMA_FLOOR``.
 Sampling is routed through a noise source: any object with
 ``normal(shape)`` and ``dirichlet(conc)`` methods.  ``RngNoise`` draws live
 from a numpy Generator; a test can pass a source that replays fixed draws.
+Its Dirichlet draw is one Gamma draw per entry, normalized, and nothing
+else but the clip onto [``SIMPLEX_EPS``, 1 - ``SIMPLEX_EPS``]: no draw is
+redrawn, so near-vertex draws keep their Dir(gamma) weight, and the
+pathwise VJP is the gradient of the very draw that was returned.
 """
 
 from __future__ import annotations
@@ -138,28 +142,16 @@ def dirichlet_logpdf(a, concentration) -> Tensor:
     return ((conc - 1.0) * dc.log(at)).sum(axis=-1) + norm
 
 
-# Redraws of a degenerate Gamma row before it is clipped onto the simplex.
-_MAX_RESAMPLE = 5
-
-
 def _sample_dirichlet_data(conc: np.ndarray,
                            rng: np.random.Generator) -> np.ndarray:
-    """Gamma-normalize sampling with resample-then-clip degeneracy handling."""
+    """A Dir(conc) draw per row by the module's single-draw rule, clipped
+    and renormalized; a row whose Gamma draws all underflow is uniform."""
     g = rng.standard_gamma(conc)
-    flat_g = g.reshape(-1, conc.shape[-1])
-    flat_c = np.broadcast_to(conc, g.shape).reshape(-1, conc.shape[-1])
-    for _ in range(_MAX_RESAMPLE):
-        s = flat_g.sum(axis=-1)
-        bad = (s <= 0.0) | (flat_g.max(axis=-1) >= s * (1.0 - SIMPLEX_EPS))
-        if not bad.any():
-            break
-        flat_g[bad] = rng.standard_gamma(flat_c[bad])
-    s = flat_g.sum(axis=-1, keepdims=True)
+    s = g.sum(axis=-1, keepdims=True)
     s[s <= 0.0] = 1.0
-    a = flat_g / s
-    a = np.clip(a, SIMPLEX_EPS, 1.0 - SIMPLEX_EPS)
+    a = np.clip(g / s, SIMPLEX_EPS, 1.0 - SIMPLEX_EPS)
     a /= a.sum(axis=-1, keepdims=True)
-    return a.reshape(g.shape)
+    return a
 
 
 def _beta_pdf_data(x, a, b):

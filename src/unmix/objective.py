@@ -223,11 +223,11 @@ def sparsity_penalty(gamma_u: Tensor, gamma_s: Tensor, tau: float) -> Tensor:
 
 
 def fnn_norm(net) -> Tensor:
-    """Network norm: sum over layers of ||W||_F + ||b||_2."""
-    total = dc.constant(0.0)
-    for w, b in zip(net.weights, net.biases):
-        total = total + dc.l2norm(w) + dc.l2norm(b)
-    return total
+    """Network norm: sum over layers of ||W||_F + ||b||_2, summed from the
+    first norm so that no constant 0 enters the graph."""
+    norms = [dc.l2norm(t) for layer in zip(net.weights, net.biases)
+             for t in layer]
+    return sum(norms[1:], norms[0])
 
 
 def network_norm_penalty(theta: GenerativeParams, phi: InferenceParams,

@@ -197,3 +197,32 @@ def changed_entries(path: str, record: dict) -> list[str]:
             old = dict(_leaves(json.load(f)))
     new = dict(_leaves(record))
     return sorted(k for k in old.keys() | new.keys() if old.get(k) != new.get(k))
+
+
+def _is_sha256(value) -> bool:
+    return (isinstance(value, str) and len(value) == 64
+            and all(c in "0123456789abcdef" for c in value))
+
+
+def change_summary(path: str, record: dict) -> str:
+    """``changed_entries`` told for a reader: one line with the count of
+    moved entries per top-level key that moved (``losses 3/3,
+    grads_sha256 150/153``), then a line ``name: old -> new`` for each
+    moved entry that is not a sha256 digest; "no change" if none moved."""
+    old = {}
+    if os.path.exists(path):
+        with open(path) as f:
+            old = json.load(f)
+    changed = set(changed_entries(path, record))
+    counts = []
+    for key in sorted(old.keys() | record.keys()):
+        names = {name for side in (old, record) if key in side
+                 for name, _ in _leaves(side[key], key)}
+        if names & changed:
+            counts.append(f"{key} {len(names & changed)}/{len(names)}")
+    old_leaves, new_leaves = dict(_leaves(old)), dict(_leaves(record))
+    values = [f"{name}: {old_leaves.get(name)} -> {new_leaves.get(name)}"
+              for name in sorted(changed)
+              if not (_is_sha256(old_leaves.get(name))
+                      or _is_sha256(new_leaves.get(name)))]
+    return "\n".join([", ".join(counts)] + values) if changed else "no change"

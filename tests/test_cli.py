@@ -1516,10 +1516,10 @@ class TestPeakMemory:
         assert peaks[1] <= 1.1 * peaks[0], peaks
 
     @pytest.mark.parametrize("kind", ["dc1", "dc2"])
-    def test_generate_peak_grows_by_at_most_two_cubes(self, tmp_path, kind):
-        """``generate`` holds the clean cube whole, and its square for the
-        noise power, but dc2's (N, P, L) stack and the noisy pixels only a
-        block at a time."""
+    def test_generate_peak_grows_by_at_most_one_cube(self, tmp_path, kind):
+        """``generate`` holds the clean cube whole, but not its square for
+        the noise power, and dc2's (N, P, L) stack and the noisy pixels
+        only a block at a time."""
         peaks, cubes = [], []
         for blocks in (4, 16):
             peaks.append(_traced_peak([
@@ -1527,7 +1527,7 @@ class TestPeakMemory:
                 "--width", str(dt.ROW_BLOCK), "--height", str(blocks),
                 "--bands", str(BIG_BANDS), "--endmembers", str(BIG_P)]))
             cubes.append(8 * blocks * dt.ROW_BLOCK * BIG_BANDS)
-        assert peaks[1] - peaks[0] <= 1.1 * 2 * (cubes[1] - cubes[0]), peaks
+        assert peaks[1] - peaks[0] <= 1.25 * (cubes[1] - cubes[0]), peaks
 
     def test_eval_peak_does_not_grow_with_the_scene(self, tmp_path):
         """``eval`` reads the endmember stacks, the cube and the

@@ -99,7 +99,8 @@ def test_dc2_blocks_equal_the_whole_scene_formulas(scene_parts, variability):
         want = np.clip(library * (1.0 + (s - 1.0) * envelope), 0.0, 1.0)
     assert np.concatenate(stack).tobytes() == want.tobytes()
     clean = np.einsum("npl,np->nl", want, maps)
-    sigma = np.sqrt(np.mean(clean ** 2) / dt.noise_power_ratio(25.0))
+    power = np.einsum("ij,ij->", clean, clean) / clean.size
+    sigma = np.sqrt(power / dt.noise_power_ratio(25.0))
     noisy = clean + sigma * noise_rng.standard_normal(clean.shape)
     assert np.concatenate(pixels).tobytes() == noisy.tobytes()
 

@@ -11,7 +11,7 @@ alter them re-records the file with
 
     PYTHONPATH=src python tests/test_golden_cli.py
 
-which prints the entries that differ from the file it overwrites.
+which prints the files whose digest differs from the file it overwrites.
 
 Every ``.json``/``.raw`` pair the pipeline writes is a ``container``, and
 a wrong ``dtype``, an unknown ``format`` or a payload one value short in
@@ -27,7 +27,7 @@ import sys
 
 import pytest
 
-from conftest import changed_entries
+from conftest import change_summary, changed_entries
 from unmix import cli
 from unmix import container as ct
 from unmix import evaluation as ev
@@ -191,13 +191,25 @@ def test_changed_entries_name_what_a_re_record_moves(tmp_path):
     assert changed_entries(str(tmp_path / "none.json"), {"a": 1}) == ["a"]
 
 
+def test_change_summary_counts_moved_entries_per_top_level_key(tmp_path):
+    path = tmp_path / "golden.json"
+    sha = ["0" * 64, "1" * 64, "2" * 64]
+    path.write_text(json.dumps({"losses": [1.0, 2.0], "sha": sha[:2],
+                                "same": [3]}))
+    assert change_summary(str(path), {"losses": [1.0, 2.5],
+                                      "sha": sha[1:], "same": [3]}) == (
+        "losses 1/2, sha 2/2\nlosses[1]: 2.0 -> 2.5")
+    assert change_summary(str(path), json.loads(path.read_text())) == (
+        "no change")
+
+
 if __name__ == "__main__":
     import tempfile
     with tempfile.TemporaryDirectory() as tmp:
         rec = digests(tmp)
-    changed = changed_entries(GOLDEN, rec)
+    summary = change_summary(GOLDEN, rec)
     with open(GOLDEN, "w") as f:
         json.dump(rec, f, indent=1, sort_keys=True)
         f.write("\n")
-    print(f"wrote {GOLDEN} ({len(rec)} files); changed: "
-          f"{', '.join(changed) or 'no change'}", file=sys.stderr)
+    print(f"wrote {GOLDEN} ({len(rec)} files); changed: {summary}",
+          file=sys.stderr)

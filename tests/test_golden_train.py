@@ -8,7 +8,8 @@ unchanged; a change meant to alter them re-records the file with
 
     PYTHONPATH=src python tests/test_golden_train.py
 
-which prints the entries that differ from the file it overwrites.
+which prints, per top-level key, how many entries differ from the file
+it overwrites, then the old and new value of each moved loss.
 """
 
 import hashlib
@@ -18,7 +19,7 @@ import sys
 
 import numpy as np
 
-from conftest import changed_entries
+from conftest import change_summary
 from unmix import diffcore as dc
 from unmix import objective as ob
 from unmix.inference import model_parameters
@@ -98,9 +99,9 @@ if __name__ == "__main__":
     import tempfile
     with tempfile.TemporaryDirectory() as tmp:
         rec = record(tmp)
-    changed = changed_entries(GOLDEN, rec)
+    summary = change_summary(GOLDEN, rec)
     with open(GOLDEN, "w") as f:
         json.dump(rec, f, indent=1, sort_keys=True)
         f.write("\n")
     print(f"wrote {GOLDEN} ({len(rec['losses'])} steps); changed: "
-          f"{', '.join(changed) or 'no change'}", file=sys.stderr)
+          f"{summary}", file=sys.stderr)
