@@ -139,9 +139,10 @@ def synth_abundance_maps(width: int, height: int, n_endmembers: int,
     """Piecewise-constant Voronoi label maps softened by a spatial blur.
 
     3P seeds, each endmember labelling at least one.  Returns (N, P)
-    simplex rows; region interiors stay pure, boundaries mix.
+    simplex rows; region interiors stay pure, boundaries mix.  The blur is
+    ``_blur_nearest``, bitwise equal to ``scipy.ndimage.gaussian_filter(
+    map, ABUNDANCE_BLUR_SIGMA, mode="nearest")`` of each label map.
     """
-    from scipy.ndimage import gaussian_filter
     P = n_endmembers
     n_regions = 3 * P
     seeds = rng.uniform([0.0, 0.0], [height, width], size=(n_regions, 2))
@@ -152,13 +153,33 @@ def synth_abundance_maps(width: int, height: int, n_endmembers: int,
           + (xx[..., None] - seeds[:, 1]) ** 2)
     region = labels[np.argmin(d2, axis=-1)]
     onehot = np.eye(P)[region]                       # (H, W, P)
-    blurred = np.stack([gaussian_filter(onehot[..., k],
-                                        ABUNDANCE_BLUR_SIGMA,
-                                        mode="nearest")
-                        for k in range(P)], axis=-1)
-    blurred = np.clip(blurred, 0.0, None)
+    blurred = np.clip(_blur_nearest(onehot, ABUNDANCE_BLUR_SIGMA), 0.0, None)
     blurred /= blurred.sum(axis=-1, keepdims=True)
     return blurred.reshape(height * width, P)
+
+
+def _blur_nearest(a: np.ndarray, sigma: float) -> np.ndarray:
+    """Gaussian blur of (H, W, ...) ``a`` along axis 0 and then axis 1,
+    edges extended by their nearest row, all trailing channels at once.
+
+    It repeats scipy's ``gaussian_filter`` operation for operation, so the
+    bytes match without importing scipy (the import costs more than all of
+    ``generate``): the kernel's formula and radius ``int(4 sigma + 0.5)``,
+    and ``NI_Correlate1D``'s symmetric sum, the centre tap first and then
+    each pair of taps from the outermost in.
+    """
+    r = int(4.0 * sigma + 0.5)
+    x = np.arange(-r, r + 1)
+    w = np.exp(-0.5 / (sigma * sigma) * x ** 2)
+    w = w / w.sum()
+    for _ in range(2):               # axis 0, then axis 1 (swapped to 0)
+        n = len(a)
+        p = np.concatenate([a[:1].repeat(r, 0), a, a[-1:].repeat(r, 0)])
+        out = p[r:r + n] * w[r]
+        for j in range(r, 0, -1):
+            out += (p[r - j:r - j + n] + p[r + j:r + j + n]) * w[r - j]
+        a = out.swapaxes(0, 1)
+    return a
 
 
 def check_simplex(A: np.ndarray, row: str = "abundance row"):

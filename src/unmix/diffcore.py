@@ -623,10 +623,6 @@ class ParamArena:
         return {name: flat[start:stop].reshape(shape)
                 for name, start, stop, shape in self._spans}
 
-    def snapshot(self) -> dict[str, np.ndarray]:
-        """Name -> view of one copy of the current values."""
-        return self.views(self.values.copy())
-
 
 # Adam's decay rates and denominator offset (Kingma & Ba's defaults).
 ADAM_BETA1 = 0.9

@@ -321,7 +321,9 @@ def train(d_u: np.ndarray, d_s, config: TrainConfig, seed: int, *,
             map(order_rng.permutation, itertools.repeat(len(y_s)))))
     n_u = len(d_u)
     history: list[EpochStats] = []
-    last_good = arena.snapshot()
+    # one copy of the values at the last epoch end, refreshed in place
+    saved = arena.values.copy()
+    last_good = arena.views(saved)
     last_epoch = start_epoch - 1
 
     for epoch in range(start_epoch, start_epoch + config.max_epochs):
@@ -355,7 +357,7 @@ def train(d_u: np.ndarray, d_s, config: TrainConfig, seed: int, *,
         means = dict(zip(_LOSS_TERMS, (sums / n_steps).tolist()))
         stats = EpochStats(epoch=epoch, lr=lr, **means)
         history.append(stats)
-        last_good = arena.snapshot()
+        np.copyto(saved, arena.values)
         last_epoch = epoch
         if len(history) >= 2:
             prev, cur = history[-2].total, history[-1].total

@@ -36,6 +36,40 @@ def dc2_scene(maps, library, variability, snr_db, rng):
     return np.concatenate(pixels), np.concatenate(stack)
 
 
+def _scipy_blur(onehot, sigma):
+    """The blur as ``synth_abundance_maps`` once ran it: scipy's
+    ``gaussian_filter`` of each label map."""
+    from scipy.ndimage import gaussian_filter
+    return np.stack([gaussian_filter(onehot[..., k], sigma, mode="nearest")
+                     for k in range(onehot.shape[-1])], axis=-1)
+
+
+@pytest.mark.parametrize("width, height", [(1, 1), (1, 9), (9, 1), (4, 4),
+                                           (37, 29), (100, 100)])
+def test_abundance_maps_equal_the_scipy_blur_bitwise(monkeypatch, width,
+                                                     height):
+    """``synth_abundance_maps`` writes the bytes it wrote with scipy's blur,
+    and the blur matches scipy on arbitrary values too."""
+    calls = []
+
+    def scipy_blur(onehot, sigma):
+        calls.append(sigma)
+        return _scipy_blur(onehot, sigma)
+    for seed in range(4):
+        for n_em in (2, 5):
+            maps = dt.synth_abundance_maps(width, height, n_em,
+                                           np.random.default_rng(seed))
+            with monkeypatch.context() as m:
+                m.setattr(dt, "_blur_nearest", scipy_blur)
+                ref = dt.synth_abundance_maps(width, height, n_em,
+                                              np.random.default_rng(seed))
+            assert maps.tobytes() == ref.tobytes(), (seed, n_em)
+        x = np.random.default_rng(seed).standard_normal((height, width, 3))
+        assert (dt._blur_nearest(x, dt.ABUNDANCE_BLUR_SIGMA).tobytes()
+                == _scipy_blur(x, dt.ABUNDANCE_BLUR_SIGMA).tobytes()), seed
+    assert calls == [dt.ABUNDANCE_BLUR_SIGMA] * 8
+
+
 def test_library_is_p_rows_of_l_bands(scene_parts):
     library, _ = scene_parts
     assert library.shape == (P, L)

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -750,3 +751,54 @@ class TestTrain:
             ob.train(d_u, d_s, cfg, seed=0, latent_dim=2, lista_layers=4)
         assert exc_info.value.epoch is not None
         assert exc_info.value.batch is not None
+
+    def test_last_good_is_the_last_finished_epoch(self, monkeypatch):
+        """A step that fails in epoch 1, after one step of that epoch has
+        moved the parameters, reports the values at the end of epoch 0."""
+        d_u, d_s = self._toy_data()
+        cfg = ob.TrainConfig(max_epochs=2, batch_size=16, rel_stop_tol=-1.0)
+        theta, phi, _ = ob.train(d_u, d_s, ob.TrainConfig(
+            max_epochs=1, batch_size=16), seed=3, latent_dim=2,
+            lista_layers=4)
+        epoch0 = {n: t.data.copy()
+                  for n, t in model_parameters(theta, phi).items()}
+        backward, calls = ob.backward, []
+
+        def fail_in_epoch_1(loss, params):
+            calls.append(None)
+            if len(calls) == 6:      # epoch 1, batch 1 (4 steps an epoch)
+                raise TrainingError("objective diverged")
+            return backward(loss, params)
+        monkeypatch.setattr(ob, "backward", fail_in_epoch_1)
+        with pytest.raises(TrainingError) as info:
+            ob.train(d_u, d_s, cfg, seed=3, latent_dim=2, lista_layers=4)
+        assert (info.value.epoch, info.value.batch) == (1, 1)
+        assert info.value.last_epoch == 0
+        assert info.value.last_good.keys() == epoch0.keys()
+        for name, a in epoch0.items():
+            assert info.value.last_good[name].tobytes() == a.tobytes(), name
+
+    def test_peak_holds_one_last_good_copy(self):
+        """A 2-epoch run on the bench's 224 bands and P = 5 holds the
+        values, gradient, two Adam moments and one last-good copy, each
+        the arena's size, and only a step's worth more: the peak stays
+        below 5.75 arena-sized buffers (two last-good copies read 6.01)."""
+        import scipy.linalg.blas, scipy.special  # noqa: E401, F401
+        bands, n_em = 224, 5
+        r = np.random.default_rng(0)
+        m = r.uniform(0.2, 0.8, (n_em, bands))
+        a = r.dirichlet(np.ones(n_em), size=16)
+        y = a @ m + 0.01 * r.standard_normal((16, bands))
+        d_s = (m.copy(), np.eye(n_em), np.stack([m] * n_em))
+        theta, phi = init_model(bands, n_em, 2, 11, np.random.default_rng(0))
+        arena_bytes = sum(t.data.nbytes for t in
+                          model_parameters(theta, phi).values())
+        theta = phi = None
+        cfg = ob.TrainConfig(max_epochs=2, batch_size=16, rel_stop_tol=-1.0)
+        tracemalloc.start()
+        try:
+            ob.train(y, d_s, cfg, seed=0, latent_dim=2, lista_layers=11)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5.75 * arena_bytes, peak / arena_bytes
