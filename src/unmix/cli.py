@@ -14,8 +14,8 @@ keeps the pin too.  ``eval``'s scores of the estimates are the same on any
 thread count.
 
 scipy is imported in the functions that call it, so each command loads
-only its own: ``train`` ``scipy.special`` and ``scipy.linalg``, ``eval``
-``scipy.optimize``, and ``generate``, ``selfsup`` and ``unmix`` none.
+only its own: ``train`` ``scipy.special`` and ``scipy.linalg``, and
+``generate``, ``selfsup``, ``unmix`` and ``eval`` none.
 
 Exit codes: 0 ok, 2 input error (a path that cannot be read or written
 included), 3 numeric/training error.

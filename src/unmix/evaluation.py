@@ -6,7 +6,8 @@ the angles between each true endmember and its aligned estimate; and the
 nonlinearity degree compares the norms of the two abundance-concentration
 streams.  Estimated endmembers, the VCA references of ``cli eval``'s FCLS
 baseline among them, are aligned to ground truth by the angle-minimizing
-assignment before any metric is computed.
+assignment before any metric is computed, solved exactly in this module
+(importing ``scipy.optimize`` cost more than scoring a 10k-pixel scene).
 
 Every score is a streaming sum over fixed blocks of ``ROW_BLOCK`` rows
 counted from row 0.  An input is a row source: an array, or a
@@ -208,11 +209,15 @@ def _column_norms(block: np.ndarray, start: int, label: str) -> np.ndarray:
 
     An endmember holding a NaN or an infinity has a non-finite norm, so
     only a block with such a norm is searched for the value, in (pixel,
-    endmember, band) order.
+    endmember, band) order.  If the search finds none, the squares of
+    finite values overflowed, and that is a ``DomainError``: every norm
+    returned is finite, and so is every angle taken from them.
     """
     norms = np.sqrt(np.einsum("bpl,bpl->bp", block, block))
-    if not np.isfinite(norms).all():   # finds none if the squares overflowed
+    if not np.isfinite(norms).all():
         _check_finite(label, "endmembers", block, None, start)
+        raise DomainError(f"{label}: an endmember norm overflows in the "
+                          f"block from pixel {start}")
     return norms
 
 
@@ -234,6 +239,44 @@ def _alignment_cost(mt, mh) -> np.ndarray:
     return total / n
 
 
+def _min_cost_assignment(cost: np.ndarray) -> np.ndarray:
+    """Columns perm of a least-total assignment of the finite square
+    ``cost``, row i to column perm[i].
+
+    Shortest augmenting paths, the method of scipy's
+    ``linear_sum_assignment`` (Crouse, IEEE TAES 52(4), 2016): each row
+    joins along the cheapest alternating path over the reduced costs
+    cost[i, j] - u[i] - v[j], which the potentials u and v keep
+    non-negative.  O(P^3).
+    """
+    p = len(cost)
+    u, v = np.zeros(p), np.zeros(p + 1)
+    row_of = np.full(p + 1, -1)       # column p is the path's root
+    for i in range(p):
+        row_of[p], col = i, p
+        dist, prev = np.full(p, np.inf), np.full(p, p)
+        done = np.zeros(p + 1, dtype=bool)
+        while row_of[col] != -1:      # until the path reaches a free column
+            done[col] = True
+            r = row_of[col]
+            reduced = cost[r] - u[r] - v[:p]
+            closer = ~done[:p] & (reduced < dist)
+            dist[closer], prev[closer] = reduced[closer], col
+            todo = np.flatnonzero(~done[:p])
+            nxt = todo[dist[todo].argmin()]
+            delta = dist[nxt]
+            u[row_of[done]] += delta
+            v[done] -= delta
+            dist[todo] -= delta
+            col = nxt
+        while col != p:               # flip the path's columns
+            row_of[col] = row_of[prev[col]]
+            col = prev[col]
+    perm = np.empty(p, dtype=np.intp)
+    perm[row_of[:p]] = np.arange(p)
+    return perm
+
+
 def align_endmembers(m_true, m_hat) -> tuple[np.ndarray, np.ndarray]:
     """Endmember permutation of the estimate minimizing total mean angle.
 
@@ -241,12 +284,13 @@ def align_endmembers(m_true, m_hat) -> tuple[np.ndarray, np.ndarray]:
     ``(perm, cost)``: ``perm`` such that estimate endmember perm[j] matches
     true endmember j, and the (P, P) matrix of mean angles, true endmember
     i against estimate j, whose entries (j, perm[j]) sum to the least
-    total.
+    total.  ``_min_cost_assignment`` solves the assignment exactly; on
+    ties any optimal permutation may be returned.  It needs a finite
+    cost, and gets one: ``_column_norms`` passes only finite norms and
+    ``_alignment_cost`` only nonzero ones, so every angle is in [0, pi].
     """
-    from scipy.optimize import linear_sum_assignment
     cost = _alignment_cost(*_stack_pair(m_true, m_hat))
-    # a square cost's row indices come back as 0..P-1, so the columns are perm
-    return linear_sum_assignment(cost)[1], cost
+    return _min_cost_assignment(cost), cost
 
 
 @dataclass

@@ -1480,9 +1480,6 @@ BIG_BANDS, BIG_P = 224, 5
 
 
 def _traced_peak(argv) -> int:
-    # the commands import scipy where they call it; loading it here keeps
-    # a cold first run from counting the import in its peak
-    import scipy.optimize  # noqa: F401
     tracemalloc.start()
     try:
         assert cli.main(argv) == 0
@@ -1680,11 +1677,13 @@ class TestColdStart:
         assert {"special", "linalg"} <= loaded
         assert not loaded & {"optimize", "ndimage"}, loaded
 
-    def test_eval_loads_optimize(self, scene, tmp_path):
+    def test_eval_loads_no_scipy(self, scene, tmp_path):
         est = _unmix(scene, "cold_est")
-        assert "optimize" in _cold_start([
-            "eval", os.path.dirname(scene["cube"]), est,
-            str(tmp_path / "report.csv")])["scipy"]
+        args = ["eval", os.path.dirname(scene["cube"]), est,
+                str(tmp_path / "report.csv")]
+        assert _cold_start(args)["scipy"] == []
+        assert _cold_start(args + ["--baseline", "fcls",
+                                   "--seed", "0"])["scipy"] == []
 
     @pytest.mark.skipif(not os.path.exists("/proc/self/status"),
                         reason="thread count is read from /proc")

@@ -83,6 +83,43 @@ class TestAlignEndmembers:
         with pytest.raises(DomainError):
             ev.align_endmembers(m_true, m_hat)
 
+    @pytest.mark.parametrize("which", ["truth", "estimate"])
+    def test_overflowing_norm_rejected(self, rng, which):
+        """Finite endmembers whose squares overflow have no angle to score:
+        a ``DomainError``, not the pi/2 (or NaN) that an infinite norm
+        gives."""
+        stacks = {k: rng.uniform(0.1, 0.9, (3, 2, 6))
+                  for k in ("truth", "estimate")}
+        stacks[which][1, 0, :] *= 1e160
+        with pytest.raises(DomainError, match=f"{which}: .* overflows"):
+            ev.align_endmembers(stacks["truth"], stacks["estimate"])
+
+
+class TestMinCostAssignment:
+    """The in-module solver against ``linear_sum_assignment`` and against
+    exhaustive search."""
+
+    @pytest.mark.parametrize("p", range(1, 13))
+    def test_same_columns_as_scipy(self, p):
+        rng = np.random.default_rng(3300 + p)
+        for trial in range(200):
+            cost = rng.random((p, p)) * 10.0 ** rng.uniform(-3.0, 3.0)
+            np.testing.assert_array_equal(
+                ev._min_cost_assignment(cost), linear_sum_assignment(cost)[1],
+                err_msg=f"trial {trial}")
+
+    @pytest.mark.parametrize("p", range(1, 8))
+    def test_tie_heavy_total_equals_the_exhaustive_minimum(self, p):
+        rng = np.random.default_rng(3400 + p)
+        perms = np.array(list(itertools.permutations(range(p))))
+        for trial in range(100):
+            cost = rng.integers(0, 1 + trial % 3, (p, p)).astype(np.float64)
+            perm = ev._min_cost_assignment(cost)
+            np.testing.assert_array_equal(np.sort(perm), np.arange(p))
+            # integer entries: every total is exact
+            assert (cost[np.arange(p), perm].sum()
+                    == cost[np.arange(p), perms].sum(axis=1).min()), trial
+
 
 class TestNonlinearityDegree:
     def test_norm_share_and_zero_streams(self):
