@@ -517,7 +517,8 @@ class MlpParams:
     ``weights[i]`` has shape (widths[i+1], widths[i]) and ``biases[i]``
     (widths[i+1],); a bank stacks its P networks' along a leading axis,
     (P, widths[i+1], widths[i]) and (P, widths[i+1]).  Activations are one
-    of relu | sigmoid | linear, one tag per weight layer.
+    of relu | sigmoid | linear, one tag per weight layer.  The arena and
+    the checkpoint hold the weights, then the biases, in field order.
     """
 
     widths: list[int]
@@ -548,12 +549,6 @@ class MlpParams:
         biases = [values.value(f"{name}.b{i}", np.zeros(lead + (n_out,)))
                   for i, (n_out, _) in enumerate(shapes)]
         return cls(list(widths), weights, biases, list(activations))
-
-    def named_parameters(self) -> dict[str, Tensor]:
-        out = {}
-        for t in (*self.weights, *self.biases):
-            out[t.name] = t
-        return out
 
 
 def mlp_forward(params: MlpParams, x) -> Tensor:

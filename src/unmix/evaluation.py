@@ -26,7 +26,9 @@ for nrmse_m, as ``nrmse`` sums any two row sources.  Only a block whose
 norms or sums are not finite is searched for a NaN or an infinity, so no
 input needs a pass of its own to be checked; ``data``'s bundle check
 reports the first, naming a bundle on disk by its path and an array by
-its role (``truth``, ``estimate``, ``cube`` or ``reconstruction``).
+its role (``truth``, ``estimate``, ``cube`` or ``reconstruction``); if
+there is none, the squares of finite values overflowed, a ``DomainError``.
+``report.csv``'s columns are the fields of ``MetricsReport``.
 
 Sums of squares are taken by numpy's own einsum loop within a block and
 in block order across blocks, and the cross products by one BLAS call per
@@ -44,7 +46,7 @@ import csv
 import io
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -62,7 +64,8 @@ def nrmse(x, x_hat, name: str = "pixels", roles=("truth", "estimate")):
     or more, summed over blocks of ``ROW_BLOCK`` rows; a NaN or an
     infinity is reported as a value of the array ``name`` of its source,
     an array source named by its entry of ``roles`` (see the module
-    docstring)."""
+    docstring), and finite values whose squares overflow are a
+    ``DomainError``."""
     x, x_hat = _source(x), _source(x_hat)
     if x.shape != x_hat.shape:
         raise InputError(f"shape mismatch: {x.shape} vs {x_hat.shape}")
@@ -179,8 +182,8 @@ def _residual_sums(x, x_hat, name: str, perm: np.ndarray | None = None,
                    roles=("truth", "estimate")) -> tuple[float, float]:
     """(sum (x - x_hat)^2, sum x^2) of two row sources of one shape, block
     by block, with the second axis of ``x_hat`` taken in the order ``perm``
-    (as it is for None).  A block whose sums are not finite is searched,
-    ``x`` first, as ``nrmse`` says.
+    (as it is for None).  A block whose sums are not finite fails
+    ``_overflow_guard``, ``x`` searched first.
     """
     labels = [_label(src, role) for src, role in zip((x, x_hat), roles)]
     num = den = 0.0
@@ -190,8 +193,7 @@ def _residual_sums(x, x_hat, name: str, perm: np.ndarray | None = None,
             h = h[:, perm]
         block_num, block_den = _sum_squares(t - h), _sum_squares(t)
         if not math.isfinite(block_num + block_den):
-            for label, block in zip(labels, (t, h)):
-                _check_finite(label, name, block, None, rows.start)
+            _overflow_guard(name, rows.start, *zip(labels, (t, h)))
         num += block_num
         den += block_den
     return num, den
@@ -203,21 +205,27 @@ def _ratio(num: float, den: float) -> float:
     return math.sqrt(num) / math.sqrt(den)
 
 
+def _overflow_guard(name: str, start: int, *labelled):
+    """Fail for a block from pixel ``start`` whose sums of squares are not
+    finite: ``_check_finite``'s error for the first NaN or infinity of the
+    (label, block) pairs ``labelled``, searched in order, or if there is
+    none, the squares of finite values overflowed, a ``DomainError``."""
+    for label, block in labelled:
+        _check_finite(label, name, block, None, start)
+    labels = " and ".join(label for label, _ in labelled)
+    raise DomainError(f"{labels}: a sum of squares of {name} overflows in "
+                      f"the block from pixel {start}")
+
+
 def _column_norms(block: np.ndarray, start: int, label: str) -> np.ndarray:
     """(B, P) norms of the endmembers of the (B, P, L) block from pixel
-    ``start`` of the stack ``label``.
-
-    An endmember holding a NaN or an infinity has a non-finite norm, so
-    only a block with such a norm is searched for the value, in (pixel,
-    endmember, band) order.  If the search finds none, the squares of
-    finite values overflowed, and that is a ``DomainError``: every norm
-    returned is finite, and so is every angle taken from them.
+    ``start`` of the stack ``label``, every one finite: a block with a
+    norm that is not fails ``_overflow_guard``, so every angle taken from
+    them is finite too.
     """
     norms = np.sqrt(np.einsum("bpl,bpl->bp", block, block))
     if not np.isfinite(norms).all():
-        _check_finite(label, "endmembers", block, None, start)
-        raise DomainError(f"{label}: an endmember norm overflows in the "
-                          f"block from pixel {start}")
+        _overflow_guard("endmembers", start, (label, block))
     return norms
 
 
@@ -307,18 +315,16 @@ class Estimates:
 
 @dataclass
 class MetricsReport:
-    """Error metrics; fields are None when their ground truth is absent."""
+    """Error metrics, the mean nonlinearity degree and the runtime; a field
+    is None when its ground truth or estimate is absent.  The fields, in
+    order, are ``report.csv``'s columns."""
 
     nrmse_a: float | None = None
     nrmse_m: float | None = None
     sam_m: float | None = None
     nrmse_y: float | None = None
-    eta_d_map: np.ndarray | None = None
+    eta_d_mean: float | None = None
     runtime_s: float = 0.0
-
-    @property
-    def eta_d_mean(self) -> float | None:
-        return None if self.eta_d_map is None else float(np.mean(self.eta_d_map))
 
 
 def evaluate(cube, truth, estimates: Estimates) -> MetricsReport:
@@ -334,10 +340,12 @@ def evaluate(cube, truth, estimates: Estimates) -> MetricsReport:
     reconstruction once.  Besides arrays of a few numbers per pixel,
     scoring holds one block of each input at a time, and no array of
     (N, P, P) angles.  The rounding of every score depends on
-    ``ROW_BLOCK``, not on the BLAS thread count.
+    ``ROW_BLOCK``, not on the BLAS thread count.  eta_d_mean is the mean
+    of ``estimates.eta_d``.
     """
-    report = MetricsReport(eta_d_map=estimates.eta_d,
-                           runtime_s=estimates.runtime_s)
+    report = MetricsReport(runtime_s=estimates.runtime_s)
+    if estimates.eta_d is not None:
+        report.eta_d_mean = float(np.mean(estimates.eta_d))
     a_hat = np.asarray(estimates.abundances, dtype=np.float64)
     m_hat, truth_m = estimates.endmembers, truth.endmembers
 
@@ -359,9 +367,7 @@ def evaluate(cube, truth, estimates: Estimates) -> MetricsReport:
     return report
 
 
-# Each column is the ``MetricsReport`` attribute of its name.
-_CSV_COLUMNS = ["nrmse_a", "nrmse_m", "sam_m", "nrmse_y", "eta_d_mean",
-                "runtime_s"]
+_CSV_COLUMNS = [f.name for f in fields(MetricsReport)]
 
 
 def _cell(value) -> str:

@@ -45,7 +45,8 @@ def decoder_widths(n_bands: int, latent_dim: int) -> list[int]:
 
 @dataclass
 class GenerativeParams:
-    """Parameters of the mixing model (decoder bank, spreads, nonlinear net)."""
+    """Parameters of the mixing model (decoder bank, spreads, nonlinear net),
+    in fields whose order is the arena's and the checkpoint's array order."""
 
     em_decoder: MlpParams       # a bank of P decoders
     em_log_scale: Tensor        # (P,)
@@ -78,13 +79,6 @@ class GenerativeParams:
         nlin = MlpParams.create(mix_widths, mix_acts, values, "gen.nlin_mixing")
         obs = values.value("gen.obs_log_scale", np.log(INIT_OBS_SCALE))
         return cls(decoder, log_scale, nlin, obs)
-
-    def named_parameters(self) -> dict[str, Tensor]:
-        out = self.em_decoder.named_parameters()
-        out[self.em_log_scale.name] = self.em_log_scale
-        out.update(self.nlin_mixing.named_parameters())
-        out[self.obs_log_scale.name] = self.obs_log_scale
-        return out
 
     def em_scale(self) -> Tensor:
         """Isotropic band spreads of the P endmembers, (P,): one scalar per

@@ -25,7 +25,7 @@ model every output can differ on 1 and 2 threads), not on memory layout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 
 import numpy as np
 
@@ -71,7 +71,8 @@ class ListaParams:
     Of the stream's ``n_layers`` layers, the first is the least-squares warm
     start, the last the uncertainty scaling, and each of the n_layers - 2
     between them a shrinkage step with its own step size in
-    ``log_eta_steps``; a stream of 1 or 2 layers has no step.
+    ``log_eta_steps``; a stream of 1 or 2 layers has no step.  Field order
+    is the arena's and the checkpoint's array order.
     """
 
     n_layers: int
@@ -88,19 +89,14 @@ class ListaParams:
                    values.value("inf.lista.log_eta_sp", np.log(INIT_ETA_SPARSE)),
                    values.value("inf.lista.log_eta_unc", np.log(INIT_ETA_UNC)))
 
-    def named_parameters(self) -> dict[str, Tensor]:
-        out = {t.name: t for t in self.log_eta_steps}
-        out[self.log_eta_sparse.name] = self.log_eta_sparse
-        out[self.log_eta_unc.name] = self.log_eta_unc
-        return out
-
 
 @dataclass
 class InferenceParams:
     """Parameters of q(Z | y) and q(a | y, M).
 
     q(M | Z) has none of its own: it is theta's decoder bank, which every
-    function that draws from the posterior takes as ``theta``.
+    function that draws from the posterior takes as ``theta``.  Field
+    order is the arena's and the checkpoint's array order, after theta's.
     """
 
     z_trunk: MlpParams
@@ -145,15 +141,6 @@ class InferenceParams:
                                 ["relu"] * 4 + ["linear"], values,
                                 "inf.nlin_encoder")
         return cls(trunk, mean_head, scale_head, lista, nlin)
-
-    def named_parameters(self) -> dict[str, Tensor]:
-        out: dict[str, Tensor] = {}
-        out.update(self.z_trunk.named_parameters())
-        out.update(self.z_mean_head.named_parameters())
-        out.update(self.z_scale_head.named_parameters())
-        out.update(self.lista.named_parameters())
-        out.update(self.nlin_encoder.named_parameters())
-        return out
 
 
 @dataclass
@@ -328,9 +315,20 @@ def init_model(n_bands: int, n_endmembers: int, latent_dim: int,
     return theta, phi
 
 
-def model_parameters(theta: GenerativeParams,
-                     phi: InferenceParams) -> dict[str, Tensor]:
-    """All trainable tensors, theta's then phi's."""
-    params = theta.named_parameters()
-    params.update(phi.named_parameters())
-    return params
+def _tensors(value):
+    if isinstance(value, Tensor):
+        yield value
+    elif isinstance(value, list):
+        for item in value:
+            yield from _tensors(item)
+    elif is_dataclass(value):
+        yield from _tensors([getattr(value, f.name) for f in fields(value)])
+
+
+def model_parameters(*holders) -> dict[str, Tensor]:
+    """The tensors of the parameter dataclasses ``holders``, keyed by name:
+    theta's then phi's for ``model_parameters(theta, phi)``.  One walk of
+    the fields, in field order and into lists and nested dataclasses, sets
+    the arena's and the checkpoint's array order; ints and strings such as
+    ``widths`` are skipped."""
+    return {t.name: t for t in _tensors(list(holders))}

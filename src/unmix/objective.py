@@ -161,12 +161,15 @@ def importance_weights(em_matrix: np.ndarray, z, theta: GenerativeParams
     ``em_matrix``: (..., P, L) observed data; ``z``: the latent codes,
     (P, ..., K, H).  log w_i is the sum over endmembers of
     log N(m_k; decoder_k(z_ik), scale_k); gradients reach the decoders and
-    flow back through ``z``, while ``em_matrix`` is treated as data.
+    flow back through ``z``, while ``em_matrix`` is treated as data.  A
+    row whose K log-weights are all non-finite is a ``NumericError``.
     """
     m = dc.constant(np.moveaxis(em_matrix, -2, 0)[..., None, :])
     log_w = gaussian_logpdf(m, em_decode(z, theta)).sum(axis=0)   # (..., K)
-    if not np.any(np.isfinite(log_w.data)):
-        raise NumericError("all importance weights underflowed")
+    lost = np.argwhere(~np.isfinite(log_w.data).any(axis=-1))
+    if len(lost):
+        raise NumericError(f"importance weights underflowed in row "
+                           f"{lost[0].tolist()}")
     norm = dc.exp(log_w - dc.logsumexp(log_w, axis=-1))
     return ImportanceWeights(log_weights=log_w, normalized=norm)
 

@@ -154,35 +154,6 @@ class TestExitCodes:
         assert base in err and "pixel 13" in err
         assert not os.path.exists(csv)
 
-    @pytest.mark.parametrize("bundle", ["endmembers", "endmembers_est"])
-    def test_non_finite_endmember_exits_2_naming_endmember_and_band(
-            self, scene, tmp_path, capsys, bundle):
-        """``eval`` names a NaN in a dc1 truth's shared (P, L) matrix, or in
-        the estimated (N, P, L) stack, by its bundle, endmember and band, in
-        the words of every bundle reader."""
-        truth, est = str(tmp_path / "dc1"), str(tmp_path / "est")
-        assert cli.main(["generate", "dc1", truth, "--width", str(WIDTH),
-                         "--height", str(HEIGHT), "--bands", str(BANDS),
-                         "--endmembers", str(P)]) == 0
-        assert cli.main(["unmix", os.path.join(truth, "cube"), scene["ckpt"],
-                         est]) == 0
-        base = os.path.join(truth if bundle == "endmembers" else est, bundle)
-        m = dt.load_endmembers(base)
-        if bundle == "endmembers":
-            m[1, 5] = np.nan
-            where = "endmember 1, band 5"
-        else:
-            m[13, 1, 5] = np.nan
-            where = "pixel 13, endmember 1, band 5"
-        dt.save_endmembers(base, m, WIDTH, HEIGHT)
-        csv = str(tmp_path / "report.csv")
-        capsys.readouterr()
-        assert cli.main(["eval", truth, est, csv]) == 2
-        assert capsys.readouterr().err == (f"error: {base}: endmembers has a "
-                                           f"non-finite value (nan) at "
-                                           f"{where}\n")
-        assert not os.path.exists(csv)
-
     @pytest.mark.parametrize("snr", ["inf", "nan", "1e10", "-1e10"])
     def test_unusable_snr_exits_2_before_writing(self, tmp_path, capsys, snr):
         out = tmp_path / "scene"
@@ -246,6 +217,31 @@ class TestExitCodes:
         assert capsys.readouterr().err == (f"error: {base}: endmembers has a "
                                            f"non-finite value (nan) at "
                                            f"{where}\n")
+        assert not os.path.exists(csv)
+
+    def test_overflowing_cube_exits_3_and_writes_no_report(self, scene,
+                                                          tmp_path, capsys):
+        """A finite cube whose squares overflow has no nrmse_y: exit 3
+        naming both bundles, not a report holding ``nan``."""
+        truth, est = str(tmp_path / "dc1"), str(tmp_path / "est")
+        assert cli.main(["generate", "dc1", truth, "--width", str(WIDTH),
+                         "--height", str(HEIGHT), "--bands", str(BANDS),
+                         "--endmembers", str(P)]) == 0
+        assert cli.main(["unmix", os.path.join(truth, "cube"), scene["ckpt"],
+                         est]) == 0
+        cube_base = os.path.join(truth, "cube")
+        cube = dt.load_cube(cube_base)
+        dt.save_cube(cube_base, dt.HyperCube(WIDTH, HEIGHT,
+                                             cube.pixels * 1e160))
+        recon_base = os.path.join(est, "reconstruction")
+        dt.save_cube(recon_base, dt.HyperCube(
+            WIDTH, HEIGHT, np.zeros((WIDTH * HEIGHT, BANDS))))
+        csv = str(tmp_path / "report.csv")
+        capsys.readouterr()
+        assert cli.main(["eval", truth, est, csv]) == 3
+        assert capsys.readouterr().err == (
+            f"error: {cube_base} and {recon_base}: a sum of squares of "
+            f"pixels overflows in the block from pixel 0\n")
         assert not os.path.exists(csv)
 
     @pytest.mark.parametrize("snr", ["inf", "nan", "1e10", "-1e10"])

@@ -11,6 +11,7 @@ from conftest import (fd_param_grads, max_rel_err, make_mlp, one_network,
 from unmix import container as ct
 from unmix import diffcore as dc
 from unmix.errors import BundleError, ContractError, ShapeError, TrainingError
+from unmix.inference import model_parameters
 
 
 # leading axes of an MLP input: a single vector, a batch, a batch of draws
@@ -328,7 +329,7 @@ class TestBackward:
     def test_mlp_matches_finite_differences(self, rng, lead):
         net = make_mlp([4, 6, 3], ["relu", "linear"], seed=11)
         x = rng.standard_normal(lead + (4,))
-        params = net.named_parameters()
+        params = model_parameters(net)
 
         def loss_fn():
             out = dc.mlp_forward(net, x)
@@ -354,7 +355,7 @@ class TestBackward:
     def test_batch_sum_equals_sum_of_per_sample_grads(self, rng):
         net = make_mlp([3, 4, 1], ["relu", "linear"], seed=5)
         X = rng.standard_normal((4, 3))
-        params = net.named_parameters()
+        params = model_parameters(net)
         batch = dc.backward(dc.mlp_forward(net, X).sum(), params)
         acc = {k: np.zeros_like(v) for k, v in batch.items()}
         for x in X:
@@ -366,7 +367,7 @@ class TestBackward:
     def test_3d_input_grads_equal_sum_of_2d_slice_grads(self, rng):
         net = make_mlp([3, 5, 4], ["relu", "sigmoid"], seed=6)
         X = rng.standard_normal((3, 4, 3))
-        params = net.named_parameters()
+        params = model_parameters(net)
 
         def loss(x):
             out = dc.mlp_forward(net, x)
@@ -414,7 +415,7 @@ class TestBackward:
     @pytest.mark.parametrize("packed", [False, True], ids=["own", "arena"])
     def test_only_leaves_keep_grad(self, rng, packed):
         net = make_mlp([3, 4, 2], ["relu", "sigmoid"], seed=3)
-        params = net.named_parameters()
+        params = model_parameters(net)
         if packed:
             dc.ParamArena(params)
         x = dc.constant(rng.standard_normal((5, 3)))
@@ -438,7 +439,7 @@ class TestBackward:
         # order the fresh sum used
         def run(packed):
             net = make_mlp([3, 4, 2], ["relu", "linear"], seed=9)
-            params = net.named_parameters()
+            params = model_parameters(net)
             store = dc.ParamArena(params) if packed else None
             x = dc.constant(np.random.default_rng(5).standard_normal((6, 3)))
             w = net.weights[1]
@@ -621,7 +622,7 @@ def _every_op(x: dc.Tensor, net: dc.MlpParams) -> list[dc.Tensor]:
 
 def _constant_net(net: dc.MlpParams) -> dc.MlpParams:
     """The same network over the same arrays, as constants."""
-    arrays = {n: t.data for n, t in net.named_parameters().items()}
+    arrays = {n: t.data for n, t in model_parameters(net).items()}
     return dc.MlpParams.create(net.widths, net.activations,
                                dc.StoredParams(arrays), "net")
 
@@ -637,7 +638,7 @@ def test_every_op_matches_finite_differences(rng, op):
     ``x`` and the network's parameters."""
     x = dc.parameter(rng.standard_normal((4, 3)), "x")
     net = make_mlp([3, 5, 2], ["relu", "sigmoid"], seed=4)
-    params = {"x": x, **net.named_parameters()}
+    params = {"x": x, **model_parameters(net)}
     out = _every_op(x, net)[op]
     weights = rng.standard_normal(out.data.shape)
 
@@ -917,7 +918,7 @@ class TestHelpersOnPackedParameters:
 
     def test_zero_mlp_keeps_arena_views(self):
         net = make_mlp([3, 4, 2], ["relu", "linear"], seed=2)
-        params = net.named_parameters()
+        params = model_parameters(net)
         arena = dc.ParamArena(params)
         zero_mlp(net)
         for name, t in params.items():
@@ -958,18 +959,18 @@ class TestCheckpoint:
     def test_load_into_live_params(self, tmp_path, rng):
         net = make_mlp([3, 2], ["linear"], seed=1)
         base = str(tmp_path / "ck")
-        ct.save_checkpoint(base, {}, net.named_parameters())
+        ct.save_checkpoint(base, {}, model_parameters(net))
         net2 = make_mlp([3, 2], ["linear"], seed=99)
         _, arrays = ct.load_checkpoint(base)
-        dc.load_params_into(net2.named_parameters(), arrays)
+        dc.load_params_into(model_parameters(net2), arrays)
         assert np.array_equal(net2.weights[0].data, net.weights[0].data)
 
     def test_load_into_packed_params_keeps_arena_views(self, tmp_path, rng):
         net = make_mlp([3, 2], ["linear"], seed=1)
         base = str(tmp_path / "ck")
-        ct.save_checkpoint(base, {}, net.named_parameters())
+        ct.save_checkpoint(base, {}, model_parameters(net))
         net2 = make_mlp([3, 2], ["linear"], seed=99)
-        params = net2.named_parameters()
+        params = model_parameters(net2)
         arena = dc.ParamArena(params)
         _, arrays = ct.load_checkpoint(base)
         dc.load_params_into(params, arrays)

@@ -1,6 +1,7 @@
 """Metrics: endmember alignment, the nonlinearity degree and the FCLS
 baseline."""
 
+import dataclasses
 import itertools
 import tracemalloc
 
@@ -93,6 +94,18 @@ class TestAlignEndmembers:
         stacks[which][1, 0, :] *= 1e160
         with pytest.raises(DomainError, match=f"{which}: .* overflows"):
             ev.align_endmembers(stacks["truth"], stacks["estimate"])
+
+
+class TestNrmse:
+    @pytest.mark.parametrize("scale", [2.0, 0.0])
+    def test_overflowing_sums_rejected(self, scale):
+        """Finite rows whose sums of squares overflow have no ratio to
+        report: a ``DomainError`` naming both sources and the block's first
+        pixel, not the NaN that the infinite sums give."""
+        x = np.full((3, 4), 1e160)
+        with pytest.raises(DomainError, match="^truth and estimate: .* "
+                           "overflows in the block from pixel 0$"):
+            ev.nrmse(x, scale * x)
 
 
 class TestMinCostAssignment:
@@ -280,8 +293,10 @@ def _ref_align(m_true, m_hat):
 
 
 def _ref_evaluate(cube, truth, estimates):
-    report = ev.MetricsReport(eta_d_map=estimates.eta_d,
-                              runtime_s=estimates.runtime_s)
+    report = ev.MetricsReport(
+        eta_d_mean=(None if estimates.eta_d is None
+                    else float(np.mean(estimates.eta_d))),
+        runtime_s=estimates.runtime_s)
     a_hat = np.asarray(estimates.abundances, dtype=np.float64)
     m_hat = estimates.endmembers
     truth_m, truth_a = truth.endmembers, truth.abundances
@@ -491,3 +506,18 @@ class TestBlockedEvaluate:
         assert abs(aligned - total) <= 1e-12 * total
         sam = ev.evaluate(cube, truth, est).sam_m
         assert abs(sam - total) <= 1e-12 * total
+
+
+class TestReportCsv:
+    def test_columns_are_the_report_fields(self):
+        assert ev._CSV_COLUMNS == [f.name for f in
+                                   dataclasses.fields(ev.MetricsReport)]
+        assert ev._CSV_COLUMNS == list(SCORES)
+
+    def test_round_trip(self):
+        reports = [ev.MetricsReport(nrmse_a=0.1, nrmse_m=1 / 3, sam_m=2.5e-7,
+                                    nrmse_y=1e-300, eta_d_mean=0.25,
+                                    runtime_s=12.0),
+                   ev.MetricsReport(nrmse_a=0.5, runtime_s=0.0)]
+        back = ev.reports_from_csv(ev.reports_to_csv(reports))
+        assert back == [dataclasses.asdict(r) for r in reports]

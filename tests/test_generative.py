@@ -12,6 +12,7 @@ from unmix import generative as gen
 from unmix.distributions import (DiagGaussian, dirichlet_logpdf,
                                  gaussian_logpdf)
 from unmix.errors import ShapeError
+from unmix.inference import model_parameters
 
 L, P, H = 12, 3, 2
 
@@ -60,7 +61,7 @@ class TestEmDecode:
         y = rng.uniform(0.1, 0.9, (4, L))
         a = rng.dirichlet(np.ones(P), 4)
         M = rng.uniform(0.1, 0.9, (4, P, L))
-        params = theta.named_parameters()
+        params = model_parameters(theta)
 
         def loss(vector: bool):
             d = gen.em_decode(z, theta)

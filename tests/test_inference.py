@@ -151,7 +151,7 @@ class TestListaConcentration:
         assert phi.lista.n_layers == n_layers
         assert [t.name for t in phi.lista.log_eta_steps] == [
             f"inf.lista.log_eta{m}" for m in range(n_steps)]
-        assert len(phi.lista.named_parameters()) == n_steps + 2
+        assert len(inf.model_parameters(phi.lista)) == n_steps + 2
         M = np.random.default_rng(1).uniform(0.1, 0.9, (P, L))
         out = inf.lista_concentration(M[0], dc.constant(M), phi)
         assert out.shape == (P,) and np.all(np.isfinite(out.data))
@@ -200,7 +200,7 @@ class TestListaGramForm:
         for fn in (inf.lista_concentration, _explicit_lista):
             m_param = dc.parameter(M.copy(), "M")
             out = fn(y, m_param, phi)
-            params = {"M": m_param, **phi.lista.named_parameters()}
+            params = {"M": m_param, **inf.model_parameters(phi.lista)}
             grads.append(dc.backward((out * weights).sum(), params))
             outs.append(out.data)
         got, ref = outs
@@ -339,9 +339,8 @@ class TestAbundanceConcentration:
         M = rng.uniform(0.1, 0.9, (P, L))
         y = rng.uniform(0, 1, L)
         conc = inf.abundance_concentration(y, dc.constant(M), phi)
-        z_params = {}
-        for net in (phi.z_trunk, phi.z_mean_head, phi.z_scale_head):
-            z_params.update(net.named_parameters())
+        z_params = inf.model_parameters(phi.z_trunk, phi.z_mean_head,
+                                        phi.z_scale_head)
         grads = dc.backward(conc.sum(), z_params)
         assert all(np.array_equal(g, np.zeros_like(g)) for g in grads.values())
 
@@ -548,3 +547,45 @@ class TestBlockedPass:
                 tracemalloc.stop()
             extra.append(peak - sum(o.nbytes for o in outs))
         assert abs(extra[1] - extra[0]) <= 0.1 * extra[0], extra
+
+
+class _RequestSpy:
+    """A fresh-draw value source that records, in order, the name of every
+    parameter a model constructor requests from it."""
+
+    def __init__(self, rng):
+        self.drawn = dc.param_values(rng)
+        self.names = []
+
+    def weights(self, name, shapes, bank=0):
+        made = self.drawn.weights(name, shapes, bank)
+        self.names += [t.name for t in made]
+        return made
+
+    def value(self, name, initial):
+        self.names.append(name)
+        return self.drawn.value(name, initial)
+
+
+class TestModelParameters:
+    """``model_parameters`` walks the parameter dataclasses' fields: every
+    parameter a constructor builds is listed, once, in the order built."""
+
+    @pytest.mark.parametrize("lista_layers", [1, 2, 11])
+    @pytest.mark.parametrize("n_endmembers", [2, 5])
+    @pytest.mark.parametrize("n_bands", [16, 224])
+    def test_lists_every_requested_parameter_in_order(
+            self, n_bands, n_endmembers, lista_layers):
+        spy = _RequestSpy(np.random.default_rng(0))
+        theta, phi = inf.init_model(n_bands, n_endmembers, 3, lista_layers,
+                                    spy)
+        assert spy.names == list(inf.model_parameters(theta, phi))
+
+    def test_bank_lists_weights_then_biases(self):
+        widths = [2, 5, 4, 6]
+        net = dc.MlpParams.create(widths, ["relu", "relu", "sigmoid"],
+                                  np.random.default_rng(0), "bank", bank=3)
+        params = inf.model_parameters(net)
+        assert list(params) == ["bank.w0", "bank.w1", "bank.w2",
+                                "bank.b0", "bank.b1", "bank.b2"]
+        assert list(params.values()) == [*net.weights, *net.biases]

@@ -19,7 +19,7 @@ from unmix import distributions, inference
 from unmix import objective as ob
 from unmix.distributions import (GAMMA_FLOOR, RngNoise, dirichlet_logpdf,
                                  gaussian_logpdf, std_normal_logpdf)
-from unmix.errors import InputError, TrainingError
+from unmix.errors import InputError, NumericError, TrainingError
 from unmix.generative import flat_abundance_logpdf, log_likelihood
 from unmix.inference import init_model, model_parameters, posterior_sample
 
@@ -127,6 +127,19 @@ class TestImportanceWeights:
                                        w_b.log_weights.data, rtol=1e-12)
             np.testing.assert_allclose(w.normalized.data[b],
                                        w_b.normalized.data, rtol=1e-12)
+
+    def test_one_underflowed_row_raises(self, model, rng):
+        """A finite but huge endmember entry of one labelled row sends that
+        row's K log-weights to -inf: a ``NumericError`` naming the row, not
+        NaN weights for it while the other rows stay finite."""
+        theta, phi = model
+        B, K = 4, 3
+        m = rng.uniform(0.1, 0.9, (B, P, L))
+        m[2, 1, 3] = 1e200
+        z = rng.standard_normal((B, K, P, H))
+        with np.errstate(over="ignore"):
+            with pytest.raises(NumericError, match=r"underflowed in row \[2\]$"):
+                ob.importance_weights(m, codes(z), theta)
 
 
 class _ZeroNoise:
