@@ -265,7 +265,8 @@ def cmd_unmix(args) -> int:
     thread count (any of them may change with it), and
     ``inference.point_estimates`` of the cube's pixels returns the same
     bytes as the abundance and endmember maps.  A failure part way removes
-    the bundles written so far.
+    the bundles written so far, as when the stream norms of eta_d overflow
+    (exit 3).
     """
     t0 = time.perf_counter()
     cube_base = _strip_bundle(args.cube)
@@ -287,7 +288,7 @@ def cmd_unmix(args) -> int:
             for rows, a_blk, m_blk, lin, nlin, recon in point_estimate_blocks(
                     cube.pixels, phi, theta):
                 a_hat[rows] = a_blk
-                eta[rows] = ev.nonlinearity_degree(lin, nlin)
+                eta[rows] = ev.nonlinearity_degree(lin, nlin, rows.start)
                 m_out.append(m_blk)
                 recon_out.append(recon)
     except BaseException:

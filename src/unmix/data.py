@@ -320,10 +320,11 @@ def _as_pixels(cube) -> np.ndarray:
 def vca(cube, n_endmembers: int, rng: np.random.Generator) -> np.ndarray:
     """Vertex selection in the SVD signal subspace; returns P pixels, (P, L).
 
-    Projects the data onto its top-P singular subspace, then repeatedly
+    Projects the data onto its top-P singular subspace, then P times
     draws a random direction, orthogonalizes it against the span of the
     already-selected vertices, and picks the pixel with the largest
-    absolute component along it.
+    absolute component along it.  Each direction is drawn once: the span
+    has fewer than P dimensions, so its residual is almost surely nonzero.
     """
     pixels = _as_pixels(cube)
     X = pixels.T                                    # (L, N)
@@ -338,16 +339,9 @@ def vca(cube, n_endmembers: int, rng: np.random.Generator) -> np.ndarray:
     basis = np.zeros((P, 0))
     chosen: list[int] = []
     for _ in range(P):
-        f = None
-        for _ in range(100):
-            w = rng.standard_normal(P)
-            w = w - basis @ (basis.T @ w)
-            nw = np.linalg.norm(w)
-            if nw > 1e-12:
-                f = w / nw
-                break
-        if f is None:
-            raise ExtractionError("selected vertices span the whole subspace")
+        w = rng.standard_normal(P)
+        w = w - basis @ (basis.T @ w)
+        f = w / np.linalg.norm(w)
         idx = int(np.argmax(np.abs(f @ Xp)))
         chosen.append(idx)
         v = Xp[:, idx] - basis @ (basis.T @ Xp[:, idx])

@@ -19,7 +19,8 @@ Training packs the parameters into a ``ParamArena``, the one store of
 trainable state: flat float64 buffers of the values, their gradients and
 Adam's moments, in parameter-dict order.  Each tensor's ``.data`` becomes
 a view of the values, so from then on code must write parameters in place
-(``t.data[...] = x``) and never rebind ``.data``.
+(``t.data[...] = x``) and never rebind ``.data``.  A training step is
+``backward``, which fills the arena's gradient, then ``adam_step(arena)``.
 
 A VJP hands back each operand's cotangent as an array or, where the
 cotangent is as large as a parameter, as a writer ``into(out, add)`` that
@@ -329,23 +330,24 @@ def _materialize(into, shape: tuple[int, ...]) -> np.ndarray:
     return out
 
 
-def backward(loss: Tensor, params: dict[str, Tensor] | None = None):
-    """Accumulate d(loss)/d(node) into the parameters that feed ``loss``.
+def backward(loss: Tensor, params: dict[str, Tensor]):
+    """Accumulate d(loss)/d(node) into ``params``; return their gradients.
 
     ``loss`` must be scalar.  No constant ever receives a cotangent, and
     only leaves keep ``.grad``: each interior node's is dropped as soon as
     its VJP has run.  Gradients accumulate by the module docstring's two
     rules, a writer reaching an interior node being materialized first.
-    Given ``params``, returns their gradients in a dict keyed like it:
-    exact zeros for parameters the loss does not touch, and for packed ones
-    the arena's gradient views, valid until the next ``backward``.
+    The dict is keyed like ``params``: exact zeros for parameters the loss
+    does not touch, and for packed ones their arena views, zero-filled if
+    untouched, so the arena's ``grad`` holds the whole gradient until the
+    next ``backward``.
     """
     if loss.data.size != 1:
         raise ContractError(f"loss must be scalar, got shape {loss.shape}")
     order = _toposort(loss)
     for node in order:
         node.grad = None
-    for t in (params or {}).values():
+    for t in params.values():
         t.grad = None
     if loss.requires_grad:
         loss.grad = np.ones_like(loss.data)
@@ -372,8 +374,6 @@ def backward(loss: Tensor, params: dict[str, Tensor] | None = None):
                 p.grad += g
             else:
                 np.copyto(p.grad, g)
-    if params is None:
-        return None
     out = {}
     for k, t in params.items():
         if t.grad is None and t._grad_view is not None:
@@ -629,8 +629,7 @@ ADAM_EPS = 1e-8
 _ADAM_BLOCK = 1 << 15
 
 
-def adam_step(params: dict[str, Tensor], grads: dict[str, np.ndarray],
-              store: ParamArena, lr: float) -> None:
+def adam_step(store: ParamArena, lr: float) -> None:
     """Adam with bias correction, in place on the arena ``store``.
 
     The bias corrections are folded into the step size and the offset, as
@@ -646,25 +645,17 @@ def adam_step(params: dict[str, Tensor], grads: dict[str, np.ndarray],
     each: ``dscal`` and ``daxpy`` for the moments, one ``daxpy`` for the
     parameters.
 
-    ``lr`` must be positive and finite.  ``params`` must be the tensors
-    packed in ``store``.  A gradient that is not already the arena's view
-    is copied into it.  The whole flat gradient is checked before anything
-    changes, by one dot product with itself and, only when that is not
-    finite, an exact scan: a non-finite entry raises ``TrainingError``
-    naming the first such entry in arena order, by parameter and index,
-    with the parameters, moments and step as they were; finite entries
-    whose squares overflow the dot proceed.
+    ``lr`` must be positive and finite.  The gradient is the arena's flat
+    ``grad``, as ``backward`` of the packed parameters leaves it.  It is
+    checked whole before anything changes, by one dot product with itself
+    and, only when that is not finite, an exact scan: a non-finite entry
+    raises ``TrainingError`` naming the first such entry in arena order, by
+    parameter and index, with the parameters, moments and step as they
+    were; finite entries whose squares overflow the dot proceed.
     """
     if not 0.0 < lr < math.inf:
         raise ContractError(f"learning rate must be positive and finite, "
                             f"got {lr}")
-    for name in store.names:
-        if params[name].data is not store.params[name]:
-            raise ContractError(f"parameter {name} is not packed in the "
-                                "optimizer's arena")
-        view, g = store.grads[name], grads[name]
-        if g is not view:
-            np.copyto(view, g)
     with np.errstate(over="ignore", invalid="ignore"):
         total = np.dot(store.grad, store.grad)
     if not math.isfinite(total) and not np.isfinite(store.grad).all():

@@ -72,18 +72,24 @@ def nrmse(x, x_hat, name: str = "pixels", roles=("truth", "estimate")):
     return _ratio(*_residual_sums(x, x_hat, name, roles=roles))
 
 
-def nonlinearity_degree(lin, nlin) -> np.ndarray:
+def nonlinearity_degree(lin, nlin, start: int = 0) -> np.ndarray:
     """Share of the nonlinear stream in the concentration, per pixel, in [0, 1].
 
     ``lin`` and ``nlin`` are the two concentration streams (..., P) that
-    each block of ``inference.point_estimate_blocks`` yields (``cli unmix``
-    writes this map as ``eta_d``): the share is
+    the block from pixel ``start`` of ``inference.point_estimate_blocks``
+    yields (``cli unmix`` writes this map as ``eta_d``): the share is
     ||nlin|| / (||lin|| + ||nlin||), and 0 where both norms are 0.  Each
-    pixel's share reads only that pixel's streams.
+    pixel's share reads only that pixel's streams.  Norms whose sum is not
+    finite, as when the squares of finite streams overflow, are a
+    ``DomainError`` naming ``start``.
     """
-    n_lin = np.linalg.norm(np.asarray(lin, dtype=np.float64), axis=-1)
-    n_nlin = np.linalg.norm(np.asarray(nlin, dtype=np.float64), axis=-1)
-    denom = n_lin + n_nlin
+    with np.errstate(over="ignore", invalid="ignore"):
+        n_lin = np.linalg.norm(np.asarray(lin, dtype=np.float64), axis=-1)
+        n_nlin = np.linalg.norm(np.asarray(nlin, dtype=np.float64), axis=-1)
+        denom = n_lin + n_nlin
+    if not np.isfinite(denom).all():
+        raise DomainError(f"eta_d: a sum of squares of the concentration "
+                          f"streams overflows in the block from pixel {start}")
     return np.divide(n_nlin, denom, out=np.zeros_like(denom),
                      where=denom > 0.0)
 
@@ -327,6 +333,18 @@ class MetricsReport:
     runtime_s: float = 0.0
 
 
+def _check_pixel_counts(n: int, estimates: Estimates):
+    """Reject the first per-pixel estimate whose length is not ``n``; a
+    shared (P, L) endmember matrix has none."""
+    for role in ("abundances", "endmembers", "reconstruction", "eta_d"):
+        est = getattr(estimates, role)
+        if est is None or (role == "endmembers" and _source(est).ndim != 3):
+            continue
+        if len(est) != n:
+            raise InputError(f"{_label(est, role)}: {role} of {len(est)} "
+                             f"pixels for a cube of {n}")
+
+
 def evaluate(cube, truth, estimates: Estimates) -> MetricsReport:
     """Score estimates against the ``data.GroundTruth`` ``truth``; the
     endmember metrics, and the alignment of the abundances, are skipped
@@ -341,8 +359,12 @@ def evaluate(cube, truth, estimates: Estimates) -> MetricsReport:
     scoring holds one block of each input at a time, and no array of
     (N, P, P) angles.  The rounding of every score depends on
     ``ROW_BLOCK``, not on the BLAS thread count.  eta_d_mean is the mean
-    of ``estimates.eta_d``.
+    of ``estimates.eta_d``.  Every per-pixel estimate must have the cube's
+    pixel count, else an ``InputError`` names it: a payload reader by its
+    bundle's path, an array by its field (``abundances``, ``endmembers``,
+    ``reconstruction`` or ``eta_d``).
     """
+    _check_pixel_counts(len(_as_pixels(cube)), estimates)
     report = MetricsReport(runtime_s=estimates.runtime_s)
     if estimates.eta_d is not None:
         report.eta_d_mean = float(np.mean(estimates.eta_d))

@@ -282,17 +282,16 @@ def point_estimates(y, phi: InferenceParams,
                     theta: GenerativeParams) -> tuple[np.ndarray, np.ndarray]:
     """Deterministic summaries: Dirichlet-mean abundances and decoder-mean EMs.
 
-    ``y``: (..., L).  Returns (a_hat (..., P), m_hat (..., P, L)), the
+    ``y``: (N, L) pixels.  Returns (a_hat (N, P), m_hat (N, P, L)), the
     ``point_estimate_blocks`` of every pixel collected: what ``cli unmix``
     writes, bit for bit, whatever the memory layout of ``y``.
     """
-    y_arr = np.asarray(y, dtype=np.float64)
-    batch, L, P = y_arr.shape[:-1], y_arr.shape[-1], phi.n_endmembers
-    y_rows = y_arr.reshape(-1, L)
-    a_hat, m_hat = np.empty((len(y_rows), P)), np.empty((len(y_rows), P, L))
-    for rows, a_blk, m_blk, *_ in point_estimate_blocks(y_rows, phi, theta):
+    y = np.asarray(y, dtype=np.float64)
+    (n, L), P = y.shape, phi.n_endmembers
+    a_hat, m_hat = np.empty((n, P)), np.empty((n, P, L))
+    for rows, a_blk, m_blk, *_ in point_estimate_blocks(y, phi, theta):
         a_hat[rows], m_hat[rows] = a_blk, m_blk
-    return a_hat.reshape(batch + (P,)), m_hat.reshape(batch + (P, L))
+    return a_hat, m_hat
 
 
 def init_model(n_bands: int, n_endmembers: int, latent_dim: int,

@@ -344,8 +344,8 @@ def train(d_u: np.ndarray, d_s, config: TrainConfig, seed: int, *,
                 bd = total_loss(batch_u, batch_s, theta, phi, config, noise)
                 if not math.isfinite(bd.total):
                     raise TrainingError("objective diverged")
-                grads = backward(-bd.node, params)
-                adam_step(params, grads, arena, lr)
+                backward(-bd.node, params)
+                adam_step(arena, lr)
             except (TrainingError, NumericError, np.linalg.LinAlgError) as exc:
                 known = isinstance(exc, TrainingError)
                 err = TrainingError(exc.message if known else str(exc),
@@ -356,7 +356,7 @@ def train(d_u: np.ndarray, d_s, config: TrainConfig, seed: int, *,
                 raise err from None
             sums += [getattr(bd, term) for term in _LOSS_TERMS]
             n_steps += 1
-            bd = grads = None       # free the spent graph before the next forward
+            bd = None       # free the spent graph before the next forward
         means = dict(zip(_LOSS_TERMS, (sums / n_steps).tolist()))
         stats = EpochStats(epoch=epoch, lr=lr, **means)
         history.append(stats)

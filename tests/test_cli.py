@@ -244,6 +244,99 @@ class TestExitCodes:
             f"pixels overflows in the block from pixel 0\n")
         assert not os.path.exists(csv)
 
+    def test_overflowing_cube_exits_3_in_unmix(self, scene, tmp_path,
+                                               capsys):
+        """A finite cube whose concentration streams' squares overflow has
+        no eta_d: exit 3 naming the block, and no bundle left behind, not
+        an all-NaN map."""
+        truth, out = str(tmp_path / "dc1"), str(tmp_path / "est")
+        assert cli.main(["generate", "dc1", truth, "--width", str(WIDTH),
+                         "--height", str(HEIGHT), "--bands", str(BANDS),
+                         "--endmembers", str(P)]) == 0
+        cube_base = os.path.join(truth, "cube")
+        cube = dt.load_cube(cube_base)
+        dt.save_cube(cube_base, dt.HyperCube(WIDTH, HEIGHT,
+                                             cube.pixels * 1e160))
+        capsys.readouterr()
+        assert cli.main(["unmix", cube_base, scene["ckpt"], out]) == 3
+        assert capsys.readouterr().err == (
+            "error: eta_d: a sum of squares of the concentration streams "
+            "overflows in the block from pixel 0\n")
+        assert os.listdir(out) == []
+
+    def test_eta_d_of_another_size_exits_2(self, scene, tmp_path, capsys):
+        """An eta_d map of 10 pixels among the estimates of a 64-pixel
+        scene is refused, not averaged into eta_d_mean."""
+        est = _unmix(scene, "run_foreign_eta")
+        truth = os.path.dirname(scene["cube"])
+        dt.save_scalar_map(os.path.join(est, "eta_d"),
+                           np.full(10, 0.5), 10, 1)
+        csv = str(tmp_path / "report.csv")
+        capsys.readouterr()
+        assert cli.main(["eval", truth, est, csv]) == 2
+        assert capsys.readouterr().err == (
+            f"error: eta_d: eta_d of 10 pixels for a cube of "
+            f"{WIDTH * HEIGHT}\n")
+        assert not os.path.exists(csv)
+
+    def test_endmember_stack_of_another_scene_exits_2(self, scene, tmp_path,
+                                                      capsys):
+        """The endmember stack of a 5x4 scene among the estimates of an
+        8x8 dc1 scene, whose truth is one shared matrix, is refused, not
+        scored over its 20 pixels."""
+        runs = {}
+        for name, (w, h) in (("big", (WIDTH, HEIGHT)), ("small", (5, 4))):
+            truth, est = str(tmp_path / name), str(tmp_path / f"{name}_est")
+            assert cli.main(["generate", "dc1", truth, "--width", str(w),
+                             "--height", str(h), "--bands", str(BANDS),
+                             "--endmembers", str(P)]) == 0
+            assert cli.main(["unmix", os.path.join(truth, "cube"),
+                             scene["ckpt"], est]) == 0
+            runs[name] = truth, est
+        (truth, est), (_, small) = runs["big"], runs["small"]
+        stack = os.path.join(est, "endmembers_est")
+        for ext in (".json", ".raw"):
+            shutil.copyfile(os.path.join(small, "endmembers_est") + ext,
+                            stack + ext)
+        csv = str(tmp_path / "report.csv")
+        capsys.readouterr()
+        assert cli.main(["eval", truth, est, csv]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {stack}: endmembers of 20 pixels for a cube of "
+            f"{WIDTH * HEIGHT}\n")
+        assert not os.path.exists(csv)
+
+    @pytest.mark.parametrize("command", ["generate", "unmix"])
+    def test_non_empty_output_dir_exits_2_without_force(self, scene,
+                                                        tmp_path, capsys,
+                                                        command):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "kept.txt").write_bytes(b"kept")
+        args = {"generate": ["generate", "dc1", str(out), "--width", "4",
+                             "--height", "4", "--bands", str(BANDS)],
+                "unmix": ["unmix", scene["cube"], scene["ckpt"], str(out)]}
+        capsys.readouterr()
+        assert cli.main(args[command]) == 2
+        assert capsys.readouterr().err == (
+            f"error: output directory {out} is not empty; use --force\n")
+        assert os.listdir(out) == ["kept.txt"]
+        assert (out / "kept.txt").read_bytes() == b"kept"
+
+    def test_labelled_set_of_another_band_count_exits_2(self, scene,
+                                                        tmp_path, capsys):
+        sup, out = str(tmp_path / "sup"), str(tmp_path / "model")
+        rng = np.random.default_rng(2)
+        dt.save_supervised(sup, rng.random((P, BANDS + 1)), np.eye(P),
+                           rng.random((P, P, BANDS + 1)))
+        before = sorted(os.listdir(tmp_path))
+        capsys.readouterr()
+        rc = cli.main(["train", scene["cube"], sup, out, "--epochs", "1"])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: supervised set band count differs from the cube\n")
+        assert sorted(os.listdir(tmp_path)) == before
+
     @pytest.mark.parametrize("snr", ["inf", "nan", "1e10", "-1e10"])
     def test_unusable_selfsup_snr_exits_2_before_writing(self, scene, tmp_path,
                                                          capsys, snr):

@@ -564,6 +564,37 @@ class TestGradientWriters:
         for name in own:
             assert arena[name].tobytes() == own[name].tobytes(), name
 
+    @pytest.mark.parametrize("packed", [False, True])
+    def test_writer_into_an_interior_node_matches_finite_differences(
+            self, rng, monkeypatch, packed):
+        """A writer whose operand is computed, ``dense``'s for the weight
+        ``w * 1.5`` and ``l2norm``'s for ``z * z + 1``, is materialized
+        once each and the gradients reaching the leaves match central
+        differences, unpacked and packed."""
+        shapes = []
+        materialize = dc._materialize
+
+        def spy(into, shape):
+            shapes.append(shape)
+            return materialize(into, shape)
+        monkeypatch.setattr(dc, "_materialize", spy)
+        x = dc.constant(rng.standard_normal((6, 4)))
+        weights = rng.standard_normal((6, 5))
+        params = {"w": dc.parameter(rng.standard_normal((5, 4)), "w"),
+                  "b": dc.parameter(rng.standard_normal(5), "b"),
+                  "z": dc.parameter(rng.standard_normal((3, 2)), "z")}
+        if packed:
+            dc.ParamArena(params)
+        w, b, z = params.values()
+
+        def loss_t():
+            return ((dc.dense(x, w * 1.5, b, "sigmoid") * weights).sum()
+                    + dc.l2norm(z * z + 1.0) * 0.7)
+        grads = dc.backward(loss_t(), params)
+        assert sorted(shapes) == [(3, 2), (5, 4)]
+        fd = fd_param_grads(lambda: loss_t().item(), params)
+        assert max_rel_err(grads, fd) < 1e-6
+
     def test_writer_after_a_shared_array_copies_it_first(self, rng):
         """A sum's VJP hands both operands one read-only array; a writer
         adding to the first operand's gradient must not touch the other's."""
@@ -594,8 +625,8 @@ class TestGradientWriters:
                 + dc.dense(x2, w, b, "sigmoid").sum() + dc.l2norm(w))
         tracemalloc.start()
         try:
-            grads = dc.backward(loss, params)
-            dc.adam_step(params, grads, arena, 1e-3)
+            dc.backward(loss, params)
+            dc.adam_step(arena, 1e-3)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -719,18 +750,25 @@ class TestSigmoid:
         assert new.tobytes() == old.tobytes()
 
 
+def _adam(arena: dc.ParamArena, grads: dict[str, np.ndarray], lr: float):
+    """Write ``grads`` into the arena's gradient views, then take a step."""
+    for name, g in grads.items():
+        arena.grads[name][...] = g
+    dc.adam_step(arena, lr)
+
+
 class TestAdam:
     def test_zero_gradient_leaves_parameters(self):
         p = dc.parameter(np.array([1.0, -2.0]), "p")
         arena = dc.ParamArena({"p": p})
-        dc.adam_step({"p": p}, {"p": np.zeros(2)}, arena, lr=0.01)
+        _adam(arena, {"p": np.zeros(2)}, lr=0.01)
         np.testing.assert_allclose(p.data, [1.0, -2.0])
         assert arena.step == 1
 
     def test_first_step_magnitude_is_lr(self):
         p = dc.parameter(np.array(0.0), "p")
         arena = dc.ParamArena({"p": p})
-        dc.adam_step({"p": p}, {"p": np.array(1.0)}, arena, lr=0.001)
+        _adam(arena, {"p": np.array(1.0)}, lr=0.001)
         assert abs(abs(float(p.data)) - 0.001) < 1e-6
 
     def test_sign_flips_shrink_steps(self):
@@ -747,9 +785,9 @@ class TestAdam:
 
         p = dc.parameter(np.array(0.0), "p")
         arena = dc.ParamArena({"p": p})
-        dc.adam_step({"p": p}, {"p": np.array(1.0)}, arena, lr=0.001)
+        _adam(arena, {"p": np.array(1.0)}, lr=0.001)
         x1 = float(p.data)
-        dc.adam_step({"p": p}, {"p": np.array(-1.0)}, arena, lr=0.001)
+        _adam(arena, {"p": np.array(-1.0)}, lr=0.001)
         flip_second = abs(float(p.data) - x1)
         const_second = abs(two_steps(1.0, 1.0)[1])
         assert flip_second < const_second
@@ -761,7 +799,7 @@ class TestAdam:
                   for n, shape in (("a", (3, 2)), ("b", ()), ("c", (4,)))}
         arena = dc.ParamArena(params)
         grads = {n: rng.standard_normal(t.data.shape) for n, t in params.items()}
-        dc.adam_step(params, grads, arena, 0.01)
+        _adam(arena, grads, 0.01)
         m, v = arena.views(arena.m), arena.views(arena.v)
         before = ({n: t.data.copy() for n, t in params.items()},
                   {n: a.copy() for n, a in m.items()},
@@ -770,7 +808,7 @@ class TestAdam:
             grads["b"] = np.array(bad)
             with pytest.raises(TrainingError,
                                match=r"parameter=b index \(\)"):
-                dc.adam_step(params, grads, arena, 0.01)
+                _adam(arena, grads, 0.01)
             after = ({n: t.data for n, t in params.items()}, m, v, arena.step)
             for old, new in zip(before[:3], after[:3]):
                 for n in old:
@@ -805,7 +843,7 @@ class TestAdam:
             g = np.concatenate([grads[n].ravel() for n in shapes])
             before = (arena.values.copy(), arena.m.copy(),
                       arena.v.copy())
-            dc.adam_step(params, grads, arena, 0.003)
+            _adam(arena, grads, 0.003)
             p, m, v, step = textbook(*before, g, t, 0.003)
             scales = (np.abs(before[0]) + np.abs(step),
                       dc.ADAM_BETA1 * np.abs(before[1]) + np.abs(g),
@@ -824,7 +862,7 @@ class TestAdam:
         grads["c"][1] = np.nan
         grads["b"][3] = -np.inf
         with pytest.raises(TrainingError, match=r"parameter=b index \(3,\)"):
-            dc.adam_step(params, grads, arena, 0.01)
+            _adam(arena, grads, 0.01)
         assert arena.step == 0 and not arena.m.any()
 
     def test_non_finite_gradient_names_the_entry_of_a_bank(self, rng):
@@ -836,7 +874,7 @@ class TestAdam:
         grads["gen.em_decoder.w2"][3, 10, 4] = np.nan
         grads["gen.em_decoder.w2"][3, 11, 0] = np.inf
         with pytest.raises(TrainingError) as info:
-            dc.adam_step(params, grads, arena, 0.01)
+            _adam(arena, grads, 0.01)
         assert "parameter=gen.em_decoder.w2 index (3, 10, 4)" \
             in str(info.value)
         assert info.value.index == (3, 10, 4)
@@ -858,7 +896,7 @@ class TestAdam:
         old = p.data.copy()
         squares_overflow = not np.isfinite(big * big)
         with np.errstate(over="ignore" if squares_overflow else "raise"):
-            dc.adam_step({"p": p}, {"p": g}, arena, 0.01)
+            _adam(arena, {"p": g}, 0.01)
         assert arena.step == 1 and np.isfinite(p.data).all()
         if not squares_overflow:
             want = old - 0.01 * g / (np.sqrt(g * g) + dc.ADAM_EPS)
@@ -869,23 +907,15 @@ class TestAdam:
         p = dc.parameter(np.array([1.0, -2.0]), "p")
         arena = dc.ParamArena({"p": p})
         with pytest.raises(ContractError, match="learning rate"):
-            dc.adam_step({"p": p}, {"p": np.ones(2)}, arena, lr)
+            _adam(arena, {"p": np.ones(2)}, lr)
         assert np.array_equal(p.data, [1.0, -2.0])
         assert arena.step == 0 and not arena.m.any() and not arena.v.any()
-
-    def test_rejects_parameters_outside_the_arena(self):
-        p = dc.parameter(np.ones(3), "p")
-        arena = dc.ParamArena({"p": p})
-        p.data = np.ones(3)
-        with pytest.raises(ContractError, match="p is not packed"):
-            dc.adam_step({"p": p}, {"p": np.ones(3)}, arena, 0.01)
 
     def test_non_finite_gradient_names_parameter(self):
         p = dc.parameter(np.array(0.0), "gen.obs_log_scale")
         arena = dc.ParamArena({"gen.obs_log_scale": p})
         with pytest.raises(TrainingError, match="gen.obs_log_scale"):
-            dc.adam_step({"gen.obs_log_scale": p},
-                         {"gen.obs_log_scale": np.array(np.nan)}, arena, 0.001)
+            _adam(arena, {"gen.obs_log_scale": np.array(np.nan)}, 0.001)
 
 
 class TestHelpersOnPackedParameters:
@@ -978,7 +1008,7 @@ class TestCheckpoint:
             assert t.data is arena.params[name]
             assert np.array_equal(t.data, arrays[name])
         grads = {n: np.ones_like(a) for n, a in arrays.items()}
-        dc.adam_step(params, grads, arena, 0.01)
+        _adam(arena, grads, 0.01)
         for name, t in params.items():
             # Adam's first step moves every entry by lr against the gradient
             np.testing.assert_allclose(t.data, arrays[name] - 0.01, rtol=0,

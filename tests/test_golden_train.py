@@ -58,10 +58,10 @@ def record(tmp_dir: str) -> dict:
         losses.append(bd.total)
         return bd
 
-    def adam_spy(params, grads, state, lr):
-        grads_sha.append({n: _sha(grads[n]) for n in params})
-        out = adam_step(params, grads, state, lr)
-        params_sha.append({n: _sha(t.data) for n, t in params.items()})
+    def adam_spy(state, lr):
+        grads_sha.append({n: _sha(g) for n, g in state.grads.items()})
+        out = adam_step(state, lr)
+        params_sha.append({n: _sha(v) for n, v in state.params.items()})
         return out
 
     ob.total_loss, ob.adam_step = loss_spy, adam_spy
