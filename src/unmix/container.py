@@ -21,7 +21,10 @@ Header:
   arrays out back to back in the order it is given them.  An array
   reaching past the payload's end is a ``BundleError`` naming the array,
   and a payload that goes on past the furthest array's end is one naming
-  the file.
+  the file.  No two arrays share a byte: taken in offset order, an array
+  that starts before an earlier one ends is a ``BundleError`` naming it
+  (an empty array holds no byte).  Gaps are allowed; the reader of each
+  kind names an array the kind misses.
 
 Kinds (``data`` and ``cli`` build them; N = width * height pixels,
 row-major; each endmember matrix is (P, L), endmember-major):
@@ -75,11 +78,6 @@ import os
 import numpy as np
 
 from .errors import BundleError, InputError
-
-__all__ = ["DTYPE", "FORMAT", "write_json", "read_json", "PayloadReader",
-           "PayloadWriter", "open_container", "container_writer",
-           "write_container", "json_int", "json_float", "save_checkpoint",
-           "load_checkpoint"]
 
 DTYPE = "f64le"
 FORMAT = "unmix-v1"
@@ -249,12 +247,17 @@ def open_container(base: str, what: str = "container header"
     except FileNotFoundError:
         raise BundleError(f"missing payload {path}") from None
     end = 0
-    for name, (offset, shape) in entries.items():
+    for name, (offset, shape) in sorted(entries.items(),
+                                        key=lambda item: item[1][0]):
         stop = offset + 8 * math.prod(shape)
         if stop > size:
             raise BundleError(f"{path}: payload holds {size // 8} values, "
                               f"the array ends at value {stop // 8}",
                               field=name)
+        if offset < end and stop > offset:
+            raise BundleError(f"{path}: the array starts at value "
+                              f"{offset // 8}, inside an array that ends at "
+                              f"value {end // 8}", field=name)
         end = max(end, stop)
     if size != end:
         raise BundleError(f"{path}: payload holds {size // 8} values, "

@@ -21,17 +21,6 @@ import numpy as np
 from . import container as ct
 from .errors import BundleError, ExtractionError, GenerationError, InputError
 
-__all__ = [
-    "HyperCube", "GroundTruth",
-    "synth_endmember_library", "synth_abundance_maps", "noise_power_ratio",
-    "generate_dc1", "generate_dc2", "vca", "extract_pure_pixels",
-    "build_supervised_set", "save_cube", "cube_writer", "load_cube",
-    "open_cube", "check_cube_finite", "save_abundances", "load_abundances",
-    "save_endmembers", "endmember_writer", "load_endmembers", "open_endmembers",
-    "save_scalar_map", "load_scalar_map", "check_simplex",
-    "save_supervised", "load_supervised",
-]
-
 
 @dataclass
 class HyperCube:
@@ -47,8 +36,7 @@ class HyperCube:
     wavelengths: np.ndarray | None = None   # (L,) nm, optional
 
     def __post_init__(self):
-        if not isinstance(self.pixels, ct.PayloadReader):
-            self.pixels = np.asarray(self.pixels, dtype=np.float64)
+        self.pixels = _rows(self.pixels)
         if self.pixels.ndim != 2:
             raise InputError("pixels must be an (N, L) array")
         if self.width * self.height != self.pixels.shape[0]:
@@ -78,6 +66,14 @@ class GroundTruth:
 
     abundances: np.ndarray | None = None   # (N, P) simplex rows
     endmembers: np.ndarray | None = None   # (P, L) or (N, P, L)
+
+
+def _rows(x):
+    """A row source: a cube's pixels, a ``container.PayloadReader`` as it
+    is, and anything else as a float64 array."""
+    if isinstance(x, HyperCube):
+        return x.pixels
+    return x if isinstance(x, ct.PayloadReader) else np.asarray(x, np.float64)
 
 
 # ------------------------------------------------------------- generation
@@ -311,12 +307,6 @@ def generate_dc2(abundances: np.ndarray, base_em: np.ndarray,
 
 # ------------------------------------------------------------- extraction
 
-def _as_pixels(cube) -> np.ndarray:
-    if isinstance(cube, HyperCube):
-        return cube.pixels
-    return np.asarray(cube, dtype=np.float64)
-
-
 def vca(cube, n_endmembers: int, rng: np.random.Generator) -> np.ndarray:
     """Vertex selection in the SVD signal subspace; returns P pixels, (P, L).
 
@@ -326,7 +316,7 @@ def vca(cube, n_endmembers: int, rng: np.random.Generator) -> np.ndarray:
     absolute component along it.  Each direction is drawn once: the span
     has fewer than P dimensions, so its residual is almost surely nonzero.
     """
-    pixels = _as_pixels(cube)
+    pixels = _rows(cube)
     X = pixels.T                                    # (L, N)
     L, n = X.shape
     P = n_endmembers
@@ -362,7 +352,7 @@ def extract_pure_pixels(cube, ref_endmembers: np.ndarray,
                         n_ppx: int) -> np.ndarray:
     """The pure-pixel shortlists, (P, n_ppx, L): row k holds the n_ppx
     cube pixels spectrally closest to reference row k, closest first."""
-    pixels = _as_pixels(cube)
+    pixels = _rows(cube)
     if not 1 <= n_ppx <= len(pixels):
         raise InputError(f"n_ppx must be in [1, {len(pixels)}], the cube's "
                          f"pixel count, got {n_ppx}")

@@ -47,15 +47,6 @@ from .errors import BundleError, ContractError, ShapeError, TrainingError
 # calls and wraps them as diffcore names; drop this line once it does not.
 from .container import load_checkpoint, save_checkpoint  # noqa: F401
 
-__all__ = [
-    "Tensor", "as_tensor", "constant", "parameter",
-    "relu", "sigmoid", "exp", "log", "lgamma", "clip", "matmul", "dense",
-    "l2norm", "concat", "moveaxis", "logsumexp",
-    "backward", "MlpParams", "mlp_forward",
-    "ParamArena", "adam_step", "lr_schedule", "xavier_uniform",
-    "StoredParams", "param_values",
-]
-
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Reduce a broadcast gradient back to the operand's shape."""

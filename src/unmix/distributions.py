@@ -33,12 +33,6 @@ SIMPLEX_EPS = 1e-9
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
 
-__all__ = [
-    "GAMMA_FLOOR", "SIMPLEX_EPS", "DiagGaussian", "gaussian_logpdf",
-    "gaussian_rsample", "std_normal_logpdf", "dirichlet_logpdf",
-    "dirichlet_rsample", "RngNoise",
-]
-
 
 @dataclass
 class DiagGaussian:

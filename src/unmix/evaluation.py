@@ -10,8 +10,8 @@ assignment before any metric is computed, solved exactly in this module
 (importing ``scipy.optimize`` cost more than scoring a 10k-pixel scene).
 
 Every score is a streaming sum over fixed blocks of ``ROW_BLOCK`` rows
-counted from row 0.  An input is a row source: an array, or a
-``container.PayloadReader`` of a bundle on disk, read only as
+counted from row 0.  An input is a row source (``data._rows``): an
+array, or a ``container.PayloadReader`` of a bundle on disk, read only as
 ``source[rows]``, one block at a time; a shared (P, L) endmember matrix
 enters as a broadcast view.  Endmember stacks (N, P, L), each endmember's
 bands contiguous, are scored in two passes.  The first reads each stack's
@@ -51,12 +51,8 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .container import PayloadReader
-from .data import _as_pixels, _check_finite
+from .data import _check_finite, _rows
 from .errors import DomainError, InputError
-
-__all__ = ["nrmse", "nonlinearity_degree", "fcls", "align_endmembers",
-           "Estimates", "MetricsReport", "evaluate", "reports_to_csv",
-           "reports_from_csv"]
 
 
 def nrmse(x, x_hat, name: str = "pixels", roles=("truth", "estimate")):
@@ -66,7 +62,7 @@ def nrmse(x, x_hat, name: str = "pixels", roles=("truth", "estimate")):
     an array source named by its entry of ``roles`` (see the module
     docstring), and finite values whose squares overflow are a
     ``DomainError``."""
-    x, x_hat = _source(x), _source(x_hat)
+    x, x_hat = _rows(x), _rows(x_hat)
     if x.shape != x_hat.shape:
         raise InputError(f"shape mismatch: {x.shape} vs {x_hat.shape}")
     return _ratio(*_residual_sums(x, x_hat, name, roles=roles))
@@ -111,7 +107,7 @@ def fcls(cube, em_matrix: np.ndarray) -> np.ndarray:
     are always such solutions.  More than ``FCLS_MAX_ENDMEMBERS``
     endmembers is an ``InputError``.
     """
-    Y = _as_pixels(cube)
+    Y = _rows(cube)
     M = np.asarray(em_matrix, dtype=np.float64)
     p = len(M)
     if p > FCLS_MAX_ENDMEMBERS:
@@ -142,12 +138,6 @@ def fcls(cube, em_matrix: np.ndarray) -> np.ndarray:
 ROW_BLOCK = 256
 
 
-def _source(m):
-    """An array or row source as a float64 array, or a payload reader as
-    it is."""
-    return m if isinstance(m, PayloadReader) else np.asarray(m, np.float64)
-
-
 def _label(source, role: str) -> str:
     """A row source as a non-finite value's report names it: a payload
     reader by its bundle's path, an array by its ``role``."""
@@ -164,7 +154,7 @@ def _per_pixel_stack(m, n: int):
 def _stack_pair(m_true, m_hat):
     """Both arguments as (N, P, L) row sources.  N is the length of the
     first per-pixel stack of the two, else 1."""
-    m_true, m_hat = _source(m_true), _source(m_hat)
+    m_true, m_hat = _rows(m_true), _rows(m_hat)
     n = next((m.shape[0] for m in (m_true, m_hat) if m.ndim == 3), 1)
     mt, mh = _per_pixel_stack(m_true, n), _per_pixel_stack(m_hat, n)
     if mt.shape != mh.shape:
@@ -338,7 +328,7 @@ def _check_pixel_counts(n: int, estimates: Estimates):
     shared (P, L) endmember matrix has none."""
     for role in ("abundances", "endmembers", "reconstruction", "eta_d"):
         est = getattr(estimates, role)
-        if est is None or (role == "endmembers" and _source(est).ndim != 3):
+        if est is None or (role == "endmembers" and _rows(est).ndim != 3):
             continue
         if len(est) != n:
             raise InputError(f"{_label(est, role)}: {role} of {len(est)} "
@@ -364,7 +354,7 @@ def evaluate(cube, truth, estimates: Estimates) -> MetricsReport:
     bundle's path, an array by its field (``abundances``, ``endmembers``,
     ``reconstruction`` or ``eta_d``).
     """
-    _check_pixel_counts(len(_as_pixels(cube)), estimates)
+    _check_pixel_counts(len(_rows(cube)), estimates)
     report = MetricsReport(runtime_s=estimates.runtime_s)
     if estimates.eta_d is not None:
         report.eta_d_mean = float(np.mean(estimates.eta_d))
@@ -384,7 +374,7 @@ def evaluate(cube, truth, estimates: Estimates) -> MetricsReport:
         report.nrmse_m = _ratio(*_residual_sums(*_stack_pair(truth_m, m_hat),
                                                 "endmembers", perm))
     if estimates.reconstruction is not None:
-        report.nrmse_y = nrmse(_as_pixels(cube), estimates.reconstruction,
+        report.nrmse_y = nrmse(cube, estimates.reconstruction,
                                "pixels", ("cube", "reconstruction"))
     return report
 

@@ -21,9 +21,6 @@ from . import diffcore as dc
 from .diffcore import MlpParams, Tensor, as_tensor, mlp_forward
 from .distributions import DiagGaussian, gaussian_logpdf
 
-__all__ = ["GenerativeParams", "em_decode", "mixing_mean", "log_likelihood",
-           "flat_abundance_logpdf", "decoder_widths"]
-
 # Initial spreads; positive scalars live as logs.  The observation scale
 # matches a ~30 dB noise floor at unit signal.  The endmember scale must
 # start well above the noise floor: the decoder-likelihood terms scale

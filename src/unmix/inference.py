@@ -36,11 +36,6 @@ from .distributions import (GAMMA_FLOOR, DiagGaussian, dirichlet_rsample,
 from .errors import InputError, ShapeError
 from .generative import GenerativeParams, em_decode, mixing_mean
 
-__all__ = ["ListaParams", "InferenceParams", "PosteriorSample", "encode_z",
-           "lista_concentration", "abundance_streams", "abundance_concentration",
-           "posterior_sample", "point_estimates", "point_estimate_blocks",
-           "init_model"]
-
 INIT_ETA_SPARSE = 0.01
 INIT_ETA_UNC = 10.0
 INIT_ETA_STEP = 0.1

@@ -47,11 +47,6 @@ from .generative import (GenerativeParams, em_decode, flat_abundance_logpdf,
 from .inference import (InferenceParams, abundance_concentration, encode_z,
                         init_model, model_parameters, posterior_sample)
 
-__all__ = ["TrainConfig", "LossBreakdown", "EpochStats", "unsup_term",
-           "importance_weights", "ImportanceWeights", "sup_term",
-           "sparsity_penalty", "network_norm_penalty", "fnn_norm",
-           "l_half_norm", "total_loss", "train", "history_to_csv"]
-
 
 @dataclass
 class TrainConfig:

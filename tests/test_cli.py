@@ -7,7 +7,6 @@ import importlib
 import inspect
 import json
 import os
-import pkgutil
 import shutil
 import subprocess
 import sys
@@ -244,6 +243,21 @@ class TestExitCodes:
             f"pixels overflows in the block from pixel 0\n")
         assert not os.path.exists(csv)
 
+    def test_all_zero_truth_abundances_exit_3_and_write_no_report(
+            self, scene, tmp_path, capsys):
+        """An abundance truth of zero norm has no nrmse_a to report."""
+        truth = str(tmp_path / "truth")
+        shutil.copytree(os.path.dirname(scene["cube"]), truth)
+        base = os.path.join(truth, "abundances")
+        a, w, h = dt.load_abundances(base)
+        dt.save_abundances(base, np.zeros_like(a), w, h)
+        csv = str(tmp_path / "report.csv")
+        capsys.readouterr()
+        assert cli.main(["eval", truth, _unmix(scene, "est_zero_truth"),
+                         csv]) == 3
+        assert capsys.readouterr().err == "error: reference norm is zero\n"
+        assert not os.path.exists(csv)
+
     def test_overflowing_cube_exits_3_in_unmix(self, scene, tmp_path,
                                                capsys):
         """A finite cube whose concentration streams' squares overflow has
@@ -371,6 +385,17 @@ class TestExitCodes:
             in capsys.readouterr().err
         assert os.listdir(tmp_path) == []
 
+    def test_more_endmembers_than_bands_exits_2_before_writing(
+            self, scene, tmp_path, capsys):
+        capsys.readouterr()
+        rc = cli.main(["selfsup", scene["cube"], str(tmp_path / "sup"),
+                       "--p", "40"])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: cannot extract 40 endmembers from {BANDS}x"
+            f"{WIDTH * HEIGHT} data\n")
+        assert os.listdir(tmp_path) == []
+
     def test_one_endmember_labelled_set_exits_2_before_training(
             self, scene, tmp_path, monkeypatch, capsys):
         def step(*args, **kwargs):
@@ -394,7 +419,10 @@ class TestExitCodes:
         ("--rel-stop-tol", "nan", "rel_stop_tol"),
         ("--rel-stop-tol", "-inf", "rel_stop_tol"),
         ("--latent-dim", "0", "latent_dim"),
-        ("--lista-layers", "0", "lista_layers")])
+        ("--lista-layers", "0", "lista_layers"),
+        ("--k", "0", "k and k_e"), ("--ke", "0", "k and k_e"),
+        ("--batch-size", "0", "batch_size and max_epochs"),
+        ("--epochs", "0", "batch_size and max_epochs")])
     def test_bad_train_setting_exits_2_before_training(
             self, scene, monkeypatch, capsys, flag, value, field):
         def step(*args, **kwargs):
@@ -406,6 +434,20 @@ class TestExitCodes:
                        "--epochs", "1", f"{flag}={value}"])
         assert rc == 2
         assert capsys.readouterr().err.startswith(f"error: {field} must be")
+        assert not os.path.exists(out + ".json")
+
+    # The suite turns a RuntimeWarning into an error.  Here numpy's warning
+    # of the overflow comes before the refusal under test, so it is ignored.
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_objective_overflow_exits_3_writing_no_checkpoint(
+            self, scene, capsys):
+        out = str(scene["root"] / "diverged")
+        capsys.readouterr()
+        rc = cli.main(["train", scene["cube"], _supervised(scene), out,
+                       "--epochs", "1", "--lambda", "1e308"])
+        assert rc == 3
+        assert capsys.readouterr().err == (
+            "error: objective diverged; epoch=0; batch=0\n")
         assert not os.path.exists(out + ".json")
 
     @pytest.mark.parametrize("case", ["generate into a file",
@@ -943,6 +985,24 @@ class TestBundles:
         rc, err = self._unmix_rc(scene, base, capsys)
         assert rc == 2 and "no_raw.raw" in err
 
+    def test_missing_checkpoint_exits_2_writing_nothing(self, scene, capsys):
+        ckpt, out = (str(scene["root"] / n) for n in ("no_ckpt", "run_no_ckpt"))
+        capsys.readouterr()
+        assert cli.main(["unmix", scene["cube"], ckpt, out]) == 2
+        assert capsys.readouterr().err == (
+            f"error: missing checkpoint manifest {ckpt}.json\n")
+        assert not os.path.exists(out)
+
+    def test_missing_truth_cube_exits_2_writing_nothing(self, scene, capsys):
+        truth, csv = (str(scene["root"] / n) for n in ("no_truth", "no.csv"))
+        capsys.readouterr()
+        assert cli.main(["eval", truth, _unmix(scene, "est_no_truth"),
+                         csv]) == 2
+        assert capsys.readouterr().err == (
+            f"error: missing bundle header "
+            f"{os.path.join(truth, 'cube')}.json\n")
+        assert not os.path.exists(csv)
+
     # (y, a, m) shapes; the error names the first array that disagrees
     # with y and a, or that has the wrong number of axes
     @pytest.mark.parametrize("case, shapes, named", [
@@ -980,6 +1040,26 @@ class TestBundles:
         assert rc == 2 and base in err
         assert "m has a non-finite value (nan) at sample 2, endmember 0, " \
                "band 7" in err
+
+    def test_labelled_arrays_sharing_bytes_exit_2(self, scene, capsys):
+        """y moved one value on overlaps a: refused, not read as spectra
+        shifted by one band."""
+        base = str(scene["root"] / "sup_shared_bytes")
+        for ext in (".json", ".raw"):
+            shutil.copyfile(_supervised(scene) + ext, base + ext)
+        with open(base + ".json") as f:
+            header = json.load(f)
+        header["arrays"]["y"]["offset"] += 8
+        with open(base + ".json", "w") as f:
+            json.dump(header, f)
+        with pytest.raises(BundleError, match="inside an array") as exc_info:
+            dt.load_supervised(base)
+        assert exc_info.value.field == "a"
+        out = str(scene["root"] / "sup_shared_bytes_ckpt")
+        capsys.readouterr()
+        rc = cli.main(["train", scene["cube"], base, out, "--epochs", "1"])
+        assert rc == 2 and "field: a" in capsys.readouterr().err
+        assert not os.path.exists(out + ".json")
 
     def test_off_simplex_supervised_row_exits_2_before_training(
             self, scene, monkeypatch, capsys):
@@ -1032,6 +1112,7 @@ class TestBundles:
         ("inf.z_trunk.w0", "shape", [999]), ("inf.z_trunk.w0", "shape", "4"),
         ("inf.z_trunk.w0", "shape", [-4, -1]),
         ("inf.z_trunk.w0", "offset", -8), ("inf.z_trunk.w0", "offset", 1.0),
+        ("inf.z_trunk.w0", "offset", 4),
         ("inf.z_trunk.w0", "offset", "past end"),
         ("inf.z_trunk.w0", "count", -1),
         ("inf.z_trunk.w0", "count", "off by one"),
@@ -1064,6 +1145,25 @@ class TestBundles:
         rc = cli.main(["unmix", scene["cube"], base,
                        str(scene["root"] / f"run_ckpt_{name}_{key}_{value}")])
         assert rc == 2 and f"field: {name}" in capsys.readouterr().err
+
+    def test_checkpoint_arrays_sharing_bytes_exit_2_writing_nothing(
+            self, scene, capsys):
+        """One step size read from another's bytes is refused, not
+        loaded as that value."""
+        def share(manifest):
+            arrays = manifest["arrays"]
+            arrays["inf.lista.log_eta_sp"]["offset"] = \
+                arrays["inf.lista.log_eta_unc"]["offset"]
+        base = self._edited_ckpt(scene, "ckpt_shared_bytes", share)
+        with pytest.raises(BundleError, match="inside an array") as exc_info:
+            ct.load_checkpoint(base)
+        named = exc_info.value.field
+        assert named in ("inf.lista.log_eta_sp", "inf.lista.log_eta_unc")
+        out = str(scene["root"] / "run_ckpt_shared_bytes")
+        capsys.readouterr()
+        assert cli.main(["unmix", scene["cube"], base, out]) == 2
+        assert f"field: {named}" in capsys.readouterr().err
+        assert not os.path.exists(out)
 
     def _edited_ckpt(self, scene, name: str, edit) -> str:
         base = str(scene["root"] / name)
@@ -1185,6 +1285,18 @@ class TestBundles:
             f.truncate(8 * (3 * BANDS + 6 * BANDS * P))
         with pytest.raises(BundleError, match="ended early"):
             reader[5:7]
+
+    def test_empty_array_inside_another_shares_no_byte(self, tmp_path):
+        arrays = {"head": np.arange(4.0), "none": np.zeros((0, BANDS)),
+                  "tail": np.ones(2)}
+        base = str(tmp_path / "empty")
+        ct.write_container(base, {}, arrays)
+        _edit_header(base, "none", {"offset": 8, "count": 0,
+                                    "shape": [0, BANDS]}, "arrays")
+        _, readers = ct.open_container(base)
+        assert readers["none"][:].shape == (0, BANDS)
+        for name in ("head", "tail"):
+            assert readers[name][:].tobytes() == arrays[name].tobytes()
 
     @pytest.mark.parametrize("case, named", [
         ("fewer lista layers", "inf.lista.log_eta3"),
@@ -1801,20 +1913,12 @@ class TestProcessExitStatus:
 
 
 class TestPublicSurface:
-    """Every exported name resolves, and so does every name the benchmark
-    calls or its tracer wraps, so a deletion that would break either fails
-    here."""
+    """Every name the benchmark calls or its tracer wraps resolves, so a
+    deletion that would break either fails here."""
 
     def test_import_unmix(self):
         import unmix
         assert unmix.__version__
-
-    @pytest.mark.parametrize("module", sorted(
-        m.name for m in pkgutil.iter_modules(unmix.__path__)))
-    def test_all_entries_resolve(self, module):
-        mod = importlib.import_module(f"unmix.{module}")
-        missing = [n for n in getattr(mod, "__all__", ()) if not hasattr(mod, n)]
-        assert missing == []
 
     def test_tracer_targets_exist(self):
         path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",

@@ -1,6 +1,7 @@
 """Data layer: the generators' mixing laws and the endmember-major layout
 (..., P, L) of every endmember matrix, at P != L."""
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -263,3 +264,49 @@ def test_endmember_stack_check_holds_no_stack_sized_temporary(tmp_path):
     # the stack read whole, plus a block's booleans; a whole-stack
     # isfinite would add a quarter of the stack's bytes
     assert peak < 1.1 * stack.nbytes
+
+
+@pytest.mark.parametrize("kwargs, rule", [
+    ({"pixels": np.zeros(6)}, "pixels must be an (N, L) array"),
+    ({"pixels": np.zeros((5, 16))}, "width * height must equal the pixel "
+                                    "count"),
+    ({"pixels": np.zeros((6, 16)), "wavelengths": np.arange(15.0)},
+     "wavelengths must have one entry per band")])
+def test_cube_of_inconsistent_sizes_is_refused(kwargs, rule):
+    with pytest.raises(InputError, match=f"^{re.escape(rule)}$"):
+        dt.HyperCube(width=3, height=2, **kwargs)
+
+
+def test_library_of_too_few_bands_is_refused():
+    with pytest.raises(InputError, match=f"^need at least {dt.MIN_BANDS} "
+                                         f"bands, got {dt.MIN_BANDS - 1}$"):
+        dt.synth_endmember_library(dt.MIN_BANDS - 1, P,
+                                   np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("variability", [-0.1, dt.MAX_VARIABILITY + 0.1,
+                                         float("nan")])
+def test_dc2_variability_out_of_range_is_refused(scene_parts, variability):
+    library, maps = scene_parts
+    stack, pixels = [], []
+    with pytest.raises(InputError, match="^variability strength must be in"):
+        dt.generate_dc2(maps, library, variability, 30.0,
+                        np.random.default_rng(0), stack, pixels)
+    assert stack == pixels == []
+
+
+def test_endmember_stack_of_another_length_is_refused(tmp_path, scene_parts):
+    library, _ = scene_parts
+    stack = np.broadcast_to(library, (W * H - 1,) + library.shape)
+    with pytest.raises(InputError, match="^endmember stack length must "
+                                         "match width \\* height$"):
+        dt.save_endmembers(str(tmp_path / "em"), stack, W, H)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_empty_supervised_set_is_refused(tmp_path):
+    with pytest.raises(InputError,
+                       match="^cannot save an empty supervised set$"):
+        dt.save_supervised(str(tmp_path / "sup"), np.zeros((0, L)),
+                           np.zeros((0, P)), np.zeros((0, P, L)))
+    assert list(tmp_path.iterdir()) == []

@@ -46,6 +46,15 @@ class TestMlpForward:
         with pytest.raises(ShapeError):
             dc.mlp_forward(net, np.zeros(4))
 
+    @pytest.mark.parametrize("widths, activations, rule", [
+        ([3, 4, 2], ["relu"], "need one activation per weight layer"),
+        ([3, 2], ["tanh"], "unknown activation 'tanh'")])
+    def test_create_rejects_activations_that_do_not_fit(self, widths,
+                                                        activations, rule):
+        with pytest.raises(ShapeError, match=f"^{rule}$"):
+            dc.MlpParams.create(widths, activations,
+                                np.random.default_rng(0), "net")
+
     def test_forward_deterministic(self, rng):
         net = make_mlp([3, 5, 2], ["relu", "linear"], seed=7)
         x = rng.standard_normal(3)
@@ -208,6 +217,16 @@ class TestDense:
             dc.dense(dc.constant(np.ones((4, 2))), w, b, "relu")
         with pytest.raises(ShapeError):
             dc.dense(dc.constant(np.ones((4, 3))), w, b, "tanh")
+
+    @pytest.mark.parametrize("a_shape, b_shape, rule", [
+        ((3,), (3, 2), "matmul needs ndim >= 2 operands"),
+        ((4, 3), (3,), "matmul needs ndim >= 2 operands"),
+        ((4, 3), (2, 5), "matmul inner dims differ")])
+    def test_matmul_rejects_operands_that_do_not_fit(self, a_shape, b_shape,
+                                                     rule):
+        with pytest.raises(ShapeError, match=f"^{rule}"):
+            dc.matmul(dc.constant(np.ones(a_shape)),
+                      dc.constant(np.ones(b_shape)))
 
 
 def _bank_case(rng, layout: str):

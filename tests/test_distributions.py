@@ -54,6 +54,12 @@ class TestGaussianLogpdf:
         with pytest.raises(DomainError):
             ds.gaussian_logpdf(np.array([0.0]), d)
 
+    def test_coordinate_mismatch_rejected(self):
+        d = ds.DiagGaussian(mean=dc.constant([0.0, 1.0]),
+                            scale=dc.constant([1.0, 1.0]))
+        with pytest.raises(ShapeError, match="^x has 3 coords, mean has 2$"):
+            ds.gaussian_logpdf(np.zeros(3), d)
+
 
 def _chain_logpdf(x, mean, scale):
     """The diffcore-op chain ``gaussian_logpdf`` was before it was one node:

@@ -107,6 +107,11 @@ class TestNrmse:
                            "overflows in the block from pixel 0$"):
             ev.nrmse(x, scale * x)
 
+    def test_shape_mismatch_rejected(self):
+        with pytest.raises(InputError,
+                           match=r"^shape mismatch: \(3, 4\) vs \(3, 5\)$"):
+            ev.nrmse(np.ones((3, 4)), np.ones((3, 5)))
+
 
 class TestMinCostAssignment:
     """The in-module solver against ``linear_sum_assignment`` and against
@@ -225,6 +230,12 @@ class TestFcls:
         p = ev.FCLS_MAX_ENDMEMBERS + 1
         M = rng.uniform(0.05, 0.95, (p, 40))
         with pytest.raises(InputError, match=f"got {p}"):
+            ev.fcls(rng.uniform(0.0, 1.0, (3, 40)), M)
+
+    def test_rank_deficient_endmembers_rejected(self, rng):
+        M = rng.uniform(0.05, 0.95, (3, 40))
+        M[2] = M[0]
+        with pytest.raises(InputError, match="full row rank"):
             ev.fcls(rng.uniform(0.0, 1.0, (3, 40)), M)
 
 
@@ -521,3 +532,16 @@ class TestReportCsv:
                    ev.MetricsReport(nrmse_a=0.5, runtime_s=0.0)]
         back = ev.reports_from_csv(ev.reports_to_csv(reports))
         assert back == [dataclasses.asdict(r) for r in reports]
+
+    @pytest.mark.parametrize("case", ["empty", "column dropped",
+                                      "columns swapped"])
+    def test_other_header_rejected(self, case):
+        columns = list(ev._CSV_COLUMNS)
+        if case == "column dropped":
+            columns.pop()
+        elif case == "columns swapped":
+            columns[:2] = columns[1::-1]
+        text = "" if case == "empty" else ",".join(columns) + "\n"
+        with pytest.raises(InputError,
+                           match="^unexpected report CSV columns$"):
+            ev.reports_from_csv(text)

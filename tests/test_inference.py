@@ -11,6 +11,7 @@ from conftest import fd_param_grads, max_rel_err, one_network, zero_mlp
 from unmix import diffcore as dc
 from unmix import inference as inf
 from unmix.distributions import GAMMA_FLOOR, RngNoise
+from unmix.errors import ShapeError
 from unmix.generative import GenerativeParams, mixing_mean
 
 L, P, H = 10, 3, 2
@@ -141,6 +142,13 @@ class TestListaConcentration:
         M[2] = rng.uniform(0.1, 0.9, L)
         out = inf.lista_concentration(M[0], dc.constant(M), phi).data
         assert np.all(np.isfinite(out))
+
+    def test_band_mismatch_rejected(self, model, rng):
+        _, phi = model
+        M = rng.uniform(0.1, 0.9, (P, L))
+        with pytest.raises(ShapeError,
+                           match=f"^M has {L} bands, y has {L + 1}$"):
+            inf.lista_concentration(np.ones(L + 1), dc.constant(M), phi)
 
     @pytest.mark.parametrize("n_layers", [1, 2, 3, 11])
     def test_one_step_size_per_shrinkage_step(self, n_layers):

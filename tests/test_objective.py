@@ -688,6 +688,15 @@ class TestTrain:
             ob.train(d_u, (y_s[:0], a_s[:0], m_s[:0]), ob.TrainConfig(),
                      seed=0, latent_dim=2, lista_layers=4)
 
+    @pytest.mark.parametrize("case", ["no rows", "one axis"])
+    def test_empty_unlabelled_set_is_refused(self, case):
+        d_u, d_s = self._toy_data()
+        d_u = d_u[:0] if case == "no rows" else d_u[0]
+        with pytest.raises(InputError, match="^unlabeled data must be a "
+                                             "nonempty \\(N, L\\) array$"):
+            ob.train(d_u, d_s, ob.TrainConfig(), seed=0, latent_dim=2,
+                     lista_layers=4)
+
     def test_history_capped_at_max_epochs(self):
         d_u, d_s = self._toy_data()
         cfg = ob.TrainConfig(max_epochs=30, batch_size=16)
