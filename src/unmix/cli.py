@@ -17,6 +17,13 @@ scipy is imported in the functions that call it, so each command loads
 only its own: ``train`` ``scipy.special`` and ``scipy.linalg``, and
 ``generate``, ``selfsup``, ``unmix`` and ``eval`` none.
 
+``selfsup`` and ``eval --baseline fcls`` take their endmember references
+from ``data.vca``, which holds the cube whole.  It makes two passes over
+the cube, the (L, L) band Gram and the projection onto the Gram's top P
+eigenvectors, and runs 16 VCA sequences over the projected (P, N)
+pixels; it takes no SVD of the (L, N) cube.  At 100 x 100 x 224, P = 5,
+that is about 0.03 s on one core.
+
 Exit codes: 0 ok, 2 input error (a path that cannot be read or written
 included), 3 numeric/training error.
 """

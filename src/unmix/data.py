@@ -307,25 +307,59 @@ def generate_dc2(abundances: np.ndarray, base_em: np.ndarray,
 
 # ------------------------------------------------------------- extraction
 
-def vca(cube, n_endmembers: int, rng: np.random.Generator) -> np.ndarray:
-    """Vertex selection in the SVD signal subspace; returns P pixels, (P, L).
+# The VCA direction sequences one extraction runs; the vertex set of the
+# largest simplex among them is kept.
+VCA_DRAWS = 16
+# The rank cut on the Gram X X^T's eigenvalues, as a share of the largest:
+# a singular-value ratio of 1e-6 on X, the reasoning of
+# ``inference.WARM_START_CUT``.  eigh leaves a null eigenvalue near 1e-16
+# of the largest, well below it.
+VCA_RANK_CUT = 1e-12
 
-    Projects the data onto its top-P singular subspace, then P times
-    draws a random direction, orthogonalizes it against the span of the
-    already-selected vertices, and picks the pixel with the largest
-    absolute component along it.  Each direction is drawn once: the span
-    has fewer than P dimensions, so its residual is almost surely nonzero.
+
+def vca(cube, n_endmembers: int, rng: np.random.Generator) -> np.ndarray:
+    """Vertex selection in the signal subspace; returns P pixels, (P, L).
+
+    The subspace is spanned by the top-P eigenvectors of the (L, L) band
+    Gram X X^T (``eigh``), X the (L, N) pixels, each one's sign flipped so
+    that its largest-magnitude entry is positive; a P-th eigenvalue at or
+    below ``VCA_RANK_CUT`` of the largest is an ``ExtractionError``.  In
+    the subspace, one VCA sequence (Nascimento & Bioucas-Dias, IEEE TGRS
+    43(4), 2005) P times draws a random direction, orthogonalizes it
+    against the span of the vertices already picked, and picks the pixel
+    with the largest absolute component along it.  Each direction is drawn
+    once: the span has fewer than P dimensions, so its residual is almost
+    surely nonzero.  ``VCA_DRAWS`` sequences run, one from each child of
+    ``rng.spawn(VCA_DRAWS)``, and the picks whose P - 1 edges from the
+    first vertex have the largest Gram determinant, the simplex volume of
+    N-FINDR (Winter, Proc. SPIE 3753, 1999), are returned, the first
+    sequence's on a tie.
     """
     pixels = _rows(cube)
-    X = pixels.T                                    # (L, N)
-    L, n = X.shape
+    n, L = pixels.shape
     P = n_endmembers
     if P > min(L, n):
         raise ExtractionError(f"cannot extract {P} endmembers from {L}x{n} data")
-    U, s, _ = np.linalg.svd(X, full_matrices=False)
-    if s[P - 1] <= 1e-12 * s[0]:
+    w, v = np.linalg.eigh(pixels.T @ pixels)
+    if w[-P] <= VCA_RANK_CUT * w[-1]:
         raise ExtractionError("signal subspace rank below the endmember count")
-    Xp = U[:, :P].T @ X                             # (P, N)
+    U = v[:, :-P - 1:-1]                            # (L, P), largest first
+    U *= np.sign(U[np.abs(U).argmax(axis=0), np.arange(P)])
+    Xp = U.T @ pixels.T                             # (P, N)
+    best, best_volume = None, -np.inf
+    for child in rng.spawn(VCA_DRAWS):
+        chosen = _vca_sequence(Xp, child)
+        edges = Xp[:, chosen[1:]] - Xp[:, chosen[:1]]
+        volume = np.linalg.det(edges.T @ edges)
+        if volume > best_volume:
+            best, best_volume = chosen, volume
+    return pixels[best]
+
+
+def _vca_sequence(Xp: np.ndarray, rng: np.random.Generator) -> list[int]:
+    """The columns of the (P, N) projected pixels ``Xp`` one VCA sequence
+    picks, with directions drawn from ``rng``."""
+    P = len(Xp)
     basis = np.zeros((P, 0))
     chosen: list[int] = []
     for _ in range(P):
@@ -338,7 +372,7 @@ def vca(cube, n_endmembers: int, rng: np.random.Generator) -> np.ndarray:
         nv = np.linalg.norm(v)
         if nv > 1e-12:
             basis = np.hstack([basis, (v / nv)[:, None]])
-    return pixels[chosen]
+    return chosen
 
 
 def spectral_angles(spectra: np.ndarray, ref: np.ndarray) -> np.ndarray:

@@ -55,17 +55,20 @@ from .data import _check_finite, _rows
 from .errors import DomainError, InputError
 
 
-def nrmse(x, x_hat, name: str = "pixels", roles=("truth", "estimate")):
+def nrmse(x, x_hat, name: str = "pixels", roles=("truth", "estimate"),
+          score: str = "nrmse"):
     """||X - X_hat||_F / ||X||_F for row sources of one shape, of one axis
     or more, summed over blocks of ``ROW_BLOCK`` rows; a NaN or an
     infinity is reported as a value of the array ``name`` of its source,
     an array source named by its entry of ``roles`` (see the module
-    docstring), and finite values whose squares overflow are a
-    ``DomainError``."""
+    docstring), and finite values whose squares overflow, or an X of zero
+    norm, are a ``DomainError``, the latter naming ``score`` and X's
+    source."""
     x, x_hat = _rows(x), _rows(x_hat)
     if x.shape != x_hat.shape:
         raise InputError(f"shape mismatch: {x.shape} vs {x_hat.shape}")
-    return _ratio(*_residual_sums(x, x_hat, name, roles=roles))
+    return _ratio(*_residual_sums(x, x_hat, name, roles=roles), score,
+                  _label(x, roles[0]))
 
 
 def nonlinearity_degree(lin, nlin, start: int = 0) -> np.ndarray:
@@ -195,9 +198,11 @@ def _residual_sums(x, x_hat, name: str, perm: np.ndarray | None = None,
     return num, den
 
 
-def _ratio(num: float, den: float) -> float:
+def _ratio(num: float, den: float, score: str, label: str) -> float:
+    """sqrt(num / den), or for a reference ``label`` of zero norm, whose
+    ``score`` has no value, a ``DomainError`` naming both."""
     if den == 0.0:
-        raise DomainError("reference norm is zero")
+        raise DomainError(f"{label}: the reference of {score} has zero norm")
     return math.sqrt(num) / math.sqrt(den)
 
 
@@ -368,14 +373,16 @@ def evaluate(cube, truth, estimates: Estimates) -> MetricsReport:
     if truth.abundances is not None:
         report.nrmse_a = nrmse(truth.abundances,
                                a_hat if perm is None else a_hat[:, perm],
-                               "abundances")
+                               "abundances", score="nrmse_a")
     if perm is not None:
         report.sam_m = float(cost[np.arange(len(perm)), perm].sum())
-        report.nrmse_m = _ratio(*_residual_sums(*_stack_pair(truth_m, m_hat),
-                                                "endmembers", perm))
+        mt, mh = _stack_pair(truth_m, m_hat)
+        report.nrmse_m = _ratio(*_residual_sums(mt, mh, "endmembers", perm),
+                                "nrmse_m", _label(mt, "truth"))
     if estimates.reconstruction is not None:
         report.nrmse_y = nrmse(cube, estimates.reconstruction,
-                               "pixels", ("cube", "reconstruction"))
+                               "pixels", ("cube", "reconstruction"),
+                               score="nrmse_y")
     return report
 
 

@@ -335,12 +335,16 @@ def train(d_u: np.ndarray, d_s, config: TrainConfig, seed: int, *,
             s_idx = np.fromiter(itertools.islice(
                 sup_order, min(config.batch_size, len(y_s))), np.intp)
             batch_s = (y_s[s_idx], a_s[s_idx], m_s[s_idx])
+            # an overflow is reported by the finiteness checks of the total
+            # and of adam_step, not by numpy's warning
             try:
-                bd = total_loss(batch_u, batch_s, theta, phi, config, noise)
-                if not math.isfinite(bd.total):
-                    raise TrainingError("objective diverged")
-                backward(-bd.node, params)
-                adam_step(arena, lr)
+                with np.errstate(over="ignore", invalid="ignore"):
+                    bd = total_loss(batch_u, batch_s, theta, phi, config,
+                                    noise)
+                    if not math.isfinite(bd.total):
+                        raise TrainingError("objective diverged")
+                    backward(-bd.node, params)
+                    adam_step(arena, lr)
             except (TrainingError, NumericError, np.linalg.LinAlgError) as exc:
                 known = isinstance(exc, TrainingError)
                 err = TrainingError(exc.message if known else str(exc),

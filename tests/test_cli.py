@@ -255,7 +255,8 @@ class TestExitCodes:
         capsys.readouterr()
         assert cli.main(["eval", truth, _unmix(scene, "est_zero_truth"),
                          csv]) == 3
-        assert capsys.readouterr().err == "error: reference norm is zero\n"
+        assert capsys.readouterr().err == (
+            "error: truth: the reference of nrmse_a has zero norm\n")
         assert not os.path.exists(csv)
 
     def test_overflowing_cube_exits_3_in_unmix(self, scene, tmp_path,
@@ -436,9 +437,6 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith(f"error: {field} must be")
         assert not os.path.exists(out + ".json")
 
-    # The suite turns a RuntimeWarning into an error.  Here numpy's warning
-    # of the overflow comes before the refusal under test, so it is ignored.
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_objective_overflow_exits_3_writing_no_checkpoint(
             self, scene, capsys):
         out = str(scene["root"] / "diverged")

@@ -1,6 +1,7 @@
 """Data layer: the generators' mixing laws and the endmember-major layout
 (..., P, L) of every endmember matrix, at P != L."""
 
+import itertools
 import re
 import tracemalloc
 
@@ -233,6 +234,53 @@ def test_vca_refuses_a_cube_of_rank_below_the_endmember_count():
     assert dt.vca(cube, 3, np.random.default_rng(0)).shape == (3, 64)
     with pytest.raises(ExtractionError, match="rank below the endmember"):
         dt.vca(cube, 4, np.random.default_rng(0))
+
+
+def _generated_dc1(seed: int):
+    """``cli generate dc1 --seed seed --width 30 --height 30 --bands 64``'s
+    library and pixels, and the VCA stream ``cli selfsup --seed seed``
+    draws from."""
+    lib_rng, map_rng, mix_rng = np.random.default_rng(seed).spawn(3)
+    library = dt.synth_endmember_library(64, 3, lib_rng)
+    maps = dt.synth_abundance_maps(30, 30, 3, map_rng)
+    vca_rng, _ = np.random.default_rng(seed).spawn(2)
+    return library, dc1_scene(maps, library, 30.0, mix_rng), vca_rng
+
+
+@pytest.mark.parametrize("seed", range(101, 111))
+def test_vca_finds_every_dc1_vertex_within_5_degrees(seed):
+    """The worst angle between a true endmember and its pick, under the
+    pairing of least total angle, is at most 5 degrees."""
+    library, pixels, vca_rng = _generated_dc1(seed)
+    refs = dt.vca(pixels, 3, vca_rng)
+    angles = np.degrees([dt.spectral_angles(refs, m) for m in library])
+    perm = min(itertools.permutations(range(3)),
+               key=lambda q: angles[range(3), q].sum())
+    assert angles[range(3), perm].max() <= 5.0
+
+
+@pytest.mark.parametrize("flip", ["every", "alternate"])
+def test_vca_picks_do_not_depend_on_the_eigenvector_signs(monkeypatch, flip):
+    """LAPACK may return any eigenvector negated; the sign rule undoes it,
+    whether every eigenvector is negated or only some are."""
+    _, pixels, _ = _generated_dc1(102)
+    want = dt.vca(pixels, 3, np.random.default_rng(1))
+    eigh = np.linalg.eigh
+    signs = {"every": -1.0, "alternate": (-1.0) ** np.arange(64)}[flip]
+
+    def negated(a):
+        w, v = eigh(a)
+        return w, v * signs
+    monkeypatch.setattr(np.linalg, "eigh", negated)
+    assert dt.vca(pixels, 3, np.random.default_rng(1)).tobytes() \
+        == want.tobytes()
+
+
+def test_vca_of_one_seed_gives_the_same_bytes():
+    _, pixels, _ = _generated_dc1(105)
+    first, second = (dt.vca(pixels, 3, np.random.default_rng(9))
+                     for _ in range(2))
+    assert first.tobytes() == second.tobytes()
 
 
 @pytest.mark.parametrize("row_block", [dt.ROW_BLOCK, 16])

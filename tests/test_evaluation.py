@@ -112,6 +112,22 @@ class TestNrmse:
                            match=r"^shape mismatch: \(3, 4\) vs \(3, 5\)$"):
             ev.nrmse(np.ones((3, 4)), np.ones((3, 5)))
 
+    def test_zero_reference_names_score_and_source(self, tmp_path):
+        """A zero-norm reference has no ratio: a ``DomainError`` naming the
+        score and the reference, an array by its role and a bundle on disk
+        by its path."""
+        zeros = np.zeros((3, 4))
+        with pytest.raises(DomainError, match="^truth: the reference of "
+                           "nrmse_a has zero norm$"):
+            ev.nrmse(zeros, np.ones((3, 4)), "abundances", score="nrmse_a")
+        base = str(tmp_path / "cube")
+        ct.write_container(base, {}, {"pixels": zeros})
+        _, readers = ct.open_container(base, "cube")
+        with pytest.raises(DomainError) as err:
+            ev.nrmse(readers["pixels"], np.ones((3, 4)), score="nrmse_y")
+        assert str(err.value) == (f"{base}: the reference of nrmse_y has "
+                                  f"zero norm")
+
 
 class TestMinCostAssignment:
     """The in-module solver against ``linear_sum_assignment`` and against
