@@ -524,10 +524,11 @@ class MlpParams:
 
     @classmethod
     def create(cls, widths: list[int], activations: list[str],
-               rng, name: str, bank: int = 0) -> "MlpParams":
+               rng, name: str, bank: int = 0,
+               out_bias: np.ndarray | None = None) -> "MlpParams":
         """One network, or for ``bank`` > 0 a bank of that many: Xavier-uniform
-        weights drawn from ``rng`` and zero biases, or a ``StoredParams``'
-        arrays."""
+        weights drawn from ``rng`` and zero biases, the output layer's
+        ``out_bias`` if given, or a ``StoredParams``' arrays."""
         if len(activations) != len(widths) - 1:
             raise ShapeError("need one activation per weight layer")
         for a in activations:
@@ -537,8 +538,11 @@ class MlpParams:
         shapes = list(zip(widths[1:], widths[:-1]))
         weights = values.weights(name, shapes, bank)
         lead = (bank,) if bank else ()
-        biases = [values.value(f"{name}.b{i}", np.zeros(lead + (n_out,)))
-                  for i, (n_out, _) in enumerate(shapes)]
+        initial = [np.zeros(lead + (n_out,)) for n_out, _ in shapes]
+        if out_bias is not None:
+            initial[-1] = np.broadcast_to(out_bias, initial[-1].shape).copy()
+        biases = [values.value(f"{name}.b{i}", b)
+                  for i, b in enumerate(initial)]
         return cls(list(widths), weights, biases, list(activations))
 
 

@@ -29,6 +29,11 @@ from .distributions import DiagGaussian, gaussian_logpdf
 INIT_OBS_SCALE = 0.01
 INIT_EM_SCALE = 0.05
 
+# Reference reflectances are clipped to this box before the logit that sets
+# a decoder's output bias, so a reference at or beyond 0 or 1 (noise, or a
+# VCA vertex outside the box) starts its decoder at a finite bias.
+REF_CLIP = (0.01, 0.99)
+
 
 def decoder_widths(n_bands: int, latent_dim: int) -> list[int]:
     """Width sequence of each endmember decoder, input through output."""
@@ -60,14 +65,22 @@ class GenerativeParams:
 
     @classmethod
     def create(cls, n_bands: int, n_endmembers: int, latent_dim: int,
-               rng) -> "GenerativeParams":
+               rng, ref_endmembers: np.ndarray | None = None,
+               ) -> "GenerativeParams":
         """Drawn from the Generator ``rng``, or built over the arrays of a
-        ``dc.StoredParams``."""
+        ``dc.StoredParams``.  Given ``ref_endmembers`` (P, L), decoder k's
+        output bias starts at the logit of reference k clipped to
+        ``REF_CLIP``, so the bank starts near the references rather than at
+        the flat 0.5 of a zero bias; the drawn weights are the same."""
         values = dc.param_values(rng)
         widths = decoder_widths(n_bands, latent_dim)
         acts = ["relu"] * (len(widths) - 2) + ["sigmoid"]
+        out_bias = None
+        if ref_endmembers is not None:
+            ref = np.clip(ref_endmembers, *REF_CLIP)
+            out_bias = np.log(ref) - np.log1p(-ref)
         decoder = MlpParams.create(widths, acts, values, "gen.em_decoder",
-                                   bank=n_endmembers)
+                                   bank=n_endmembers, out_bias=out_bias)
         log_scale = values.value("gen.em_log_scale",
                                  np.full(n_endmembers, np.log(INIT_EM_SCALE)))
         L, P = n_bands, n_endmembers

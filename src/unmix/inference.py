@@ -298,12 +298,16 @@ def init_model(n_bands: int, n_endmembers: int, latent_dim: int,
 
     ``rng`` is the Generator the initial weights are drawn from, or a
     ``dc.StoredParams`` whose checkpoint arrays become the parameters.
+    ``ref_endmembers`` (P, L), which ``train`` takes as the labelled set's
+    mean endmember matrix, starts each decoder at its reference and sets
+    the LISTA step to 1 / the largest eigenvalue of their Gram.
     """
     for name, size in (("latent_dim", latent_dim),
                        ("lista_layers", lista_layers)):
         if size < 1:
             raise InputError(f"{name} must be >= 1, got {size}")
-    theta = GenerativeParams.create(n_bands, n_endmembers, latent_dim, rng)
+    theta = GenerativeParams.create(n_bands, n_endmembers, latent_dim, rng,
+                                    ref_endmembers)
     phi = InferenceParams.create(n_bands, n_endmembers, latent_dim,
                                  lista_layers, rng, ref_endmembers)
     return theta, phi

@@ -81,6 +81,23 @@ class TestEmDecode:
                                        atol=1e-12 * np.abs(g_want[name]).max(),
                                        err_msg=name)
 
+    def test_references_start_each_decoder_at_its_reference(self):
+        """Reference k sets decoder k's output bias to its clipped logit, so
+        with zero weights the bank decodes the references; the drawn
+        weights are those of a bank made without references."""
+        ref = np.random.default_rng(5).uniform(0.05, 0.95, (P, L))
+        ref[0, :2] = [-0.2, 1.3]            # outside the reflectance box
+        plain = gen.GenerativeParams.create(L, P, H, np.random.default_rng(9))
+        theta = gen.GenerativeParams.create(L, P, H, np.random.default_rng(9),
+                                            ref_endmembers=ref)
+        for w0, w1 in zip(plain.em_decoder.weights, theta.em_decoder.weights):
+            assert w0.data.tobytes() == w1.data.tobytes()
+        for w in theta.em_decoder.weights:
+            w.data[...] = 0.0
+        mean = gen.em_decode(np.zeros((P, H)), theta).mean.data
+        np.testing.assert_allclose(mean, np.clip(ref, *gen.REF_CLIP),
+                                   rtol=1e-12)
+
     def test_wrong_code_count_rejected(self, theta):
         with pytest.raises(ShapeError):
             gen.em_decode(np.zeros((P + 1, H)), theta)

@@ -473,15 +473,6 @@ class TestPointEstimates:
         assert all(t.requires_grad and t.grad is None for t in params.values())
         assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "the 20-epoch toy fit collapses: with the best-of-16 VCA picks it "
-        "agrees on 0.25 of its 4 pure pixels; given the scene's true "
-        "library as references it also fails at training seed 0 (0.25); "
-        "over training seeds 0-9 it passes at 4 of 10 with the old "
-        "single-draw picks and at 2 of 10 with the true library; the "
-        "argmax of the labelled set agrees with its labels at 0.50, chance "
-        "for two balanced classes, at 7 of 10 seeds with the old references "
-        "and at 8 of 10 with the new ones"))
     def test_trained_toy_concentrates_on_pure_pixels(self):
         # tiny end-to-end fit: the posterior mean must pick the right
         # endmember (argmax only) for pure inputs
