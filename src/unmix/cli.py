@@ -17,6 +17,12 @@ scipy is imported in the functions that call it, so each command loads
 only its own: ``train`` ``scipy.special`` and ``scipy.linalg``, and
 ``generate``, ``selfsup``, ``unmix`` and ``eval`` none.
 
+``unmix`` runs the products of three of its four networks in float32 and
+everything else in float64 (``inference.point_estimate_blocks``).  At
+100 x 100 x 224, P = 5, with a fresh model on one thread, the command
+takes about 0.9 s, against about 1.2 s for the same pass in float64; its
+outputs differ from that pass's by at most 1e-6.
+
 ``selfsup`` and ``eval --baseline fcls`` take their endmember references
 from ``data.vca``, which holds the cube whole.  It makes two passes over
 the cube, the (L, L) band Gram and the projection onto the Gram's top P
@@ -272,8 +278,8 @@ def cmd_unmix(args) -> int:
     thread count (any of them may change with it), and
     ``inference.point_estimates`` of the cube's pixels returns the same
     bytes as the abundance and endmember maps.  A failure part way removes
-    the bundles written so far, as when the stream norms of eta_d overflow
-    (exit 3).
+    the bundles written so far, as when a cube or a weight leaves float32's
+    range in the pass, or the stream norms of eta_d overflow (exit 3).
     """
     t0 = time.perf_counter()
     cube_base = _strip_bundle(args.cube)

@@ -2,7 +2,16 @@
 
 Dense float64 tensors with reverse-mode accumulation over a per-loss
 recorded graph, small feedforward networks, the Adam update, and the
-learning-rate schedule used by the training loop.  Graphs are rebuilt
+learning-rate schedule used by the training loop.  One rule sets a
+tensor's dtype: float32 data stays float32 and anything else becomes
+float64.  ``dense`` computes in its weight's dtype, casting its input to
+it, which for a float64 weight is a no-op; so a network whose weights and
+biases are float32 runs in float32 through the same code, and everything
+downstream of it widens back to float64 by numpy's promotion as soon as
+it meets a float64 operand.  Only the forward-only unmixing pass
+(``inference.point_estimate_blocks``) builds float32 weights; training is
+float64 throughout, its parameters, gradients, Adam moments and
+checkpoints included.  Graphs are rebuilt
 for every loss evaluation; only parameter tensors persist.  One rule
 decides what a graph records: a tensor needs a gradient if and only if a
 parameter feeds it, so an op on constants alone records nothing, a
@@ -70,7 +79,8 @@ def _binary_vjp(a: "Tensor", b: "Tensor", da, db):
 
 
 class Tensor:
-    """A float64 array recorded on a dynamically built computation graph.
+    """A float64 array, or a float32 one given float32 data, recorded on a
+    dynamically built computation graph.
 
     ``requires_grad`` is set when the tensor is made: for a leaf if asked,
     for an op's output if any parent has it.  Only then does it keep
@@ -83,7 +93,9 @@ class Tensor:
 
     def __init__(self, data, parents=(), vjp=None, name=None,
                  requires_grad=False):
-        self.data = np.asarray(data, dtype=np.float64)
+        data = np.asarray(data)
+        self.data = (data if data.dtype == np.float32
+                     else np.asarray(data, dtype=np.float64))
         self.grad: np.ndarray | None = None
         self.name = name
         self._grad_view: np.ndarray | None = None
@@ -380,7 +392,9 @@ _ACTIVATIONS = ("relu", "sigmoid", "linear")
 
 
 def dense(x: Tensor, w: Tensor, b: Tensor, act: str) -> Tensor:
-    """One fully connected layer ``act(x @ w.T + b)`` as a single node.
+    """One fully connected layer ``act(x @ w.T + b)`` as a single node,
+    computed in ``w``'s dtype: ``x`` is cast to it first, a no-op when both
+    are float64.
 
     ``x`` (rows, in), ``w`` (out, in), ``b`` (out,); or a bank of P
     networks, ``w`` (P, out, in) and ``b`` (P, out), over ``x``
@@ -405,7 +419,8 @@ def dense(x: Tensor, w: Tensor, b: Tensor, act: str) -> Tensor:
         raise ShapeError(f"dense input {x.shape} does not fit weights {w.shape}")
     if act not in _ACTIVATIONS:
         raise ShapeError(f"unknown activation {act!r}")
-    out = x.data @ np.swapaxes(w.data, -1, -2)
+    xd = x.data.astype(w.data.dtype, copy=False)
+    out = xd @ np.swapaxes(w.data, -1, -2)
     out += b.data[..., None, :]
     if act == "relu":
         np.maximum(out, 0.0, out=out)
@@ -428,11 +443,11 @@ def dense(x: Tensor, w: Tensor, b: Tensor, act: str) -> Tensor:
 
         def into(gw, add):
             if not add:
-                np.matmul(np.swapaxes(g, -1, -2), x.data, out=gw)
+                np.matmul(np.swapaxes(g, -1, -2), xd, out=gw)
                 return
             from scipy.linalg.blas import dgemm
             for k in np.ndindex(gw.shape[:-2]):     # gw.T += x.T @ g
-                dgemm(1.0, x.data[k].T, g[k].T, beta=1.0, c=gw[k].T,
+                dgemm(1.0, xd[k].T, g[k].T, beta=1.0, c=gw[k].T,
                       trans_b=True, overwrite_c=True)
         return (gx, into, g.sum(axis=-2))
     return Tensor(out, (x, w, b), vjp)

@@ -21,6 +21,11 @@ blocks of ``ROW_BLOCK`` pixels counted from pixel 0, so a caller can stream
 each block's outputs as it is computed, and the outputs depend only on the
 pixel values, the pixel count and the BLAS thread count (for a trained
 model every output can differ on 1 and 2 threads), not on memory layout.
+It is the one place that computes in float32: its view of the model
+(``forward_view``) runs the z-encoder's mean path, the decoder bank and
+the mixing net, most of its products, in float32, and keeps LISTA, the
+nonlinear encoder and every output in float64.  Its outputs stay within
+about 1e-6 of the same pass in float64.  Training is float64 throughout.
 """
 
 from __future__ import annotations
@@ -33,7 +38,7 @@ from . import diffcore as dc
 from .diffcore import MlpParams, Tensor, as_tensor, mlp_forward
 from .distributions import (GAMMA_FLOOR, DiagGaussian, dirichlet_rsample,
                             gaussian_rsample)
-from .errors import InputError, ShapeError
+from .errors import DomainError, InputError, ShapeError
 from .generative import GenerativeParams, em_decode, mixing_mean
 
 INIT_ETA_SPARSE = 0.01
@@ -235,6 +240,28 @@ def posterior_sample(y, phi: InferenceParams, theta: GenerativeParams,
     return PosteriorSample(a=a, em_matrix=em, gamma=gamma, z_dist=z_dist, z=z)
 
 
+def forward_view(theta: GenerativeParams, phi: InferenceParams,
+                 ) -> tuple[GenerativeParams, InferenceParams]:
+    """The constant view of (theta, phi) that the unmixing pass runs over.
+
+    It is a ``dc.StoredParams`` build of the model in which the weights and
+    biases of the z-encoder's mean path, the decoder bank and the mixing
+    net are float32 copies, made here, and every other parameter is the
+    model's own float64 array.  Every tensor is a constant, so nothing run
+    over the view records a graph, for any model.  A weight beyond
+    float32's range becomes an infinity here, without a warning; the
+    pass's finiteness checks report what it does to the outputs.
+    """
+    narrow = model_parameters(phi.z_trunk, phi.z_mean_head,
+                              theta.em_decoder, theta.nlin_mixing)
+    with np.errstate(over="ignore"):
+        stored = {name: t.data.astype(np.float32) if name in narrow
+                  else t.data
+                  for name, t in model_parameters(theta, phi).items()}
+    return init_model(phi.n_bands, phi.n_endmembers, phi.latent_dim,
+                      phi.lista.n_layers, dc.StoredParams(stored))
+
+
 def point_estimate_blocks(y, phi: InferenceParams, theta: GenerativeParams):
     """The forward-only unmixing pass, one block of pixels at a time.
 
@@ -243,34 +270,61 @@ def point_estimate_blocks(y, phi: InferenceParams, theta: GenerativeParams):
     of a cube on disk.  The pixels run in blocks of ``ROW_BLOCK`` rows
     counted from pixel 0, each read once and taken from the z-encoder to
     the reconstruction.  Each block yields (rows, a_hat (B, P),
-    m_hat (B, P, L), lin (B, P), nlin (B, P), recon (B, L)): the point
-    estimates, the two concentration streams they combine, and the
-    ``mixing_mean`` of (a_hat, m_hat).  Nothing larger than a block is
+    m_hat (B, P, L), lin (B, P), nlin (B, P), recon (B, L)), all float64:
+    the point estimates, the two concentration streams they combine, and
+    the ``mixing_mean`` of (a_hat, m_hat).  Nothing larger than a block is
     held.  BLAS rounding follows a product's row count and thread count,
     so the fixed blocks make every output a function of the pixel values,
     their number and the BLAS thread count alone, not of how ``y`` is
-    stored; any of the six may change with the thread count.  The pass runs
-    over a constant view of the model's arrays, a ``dc.StoredParams`` that
-    checks their names and shapes but reads no value, so it records no
-    graph for any model.
+    stored; any of the six may change with the thread count.
+
+    The pass runs over ``forward_view(theta, phi)``, so three networks run
+    in float32: the z-encoder's mean path, the decoder bank and the mixing
+    net, most of the pass's products.  The decoder means are widened to
+    float64 before LISTA, whose Gram, warm start and steps stay float64, as
+    do the nonlinear encoder, the Dirichlet mean, a M and every output.
+    The nonlinear encoder stays float64 because the Dirichlet mean divides
+    its stream by the concentrations' sum, which can be as small as
+    P * ``GAMMA_FLOOR``: run in float32, its rounding moved a_hat by up to
+    2.7e-5 on a fresh model.  As it is, against the same estimates in
+    float64 the outputs of fresh and trained models differ by at most
+    about 8e-7 in the abundances, 5e-7 in the endmembers, 8e-7 in the
+    reconstruction and 1e-7 in eta_d
+    (``tests/test_inference.py::TestFloat32Pass`` gates 1e-5 and 1e-6).
+
+    float32 holds values up to about 3.4e38, so a cube or a weight that is
+    finite in float64 can overflow it.  Each block's casts and products
+    run with overflow warnings off, and each array the pass takes out of
+    float32, the decoder means and the reconstruction, is checked by one
+    float64 sum: a float64 sum of float32-range values cannot overflow, so
+    it is finite exactly when they all are.  A failed check is a
+    ``DomainError`` naming the array and the block.
     """
-    stored = {name: t.data for name, t in model_parameters(theta, phi).items()}
-    theta, phi = init_model(phi.n_bands, phi.n_endmembers, phi.latent_dim,
-                            phi.lista.n_layers, dc.StoredParams(stored))
+    theta, phi = forward_view(theta, phi)
     n = len(y)
     for start in range(0, n, ROW_BLOCK):
         rows = slice(start, min(start + ROW_BLOCK, n))
         y_blk = y[rows]
-        # encode_z's mean alone: the scale head's output is not used
-        z_mean = mlp_forward(phi.z_mean_head,
-                             mlp_forward(phi.z_trunk, y_blk)).data
-        codes = np.broadcast_to(z_mean, (phi.n_endmembers,) + z_mean.shape)
-        m_blk = dc.moveaxis(mlp_forward(theta.em_decoder, codes), 0, -2).data
-        lin, nlin = abundance_streams(y_blk, m_blk, phi)
-        conc = _combine_streams(lin, nlin).data
-        a_blk = conc / conc.sum(axis=-1, keepdims=True)
-        recon = mixing_mean(a_blk, m_blk, theta).data
+        with np.errstate(over="ignore", invalid="ignore"):
+            # encode_z's mean alone: the scale head's output is not used
+            z_mean = mlp_forward(phi.z_mean_head,
+                                 mlp_forward(phi.z_trunk, y_blk)).data
+            codes = np.broadcast_to(z_mean, (phi.n_endmembers,) + z_mean.shape)
+            means = mlp_forward(theta.em_decoder, codes).data
+            _check_float32_range("the decoder means", means, start)
+            m_blk = np.moveaxis(means, 0, -2).astype(np.float64, order="C")
+            lin, nlin = abundance_streams(y_blk, m_blk, phi)
+            conc = _combine_streams(lin, nlin).data
+            a_blk = conc / conc.sum(axis=-1, keepdims=True)
+            recon = mixing_mean(a_blk, m_blk, theta).data
+            _check_float32_range("the reconstruction", recon, start)
         yield rows, a_blk, m_blk, lin.data, nlin.data, recon
+
+
+def _check_float32_range(what: str, values: np.ndarray, start: int):
+    if not np.isfinite(values.sum(dtype=np.float64)):
+        raise DomainError(f"unmix: {what} left float32's range in the block "
+                          f"from pixel {start}")
 
 
 def point_estimates(y, phi: InferenceParams,

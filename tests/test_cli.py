@@ -261,8 +261,8 @@ class TestExitCodes:
 
     def test_overflowing_cube_exits_3_in_unmix(self, scene, tmp_path,
                                                capsys):
-        """A finite cube whose concentration streams' squares overflow has
-        no eta_d: exit 3 naming the block, and no bundle left behind, not
+        """A cube finite in float64 but beyond float32's range has no
+        estimates: exit 3 naming the block, and no bundle left behind, not
         an all-NaN map."""
         truth, out = str(tmp_path / "dc1"), str(tmp_path / "est")
         assert cli.main(["generate", "dc1", truth, "--width", str(WIDTH),
@@ -275,8 +275,27 @@ class TestExitCodes:
         capsys.readouterr()
         assert cli.main(["unmix", cube_base, scene["ckpt"], out]) == 3
         assert capsys.readouterr().err == (
-            "error: eta_d: a sum of squares of the concentration streams "
-            "overflows in the block from pixel 0\n")
+            "error: unmix: the decoder means left float32's range in the "
+            "block from pixel 0\n")
+        assert os.listdir(out) == []
+
+    def test_weight_beyond_float32_exits_3_writing_no_bundle(
+            self, scene, tmp_path, capsys):
+        """A mixing-net weight of 1e39 is finite in the checkpoint but not
+        in the pass's float32 view: exit 3 naming the reconstruction, and
+        no bundle left behind, not a NaN reconstruction."""
+        meta, arrays = ct.load_checkpoint(scene["ckpt"])
+        w0 = arrays["gen.nlin_mixing.w0"].copy()
+        w0[0, 0] = 1e39
+        base = str(tmp_path / "wide_weight")
+        ct.save_checkpoint(base, meta,
+                           dict(arrays, **{"gen.nlin_mixing.w0": w0}))
+        out = str(tmp_path / "est")
+        capsys.readouterr()
+        assert cli.main(["unmix", scene["cube"], base, out]) == 3
+        assert capsys.readouterr().err == (
+            "error: unmix: the reconstruction left float32's range in the "
+            "block from pixel 0\n")
         assert os.listdir(out) == []
 
     def test_eta_d_of_another_size_exits_2(self, scene, tmp_path, capsys):

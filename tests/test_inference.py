@@ -536,9 +536,11 @@ class TestBlockedPass:
         for i, out in enumerate(whole):
             joined = np.concatenate([part[i] for part in parts])
             assert out.tobytes() == joined.tobytes()
-        # within one block, the reconstruction is mixing_mean of the estimates
+        # within one block, the reconstruction is mixing_mean of the
+        # estimates over the pass's own float32 view of the model
         a_hat, m_hat, _, _, recon = parts[-1]
-        assert np.array_equal(recon, mixing_mean(a_hat, m_hat, theta).data)
+        theta32, _ = inf.forward_view(theta, phi)
+        assert np.array_equal(recon, mixing_mean(a_hat, m_hat, theta32).data)
 
     def test_memory_beyond_the_outputs_is_flat_in_the_block_count(self,
                                                                   model24):
@@ -555,6 +557,72 @@ class TestBlockedPass:
                 tracemalloc.stop()
             extra.append(peak - sum(o.nbytes for o in outs))
         assert abs(extra[1] - extra[0]) <= 0.1 * extra[0], extra
+
+
+class TestFloat32Pass:
+    """The pass runs the z-encoder's mean path, the decoder bank and the
+    mixing net in float32 (``inf.forward_view``); its outputs stay within
+    1e-5 of the same estimates computed in float64 by the training-path
+    functions, and eta_d within 1e-6.  Seeds 0-5 of both starts read at
+    most 2.2e-7 in a_hat, 1.2e-7 in m_hat, 8.2e-7 in the reconstruction
+    and 1.3e-8 in eta_d, for P = 3 and 5."""
+
+    BANDS, N = 224, inf.ROW_BLOCK + 88
+
+    @pytest.fixture(scope="class")
+    def scene(self):
+        from unmix import data as dt
+        rng = np.random.default_rng(21)
+        lib = dt.synth_endmember_library(self.BANDS, P + 2, rng)
+        a = rng.dirichlet(np.ones(P + 2), size=self.N)
+        y = a @ lib + 0.01 * rng.standard_normal((self.N, self.BANDS))
+        return y, lib
+
+    @staticmethod
+    def _float64_reference(y, phi, theta):
+        """a_hat, m_hat, recon and eta_d from the functions training runs,
+        over the float64 model."""
+        from unmix.evaluation import nonlinearity_degree
+        from unmix.generative import em_decode
+        z_mean = inf.encode_z(y, phi).mean
+        codes = np.broadcast_to(z_mean.data, (phi.n_endmembers,)
+                                + z_mean.shape)
+        m = dc.moveaxis(em_decode(codes, theta).mean, 0, -2)
+        lin, nlin = inf.abundance_streams(y, m, phi)
+        conc = inf._combine_streams(lin, nlin).data
+        a = conc / conc.sum(axis=-1, keepdims=True)
+        recon = mixing_mean(a, m, theta).data
+        return a, m.data, recon, nonlinearity_degree(lin.data, nlin.data)
+
+    @pytest.mark.parametrize("twin", [False, True],
+                             ids=["distinct", "twin_decoders"])
+    @pytest.mark.parametrize("start", ["fresh", "reference"])
+    def test_outputs_agree_with_the_float64_pass(self, scene, start, twin):
+        from unmix.evaluation import nonlinearity_degree
+        y, lib = scene
+        # "reference" starts the decoders at references, as train does
+        refs = lib[:P] if start == "reference" else None
+        theta, phi = inf.init_model(self.BANDS, P, 2, 11,
+                                    np.random.default_rng(3), refs)
+        if twin:
+            # decoder 1 a copy of decoder 0: every pixel's M has rank < P
+            for t in theta.em_decoder.weights + theta.em_decoder.biases:
+                t.data[1] = t.data[0]
+        a_ref, m_ref, recon_ref, eta_ref = self._float64_reference(
+            y, phi, theta)
+        if twin:
+            assert (np.linalg.matrix_rank(m_ref) < P).all()
+        else:
+            # the warm start squares cond(M): keep M ill-conditioned (a
+            # median of 76 fresh and 16 from references here)
+            assert np.median(np.linalg.cond(m_ref)) > 10.0
+        a, m, lin, nlin, recon = _collected(y, phi, theta)
+        assert all(o.dtype == np.float64 for o in (a, m, lin, nlin, recon))
+        np.testing.assert_allclose(a, a_ref, rtol=0.0, atol=1e-5)
+        np.testing.assert_allclose(m, m_ref, rtol=0.0, atol=1e-5)
+        np.testing.assert_allclose(recon, recon_ref, rtol=0.0, atol=1e-5)
+        np.testing.assert_allclose(nonlinearity_degree(lin, nlin), eta_ref,
+                                   rtol=0.0, atol=1e-6)
 
 
 class _RequestSpy:

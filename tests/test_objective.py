@@ -716,6 +716,31 @@ class TestTrain:
         _, _, h2 = ob.train(d_u, d_s, cfg, seed=7, latent_dim=2, lista_layers=4)
         assert ob.history_to_csv(h1) == ob.history_to_csv(h2)
 
+    def test_two_steps_make_no_float32_tensor(self, monkeypatch):
+        """Training is float64 throughout: only the unmixing pass builds
+        float32 weights, and no tensor of a training step holds any."""
+        d_u, d_s = self._toy_data()
+        dtypes, steps = set(), []
+        init, step = dc.Tensor.__init__, ob.adam_step
+
+        def spy(t, *args, **kwargs):
+            init(t, *args, **kwargs)
+            dtypes.add(t.data.dtype)
+
+        def counted(arena, lr):
+            steps.append(arena.values.dtype)
+            step(arena, lr)
+
+        monkeypatch.setattr(dc.Tensor, "__init__", spy)
+        monkeypatch.setattr(ob, "adam_step", counted)
+        theta, phi, _ = ob.train(d_u, d_s,
+                                 ob.TrainConfig(max_epochs=1, batch_size=30),
+                                 seed=0, latent_dim=2, lista_layers=4)
+        assert steps == [np.float64, np.float64]
+        assert dtypes == {np.dtype(np.float64)}
+        assert {t.data.dtype for t in model_parameters(theta, phi).values()} \
+            == {np.dtype(np.float64)}
+
     def test_early_stop_on_small_relative_increase(self):
         d_u, d_s = self._toy_data()
         cfg = ob.TrainConfig(max_epochs=30, rel_stop_tol=1e9)
