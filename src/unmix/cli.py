@@ -13,6 +13,12 @@ benchmark does with ``UNMIX_THREADS=1``; scipy's BLAS, loaded later,
 keeps the pin too.  ``eval``'s scores of the estimates are the same on any
 thread count.
 
+``generate`` reads each scene kind from one table, ``SCENE_KINDS``: its
+default endmember count, its default variability strength and whether it
+mixes bilinearly.  Every kind is drawn by ``data.generate_scene``.  A kind
+without variability (dc1) has the shared (P, L) library as its truth and
+refuses ``--variability``; one with it (dc2) writes the per-pixel stack.
+
 scipy is imported in the functions that call it, so each command loads
 only its own: ``train`` ``scipy.special`` and ``scipy.linalg``, and
 ``generate``, ``selfsup``, ``unmix`` and ``eval`` none.
@@ -37,6 +43,7 @@ included), 3 numeric/training error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import os
 import sys
@@ -106,44 +113,59 @@ def _check_sizes(*flags: tuple[str, int], least: int = 1):
 
 # ----------------------------------------------------------------- commands
 
+# Each scene kind's default endmember count, default variability strength
+# (None: no variability, the truth is the shared (P, L) library) and
+# whether its pixels carry bilinear terms.
+SCENE_KINDS = {"dc1": (3, None, True), "dc2": (5, 0.15, False)}
+
+
 def cmd_generate(args) -> int:
+    """Draw a scene of a kind of ``SCENE_KINDS`` with ``data.generate_scene``.
+
+    Every flag is checked, and the library and the abundance maps drawn,
+    before the output directory is made, so a failure writes nothing.
+    """
     t0 = time.perf_counter()
-    p = args.endmembers
-    if p is None:
-        p = 3 if args.kind == "dc1" else 5
+    p, v, bilinear = SCENE_KINDS[args.kind]
+    if args.endmembers is not None:
+        p = args.endmembers
+    if args.variability is not None:
+        if v is None:
+            raise InputError(f"--variability: {args.kind} has no endmember "
+                             f"variability")
+        v = args.variability
     _check_sizes(("--width", args.width), ("--height", args.height),
                  ("--endmembers", p))
     _check_sizes(("--bands", args.bands), least=dt.MIN_BANDS)
-    if args.kind == "dc2" \
-            and not 0.0 <= args.variability <= dt.MAX_VARIABILITY:
+    if v is not None and not 0.0 <= v <= dt.MAX_VARIABILITY:
         raise InputError(f"--variability must be in [0, "
-                         f"{dt.MAX_VARIABILITY}], got {args.variability}")
+                         f"{dt.MAX_VARIABILITY}], got {v}")
     dt.noise_power_ratio(args.snr, "--snr")
-    _prepare_out_dir(args.out_dir, args.force)
     root = np.random.default_rng(args.seed)
     lib_rng, map_rng, mix_rng = root.spawn(3)
     library = dt.synth_endmember_library(args.bands, p, lib_rng)
     maps = dt.synth_abundance_maps(args.width, args.height, p, map_rng)
+    _prepare_out_dir(args.out_dir, args.force)
     wavelengths = np.linspace(400.0, 2400.0, args.bands)
     paths = {n: os.path.join(args.out_dir, n)
              for n in ("cube", "abundances", "endmembers")}
+    if v is None:
+        dt.save_endmembers(paths["endmembers"], library)
+        m_writer = contextlib.nullcontext()
+    else:
+        m_writer = dt.endmember_writer(paths["endmembers"], args.width,
+                                       args.height, args.bands, p)
     with dt.cube_writer(paths["cube"], args.width, args.height, args.bands,
-                        wavelengths) as y_out:
-        if args.kind == "dc1":
-            dt.generate_dc1(maps, library, args.snr, mix_rng, y_out)
-            dt.save_endmembers(paths["endmembers"], library)
-        else:
-            with dt.endmember_writer(paths["endmembers"], args.width,
-                                     args.height, args.bands, p) as m_out:
-                dt.generate_dc2(maps, library, args.variability, args.snr,
-                                mix_rng, m_out, y_out)
+                        wavelengths) as y_out, m_writer as m_out:
+        dt.generate_scene(maps, library, v or 0.0, bilinear, args.snr,
+                          mix_rng, m_out, y_out)
     dt.save_abundances(paths["abundances"], maps, args.width, args.height)
     _write_manifest(
         os.path.join(args.out_dir, "manifest.json"), "generate",
         {"kind": args.kind, "width": args.width, "height": args.height,
          "bands": args.bands, "snr_db": args.snr, "endmembers": p,
-         "variability": args.variability if args.kind == "dc2" else None},
-        args.seed, {}, {k: v + ".json" for k, v in paths.items()},
+         "variability": v},
+        args.seed, {}, {k: base + ".json" for k, base in paths.items()},
         time.perf_counter() - t0)
     print(f"wrote {args.kind} scene ({args.width}x{args.height}x{args.bands}, "
           f"P={p}) to {args.out_dir}")
@@ -407,14 +429,14 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("generate", help="synthesize a benchmark scene")
-    g.add_argument("kind", choices=["dc1", "dc2"])
+    g.add_argument("kind", choices=list(SCENE_KINDS))
     g.add_argument("out_dir")
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--width", type=int, default=50)
     g.add_argument("--height", type=int, default=50)
     g.add_argument("--bands", type=int, default=64)
     g.add_argument("--snr", type=float, default=30.0)
-    g.add_argument("--variability", type=float, default=0.15)
+    g.add_argument("--variability", type=float, default=None)
     g.add_argument("--endmembers", type=int, default=None)
     g.add_argument("--force", action="store_true")
     g.set_defaults(func=cmd_generate)

@@ -6,9 +6,12 @@ Each bundle is a ``container`` of the arrays its name says: a cube's
 map, or the labelled set's ``y``, ``a`` and ``m``; ``container`` lists
 their shapes and meta.  The readers here check each kind's array names,
 axes and scene size, and every ``load_*`` reads with ``reader[:]``.  All
-generation is deterministic given the caller's Generator; functions that
-add noise spawn (variability, noise) child streams in a fixed order so the
-noise realization is comparable across generators.
+generation is deterministic given the caller's Generator.  One generator,
+``generate_scene``, mixes every kind of scene: it spawns a variability
+and a noise stream, in that order, so a scene's noise does not depend on
+its variability or its mixing law.  At variability 0 each pixel's
+endmembers are the library bit for bit, which is how a scene with one
+shared library is made.
 """
 
 from __future__ import annotations
@@ -206,8 +209,8 @@ def noise_power_ratio(snr_db: float, name: str = "snr_db") -> float:
     return ratio
 
 
-# Rows per block of the finite checks and of the generators' writes.  It
-# bounds the memory those passes hold; no output byte depends on it.
+# Rows per block of the finite checks and of ``generate_scene``'s writes.
+# It bounds the memory those passes hold; no output byte depends on it.
 ROW_BLOCK = 512
 
 
@@ -218,9 +221,9 @@ def _append_noisy(clean: np.ndarray, snr_db: float | None,
 
     The noise, one stream of ``noise_rng``, is scaled so the cube-level
     power ratio is ``snr_db`` (None: noiseless).  Its sigma is taken here
-    alone, from the whole clean cube, which each generator therefore holds
-    whole; the power is einsum's sum of squares, which forms no square of
-    the cube, so the clean cube is the one cube held at the peak.
+    alone, from the whole clean cube, which ``generate_scene`` therefore
+    holds whole; the power is einsum's sum of squares, which forms no
+    square of the cube, so the clean cube is the one cube held at the peak.
     """
     sigma = 0.0 if snr_db is None else float(np.sqrt(
         np.einsum("ij,ij->", clean, clean) / clean.size
@@ -231,42 +234,26 @@ def _append_noisy(clean: np.ndarray, snr_db: float | None,
         pixels_out.append(pixels)
 
 
-def generate_dc1(abundances: np.ndarray, em_matrix: np.ndarray,
-                 snr_db: float | None, rng: np.random.Generator, pixels_out):
-    """Bilinear-mixture scene: y = a M + sum_{i<j} a_i a_j m_i * m_j + noise.
+def generate_scene(abundances: np.ndarray, base_em: np.ndarray,
+                   variability: float, bilinear: bool, snr_db: float | None,
+                   rng: np.random.Generator, endmembers_out, pixels_out):
+    """Mixtures of per-pixel (P, L) endmembers M_n, the bilinear terms
+    added if ``bilinear``: y_n = a_n M_n [+ sum_{i<j} a_ni a_nj m_ni * m_nj]
+    + e_n, each pixel's terms from its own rows m_ni of M_n.
 
-    The endmembers m_i are the rows of the (P, L) ``em_matrix``.  The noisy
-    (N, L) pixels are appended to ``pixels_out``, a
-    ``container.PayloadWriter`` or a list, as ``generate_dc2``'s are.
+    Each (pixel, endmember) pair of ``base_em`` gets a random scale in
+    [1-v, 1+v] modulated by a smooth zero-mean spectral bump, so signatures
+    change shape (not just amplitude) while averaging to the drawn scale
+    across bands; the stack is clipped to [0, 1].  At v = 0 every scale is
+    1 exactly, so every M_n is ``base_em`` clipped.
+
+    The (N, P, L) stack is appended to ``endmembers_out`` (unless None)
+    and then the noisy (N, L) pixels to ``pixels_out``, each in blocks of
+    ``ROW_BLOCK`` pixels from pixel 0; either may be a
+    ``container.PayloadWriter`` or a list.  Every block mixes by one
+    einsum, which reads each pixel's rows alone.
     """
-    A = np.asarray(abundances, dtype=np.float64)
-    M = np.asarray(em_matrix, dtype=np.float64)
-    check_simplex(A)
-    _, noise_rng = rng.spawn(2)
-    clean = A @ M       # whole: a one-row product (gemv) may round otherwise
-    for start in range(0, len(A), ROW_BLOCK):
-        rows = slice(start, start + ROW_BLOCK)
-        for i, j in combinations(range(len(M)), 2):
-            clean[rows] += np.outer(A[rows, i] * A[rows, j], M[i] * M[j])
-    _append_noisy(clean, snr_db, noise_rng, pixels_out)
-
-
-def generate_dc2(abundances: np.ndarray, base_em: np.ndarray,
-                 variability_strength: float, snr_db: float | None,
-                 rng: np.random.Generator, endmembers_out, pixels_out):
-    """Linear mixtures of per-pixel (P, L) endmembers: y_n = a_n M_n + e_n.
-
-    Each (pixel, endmember) pair gets a random scale in [1-v, 1+v] modulated
-    by a smooth zero-mean spectral bump, so signatures change shape (not just
-    amplitude) while averaging to the drawn scale across bands; the stack is
-    clipped to [0, 1].
-
-    The (N, P, L) stack is appended to ``endmembers_out`` and then the
-    noisy (N, L) pixels to ``pixels_out``, each in blocks of ``ROW_BLOCK``
-    pixels from pixel 0; either may be a ``container.PayloadWriter`` or a
-    list.
-    """
-    v = float(variability_strength)
+    v = float(variability)
     if not 0.0 <= v <= MAX_VARIABILITY:
         raise InputError(f"variability strength must be in "
                          f"[0, {MAX_VARIABILITY}], got {v}")
@@ -287,7 +274,6 @@ def generate_dc2(abundances: np.ndarray, base_em: np.ndarray,
         # clip(M0 · (1 + (s - 1) · (1 + amp · (bump - mean(bump))))),
         # bump = exp(-0.5 · ((grid - center) / width)²), in the same
         # order as the expression would, so the stack is bitwise the same.
-        # At v = 0 every s is 1 exactly: the block is M0's, clipped.
         buf = np.subtract(grid[None, None, :], centers[rows, :, None])
         buf /= widths[rows, :, None]
         np.square(buf, out=buf)
@@ -300,8 +286,13 @@ def generate_dc2(abundances: np.ndarray, base_em: np.ndarray,
         buf += 1.0                                        # multiplier
         buf *= M0[None, :, :]
         em = np.clip(buf, 0.0, 1.0, out=buf)
-        endmembers_out.append(em)
-        clean[rows] = np.einsum("npl,np->nl", em, A[rows])
+        if endmembers_out is not None:
+            endmembers_out.append(em)
+        a, y = A[rows], clean[rows]
+        y[:] = np.einsum("npl,np->nl", em, a)
+        if bilinear:
+            for i, j in combinations(range(P), 2):
+                y += (a[:, i] * a[:, j])[:, None] * (em[:, i] * em[:, j])
     _append_noisy(clean, snr_db, noise_rng, pixels_out)
 
 
@@ -558,18 +549,11 @@ def load_abundances(base: str) -> tuple[np.ndarray, int, int]:
     return _load_map(base, "abundances", 2)
 
 
-def save_endmembers(base: str, endmembers: np.ndarray,
-                    width: int = 1, height: int = 1):
-    """A shared (P, L) matrix is stored with no meta; a per-pixel (N, P, L)
-    stack with the scene's width and height."""
-    stack = np.asarray(endmembers, dtype=np.float64)
-    meta = {}
-    if stack.ndim == 3:
-        if len(stack) != width * height:
-            raise InputError("endmember stack length must match "
-                             "width * height")
-        meta = {"width": width, "height": height}
-    ct.write_container(base, meta, {"endmembers": stack})
+def save_endmembers(base: str, endmembers: np.ndarray):
+    """Write a shared (P, L) matrix, with no meta; a per-pixel stack has
+    one write path, ``endmember_writer`` (a stack written here has no
+    scene size, so every reader refuses it)."""
+    ct.write_container(base, {}, {"endmembers": endmembers})
 
 
 def endmember_writer(base: str, width: int, height: int, bands: int,

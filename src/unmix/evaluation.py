@@ -230,6 +230,18 @@ def _column_norms(block: np.ndarray, start: int, label: str) -> np.ndarray:
     return norms
 
 
+def _zero_norm(start: int, *labelled):
+    """Fail for the first endmember of zero norm in the (label, (B, P)
+    norms) pairs ``labelled`` of the block from pixel ``start``, searched
+    in order, a ``DomainError`` naming its stack, endmember and pixel."""
+    for label, norms in labelled:
+        zero = np.argwhere(norms == 0.0)
+        if len(zero):
+            pixel, k = zero[0]
+            raise DomainError(f"{label}: endmember {k} of pixel "
+                              f"{start + pixel} has zero norm")
+
+
 def _alignment_cost(mt, mh) -> np.ndarray:
     """First pass: the (P, P) cost matrix whose entry (i, j) is the mean
     over pixels of the angle between true endmember i and estimate j of
@@ -242,7 +254,7 @@ def _alignment_cost(mt, mh) -> np.ndarray:
         nt = _column_norms(t, rows.start, lt)
         nh = _column_norms(h, rows.start, lh)
         if np.any(nt == 0.0) or np.any(nh == 0.0):
-            raise DomainError("zero-norm signature in angle computation")
+            _zero_norm(rows.start, (lt, nt), (lh, nh))
         cos = (t @ np.swapaxes(h, 1, 2)) / (nt[:, :, None] * nh[:, None, :])
         total += np.arccos(np.clip(cos, -1.0, 1.0)).sum(axis=0)
     return total / n

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy import special as sp
 
+from unmix import data as dt
 from unmix import diffcore as dc
 from unmix import inference
 from unmix.distributions import SIMPLEX_EPS
@@ -53,6 +54,14 @@ def max_rel_err(analytic: dict, numeric: dict, floor: float | None = None) -> fl
         denom = np.maximum(np.maximum(np.abs(a), np.abs(n)), floor)
         worst = max(worst, float(np.max(np.abs(a - n) / denom)))
     return worst
+
+
+def save_stack(base: str, stack, width: int, height: int):
+    """Write a per-pixel (N, P, L) endmember stack whole, through the one
+    writer of such stacks, ``data.endmember_writer``."""
+    _, p, bands = np.shape(stack)
+    with dt.endmember_writer(base, width, height, bands, p) as out:
+        out.append(stack)
 
 
 @pytest.fixture

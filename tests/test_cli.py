@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 import unmix
+from conftest import save_stack
 from unmix import cli
 from unmix import container as ct
 from unmix import data as dt
@@ -140,7 +141,7 @@ class TestExitCodes:
         elif bundle == "endmembers_est":
             m_hat = dt.load_endmembers(base)
             m_hat[13, 1, 5] = np.nan
-            dt.save_endmembers(base, m_hat, WIDTH, HEIGHT)
+            save_stack(base, m_hat, WIDTH, HEIGHT)
         else:
             eta = dt.load_scalar_map(base)
             eta[13] = np.nan
@@ -189,6 +190,49 @@ class TestExitCodes:
             assert f"{flag} must be {rule}" in capsys.readouterr().err
             assert os.listdir(out) == [] if made else not out.exists()
 
+    @pytest.mark.parametrize("value", ["0.3", "0"])
+    def test_dc1_variability_exits_2_before_writing(self, tmp_path, capsys,
+                                                    value):
+        """dc1 mixes one shared library: a ``--variability``, even 0, is
+        refused rather than dropped, and no directory is made."""
+        out = tmp_path / "scene"
+        rc = cli.main(["generate", "dc1", str(out), "--variability", value,
+                       "--bands", "16", "--width", "4", "--height", "4"])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: --variability: dc1 has no endmember variability\n")
+        assert not out.exists()
+
+    def test_unreachable_library_exits_3_making_no_directory(self, tmp_path,
+                                                             capsys):
+        """40 spectra of 16 bands never all lie 0.15 rad apart: the
+        library's ``GenerationError`` exits 3 before the output directory
+        is made."""
+        out = tmp_path / "scene"
+        rc = cli.main(["generate", "dc2", str(out), "--endmembers", "40",
+                       "--bands", "16", "--width", "4", "--height", "4"])
+        assert rc == 3
+        assert capsys.readouterr().err == (
+            "error: could not reach pairwise angle 0.15 in 100 draws\n")
+        assert not out.exists()
+
+    def test_zero_norm_endmember_exits_3_naming_stack_pixel_and_endmember(
+            self, scene, capsys):
+        """An estimated endmember of zero norm has no angle to align by:
+        exit 3 naming its bundle, endmember and pixel, and no report."""
+        out = _unmix(scene, "run_zero_norm")
+        base = os.path.join(out, "endmembers_est")
+        m_hat = dt.load_endmembers(base)
+        m_hat[7, 1] = 0.0
+        save_stack(base, m_hat, WIDTH, HEIGHT)
+        csv = str(scene["root"] / "report_zero_norm.csv")
+        capsys.readouterr()
+        rc = cli.main(["eval", os.path.dirname(scene["cube"]), out, csv])
+        assert rc == 3
+        assert capsys.readouterr().err == (
+            f"error: {base}: endmember 1 of pixel 7 has zero norm\n")
+        assert not os.path.exists(csv)
+
     @pytest.mark.parametrize("bundle", ["endmembers", "endmembers_est"])
     def test_non_finite_endmember_exits_2_naming_endmember_and_band(
             self, scene, tmp_path, capsys, bundle):
@@ -206,10 +250,11 @@ class TestExitCodes:
         if bundle == "endmembers":
             m[1, 5] = np.nan
             where = "endmember 1, band 5"
+            dt.save_endmembers(base, m)
         else:
             m[13, 1, 5] = np.nan
             where = "pixel 13, endmember 1, band 5"
-        dt.save_endmembers(base, m, WIDTH, HEIGHT)
+            save_stack(base, m, WIDTH, HEIGHT)
         csv = str(tmp_path / "report.csv")
         capsys.readouterr()
         assert cli.main(["eval", truth, est, csv]) == 2
@@ -1271,7 +1316,7 @@ class TestBundles:
         stack = rng.random((WIDTH * HEIGHT, BANDS, P)).transpose(0, 2, 1)
         assert not stack.flags.c_contiguous
         base = str(tmp_path / "em")
-        dt.save_endmembers(base, stack, WIDTH, HEIGHT)
+        save_stack(base, stack, WIDTH, HEIGHT)
         with open(base + ".raw", "rb") as f:
             assert f.read() == np.ascontiguousarray(stack, "<f8").tobytes()
         np.testing.assert_array_equal(dt.load_endmembers(base), stack)
@@ -1770,7 +1815,7 @@ def _eval_bundles(root, n: int, bands: int, p: int) -> tuple[str, str]:
     for d, name in ((truth, "abundances"), (est, "abundances_est")):
         dt.save_abundances(str(d / name), rng.dirichlet(np.ones(p), n), n, 1)
     for d, name in ((truth, "endmembers"), (est, "endmembers_est")):
-        dt.save_endmembers(str(d / name), rng.uniform(0.05, 1.0, stack), n, 1)
+        save_stack(str(d / name), rng.uniform(0.05, 1.0, stack), n, 1)
     dt.save_scalar_map(str(est / "eta_d"), rng.uniform(0.0, 1.0, n), n, 1)
     return str(truth), str(est)
 

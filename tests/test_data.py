@@ -1,4 +1,4 @@
-"""Data layer: the generators' mixing laws and the endmember-major layout
+"""Data layer: the generator's mixing laws and the endmember-major layout
 (..., P, L) of every endmember matrix, at P != L."""
 
 import itertools
@@ -8,6 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from conftest import save_stack
 from unmix import data as dt
 from unmix.errors import ExtractionError, InputError
 
@@ -24,17 +25,19 @@ def scene_parts():
 
 
 def dc1_scene(maps, library, snr_db, rng):
-    """``generate_dc1``'s (N, L) pixels, collected from their blocks."""
+    """A dc1 scene's (N, L) pixels, bilinear over the shared library,
+    collected from ``generate_scene``'s blocks."""
     pixels = []
-    dt.generate_dc1(maps, library, snr_db, rng, pixels)
+    dt.generate_scene(maps, library, 0.0, True, snr_db, rng, None, pixels)
     return np.concatenate(pixels)
 
 
-def dc2_scene(maps, library, variability, snr_db, rng):
-    """``generate_dc2``'s (N, L) pixels and (N, P, L) stack, each collected
-    from its blocks."""
+def dc2_scene(maps, library, variability, snr_db, rng, bilinear=False):
+    """``generate_scene``'s (N, L) pixels and (N, P, L) stack, each
+    collected from its blocks."""
     stack, pixels = [], []
-    dt.generate_dc2(maps, library, variability, snr_db, rng, stack, pixels)
+    dt.generate_scene(maps, library, variability, bilinear, snr_db, rng,
+                      stack, pixels)
     return np.concatenate(pixels), np.concatenate(stack)
 
 
@@ -111,17 +114,22 @@ def test_dc2_without_variability_gives_every_pixel_the_library(scene_parts):
         np.testing.assert_array_equal(stack[n], library)
 
 
-@pytest.mark.parametrize("variability", [0.3, 0.0])
-def test_dc2_blocks_equal_the_whole_scene_formulas(scene_parts, variability):
+@pytest.mark.parametrize("variability, bilinear", [
+    pytest.param(0.3, False, id="0.3"), pytest.param(0.0, False, id="0.0"),
+    pytest.param(0.3, True, id="0.3-bilinear"),
+    pytest.param(0.0, True, id="0.0-bilinear")])
+def test_dc2_blocks_equal_the_whole_scene_formulas(scene_parts, variability,
+                                                   bilinear):
     """Over three blocks, the stack and the pixels are bitwise those of the
-    whole-scene formulas: each variability array drawn whole, the noise
-    scaled to the power of the whole clean cube and drawn as one stream."""
+    whole-scene formulas: each variability array drawn whole, each pixel's
+    bilinear terms taken from its own rows, the noise scaled to the power
+    of the whole clean cube and drawn as one stream."""
     library, _ = scene_parts
     n = 2 * dt.ROW_BLOCK + 37
     maps = dt.synth_abundance_maps(n, 1, P, np.random.default_rng(4))
     stack, pixels = [], []
-    dt.generate_dc2(maps, library, variability, 25.0,
-                    np.random.default_rng(5), stack, pixels)
+    dt.generate_scene(maps, library, variability, bilinear, 25.0,
+                      np.random.default_rng(5), stack, pixels)
     assert [len(b) for b in stack] == [len(b) for b in pixels] \
         == [dt.ROW_BLOCK, dt.ROW_BLOCK, 37]
     var_rng, noise_rng = np.random.default_rng(5).spawn(2)
@@ -135,10 +143,27 @@ def test_dc2_blocks_equal_the_whole_scene_formulas(scene_parts, variability):
         want = np.clip(library * (1.0 + (s - 1.0) * envelope), 0.0, 1.0)
     assert np.concatenate(stack).tobytes() == want.tobytes()
     clean = np.einsum("npl,np->nl", want, maps)
+    for i, j in itertools.combinations(range(P) if bilinear else [], 2):
+        clean += (maps[:, i] * maps[:, j])[:, None] * (want[:, i] * want[:, j])
     power = np.einsum("ij,ij->", clean, clean) / clean.size
     sigma = np.sqrt(power / dt.noise_power_ratio(25.0))
     noisy = clean + sigma * noise_rng.standard_normal(clean.shape)
     assert np.concatenate(pixels).tobytes() == noisy.tobytes()
+
+
+@pytest.mark.parametrize("variability", [0.3, 0.0])
+@pytest.mark.parametrize("bilinear", [False, True])
+def test_pixels_do_not_depend_on_keeping_the_stack(scene_parts, variability,
+                                                   bilinear):
+    """The pixels are bitwise the same whether the stack is appended to a
+    list or ``endmembers_out`` is None."""
+    library, maps = scene_parts
+    kept, dropped, stack = [], [], []
+    for pixels, out in ((kept, stack), (dropped, None)):
+        dt.generate_scene(maps, library, variability, bilinear, 25.0,
+                          np.random.default_rng(6), out, pixels)
+    assert len(stack) == 1
+    assert np.concatenate(kept).tobytes() == np.concatenate(dropped).tobytes()
 
 
 @pytest.mark.parametrize("kind, variability", [("dc1", None), ("dc2", 0.0),
@@ -199,7 +224,7 @@ def test_endmember_stack_round_trip(tmp_path, scene_parts):
     library, maps = scene_parts
     _, stack = dc2_scene(maps, library, 0.2, 30.0, np.random.default_rng(9))
     base = str(tmp_path / "endmembers")
-    dt.save_endmembers(base, stack, W, H)
+    save_stack(base, stack, W, H)
     back = dt.load_endmembers(base)
     assert back.shape == (W * H, P, L)
     assert back.tobytes() == stack.tobytes()
@@ -290,7 +315,7 @@ def test_endmember_stack_with_a_nan_names_pixel_endmember_and_band(
     stack = np.random.default_rng(12).uniform(0.1, 0.9, (64, P, L))
     stack[45, 2, 7] = np.nan
     base = str(tmp_path / "endmembers")
-    dt.save_endmembers(base, stack, 8, 8)
+    save_stack(base, stack, 8, 8)
     with pytest.raises(InputError) as err:
         dt.load_endmembers(base)
     assert str(err.value) == (f"{base}: endmembers has a non-finite value "
@@ -301,7 +326,7 @@ def test_endmember_stack_with_a_nan_names_pixel_endmember_and_band(
 def test_endmember_stack_check_holds_no_stack_sized_temporary(tmp_path):
     stack = np.random.default_rng(13).uniform(0.1, 0.9, (64 * 64, P, L))
     base = str(tmp_path / "endmembers")
-    dt.save_endmembers(base, stack, 64, 64)
+    save_stack(base, stack, 64, 64)
     tracemalloc.start()
     try:
         back = dt.load_endmembers(base)
@@ -338,18 +363,9 @@ def test_dc2_variability_out_of_range_is_refused(scene_parts, variability):
     library, maps = scene_parts
     stack, pixels = [], []
     with pytest.raises(InputError, match="^variability strength must be in"):
-        dt.generate_dc2(maps, library, variability, 30.0,
-                        np.random.default_rng(0), stack, pixels)
+        dt.generate_scene(maps, library, variability, False, 30.0,
+                          np.random.default_rng(0), stack, pixels)
     assert stack == pixels == []
-
-
-def test_endmember_stack_of_another_length_is_refused(tmp_path, scene_parts):
-    library, _ = scene_parts
-    stack = np.broadcast_to(library, (W * H - 1,) + library.shape)
-    with pytest.raises(InputError, match="^endmember stack length must "
-                                         "match width \\* height$"):
-        dt.save_endmembers(str(tmp_path / "em"), stack, W, H)
-    assert list(tmp_path.iterdir()) == []
 
 
 def test_empty_supervised_set_is_refused(tmp_path):

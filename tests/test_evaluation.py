@@ -84,6 +84,24 @@ class TestAlignEndmembers:
         with pytest.raises(DomainError):
             ev.align_endmembers(m_true, m_hat)
 
+    @pytest.mark.parametrize("zeros, named", [
+        ({"estimate": (7, 1)}, "estimate: endmember 1 of pixel 7"),
+        ({"truth": (9, 0), "estimate": (7, 1)},
+         "truth: endmember 0 of pixel 9"),
+        ({"estimate": (300, 2)}, "estimate: endmember 2 of pixel 300")],
+        ids=["estimate", "truth-first", "second-block"])
+    def test_zero_norm_names_stack_endmember_and_pixel(self, rng, zeros,
+                                                      named):
+        """The first zero-norm endmember of a block, the truth searched
+        before the estimate, is named by its stack, endmember and pixel,
+        counted from pixel 0 across blocks."""
+        stacks = {k: rng.uniform(0.1, 0.9, (ev.ROW_BLOCK + 50, 3, 6))
+                  for k in ("truth", "estimate")}
+        for k, at in zeros.items():
+            stacks[k][at] = 0.0
+        with pytest.raises(DomainError, match=f"^{named} has zero norm$"):
+            ev.align_endmembers(stacks["truth"], stacks["estimate"])
+
     @pytest.mark.parametrize("which", ["truth", "estimate"])
     def test_overflowing_norm_rejected(self, rng, which):
         """Finite endmembers whose squares overflow have no angle to score:
