@@ -220,7 +220,8 @@ def cmd_train(args) -> int:
         ckpt = _strip_bundle(args.resume)
         inputs["checkpoint"] = ckpt + ".json"
         meta, theta, phi = _load_model(ckpt)
-        start_epoch = ct.json_int(meta.get("epoch"), "epoch") + 1
+        start_epoch = ct.json_int(ckpt + ".json", meta.get("epoch"),
+                                  "epoch") + 1
         _check_fits(ckpt, "n_bands", phi.n_bands, "the cube", cube.n_bands)
         _check_fits(ckpt, "n_endmembers", phi.n_endmembers,
                     "the labelled set", a_s.shape[1])
@@ -264,13 +265,17 @@ def _load_model(ckpt_base: str):
     model's names: an array the model misses, or one it does not read, is
     a ``BundleError`` naming it."""
     meta, arrays = ct.load_checkpoint(ckpt_base)
-    sizes = [ct.json_int(meta.get(key), key, 1) for key in
+    header = ckpt_base + ".json"
+    sizes = [ct.json_int(header, meta.get(key), key, 1) for key in
              ("n_bands", "n_endmembers", "latent_dim", "lista_layers")]
-    theta, phi = init_model(*sizes, dc.StoredParams(arrays))
+    try:
+        theta, phi = init_model(*sizes, dc.StoredParams(arrays))
+    except BundleError as exc:      # an array the model misses or reshapes
+        raise BundleError(f"{header}: {exc.message}", exc.field) from None
     unread = arrays.keys() - model_parameters(theta, phi).keys()
     if unread:
-        raise BundleError("checkpoint array the model does not read",
-                          field=next(n for n in arrays if n in unread))
+        raise BundleError(f"{header}: checkpoint array the model does not "
+                          f"read", field=next(n for n in arrays if n in unread))
     return meta, theta, phi
 
 
@@ -302,6 +307,8 @@ def cmd_unmix(args) -> int:
     bytes as the abundance and endmember maps.  A failure part way removes
     the bundles written so far, as when a cube or a weight leaves float32's
     range in the pass, or the stream norms of eta_d overflow (exit 3).
+    An earlier run's manifest and abundance images are removed first, so
+    after a failure no file of that run claims this command's outputs.
     """
     t0 = time.perf_counter()
     cube_base = _strip_bundle(args.cube)
@@ -311,6 +318,10 @@ def cmd_unmix(args) -> int:
     meta, theta, phi = _load_model(ckpt)
     _check_fits(ckpt, "n_bands", phi.n_bands, "the cube", cube.n_bands)
     _prepare_out_dir(args.out_dir, args.force)
+    for name in os.listdir(args.out_dir):
+        if name == "manifest.json" or (name.startswith("abundance_")
+                                       and name.endswith(".pgm")):
+            os.remove(os.path.join(args.out_dir, name))
     paths = {n: os.path.join(args.out_dir, n)
              for n in ("abundances_est", "endmembers_est", "eta_d",
                        "reconstruction")}
@@ -390,8 +401,8 @@ def cmd_eval(args) -> int:
     manifest_path = os.path.join(est_dir, "manifest.json")
     if os.path.exists(manifest_path):
         manifest = ct.read_json(manifest_path, "estimates manifest")
-        runtime = ct.json_float(manifest.get("wall_clock_s", 0.0),
-                                "wall_clock_s")
+        runtime = ct.json_float(manifest_path, manifest.get(
+            "wall_clock_s", 0.0), "wall_clock_s")
     reports = [ev.evaluate(cube, truth, ev.Estimates(
         abundances=a_hat, endmembers=m_hat, reconstruction=recon,
         eta_d=eta, runtime_s=runtime))]

@@ -11,20 +11,19 @@ back to back as little-endian IEEE-754 float64 values, each array in C
 order, with no header or padding.
 
 Header:
-- ``format``: ``"unmix-v1"``, the one format read.  A file written before
-  this schema, with no ``format`` or another, is refused naming it; no
-  reader of an older schema is kept (rerun the command that wrote it).
-- ``dtype``: ``"f64le"``.
+- ``format``: ``"unmix-v2"``, the one format read.  A file of another
+  format or none, ``"unmix-v1"`` included, is refused naming it; no reader
+  of an older schema is kept (rerun the command that wrote it).
 - ``meta``: an object of the kind's scalar fields (below).
-- ``arrays``: name -> ``offset`` (bytes, a multiple of 8), ``count`` and
-  ``shape``, JSON ints >= 0 with count = prod(shape).  The writer lays the
-  arrays out back to back in the order it is given them.  An array
-  reaching past the payload's end is a ``BundleError`` naming the array,
-  and a payload that goes on past the furthest array's end is one naming
-  the file.  No two arrays share a byte: taken in offset order, an array
-  that starts before an earlier one ends is a ``BundleError`` naming it
-  (an empty array holds no byte).  Gaps are allowed; the reader of each
-  kind names an array the kind misses.
+- ``arrays``: a list of ``[name, shape]`` pairs in payload order, the
+  names distinct and each shape a list of JSON ints >= 0.  The payload
+  holds the arrays back to back in that order, so an array starts where
+  the one before it ends, and no header can describe arrays that overlap
+  or leave a gap.  An array reaching past the payload's end is a
+  ``BundleError`` naming the array, a payload that goes on past the last
+  array's end is one naming the file, and a name listed twice is one
+  naming that name; the reader of each kind names an array the kind
+  misses.  Each header error starts with ``<base>.json:``.
 
 Kinds (``data`` and ``cli`` build them; N = width * height pixels,
 row-major; each endmember matrix is (P, L), endmember-major):
@@ -79,8 +78,7 @@ import numpy as np
 
 from .errors import BundleError, InputError
 
-DTYPE = "f64le"
-FORMAT = "unmix-v1"
+FORMAT = "unmix-v2"
 
 
 def write_json(path: str, obj: dict):
@@ -179,21 +177,23 @@ class PayloadWriter:
         self.close()
 
 
-def json_int(value, field: str, least: int = 0) -> int:
+def json_int(path: str, value, field: str, least: int = 0) -> int:
     """``value`` if a JSON int >= ``least``, else a ``BundleError`` naming
-    ``field``.  JSON true/false load as bools, which are ints to Python."""
+    the file ``path`` and ``field``.  JSON true/false load as bools, which
+    are ints to Python."""
     if isinstance(value, bool) or not isinstance(value, int) or value < least:
-        raise BundleError(f"expected an int >= {least}, got {value!r}",
-                          field=field)
+        raise BundleError(f"{path}: expected an int >= {least}, got "
+                          f"{value!r}", field=field)
     return value
 
 
-def json_float(value, field: str) -> float:
-    """``value`` if a finite JSON number, else a ``BundleError``."""
+def json_float(path: str, value, field: str) -> float:
+    """``value`` if a finite JSON number, else a ``BundleError`` naming the
+    file ``path`` and ``field``."""
     if isinstance(value, bool) or not isinstance(value, (int, float)) \
             or not math.isfinite(value):
-        raise BundleError(f"expected a finite number, got {value!r}",
-                          field=field)
+        raise BundleError(f"{path}: expected a finite number, got "
+                          f"{value!r}", field=field)
     return float(value)
 
 
@@ -204,14 +204,8 @@ def container_writer(base: str, meta: dict,
     """Write the header of arrays of these names and shapes, laid out back
     to back in this order; return the writer to which the caller appends
     them, in the same order."""
-    arrays, offset = {}, 0
-    for name, shape in shapes.items():
-        count = math.prod(shape)
-        arrays[name] = {"offset": offset, "count": count,
-                        "shape": list(shape)}
-        offset += 8 * count
-    write_json(base + ".json", {"format": FORMAT, "dtype": DTYPE,
-                                "meta": meta, "arrays": arrays})
+    write_json(base + ".json", {"format": FORMAT, "meta": meta, "arrays": [
+        [name, list(shape)] for name, shape in shapes.items()]})
     return PayloadWriter(base + ".raw")
 
 
@@ -227,59 +221,42 @@ def open_container(base: str, what: str = "container header"
                    ) -> tuple[dict, dict[str, PayloadReader]]:
     """The checked meta and name -> ``PayloadReader`` of a container;
     ``what`` names its header in errors."""
-    header = read_json(base + ".json", what)
+    header_path, path = base + ".json", base + ".raw"
+    header = read_json(header_path, what)
     if header.get("format") != FORMAT:
-        raise BundleError(f"{base}.json: unknown format "
+        raise BundleError(f"{header_path}: unknown format "
                           f"{header.get('format')!r}", field="format")
-    if header.get("dtype") != DTYPE:
-        raise BundleError(f"{base}.json: unsupported dtype "
-                          f"{header.get('dtype')!r}", field="dtype")
-    meta = header.get("meta")
+    meta, entries = header.get("meta"), header.get("arrays")
     if not isinstance(meta, dict):
-        raise BundleError("missing or malformed meta table", field="meta")
-    specs = header.get("arrays")
-    if not isinstance(specs, dict):
-        raise BundleError("missing array table", field="arrays")
-    entries = {name: _array_entry(spec, name) for name, spec in specs.items()}
-    path = base + ".raw"
+        raise BundleError(f"{header_path}: missing or malformed meta table",
+                          field="meta")
+    if not isinstance(entries, list):
+        raise BundleError(f"{header_path}: missing or malformed array list",
+                          field="arrays")
     try:
         size = os.path.getsize(path)
     except FileNotFoundError:
         raise BundleError(f"missing payload {path}") from None
-    end = 0
-    for name, (offset, shape) in sorted(entries.items(),
-                                        key=lambda item: item[1][0]):
-        stop = offset + 8 * math.prod(shape)
-        if stop > size:
+    readers, end = {}, 0
+    for entry in entries:
+        if not (isinstance(entry, list) and len(entry) == 2
+                and isinstance(entry[0], str) and isinstance(entry[1], list)):
+            raise BundleError(f"{header_path}: an array entry is not a "
+                              f"[name, shape] pair", field="arrays")
+        name = entry[0]
+        if name in readers:
+            raise BundleError(f"{header_path}: array listed twice", field=name)
+        shape = tuple(json_int(header_path, n, name) for n in entry[1])
+        readers[name] = PayloadReader(path, shape, end)
+        end += 8 * math.prod(shape)
+        if end > size:
             raise BundleError(f"{path}: payload holds {size // 8} values, "
-                              f"the array ends at value {stop // 8}",
+                              f"the array ends at value {end // 8}",
                               field=name)
-        if offset < end and stop > offset:
-            raise BundleError(f"{path}: the array starts at value "
-                              f"{offset // 8}, inside an array that ends at "
-                              f"value {end // 8}", field=name)
-        end = max(end, stop)
     if size != end:
         raise BundleError(f"{path}: payload holds {size // 8} values, "
                           f"header implies {end // 8}")
-    return meta, {name: PayloadReader(path, shape, offset)
-                  for name, (offset, shape) in entries.items()}
-
-
-def _array_entry(spec, name: str) -> tuple[int, tuple[int, ...]]:
-    """(byte offset, shape) of one entry, else a ``BundleError``."""
-    if not isinstance(spec, dict) or not isinstance(spec.get("shape"), list):
-        raise BundleError("malformed array entry", field=name)
-    offset = json_int(spec.get("offset"), name)
-    count = json_int(spec.get("count"), name)
-    shape = tuple(json_int(n, name) for n in spec["shape"])
-    if offset % 8:
-        raise BundleError(f"array offset {offset} is not a multiple of 8",
-                          field=name)
-    if count != math.prod(shape):
-        raise BundleError(f"array count {count} != product of shape {shape}",
-                          field=name)
-    return offset, shape
+    return meta, readers
 
 
 # ---- checkpoints ----------------------------------------------------
@@ -295,7 +272,7 @@ def save_checkpoint(base_path: str, meta: dict, params: dict):
 def load_checkpoint(base_path: str) -> tuple[dict, dict[str, np.ndarray]]:
     """The meta table and name -> array, each a view of one payload read,
     whose values are scanned once: a NaN or an infinity is a ``BundleError``
-    naming the first array holding one and its first bad index."""
+    naming the payload, the first array with one and its first bad index."""
     meta, readers = open_container(base_path, "checkpoint manifest")
     path = base_path + ".raw"
     flat = PayloadReader(path, (os.path.getsize(path) // 8,))[:]
@@ -304,6 +281,6 @@ def load_checkpoint(base_path: str) -> tuple[dict, dict[str, np.ndarray]]:
     bad = next((n for n, a in arrays.items() if not np.isfinite(a).all()), None)
     if bad is not None:
         index = tuple(map(int, np.argwhere(~np.isfinite(arrays[bad]))[0]))
-        raise BundleError(f"checkpoint parameter is not finite at index "
-                          f"{index}", field=bad)
+        raise BundleError(f"{path}: checkpoint parameter is not finite at "
+                          f"index {index}", field=bad)
     return meta, arrays

@@ -442,14 +442,15 @@ def _open(base: str, ndims: dict[str, tuple[int, ...]]
     return meta, readers
 
 
-def _scene(meta: dict, rows: int) -> tuple[int, int]:
-    """The meta's width and height, JSON ints >= 1 whose product is
-    ``rows``, else a ``BundleError`` naming the first bad one."""
-    width, height = (ct.json_int(meta.get(key), key, 1)
+def _scene(base: str, meta: dict, rows) -> tuple[int, int]:
+    """The width and height of the meta of the bundle ``base``, JSON ints
+    >= 1 whose product is the length of ``rows``, else a ``BundleError``
+    naming the first bad one."""
+    width, height = (ct.json_int(f"{base}.json", meta.get(key), key, 1)
                      for key in ("width", "height"))
-    if width * height != rows:
-        raise BundleError(f"width * height is {width * height}, the arrays "
-                          f"have {rows} rows", field="width")
+    if width * height != len(rows):
+        raise BundleError(f"{base}.json: width * height is {width * height}, "
+                          f"the arrays have {len(rows)} rows", field="width")
     return width, height
 
 
@@ -506,13 +507,14 @@ def open_cube(base: str) -> HyperCube:
     pass of the caller's own must look for non-finite values."""
     meta, readers = _open(base, {"pixels": (2,)})
     pixels = readers["pixels"]
-    width, height = _scene(meta, len(pixels))
+    width, height = _scene(base, meta, pixels)
     wl = meta.get("wavelengths")
     if wl is not None:
         if not isinstance(wl, list) or len(wl) != pixels.shape[1]:
-            raise BundleError("wavelengths must list one number per band",
-                              field="wavelengths")
-        wl = np.asarray([ct.json_float(w, "wavelengths") for w in wl])
+            raise BundleError(f"{base}.json: wavelengths must list one "
+                              f"number per band", field="wavelengths")
+        wl = np.asarray([ct.json_float(f"{base}.json", w, "wavelengths")
+                         for w in wl])
     return HyperCube(width=width, height=height, pixels=pixels,
                      wavelengths=wl)
 
@@ -541,7 +543,7 @@ def _load_map(base: str, name: str, ndim: int
     the scene's width and height; a NaN or infinite value raises
     ``InputError`` naming the first offending pixel."""
     meta, readers = _open(base, {name: (ndim,)})
-    width, height = _scene(meta, len(readers[name]))
+    width, height = _scene(base, meta, readers[name])
     return _check_finite(base, name, readers[name][:], width), width, height
 
 
@@ -571,7 +573,7 @@ def _endmembers(base: str):
     (N, P, L) stack and the scene's width."""
     meta, readers = _open(base, {"endmembers": (2, 3)})
     stack = readers["endmembers"]
-    return stack, None if stack.ndim == 2 else _scene(meta, len(stack))[0]
+    return stack, None if stack.ndim == 2 else _scene(base, meta, stack)[0]
 
 
 def load_endmembers(base: str) -> np.ndarray:

@@ -27,6 +27,7 @@ class BundleError(InputError):
 
     def __init__(self, message: str, field: str | None = None):
         super().__init__(message if field is None else f"{message} (field: {field})")
+        self.message = message
         self.field = field
 
 

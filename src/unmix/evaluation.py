@@ -65,8 +65,7 @@ def nrmse(x, x_hat, name: str = "pixels", roles=("truth", "estimate"),
     norm, are a ``DomainError``, the latter naming ``score`` and X's
     source."""
     x, x_hat = _rows(x), _rows(x_hat)
-    if x.shape != x_hat.shape:
-        raise InputError(f"shape mismatch: {x.shape} vs {x_hat.shape}")
+    _check_shapes(score, x, x_hat, roles)
     return _ratio(*_residual_sums(x, x_hat, name, roles=roles), score,
                   _label(x, roles[0]))
 
@@ -154,14 +153,21 @@ def _per_pixel_stack(m, n: int):
     return m
 
 
+def _check_shapes(score: str, x, y, roles=("truth", "estimate")):
+    """Reject row sources of unlike shapes: an ``InputError`` naming
+    ``score`` and both sources, each by its ``_label``."""
+    if x.shape != y.shape:
+        raise InputError(f"{score}: shape mismatch: {_label(x, roles[0])} "
+                         f"{x.shape} vs {_label(y, roles[1])} {y.shape}")
+
+
 def _stack_pair(m_true, m_hat):
-    """Both arguments as (N, P, L) row sources.  N is the length of the
-    first per-pixel stack of the two, else 1."""
+    """Both as (N, P, L) row sources, N the length of the first per-pixel
+    stack of the two, else 1; unlike stacks fail naming sam_m."""
     m_true, m_hat = _rows(m_true), _rows(m_hat)
     n = next((m.shape[0] for m in (m_true, m_hat) if m.ndim == 3), 1)
     mt, mh = _per_pixel_stack(m_true, n), _per_pixel_stack(m_hat, n)
-    if mt.shape != mh.shape:
-        raise InputError(f"shape mismatch: {mt.shape} vs {mh.shape}")
+    _check_shapes("sam_m", mt, mh)
     return mt, mh
 
 
@@ -383,6 +389,8 @@ def evaluate(cube, truth, estimates: Estimates) -> MetricsReport:
         perm, cost = align_endmembers(truth_m, m_hat)
 
     if truth.abundances is not None:
+        # checked here, as a_hat[:, perm] needs the truth's columns
+        _check_shapes("nrmse_a", truth.abundances, a_hat)
         report.nrmse_a = nrmse(truth.abundances,
                                a_hat if perm is None else a_hat[:, perm],
                                "abundances", score="nrmse_a")

@@ -6,6 +6,7 @@ import dataclasses
 import importlib
 import inspect
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -342,6 +343,59 @@ class TestExitCodes:
             "error: unmix: the reconstruction left float32's range in the "
             "block from pixel 0\n")
         assert os.listdir(out) == []
+
+    def test_failed_forced_rerun_leaves_no_claim_of_an_earlier_run(
+            self, scene, tmp_path, capsys):
+        """``unmix --force`` over an earlier run that fails part way leaves
+        neither that run's manifest, which lists the bundles the failure
+        removed, nor its abundance images."""
+        meta, arrays = ct.load_checkpoint(scene["ckpt"])
+        w0 = arrays["gen.nlin_mixing.w0"].copy()
+        w0[0, 0] = 1e39
+        base = str(tmp_path / "wide_weight")
+        ct.save_checkpoint(base, meta,
+                           dict(arrays, **{"gen.nlin_mixing.w0": w0}))
+        out = tmp_path / "est"
+        assert cli.main(["unmix", scene["cube"], scene["ckpt"],
+                         str(out)]) == 0
+        (out / "kept.txt").write_bytes(b"kept")
+        capsys.readouterr()
+        assert cli.main(["unmix", scene["cube"], base, str(out),
+                         "--force"]) == 3
+        assert "reconstruction left float32's range" in \
+            capsys.readouterr().err
+        assert os.listdir(out) == ["kept.txt"]
+
+    # eval of estimates of another endmember or band count than the truth
+    @pytest.mark.parametrize("bundle, score, truth, est", [
+        ("abundances_est", "nrmse_a", "truth (64, 3)", "estimate (64, 2)"),
+        ("endmembers_est", "sam_m", "{truth}/endmembers (64, 3, 24)",
+         "{est}/endmembers_est (64, 2, 24)"),
+        ("reconstruction", "nrmse_y", "{truth}/cube (64, 24)",
+         "{est}/reconstruction (64, 20)")])
+    def test_eval_shape_mismatch_exits_2_naming_score_and_sources(
+            self, scene, tmp_path, capsys, bundle, score, truth, est):
+        est_dir = _unmix(scene, f"shape_{bundle}")
+        path = os.path.join(est_dir, bundle)
+        rng = np.random.default_rng(5)
+        if bundle == "abundances_est":
+            dt.save_abundances(path, rng.dirichlet(np.ones(P - 1),
+                                                   WIDTH * HEIGHT),
+                               WIDTH, HEIGHT)
+        elif bundle == "endmembers_est":
+            save_stack(path, rng.random((WIDTH * HEIGHT, P - 1, BANDS)),
+                       WIDTH, HEIGHT)
+        else:
+            dt.save_cube(path, dt.HyperCube(
+                WIDTH, HEIGHT, rng.random((WIDTH * HEIGHT, BANDS - 4))))
+        truth_dir, csv = os.path.dirname(scene["cube"]), str(tmp_path / "r.csv")
+        capsys.readouterr()
+        assert cli.main(["eval", truth_dir, est_dir, csv]) == 2
+        named = {"truth": truth_dir, "est": est_dir}
+        assert capsys.readouterr().err == (
+            f"error: {score}: shape mismatch: {truth.format(**named)} vs "
+            f"{est.format(**named)}\n")
+        assert not os.path.exists(csv)
 
     def test_eta_d_of_another_size_exits_2(self, scene, tmp_path, capsys):
         """An eta_d map of 10 pixels among the estimates of a 64-pixel
@@ -993,38 +1047,42 @@ class TestBundles:
         assert exc_info.value.field == named
         rc, err = self._unmix_rc(scene, base, capsys)
         assert rc == 2 and f"field: {named}" in err
+        assert err.startswith(f"error: {base}.json: ")
 
-    # one header entry edited; None removes it
+    # one header entry edited; None removes it.  The array list in the
+    # format before it (name -> offset, count and shape), an entry whose
+    # shape is not a list, and one that is not a pair are refused.
     @pytest.mark.parametrize("key, value", [
-        ("format", None), ("format", "unmix-v2"), ("format", 1),
+        ("format", None), ("format", "unmix-v1"), ("format", 1),
         ("format", "unmix-ckpt-v1"),
-        ("dtype", None), ("dtype", "f32le"), ("meta", None),
-        ("meta", [1]), ("arrays", None), ("arrays", [1])])
+        ("arrays", {"pixels": {"offset": 0, "count": WIDTH * HEIGHT * BANDS,
+                               "shape": [WIDTH * HEIGHT, BANDS]}}),
+        ("arrays", [["pixels", str(WIDTH * HEIGHT * BANDS)]]),
+        ("meta", None), ("meta", [1]), ("arrays", None), ("arrays", [1])])
     def test_bad_container_field_exits_2_before_writing(self, scene, capsys,
                                                         key, value):
-        base = _copy_cube(scene, f"container_{key}_{value}")
+        base = _copy_cube(scene, f"container_{key}_{json.dumps(value)}")
         _edit_header(base, key, value)
         with pytest.raises(BundleError) as exc_info:
             dt.open_cube(base)
         assert exc_info.value.field == key
-        out = str(scene["root"] / f"run_container_{key}_{value}")
+        out = str(scene["root"] / f"run_container_{key}_{json.dumps(value)}")
         capsys.readouterr()
         assert cli.main(["unmix", base, scene["ckpt"], out]) == 2
-        assert f"field: {key}" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {base}.json: ")
+        assert f"field: {key}" in err
         assert not os.path.exists(out)
 
-    # the pixels' entry edited: past the payload's end, a count that is not
-    # the shape's, and shapes of the same count with 1 and 3 axes
-    @pytest.mark.parametrize("key, value", [
-        ("offset", 8), ("count", 1), ("shape", [WIDTH * HEIGHT * BANDS]),
-        ("shape", [WIDTH * HEIGHT, BANDS, 1])])
-    def test_bad_array_entry_exits_2(self, scene, capsys, key, value):
-        base = _copy_cube(scene, f"entry_{key}_{value}")
-        with open(base + ".json") as f:
-            header = json.load(f)
-        header["arrays"]["pixels"][key] = value
-        with open(base + ".json", "w") as f:
-            json.dump(header, f)
+    # the array list edited: the pixels listed twice, and their shape
+    # replaced by one of the same count with 1 and 3 axes
+    @pytest.mark.parametrize("arrays", [
+        [["pixels", [WIDTH * HEIGHT, BANDS]], ["pixels", [0]]],
+        [["pixels", [WIDTH * HEIGHT * BANDS]]],
+        [["pixels", [WIDTH * HEIGHT, BANDS, 1]]]])
+    def test_bad_array_entry_exits_2(self, scene, capsys, arrays):
+        base = _copy_cube(scene, f"entry_{json.dumps(arrays)}")
+        _edit_header(base, "arrays", arrays)
         with pytest.raises(BundleError) as exc_info:
             dt.open_cube(base)
         assert exc_info.value.field == "pixels"
@@ -1103,26 +1161,6 @@ class TestBundles:
         assert "m has a non-finite value (nan) at sample 2, endmember 0, " \
                "band 7" in err
 
-    def test_labelled_arrays_sharing_bytes_exit_2(self, scene, capsys):
-        """y moved one value on overlaps a: refused, not read as spectra
-        shifted by one band."""
-        base = str(scene["root"] / "sup_shared_bytes")
-        for ext in (".json", ".raw"):
-            shutil.copyfile(_supervised(scene) + ext, base + ext)
-        with open(base + ".json") as f:
-            header = json.load(f)
-        header["arrays"]["y"]["offset"] += 8
-        with open(base + ".json", "w") as f:
-            json.dump(header, f)
-        with pytest.raises(BundleError, match="inside an array") as exc_info:
-            dt.load_supervised(base)
-        assert exc_info.value.field == "a"
-        out = str(scene["root"] / "sup_shared_bytes_ckpt")
-        capsys.readouterr()
-        rc = cli.main(["train", scene["cube"], base, out, "--epochs", "1"])
-        assert rc == 2 and "field: a" in capsys.readouterr().err
-        assert not os.path.exists(out + ".json")
-
     def test_off_simplex_supervised_row_exits_2_before_training(
             self, scene, monkeypatch, capsys):
         def step(*args, **kwargs):
@@ -1152,12 +1190,12 @@ class TestBundles:
         base = os.path.join(truth, "endmembers")
         with open(base + ".json") as f:
             header = json.load(f)
-        entry = header["arrays"]["endmembers"]
+        shape = header["arrays"][0][1]
         if case == "no_width":
             del header["meta"]["width"]
         else:
-            entry["shape"] = (entry["shape"] + [1] if case == "4_axes"
-                              else [entry["count"]])
+            header["arrays"][0][1] = (shape + [1] if case == "4_axes"
+                                      else [math.prod(shape)])
         with open(base + ".json", "w") as f:
             json.dump(header, f)
         with pytest.raises(BundleError) as exc_info:
@@ -1168,64 +1206,25 @@ class TestBundles:
                        str(scene["root"] / f"em_{case}.csv")])
         assert rc == 2 and f"field: {named}" in capsys.readouterr().err
 
-    # one manifest entry edited; value None removes the key.  The scalar
-    # entry makes true pass as the int 1 unless bools are rejected.
-    @pytest.mark.parametrize("name,key,value", [
-        ("inf.z_trunk.w0", "shape", [999]), ("inf.z_trunk.w0", "shape", "4"),
-        ("inf.z_trunk.w0", "shape", [-4, -1]),
-        ("inf.z_trunk.w0", "offset", -8), ("inf.z_trunk.w0", "offset", 1.0),
-        ("inf.z_trunk.w0", "offset", 4),
-        ("inf.z_trunk.w0", "offset", "past end"),
-        ("inf.z_trunk.w0", "count", -1),
-        ("inf.z_trunk.w0", "count", "off by one"),
-        ("inf.z_trunk.w0", "count", None),
-        ("inf.lista.log_eta0", "count", True),
-        ("inf.lista.log_eta0", "offset", True),
-        ("inf.lista.log_eta0", "shape", [True])])
-    def test_bad_checkpoint_entry_exits_2(self, scene, capsys, name, key,
-                                          value):
-        base = str(scene["root"] / f"ckpt_{name}_{key}_{value}")
-        for ext in (".json", ".raw"):
-            shutil.copyfile(scene["ckpt"] + ext, base + ext)
-        with open(base + ".json") as f:
-            manifest = json.load(f)
-        spec = manifest["arrays"][name]
-        if value == "past end":
-            value = os.path.getsize(base + ".raw") - 8
-        elif value == "off by one":
-            value = spec["count"] + 1
-        if value is None:
-            del spec[key]
-        else:
-            spec[key] = value
-        with open(base + ".json", "w") as f:
-            json.dump(manifest, f)
+    # one array's shape edited: past the payload's end, and with a
+    # negative or a bool size (true passes as the int 1 unless bools are
+    # rejected)
+    @pytest.mark.parametrize("name,shape", [
+        ("inf.z_trunk.w0", [10 ** 9]), ("inf.z_trunk.w0", [-4, -1]),
+        ("inf.lista.log_eta0", [True])])
+    def test_bad_checkpoint_entry_exits_2(self, scene, capsys, name, shape):
+        def edit(manifest):
+            manifest["arrays"] = [[n, shape if n == name else s]
+                                  for n, s in manifest["arrays"]]
+        tag = f"{name}_{json.dumps(shape)}"
+        base = self._edited_ckpt(scene, f"ckpt_{tag}", edit)
         with pytest.raises(BundleError) as exc_info:
             ct.load_checkpoint(base)
         assert exc_info.value.field == name
         capsys.readouterr()
         rc = cli.main(["unmix", scene["cube"], base,
-                       str(scene["root"] / f"run_ckpt_{name}_{key}_{value}")])
+                       str(scene["root"] / f"run_ckpt_{tag}")])
         assert rc == 2 and f"field: {name}" in capsys.readouterr().err
-
-    def test_checkpoint_arrays_sharing_bytes_exit_2_writing_nothing(
-            self, scene, capsys):
-        """One step size read from another's bytes is refused, not
-        loaded as that value."""
-        def share(manifest):
-            arrays = manifest["arrays"]
-            arrays["inf.lista.log_eta_sp"]["offset"] = \
-                arrays["inf.lista.log_eta_unc"]["offset"]
-        base = self._edited_ckpt(scene, "ckpt_shared_bytes", share)
-        with pytest.raises(BundleError, match="inside an array") as exc_info:
-            ct.load_checkpoint(base)
-        named = exc_info.value.field
-        assert named in ("inf.lista.log_eta_sp", "inf.lista.log_eta_unc")
-        out = str(scene["root"] / "run_ckpt_shared_bytes")
-        capsys.readouterr()
-        assert cli.main(["unmix", scene["cube"], base, out]) == 2
-        assert f"field: {named}" in capsys.readouterr().err
-        assert not os.path.exists(out)
 
     def _edited_ckpt(self, scene, name: str, edit) -> str:
         base = str(scene["root"] / name)
@@ -1252,7 +1251,9 @@ class TestBundles:
         capsys.readouterr()
         rc = cli.main(["unmix", scene["cube"], base,
                        str(scene["root"] / f"run_meta_{key}_{value}")])
-        assert rc == 2 and f"field: {key}" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert rc == 2 and f"field: {key}" in err
+        assert err.startswith(f"error: {base}.json: ")
 
     @pytest.mark.parametrize("value", [-1, True, 1.5, "0", None])
     def test_bad_resume_epoch_exits_2(self, scene, capsys, value):
@@ -1348,18 +1349,6 @@ class TestBundles:
         with pytest.raises(BundleError, match="ended early"):
             reader[5:7]
 
-    def test_empty_array_inside_another_shares_no_byte(self, tmp_path):
-        arrays = {"head": np.arange(4.0), "none": np.zeros((0, BANDS)),
-                  "tail": np.ones(2)}
-        base = str(tmp_path / "empty")
-        ct.write_container(base, {}, arrays)
-        _edit_header(base, "none", {"offset": 8, "count": 0,
-                                    "shape": [0, BANDS]}, "arrays")
-        _, readers = ct.open_container(base)
-        assert readers["none"][:].shape == (0, BANDS)
-        for name in ("head", "tail"):
-            assert readers[name][:].tobytes() == arrays[name].tobytes()
-
     @pytest.mark.parametrize("case, named", [
         ("fewer lista layers", "inf.lista.log_eta3"),
         ("extra array", "gen.extra")])
@@ -1413,7 +1402,9 @@ class TestBundles:
                       "--epochs", "1", "--resume", base])
         capsys.readouterr()
         assert cli.main(argv) == 2
-        assert f"field: {named}" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"field: {named}" in err
+        assert err.startswith(f"error: {base}.json: ")
         assert not any(os.path.exists(out + ext) for ext in
                        ("", ".json", ".raw", ".history.csv", ".manifest.json"))
 
@@ -1436,11 +1427,9 @@ class TestBundles:
         with open(cube + ".json") as f:
             header = json.load(f)
         if case == "renamed":
-            header["arrays"]["pixel"] = header["arrays"].pop("pixels")
+            header["arrays"][0][0] = "pixel"
         elif case == "extra":
-            header["arrays"]["extra"] = {
-                "offset": os.path.getsize(cube + ".raw"), "count": 0,
-                "shape": [0]}
+            header["arrays"].append(["extra", [0]])
         with open(cube + ".json", "w") as f:
             json.dump(header, f)
         capsys.readouterr()
@@ -1570,7 +1559,7 @@ class TestBundles:
         # the same count, as (N / 2, 2)
         with open(eta + ".json") as f:
             header = json.load(f)
-        header["arrays"][dt.SCALAR_MAP]["shape"] = [WIDTH * HEIGHT // 2, 2]
+        header["arrays"] = [[dt.SCALAR_MAP, [WIDTH * HEIGHT // 2, 2]]]
         with open(eta + ".json", "w") as f:
             json.dump(header, f)
         with pytest.raises(BundleError) as exc_info:
@@ -1721,16 +1710,12 @@ class TestStreamedBundles:
                                                           case):
         name = "gen.nlin_mixing.w1"
         base = str(scene["root"] / f"ckpt_{case}")
-        for ext in (".json", ".raw"):
-            shutil.copyfile(scene["ckpt"] + ext, base + ext)
-        with open(base + ".json") as f:
-            manifest = json.load(f)
+        meta, arrays = ct.load_checkpoint(scene["ckpt"])
         if case == "missing":
-            del manifest["arrays"][name]
+            del arrays[name]
         else:                     # the same count, transposed
-            manifest["arrays"][name]["shape"].reverse()
-        with open(base + ".json", "w") as f:
-            json.dump(manifest, f)
+            arrays[name] = arrays[name].T
+        ct.save_checkpoint(base, meta, arrays)
         out = str(scene["root"] / f"run_ckpt_{case}")
         capsys.readouterr()
         rc = cli.main(["unmix", scene["cube"], base, out])

@@ -1040,8 +1040,10 @@ class TestCheckpoint:
         base = str(tmp_path / "ck")
         ct.save_checkpoint(base, {"epoch": 0}, params)
         with open(base + ".json") as f:
-            specs = json.load(f)["arrays"]
-        assert [specs[n]["offset"] for n in params] == [0, 96, 104]
+            assert json.load(f)["arrays"] == [["t", [3, 4]], ["s", []],
+                                              ["p", [5]]]
+        _, readers = ct.open_container(base)
+        assert [r.offset for r in readers.values()] == [0, 96, 104]
         expected = b"".join(np.ascontiguousarray(
             a.data if isinstance(a, dc.Tensor) else a, "<f8").tobytes()
             for a in params.values())
@@ -1055,13 +1057,18 @@ class TestCheckpoint:
         ct.save_checkpoint(base, {}, {"p": p})
         import json
         manifest = json.load(open(base + ".json"))
-        manifest["dtype"] = "f32le"
+        manifest["format"] = "unmix-v1"
         json.dump(manifest, open(base + ".json", "w"))
-        with pytest.raises(BundleError):
+        with pytest.raises(BundleError) as exc_info:
             ct.load_checkpoint(base)
+        assert exc_info.value.field == "format"
 
-    @pytest.mark.parametrize("arrays,field", [([], "arrays"), (None, "arrays"),
-                                              ({"p": 5}, "p")])
+    # the table before the array list, none, an array past the payload's
+    # end, an entry that is not a [name, shape] pair, a name listed twice
+    @pytest.mark.parametrize("arrays,field", [
+        ({"p": {"offset": 0, "count": 2, "shape": [2]}}, "arrays"),
+        (None, "arrays"), ([["p", [3]]], "p"), ([["p", 2]], "arrays"),
+        ([["p", [1]], ["p", [1]]], "p")])
     def test_malformed_array_table(self, tmp_path, arrays, field):
         base = str(tmp_path / "ck")
         ct.save_checkpoint(base, {}, {"p": dc.parameter(np.ones(2), "p")})

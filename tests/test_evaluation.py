@@ -126,8 +126,8 @@ class TestNrmse:
             ev.nrmse(x, scale * x)
 
     def test_shape_mismatch_rejected(self):
-        with pytest.raises(InputError,
-                           match=r"^shape mismatch: \(3, 4\) vs \(3, 5\)$"):
+        with pytest.raises(InputError, match=r"^nrmse: shape mismatch: truth "
+                           r"\(3, 4\) vs estimate \(3, 5\)$"):
             ev.nrmse(np.ones((3, 4)), np.ones((3, 5)))
 
     def test_zero_reference_names_score_and_source(self, tmp_path):
